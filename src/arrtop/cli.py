@@ -138,6 +138,13 @@ def cmd_verify(args) -> int:
                             "nontrivial system")
     reports, summary = harness.run_verification(
         corpus, seed=args.seed, checks=checks, primes=primes)
+    if checks:
+        # a selected check that applies nowhere must not read as a pass
+        vacuous = sorted(set(checks) - {r.check for r in reports})
+        if vacuous:
+            raise PreconditionError(
+                f"selected check(s) {', '.join(vacuous)} produced no reports "
+                "on these inputs")
     _emit(harness.reports_to_json(reports, summary, args.seed), args.out)
     if not args.out:
         sys.stdout.flush()

@@ -6,7 +6,9 @@ Two layers:
   spaces) used by the combinatorial geometry, and
 * the rank / homology workhorses for chain complexes: sparse ingest,
   fraction-free (Bareiss) elimination on arbitrary-precision integers
-  over Q, vectorized Gaussian elimination over F_p.
+  over Q, vectorized Gaussian elimination over F_p, and ranks over Q of
+  a chain complex certified from ranks mod a fixed prime wherever the
+  complex leaves no gap.
 
 There are no tolerances anywhere; every result is an exact integer or
 rational.
@@ -16,11 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import MAX_PRIME, FieldSpec
+
+# The prime whose ranks bound ranks over Q from below in complex_dims.
+P = 2**31 - 1
+assert P < MAX_PRIME
+_MOD_P = FieldSpec.prime(P)
 
 
 class ChainComplexError(Exception):
@@ -158,18 +165,19 @@ class FMatrixSparse:
         return rows
 
 
-def _rows_to_integers(rows):
-    """Scale each row by the lcm of denominators; rank is unchanged."""
-    out = []
-    for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            l = 1
-            for x in row:
-                d = x.denominator if isinstance(x, Fraction) else 1
-                l = l * d // gcd(l, d)
-            out.append([int(x * l) for x in row])
-        else:
-            out.append([int(x) for x in row])
+def _integer_matrix(matrix: FMatrixSparse) -> FMatrixSparse:
+    """`matrix` with each row scaled by the lcm of its own denominators.
+
+    Row scaling keeps the rank over Q, and the rank of the integer result
+    mod any prime is a lower bound on it."""
+    rows = {}
+    for (i, j), v in matrix.entries.items():
+        rows.setdefault(i, []).append((j, v))
+    out = FMatrixSparse(matrix.nrows, matrix.ncols)
+    for i, row in rows.items():
+        scale = lcm(*(v.denominator for _j, v in row))
+        for j, v in row:
+            out.entries[(i, j)] = v.numerator * (scale // v.denominator)
     return out
 
 
@@ -232,9 +240,9 @@ def rank(matrix: FMatrixSparse, fieldspec: FieldSpec) -> int:
     """Exact rank of a sparse matrix over the given field."""
     if matrix.nrows == 0 or matrix.ncols == 0 or not matrix.entries:
         return 0
-    rows = matrix.dense_rows()
     if fieldspec.kind == "Q":
-        return _rank_bareiss(_rows_to_integers(rows))
+        return _rank_bareiss(_integer_matrix(matrix).dense_rows())
+    rows = matrix.dense_rows()
     return _rank_mod_p([[x % fieldspec.p for x in row] for row in rows], fieldspec.p)
 
 
@@ -254,19 +262,62 @@ class ComplexDims:
         return sum((-1) ** k * d for k, d in enumerate(self.dims))
 
 
-def _verify_composition(upper: FMatrixSparse, lower: FMatrixSparse, fieldspec: FieldSpec, k: int):
-    """Check lower ∘ upper = 0 (upper: C_{k+1} -> C_k, lower: C_k -> C_{k-1})."""
-    lower_cols = lower.columns()
-    for j, col in upper.columns().items():
-        acc = {}
-        for m, v in col:
-            for i, w in lower_cols.get(m, ()):
-                acc[i] = fieldspec.add(acc.get(i, fieldspec.zero), fieldspec.mul(w, v))
-        for i, val in acc.items():
-            if not fieldspec.is_zero(val):
-                raise ChainComplexError(
-                    f"boundary composition nonzero in degrees {k + 1}->{k - 1} "
-                    f"at ({i},{j}): {val}")
+def verify_composition(matrices, fieldspec: FieldSpec):
+    """Check d_k ∘ d_{k+1} = 0 over `fieldspec` in every degree;
+    `matrices[k-1]` is the boundary C_k -> C_{k-1}."""
+    for k in range(1, len(matrices)):
+        upper, lower = matrices[k], matrices[k - 1]
+        lower_cols = lower.columns()
+        for j, col in upper.columns().items():
+            acc = {}
+            for m, v in col:
+                for i, w in lower_cols.get(m, ()):
+                    acc[i] = fieldspec.add(acc.get(i, fieldspec.zero), fieldspec.mul(w, v))
+            for i, val in acc.items():
+                if not fieldspec.is_zero(val):
+                    raise ChainComplexError(
+                        f"boundary composition nonzero in degrees {k + 1}->{k - 1} "
+                        f"at ({i},{j}): {val}")
+
+
+def _rational_ranks(matrices, dims):
+    """Exact ranks over Q of the boundaries of a chain complex.
+
+    Each boundary's rank mod P is a lower bound L on its rank over Q.
+    Because d_k ∘ d_{k+1} = 0 over Q, im d_{k+1} ⊆ ker d_k bounds it from
+    above:
+        rank d_k <= min(dims[k] - r(d_{k+1}), dims[k-1] - r(d_{k-1})),
+    where r is a neighbour's exact rank once known, its L otherwise, and 0
+    past either end (so the bound never exceeds nrows or ncols).
+    Where that bound meets L the rank is exact without elimination over
+    Q; only boundaries with a gap run Bareiss, cheapest first, and each
+    exact rank tightens its neighbours' bounds.  The upper bound, and so
+    every rank certified here, holds only because complex_dims verified
+    composition over Q before calling this."""
+    n = len(matrices)
+    ints = [_integer_matrix(m) for m in matrices]
+    lower = [rank(m, _MOD_P) for m in ints]
+    exact = [None] * n
+
+    def known(k):
+        if not 0 <= k < n:
+            return 0
+        return lower[k] if exact[k] is None else exact[k]
+
+    while True:
+        gaps = []
+        for k in range(n):                # ints[k]: C_{k+1} -> C_k
+            if exact[k] is not None:
+                continue
+            upper = min(dims[k + 1] - known(k + 1), dims[k] - known(k - 1))
+            if upper == lower[k]:
+                exact[k] = lower[k]
+            else:
+                gaps.append(k)
+        if not gaps:
+            return exact
+        k = min(gaps, key=lambda g: ints[g].nrows * ints[g].ncols)
+        exact[k] = rank(ints[k], FieldSpec.rationals())
 
 
 def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
@@ -275,7 +326,7 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
     `matrices[k-1]` is the boundary C_k -> C_{k-1} (shape dims[k-1] x dims[k])
     for k = 1..n; `dims` lists the chain-group dimensions.  Composition to
     zero is verified first and a violation is a hard error, never a wrong
-    answer.
+    answer; over Q the same check is what certifies ranks taken mod P.
     """
     n = len(dims) - 1
     if len(matrices) != n:
@@ -284,9 +335,11 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
         if mat.nrows != dims[k - 1] or mat.ncols != dims[k]:
             raise ValueError(f"boundary {k} has shape {mat.nrows}x{mat.ncols}, "
                              f"expected {dims[k - 1]}x{dims[k]}")
-    for k in range(1, n):
-        _verify_composition(matrices[k], matrices[k - 1], fieldspec, k)
-    ranks = [rank(m, fieldspec) for m in matrices]
+    verify_composition(matrices, fieldspec)
+    if fieldspec.kind == "Q":
+        ranks = _rational_ranks(matrices, dims)
+    else:
+        ranks = [rank(m, fieldspec) for m in matrices]
     homology = []
     for k in range(n + 1):
         below = ranks[k - 1] if k >= 1 else 0

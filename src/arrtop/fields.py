@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -27,14 +28,34 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Largest characteristic the F_p rank engine supports: elimination mod p
+# runs in int64 and multiplies two residues, so (p - 1)**2 must fit.
+MAX_PRIME = isqrt(2**63 - 1) + 1
+
+# Miller-Rabin with these bases is deterministic for n < 3.3e24, which
+# covers every 64-bit n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -50,6 +71,8 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError("Q takes no characteristic")
         elif self.kind == "Fp":
+            if self.p is not None and self.p > MAX_PRIME:
+                raise ValueError(f"Fp supports primes up to {MAX_PRIME}, got {self.p}")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"Fp needs a prime, got {self.p}")
         else:

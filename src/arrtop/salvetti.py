@@ -8,9 +8,11 @@ composition G∘C: take G's sign where nonzero, C's sign where G is
 zero).  This face relation makes the model a regular CW complex, so
 integer incidence signs exist; they are computed degree by degree by
 closing all "diamonds" (two-step intervals) over the signs fixed one
-degree below, and the resulting convention is gated, not trusted:
-boundary-squares-to-zero is verified over the integers at build time
-and over every coefficient field before any rank is taken.
+degree below, and the resulting convention is gated, not trusted: the
+build checks boundary-squares-to-zero over the integers (composition
+only, no ranks), and every twisted complex re-checks composition over
+its field before any rank is taken.  Over Q that second check is also
+what certifies the ranks complex_dims reads off modular lower bounds.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .exactla import FMatrixSparse, complex_dims
+from .exactla import FMatrixSparse, complex_dims, verify_composition
 from .fields import FieldSpec
 from .localsys import LocalSystem, mat_mul, identity_matrix, transpose
 from .realfaces import FaceComplex
@@ -119,8 +121,8 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     boundary[0] = [[] for _ in cells[0]]
 
     sc = SalvettiComplex(fc, cells, boundary)
-    dims, mats = _integer_matrices(sc)
-    complex_dims(mats, dims, FieldSpec.rationals())  # raises on a bad convention
+    _dims, mats = _integer_matrices(sc)
+    verify_composition(mats, FieldSpec.rationals())  # raises on a bad convention
     return sc
 
 

@@ -101,6 +101,19 @@ def test_verify_multiple_checks_on_files(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_vacuous_check_exits_2(tmp_path, capsys):
+    # c1_oracle sees only dimension-1 complexes other checks evaluated
+    out = tmp_path / "report.json"
+    assert main(["verify", "--all", "--checks", "c1_oracle", "--out", str(out)]) == 2
+    assert "c1_oracle" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_prime_beyond_engine_limit_exits_2(capsys):
+    assert main(["verify", "--all", "--prime", "4294967311"]) == 2
+    assert "4294967311" in capsys.readouterr().err
+
+
 def test_corpus_generate(tmp_path):
     out = tmp_path / "corpus"
     assert main(["corpus", "generate", "--seed", "3", "--out", str(out)]) == 0

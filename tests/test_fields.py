@@ -1,0 +1,81 @@
+import random
+
+import pytest
+
+from arrtop.exactla import P, FMatrixSparse, rank
+from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def rank_mod_p_reference(rows, p):
+    """Gaussian elimination mod p on Python integers (no overflow)."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def corank_one_matrix(p, n=12, seed=5):
+    """n x n matrix of rank n - 1 mod p with entries spread over [0, p)."""
+    rng = random.Random(seed)
+    a = [[rng.randrange(p) for _ in range(n - 1)] for _ in range(n)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+    return [[sum(a[i][t] * b[t][j] for t in range(n - 1)) % p for j in range(n)]
+            for i in range(n)]
+
+
+def sparse(rows):
+    m = FMatrixSparse(len(rows), len(rows[0]))
+    m.entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return m
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-2, 3000) if _is_prime(n)] == \
+        [n for n in range(-2, 3000) if trial_division(n)]
+
+
+def test_is_prime_large_mersenne():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1)
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert not _is_prime(n)
+
+
+def test_prime_above_int64_safe_bound_is_refused():
+    p = 4294967311
+    assert _is_prime(p) and p > MAX_PRIME
+    rows = corank_one_matrix(p)
+    assert rank_mod_p_reference(rows, p) == 11
+    with pytest.raises(ValueError, match="up to"):
+        FieldSpec.prime(p)
+    with pytest.raises(ValueError, match="up to"):
+        FieldSpec.from_json({"kind": "Fp", "p": p})
+
+
+def test_largest_accepted_prime_ranks_exactly():
+    p = next(q for q in range(MAX_PRIME, 0, -1) if _is_prime(q))
+    rows = corank_one_matrix(p)
+    assert rank(sparse(rows), FieldSpec.prime(p)) == rank_mod_p_reference(rows, p) == 11
+
+
+def test_certification_prime_is_supported():
+    assert P < MAX_PRIME
+    assert FieldSpec.prime(P).p == P

@@ -2,10 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from arrtop.exactla import FMatrixSparse
+from arrtop import exactla, salvetti
+from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
 from arrtop.fields import FieldSpec
 from arrtop.geometry import betti_numbers, intersection_poset
-from arrtop.harness import braid_essentialized, c1_expected_dims, random_central, random_generic
+from arrtop.harness import (
+    CorpusSpec,
+    braid_essentialized,
+    c1_expected_dims,
+    generate_corpus,
+    random_central,
+    random_generic,
+)
 from arrtop.localsys import build_local_system, scalar_system
 from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import (
@@ -13,6 +21,7 @@ from arrtop.salvetti import (
     build_salvetti,
     euler_characteristic,
     twisted_betti,
+    twisted_complex,
     untwisted_homology,
 )
 
@@ -218,3 +227,43 @@ def test_incidence_target_chamber_is_nearest(gen3, cen3):
                 assert dist >= best
                 if dist == best:
                     assert other == target.chamber
+
+
+def test_build_gate_takes_no_ranks_but_catches_a_bad_sign(gen3, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("build_salvetti took a rank")
+
+    monkeypatch.setattr(exactla, "rank", no_rank)
+    assert complex_for(gen3).cell_counts == [7, 18, 12]
+
+    real_orient = salvetti._orient
+    flipped = []
+
+    def corrupted(cell, covers, k, prev_signs, fc):
+        signs = real_orient(cell, covers, k, prev_signs, fc)
+        if k == 2 and not flipped:
+            signs[0] = -signs[0]
+            flipped.append(cell)
+        return signs
+
+    monkeypatch.setattr(salvetti, "_orient", corrupted)
+    with pytest.raises(ChainComplexError):
+        complex_for(gen3)
+    assert flipped
+
+
+@pytest.fixture(scope="module")
+def corpus_items():
+    return {item.arrangement_id: item for item in generate_corpus(CorpusSpec(seed=0))}
+
+
+@pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
+def test_certified_q_ranks_match_bareiss_on_corpus(corpus_items, arr_id, step):
+    # Bareiss on every boundary is the oracle for the certified Q ranks
+    item = corpus_items[arr_id]
+    sc = complex_for(item.arrangement)
+    systems = [s for _, s in item.systems if s.field.kind == "Q"]
+    for system in systems[::step]:
+        tc = twisted_complex(sc, system)
+        assert complex_dims(tc.matrices, tc.dims, Q).ranks == \
+            [rank(m, Q) for m in tc.matrices]
