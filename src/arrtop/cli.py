@@ -88,15 +88,22 @@ def cmd_betti(args) -> int:
 
 def _classify_files(paths):
     arrangements, systems = [], []
+    first_path = {}                      # (kind, id) -> path; ids key the caches
     for path in paths:
         obj = _load_json(path)
         stem = Path(path).stem
         if isinstance(obj, dict) and "hyperplanes" in obj:
+            kind = "arrangement"
             arrangements.append((stem, geometry.validate_arrangement(obj)))
         elif isinstance(obj, dict) and "monodromy" in obj:
+            kind = "system"
             systems.append((stem, localsys.local_system_from_json(obj)))
         else:
             raise ArrangementError(f"{path}: neither an arrangement nor a local system")
+        if (kind, stem) in first_path:
+            raise PreconditionError(f"{first_path[kind, stem]} and {path} share the "
+                                    f"{kind} id {stem!r} (ids are file stems)")
+        first_path[kind, stem] = path
     return arrangements, systems
 
 

@@ -262,6 +262,13 @@ class ComplexDims:
         return sum((-1) ** k * d for k, d in enumerate(self.dims))
 
 
+class GatedBoundaries(tuple):
+    """Boundary matrices proven to compose to zero: specializations, at
+    pairwise-commuting monodromy, of a boundary over Λ = Z[t_1^±1..t_d^±1]
+    whose composition was checked zero over Λ.  complex_dims takes this
+    type as the proof and skips its own composition check."""
+
+
 def verify_composition(matrices, fieldspec: FieldSpec):
     """Check d_k ∘ d_{k+1} = 0 over `fieldspec` in every degree;
     `matrices[k-1]` is the boundary C_k -> C_{k-1}."""
@@ -292,8 +299,8 @@ def _rational_ranks(matrices, dims):
     Where that bound meets L the rank is exact without elimination over
     Q; only boundaries with a gap run Bareiss, cheapest first, and each
     exact rank tightens its neighbours' bounds.  The upper bound, and so
-    every rank certified here, holds only because complex_dims verified
-    composition over Q before calling this."""
+    every rank certified here, holds only because d² = 0 over Q: checked by
+    complex_dims, or for GatedBoundaries proven over Λ."""
     n = len(matrices)
     ints = [_integer_matrix(m) for m in matrices]
     lower = [rank(m, _MOD_P) for m in ints]
@@ -325,9 +332,9 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
 
     `matrices[k-1]` is the boundary C_k -> C_{k-1} (shape dims[k-1] x dims[k])
     for k = 1..n; `dims` lists the chain-group dimensions.  Composition to
-    zero is verified first and a violation is a hard error, never a wrong
-    answer; over Q the same check is what certifies ranks taken mod P.
-    """
+    zero is verified first (GatedBoundaries carry a proof over Λ instead)
+    and a violation is a hard error, never a wrong answer; over Q, d² = 0
+    is what certifies ranks taken mod P."""
     n = len(dims) - 1
     if len(matrices) != n:
         raise ValueError(f"expected {n} boundary matrices, got {len(matrices)}")
@@ -335,7 +342,8 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
         if mat.nrows != dims[k - 1] or mat.ncols != dims[k]:
             raise ValueError(f"boundary {k} has shape {mat.nrows}x{mat.ncols}, "
                              f"expected {dims[k - 1]}x{dims[k]}")
-    verify_composition(matrices, fieldspec)
+    if not isinstance(matrices, GatedBoundaries):
+        verify_composition(matrices, fieldspec)
     if fieldspec.kind == "Q":
         ranks = _rational_ranks(matrices, dims)
     else:

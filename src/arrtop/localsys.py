@@ -79,6 +79,20 @@ class LocalSystem:
     rank: int
     monodromy: tuple     # one r x r matrix per hyperplane, pairwise commuting
 
+    def __post_init__(self):
+        """Refuse non-commuting monodromy however the system is made: the
+        d²=0 gate over Λ carries over to a specialization only then."""
+        first = {}                       # distinct matrix -> first hyperplane
+        for j, m in enumerate(self.monodromy if self.rank > 1 else ()):
+            if m in first:
+                continue
+            for other, i in first.items():
+                if mat_mul(self.field, other, m) != mat_mul(self.field, m, other):
+                    raise LocalSystemError(
+                        f"matrices {i + 1} and {j + 1} do not commute; "
+                        "only abelian monodromy is supported")
+            first[m] = j
+
     @property
     def d(self) -> int:
         return len(self.monodromy)
@@ -112,12 +126,6 @@ def build_local_system(fieldspec: FieldSpec, rank: int, matrices) -> LocalSystem
             mat_inverse(fieldspec, m)
         except LocalSystemError:
             raise LocalSystemError(f"monodromy matrix {idx + 1} is singular")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mat_mul(fieldspec, mats[i], mats[j]) != mat_mul(fieldspec, mats[j], mats[i]):
-                raise LocalSystemError(
-                    f"matrices {i + 1} and {j + 1} do not commute; "
-                    "only abelian monodromy is supported")
     return LocalSystem(fieldspec, rank, tuple(mats))
 
 
@@ -173,9 +181,15 @@ def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem
                        tuple(m for j, m in enumerate(system.monodromy) if j != i0))
 
 
-def local_system_from_json(obj: dict) -> LocalSystem:
-    fieldspec = FieldSpec.from_json(obj["field"])
-    rank = int(obj["rank"])
+def local_system_from_json(obj) -> LocalSystem:
+    """Parse a system file; malformed input raises LocalSystemError."""
+    try:
+        fieldspec = FieldSpec.from_json(obj["field"])
+        rank = int(obj["rank"])
+        if not all(isinstance(flat, list) for flat in obj["monodromy"]):
+            raise TypeError("each monodromy matrix must be a list")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LocalSystemError(f"malformed local system: {exc!r}")
     mats = []
     for flat in obj["monodromy"]:
         if len(flat) == rank and all(isinstance(row, list) for row in flat):

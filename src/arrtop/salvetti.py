@@ -8,11 +8,15 @@ composition G∘C: take G's sign where nonzero, C's sign where G is
 zero).  This face relation makes the model a regular CW complex, so
 integer incidence signs exist; they are computed degree by degree by
 closing all "diamonds" (two-step intervals) over the signs fixed one
-degree below, and the resulting convention is gated, not trusted: the
-build checks boundary-squares-to-zero over the integers (composition
-only, no ranks), and every twisted complex re-checks composition over
-its field before any rank is taken.  Over Q that second check is also
-what certifies the ranks complex_dims reads off modular lower bounds.
+degree below.  With each incidence read as sign * t^neg (neg: the
+hyperplanes crossed from their negative side) the boundary lives over
+Λ = Z[t_1^±1..t_d^±1], as the chain complex of the universal abelian
+cover (Salvetti, Invent. Math. 88, 1987), and the build gates the sign
+convention by checking d∘d = 0 once over Λ (composition only, no ranks).
+Every twisted complex, the untwisted one (t = 1) included, specializes
+that boundary at commuting monodromy (LocalSystem refuses any other), a
+ring homomorphism, so no per-system check runs; over Q, d² = 0 also
+certifies the ranks complex_dims reads off modular lower bounds.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -25,12 +29,12 @@ the usual inversion).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
-from .exactla import FMatrixSparse, complex_dims, verify_composition
+from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
-from .localsys import LocalSystem, mat_mul, identity_matrix, transpose
+from .localsys import LocalSystem, mat_mul, identity_matrix, scalar_system, transpose
 from .realfaces import FaceComplex
 
 
@@ -78,7 +82,7 @@ def _compose(g_sign, c_sign):
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     """All (face, adjacent chamber) pairs, graded by codim, with a sign
-    convention satisfying boundary-squared = 0 over the integers."""
+    convention satisfying boundary-squared = 0 over Λ."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
@@ -121,8 +125,7 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     boundary[0] = [[] for _ in cells[0]]
 
     sc = SalvettiComplex(fc, cells, boundary)
-    _dims, mats = _integer_matrices(sc)
-    verify_composition(mats, FieldSpec.rationals())  # raises on a bad convention
+    _verify_over_group_ring(sc)          # raises on a bad convention
     return sc
 
 
@@ -175,41 +178,33 @@ def _orient(cell, covers, k, prev_signs, fc):
     return signs
 
 
-def _integer_matrices(sc: SalvettiComplex):
-    counts = sc.cell_counts
-    dims = list(counts)
-    mats = []
-    for k in range(1, len(counts)):
-        m = FMatrixSparse(counts[k - 1], counts[k])
-        for pos, records in enumerate(sc.boundary[k]):
-            for target, sign, _neg, _crossings in records:
-                m.add(target, pos, sign)
-        mats.append(m)
-    return dims, mats
+def _verify_over_group_ring(sc: SalvettiComplex):
+    """The d²=0 gate over Λ.  A product t^a t^b of two incidences is keyed
+    by (a | b, a & b), which fixes each exponent (0, 1 or 2) exactly."""
+    for k in range(2, len(sc.cells)):
+        for j, records in enumerate(sc.boundary[k]):
+            acc = Counter()
+            for m, outer, a, _crossings in records:
+                for i, inner, b, _crossings in sc.boundary[k - 1][m]:
+                    acc[i, a | b, a & b] += outer * inner
+            bad = next((key for key, c in acc.items() if c), None)
+            if bad is not None:
+                raise ChainComplexError(
+                    f"boundary composition nonzero over Λ in degrees {k}->{k - 2} "
+                    f"at ({bad[0]},{j})")
 
 
 def boundary_matrices(sc: SalvettiComplex):
-    """Integer boundary matrices (entries +-1), the trivial-monodromy
-    specialization of the twisted complex."""
-    _, mats = _integer_matrices(sc)
-    return mats
+    """Boundary matrices over Q (entries +-1), the specialization at t = 1."""
+    trivial = scalar_system(FieldSpec.rationals(), [1] * sc.fc.arrangement.d)
+    return twisted_complex(sc, trivial).matrices
 
 
 def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
-    """Homology dims of the integer complex over Q (or over F_p)."""
+    """Homology dims of the untwisted complex over Q (or over F_p)."""
     fieldspec = fieldspec or FieldSpec.rationals()
-    dims, mats = _integer_matrices(sc)
-    if fieldspec.kind == "Fp":
-        p = fieldspec.p
-        reduced = []
-        for m in mats:
-            rm = FMatrixSparse(m.nrows, m.ncols)
-            for (i, j), v in m.entries.items():
-                if v % p:
-                    rm.entries[(i, j)] = v % p
-            reduced.append(rm)
-        mats = reduced
-    return complex_dims(mats, dims, fieldspec).homology
+    tc = twisted_complex(sc, scalar_system(fieldspec, [1] * sc.fc.arrangement.d))
+    return complex_dims(GatedBoundaries(tc.matrices), tc.dims, fieldspec).homology
 
 
 @dataclass
@@ -221,10 +216,10 @@ class TwistedComplex:
 
 
 def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
-    """Boundary matrices with coefficients in the local system.
+    """The boundary over Λ specialized at the system's monodromy.
 
-    Each incidence contributes an r x r block: the incidence sign times
-    the (transposed) product of the monodromies of the hyperplanes
+    Each incidence sign * t^neg becomes an r x r block: the sign times the
+    transposed product of the monodromies of the hyperplanes in neg, those
     crossed from their negative to their positive side."""
     arr = sc.fc.arrangement
     if system.d != arr.d:
@@ -272,7 +267,8 @@ def twisted_betti(sc: SalvettiComplex, system: LocalSystem):
     inversion, so statements quantified over all systems are unaffected.
     """
     tc = twisted_complex(sc, system)
-    hom = complex_dims(tc.matrices, tc.dims, tc.field).homology
+    # no per-system composition check: the build proved d∘d = 0 over Λ
+    hom = complex_dims(GatedBoundaries(tc.matrices), tc.dims, tc.field).homology
     n = sc.fc.arrangement.dim
     return hom + [0] * (n + 1 - len(hom))
 

@@ -1,0 +1,38 @@
+"""The benchmark's tracer patches arrtop functions by name; a refactor
+that renames one would silently drop a layer from traced runs."""
+
+import ast
+import importlib
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_constants():
+    """TRACED and MUST_PATCH, read from the source without importing it."""
+    found = {}
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("TRACED", "MUST_PATCH"):
+                found[name] = ast.literal_eval(node.value)
+    return found["TRACED"], found["MUST_PATCH"]
+
+
+def test_every_traced_name_resolves_in_arrtop():
+    traced, must_patch = _spans_constants()
+    functions = set()
+    for layer, names in traced.items():
+        module = importlib.import_module(f"arrtop.{layer}")
+        for name in names:
+            owner, attr = module, name
+            if "." in name:
+                cls, attr = name.split(".")
+                owner = getattr(module, cls)
+            fn = vars(owner).get(attr)
+            assert callable(fn), f"{layer}.{name} is traced but gone"
+            functions.add(fn)
+    for dotted in must_patch:
+        layer, attr = dotted.split(".")
+        value = getattr(importlib.import_module(f"arrtop.{layer}"), attr, None)
+        assert value in functions, f"{dotted} is not bound to a traced function"

@@ -86,6 +86,44 @@ def test_verify_trivial_main_theorem_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind,first,second", [
+    ("system", {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]},
+     {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["1"], ["1"]]}),
+    ("arrangement", GEN3, CEN3),
+], ids=["system", "arrangement"])
+def test_verify_refuses_repeated_ids(tmp_path, capsys, kind, first, second):
+    # ids are file stems; two files with one stem would share cached results
+    two_points = {"dim": 1, "hyperplanes": [
+        {"label": "a", "normal": ["1"], "offset": "0"},
+        {"label": "b", "normal": ["1"], "offset": "1"}]}
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    if kind == "system":
+        files = [write(tmp_path, "arr.json", two_points),
+                 write(tmp_path / "a", "sys.json", first),
+                 write(tmp_path / "b", "sys.json", second)]
+    else:
+        files = [write(tmp_path / "a", "arr.json", first),
+                 write(tmp_path / "b", "arr.json", second),
+                 write(tmp_path, "sys.json", SYS_222_Q)]
+    assert main(["verify", *files]) == 2
+    err = capsys.readouterr().err
+    assert files[1] in err and files[2 if kind == "system" else 0] in err
+
+
+@pytest.mark.parametrize("system", [
+    {"rank": 1, "monodromy": [["2"], ["2"], ["2"]]},
+    {"field": {"kind": "Fp"}, "rank": 1, "monodromy": [["2"], ["2"], ["2"]]},
+    [["2"], ["2"], ["2"]],
+    {"field": {"kind": "Q"}, "rank": 1, "monodromy": [5, 6]},
+], ids=["no-field", "fp-without-p", "top-level-list", "scalar-matrices"])
+def test_betti_malformed_system_exits_2(tmp_path, capsys, system):
+    code = main(["betti", write(tmp_path, "gen3.json", GEN3),
+                 "--system", write(tmp_path, "sys.json", system)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_without_inputs_exits_2(capsys):
     assert main(["verify"]) == 2
 

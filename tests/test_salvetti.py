@@ -14,7 +14,7 @@ from arrtop.harness import (
     random_central,
     random_generic,
 )
-from arrtop.localsys import build_local_system, scalar_system
+from arrtop.localsys import LocalSystem, LocalSystemError, build_local_system, scalar_system
 from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import (
     boundary_matrices,
@@ -267,3 +267,62 @@ def test_certified_q_ranks_match_bareiss_on_corpus(corpus_items, arr_id, step):
         tc = twisted_complex(sc, system)
         assert complex_dims(tc.matrices, tc.dims, Q).ranks == \
             [rank(m, Q) for m in tc.matrices]
+
+
+def test_group_ring_gate_catches_a_monomial_the_integer_check_misses(gen3):
+    sc = complex_for(gen3)
+    records = sc.boundary[2]
+    pos, idx = next((pos, i) for pos, recs in enumerate(records)
+                    for i, rec in enumerate(recs) if rec[2])
+    target, sign, _neg, crossings = records[pos][idx]
+    records[pos][idx] = (target, sign, frozenset(), crossings)
+    exactla.verify_composition(boundary_matrices(sc), Q)   # t = 1 still composes
+    with pytest.raises(ChainComplexError):
+        salvetti._verify_over_group_ring(sc)
+
+
+@pytest.mark.parametrize("arr_id", ["braid4", "gen-4-3"])
+def test_per_system_composition_oracle_on_corpus(corpus_items, arr_id):
+    # the per-system check no longer runs before ranks; it stays the oracle
+    item = corpus_items[arr_id]
+    sc = complex_for(item.arrangement)
+    sample = {}
+    for _sys_id, system in item.systems:
+        sample.setdefault((system.field, system.rank), []).append(system)
+    assert {f.kind for f, _r in sample} == {"Q", "Fp"}
+    assert {r for _f, r in sample} == {1, 2, 3}
+    for systems in sample.values():
+        for system in systems[:2]:
+            tc = twisted_complex(sc, system)
+            exactla.verify_composition(tc.matrices, tc.field)
+
+
+def test_noncommuting_system_refused_before_any_rank(gen3, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(exactla, "rank", no_rank)
+    sc = complex_for(gen3)
+    shear = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    with pytest.raises(LocalSystemError, match="1 and 2 do not commute"):
+        twisted_betti(sc, LocalSystem(Q, 2, (shear, swap, shear)))
+
+
+def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
+    gates, checks = [], []
+    real_gate, real_check = salvetti._verify_over_group_ring, exactla.verify_composition
+    monkeypatch.setattr(salvetti, "_verify_over_group_ring",
+                        lambda sc: gates.append(sc) or real_gate(sc))
+    monkeypatch.setattr(exactla, "verify_composition",
+                        lambda mats, field: checks.append(field) or real_check(mats, field))
+    sc = complex_for(gen3)
+    assert len(gates) == 1 and checks == []
+    twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
+    twisted_betti(sc, build_local_system(F7, 2, [[[2, 0], [0, 3]]] * 3))
+    untwisted_homology(sc)
+    untwisted_homology(sc, F7)
+    assert len(gates) == 1 and checks == []
+    tc = twisted_complex(sc, scalar_system(Q, [2, 3, 5]))
+    complex_dims(tc.matrices, tc.dims, Q)     # a plain list is still checked
+    assert checks == [Q]
