@@ -6,9 +6,9 @@ Two layers:
   spaces) used by the combinatorial geometry, and
 * the rank / homology workhorses for chain complexes: sparse ingest,
   fraction-free (Bareiss) elimination on arbitrary-precision integers
-  over Q, vectorized Gaussian elimination over F_p, and ranks over Q of
-  a chain complex certified from ranks mod a fixed prime wherever the
-  complex leaves no gap.
+  over Q, sparse Gaussian elimination over F_p on Python ints, and ranks
+  over Q of a chain complex certified from ranks mod a fixed prime
+  wherever the complex leaves no gap.
 
 There are no tolerances anywhere; every result is an exact integer or
 rational.
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
 
 from .fields import MAX_PRIME, FieldSpec
 
@@ -212,27 +210,51 @@ def _rank_bareiss(rows) -> int:
     return rank
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = m.shape
+def _sparse_rank_mod_p(entries: dict, fieldspec: FieldSpec) -> int:
+    """Rank over F_p by sparse elimination on {(i, j): value} entries.
+
+    Each row is a {col: residue} dict and each column keeps the set of rows
+    that use it.  Pivot columns are taken by increasing initial count
+    (ties by index), each with the shortest of its rows (ties by index),
+    so the mostly-±1 boundaries fill in little.  Arithmetic is on Python
+    ints, so no prime overflows.  A Fraction entry n/d maps to n·d⁻¹ as in
+    FieldSpec.element, which raises ValueError when p divides d."""
+    p = fieldspec.p
+    rows, cols = {}, {}
+    for (i, j), v in entries.items():
+        x = v % p if type(v) is int else fieldspec.element(v)
+        if x:
+            rows.setdefault(i, {})[j] = x
+            cols.setdefault(j, set()).add(i)
     rank = 0
-    for col in range(ncols):
-        nz = np.nonzero(m[rank:, col])[0]
-        if nz.size == 0:
+    for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
+        users = cols[c]
+        if not users:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = (m[rank] * inv) % p
-        below = np.nonzero(m[rank + 1:, col])[0] + rank + 1
-        if below.size:
-            m[below] = (m[below] - np.outer(m[below, col], m[rank])) % p
+        piv = min(users, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(piv)
+        for j in prow:
+            cols[j].discard(piv)
         rank += 1
-        if rank == nrows:
-            break
+        if not users:
+            continue
+        inv = pow(prow.pop(c), -1, p)
+        prow = [(j, v * inv % p) for j, v in prow.items()]
+        for i in users:
+            row = rows[i]
+            f = row.pop(c)
+            for j, v in prow:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * v % p
+                    cols[j].add(i)
+                else:
+                    x = (x - f * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
     return rank
 
 
@@ -242,8 +264,7 @@ def rank(matrix: FMatrixSparse, fieldspec: FieldSpec) -> int:
         return 0
     if fieldspec.kind == "Q":
         return _rank_bareiss(_integer_matrix(matrix).dense_rows())
-    rows = matrix.dense_rows()
-    return _rank_mod_p([[x % fieldspec.p for x in row] for row in rows], fieldspec.p)
+    return _sparse_rank_mod_p(matrix.entries, fieldspec)
 
 
 # ---------------------------------------------------------------------------

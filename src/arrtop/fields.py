@@ -28,8 +28,9 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-# Largest characteristic the F_p rank engine supports: elimination mod p
-# runs in int64 and multiplies two residues, so (p - 1)**2 must fit.
+# Largest characteristic accepted, an input bound: the F_p rank engine
+# works on Python ints and overflows at no prime, while the dense int64
+# test oracle multiplies two residues, so (p - 1)**2 must fit there.
 MAX_PRIME = isqrt(2**63 - 1) + 1
 
 # Miller-Rabin with these bases is deterministic for n < 3.3e24, which

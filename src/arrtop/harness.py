@@ -334,8 +334,9 @@ class VerifyContext:
     """Shared caches for one verification run.
 
     Complexes are identified by stable string ids; twisted dimensions
-    are cached per (complex id, system id).  Every ambient-dimension-1
-    complex that gets evaluated is recorded for the closed-form sweep.
+    are cached per (complex id, system id, system).  Every
+    ambient-dimension-1 complex that gets evaluated is recorded for the
+    closed-form sweep.
     """
 
     def __init__(self, seed: int, primes=DEFAULT_PRIMES):
@@ -379,12 +380,13 @@ class VerifyContext:
         return self._salvetti[arr_id]
 
     def dims(self, arr_id, sys_id, system):
-        key = (arr_id, sys_id)
+        # keyed on the system too: a file id may equal a built-in id
+        key = (arr_id, sys_id, system)
         if key not in self._dims:
             value = salvetti.twisted_betti(self.salvetti(arr_id), system)
             self._dims[key] = value
             if self.arrangements[arr_id].dim == 1:
-                self.c1_seen[key] = (system, value)
+                self.c1_seen[(arr_id, sys_id)] = (system, value)
         return self._dims[key]
 
     def section(self, arr_id, k):

@@ -111,6 +111,21 @@ def test_verify_refuses_repeated_ids(tmp_path, capsys, kind, first, second):
     assert files[1] in err and files[2 if kind == "system" else 0] in err
 
 
+def test_verify_file_named_like_a_builtin_system(tmp_path, capsys):
+    # constant_equality caches its own system as const-r1; a file with that
+    # stem must not share its cached dimensions
+    def statuses(stem):
+        out = tmp_path / f"{stem}-report.json"
+        code = main(["verify", write(tmp_path, "gen3.json", GEN3),
+                     write(tmp_path, f"{stem}.json", SYS_222_Q), "--out", str(out)])
+        reports = json.loads(out.read_text())["reports"]
+        return code, [(r["check"], r["status"]) for r in reports]
+
+    assert statuses("const-r1") == statuses("s222")
+    code, checks = statuses("const-r1")
+    assert code == 0 and all(status == "pass" for _check, status in checks)
+
+
 @pytest.mark.parametrize("system", [
     {"rank": 1, "monodromy": [["2"], ["2"], ["2"]]},
     {"field": {"kind": "Fp"}, "rank": 1, "monodromy": [["2"], ["2"], ["2"]]},

@@ -1,8 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from dense_rank_oracle import dense_rank_mod_p
 from hypothesis import given, settings, strategies as st
 
+import arrtop
 from arrtop import exactla
 from arrtop.exactla import (
     P,
@@ -15,7 +19,11 @@ from arrtop.exactla import (
     rref,
     solve_affine,
 )
-from arrtop.fields import FieldSpec
+from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
+from arrtop.harness import CorpusSpec, generate_corpus
+from arrtop.localsys import LocalSystem
+from arrtop.realfaces import enumerate_faces
+from arrtop.salvetti import build_salvetti, twisted_complex
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -210,3 +218,97 @@ def test_certified_ranks_match_bareiss(complex_):
     out = complex_dims(mats, dims, Q)
     assert out.ranks == [rank(m, Q) for m in mats] == ranks
     assert out.homology == homology
+
+
+# ---------------------------------------------------------------------------
+# the sparse F_p engine against the dense numpy oracle
+
+
+def test_fp_rank_maps_fractions_to_residues():
+    # 1/2 is 4 in F_7, 7/2 is 0; truncating either gives the wrong rank
+    assert rank(sparse_from_rows([[Fraction(1, 2)]]), F7) == 1
+    assert rank(sparse_from_rows([[Fraction(7, 2)]]), F7) == 0
+    assert rank(sparse_from_rows([[Fraction(1, 2), Fraction(3, 2)],
+                                  [1, 3]]), F7) == 1
+    with pytest.raises(ValueError, match="no image in F_7"):
+        rank(sparse_from_rows([[Fraction(1, 7)]]), F7)
+
+
+LARGEST_PRIME = next(q for q in range(MAX_PRIME, 0, -1) if _is_prime(q))
+
+
+@st.composite
+def low_rank_matrices_mod_p(draw):
+    """(matrix, p): a product A·B of sparse matrices with small entries
+    (so its rank is often below min(nrows, ncols)), with multiples of p up
+    to 2**70 added to some positions, stored zeros among them; rows and
+    columns are often empty."""
+    p = draw(st.sampled_from([2, 3, 101, P, LARGEST_PRIME]))
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    inner = draw(st.integers(0, 5))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2])
+    a = [[draw(small) for _ in range(inner)] for _ in range(nrows)]
+    b = [[draw(small) for _ in range(ncols)] for _ in range(inner)]
+    lift = st.one_of(st.just(0), st.integers(-2**70 // p, 2**70 // p))
+    m = FMatrixSparse(nrows, ncols)
+    for i in range(nrows):
+        for j in range(ncols):
+            v = sum(a[i][t] * b[t][j] for t in range(inner)) + p * draw(lift)
+            if v:
+                m.entries[(i, j)] = v
+    return m, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices_mod_p())
+def test_sparse_fp_rank_matches_dense_oracle(case):
+    m, p = case
+    field = FieldSpec.prime(p)
+    assert rank(m, field) == dense_rank_mod_p(m, p) == rank(m.transpose(), field)
+
+
+def _unipotent_system(field, d, scalars, powers):
+    """A rank-3 system over F_p: monodromy c·(I + N)^k, N the nilpotent
+    Jordan block, so every pair commutes."""
+    p = field.p
+
+    def matrix(c, k):
+        return tuple(tuple(c * (1 if a == b else k if b == a + 1 else k * (k - 1) // 2
+                                if b == a + 2 else 0) % p for b in range(3))
+                     for a in range(3))
+
+    return LocalSystem(field, 3, tuple(matrix(scalars[h % len(scalars)],
+                                              powers[h % len(powers)])
+                                       for h in range(d)))
+
+
+@pytest.mark.parametrize("arr_id", ["braid4", "gen-4-3"])
+def test_sparse_fp_rank_matches_dense_oracle_on_corpus(arr_id):
+    item = next(it for it in generate_corpus(CorpusSpec(seed=0))
+                if it.arrangement_id == arr_id)
+    sc = build_salvetti(enumerate_faces(item.arrangement))
+    sample = {}
+    for _sys_id, system in item.systems:
+        if system.field.kind == "Fp":
+            sample.setdefault((system.field.p, system.rank), []).append(system)
+    systems = [s for group in sample.values() for s in group[:2]]
+    d = item.arrangement.d
+    systems += [_unipotent_system(FieldSpec.prime(p), d, scalars, (1, 0, 2))
+                for p, scalars in ((2, (1,)), (7, (1, 3)), (101, (2, 5, 1)))]
+    assert {s.rank for s in systems} == {1, 2, 3}
+    for system in systems:
+        for m in twisted_complex(sc, system).matrices:
+            assert rank(m, system.field) == dense_rank_mod_p(m, system.field.p)
+
+
+def test_library_imports_no_numpy():
+    # one F_p engine: a dense int64 path would need numpy
+    for path in sorted(Path(arrtop.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), path.name
