@@ -135,14 +135,14 @@ def cmd_verify(args) -> int:
         if not args.files:
             raise ArrangementError("give input files or use --all")
         corpus = _file_corpus(args.files)
-        if checks:
-            # explicit files plus an explicit check: enforce preconditions
+        # explicit files plus an explicit check: enforce the check's hypotheses
+        for name in checks or ():
+            check = harness.CHECKS[name]
             for item in corpus:
                 for sys_id, system in item.systems:
-                    if "main_theorem" in checks and localsys.is_trivial(system):
-                        raise PreconditionError(
-                            f"{sys_id}: the strict-inequality check needs a "
-                            "nontrivial system")
+                    if not check.on_system(system):
+                        raise PreconditionError(f"{sys_id}: outside the hypotheses of "
+                                                f"{name} ({check.statement})")
     reports, summary = harness.run_verification(
         corpus, seed=args.seed, checks=checks, primes=primes)
     if checks:
@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
     if not args.out:
         sys.stdout.flush()
     sys.stderr.write(f"checks: {summary['total']}, passed: {summary['passed']}, "
-                     f"failed: {summary['failed']}\n")
+                     f"failed: {summary['failed']}, skipped: {summary['skipped']}\n")
     return 0 if summary["failed"] == 0 else 1
 
 

@@ -133,16 +133,6 @@ class FMatrixSparse:
     ncols: int
     entries: dict = field(default_factory=dict)
 
-    def add(self, i, j, value):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
-        cur = self.entries.get((i, j))
-        new = value if cur is None else cur + value
-        if new == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = new
-
     def columns(self):
         """entries grouped by column: {j: [(i, value), ...]}"""
         cols = {}

@@ -14,8 +14,12 @@ systems per arrangement by default.
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 
 from . import geometry, localsys, realfaces, salvetti
 from .exactla import FMatrixSparse, rank as matrix_rank
@@ -30,25 +34,8 @@ class PreconditionError(Exception):
 
 DEFAULT_PRIMES = (2, 3, 7, 101)
 
-STATEMENTS = {
-    "untwisted_match": "Salvetti homology equals Whitney-sum Betti numbers; "
-                       "chamber counts match the characteristic-polynomial evaluations",
-    "constant_equality": "constant rank-r coefficients give exactly r times the "
-                         "untwisted Betti numbers in every degree",
-    "main_theorem": "nontrivial coefficients: b_i(U;L) < r*b_i(U) in every degree",
-    "euler": "alternating sum of twisted Betti numbers equals r times the "
-             "Euler characteristic of the complement",
-    "relative_section": "for a generic hyperplane section B: b_i agrees for i <= n-2 "
-                        "and b_{n-1}(B) - b_{n-1}(U) + b_n(U) = r*b_n(U)",
-    "local_global": "b_n(U;L) >= sum of b_n over localizations at 0-flats; "
-                    "equality for constant coefficients",
-    "nearby_section": "generic section of U dominates the generic section of "
-                      "each localization in degree n-1",
-    "central_structure": "central case: invertible (T - I) forces vanishing; "
-                         "T = I gives b_k(U) = b_k(M) + b_{k-1}(M) for every decone",
-    "lefschetz": "generic i-section: b_i(U;L) <= b_i(B;L) and untwisted b_i agree",
-    "c1_oracle": "dimension-1 closed form: (dim ker-intersection, r(d-1) + same)",
-}
+# ranks of the constant systems in every corpus and in constant_equality
+CONSTANT_RANKS = (1, 2, 3)
 
 
 @dataclass
@@ -61,16 +48,7 @@ class CheckReport:
     aux: str = ""
 
     def to_json(self, seed):
-        return {
-            "check": self.check,
-            "arrangement": self.arrangement,
-            "system": self.system,
-            "status": self.status,
-            "data": self.data,
-            "aux": self.aux,
-            "statement": STATEMENTS[self.check],
-            "seed": seed,
-        }
+        return {**vars(self), "statement": CHECKS[self.check].statement, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -114,49 +92,34 @@ def _subseed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _binomials(d, n):
-    from math import comb
-    return [comb(d, i) for i in range(n + 1)]
+def _sample(kind, d, n, seed, offset, accept) -> Arrangement:
+    """The first essential arrangement `accept` takes among 64 seeded draws
+    of d hyperplanes with normals in [-5, 5]^n and offsets `offset(rng)`."""
+    rng = random.Random(seed)
+    for _ in range(64):
+        hyps = [Hyperplane(tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)),
+                           Fraction(offset(rng)), f"H{i + 1}") for i in range(d)]
+        try:
+            arr = Arrangement.build(n, hyps)
+        except geometry.ArrangementError:
+            continue
+        if arr.is_essential and accept(arr):
+            return arr
+    raise RuntimeError(f"failed to sample a {kind} ({d},{n}) arrangement")
 
 
 def random_generic(d: int, n: int, seed: int) -> Arrangement:
     """d hyperplanes in general position in C^n (certified: Betti numbers
     are the binomial coefficients)."""
-    import random as _random
-    rng = _random.Random(seed)
-    for _ in range(64):
-        hyps = []
-        for i in range(d):
-            normal = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
-            hyps.append(Hyperplane(normal, Fraction(rng.randint(-9, 9)), f"H{i + 1}"))
-        try:
-            arr = Arrangement.build(n, hyps)
-        except geometry.ArrangementError:
-            continue
-        if not arr.is_essential:
-            continue
-        poset = geometry.intersection_poset(arr)
-        if geometry.betti_numbers(poset) == _binomials(d, n):
-            return arr
-    raise RuntimeError(f"failed to sample a generic ({d},{n}) arrangement")
+    binomials = [comb(d, i) for i in range(n + 1)]
+    return _sample("generic", d, n, seed, lambda rng: rng.randint(-9, 9),
+                   lambda arr: geometry.betti_numbers(
+                       geometry.intersection_poset(arr)) == binomials)
 
 
 def random_central(d: int, n: int, seed: int) -> Arrangement:
     """d distinct hyperplanes through the origin, essential."""
-    import random as _random
-    rng = _random.Random(seed)
-    for _ in range(64):
-        hyps = []
-        for i in range(d):
-            normal = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
-            hyps.append(Hyperplane(normal, Fraction(0), f"H{i + 1}"))
-        try:
-            arr = Arrangement.build(n, hyps)
-        except geometry.ArrangementError:
-            continue
-        if arr.is_essential:
-            return arr
-    raise RuntimeError(f"failed to sample a central ({d},{n}) arrangement")
+    return _sample("central", d, n, seed, lambda rng: 0, lambda arr: True)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +132,6 @@ class CorpusSpec:
 
     seed: int = 0
     primes: tuple = DEFAULT_PRIMES
-    include_named: bool = True
     braid_sizes: tuple = (3, 4)
     generic_sizes: tuple = ((4, 2), (6, 2), (4, 3))
     central_sizes: tuple = ((4, 3), (5, 3))
@@ -177,9 +139,6 @@ class CorpusSpec:
     rank1_fp_random: int = 9
     rank2_diag_q: int = 2
     rank2_diag_fp: int = 2
-    constant_ranks: tuple = (1, 2, 3)
-    include_unipotent: bool = True
-    include_balanced: bool = True
     min_nontrivial: int = 100
 
 
@@ -205,12 +164,11 @@ def _add_with_inverse(out, seen, sys_id, system):
 
 def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
     """Local systems attached to one arrangement, closed under inversion."""
-    import random as _random
     d = arr.d
     q = FieldSpec.rationals()
     out, seen = [], {}
 
-    for r in spec.constant_ranks:
+    for r in CONSTANT_RANKS:
         ident = identity_matrix(q, r)
         out.append((f"const-r{r}", LocalSystem(q, r, tuple(ident for _ in range(d)))))
 
@@ -218,12 +176,12 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
     for s in pool:
         _add_with_inverse(out, seen, f"q1-eq-{_id_frag(s)}",
                           localsys.scalar_system(q, [s] * d))
-    rng = _random.Random(_subseed(spec.seed, arr_id, "q1"))
+    rng = random.Random(_subseed(spec.seed, arr_id, "q1"))
     for t in range(spec.rank1_q_random):
         scalars = [pool[rng.randrange(len(pool))] for _ in range(d)]
         _add_with_inverse(out, seen, f"q1-rnd-{t}", localsys.scalar_system(q, scalars))
 
-    if spec.include_balanced and d >= 2:
+    if d >= 2:
         bal = [Fraction(2)] + [Fraction(1)] * (d - 2) + [Fraction(1, 2)]
         _add_with_inverse(out, seen, "q1-bal", localsys.scalar_system(q, bal))
         diag = [(Fraction(2), Fraction(3))] * (d - 1) + \
@@ -240,7 +198,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
                 continue
             _add_with_inverse(out, seen, f"f{p}1-eq-{s}",
                               localsys.scalar_system(fp, [s] * d))
-        rng = _random.Random(_subseed(spec.seed, arr_id, f"fp1-{p}"))
+        rng = random.Random(_subseed(spec.seed, arr_id, f"fp1-{p}"))
         for t in range(spec.rank1_fp_random):
             while True:
                 scalars = [rng.randrange(1, p) for _ in range(d)]
@@ -249,7 +207,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
             _add_with_inverse(out, seen, f"f{p}1-rnd-{t}",
                               localsys.scalar_system(fp, scalars))
 
-    rng = _random.Random(_subseed(spec.seed, arr_id, "q2"))
+    rng = random.Random(_subseed(spec.seed, arr_id, "q2"))
     for t in range(spec.rank2_diag_q):
         mats = []
         for _ in range(d):
@@ -262,28 +220,26 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
         if p not in spec.primes:
             continue
         fp = FieldSpec.prime(p)
-        rng = _random.Random(_subseed(spec.seed, arr_id, f"fp2-{p}"))
+        rng = random.Random(_subseed(spec.seed, arr_id, f"fp2-{p}"))
         for t in range(spec.rank2_diag_fp):
             mats = [[[rng.randrange(2, p), 0], [0, rng.randrange(2, p)]]
                     for _ in range(d)]
             _add_with_inverse(out, seen, f"f{p}2-diag-{t}",
                               build_local_system(fp, 2, mats))
 
-    if spec.include_unipotent:
-        uni = [[1, 1], [0, 1]]
-        _add_with_inverse(out, seen, "q2-uni",
-                          build_local_system(q, 2, [uni] * d))
-        for p in (2, 3, 7):
-            if p in spec.primes:
-                _add_with_inverse(out, seen, f"f{p}2-uni",
-                                  build_local_system(FieldSpec.prime(p), 2, [uni] * d))
+    uni = [[1, 1], [0, 1]]
+    _add_with_inverse(out, seen, "q2-uni", build_local_system(q, 2, [uni] * d))
+    for p in (2, 3, 7):
+        if p in spec.primes:
+            _add_with_inverse(out, seen, f"f{p}2-uni",
+                              build_local_system(FieldSpec.prime(p), 2, [uni] * d))
 
     # top up with cheap prime-field systems until the nontrivial target
     odd_primes = [p for p in spec.primes if p > 2]
     if spec.min_nontrivial and odd_primes:
         p = max(odd_primes)
         fp = FieldSpec.prime(p)
-        rng = _random.Random(_subseed(spec.seed, arr_id, "topup"))
+        rng = random.Random(_subseed(spec.seed, arr_id, "topup"))
         attempt = 0
         while attempt < 20 * spec.min_nontrivial:
             if sum(1 for _, s in out if not is_trivial(s)) >= spec.min_nontrivial:
@@ -308,9 +264,7 @@ def generate_corpus(spec: CorpusSpec):
     """Deterministic corpus: named examples, essentialized braids, random
     generic and random central arrangements, each with its systems."""
     items = []
-    arrangements = []
-    if spec.include_named:
-        arrangements.extend(named_arrangements().items())
+    arrangements = list(named_arrangements().items())
     for m in spec.braid_sizes:
         arrangements.append((f"braid{m}", braid_essentialized(m)))
     for d, n in spec.generic_sizes:
@@ -334,9 +288,7 @@ class VerifyContext:
     """Shared caches for one verification run.
 
     Complexes are identified by stable string ids; twisted dimensions
-    are cached per (complex id, system id, system).  Every
-    ambient-dimension-1 complex that gets evaluated is recorded for the
-    closed-form sweep.
+    are cached per (complex id, system id, system).
     """
 
     def __init__(self, seed: int, primes=DEFAULT_PRIMES):
@@ -351,7 +303,6 @@ class VerifyContext:
         self._sections = {}
         self._locals = {}
         self._decones = {}
-        self.c1_seen = {}
 
     def register(self, arr_id: str, arr: Arrangement):
         self.arrangements[arr_id] = arr
@@ -383,10 +334,7 @@ class VerifyContext:
         # keyed on the system too: a file id may equal a built-in id
         key = (arr_id, sys_id, system)
         if key not in self._dims:
-            value = salvetti.twisted_betti(self.salvetti(arr_id), system)
-            self._dims[key] = value
-            if self.arrangements[arr_id].dim == 1:
-                self.c1_seen[(arr_id, sys_id)] = (system, value)
+            self._dims[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
         return self._dims[key]
 
     def section(self, arr_id, k):
@@ -541,9 +489,6 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
                          system: LocalSystem, loc_id: str, index_map) -> CheckReport:
     arr = ctx.arrangement(arr_id)
     n = arr.dim
-    if n < 2:
-        return CheckReport("nearby_section", arr_id, sys_id, "skipped",
-                           {"reason": "ambient dimension 1"}, aux=loc_id)
     sec_id, _ = ctx.section(arr_id, n - 1)
     loc_sec_id, _ = ctx.section(loc_id, n - 1)
     global_dims = ctx.dims(sec_id, sys_id, system)
@@ -552,6 +497,14 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
     return CheckReport("nearby_section", arr_id, sys_id, "pass" if ok else "fail",
                        {"section_dim": global_dims[n - 1],
                         "local_section_dim": local_dims[n - 1]}, aux=loc_id)
+
+
+def _rows_rank(rows, field: FieldSpec) -> int:
+    """Rank of a matrix given as a list of rows."""
+    sparse = FMatrixSparse(len(rows), len(rows[0]))
+    sparse.entries.update(((i, j), v) for i, row in enumerate(rows)
+                          for j, v in enumerate(row) if not field.is_zero(v))
+    return matrix_rank(sparse, field)
 
 
 def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
@@ -585,13 +538,7 @@ def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
         details.update({"case": "turn-identity", "dims": dims_a})
         return CheckReport("central_structure", arr_id, sys_id,
                            "pass" if ok else "fail", details)
-    delta = localsys.mat_sub_identity(system.field, turn)
-    sparse = FMatrixSparse(system.rank, system.rank)
-    for i, row in enumerate(delta):
-        for j, v in enumerate(row):
-            if not system.field.is_zero(v):
-                sparse.entries[(i, j)] = v
-    if matrix_rank(sparse, system.field) == system.rank:
+    if _rows_rank(localsys.mat_sub_identity(system.field, turn), system.field) == system.rank:
         ok = all(x == 0 for x in dims_a)
         return CheckReport("central_structure", arr_id, sys_id,
                            "pass" if ok else "fail",
@@ -619,14 +566,9 @@ def c1_expected_dims(system: LocalSystem):
     """Closed form on C^1 minus d points: b_0 is the dimension of the
     common fixed space of the monodromies, b_1 = r(d-1) + b_0."""
     r, d = system.rank, system.d
-    stacked = FMatrixSparse(d * r, r)
-    for h, mat in enumerate(system.monodromy):
-        delta = localsys.mat_sub_identity(system.field, mat)
-        for i in range(r):
-            for j in range(r):
-                if not system.field.is_zero(delta[i][j]):
-                    stacked.entries[(h * r + i, j)] = delta[i][j]
-    b0 = r - matrix_rank(stacked, system.field)
+    stacked = [row for mat in system.monodromy
+               for row in localsys.mat_sub_identity(system.field, mat)]
+    b0 = r - _rows_rank(stacked, system.field)
     return [b0, r * (d - 1) + b0]
 
 
@@ -639,64 +581,116 @@ def check_c1_closed_form(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 
 # ---------------------------------------------------------------------------
-# runner
+# registry and runner
 
 
-ALL_CHECKS = ("untwisted_match", "constant_equality", "main_theorem", "euler",
-              "relative_section", "local_global", "nearby_section",
-              "central_structure", "lefschetz", "c1_oracle")
+ARRANGEMENT, SYSTEM, DIMS_CACHE = "arrangement", "system", "dims-cache"
+
+
+def _cached_dimension1(ctx):
+    """(arr_id, sys_id, system, dims) per cached dimension-1 complex, sorted
+    stably by ids: a file system may share its id with a built-in one, and
+    systems have no order."""
+    found = [key + (dims,) for key, dims in ctx._dims.items()
+             if ctx.arrangement(key[0]).dim == 1]
+    return sorted(found, key=lambda entry: entry[:2])
+
+
+@dataclass(frozen=True)
+class Check:
+    """One declared check.  `run` gets (ctx, arr_id) under scope ARRANGEMENT,
+    (ctx, arr_id, sys_id, system) under SYSTEM, then each tuple of
+    `expand(ctx, arr_id)`, where both predicates hold.  DIMS_CACHE runs
+    last, once per tuple of `expand(ctx)`."""
+
+    statement: str
+    run: Callable
+    scope: str = SYSTEM
+    on_arrangement: Callable = lambda arr: True
+    on_system: Callable = lambda system: True
+    expand: Callable = lambda ctx, arr_id: ((),)
+
+
+CHECKS = {
+    "untwisted_match": Check(
+        "Salvetti homology equals Whitney-sum Betti numbers; "
+        "chamber counts match the characteristic-polynomial evaluations",
+        check_untwisted_match, ARRANGEMENT),
+    "constant_equality": Check(
+        "constant rank-r coefficients give exactly r times the "
+        "untwisted Betti numbers in every degree",
+        check_constant_equality, ARRANGEMENT,
+        expand=lambda ctx, arr_id: ((r,) for r in CONSTANT_RANKS)),
+    "main_theorem": Check(
+        "nontrivial coefficients: b_i(U;L) < r*b_i(U) in every degree",
+        check_main_theorem, on_system=lambda system: not is_trivial(system)),
+    "euler": Check(
+        "alternating sum of twisted Betti numbers equals r times the "
+        "Euler characteristic of the complement",
+        check_euler),
+    "relative_section": Check(
+        "for a generic hyperplane section B: b_i agrees for i <= n-2 "
+        "and b_{n-1}(B) - b_{n-1}(U) + b_n(U) = r*b_n(U)",
+        check_relative_section),
+    "local_global": Check(
+        "b_n(U;L) >= sum of b_n over localizations at 0-flats; "
+        "equality for constant coefficients",
+        check_local_global),
+    "nearby_section": Check(
+        "generic section of U dominates the generic section of "
+        "each localization in degree n-1",
+        check_nearby_section, on_arrangement=lambda arr: arr.dim >= 2,
+        expand=lambda ctx, arr_id: ((loc_id, index_map) for loc_id, index_map, _flat
+                                    in ctx.localizations(arr_id))),
+    "central_structure": Check(
+        "central case: invertible (T - I) forces vanishing; "
+        "T = I gives b_k(U) = b_k(M) + b_{k-1}(M) for every decone",
+        check_central_structure, on_arrangement=lambda arr: arr.is_central),
+    "lefschetz": Check(
+        "generic i-section: b_i(U;L) <= b_i(B;L) and untwisted b_i agree",
+        check_lefschetz,
+        expand=lambda ctx, arr_id: ((i,) for i in range(1, ctx.arrangement(arr_id).dim + 1))),
+    "c1_oracle": Check(
+        "dimension-1 closed form: (dim ker-intersection, r(d-1) + same)",
+        check_c1_closed_form, DIMS_CACHE, expand=_cached_dimension1),
+}
+
+ALL_CHECKS = tuple(CHECKS)
 
 
 def run_verification(corpus, seed: int, checks=None, primes=DEFAULT_PRIMES):
     """Run the selected checks over a corpus; returns (reports, summary).
 
     Reports are sorted by (check, arrangement, system, aux); the summary
-    counts pass/fail with skipped instances included in the total."""
-    selected = set(checks) if checks else set(ALL_CHECKS)
-    unknown = selected - set(ALL_CHECKS)
+    counts pass, fail and skipped, in total and per selected check."""
+    unknown = set(checks or ()) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    selected = [name for name in ALL_CHECKS if not checks or name in checks]
+    entries = [CHECKS[name] for name in selected]
     ctx = VerifyContext(seed, primes)
     for item in corpus:
         ctx.register(item.arrangement_id, item.arrangement)
     reports = []
     for item in corpus:
         aid = item.arrangement_id
-        if "untwisted_match" in selected:
-            reports.append(check_untwisted_match(ctx, aid))
-        if "constant_equality" in selected:
-            for r in (1, 2, 3):
-                reports.append(check_constant_equality(ctx, aid, r))
-        arr = item.arrangement
-        for sys_id, system in item.systems:
-            nontrivial = not is_trivial(system)
-            if "main_theorem" in selected and nontrivial:
-                reports.append(check_main_theorem(ctx, aid, sys_id, system))
-            if "euler" in selected:
-                reports.append(check_euler(ctx, aid, sys_id, system))
-            if "relative_section" in selected:
-                reports.append(check_relative_section(ctx, aid, sys_id, system))
-            if "local_global" in selected:
-                reports.append(check_local_global(ctx, aid, sys_id, system))
-            if "nearby_section" in selected and arr.dim >= 2:
-                for loc_id, index_map, _flat in ctx.localizations(aid):
-                    reports.append(check_nearby_section(
-                        ctx, aid, sys_id, system, loc_id, index_map))
-            if "lefschetz" in selected:
-                for i in range(1, arr.dim + 1):
-                    reports.append(check_lefschetz(ctx, aid, sys_id, system, i))
-            if "central_structure" in selected and arr.is_central:
-                reports.append(check_central_structure(ctx, aid, sys_id, system))
-    if "c1_oracle" in selected:
-        for (arr_id, sys_id), (system, dims) in sorted(ctx.c1_seen.items()):
-            reports.append(check_c1_closed_form(ctx, arr_id, sys_id, system, dims))
+        for check in entries:
+            if check.scope == DIMS_CACHE or not check.on_arrangement(item.arrangement):
+                continue
+            subjects = [()] if check.scope == ARRANGEMENT else \
+                [pair for pair in item.systems if check.on_system(pair[1])]
+            reports.extend(check.run(ctx, aid, *subject, *extra)
+                           for subject in subjects for extra in check.expand(ctx, aid))
+    for check in entries:
+        if check.scope == DIMS_CACHE:
+            reports.extend(check.run(ctx, *args) for args in check.expand(ctx))
     reports.sort(key=lambda r: (r.check, r.arrangement, r.system or "", r.aux))
-    summary = {
-        "total": len(reports),
-        "passed": sum(1 for r in reports if r.status == "pass"),
-        "failed": sum(1 for r in reports if r.status == "fail"),
-        "seed": seed,
-    }
+    by_check = {name: {"pass": 0, "fail": 0, "skipped": 0} for name in selected}
+    for r in reports:
+        by_check[r.check][r.status] += 1
+    totals = Counter(r.status for r in reports)
+    summary = {"total": len(reports), "passed": totals["pass"], "failed": totals["fail"],
+               "skipped": totals["skipped"], "by_check": by_check, "seed": seed}
     return reports, summary
 
 

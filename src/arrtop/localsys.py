@@ -10,6 +10,7 @@ and F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import FieldSpec, format_rational
 from .geometry import Arrangement
@@ -68,11 +69,6 @@ def mat_inverse(fieldspec: FieldSpec, a):
     return tuple(tuple(aug[i][r:]) for i in range(r))
 
 
-def transpose(a):
-    r = len(a)
-    return tuple(tuple(a[j][i] for j in range(r)) for i in range(r))
-
-
 @dataclass(frozen=True)
 class LocalSystem:
     field: FieldSpec
@@ -92,6 +88,14 @@ class LocalSystem:
                         f"matrices {i + 1} and {j + 1} do not commute; "
                         "only abelian monodromy is supported")
             first[m] = j
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Computed once: the dims cache looks systems up thousands of times."""
+        return hash((self.field, self.rank, self.monodromy))
 
     @property
     def d(self) -> int:

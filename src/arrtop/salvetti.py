@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
-from .localsys import LocalSystem, mat_mul, identity_matrix, scalar_system, transpose
+from .localsys import LocalSystem, mat_mul, identity_matrix, scalar_system
 from .realfaces import FaceComplex
 
 
@@ -227,15 +227,18 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     field = system.field
     r = system.rank
     ident = identity_matrix(field, r)
-    block_cache = {frozenset(): ident}
+    block_cache = {}
 
-    def block_for(neg):
+    def blocks_for(neg):
+        """Nonzero (row, col, value) of the block for +t^neg and for -t^neg."""
         got = block_cache.get(neg)
         if got is None:
             acc = ident
             for i in sorted(neg):
                 acc = mat_mul(field, acc, system.monodromy[i])
-            got = transpose(acc)
+            block = [(a, b, acc[b][a]) for a in range(r) for b in range(r)
+                     if not field.is_zero(acc[b][a])]      # acc transposed
+            got = (block, [(a, b, field.neg(v)) for a, b, v in block])
             block_cache[neg] = got
         return got
 
@@ -244,16 +247,16 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     mats = []
     for k in range(1, len(counts)):
         m = FMatrixSparse(dims[k - 1], dims[k])
+        entries = m.entries
         for pos, records in enumerate(sc.boundary[k]):
+            col = r * pos
+            # one record per position: the targets of a cell are distinct faces
             for target, sign, neg, _crossings in records:
-                block = block_for(neg)
-                for a in range(r):
-                    row = block[a]
-                    for b in range(r):
-                        v = row[b]
-                        if not field.is_zero(v):
-                            m.add(r * target + a, r * pos + b,
-                                  v if sign > 0 else field.neg(v))
+                if not 0 <= target < counts[k - 1]:
+                    raise IndexError(f"boundary target {target} outside degree {k - 1}")
+                row = r * target
+                for a, b, v in blocks_for(neg)[sign < 0]:
+                    entries[row + a, col + b] = v
         mats.append(m)
     return TwistedComplex(field, r, dims, mats)
 

@@ -126,6 +126,28 @@ def test_verify_file_named_like_a_builtin_system(tmp_path, capsys):
     assert code == 0 and all(status == "pass" for _check, status in checks)
 
 
+def test_verify_dimension1_file_named_like_a_builtin_system(tmp_path, capsys):
+    # the dims cache then holds two dimension-1 entries under one pair of
+    # ids; c1_oracle must check both without ever ordering the systems
+    two_points = {"dim": 1, "hyperplanes": [
+        {"label": "a", "normal": ["1"], "offset": "0"},
+        {"label": "b", "normal": ["1"], "offset": "1"}]}
+    files = [write(tmp_path, "pts.json", two_points),
+             write(tmp_path, "const-r1.json",
+                   {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]})]
+    outs = [tmp_path / "one.json", tmp_path / "two.json"]
+    for out in outs:
+        assert main(["verify", *files, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    report = json.loads(outs[0].read_text())
+    c1 = [r for r in report["reports"]
+          if r["check"] == "c1_oracle" and r["arrangement"] == "pts"
+          and r["system"] == "const-r1"]
+    assert len(c1) == 2 and all(r["status"] == "pass" for r in c1)
+    assert sorted(r["data"]["dims"] for r in c1) == [[0, 1], [1, 2]]
+    assert "skipped: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("system", [
     {"rank": 1, "monodromy": [["2"], ["2"], ["2"]]},
     {"field": {"kind": "Fp"}, "rank": 1, "monodromy": [["2"], ["2"], ["2"]]},

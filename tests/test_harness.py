@@ -5,6 +5,8 @@ import pytest
 from arrtop.fields import FieldSpec
 from arrtop.geometry import betti_numbers, characteristic_polynomial, intersection_poset
 from arrtop.harness import (
+    ALL_CHECKS,
+    CHECKS,
     CorpusSpec,
     PreconditionError,
     VerifyContext,
@@ -22,6 +24,7 @@ from arrtop.harness import (
     named_arrangements,
     random_central,
     random_generic,
+    reports_to_json,
     run_verification,
 )
 from arrtop.localsys import build_local_system, is_trivial, scalar_system
@@ -220,9 +223,14 @@ def test_corpus_closed_under_inversion():
             assert (inv.field, inv.monodromy) in keys
 
 
-def test_run_verification_small():
+@pytest.fixture(scope="module")
+def small_run():
     corpus = generate_corpus(SMALL)
-    reports, summary = run_verification(corpus, seed=0)
+    return corpus, run_verification(corpus, seed=0)
+
+
+def test_run_verification_small(small_run):
+    corpus, (reports, summary) = small_run
     assert summary["failed"] == 0
     assert summary["total"] == len(reports)
     by_check = {}
@@ -257,3 +265,36 @@ def test_run_verification_check_filter():
     assert summary["failed"] == 0
     with pytest.raises(ValueError):
         run_verification(corpus, seed=0, checks=["nonsense"])
+
+
+def test_registry_declares_every_check_in_order(small_run):
+    assert ALL_CHECKS == ("untwisted_match", "constant_equality", "main_theorem", "euler",
+                          "relative_section", "local_global", "nearby_section",
+                          "central_structure", "lefschetz", "c1_oracle")
+    assert tuple(CHECKS) == ALL_CHECKS
+    _corpus, (reports, summary) = small_run
+    for entry in reports_to_json(reports, summary, 0)["reports"]:
+        assert entry["statement"] == CHECKS[entry["check"]].statement
+
+
+@pytest.mark.parametrize("name", [name for name in ALL_CHECKS if name != "c1_oracle"])
+def test_single_check_run_matches_full_run(small_run, name):
+    # c1_oracle alone sees no complexes: it reads those other checks evaluated
+    corpus, (reports, _summary) = small_run
+    alone, summary = run_verification(corpus, seed=0, checks=[name])
+    assert alone and [r.to_json(0) for r in alone] == \
+        [r.to_json(0) for r in reports if r.check == name]
+    assert list(summary["by_check"]) == [name]
+
+
+def test_summary_counts_add_up(small_run):
+    _corpus, (reports, summary) = small_run
+    assert summary["passed"] + summary["failed"] + summary["skipped"] == \
+        summary["total"] == len(reports)
+    assert summary["skipped"] > 0          # relative_section on dimension 1
+    assert list(summary["by_check"]) == list(ALL_CHECKS)
+    for name, counts in summary["by_check"].items():
+        assert counts == {status: sum(1 for r in reports
+                                      if r.check == name and r.status == status)
+                          for status in ("pass", "fail", "skipped")}
+    assert sum(sum(c.values()) for c in summary["by_check"].values()) == summary["total"]

@@ -123,3 +123,11 @@ def test_json_rejects_wrong_length():
     raw = {"field": {"kind": "Q"}, "rank": 2, "monodromy": [["1", "0", "0"]]}
     with pytest.raises(LocalSystemError):
         local_system_from_json(raw)
+
+
+def test_hash_is_cached_and_agrees_with_equality():
+    a = scalar_system(Q, [2, 3])
+    b = scalar_system(Q, [2, 3])
+    assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+    assert a != scalar_system(Q, [3, 2])
+    assert vars(a)["_hash"] == hash((a.field, a.rank, a.monodromy))

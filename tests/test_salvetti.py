@@ -326,3 +326,22 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
     tc = twisted_complex(sc, scalar_system(Q, [2, 3, 5]))
     complex_dims(tc.matrices, tc.dims, Q)     # a plain list is still checked
     assert checks == [Q]
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), F7], ids=["Q", "F2", "F7"])
+def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
+    # entries are written directly, one per position: none may be zero,
+    # and over F_p every stored residue lies in [1, p)
+    sc = complex_for(corpus_items["braid4"].arrangement)
+    d = sc.fc.arrangement.d
+    systems = [build_local_system(field, 2, [[[1, 1], [0, 1]]] * d),
+               build_local_system(field, 2, [[[3, 0], [0, 5]]] * d)]
+    for system in systems:
+        for m in twisted_complex(sc, system).matrices:
+            assert m.entries
+            for (i, j), v in m.entries.items():
+                assert 0 <= i < m.nrows and 0 <= j < m.ncols
+                if field.kind == "Q":
+                    assert isinstance(v, Fraction) and v != 0
+                else:
+                    assert isinstance(v, int) and 1 <= v < field.p
