@@ -19,10 +19,10 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 
 from . import geometry, localsys, realfaces, salvetti
-from .exactla import FMatrixSparse, rank as matrix_rank
+from .exactla import FMatrixSparse, rank as matrix_rank, rank_dense
 from .fields import FieldSpec, format_rational
 from .geometry import Arrangement, Hyperplane
 from .localsys import LocalSystem, build_local_system, is_trivial, identity_matrix
@@ -108,13 +108,23 @@ def _sample(kind, d, n, seed, offset, accept) -> Arrangement:
     raise RuntimeError(f"failed to sample a {kind} ({d},{n}) arrangement")
 
 
+def _in_general_position(arr: Arrangement) -> bool:
+    """Every min(n, d) normals are independent and every n + 1 hyperplanes
+    have a nonsingular [normal | offset] matrix, so share no point: for an
+    essential arrangement, exactly when its Betti numbers are the binomial
+    coefficients, with no intersection poset built."""
+    n = arr.dim
+    rows = [[*h.normal, h.offset] for h in arr.hyperplanes]
+    k = min(n, arr.d)
+    return (all(rank_dense([row[:n] for row in sub]) == k
+                for sub in combinations(rows, k))
+            and all(rank_dense(sub) == n + 1 for sub in combinations(rows, n + 1)))
+
+
 def random_generic(d: int, n: int, seed: int) -> Arrangement:
-    """d hyperplanes in general position in C^n (certified: Betti numbers
-    are the binomial coefficients)."""
-    binomials = [comb(d, i) for i in range(n + 1)]
+    """d hyperplanes in general position in C^n."""
     return _sample("generic", d, n, seed, lambda rng: rng.randint(-9, 9),
-                   lambda arr: geometry.betti_numbers(
-                       geometry.intersection_poset(arr)) == binomials)
+                   _in_general_position)
 
 
 def random_central(d: int, n: int, seed: int) -> Arrangement:

@@ -13,10 +13,19 @@ hyperplanes crossed from their negative side) the boundary lives over
 Λ = Z[t_1^±1..t_d^±1], as the chain complex of the universal abelian
 cover (Salvetti, Invent. Math. 88, 1987), and the build gates the sign
 convention by checking d∘d = 0 once over Λ (composition only, no ranks).
-Every twisted complex, the untwisted one (t = 1) included, specializes
-that boundary at commuting monodromy (LocalSystem refuses any other), a
-ring homomorphism, so no per-system check runs; over Q, d² = 0 also
-certifies the ranks complex_dims reads off modular lower bounds.
+
+Every incidence ±t^a is a unit of Λ.  So the build then eliminates pairs
+of cells joined by a unit entry, Gaussian elimination over Λ (algebraic
+Morse theory: Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker, Mem.
+AMS 197, 2009).  That is a chain homotopy equivalence for every abelian
+local system at once.  The reduced boundary, whose entries are Laurent
+polynomials, is gated by d∘d = 0 over Λ too; it keeps at least b_i
+cells in degree i, and no minimality is claimed.  Every twisted complex
+specializes the reduced boundary at commuting monodromy (LocalSystem
+refuses any other), a ring homomorphism, so no per-system check runs;
+over Q, d² = 0 also certifies the ranks complex_dims reads off modular
+lower bounds.  Untwisted homology uses the full boundary at t = 1, its
+signs alone.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -29,12 +38,13 @@ the usual inversion).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
-from .localsys import LocalSystem, mat_mul, identity_matrix, scalar_system
+from .localsys import LocalSystem, mat_inverse
 from .realfaces import FaceComplex
 
 
@@ -59,6 +69,7 @@ class SalvettiComplex:
     fc: FaceComplex
     cells: list          # cells[k] = list of SCell, sorted
     boundary: list       # boundary[k][pos] = list of (target_pos, sign, neg_crossings, crossings)
+    reduced: "ReducedComplex" = None     # the same boundary over Λ, reduced
 
     @property
     def cell_counts(self):
@@ -125,7 +136,11 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     boundary[0] = [[] for _ in cells[0]]
 
     sc = SalvettiComplex(fc, cells, boundary)
-    _verify_over_group_ring(sc)          # raises on a bad convention
+    rows = _over_group_ring(sc)
+    _verify_over_group_ring(rows, arr.d)             # raises on a bad convention
+    sc.reduced = _reduce(sc, rows)
+    _verify_over_group_ring(sc.reduced.boundary, arr.d)  # raises on a bad reduction
+    _compile(sc.reduced)
     return sc
 
 
@@ -178,33 +193,223 @@ def _orient(cell, covers, k, prev_signs, fc):
     return signs
 
 
-def _verify_over_group_ring(sc: SalvettiComplex):
-    """The d²=0 gate over Λ.  A product t^a t^b of two incidences is keyed
-    by (a | b, a & b), which fixes each exponent (0, 1 or 2) exactly."""
-    for k in range(2, len(sc.cells)):
-        for j, records in enumerate(sc.boundary[k]):
-            acc = Counter()
-            for m, outer, a, _crossings in records:
-                for i, inner, b, _crossings in sc.boundary[k - 1][m]:
-                    acc[i, a | b, a & b] += outer * inner
-            bad = next((key for key, c in acc.items() if c), None)
-            if bad is not None:
-                raise ChainComplexError(
-                    f"boundary composition nonzero over Λ in degrees {k}->{k - 2} "
-                    f"at ({bad[0]},{j})")
+# An exponent vector e over Λ is packed into one int: hyperplane i owns the
+# _BITS-bit field at bit _BITS * i, which holds e_i + _BIAS.  Adding and
+# subtracting packed ints then adds and subtracts exponent vectors.  When
+# a ± b ± c of three packed exponents in range has a field outside
+# [0, 2 * _BIAS), the lowest such field has its top bit set, so `& top`
+# catches every exponent that leaves the range.
+_BITS = 16
+_BIAS = 1 << (_BITS - 2)
+
+
+def _packing(d):
+    """(packed exponent 0, mask of every field's top bit) for d variables."""
+    return (sum(_BIAS << (_BITS * i) for i in range(d)),
+            sum(1 << (_BITS * i + _BITS - 1) for i in range(d)))
+
+
+def _out_of_range():
+    return ChainComplexError(f"an exponent over Λ left [-{_BIAS}, {_BIAS})")
+
+
+@dataclass
+class ReducedComplex:
+    """The boundary over Λ after Gaussian elimination on unit incidences.
+
+    cells[k] lists the positions, in SalvettiComplex.cells[k], of the cells
+    that survive; boundary[k][pos] maps a target position in cells[k - 1]
+    to its Laurent polynomial {packed exponent: coefficient}.  The
+    evaluation plan: monomials[j - 1] = (parent, i, s) makes monomial j
+    the product of monomial parent and t_i^s (monomial 0 is 1, parents come
+    first), and entries[k - 1] lists (target, pos, ((monomial, coefficient),
+    ...)) of boundary k."""
+
+    d: int
+    cells: list
+    boundary: list
+    monomials: list = None
+    entries: list = None
+
+    @property
+    def cell_counts(self):
+        return [len(layer) for layer in self.cells]
+
+
+def _is_unit(poly) -> bool:
+    return len(poly) == 1 and next(iter(poly.values())) in (1, -1)
+
+
+def _over_group_ring(sc: SalvettiComplex):
+    """rows[k][pos] = {target: {packed exponent: sign}}: the full boundary
+    over Λ, each incidence sign * t^neg as one term (rows[0] is None)."""
+    one, _ = _packing(sc.fc.arrangement.d)
+    shift = [1 << (_BITS * i) for i in range(sc.fc.arrangement.d)]
+    return [None] + [[{t: {one + sum(shift[i] for i in neg): s}
+                       for t, s, neg, _crossings in records}
+                      for records in sc.boundary[k]] for k in range(1, len(sc.cells))]
+
+
+def _verify_over_group_ring(boundary, d):
+    """The d²=0 gate over Λ on boundary[k][pos] = {target: {packed
+    exponent: coefficient}}, k >= 1.  On the full boundary it checks the
+    sign convention; on the reduced one, the reduction's updates."""
+    one, top_bits = _packing(d)
+    for k in range(2, len(boundary)):
+        lower = boundary[k - 1]
+        for j, row in enumerate(boundary[k]):
+            acc = {}                 # (packed exponent, target) -> coefficient
+            for m, outer in row.items():
+                inner_row = lower[m]
+                for a, c in outer.items():
+                    a -= one
+                    for i, inner in inner_row.items():
+                        for b, e in inner.items():
+                            key = a + b, i
+                            acc[key] = acc.get(key, 0) + c * e
+            for (key, i), c in acc.items():      # every product is a key here
+                if key & top_bits:
+                    raise _out_of_range()
+                if c:
+                    raise ChainComplexError(
+                        f"boundary composition nonzero over Λ in degrees "
+                        f"{k}->{k - 2} at ({i},{j})")
+
+
+def _reduce(sc: SalvettiComplex, rows) -> ReducedComplex:
+    """Eliminate unit incidences over Λ, degrees top down: a chain homotopy
+    equivalence for every abelian local system at once (algebraic Morse
+    theory).
+
+    In degree k the next cell σ of degree k - 1 is the one with the fewest
+    current coboundary entries (a heap, invalidated lazily); its partner τ
+    is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
+    τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
+    σ; then τ and σ are dropped, with σ's boundary and τ's column one
+    degree up.  Consumes rows (from _over_group_ring): a dropped cell's
+    row becomes None."""
+    d = sc.fc.arrangement.d
+    top_bits = _packing(d)[1]
+    top = sc.dim
+    # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
+    cob = [[set() for _ in layer] for layer in sc.cells]
+    for k in range(1, top + 1):
+        for pos, row in enumerate(rows[k]):
+            for t in row:
+                cob[k - 1][t].add(pos)
+    dropped = [set() for _ in sc.cells]
+
+    for k in range(top, 0, -1):
+        up, down = rows[k], cob[k - 1]
+        heap = [(len(users), s) for s, users in enumerate(down)]
+        heapify(heap)
+        while heap:
+            n, s = heappop(heap)
+            users = down[s]
+            if n != len(users):
+                continue
+            units = [t for t in users if _is_unit(up[t][s])]
+            if not units:
+                continue
+            t = min(units, key=lambda t: (len(up[t]), t))
+            row = up[t]
+            up[t] = None
+            ((mu, cu),) = row.pop(s).items()
+            for x in row:
+                down[x].discard(t)
+            users.discard(t)
+            for t2 in users:
+                row2 = up[t2]
+                # -c'·u⁻¹ = -c'·cu·t^(-a); qm + m below is then the packed
+                # exponent of the product with a term t^m of d(τ)
+                q = [(m - mu, -c * cu) for m, c in row2.pop(s).items()]
+                for x, poly in row.items():
+                    acc = row2.get(x)
+                    if acc is None:
+                        acc = row2[x] = {}
+                        down[x].add(t2)
+                    for qm, qc in q:
+                        for m, c in poly.items():
+                            key = qm + m
+                            if key & top_bits:
+                                raise _out_of_range()
+                            v = acc.get(key, 0) + qc * c
+                            if v:
+                                acc[key] = v
+                            else:
+                                del acc[key]
+                    if not acc:
+                        del row2[x]
+                        down[x].discard(t2)
+            users.clear()
+            dropped[k].add(t)
+            dropped[k - 1].add(s)
+            if k > 1:
+                for lam in rows[k - 1][s]:
+                    cob[k - 2][lam].discard(s)
+                rows[k - 1][s] = None
+            if k < top:
+                for rho in cob[k][t]:
+                    del rows[k + 1][rho][t]
+                cob[k][t] = set()
+            for x in row:
+                heappush(heap, (len(down[x]), x))
+
+    cells = [[pos for pos in range(len(layer)) if pos not in dropped[k]]
+             for k, layer in enumerate(sc.cells)]
+    new = [{pos: i for i, pos in enumerate(layer)} for layer in cells]
+    boundary = [[{} for _ in cells[0]]]
+    for k in range(1, top + 1):
+        boundary.append([{new[k - 1][t]: poly for t, poly in sorted(rows[k][pos].items())}
+                         for pos in cells[k]])
+    return ReducedComplex(d, cells, boundary)
+
+
+def _compile(red: ReducedComplex):
+    """Fill in the evaluation plan of the reduced complex."""
+    one, _ = _packing(red.d)
+    mask = (1 << _BITS) - 1
+    index = {one: 0}
+    red.monomials = []
+
+    def monomial(m):
+        chain = []
+        while m not in index:
+            # step back along the first variable with a nonzero exponent
+            i, f = next((i, f) for i in range(red.d)
+                        if (f := (m >> (_BITS * i)) & mask) != _BIAS)
+            s = 1 if f > _BIAS else -1
+            chain.append((m, i, s))
+            m -= s << (_BITS * i)
+        j = index[m]
+        for m, i, s in reversed(chain):
+            red.monomials.append((j, i, s))
+            j = index[m] = len(red.monomials)
+        return j
+
+    red.entries = [[(t, pos, tuple((monomial(m), c) for m, c in sorted(poly.items())))
+                    for pos, row in enumerate(layer) for t, poly in row.items()]
+                   for layer in red.boundary[1:]]
 
 
 def boundary_matrices(sc: SalvettiComplex):
-    """Boundary matrices over Q (entries +-1), the specialization at t = 1."""
-    trivial = scalar_system(FieldSpec.rationals(), [1] * sc.fc.arrangement.d)
-    return twisted_complex(sc, trivial).matrices
+    """Boundary matrices of the full complex at t = 1: entries ±1."""
+    counts = sc.cell_counts
+    mats = []
+    for k in range(1, len(counts)):
+        m = FMatrixSparse(counts[k - 1], counts[k])
+        for pos, records in enumerate(sc.boundary[k]):
+            for target, sign, _neg, _crossings in records:
+                m.entries[target, pos] = sign
+        mats.append(m)
+    return mats
 
 
 def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
-    """Homology dims of the untwisted complex over Q (or over F_p)."""
+    """Homology dims of the untwisted full complex over Q (or over F_p)."""
     fieldspec = fieldspec or FieldSpec.rationals()
-    tc = twisted_complex(sc, scalar_system(fieldspec, [1] * sc.fc.arrangement.d))
-    return complex_dims(GatedBoundaries(tc.matrices), tc.dims, fieldspec).homology
+    mats = GatedBoundaries(boundary_matrices(sc))
+    return complex_dims(mats, sc.cell_counts, fieldspec).homology
 
 
 @dataclass
@@ -215,48 +420,67 @@ class TwistedComplex:
     matrices: list
 
 
-def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
-    """The boundary over Λ specialized at the system's monodromy.
+def _matmul(a, b, r, p):
+    """Product of flat row-major r x r matrices, reduced mod p unless p is None."""
+    out = [sum(a[i * r + l] * b[l * r + j] for l in range(r))
+           for i in range(r) for j in range(r)]
+    return [x % p for x in out] if p else out
 
-    Each incidence sign * t^neg becomes an r x r block: the sign times the
-    transposed product of the monodromies of the hyperplanes in neg, those
-    crossed from their negative to their positive side."""
+
+def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
+    """The reduced boundary over Λ specialized at the system's monodromy.
+
+    Each entry, a Laurent polynomial, becomes an r x r block: its value at
+    the monodromy matrices (inverse monodromy for negative exponents),
+    transposed.  Each monomial is one product of an earlier monomial and
+    one M_i^±1, in raw int or Fraction arithmetic, reduced mod p once per
+    product and once per entry."""
     arr = sc.fc.arrangement
     if system.d != arr.d:
         raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
-    field = system.field
-    r = system.rank
-    ident = identity_matrix(field, r)
-    block_cache = {}
+    red = sc.reduced
+    field, r, p = system.field, system.rank, system.field.p
+    gens = {}
 
-    def blocks_for(neg):
-        """Nonzero (row, col, value) of the block for +t^neg and for -t^neg."""
-        got = block_cache.get(neg)
+    def generator(i, s):
+        got = gens.get((i, s))
         if got is None:
-            acc = ident
-            for i in sorted(neg):
-                acc = mat_mul(field, acc, system.monodromy[i])
-            block = [(a, b, acc[b][a]) for a in range(r) for b in range(r)
-                     if not field.is_zero(acc[b][a])]      # acc transposed
-            got = (block, [(a, b, field.neg(v)) for a, b, v in block])
-            block_cache[neg] = got
+            m = system.monodromy[i] if s > 0 else mat_inverse(field, system.monodromy[i])
+            got = gens[i, s] = m[0][0] if r == 1 else [x for row in m for x in row]
         return got
 
-    counts = sc.cell_counts
-    dims = [r * c for c in counts]
+    if r == 1:
+        vals = [field.one]
+        for parent, i, s in red.monomials:
+            v = vals[parent] * generator(i, s)
+            vals.append(v % p if p else v)
+    else:
+        vals = [[field.one if i == j else field.zero for i in range(r) for j in range(r)]]
+        for parent, i, s in red.monomials:
+            vals.append(_matmul(vals[parent], generator(i, s), r, p))
+
+    dims = [r * c for c in red.cell_counts]
     mats = []
-    for k in range(1, len(counts)):
+    for k, layer in enumerate(red.entries, start=1):
         m = FMatrixSparse(dims[k - 1], dims[k])
         entries = m.entries
-        for pos, records in enumerate(sc.boundary[k]):
-            col = r * pos
-            # one record per position: the targets of a cell are distinct faces
-            for target, sign, neg, _crossings in records:
-                if not 0 <= target < counts[k - 1]:
-                    raise IndexError(f"boundary target {target} outside degree {k - 1}")
-                row = r * target
-                for a, b, v in blocks_for(neg)[sign < 0]:
-                    entries[row + a, col + b] = v
+        for target, pos, terms in layer:
+            if r == 1:
+                v = sum(c * vals[j] for j, c in terms)
+                if p:
+                    v %= p
+                if v:
+                    entries[target, pos] = v
+                continue
+            block = [sum(c * vals[j][x] for j, c in terms) for x in range(r * r)]
+            row, col = r * target, r * pos
+            for a in range(r):
+                for b in range(r):
+                    v = block[b * r + a]             # transposed
+                    if p:
+                        v %= p
+                    if v:
+                        entries[row + a, col + b] = v
         mats.append(m)
     return TwistedComplex(field, r, dims, mats)
 
@@ -270,7 +494,8 @@ def twisted_betti(sc: SalvettiComplex, system: LocalSystem):
     inversion, so statements quantified over all systems are unaffected.
     """
     tc = twisted_complex(sc, system)
-    # no per-system composition check: the build proved d∘d = 0 over Λ
+    # no per-system composition check: the build proved d∘d = 0 over Λ,
+    # on the full boundary and on the reduced one
     hom = complex_dims(GatedBoundaries(tc.matrices), tc.dims, tc.field).homology
     n = sc.fc.arrangement.dim
     return hom + [0] * (n + 1 - len(hom))

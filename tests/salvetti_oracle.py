@@ -1,0 +1,61 @@
+"""The full twisted specialization of the Salvetti complex: the test
+oracle for `arrtop.salvetti.twisted_complex`, which specializes only the
+complex reduced over Λ.
+
+Every incidence sign * t^neg of the full complex becomes an r x r block:
+the sign times the transposed product of the monodromies of the
+hyperplanes in neg.  The matrices compose to zero because the build
+gated the full boundary over Λ."""
+
+from arrtop.exactla import FMatrixSparse, complex_dims
+from arrtop.localsys import identity_matrix, mat_mul
+from arrtop.salvetti import TwistedComplex
+
+
+def full_twisted_complex(sc, system) -> TwistedComplex:
+    arr = sc.fc.arrangement
+    if system.d != arr.d:
+        raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
+    field = system.field
+    r = system.rank
+    ident = identity_matrix(field, r)
+    block_cache = {}
+
+    def blocks_for(neg):
+        """Nonzero (row, col, value) of the block for +t^neg and for -t^neg."""
+        got = block_cache.get(neg)
+        if got is None:
+            acc = ident
+            for i in sorted(neg):
+                acc = mat_mul(field, acc, system.monodromy[i])
+            block = [(a, b, acc[b][a]) for a in range(r) for b in range(r)
+                     if not field.is_zero(acc[b][a])]      # acc transposed
+            got = (block, [(a, b, field.neg(v)) for a, b, v in block])
+            block_cache[neg] = got
+        return got
+
+    counts = sc.cell_counts
+    dims = [r * c for c in counts]
+    mats = []
+    for k in range(1, len(counts)):
+        m = FMatrixSparse(dims[k - 1], dims[k])
+        entries = m.entries
+        for pos, records in enumerate(sc.boundary[k]):
+            col = r * pos
+            # one record per position: the targets of a cell are distinct faces
+            for target, sign, neg, _crossings in records:
+                if not 0 <= target < counts[k - 1]:
+                    raise IndexError(f"boundary target {target} outside degree {k - 1}")
+                row = r * target
+                for a, b, v in blocks_for(neg)[sign < 0]:
+                    entries[row + a, col + b] = v
+        mats.append(m)
+    return TwistedComplex(field, r, dims, mats)
+
+
+def full_twisted_betti(sc, system):
+    """Homology dims of the full specialization, padded like twisted_betti;
+    composition is checked over the system's field, not taken from Λ."""
+    tc = full_twisted_complex(sc, system)
+    hom = complex_dims(tc.matrices, tc.dims, tc.field).homology
+    return hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from dense_rank_oracle import dense_rank_mod_p
+from salvetti_oracle import full_twisted_complex
 from hypothesis import given, settings, strategies as st
 
 import arrtop
@@ -23,7 +24,7 @@ from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
 from arrtop.harness import CorpusSpec, generate_corpus
 from arrtop.localsys import LocalSystem
 from arrtop.realfaces import enumerate_faces
-from arrtop.salvetti import build_salvetti, twisted_complex
+from arrtop.salvetti import build_salvetti
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -296,8 +297,8 @@ def test_sparse_fp_rank_matches_dense_oracle_on_corpus(arr_id):
     systems += [_unipotent_system(FieldSpec.prime(p), d, scalars, (1, 0, 2))
                 for p, scalars in ((2, (1,)), (7, (1, 3)), (101, (2, 5, 1)))]
     assert {s.rank for s in systems} == {1, 2, 3}
-    for system in systems:
-        for m in twisted_complex(sc, system).matrices:
+    for system in systems:                # full-size matrices, not the reduced ones
+        for m in full_twisted_complex(sc, system).matrices:
             assert rank(m, system.field) == dense_rank_mod_p(m, system.field.p)
 
 

@@ -1,15 +1,25 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from arrtop.fields import FieldSpec
-from arrtop.geometry import betti_numbers, characteristic_polynomial, intersection_poset
+from arrtop.geometry import (
+    Arrangement,
+    ArrangementError,
+    Hyperplane,
+    betti_numbers,
+    characteristic_polynomial,
+    intersection_poset,
+)
 from arrtop.harness import (
     ALL_CHECKS,
     CHECKS,
     CorpusSpec,
     PreconditionError,
     VerifyContext,
+    _in_general_position,
     braid_essentialized,
     check_central_structure,
     check_constant_equality,
@@ -298,3 +308,32 @@ def test_summary_counts_add_up(small_run):
                                       if r.check == name and r.status == status)
                           for status in ("pass", "fail", "skipped")}
     assert sum(sum(c.values()) for c in summary["by_check"].values()) == summary["total"]
+
+
+def test_general_position_certificate_agrees_with_the_poset():
+    # random_generic accepts a draw on the certificate alone; it must take
+    # exactly the draws whose Betti numbers are the binomial coefficients.
+    # Small coordinate ranges make most draws degenerate.
+    rng = random.Random(11)
+    outcomes = []
+    for d, n, size, per_shape in ((3, 1, 2, 200), (3, 2, 1, 300), (4, 2, 1, 200),
+                                  (5, 2, 2, 100), (4, 3, 1, 150), (5, 3, 2, 30),
+                                  (4, 3, 5, 30)):
+        binomials = [comb(d, i) for i in range(n + 1)]
+        drawn = 0
+        while drawn < per_shape:
+            hyps = [Hyperplane(tuple(Fraction(rng.randint(-size, size)) for _ in range(n)),
+                               Fraction(rng.randint(-size, size)), f"H{i + 1}")
+                    for i in range(d)]
+            try:
+                arr = Arrangement.build(n, hyps)
+            except ArrangementError:
+                continue
+            if not arr.is_essential:
+                continue
+            drawn += 1
+            generic = betti_numbers(intersection_poset(arr)) == binomials
+            assert _in_general_position(arr) == generic, arr.to_json()
+            outcomes.append(generic)
+    assert len(outcomes) >= 1000
+    assert 200 <= sum(outcomes) <= len(outcomes) - 200, sum(outcomes)

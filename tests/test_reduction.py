@@ -1,0 +1,170 @@
+"""The Salvetti complex reduced over Λ = Z[t^±1].
+
+twisted_complex specializes only the reduced boundary; the full
+specialization in salvetti_oracle.py is its oracle."""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from salvetti_oracle import full_twisted_betti
+
+from arrtop import salvetti
+from arrtop.exactla import ChainComplexError
+from arrtop.fields import FieldSpec
+from arrtop.geometry import betti_numbers, decone, intersection_poset
+from arrtop.harness import (
+    CorpusSpec,
+    braid_essentialized,
+    generate_corpus,
+    named_arrangements,
+    systems_for_arrangement,
+)
+from arrtop.localsys import build_local_system, mat_inverse, mat_mul
+from arrtop.realfaces import enumerate_faces
+from arrtop.salvetti import build_salvetti, twisted_betti
+
+FIELDS = (FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(7),
+          FieldSpec.prime(101))
+Q_SCALARS = (1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+
+_complexes = {}
+
+
+def complex_named(name):
+    """gen3, cen3, braid4, gen-4-3 (corpus seed 0) and dbraid4, built once."""
+    if name not in _complexes:
+        if name in ("gen3", "cen3"):
+            arr = named_arrangements()[name]
+        elif name == "braid4":
+            arr = braid_essentialized(4)
+        elif name == "dbraid4":
+            arr = decone(braid_essentialized(4), 0)
+        else:
+            arr = next(item.arrangement for item in generate_corpus(CorpusSpec(seed=0))
+                       if item.arrangement_id == name)
+        _complexes[name] = build_salvetti(enumerate_faces(arr))
+    return _complexes[name]
+
+
+@st.composite
+def commuting_systems(draw, d):
+    """Rank 1-3 over Q, F_2, F_7 or F_101: diagonal, or scalar times a
+    power of one unipotent Jordan block (not semisimple), conjugated by a
+    unitriangular product, possibly inverted, half of them with total
+    turn 1."""
+    field = draw(st.sampled_from(FIELDS))
+    r = draw(st.integers(1, 3))
+    scalar = (st.sampled_from(Q_SCALARS) if field.kind == "Q"
+              else st.integers(1, field.p - 1))
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        mats = [[[draw(scalar) if a == b else 0 for b in range(r)] for a in range(r)]
+                for _ in range(d)]
+    else:
+        mats = []
+        for _ in range(d):
+            c, k = draw(scalar), draw(st.integers(0, 3))
+            mats.append([[c * comb(k, b - a) if b >= a else 0 for b in range(r)]
+                         for a in range(r)])
+    mats = [[[field.element(x) for x in row] for row in m] for m in mats]
+    if draw(st.booleans()):
+        # total turn 1: central arrangements then keep homology
+        turn = mats[0]
+        for m in mats[1:-1]:
+            turn = mat_mul(field, turn, m)
+        mats[-1] = mat_inverse(field, turn)
+    low = [[field.element(1 if a == b else draw(small) if b < a else 0)
+            for b in range(r)] for a in range(r)]
+    up = [[field.element(1 if a == b else draw(small) if b > a else 0)
+           for b in range(r)] for a in range(r)]
+    base = mat_mul(field, low, up)
+    base_inv = mat_inverse(field, base)
+    mats = [mat_mul(field, mat_mul(field, base, m), base_inv) for m in mats]
+    system = build_local_system(field, r, mats)
+    return system.inverse_system() if draw(st.booleans()) else system
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduced_betti_equal_the_full_oracle(data):
+    sc = complex_named(data.draw(st.sampled_from(["gen3", "cen3", "braid4", "gen-4-3"])))
+    system = data.draw(commuting_systems(sc.fc.arrangement.d))
+    assert twisted_betti(sc, system) == full_twisted_betti(sc, system)
+
+
+@pytest.mark.parametrize("name", ["braid4", "dbraid4"])
+def test_reduced_betti_equal_the_full_oracle_on_a_corpus_sample(name):
+    sc = complex_named(name)
+    systems = systems_for_arrangement(sc.fc.arrangement, CorpusSpec(seed=0), name)
+    sample = [system for _sys_id, system in systems[:3] + systems[3::5]]  # const-r1..3 first
+    assert {s.field.kind for s in sample} == {"Q", "Fp"}
+    assert {s.rank for s in sample} == {1, 2, 3}
+    for system in sample:
+        assert twisted_betti(sc, system) == full_twisted_betti(sc, system)
+
+
+@pytest.mark.parametrize("name", ["gen3", "cen3", "braid4", "gen-4-3", "dbraid4"])
+def test_reduced_counts_lie_between_cells_and_betti(name):
+    sc = complex_named(name)
+    b = betti_numbers(intersection_poset(sc.fc.arrangement))
+    reduced = sc.reduced.cell_counts
+    assert len(reduced) == len(sc.cell_counts) == len(b)
+    assert all(c >= x >= y for c, x, y in zip(sc.cell_counts, reduced, b))
+    euler = [sum((-1) ** k * c for k, c in enumerate(counts))
+             for counts in (sc.cell_counts, reduced, b)]
+    assert euler[0] == euler[1] == euler[2]
+    # every surviving cell is a cell of the full complex, in its order
+    assert all(layer == sorted(set(layer)) and (not layer or layer[-1] < c)
+               for layer, c in zip(sc.reduced.cells, sc.cell_counts))
+
+
+@pytest.mark.parametrize("change", ["coefficient", "exponent"])
+def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
+    real_reduce = salvetti._reduce
+    corrupted = []
+
+    def corrupting(sc, rows):
+        red = real_reduce(sc, rows)
+        # an entry of boundary 2 whose target has a nonzero boundary: any
+        # change δ to it changes d∘d by δ times that boundary, never zero
+        row = next(row for row in red.boundary[2]
+                   if any(red.boundary[1][t] for t in row))
+        poly = row[next(t for t in row if red.boundary[1][t])]
+        m, c = next(iter(poly.items()))
+        if change == "coefficient":
+            poly[m] = 2 * c
+        else:
+            del poly[m]
+            moved = m + 1                 # t_1 times the monomial
+            poly[moved] = poly.get(moved, 0) + c
+            if not poly[moved]:
+                del poly[moved]
+        corrupted.append(m)
+        return red
+
+    monkeypatch.setattr(salvetti, "_reduce", corrupting)
+    with pytest.raises(ChainComplexError):
+        build_salvetti(enumerate_faces(gen3))
+    assert corrupted             # the full gate passed; the reduced one raised
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    *(st.lists(st.integers(-salvetti._BIAS, salvetti._BIAS - 1), min_size=d,
+               max_size=d) for _ in range(3)))))
+def test_packed_exponents_add_exactly_or_flag_the_overflow(vectors):
+    # a - b + c on packed exponents in range, as in the reduction's updates
+    a, b, c = vectors
+    one, top = salvetti._packing(len(a))
+
+    def pack(e):
+        return one + sum(x << (salvetti._BITS * i) for i, x in enumerate(e))
+
+    total = [x - y + z for x, y, z in zip(a, b, c)]
+    fits = all(-salvetti._BIAS <= x < salvetti._BIAS for x in total)
+    packed = pack(a) - pack(b) + pack(c)
+    assert (not packed & top) == fits
+    if fits:
+        assert packed == pack(total)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from salvetti_oracle import full_twisted_complex
 
 from arrtop import exactla, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
@@ -259,12 +260,13 @@ def corpus_items():
 
 @pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
 def test_certified_q_ranks_match_bareiss_on_corpus(corpus_items, arr_id, step):
-    # Bareiss on every boundary is the oracle for the certified Q ranks
+    # Bareiss on every boundary is the oracle for the certified Q ranks;
+    # the full specialization keeps the matrices at full size
     item = corpus_items[arr_id]
     sc = complex_for(item.arrangement)
     systems = [s for _, s in item.systems if s.field.kind == "Q"]
     for system in systems[::step]:
-        tc = twisted_complex(sc, system)
+        tc = full_twisted_complex(sc, system)
         assert complex_dims(tc.matrices, tc.dims, Q).ranks == \
             [rank(m, Q) for m in tc.matrices]
 
@@ -278,7 +280,7 @@ def test_group_ring_gate_catches_a_monomial_the_integer_check_misses(gen3):
     records[pos][idx] = (target, sign, frozenset(), crossings)
     exactla.verify_composition(boundary_matrices(sc), Q)   # t = 1 still composes
     with pytest.raises(ChainComplexError):
-        salvetti._verify_over_group_ring(sc)
+        salvetti._verify_over_group_ring(salvetti._over_group_ring(sc), gen3.d)
 
 
 @pytest.mark.parametrize("arr_id", ["braid4", "gen-4-3"])
@@ -313,16 +315,18 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
     gates, checks = [], []
     real_gate, real_check = salvetti._verify_over_group_ring, exactla.verify_composition
     monkeypatch.setattr(salvetti, "_verify_over_group_ring",
-                        lambda sc: gates.append(sc) or real_gate(sc))
+                        lambda rows, d: gates.append(rows) or real_gate(rows, d))
     monkeypatch.setattr(exactla, "verify_composition",
                         lambda mats, field: checks.append(field) or real_check(mats, field))
     sc = complex_for(gen3)
-    assert len(gates) == 1 and checks == []
+    # once on the full boundary, once on the reduced one
+    assert len(gates) == 2 and gates[1] is sc.reduced.boundary and checks == []
+    assert [len(layer) for layer in gates[0][1:]] == sc.cell_counts[1:]
     twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
     twisted_betti(sc, build_local_system(F7, 2, [[[2, 0], [0, 3]]] * 3))
     untwisted_homology(sc)
     untwisted_homology(sc, F7)
-    assert len(gates) == 1 and checks == []
+    assert len(gates) == 2 and checks == []
     tc = twisted_complex(sc, scalar_system(Q, [2, 3, 5]))
     complex_dims(tc.matrices, tc.dims, Q)     # a plain list is still checked
     assert checks == [Q]
@@ -330,15 +334,21 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
 
 @pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), F7], ids=["Q", "F2", "F7"])
 def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
-    # entries are written directly, one per position: none may be zero,
-    # and over F_p every stored residue lies in [1, p)
+    # entries are written directly, one per position, in the full
+    # specialization and in the reduced one: none may be zero, and over
+    # F_p every stored residue lies in [1, p)
     sc = complex_for(corpus_items["braid4"].arrangement)
     d = sc.fc.arrangement.d
     systems = [build_local_system(field, 2, [[[1, 1], [0, 1]]] * d),
                build_local_system(field, 2, [[[3, 0], [0, 5]]] * d)]
     for system in systems:
-        for m in twisted_complex(sc, system).matrices:
-            assert m.entries
+        full = full_twisted_complex(sc, system).matrices
+        assert all(m.entries for m in full)
+        reduced = twisted_complex(sc, system).matrices
+        counts = sc.reduced.cell_counts
+        assert [(m.nrows, m.ncols) for m in reduced] == \
+            [(2 * a, 2 * b) for a, b in zip(counts, counts[1:])]
+        for m in full + reduced:
             for (i, j), v in m.entries.items():
                 assert 0 <= i < m.nrows and 0 <= j < m.ncols
                 if field.kind == "Q":
