@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -125,6 +126,23 @@ def _file_corpus(paths):
     return items
 
 
+def _repro(args, primes, check) -> str:
+    """The command that reruns `check` on the same inputs, seed and primes.
+    A post-pass over the dims cache (c1_oracle) needs the checks that
+    filled it, so it repeats the run's own selection."""
+    argv = ["arrtop", "verify", *(["--all"] if args.all else args.files),
+            "--seed", str(args.seed)]
+    selected = [check]
+    if harness.CHECKS[check].scope == harness.DIMS_CACHE:
+        selected = args.checks or []
+    for name in selected:
+        argv += ["--checks", name]
+    if primes != harness.DEFAULT_PRIMES:
+        for p in primes:
+            argv += ["--prime", str(p)]
+    return shlex.join(argv)
+
+
 def cmd_verify(args) -> int:
     primes = tuple(args.prime) if args.prime else harness.DEFAULT_PRIMES
     checks = args.checks or None
@@ -152,7 +170,11 @@ def cmd_verify(args) -> int:
             raise PreconditionError(
                 f"selected check(s) {', '.join(vacuous)} produced no reports "
                 "on these inputs")
-    _emit(harness.reports_to_json(reports, summary, args.seed), args.out)
+    out = harness.reports_to_json(reports, summary, args.seed)
+    for entry in out["reports"]:
+        if entry["status"] == "fail":
+            entry["repro"] = _repro(args, primes, entry["check"])
+    _emit(out, args.out)
     if not args.out:
         sys.stdout.flush()
     sys.stderr.write(f"checks: {summary['total']}, passed: {summary['passed']}, "

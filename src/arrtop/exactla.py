@@ -154,10 +154,13 @@ class FMatrixSparse:
 
 
 def _integer_matrix(matrix: FMatrixSparse) -> FMatrixSparse:
-    """`matrix` with each row scaled by the lcm of its own denominators.
+    """`matrix` with each row scaled by the lcm of its own denominators;
+    an all-int matrix (every twisted complex over Q) as it is, not copied.
 
     Row scaling keeps the rank over Q, and the rank of the integer result
     mod any prime is a lower bound on it."""
+    if all(type(v) is int for v in matrix.entries.values()):
+        return matrix
     rows = {}
     for (i, j), v in matrix.entries.items():
         rows.setdefault(i, []).append((j, v))
@@ -276,8 +279,10 @@ class ComplexDims:
 class GatedBoundaries(tuple):
     """Boundary matrices proven to compose to zero: specializations, at
     pairwise-commuting monodromy, of a boundary over Λ = Z[t_1^±1..t_d^±1]
-    whose composition was checked zero over Λ.  complex_dims takes this
-    type as the proof and skips its own composition check."""
+    whose composition was checked zero over Λ, each multiplied by one
+    common nonzero scalar (over Q, the twisted complex's integer scale),
+    which keeps the composition zero and every rank.  complex_dims takes
+    this type as the proof and skips its own composition check."""
 
 
 def verify_composition(matrices, fieldspec: FieldSpec):

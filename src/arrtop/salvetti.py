@@ -24,7 +24,10 @@ cells in degree i, and no minimality is claimed.  Every twisted complex
 specializes the reduced boundary at commuting monodromy (LocalSystem
 refuses any other), a ring homomorphism, so no per-system check runs;
 over Q, d² = 0 also certifies the ranks complex_dims reads off modular
-lower bounds.  Untwisted homology uses the full boundary at t = 1, its
+lower bounds.  A twisted complex over Q is that specialization times one
+positive integer `scale` that clears every denominator, so it is built
+on Python ints: one nonzero scalar on every boundary keeps d² = 0 and
+every rank.  Untwisted homology uses the full boundary at t = 1, its
 signs alone.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
@@ -41,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
@@ -414,10 +418,14 @@ def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
 
 @dataclass
 class TwistedComplex:
+    """matrices[k - 1] is `scale` times the boundary C_k -> C_{k-1} of the
+    specialization; scale is a positive integer, 1 over F_p."""
+
     field: FieldSpec
     rank: int
     dims: list
     matrices: list
+    scale: int = 1
 
 
 def _matmul(a, b, r, p):
@@ -433,31 +441,50 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     Each entry, a Laurent polynomial, becomes an r x r block: its value at
     the monodromy matrices (inverse monodromy for negative exponents),
     transposed.  Each monomial is one product of an earlier monomial and
-    one M_i^±1, in raw int or Fraction arithmetic, reduced mod p once per
-    product and once per entry."""
+    one M_i^±1, on Python ints, reduced mod p once per product and once
+    per entry.  Over Q each M_i^±1 is N/D, N an integer matrix and D the
+    lcm of its denominators, so monomial j is an integer value over the
+    product of its generators' D; every matrix is multiplied by one
+    positive integer `scale`, the lcm of those denominators, and its
+    entries are ints.  One nonzero scalar on every boundary keeps d² = 0,
+    so the matrices are still GatedBoundaries, and keeps every rank."""
     arr = sc.fc.arrangement
     if system.d != arr.d:
         raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
     red = sc.reduced
     field, r, p = system.field, system.rank, system.field.p
-    gens = {}
+    gens, gen_dens = {}, {}
 
     def generator(i, s):
         got = gens.get((i, s))
         if got is None:
             m = system.monodromy[i] if s > 0 else mat_inverse(field, system.monodromy[i])
+            if not p:
+                # M_i^s = N / D: N an integer matrix, D the lcm of its denominators
+                den = gen_dens[i, s] = lcm(*(x.denominator for row in m for x in row))
+                m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
             got = gens[i, s] = m[0][0] if r == 1 else [x for row in m for x in row]
         return got
 
     if r == 1:
-        vals = [field.one]
+        vals = [1]
         for parent, i, s in red.monomials:
             v = vals[parent] * generator(i, s)
             vals.append(v % p if p else v)
     else:
-        vals = [[field.one if i == j else field.zero for i in range(r) for j in range(r)]]
+        vals = [[int(i == j) for i in range(r) for j in range(r)]]
         for parent, i, s in red.monomials:
             vals.append(_matmul(vals[parent], generator(i, s), r, p))
+    scale = 1
+    if not p:
+        # monomial j is vals[j] / dens[j]; scale clears every denominator
+        dens = [1]
+        for parent, i, s in red.monomials:
+            dens.append(dens[parent] * gen_dens[i, s])
+        scale = lcm(*dens)
+        if scale > 1:
+            vals = [v * (scale // den) if r == 1 else [x * (scale // den) for x in v]
+                    for v, den in zip(vals, dens)]
 
     dims = [r * c for c in red.cell_counts]
     mats = []
@@ -482,7 +509,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
                     if v:
                         entries[row + a, col + b] = v
         mats.append(m)
-    return TwistedComplex(field, r, dims, mats)
+    return TwistedComplex(field, r, dims, mats, scale)
 
 
 def twisted_betti(sc: SalvettiComplex, system: LocalSystem):

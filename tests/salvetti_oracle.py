@@ -1,15 +1,18 @@
-"""The full twisted specialization of the Salvetti complex: the test
-oracle for `arrtop.salvetti.twisted_complex`, which specializes only the
-complex reduced over Λ.
+"""Oracles for `arrtop.salvetti.twisted_complex`, which specializes only
+the complex reduced over Λ, over Q on ints times one scale.
 
-Every incidence sign * t^neg of the full complex becomes an r x r block:
-the sign times the transposed product of the monodromies of the
-hyperplanes in neg.  The matrices compose to zero because the build
-gated the full boundary over Λ."""
+The full twisted specialization of the Salvetti complex: every incidence
+sign * t^neg of the full complex becomes an r x r block, the sign times
+the transposed product of the monodromies of the hyperplanes in neg.
+The matrices compose to zero because the build gated the full boundary
+over Λ.
+
+The plan's evaluation in field arithmetic: the reduced complex's
+specialization itself, entries Fractions over Q, with no scale."""
 
 from arrtop.exactla import FMatrixSparse, complex_dims
-from arrtop.localsys import identity_matrix, mat_mul
-from arrtop.salvetti import TwistedComplex
+from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
+from arrtop.salvetti import TwistedComplex, _matmul
 
 
 def full_twisted_complex(sc, system) -> TwistedComplex:
@@ -59,3 +62,46 @@ def full_twisted_betti(sc, system):
     tc = full_twisted_complex(sc, system)
     hom = complex_dims(tc.matrices, tc.dims, tc.field).homology
     return hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
+
+
+def plan_twisted_complex(sc, system) -> TwistedComplex:
+    """The reduced boundary's evaluation plan at the monodromy, each
+    product in the field's own elements (Fraction over Q), reduced mod p
+    once per product and once per entry; scale 1."""
+    red = sc.reduced
+    field, r, p = system.field, system.rank, system.field.p
+    gens = {}
+
+    def generator(i, s):
+        got = gens.get((i, s))
+        if got is None:
+            m = system.monodromy[i] if s > 0 else mat_inverse(field, system.monodromy[i])
+            got = gens[i, s] = m[0][0] if r == 1 else [x for row in m for x in row]
+        return got
+
+    if r == 1:
+        vals = [field.one]
+        for parent, i, s in red.monomials:
+            v = vals[parent] * generator(i, s)
+            vals.append(v % p if p else v)
+    else:
+        vals = [[field.one if i == j else field.zero for i in range(r) for j in range(r)]]
+        for parent, i, s in red.monomials:
+            vals.append(_matmul(vals[parent], generator(i, s), r, p))
+
+    dims = [r * c for c in red.cell_counts]
+    mats = []
+    for k, layer in enumerate(red.entries, start=1):
+        m = FMatrixSparse(dims[k - 1], dims[k])
+        for target, pos, terms in layer:
+            block = [sum(c * (vals[j] if r == 1 else vals[j][x]) for j, c in terms)
+                     for x in range(r * r)]
+            for a in range(r):
+                for b in range(r):
+                    v = block[b * r + a]             # transposed
+                    if p:
+                        v %= p
+                    if v:
+                        m.entries[r * target + a, r * pos + b] = v
+        mats.append(m)
+    return TwistedComplex(field, r, dims, mats)

@@ -1,7 +1,10 @@
 import json
+import shlex
+from dataclasses import replace
 
 import pytest
 
+from arrtop import harness
 from arrtop.cli import main
 
 GEN3 = {"dim": 2, "hyperplanes": [
@@ -174,6 +177,53 @@ def test_verify_multiple_checks_on_files(tmp_path, capsys):
                  write(tmp_path, "cen3.json", CEN3),
                  write(tmp_path, "sys.json", SYS_222_Q)])
     assert code == 0
+
+
+@pytest.mark.parametrize("mode", ["all", "files", "dims-cache"])
+def test_verify_failure_carries_a_repro_that_reproduces_it(tmp_path, capsys, monkeypatch,
+                                                          mode):
+    # one check is patched to fail on one instance: only that entry gains
+    # a repro, and running the repro fails the same way again
+    if mode == "all":
+        name, target = "untwisted_match", ("braid4", None)
+        argv = ["verify", "--all", "--seed", "3", "--checks", name]
+        expected = f"arrtop verify --all --seed 3 --checks {name}"
+    elif mode == "dims-cache":
+        # c1_oracle alone exits 2: its repro keeps the checks that fill the cache
+        two_points = {"dim": 1, "hyperplanes": [
+            {"label": "a", "normal": ["1"], "offset": "0"},
+            {"label": "b", "normal": ["1"], "offset": "1"}]}
+        name, target = "c1_oracle", ("pts", "s23")
+        files = [write(tmp_path, "pts.json", two_points),
+                 write(tmp_path, "s23.json",
+                       {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]})]
+        argv = ["verify", *files, "--checks", "euler", "--checks", name]
+        expected = f"arrtop verify {shlex.join(files)} --seed 0 --checks euler --checks {name}"
+    else:
+        name, target = "euler", ("gen3", "s 222")
+        files = [write(tmp_path, "gen3.json", GEN3), write(tmp_path, "s 222.json", SYS_222_Q)]
+        argv = ["verify", *files, "--prime", "5", "--prime", "11"]
+        expected = (f"arrtop verify {shlex.join(files)} --seed 0 --checks {name} "
+                    "--prime 5 --prime 11")
+    real = harness.CHECKS[name]
+
+    def failing_once(ctx, arr_id, *args):
+        report = real.run(ctx, arr_id, *args)
+        if (report.arrangement, report.system) == target:
+            report.status = "fail"
+        return report
+
+    monkeypatch.setitem(harness.CHECKS, name, replace(real, run=failing_once))
+    out, again = tmp_path / "report.json", tmp_path / "again.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())["reports"]
+    failed = [r for r in reports if r["status"] == "fail"]
+    assert len(failed) == 1 and failed[0]["repro"] == expected
+    assert len(reports) > 1 and all("repro" not in r for r in reports if r is not failed[0])
+    repro = shlex.split(failed[0]["repro"])
+    assert repro[0] == "arrtop" and main([*repro[1:], "--out", str(again)]) == 1
+    assert [r for r in json.loads(again.read_text())["reports"]
+            if r["status"] == "fail"] == failed
 
 
 def test_verify_vacuous_check_exits_2(tmp_path, capsys):

@@ -55,6 +55,20 @@ def test_rank_with_fractions():
     assert rank(singular, Q) == 1
 
 
+def test_integer_matrix_passes_ints_through_and_scales_fractions_per_row():
+    ints = sparse_from_rows([[2, -3, 0], [0, 6, 4]])
+    assert exactla._integer_matrix(ints) is ints          # not rebuilt
+    rows = [[Fraction(1, 2), Fraction(-1, 3), 0], [Fraction(5, 6), 1, Fraction(1, 4)],
+            [Fraction(4, 3), Fraction(2, 3), Fraction(1, 4)]]
+    fracs = sparse_from_rows(rows)
+    scaled = exactla._integer_matrix(fracs)
+    # each row times the lcm of its own denominators: 6, 12, 12
+    assert scaled.entries == {(0, 0): 3, (0, 1): -2, (1, 0): 10, (1, 1): 12, (1, 2): 3,
+                              (2, 0): 16, (2, 1): 8, (2, 2): 3}
+    assert all(type(v) is int for v in scaled.entries.values())
+    assert rank(scaled, Q) == rank(fracs, Q) == rank_dense(rows) == 2
+
+
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5),
     min_size=1, max_size=5).filter(lambda rows: len({len(r) for r in rows}) == 1)

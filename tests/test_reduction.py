@@ -1,17 +1,18 @@
 """The Salvetti complex reduced over Λ = Z[t^±1].
 
 twisted_complex specializes only the reduced boundary; the full
-specialization in salvetti_oracle.py is its oracle."""
+specialization in salvetti_oracle.py is its oracle, and over Q the
+plan's Fraction evaluation there is the oracle of its integer scale."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from salvetti_oracle import full_twisted_betti
+from salvetti_oracle import full_twisted_betti, plan_twisted_complex
 
 from arrtop import salvetti
-from arrtop.exactla import ChainComplexError
+from arrtop.exactla import ChainComplexError, complex_dims
 from arrtop.fields import FieldSpec
 from arrtop.geometry import betti_numbers, decone, intersection_poset
 from arrtop.harness import (
@@ -21,13 +22,16 @@ from arrtop.harness import (
     named_arrangements,
     systems_for_arrangement,
 )
-from arrtop.localsys import build_local_system, mat_inverse, mat_mul
+from arrtop.localsys import build_local_system, mat_inverse, mat_mul, scalar_system
 from arrtop.realfaces import enumerate_faces
-from arrtop.salvetti import build_salvetti, twisted_betti
+from arrtop.salvetti import build_salvetti, twisted_betti, twisted_complex
 
-FIELDS = (FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(7),
-          FieldSpec.prime(101))
+Q = FieldSpec.rationals()
+FIELDS = (Q, FieldSpec.prime(2), FieldSpec.prime(7), FieldSpec.prime(101))
 Q_SCALARS = (1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+# denominators 2, 3 and 6, of both signs
+Q_SCALARS_236 = Q_SCALARS + (Fraction(1, 6), Fraction(-5, 6), Fraction(-3, 2),
+                             Fraction(1, 3))
 
 _complexes = {}
 
@@ -49,14 +53,14 @@ def complex_named(name):
 
 
 @st.composite
-def commuting_systems(draw, d):
-    """Rank 1-3 over Q, F_2, F_7 or F_101: diagonal, or scalar times a
-    power of one unipotent Jordan block (not semisimple), conjugated by a
+def commuting_systems(draw, d, fields=FIELDS, q_scalars=Q_SCALARS):
+    """Rank 1-3 over one of `fields`: diagonal, or scalar times a power of
+    one unipotent Jordan block (not semisimple), conjugated by a
     unitriangular product, possibly inverted, half of them with total
-    turn 1."""
-    field = draw(st.sampled_from(FIELDS))
+    turn 1; over Q the scalars come from `q_scalars`."""
+    field = draw(st.sampled_from(fields))
     r = draw(st.integers(1, 3))
-    scalar = (st.sampled_from(Q_SCALARS) if field.kind == "Q"
+    scalar = (st.sampled_from(q_scalars) if field.kind == "Q"
               else st.integers(1, field.p - 1))
     small = st.integers(-2, 2)
     if draw(st.booleans()):
@@ -92,6 +96,42 @@ def test_reduced_betti_equal_the_full_oracle(data):
     sc = complex_named(data.draw(st.sampled_from(["gen3", "cen3", "braid4", "gen-4-3"])))
     system = data.draw(commuting_systems(sc.fc.arrangement.d))
     assert twisted_betti(sc, system) == full_twisted_betti(sc, system)
+
+
+def assert_scale_times_the_plan_oracle(sc, system):
+    """Over Q: every matrix is scale times the plan's Fraction evaluation,
+    entry for entry, in ints; the Betti numbers are the oracle's."""
+    tc, oracle = twisted_complex(sc, system), plan_twisted_complex(sc, system)
+    assert type(tc.scale) is int and tc.scale >= 1 and tc.dims == oracle.dims
+    for m, o in zip(tc.matrices, oracle.matrices, strict=True):
+        assert (m.nrows, m.ncols) == (o.nrows, o.ncols)
+        assert all(type(v) is int for v in m.entries.values())
+        assert m.entries == {key: tc.scale * v for key, v in o.entries.items()}
+    # the oracle's composition is checked over Q, not taken from Λ
+    hom = complex_dims(oracle.matrices, oracle.dims, system.field).homology
+    assert twisted_betti(sc, system) == hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_q_specialization_is_scale_times_the_fraction_plan(data):
+    sc = complex_named(data.draw(st.sampled_from(["gen3", "cen3", "braid4", "gen-4-3"])))
+    system = data.draw(commuting_systems(sc.fc.arrangement.d, fields=(Q,),
+                                         q_scalars=Q_SCALARS_236))
+    assert_scale_times_the_plan_oracle(sc, system)
+
+
+@pytest.mark.parametrize("name", ["gen3", "braid4"])
+def test_q_scale_clears_denominators_2_3_and_6(name):
+    sc = complex_named(name)
+    d = sc.fc.arrangement.d
+    scalars = [(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6))[i % 3] for i in range(d)]
+    jordan = [[Fraction(-1, 6), Fraction(1, 2)], [0, Fraction(-1, 6)]]
+    for system in (scalar_system(Q, scalars),
+                   build_local_system(Q, 2, [jordan] * d)):
+        for s in (system, system.inverse_system()):
+            assert twisted_complex(sc, s).scale > 1
+            assert_scale_times_the_plan_oracle(sc, s)
 
 
 @pytest.mark.parametrize("name", ["braid4", "dbraid4"])

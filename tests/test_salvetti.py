@@ -336,7 +336,8 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
 def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
     # entries are written directly, one per position, in the full
     # specialization and in the reduced one: none may be zero, and over
-    # F_p every stored residue lies in [1, p)
+    # F_p every stored residue lies in [1, p); over Q the full oracle
+    # stores Fractions, the reduced one ints (scale times the value)
     sc = complex_for(corpus_items["braid4"].arrangement)
     d = sc.fc.arrangement.d
     systems = [build_local_system(field, 2, [[[1, 1], [0, 1]]] * d),
@@ -348,10 +349,11 @@ def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
         counts = sc.reduced.cell_counts
         assert [(m.nrows, m.ncols) for m in reduced] == \
             [(2 * a, 2 * b) for a, b in zip(counts, counts[1:])]
-        for m in full + reduced:
-            for (i, j), v in m.entries.items():
-                assert 0 <= i < m.nrows and 0 <= j < m.ncols
-                if field.kind == "Q":
-                    assert isinstance(v, Fraction) and v != 0
-                else:
-                    assert isinstance(v, int) and 1 <= v < field.p
+        for mats, q_type in ((full, Fraction), (reduced, int)):
+            for m in mats:
+                for (i, j), v in m.entries.items():
+                    assert 0 <= i < m.nrows and 0 <= j < m.ncols
+                    if field.kind == "Q":
+                        assert isinstance(v, q_type) and v != 0
+                    else:
+                        assert isinstance(v, int) and 1 <= v < field.p
