@@ -2,8 +2,10 @@
 
 Two layers:
 
-* small dense helpers over Fraction (row reduction, affine solves, null
-  spaces) used by the combinatorial geometry, and
+* small dense helpers: row reduction, affine solves and null spaces
+  over Fraction for the combinatorial geometry, and square matrices over
+  a field (identity, product, a - I, one Gauss-Jordan inverse) on plain
+  operators with one `% p` per entry over F_p, and
 * the rank / homology workhorses for chain complexes: sparse ingest,
   fraction-free (Bareiss) elimination on arbitrary-precision integers
   over Q, sparse Gaussian elimination over F_p on Python ints, and ranks
@@ -33,7 +35,7 @@ class ChainComplexError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# dense rational helpers
+# dense helpers; square matrices over a field are tuples of row tuples
 
 
 def rref(rows):
@@ -106,19 +108,47 @@ def nullspace(rows, n):
     return sol[1]
 
 
-def invert_dense(rows):
-    """Inverse of a square rational matrix; raises on singular input."""
-    n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
-
-
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _reduced(rows, p):
+    """rows as a matrix, each entry reduced mod p unless p is None (Q)."""
+    return tuple(tuple(x % p for x in row) if p else tuple(row) for row in rows)
+
+
+def identity_matrix(fieldspec: FieldSpec, r: int):
+    one, zero = fieldspec.one, fieldspec.zero
+    return tuple(tuple(one if i == j else zero for j in range(r)) for i in range(r))
+
+
+def mat_mul(fieldspec: FieldSpec, a, b):
+    return _reduced(((dot(row, col) for col in zip(*b)) for row in a), fieldspec.p)
+
+
+def mat_sub_identity(fieldspec: FieldSpec, a):
+    """a - I."""
+    return _reduced(((x - 1 if i == j else x for j, x in enumerate(row))
+                     for i, row in enumerate(a)), fieldspec.p)
+
+
+def mat_inverse(fieldspec: FieldSpec, a):
+    """Inverse of a matrix of field elements by Gauss-Jordan; raises
+    ValueError when `a` is singular."""
+    r, p, one = len(a), fieldspec.p, fieldspec.one
+    aug = [list(row) + list(e) for row, e in zip(a, identity_matrix(fieldspec, r))]
+    for col in range(r):
+        piv = next((i for i in range(col, r) if aug[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p) if p else one / aug[col][col]
+        prow = aug[col] = [x * inv % p if p else x * inv for x in aug[col]]
+        for i in range(r):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(aug[i], prow)]
+    return tuple(tuple(row[r:]) for row in aug)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +318,7 @@ class GatedBoundaries(tuple):
 def verify_composition(matrices, fieldspec: FieldSpec):
     """Check d_k ∘ d_{k+1} = 0 over `fieldspec` in every degree;
     `matrices[k-1]` is the boundary C_k -> C_{k-1}."""
+    p = fieldspec.p
     for k in range(1, len(matrices)):
         upper, lower = matrices[k], matrices[k - 1]
         lower_cols = lower.columns()
@@ -295,9 +326,10 @@ def verify_composition(matrices, fieldspec: FieldSpec):
             acc = {}
             for m, v in col:
                 for i, w in lower_cols.get(m, ()):
-                    acc[i] = fieldspec.add(acc.get(i, fieldspec.zero), fieldspec.mul(w, v))
+                    acc[i] = acc.get(i, 0) + w * v
             for i, val in acc.items():
-                if not fieldspec.is_zero(val):
+                val = val % p if p else val
+                if val:
                     raise ChainComplexError(
                         f"boundary composition nonzero in degrees {k + 1}->{k - 1} "
                         f"at ({i},{j}): {val}")

@@ -1,8 +1,9 @@
 """Coefficient fields: the rationals and prime fields F_p.
 
 Elements of Q are `fractions.Fraction`; elements of F_p are ints in
-[0, p).  Everything downstream (local systems, boundary matrices, rank
-computations) is generic over a FieldSpec.
+[0, p).  Arithmetic on them is plain Python operators, with one `% p`
+per result over F_p.  A FieldSpec names the field and coerces input
+into it; it does no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -103,29 +104,6 @@ class FieldSpec:
         if q.denominator % self.p == 0:
             raise ValueError(f"{q} has no image in F_{self.p}")
         return q.numerator * pow(q.denominator, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "Q" else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.kind == "Q" else pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def format(self, a) -> str:
-        return str(a)
 
     def to_json(self) -> dict:
         return {"kind": "Q"} if self.kind == "Q" else {"kind": "Fp", "p": self.p}

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import dot, invert_dense, nullspace, rank_dense, rref, solve_affine
-from .fields import format_rational, parse_rational
+from .exactla import dot, identity_matrix, mat_inverse, nullspace, rank_dense, rref, solve_affine
+from .fields import FieldSpec, format_rational, parse_rational
 
 
 class ArrangementError(Exception):
@@ -53,9 +53,6 @@ class Arrangement:
     @property
     def d(self) -> int:
         return len(self.hyperplanes)
-
-    def normals(self):
-        return [list(h.normal) for h in self.hyperplanes]
 
     def common_point(self):
         """A point on every hyperplane, or None."""
@@ -164,10 +161,6 @@ class FlatPoset:
     def ambient_dim(self) -> int:
         return self.arrangement.dim
 
-    @property
-    def bottom(self) -> Flat:
-        return self.flats[0]
-
     def of_codim(self, c):
         return [f for f in self.flats if f.codim == c]
 
@@ -266,9 +259,7 @@ def essentialize(arr: Arrangement):
     """
     n = arr.dim
     if arr.is_essential:
-        identity = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n))
-                         for i in range(n))
-        return arr, identity
+        return arr, identity_matrix(FieldSpec.rationals(), n)
     normals = [h.normal for h in arr.hyperplanes]
     _, pivots = rref(normals)
     m = len(pivots)
@@ -276,7 +267,7 @@ def essentialize(arr: Arrangement):
     cols = [[Fraction(1 if i == p else 0) for i in range(n)] for p in pivots]
     cols += [list(v) for v in lineality]
     basis = [[cols[j][i] for j in range(n)] for i in range(n)]  # columns -> matrix
-    inv = invert_dense(basis)
+    inv = mat_inverse(FieldSpec.rationals(), basis)
     proj = tuple(tuple(inv[r][c] for c in range(n)) for r in range(m))
     hyps = [Hyperplane(tuple(h.normal[p] for p in pivots), h.offset, h.label)
             for h in arr.hyperplanes]
@@ -325,7 +316,7 @@ def decone(arr: Arrangement, i0: int) -> Arrangement:
         if len(rows) == n:
             break
     t_rows = chosen + [list(a0)]          # last coordinate is the form of H_i0
-    tinv = invert_dense(t_rows)
+    tinv = mat_inverse(FieldSpec.rationals(), t_rows)
     hyps = []
     for j, h in enumerate(arr.hyperplanes):
         if j == i0:
@@ -387,10 +378,9 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
     if not 1 <= k <= n:
         raise ArrangementError(f"section dimension {k} out of range 1..{n}")
     if k == n:
-        identity = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n))
-                         for i in range(n))
         cert = SectionCertificate(k, seed, 0, tuple(Fraction(0) for _ in range(n)),
-                                  identity, tuple(range(arr.d)))
+                                  identity_matrix(FieldSpec.rationals(), n),
+                                  tuple(range(arr.d)))
         return arr, cert
     poset = intersection_poset(arr)
     rng = random.Random(seed)

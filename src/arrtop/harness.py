@@ -22,10 +22,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import geometry, localsys, realfaces, salvetti
-from .exactla import FMatrixSparse, rank as matrix_rank, rank_dense
+from .exactla import (FMatrixSparse, identity_matrix, mat_sub_identity, rank as matrix_rank,
+                      rank_dense)
 from .fields import FieldSpec, format_rational
 from .geometry import Arrangement, Hyperplane
-from .localsys import LocalSystem, build_local_system, is_trivial, identity_matrix
+from .localsys import LocalSystem, build_local_system, is_trivial
 
 
 class PreconditionError(Exception):
@@ -163,13 +164,17 @@ def _id_frag(x) -> str:
     return format_rational(x).replace("/", "_").replace("-", "m")
 
 
-def _add_with_inverse(out, seen, sys_id, system):
+def _add_with_inverse(out, seen, sys_id, system) -> int:
+    """Append the system and its inverse unless seen; returns how many."""
+    added = 0
     for candidate_id, candidate in ((sys_id, system),
                                     (sys_id + "-inv", system.inverse_system())):
         key = (candidate.field, candidate.monodromy)
         if key not in seen:
             seen[key] = candidate_id
             out.append((candidate_id, candidate))
+            added += 1
+    return added
 
 
 def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
@@ -251,22 +256,22 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
         fp = FieldSpec.prime(p)
         rng = random.Random(_subseed(spec.seed, arr_id, "topup"))
         attempt = 0
-        while attempt < 20 * spec.min_nontrivial:
-            if sum(1 for _, s in out if not is_trivial(s)) >= spec.min_nontrivial:
-                break
+        # every top-up system and its inverse differ from the identity
+        nontrivial = sum(1 for _, s in out if not is_trivial(s))
+        while attempt < 20 * spec.min_nontrivial and nontrivial < spec.min_nontrivial:
             attempt += 1
             if attempt % 3:
                 while True:
                     scalars = [rng.randrange(1, p) for _ in range(d)]
                     if any(s != 1 for s in scalars):
                         break
-                _add_with_inverse(out, seen, f"f{p}1-top-{attempt}",
-                                  localsys.scalar_system(fp, scalars))
+                nontrivial += _add_with_inverse(out, seen, f"f{p}1-top-{attempt}",
+                                                localsys.scalar_system(fp, scalars))
             else:
                 mats = [[[rng.randrange(2, p), 0], [0, rng.randrange(2, p)]]
                         for _ in range(d)]
-                _add_with_inverse(out, seen, f"f{p}2-top-{attempt}",
-                                  build_local_system(fp, 2, mats))
+                nontrivial += _add_with_inverse(out, seen, f"f{p}2-top-{attempt}",
+                                                build_local_system(fp, 2, mats))
     return tuple(out)
 
 
@@ -513,7 +518,7 @@ def _rows_rank(rows, field: FieldSpec) -> int:
     """Rank of a matrix given as a list of rows."""
     sparse = FMatrixSparse(len(rows), len(rows[0]))
     sparse.entries.update(((i, j), v) for i, row in enumerate(rows)
-                          for j, v in enumerate(row) if not field.is_zero(v))
+                          for j, v in enumerate(row) if v)
     return matrix_rank(sparse, field)
 
 
@@ -548,7 +553,7 @@ def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
         details.update({"case": "turn-identity", "dims": dims_a})
         return CheckReport("central_structure", arr_id, sys_id,
                            "pass" if ok else "fail", details)
-    if _rows_rank(localsys.mat_sub_identity(system.field, turn), system.field) == system.rank:
+    if _rows_rank(mat_sub_identity(system.field, turn), system.field) == system.rank:
         ok = all(x == 0 for x in dims_a)
         return CheckReport("central_structure", arr_id, sys_id,
                            "pass" if ok else "fail",
@@ -577,7 +582,7 @@ def c1_expected_dims(system: LocalSystem):
     common fixed space of the monodromies, b_1 = r(d-1) + b_0."""
     r, d = system.rank, system.d
     stacked = [row for mat in system.monodromy
-               for row in localsys.mat_sub_identity(system.field, mat)]
+               for row in mat_sub_identity(system.field, mat)]
     b0 = r - _rows_rank(stacked, system.field)
     return [b0, r * (d - 1) + b0]
 

@@ -4,7 +4,8 @@ A rank-r local system is encoded by one invertible r x r monodromy
 matrix per hyperplane meridian; the matrices are required to commute
 pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
-and F_p.
+and F_p.  Each system inverts its monodromy once, one inversion per
+distinct matrix, and keeps the result; building a system reads it.
 """
 
 from __future__ import annotations
@@ -12,61 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import FieldSpec, format_rational
+from .exactla import identity_matrix, mat_inverse, mat_mul
+from .fields import FieldSpec
 from .geometry import Arrangement
 
 
 class LocalSystemError(Exception):
     pass
-
-
-def identity_matrix(fieldspec: FieldSpec, r: int):
-    one, zero = fieldspec.one, fieldspec.zero
-    return tuple(tuple(one if i == j else zero for j in range(r)) for i in range(r))
-
-
-def mat_mul(fieldspec: FieldSpec, a, b):
-    r = len(a)
-    return tuple(
-        tuple(sum_field(fieldspec, (fieldspec.mul(a[i][k], b[k][j]) for k in range(r)))
-              for j in range(r))
-        for i in range(r))
-
-
-def sum_field(fieldspec: FieldSpec, items):
-    acc = fieldspec.zero
-    for x in items:
-        acc = fieldspec.add(acc, x)
-    return acc
-
-
-def mat_sub_identity(fieldspec: FieldSpec, a):
-    """a - I."""
-    r = len(a)
-    one = fieldspec.one
-    return tuple(tuple(fieldspec.sub(a[i][j], one if i == j else fieldspec.zero)
-                       for j in range(r)) for i in range(r))
-
-
-def mat_inverse(fieldspec: FieldSpec, a):
-    """Inverse by Gauss-Jordan; raises LocalSystemError when singular."""
-    r = len(a)
-    aug = [list(a[i]) + list(identity_matrix(fieldspec, r)[i]) for i in range(r)]
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, r) if not fieldspec.is_zero(aug[i][col])), None)
-        if piv is None:
-            raise LocalSystemError("singular matrix")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = fieldspec.inv(aug[row][col])
-        aug[row] = [fieldspec.mul(inv, x) for x in aug[row]]
-        for i in range(r):
-            if i != row and not fieldspec.is_zero(aug[i][col]):
-                f = aug[i][col]
-                aug[i] = [fieldspec.sub(x, fieldspec.mul(f, y))
-                          for x, y in zip(aug[i], aug[row])]
-        row += 1
-    return tuple(tuple(aug[i][r:]) for i in range(r))
 
 
 @dataclass(frozen=True)
@@ -101,17 +54,31 @@ class LocalSystem:
     def d(self) -> int:
         return len(self.monodromy)
 
+    @cached_property
+    def inverse(self) -> tuple:
+        """The inverse of each monodromy matrix, each distinct matrix
+        inverted once; a singular one raises LocalSystemError naming it."""
+        inverses = {}
+        for idx, m in enumerate(self.monodromy):
+            if m not in inverses:
+                try:
+                    inverses[m] = mat_inverse(self.field, m)
+                except ValueError:
+                    raise LocalSystemError(f"monodromy matrix {idx + 1} is singular")
+        return tuple(inverses[m] for m in self.monodromy)
+
     def inverse_system(self) -> "LocalSystem":
-        """Entrywise matrix-inverse system (meridians act by inverses)."""
-        return LocalSystem(self.field, self.rank,
-                           tuple(mat_inverse(self.field, a) for a in self.monodromy))
+        """Entrywise matrix-inverse system (meridians act by inverses); its
+        inverse is this system's monodromy, so nothing is inverted twice."""
+        inv = LocalSystem(self.field, self.rank, self.inverse)
+        object.__setattr__(inv, "inverse", self.monodromy)
+        return inv
 
     def to_json(self) -> dict:
-        fmt = format_rational if self.field.kind == "Q" else str
         return {
             "field": self.field.to_json(),
             "rank": self.rank,
-            "monodromy": [[fmt(x) for row in m for x in row] for m in self.monodromy],
+            "monodromy": [[str(x) for row in m for x in row] for m in self.monodromy],
         }
 
 
@@ -125,12 +92,9 @@ def build_local_system(fieldspec: FieldSpec, rank: int, matrices) -> LocalSystem
         if len(rows) != rank or any(len(row) != rank for row in rows):
             raise LocalSystemError(f"matrix {idx + 1} is not {rank}x{rank}")
         mats.append(rows)
-    for idx, m in enumerate(mats):
-        try:
-            mat_inverse(fieldspec, m)
-        except LocalSystemError:
-            raise LocalSystemError(f"monodromy matrix {idx + 1} is singular")
-    return LocalSystem(fieldspec, rank, tuple(mats))
+    system = LocalSystem(fieldspec, rank, tuple(mats))
+    system.inverse                       # raises on a singular matrix; kept for later use
+    return system
 
 
 def scalar_system(fieldspec: FieldSpec, scalars) -> LocalSystem:

@@ -48,7 +48,7 @@ from math import lcm
 
 from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
-from .localsys import LocalSystem, mat_inverse
+from .localsys import LocalSystem
 from .realfaces import FaceComplex
 
 
@@ -458,7 +458,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     def generator(i, s):
         got = gens.get((i, s))
         if got is None:
-            m = system.monodromy[i] if s > 0 else mat_inverse(field, system.monodromy[i])
+            m = system.monodromy[i] if s > 0 else system.inverse[i]
             if not p:
                 # M_i^s = N / D: N an integer matrix, D the lcm of its denominators
                 den = gen_dens[i, s] = lcm(*(x.denominator for row in m for x in row))

@@ -19,7 +19,7 @@ def full_twisted_complex(sc, system) -> TwistedComplex:
     arr = sc.fc.arrangement
     if system.d != arr.d:
         raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
-    field = system.field
+    field, p = system.field, system.field.p
     r = system.rank
     ident = identity_matrix(field, r)
     block_cache = {}
@@ -32,8 +32,8 @@ def full_twisted_complex(sc, system) -> TwistedComplex:
             for i in sorted(neg):
                 acc = mat_mul(field, acc, system.monodromy[i])
             block = [(a, b, acc[b][a]) for a in range(r) for b in range(r)
-                     if not field.is_zero(acc[b][a])]      # acc transposed
-            got = (block, [(a, b, field.neg(v)) for a, b, v in block])
+                     if acc[b][a]]  # acc transposed
+            got = (block, [(a, b, -v % p if p else -v) for a, b, v in block])
             block_cache[neg] = got
         return got
 

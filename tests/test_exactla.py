@@ -14,7 +14,10 @@ from arrtop.exactla import (
     ChainComplexError,
     FMatrixSparse,
     complex_dims,
-    invert_dense,
+    identity_matrix,
+    mat_inverse,
+    mat_mul,
+    mat_sub_identity,
     rank,
     rank_dense,
     rref,
@@ -140,6 +143,69 @@ def test_complex_dims_euler_property():
 
 
 # ---------------------------------------------------------------------------
+# dense square matrices over a field, on plain operators, against the
+# sparse rank engine and FieldSpec.element
+
+
+@st.composite
+def square_matrices(draw):
+    """(field, a): an r x r matrix of field elements, r = 1..4, over Q or
+    F_p; zeros are common and the last row is often a combination of the
+    first two, so a is often singular."""
+    p = draw(st.sampled_from([None, 2, 3, 7, 101, P]))
+    field = Q if p is None else FieldSpec.prime(p)
+    r = draw(st.integers(min_value=1, max_value=4))
+    if p is None:
+        elems = st.sampled_from([0, 0, 1, -1, 2, 5, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        elems = st.one_of(st.sampled_from([0, 0, 1, p - 1]),
+                          st.integers(min_value=0, max_value=p - 1))
+    rows = [[draw(elems) for _ in range(r)] for _ in range(r)]
+    if r > 2 and draw(st.booleans()):
+        c = draw(elems)
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+    return field, tuple(tuple(field.element(x) for x in row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_dense_inverse_over_a_field(case):
+    field, a = case
+    r, p = len(a), field.p
+    invertible = rank(sparse_from_rows(a, r, r), field) == r
+    try:
+        inv = mat_inverse(field, a)
+    except ValueError:
+        assert not invertible
+    else:
+        assert invertible
+        assert mat_mul(field, a, inv) == mat_mul(field, inv, a) == identity_matrix(field, r)
+        assert all(0 <= x < p if p else type(x) is Fraction for row in inv for x in row)
+    a_minus_i = tuple(tuple(field.element(x - (i == j)) for j, x in enumerate(row))
+                      for i, row in enumerate(a))
+    assert mat_sub_identity(field, a) == a_minus_i
+
+
+def test_dense_helpers_reduce_mod_p():
+    assert mat_sub_identity(F7, ((0, 3), (5, 1))) == ((6, 3), (5, 0))
+    assert mat_mul(F7, ((3,),), ((5,),)) == ((1,),)
+    assert mat_inverse(F7, ((3, 0), (0, 6))) == ((5, 0), (0, 6))
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(F7, ((2, 4), (1, 2)))
+
+
+def test_verify_composition_reduces_mod_p():
+    d1 = sparse_from_rows([[1, 1]])              # C_1 -> C_0
+    seven = sparse_from_rows([[3], [4]])         # d1 d2 = 7, zero in F_7
+    eight = sparse_from_rows([[4], [4]])         # d1 d2 = 8, one in F_7
+    exactla.verify_composition([d1, seven], F7)
+    with pytest.raises(ChainComplexError, match="nonzero"):
+        exactla.verify_composition([d1, eight], F7)
+    with pytest.raises(ChainComplexError, match="nonzero"):
+        exactla.verify_composition([d1, seven], Q)
+
+
+# ---------------------------------------------------------------------------
 # ranks over Q certified from ranks mod P
 
 
@@ -218,7 +284,7 @@ def based_complexes(draw):
         block = [[Fraction(0)] * dims[k] for _ in range(dims[k - 1])]
         for i, j, c in d[k]:
             block[i][j] = Fraction(c)
-        inv = invert_dense(bases[k]) if dims[k] else []
+        inv = mat_inverse(Q, bases[k]) if dims[k] else []
         changed = _mat_mul(_mat_mul(bases[k - 1], block, dims[k - 1]), inv, dims[k])
         mats.append(sparse_from_rows(changed, dims[k - 1], dims[k]) if dims[k - 1]
                     else FMatrixSparse(0, dims[k]))

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from arrtop import localsys
 from arrtop.fields import FieldSpec
+from arrtop.geometry import generic_section
+from arrtop.harness import braid_essentialized
 from arrtop.localsys import (
+    LocalSystem,
     LocalSystemError,
     build_local_system,
     decone_system,
@@ -13,6 +17,8 @@ from arrtop.localsys import (
     scalar_system,
     total_turn,
 )
+from arrtop.realfaces import enumerate_faces
+from arrtop.salvetti import build_salvetti, twisted_complex
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -131,3 +137,55 @@ def test_hash_is_cached_and_agrees_with_equality():
     assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
     assert a != scalar_system(Q, [3, 2])
     assert vars(a)["_hash"] == hash((a.field, a.rank, a.monodromy))
+
+
+# ---------------------------------------------------------------------------
+# each system inverts its monodromy once
+
+
+def counting_inverse(monkeypatch):
+    calls = []
+    real = localsys.mat_inverse
+
+    def counted(fieldspec, a):
+        calls.append(a)
+        return real(fieldspec, a)
+
+    monkeypatch.setattr(localsys, "mat_inverse", counted)
+    return calls
+
+
+def test_monodromy_is_inverted_once_per_distinct_matrix(monkeypatch):
+    braid4 = braid_essentialized(4)
+    section, _cert = generic_section(braid4, 2, seed=0)
+    complexes = [build_salvetti(enumerate_faces(arr)) for arr in (braid4, section)]
+    assert section.d == braid4.d == 6
+    assert any(s < 0 for sc in complexes for _parent, _i, s in sc.reduced.monomials)
+    calls = counting_inverse(monkeypatch)
+    jordan, unipotent = [[2, 1], [0, 2]], [[1, 1], [0, 1]]
+    systems = [build_local_system(Q, 2, [jordan, unipotent, jordan, jordan, unipotent, jordan]),
+               scalar_system(F7, [3, 5, 3, 3, 5, 3])]
+    for system in systems:
+        for sc in complexes:
+            twisted_complex(sc, system)
+    assert len(calls) == 4
+    assert sorted(map(str, calls)) == sorted(
+        str(m) for system in systems for m in set(system.monodromy))
+
+
+def test_inverse_system_inverts_nothing(monkeypatch):
+    system = build_local_system(F7, 2, [[[1, 1], [0, 1]], [[2, 1], [0, 2]]])
+    calls = counting_inverse(monkeypatch)
+    inverse = system.inverse_system()
+    assert inverse.monodromy == system.inverse
+    assert inverse.inverse is system.monodromy
+    assert inverse.inverse_system() == system
+    assert calls == []
+
+
+def test_hand_built_singular_system_fails_on_first_use():
+    system = LocalSystem(F7, 1, (((2,),), ((0,),)))
+    with pytest.raises(LocalSystemError, match="matrix 2 is singular"):
+        system.inverse
+    with pytest.raises(LocalSystemError, match="matrix 2 is singular"):
+        system.inverse_system()
