@@ -18,7 +18,7 @@ from .geometry import (
     validate_arrangement,
     zero_flats,
 )
-from .realfaces import enumerate_faces, region_counts, separating_set
+from .realfaces import enumerate_faces, region_counts
 from .localsys import (
     LocalSystem,
     LocalSystemError,
@@ -56,7 +56,6 @@ __all__ = [
     "decone_system", "enumerate_faces", "essentialize", "generate_corpus",
     "generic_section", "intersection_poset", "is_trivial", "localize",
     "parse_rational", "rank", "region_counts", "restrict", "run_verification",
-    "scalar_system", "separating_set", "total_turn", "twisted_betti",
-    "twisted_complex", "untwisted_homology", "validate_arrangement",
-    "zero_flats",
+    "scalar_system", "total_turn", "twisted_betti", "twisted_complex",
+    "untwisted_homology", "validate_arrangement", "zero_flats",
 ]

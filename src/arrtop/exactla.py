@@ -6,11 +6,10 @@ Two layers:
   over Fraction for the combinatorial geometry, and square matrices over
   a field (identity, product, a - I, one Gauss-Jordan inverse) on plain
   operators with one `% p` per entry over F_p, and
-* the rank / homology workhorses for chain complexes: sparse ingest,
-  fraction-free (Bareiss) elimination on arbitrary-precision integers
-  over Q, sparse Gaussian elimination over F_p on Python ints, and ranks
-  over Q of a chain complex certified from ranks mod a fixed prime
-  wherever the complex leaves no gap.
+* the rank / homology workhorses for chain complexes: one sparse
+  Gaussian elimination on Python ints for every field, fraction-free
+  over Q and mod p over F_p, and homology dimensions from those ranks
+  behind the d² = 0 gate.
 
 There are no tolerances anywhere; every result is an exact integer or
 rational.
@@ -20,15 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .fields import MAX_PRIME, FieldSpec
-
-# The prime whose ranks bound ranks over Q from below in complex_dims.
-P = 2**31 - 1
-assert P < MAX_PRIME
-_MOD_P = FieldSpec.prime(P)
-
+from .fields import FieldSpec
 
 class ChainComplexError(Exception):
     """Raised when consecutive boundary matrices do not compose to zero."""
@@ -176,79 +169,48 @@ class FMatrixSparse:
             t.entries[(j, i)] = v
         return t
 
-    def dense_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+
+def _make_primitive(row: dict):
+    """Divide an integer row {col: value} by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        for j in row:
+            row[j] //= content
 
 
-def _integer_matrix(matrix: FMatrixSparse) -> FMatrixSparse:
-    """`matrix` with each row scaled by the lcm of its own denominators;
-    an all-int matrix (every twisted complex over Q) as it is, not copied.
+def _sparse_rank(entries: dict, fieldspec: FieldSpec) -> int:
+    """Rank by sparse elimination on {(i, j): value} entries, over Q or F_p.
 
-    Row scaling keeps the rank over Q, and the rank of the integer result
-    mod any prime is a lower bound on it."""
-    if all(type(v) is int for v in matrix.entries.values()):
-        return matrix
-    rows = {}
-    for (i, j), v in matrix.entries.items():
-        rows.setdefault(i, []).append((j, v))
-    out = FMatrixSparse(matrix.nrows, matrix.ncols)
-    for i, row in rows.items():
-        scale = lcm(*(v.denominator for _j, v in row))
-        for j, v in row:
-            out.entries[(i, j)] = v.numerator * (scale // v.denominator)
-    return out
-
-
-def _rank_bareiss(rows) -> int:
-    """Fraction-free elimination on integer rows; mutates `rows`."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        p = pr[col]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            if f:
-                for j in range(col + 1, ncols):
-                    ri[j] = (p * ri[j] - f * pr[j]) // prev
-                ri[col] = 0
-            elif p != prev:
-                # fraction-free invariant: untouched rows still rescale
-                for j in range(col + 1, ncols):
-                    ri[j] = (p * ri[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _sparse_rank_mod_p(entries: dict, fieldspec: FieldSpec) -> int:
-    """Rank over F_p by sparse elimination on {(i, j): value} entries.
-
-    Each row is a {col: residue} dict and each column keeps the set of rows
+    Each row is a {col: value} dict and each column keeps the set of rows
     that use it.  Pivot columns are taken by increasing initial count
     (ties by index), each with the shortest of its rows (ties by index),
     so the mostly-±1 boundaries fill in little.  Arithmetic is on Python
-    ints, so no prime overflows.  A Fraction entry n/d maps to n·d⁻¹ as in
-    FieldSpec.element, which raises ValueError when p divides d."""
+    ints, so no prime overflows.
+
+    Over F_p a Fraction entry n/d maps to n·d⁻¹ as in FieldSpec.element,
+    which raises ValueError when p divides d.  Over Q elimination is
+    fraction-free: at ingest each row is scaled by the lcm of its own
+    denominators and divided by the gcd of its entries (a twisted complex
+    carries its integer scale in every entry); row i becomes
+    (a/g)·row_i − (f/g)·pivot row, where a and f are the pivot column's
+    entries and g = gcd(a, f), and the result is divided by the gcd of its
+    entries again, which keeps coefficients from growing."""
     p = fieldspec.p
     rows, cols = {}, {}
     for (i, j), v in entries.items():
-        x = v % p if type(v) is int else fieldspec.element(v)
-        if x:
-            rows.setdefault(i, {})[j] = x
+        if p:
+            v = v % p if type(v) is int else fieldspec.element(v)
+        if v:
+            rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
+    if not p:
+        fractions = any(type(v) is not int for v in entries.values())
+        for row in rows.values():
+            if fractions:
+                scale = lcm(*(v.denominator for v in row.values()))
+                for j, v in row.items():
+                    row[j] = v.numerator * (scale // v.denominator)
+            _make_primitive(row)
     rank = 0
     for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
         users = cols[c]
@@ -261,33 +223,56 @@ def _sparse_rank_mod_p(entries: dict, fieldspec: FieldSpec) -> int:
         rank += 1
         if not users:
             continue
-        inv = pow(prow.pop(c), -1, p)
-        prow = [(j, v * inv % p) for j, v in prow.items()]
+        a = prow.pop(c)
+        if p:
+            inv = pow(a, -1, p)
+            prow = [(j, v * inv % p) for j, v in prow.items()]
+        else:
+            prow = list(prow.items())
         for i in users:
             row = rows[i]
             f = row.pop(c)
+            if p:
+                for j, v in prow:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -f * v % p
+                        cols[j].add(i)
+                    else:
+                        x = (x - f * v) % p
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                            cols[j].discard(i)
+                continue
+            g = gcd(a, f) if a > 0 else -gcd(a, f)
+            s, f = a // g, f // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
             for j, v in prow:
                 x = row.get(j)
                 if x is None:
-                    row[j] = -f * v % p
+                    row[j] = -f * v
                     cols[j].add(i)
                 else:
-                    x = (x - f * v) % p
+                    x -= f * v
                     if x:
                         row[j] = x
                     else:
                         del row[j]
                         cols[j].discard(i)
+            _make_primitive(row)
     return rank
 
 
 def rank(matrix: FMatrixSparse, fieldspec: FieldSpec) -> int:
-    """Exact rank of a sparse matrix over the given field."""
+    """Exact rank of a sparse matrix over the given field; `matrix` is
+    left as it is."""
     if matrix.nrows == 0 or matrix.ncols == 0 or not matrix.entries:
         return 0
-    if fieldspec.kind == "Q":
-        return _rank_bareiss(_integer_matrix(matrix).dense_rows())
-    return _sparse_rank_mod_p(matrix.entries, fieldspec)
+    return _sparse_rank(matrix.entries, fieldspec)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +287,6 @@ class ComplexDims:
     ranks: list          # ranks[k-1] = rank of boundary C_k -> C_{k-1}, k = 1..n
     homology: list
 
-    def euler(self) -> int:
-        return sum((-1) ** k * d for k, d in enumerate(self.dims))
-
 
 class GatedBoundaries(tuple):
     """Boundary matrices proven to compose to zero: specializations, at
@@ -312,7 +294,8 @@ class GatedBoundaries(tuple):
     whose composition was checked zero over Λ, each multiplied by one
     common nonzero scalar (over Q, the twisted complex's integer scale),
     which keeps the composition zero and every rank.  complex_dims takes
-    this type as the proof and skips its own composition check."""
+    this type as the proof and skips its own composition check; the ranks
+    themselves are exact without it."""
 
 
 def verify_composition(matrices, fieldspec: FieldSpec):
@@ -335,54 +318,14 @@ def verify_composition(matrices, fieldspec: FieldSpec):
                         f"at ({i},{j}): {val}")
 
 
-def _rational_ranks(matrices, dims):
-    """Exact ranks over Q of the boundaries of a chain complex.
-
-    Each boundary's rank mod P is a lower bound L on its rank over Q.
-    Because d_k ∘ d_{k+1} = 0 over Q, im d_{k+1} ⊆ ker d_k bounds it from
-    above:
-        rank d_k <= min(dims[k] - r(d_{k+1}), dims[k-1] - r(d_{k-1})),
-    where r is a neighbour's exact rank once known, its L otherwise, and 0
-    past either end (so the bound never exceeds nrows or ncols).
-    Where that bound meets L the rank is exact without elimination over
-    Q; only boundaries with a gap run Bareiss, cheapest first, and each
-    exact rank tightens its neighbours' bounds.  The upper bound, and so
-    every rank certified here, holds only because d² = 0 over Q: checked by
-    complex_dims, or for GatedBoundaries proven over Λ."""
-    n = len(matrices)
-    ints = [_integer_matrix(m) for m in matrices]
-    lower = [rank(m, _MOD_P) for m in ints]
-    exact = [None] * n
-
-    def known(k):
-        if not 0 <= k < n:
-            return 0
-        return lower[k] if exact[k] is None else exact[k]
-
-    while True:
-        gaps = []
-        for k in range(n):                # ints[k]: C_{k+1} -> C_k
-            if exact[k] is not None:
-                continue
-            upper = min(dims[k + 1] - known(k + 1), dims[k] - known(k - 1))
-            if upper == lower[k]:
-                exact[k] = lower[k]
-            else:
-                gaps.append(k)
-        if not gaps:
-            return exact
-        k = min(gaps, key=lambda g: ints[g].nrows * ints[g].ncols)
-        exact[k] = rank(ints[k], FieldSpec.rationals())
-
-
 def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
     """Homology dimensions of a chain complex.
 
     `matrices[k-1]` is the boundary C_k -> C_{k-1} (shape dims[k-1] x dims[k])
     for k = 1..n; `dims` lists the chain-group dimensions.  Composition to
     zero is verified first (GatedBoundaries carry a proof over Λ instead)
-    and a violation is a hard error, never a wrong answer; over Q, d² = 0
-    is what certifies ranks taken mod P."""
+    and a violation is a hard error, never a wrong answer.  Each rank is
+    then taken by the one sparse engine, over Q or F_p alike."""
     n = len(dims) - 1
     if len(matrices) != n:
         raise ValueError(f"expected {n} boundary matrices, got {len(matrices)}")
@@ -392,10 +335,7 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
                              f"expected {dims[k - 1]}x{dims[k]}")
     if not isinstance(matrices, GatedBoundaries):
         verify_composition(matrices, fieldspec)
-    if fieldspec.kind == "Q":
-        ranks = _rational_ranks(matrices, dims)
-    else:
-        ranks = [rank(m, fieldspec) for m in matrices]
+    ranks = [rank(m, fieldspec) for m in matrices]
     homology = []
     for k in range(n + 1):
         below = ranks[k - 1] if k >= 1 else 0

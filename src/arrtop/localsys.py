@@ -6,6 +6,9 @@ pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
 and F_p.  Each system inverts its monodromy once, one inversion per
 distinct matrix, and keeps the result; building a system reads it.
+Systems derived from a checked one (a subset of its matrices, or their
+inverses) commute as a family already and carry the inverses over, so
+they neither check nor invert again.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ class LocalSystem:
     monodromy: tuple     # one r x r matrix per hyperplane, pairwise commuting
 
     def __post_init__(self):
-        """Refuse non-commuting monodromy however the system is made: the
-        d²=0 gate over Λ carries over to a specialization only then."""
+        """Refuse non-commuting monodromy however the system is made from
+        new matrices: the d²=0 gate over Λ carries over to a
+        specialization only then."""
         first = {}                       # distinct matrix -> first hyperplane
         for j, m in enumerate(self.monodromy if self.rank > 1 else ()):
             if m in first:
@@ -70,9 +74,7 @@ class LocalSystem:
     def inverse_system(self) -> "LocalSystem":
         """Entrywise matrix-inverse system (meridians act by inverses); its
         inverse is this system's monodromy, so nothing is inverted twice."""
-        inv = LocalSystem(self.field, self.rank, self.inverse)
-        object.__setattr__(inv, "inverse", self.monodromy)
-        return inv
+        return _derived(self, self.inverse, self.monodromy)
 
     def to_json(self) -> dict:
         return {
@@ -80,6 +82,17 @@ class LocalSystem:
             "rank": self.rank,
             "monodromy": [[str(x) for row in m for x in row] for m in self.monodromy],
         }
+
+
+def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple) -> LocalSystem:
+    """A system on matrices of `system`'s checked family (some of them, or
+    their inverses) with `inverse` as its inverses.  Inverses and subsets
+    of a commuting family commute, so __post_init__'s check does not run."""
+    derived = object.__new__(LocalSystem)
+    for name, value in (("field", system.field), ("rank", system.rank),
+                        ("monodromy", monodromy), ("inverse", inverse)):
+        object.__setattr__(derived, name, value)
+    return derived
 
 
 def build_local_system(fieldspec: FieldSpec, rank: int, matrices) -> LocalSystem:
@@ -129,8 +142,9 @@ def restrict(system: LocalSystem, index_map) -> LocalSystem:
     for i in index_map:
         if not 0 <= i < system.d:
             raise LocalSystemError(f"index {i} out of range 0..{system.d - 1}")
-    return LocalSystem(system.field, system.rank,
-                       tuple(system.monodromy[i] for i in index_map))
+    inv = system.inverse
+    return _derived(system, tuple(system.monodromy[i] for i in index_map),
+                    tuple(inv[i] for i in index_map))
 
 
 def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem:
@@ -145,8 +159,8 @@ def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem
     t = total_turn(arr, system)
     if t != identity_matrix(system.field, system.rank):
         raise LocalSystemError("system does not descend: total turn is not the identity")
-    return LocalSystem(system.field, system.rank,
-                       tuple(m for j, m in enumerate(system.monodromy) if j != i0))
+    mons, inv = system.monodromy, system.inverse
+    return _derived(system, mons[:i0] + mons[i0 + 1:], inv[:i0] + inv[i0 + 1:])
 
 
 def local_system_from_json(obj) -> LocalSystem:

@@ -6,8 +6,8 @@ than inferred.  Enumeration is incremental: hyperplanes are inserted
 one at a time and each existing face is split against the new
 hyperplane; a single exact feasibility call per split decides whether
 the face meets the hyperplane, and the two open sides get witnesses by
-exact segment arithmetic.  The 3^d brute force stays available as
-`sign_vector_realizable` (it is the test oracle).
+exact segment arithmetic.  A 3^d brute force over sign vectors is the
+test oracle.
 """
 
 from __future__ import annotations
@@ -69,22 +69,6 @@ class FaceComplex:
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
-
-
-def sign_vector_realizable(arr: Arrangement, sigma):
-    """Exact relative-interior witness for a sign vector, or None.
-
-    Decides each sign vector on its own (equality solve plus strict
-    feasibility); independent of the incremental enumeration.
-    """
-    eqs, ineqs = [], []
-    for s, h in zip(sigma, arr.hyperplanes):
-        if s == 0:
-            eqs.append((h.normal, h.offset))
-        else:
-            ineqs.append(([s * x for x in h.normal], s * h.offset, True))
-    w = feasible_point(eqs, ineqs, arr.dim)
-    return None if w is None else tuple(w)
 
 
 def _face_dim(arr, sigma) -> int:
@@ -186,13 +170,3 @@ def region_counts(fc: FaceComplex):
     chambers = fc.chambers
     bounded = sum(1 for c in chambers if is_bounded(fc, c))
     return len(chambers), bounded
-
-
-def separating_set(fc: FaceComplex, c1: int, c2: int) -> frozenset:
-    """Hyperplanes with opposite signs on two chambers: those crossed an
-    odd number of times by any path between them, exactly once on a
-    minimal gallery."""
-    f1, f2 = fc.faces[c1], fc.faces[c2]
-    if not f1.is_chamber or not f2.is_chamber:
-        raise ValueError("separating_set needs two chambers")
-    return frozenset(i for i, (a, b) in enumerate(zip(f1.sign, f2.sign)) if a != b)

@@ -22,13 +22,13 @@ local system at once.  The reduced boundary, whose entries are Laurent
 polynomials, is gated by d∘d = 0 over Λ too; it keeps at least b_i
 cells in degree i, and no minimality is claimed.  Every twisted complex
 specializes the reduced boundary at commuting monodromy (LocalSystem
-refuses any other), a ring homomorphism, so no per-system check runs;
-over Q, d² = 0 also certifies the ranks complex_dims reads off modular
-lower bounds.  A twisted complex over Q is that specialization times one
-positive integer `scale` that clears every denominator, so it is built
-on Python ints: one nonzero scalar on every boundary keeps d² = 0 and
-every rank.  Untwisted homology uses the full boundary at t = 1, its
-signs alone.
+refuses any other), a ring homomorphism, so no per-system check runs.
+A twisted complex over Q is that specialization times one positive
+integer `scale` that clears every denominator, so it is built on Python
+ints: one nonzero scalar on every boundary keeps d² = 0 and every rank,
+and exactla's one sparse rank engine takes them over Q, as over F_p,
+with no Fraction.  Untwisted homology uses the full boundary at t = 1,
+its signs alone.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -526,7 +526,3 @@ def twisted_betti(sc: SalvettiComplex, system: LocalSystem):
     hom = complex_dims(GatedBoundaries(tc.matrices), tc.dims, tc.field).homology
     n = sc.fc.arrangement.dim
     return hom + [0] * (n + 1 - len(hom))
-
-
-def euler_characteristic(sc: SalvettiComplex) -> int:
-    return sum((-1) ** k * c for k, c in enumerate(sc.cell_counts))

@@ -1,8 +1,11 @@
-"""Dense Gaussian elimination mod p in numpy int64: the test oracle for
-the sparse F_p rank engine in `arrtop.exactla`.
+"""Dense rank oracles for the sparse rank engine in `arrtop.exactla`:
+Gaussian elimination mod p in numpy int64 over F_p, and fraction-free
+Bareiss elimination on Python ints over Q.
 
-Rows must hold residues in [0, p) with p <= fields.MAX_PRIME, so that
-(p - 1)**2 fits in int64."""
+Rows mod p must hold residues in [0, p) with p <= fields.MAX_PRIME, so
+that (p - 1)**2 fits in int64."""
+
+from math import lcm
 
 import numpy as np
 
@@ -37,3 +40,47 @@ def dense_rank_mod_p(matrix, p: int) -> int:
     for (i, j), v in matrix.entries.items():
         rows[i][j] = v % p
     return _rank_mod_p(rows, p)
+
+
+def _rank_bareiss(rows) -> int:
+    """Fraction-free elimination on integer rows; mutates `rows`.  Every
+    division is exact (Bareiss, Math. Comp. 22, 1968)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        p = pr[col]
+        for i in range(rank + 1, nrows):
+            ri = rows[i]
+            f = ri[col]
+            if f:
+                for j in range(col + 1, ncols):
+                    ri[j] = (p * ri[j] - f * pr[j]) // prev
+                ri[col] = 0
+            elif p != prev:
+                # fraction-free invariant: untouched rows still rescale
+                for j in range(col + 1, ncols):
+                    ri[j] = (p * ri[j]) // prev
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def rank_bareiss(matrix) -> int:
+    """Rank over Q of an FMatrixSparse with int or Fraction entries: dense
+    rows, each scaled to integers by the lcm of its denominators."""
+    rows = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = v
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        row[:] = [int(v * scale) for v in row]
+    return _rank_bareiss(rows)

@@ -1,16 +1,16 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from dense_rank_oracle import dense_rank_mod_p
+from dense_rank_oracle import dense_rank_mod_p, rank_bareiss
 from salvetti_oracle import full_twisted_complex
 from hypothesis import given, settings, strategies as st
 
 import arrtop
 from arrtop import exactla
 from arrtop.exactla import (
-    P,
     ChainComplexError,
     FMatrixSparse,
     complex_dims,
@@ -32,6 +32,7 @@ from arrtop.salvetti import build_salvetti
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F7 = FieldSpec.prime(7)
+P = 2**31 - 1           # a large prime; Q coefficients divisible by it are drawn below
 
 
 def sparse_from_rows(rows, nrows=None, ncols=None):
@@ -58,18 +59,16 @@ def test_rank_with_fractions():
     assert rank(singular, Q) == 1
 
 
-def test_integer_matrix_passes_ints_through_and_scales_fractions_per_row():
-    ints = sparse_from_rows([[2, -3, 0], [0, 6, 4]])
-    assert exactla._integer_matrix(ints) is ints          # not rebuilt
+def test_q_rank_of_fraction_rows_leaves_entries_unchanged():
+    # each row is made integral at ingest by the lcm of its own
+    # denominators (6, 12 and 12 here), in the engine's rows, not in `entries`
     rows = [[Fraction(1, 2), Fraction(-1, 3), 0], [Fraction(5, 6), 1, Fraction(1, 4)],
             [Fraction(4, 3), Fraction(2, 3), Fraction(1, 4)]]
-    fracs = sparse_from_rows(rows)
-    scaled = exactla._integer_matrix(fracs)
-    # each row times the lcm of its own denominators: 6, 12, 12
-    assert scaled.entries == {(0, 0): 3, (0, 1): -2, (1, 0): 10, (1, 1): 12, (1, 2): 3,
-                              (2, 0): 16, (2, 1): 8, (2, 2): 3}
-    assert all(type(v) is int for v in scaled.entries.values())
-    assert rank(scaled, Q) == rank(fracs, Q) == rank_dense(rows) == 2
+    for m in (sparse_from_rows(rows), sparse_from_rows([[2, -3, 0], [0, 6, 4], [2, 3, 4]])):
+        before = dict(m.entries)
+        assert rank(m, Q) == 2
+        assert m.entries == before
+    assert rank_dense(rows) == 2
 
 
 small_matrices = st.lists(
@@ -88,9 +87,10 @@ def test_rank_equals_transpose_rank(rows):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_bareiss_agrees_with_rref(rows):
-    # dual route: fraction-free elimination vs Fraction row reduction
+    # the Q oracle itself, by a second route: fraction-free elimination vs
+    # Fraction row reduction
     m = sparse_from_rows(rows)
-    assert rank(m, Q) == rank_dense([[Fraction(x) for x in row] for row in rows])
+    assert rank_bareiss(m) == rank_dense([[Fraction(x) for x in row] for row in rows])
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,40 +206,7 @@ def test_verify_composition_reduces_mod_p():
 
 
 # ---------------------------------------------------------------------------
-# ranks over Q certified from ranks mod P
-
-
-def rank_calls(monkeypatch):
-    """Field kinds of every rank call complex_dims makes from now on."""
-    calls = []
-    real = exactla.rank
-
-    def counting(matrix, fieldspec):
-        calls.append(fieldspec.kind)
-        return real(matrix, fieldspec)
-
-    monkeypatch.setattr(exactla, "rank", counting)
-    return calls
-
-
-def test_certified_ranks_need_no_bareiss(monkeypatch):
-    calls = rank_calls(monkeypatch)
-    d1 = sparse_from_rows([[1, -1]])
-    d2 = sparse_from_rows([[Fraction(1, 2)], [Fraction(1, 2)]])
-    out = complex_dims([d1, d2], [1, 2, 1], Q)
-    assert out.ranks == [1, 1] and out.homology == [0, 0, 0]
-    assert calls == ["Fp", "Fp"]
-
-
-def test_modular_gap_runs_bareiss_and_tightens_neighbour(monkeypatch):
-    # d1 vanishes mod P, so its gap needs Bareiss; its exact rank then
-    # closes the gap it left on d2
-    calls = rank_calls(monkeypatch)
-    d1 = sparse_from_rows([[P, -P]])
-    d2 = sparse_from_rows([[1, 1], [1, 1]])
-    out = complex_dims([d1, d2], [1, 2, 2], Q)
-    assert out.ranks == [1, 1] and out.homology == [0, 0, 1]
-    assert calls == ["Fp", "Fp", "Q"]
+# sparse ranks over Q against the dense Bareiss oracle
 
 
 def _mat_mul(a, b, inner):
@@ -252,7 +219,8 @@ def based_complexes(draw):
     """(boundaries, dims, ranks, homology) of a chain complex with d² = 0:
     a direct sum of elementary complexes (Q in one degree; Q --c--> Q
     across two) under a random invertible change of basis in every
-    degree.  Coefficients divisible by P make modular ranks drop."""
+    degree.  Coefficients divisible by P make ranks mod P drop, so any
+    modular shortcut in the Q ranks would show."""
     n = draw(st.integers(min_value=1, max_value=3))
     scalars = st.sampled_from([1, -1, 2, Fraction(1, 3), P, -2 * P, Fraction(1, P),
                                Fraction(P, 2)])
@@ -294,11 +262,30 @@ def based_complexes(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(based_complexes())
-def test_certified_ranks_match_bareiss(complex_):
+def test_complex_dims_over_q_match_based_complexes(complex_):
     mats, dims, ranks, homology = complex_
     out = complex_dims(mats, dims, Q)
-    assert out.ranks == [rank(m, Q) for m in mats] == ranks
+    assert out.ranks == ranks
     assert out.homology == homology
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices, based_complexes())
+def test_sparse_q_rank_matches_bareiss_oracle(rows, complex_):
+    for m in [sparse_from_rows(rows), *complex_[0]]:
+        assert rank(m, Q) == rank_bareiss(m)
+
+
+def test_sparse_q_rank_on_a_dense_integer_block():
+    # coefficient growth: on this dense block the largest entry reaches
+    # about 760 bits with the content division and about 14000 without it;
+    # two rows are combinations of others, so the rank is not full
+    rng = random.Random(0)
+    rows = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(80)]
+    rows[40] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+    rows[79] = [2 * x + y for x, y in zip(rows[40], rows[2])]
+    m = sparse_from_rows(rows)
+    assert rank(m, Q) == rank_bareiss(m) == 78
 
 
 # ---------------------------------------------------------------------------

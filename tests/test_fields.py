@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arrtop.exactla import P, FMatrixSparse, rank
+from arrtop.exactla import FMatrixSparse, rank
 from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
 
 
@@ -74,8 +74,3 @@ def test_largest_accepted_prime_ranks_exactly():
     p = next(q for q in range(MAX_PRIME, 0, -1) if _is_prime(q))
     rows = corank_one_matrix(p)
     assert rank(sparse(rows), FieldSpec.prime(p)) == rank_mod_p_reference(rows, p) == 11
-
-
-def test_certification_prime_is_supported():
-    assert P < MAX_PRIME
-    assert FieldSpec.prime(P).p == P

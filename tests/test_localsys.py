@@ -4,7 +4,7 @@ import pytest
 
 from arrtop import localsys
 from arrtop.fields import FieldSpec
-from arrtop.geometry import generic_section
+from arrtop.geometry import decone, generic_section, intersection_poset, localize
 from arrtop.harness import braid_essentialized
 from arrtop.localsys import (
     LocalSystem,
@@ -18,7 +18,7 @@ from arrtop.localsys import (
     total_turn,
 )
 from arrtop.realfaces import enumerate_faces
-from arrtop.salvetti import build_salvetti, twisted_complex
+from arrtop.salvetti import build_salvetti, twisted_betti, twisted_complex
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -181,6 +181,37 @@ def test_inverse_system_inverts_nothing(monkeypatch):
     assert inverse.inverse is system.monodromy
     assert inverse.inverse_system() == system
     assert calls == []
+
+
+def test_derived_systems_neither_check_nor_invert_again(monkeypatch):
+    # a subset of a commuting family commutes, and its inverses are the
+    # parent's: restricting and specializing multiply or invert no
+    # monodromy matrix, and deconing multiplies only for its total turn
+    braid4 = braid_essentialized(4)
+    triple = next(f for f in intersection_poset(braid4).of_codim(2) if len(f.containing) == 3)
+    index_map = sorted(triple.containing)
+    # c·(I + N)^k with prod c = 1 and sum k = 0 mod 7: the total turn is I
+    system = build_local_system(F7, 2, [[[c, c * k], [0, c]] for c, k in
+                                        ((2, 1), (4, 2), (3, 3), (5, 1), (1, 0), (1, 0))])
+    local = build_salvetti(enumerate_faces(localize(braid4, triple)))
+    deconed = build_salvetti(enumerate_faces(decone(braid4, 0)))
+    assert all(any(s < 0 for _p, _i, s in sc.reduced.monomials) for sc in (local, deconed))
+    inverses = counting_inverse(monkeypatch)
+    descended = decone_system(braid4, system, 0)
+    products = []
+    real_mul = localsys.mat_mul
+    monkeypatch.setattr(localsys, "mat_mul", lambda *args: products.append(args) or real_mul(*args))
+    restricted = restrict(system, index_map)
+    cases = [(local, restricted, index_map), (local, restricted.inverse_system(), None),
+             (deconed, descended, range(1, 6))]
+    dims = [twisted_betti(sc, derived) for sc, derived, _ in cases]
+    assert products == [] and inverses == []
+    monkeypatch.undo()
+    for (sc, derived, kept), got in zip(cases, dims):
+        mats = [system.monodromy[i] for i in kept] if kept else restricted.inverse
+        fresh = build_local_system(F7, 2, mats)
+        assert derived == fresh and derived.inverse == fresh.inverse
+        assert got == twisted_betti(sc, fresh)
 
 
 def test_hand_built_singular_system_fails_on_first_use():

@@ -8,14 +8,10 @@ from arrtop.geometry import (
     intersection_poset,
 )
 from arrtop.harness import braid_essentialized, random_central, random_generic
-from arrtop.realfaces import (
-    enumerate_faces,
-    region_counts,
-    separating_set,
-    sign_vector_realizable,
-)
+from arrtop.realfaces import enumerate_faces, region_counts
 
 from conftest import make_arrangement
+from face_oracle import sign_vector_realizable
 
 
 def faces_by_dim(fc):
@@ -77,24 +73,6 @@ def test_region_counts_match_zaslavsky():
         n = arr.dim
         assert chambers == (-1) ** n * evaluate_poly(chi, -1)
         assert bounded == (-1) ** n * evaluate_poly(chi, 1)
-
-
-def test_separating_sets(bool2):
-    fc = enumerate_faces(bool2)
-    pp = fc.index_of((1, 1))
-    mp = fc.index_of((-1, 1))
-    mm = fc.index_of((-1, -1))
-    assert separating_set(fc, pp, mp) == {0}
-    assert separating_set(fc, pp, mm) == {0, 1}
-    assert separating_set(fc, pp, pp) == frozenset()
-
-
-def test_separating_set_rejects_non_chambers(bool2):
-    fc = enumerate_faces(bool2)
-    vertex = fc.index_of((0, 0))
-    chamber = fc.index_of((1, 1))
-    with pytest.raises(ValueError):
-        separating_set(fc, vertex, chamber)
 
 
 @pytest.mark.parametrize("rows,dim", [
