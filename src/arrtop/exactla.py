@@ -163,12 +163,6 @@ class FMatrixSparse:
             cols.setdefault(j, []).append((i, v))
         return cols
 
-    def transpose(self) -> "FMatrixSparse":
-        t = FMatrixSparse(self.ncols, self.nrows)
-        for (i, j), v in self.entries.items():
-            t.entries[(j, i)] = v
-        return t
-
 
 def _make_primitive(row: dict):
     """Divide an integer row {col: value} by the gcd of its entries."""

@@ -25,10 +25,6 @@ def parse_rational(s) -> Fraction:
     return Fraction(s.strip())
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 # Largest characteristic accepted, an input bound: the F_p rank engine
 # works on Python ints and overflows at no prime, while the dense int64
 # test oracle multiplies two residues, so (p - 1)**2 must fit there.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import dot, identity_matrix, mat_inverse, nullspace, rank_dense, rref, solve_affine
-from .fields import FieldSpec, format_rational, parse_rational
+from .fields import FieldSpec, parse_rational
 
 
 class ArrangementError(Exception):
@@ -54,11 +54,6 @@ class Arrangement:
     def d(self) -> int:
         return len(self.hyperplanes)
 
-    def common_point(self):
-        """A point on every hyperplane, or None."""
-        sol = solve_affine([(h.normal, h.offset) for h in self.hyperplanes], self.dim)
-        return None if sol is None else tuple(sol[0])
-
     @staticmethod
     def build(dim, hyperplanes) -> "Arrangement":
         if dim < 1:
@@ -91,8 +86,8 @@ class Arrangement:
             "dim": self.dim,
             "hyperplanes": [
                 {"label": h.label,
-                 "normal": [format_rational(x) for x in h.normal],
-                 "offset": format_rational(h.offset)}
+                 "normal": [str(x) for x in h.normal],
+                 "offset": str(h.offset)}
                 for h in self.hyperplanes
             ],
         }
@@ -111,14 +106,15 @@ def validate_arrangement(raw: dict) -> Arrangement:
     except (TypeError, ValueError):
         raise ArrangementError(f"bad ambient dimension {raw.get('dim')!r}")
     hyps = []
-    for idx, row in enumerate(raw["hyperplanes"]):
-        label = str(row.get("label", f"H{idx + 1}"))
-        try:
+    try:
+        for idx, row in enumerate(raw["hyperplanes"]):
+            label = str(row.get("label", f"H{idx + 1}"))
+            if not isinstance(row["normal"], list):
+                raise TypeError("normal must be a list")
             normal = tuple(parse_rational(x) for x in row["normal"])
-            offset = parse_rational(row.get("offset", "0"))
-        except (KeyError, ValueError) as exc:
-            raise ArrangementError(f"hyperplane {label}: {exc}")
-        hyps.append(Hyperplane(normal, offset, label))
+            hyps.append(Hyperplane(normal, parse_rational(row.get("offset", "0")), label))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArrangementError(f"malformed hyperplane {len(hyps) + 1}: {exc}")
     return Arrangement.build(dim, hyps)
 
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from . import geometry, localsys, realfaces, salvetti
 from .exactla import (FMatrixSparse, identity_matrix, mat_sub_identity, rank as matrix_rank,
                       rank_dense)
-from .fields import FieldSpec, format_rational
+from .fields import FieldSpec
 from .geometry import Arrangement, Hyperplane
 from .localsys import LocalSystem, build_local_system, is_trivial
 
@@ -161,7 +161,7 @@ class CorpusItem:
 
 
 def _id_frag(x) -> str:
-    return format_rational(x).replace("/", "_").replace("-", "m")
+    return str(x).replace("/", "_").replace("-", "m")
 
 
 def _add_with_inverse(out, seen, sys_id, system) -> int:

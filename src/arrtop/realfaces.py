@@ -13,6 +13,7 @@ test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exactla import dot, nullspace, rank_dense
@@ -57,14 +58,18 @@ class FaceComplex:
         return self._covering[face_index]
 
     def adjacent_chambers(self, face_index: int):
-        """Chambers whose closure contains the face."""
-        sign = self.faces[face_index].sign
-        out = []
-        for c in self._chambers:
-            cs = self.faces[c].sign
-            if all(s == 0 or s == t for s, t in zip(sign, cs)):
-                out.append(c)
-        return out
+        """Chambers whose closure contains the face, in index order."""
+        return self._adjacent[face_index]
+
+    @cached_property
+    def _adjacent(self):
+        """Top down: a chamber's set is itself, any other face's is the
+        union of its covers' sets."""
+        adj = [None] * len(self.faces)
+        for f in sorted(range(len(self.faces)), key=lambda f: -self.faces[f].dim):
+            adj[f] = (f,) if self.faces[f].is_chamber else \
+                tuple(sorted(set().union(*(adj[g] for g in self._covering[f]))))
+        return adj
 
 
 def _sign(x: Fraction) -> int:

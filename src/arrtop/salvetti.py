@@ -2,19 +2,19 @@
 
 Cells in degree k are pairs (F, C): a face F of codimension k of the
 real arrangement together with a chamber C adjacent to it.  The cell
-(G, D) lies on the boundary of (F, C) exactly when G covers F in the
-face poset and D is the chamber adjacent to G nearest to C (the
-composition G∘C: take G's sign where nonzero, C's sign where G is
-zero).  This face relation makes the model a regular CW complex, so
-integer incidence signs exist; they are computed degree by degree by
-closing all "diamonds" (two-step intervals) over the signs fixed one
-degree below.  With each incidence read as sign * t^neg (neg: the
-hyperplanes crossed from their negative side) the boundary lives over
-Λ = Z[t_1^±1..t_d^±1], as the chain complex of the universal abelian
-cover (Salvetti, Invent. Math. 88, 1987), and the build gates the sign
-convention by checking d∘d = 0 once over Λ (composition only, no ranks).
+[F, C] is a copy of the dual cell of F, so its boundary is
+∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G covering F
+(Salvetti, Invent. Math. 88, 1987).  G∘C is the chamber adjacent to G
+nearest to C (G's sign where nonzero, C's sign where G is zero); neg is
+the set of hyperplanes C crosses from their negative side on its way to
+G∘C; ε is one orientation of the face poset, so the sign depends on the
+face alone, not on the chamber.  It is fixed codim by codim by closing
+all "diamonds" (two-step intervals) over the signs one codim below.
+The boundary lives over Λ = Z[t_1^±1..t_d^±1], as the chain complex of
+the universal abelian cover, and the build gates the orientation by
+checking d∘d = 0 once over Λ (composition only, no ranks).
 
-Every incidence ±t^a is a unit of Λ.  So the build then eliminates pairs
+Every entry ±t^a is a unit of Λ.  So the build then eliminates pairs
 of cells joined by a unit entry, Gaussian elimination over Λ (algebraic
 Morse theory: Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker, Mem.
 AMS 197, 2009).  That is a chain homotopy equivalence for every abelian
@@ -56,23 +56,13 @@ from .realfaces import FaceComplex
 class SCell:
     face: int            # index into FaceComplex.faces
     chamber: int         # index of an adjacent chamber face
-    degree: int          # codim of the face
-
-
-@dataclass(frozen=True)
-class Incidence:
-    degree: int          # degree of the source cell
-    source: int          # position within degree `degree`
-    target: int          # position within degree `degree - 1`
-    sign: int
-    crossings: frozenset  # hyperplanes separating source and target chambers
 
 
 @dataclass
 class SalvettiComplex:
     fc: FaceComplex
     cells: list          # cells[k] = list of SCell, sorted
-    boundary: list       # boundary[k][pos] = list of (target_pos, sign, neg_crossings, crossings)
+    boundary: list       # boundary[k][pos] = {target_pos: {packed exponent: coefficient}}
     reduced: "ReducedComplex" = None     # the same boundary over Λ, reduced
 
     @property
@@ -83,12 +73,6 @@ class SalvettiComplex:
     def dim(self):
         return len(self.cells) - 1
 
-    def incidences(self):
-        for k in range(1, len(self.cells)):
-            for pos, records in enumerate(self.boundary[k]):
-                for target, sign, _neg, crossings in records:
-                    yield Incidence(k, pos, target, sign, crossings)
-
 
 def _compose(g_sign, c_sign):
     """Chamber adjacent to G nearest C: G's sign where nonzero, else C's."""
@@ -96,105 +80,98 @@ def _compose(g_sign, c_sign):
 
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
-    """All (face, adjacent chamber) pairs, graded by codim, with a sign
-    convention satisfying boundary-squared = 0 over Λ."""
+    """All (face, adjacent chamber) pairs, graded by codim, with the
+    boundary over Λ: ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G
+    covering F, gated by boundary-squared = 0 over Λ."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
 
     cells = [[] for _ in range(top_codim + 1)]
     for fi, face in enumerate(fc.faces):
-        k = n - face.dim
         for c in fc.adjacent_chambers(fi):
-            cells[k].append(SCell(fi, c, k))
+            cells[n - face.dim].append(SCell(fi, c))
     for layer in cells:
         layer.sort(key=lambda s: (fc.faces[s.face].sign, fc.faces[s.chamber].sign))
     index = [{(s.face, s.chamber): i for i, s in enumerate(layer)} for layer in cells]
 
-    boundary = [None] * (top_codim + 1)
-    # signs per cell: dict target_pos -> sign, kept per degree for diamonds
-    sign_maps = [None] * (top_codim + 1)
-
+    eps = _orient(fc)
+    one, _ = _packing(arr.d)
+    boundary = [[{} for _ in cells[0]]]
     for k in range(1, top_codim + 1):
-        layer_boundary = []
-        layer_signs = []
-        for pos, cell in enumerate(cells[k]):
-            face = fc.faces[cell.face]
+        layer = []
+        for cell in cells[k]:
             csign = fc.faces[cell.chamber].sign
-            covers = []
-            for g in fc.covering(cell.face):
+            entries = []
+            for g, s in eps[cell.face].items():
                 dsign = _compose(fc.faces[g].sign, csign)
-                target = index[k - 1][(g, fc.index_of(dsign))]
-                crossings = frozenset(i for i, (a, b) in enumerate(zip(csign, dsign))
-                                      if a != b)
-                neg = frozenset(i for i in crossings if csign[i] == -1)
-                covers.append((target, g, crossings, neg))
-            covers.sort(key=lambda t: (t[0], t[1]))
-            signs = _orient(cell, covers, k, sign_maps[k - 1], fc)
-            records = [(target, signs[idx], neg, crossings)
-                       for idx, (target, _g, crossings, neg) in enumerate(covers)]
-            layer_boundary.append(records)
-            layer_signs.append({target: sign for target, sign, _n, _c in records})
-        boundary[k] = layer_boundary
-        sign_maps[k] = layer_signs
-    boundary[0] = [[] for _ in cells[0]]
+                # t^neg: the hyperplanes C crosses from their negative side
+                neg = sum(1 << (_BITS * i) for i, (a, b) in enumerate(zip(csign, dsign))
+                          if a < b)
+                entries.append((index[k - 1][g, fc.index_of(dsign)], {one + neg: s}))
+            layer.append(dict(sorted(entries)))
+        boundary.append(layer)
 
     sc = SalvettiComplex(fc, cells, boundary)
-    rows = _over_group_ring(sc)
-    _verify_over_group_ring(rows, arr.d)             # raises on a bad convention
-    sc.reduced = _reduce(sc, rows)
+    _verify_over_group_ring(sc.boundary, arr.d)          # raises on a bad orientation
+    sc.reduced = _reduce(sc)
     _verify_over_group_ring(sc.reduced.boundary, arr.d)  # raises on a bad reduction
     _compile(sc.reduced)
     return sc
 
 
-def _orient(cell, covers, k, prev_signs, fc):
-    """Signs for the covers of one cell.
+def _orient(fc: FaceComplex):
+    """eps[F] = {G: ε(F, G)} over the faces G covering F: one orientation
+    of the face poset, ε(F, G)·ε(G, L) + ε(F, G')·ε(G', L) = 0 on every
+    interval F < G, G' < L.
 
-    Degree 1: the cell is a path from its own chamber to the opposite
-    one; target minus source.  Higher degrees: propagate through the
-    diamonds (pairs of covers over a common codim-2 cell), whose closing
-    condition is determined by the signs already fixed one degree down;
-    the boundary sphere is connected, so BFS reaches every cover."""
-    if k == 1:
-        own = fc.faces[cell.chamber].sign
-        signs = []
-        for _target, g, _crossings, _neg in covers:
-            signs.append(-1 if fc.faces[g].sign == own else 1)
-        if sorted(signs) != [-1, 1]:
-            raise RuntimeError("degree-1 Salvetti cell without two distinct endpoints")
-        return signs
-
-    # shared lower cells: lam -> [(cover position, sign of cover -> lam)]
-    shared = {}
-    for idx, (target, _g, _crossings, _neg) in enumerate(covers):
-        for lam, s in prev_signs[target].items():
-            shared.setdefault(lam, []).append((idx, s))
-    edges = [[] for _ in covers]
-    for lam, pair in shared.items():
-        if len(pair) != 2:
-            raise RuntimeError(
-                f"interval between cells is not a diamond ({len(pair)} middle cells)")
-        (i, si), (j, sj) = pair
-        edges[i].append((j, -si * sj))
-        edges[j].append((i, -si * sj))
-
-    signs = [0] * len(covers)
-    for start in range(len(covers)):
-        if signs[start]:
+    Codim 1: the sign of G on F's one hyperplane.  Higher codims, faces
+    in increasing codim: propagate through the diamonds, whose closing
+    condition is fixed by the signs one codim down; the covers of F
+    bound a sphere (the dual cell of F), so BFS reaches every cover."""
+    faces = fc.faces
+    n = fc.arrangement.dim
+    eps = [None] * len(faces)
+    for f in sorted(range(len(faces)), key=lambda f: -faces[f].dim):
+        covers = fc.covering(f)
+        if n - faces[f].dim == 1:
+            i = faces[f].sign.index(0)
+            eps[f] = {g: faces[g].sign[i] for g in covers}
+            if sorted(eps[f].values()) != [-1, 1]:
+                raise RuntimeError("codim-1 face without a chamber on each side")
             continue
-        signs[start] = 1
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j, rel in edges[i]:
-                expected = signs[i] * rel
-                if signs[j] == 0:
-                    signs[j] = expected
-                    queue.append(j)
-                elif signs[j] != expected:
-                    raise RuntimeError("inconsistent incidence signs on a cell boundary")
-    return signs
+
+        # shared lower faces: lam -> [(cover position, ε(cover, lam))]
+        shared = {}
+        for idx, g in enumerate(covers):
+            for lam, s in eps[g].items():
+                shared.setdefault(lam, []).append((idx, s))
+        edges = [[] for _ in covers]
+        for lam, pair in shared.items():
+            if len(pair) != 2:
+                raise RuntimeError(
+                    f"interval between faces is not a diamond ({len(pair)} middle faces)")
+            (i, si), (j, sj) = pair
+            edges[i].append((j, -si * sj))
+            edges[j].append((i, -si * sj))
+
+        signs = [0] * len(covers)
+        for start in range(len(covers)):
+            if signs[start]:
+                continue
+            signs[start] = 1
+            queue = deque([start])
+            while queue:
+                i = queue.popleft()
+                for j, rel in edges[i]:
+                    expected = signs[i] * rel
+                    if signs[j] == 0:
+                        signs[j] = expected
+                        queue.append(j)
+                    elif signs[j] != expected:
+                        raise RuntimeError("inconsistent signs on a dual cell")
+        eps[f] = dict(zip(covers, signs))
+    return eps
 
 
 # An exponent vector e over Λ is packed into one int: hyperplane i owns the
@@ -219,7 +196,7 @@ def _out_of_range():
 
 @dataclass
 class ReducedComplex:
-    """The boundary over Λ after Gaussian elimination on unit incidences.
+    """The boundary over Λ after Gaussian elimination on unit entries.
 
     cells[k] lists the positions, in SalvettiComplex.cells[k], of the cells
     that survive; boundary[k][pos] maps a target position in cells[k - 1]
@@ -244,20 +221,10 @@ def _is_unit(poly) -> bool:
     return len(poly) == 1 and next(iter(poly.values())) in (1, -1)
 
 
-def _over_group_ring(sc: SalvettiComplex):
-    """rows[k][pos] = {target: {packed exponent: sign}}: the full boundary
-    over Λ, each incidence sign * t^neg as one term (rows[0] is None)."""
-    one, _ = _packing(sc.fc.arrangement.d)
-    shift = [1 << (_BITS * i) for i in range(sc.fc.arrangement.d)]
-    return [None] + [[{t: {one + sum(shift[i] for i in neg): s}
-                       for t, s, neg, _crossings in records}
-                      for records in sc.boundary[k]] for k in range(1, len(sc.cells))]
-
-
 def _verify_over_group_ring(boundary, d):
     """The d²=0 gate over Λ on boundary[k][pos] = {target: {packed
-    exponent: coefficient}}, k >= 1.  On the full boundary it checks the
-    sign convention; on the reduced one, the reduction's updates."""
+    exponent: coefficient}}.  On the full boundary it checks the
+    orientation; on the reduced one, the reduction's updates."""
     one, top_bits = _packing(d)
     for k in range(2, len(boundary)):
         lower = boundary[k - 1]
@@ -280,8 +247,8 @@ def _verify_over_group_ring(boundary, d):
                         f"{k}->{k - 2} at ({i},{j})")
 
 
-def _reduce(sc: SalvettiComplex, rows) -> ReducedComplex:
-    """Eliminate unit incidences over Λ, degrees top down: a chain homotopy
+def _reduce(sc: SalvettiComplex) -> ReducedComplex:
+    """Eliminate unit entries over Λ, degrees top down: a chain homotopy
     equivalence for every abelian local system at once (algebraic Morse
     theory).
 
@@ -290,8 +257,10 @@ def _reduce(sc: SalvettiComplex, rows) -> ReducedComplex:
     is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
     τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
     σ; then τ and σ are dropped, with σ's boundary and τ's column one
-    degree up.  Consumes rows (from _over_group_ring): a dropped cell's
+    degree up.  Works on a copy of sc.boundary, in which a dropped cell's
     row becomes None."""
+    rows = [[{t: dict(poly) for t, poly in row.items()} for row in layer]
+            for layer in sc.boundary]
     d = sc.fc.arrangement.d
     top_bits = _packing(d)[1]
     top = sc.dim
@@ -397,14 +366,15 @@ def _compile(red: ReducedComplex):
 
 
 def boundary_matrices(sc: SalvettiComplex):
-    """Boundary matrices of the full complex at t = 1: entries ±1."""
+    """Boundary matrices of the full complex at t = 1, each entry the sum
+    of its coefficients: ±1."""
     counts = sc.cell_counts
     mats = []
     for k in range(1, len(counts)):
         m = FMatrixSparse(counts[k - 1], counts[k])
-        for pos, records in enumerate(sc.boundary[k]):
-            for target, sign, _neg, _crossings in records:
-                m.entries[target, pos] = sign
+        for pos, row in enumerate(sc.boundary[k]):
+            for target, poly in row.items():
+                m.entries[target, pos] = sum(poly.values())
         mats.append(m)
     return mats
 

@@ -1,6 +1,7 @@
 """Dense rank oracles for the sparse rank engine in `arrtop.exactla`:
 Gaussian elimination mod p in numpy int64 over F_p, and fraction-free
-Bareiss elimination on Python ints over Q.
+Bareiss elimination on Python ints over Q; and the transpose, whose
+rank must equal the matrix's.
 
 Rows mod p must hold residues in [0, p) with p <= fields.MAX_PRIME, so
 that (p - 1)**2 fits in int64."""
@@ -8,6 +9,14 @@ that (p - 1)**2 fits in int64."""
 from math import lcm
 
 import numpy as np
+
+from arrtop.exactla import FMatrixSparse
+
+
+def transpose(m):
+    t = FMatrixSparse(m.ncols, m.nrows)
+    t.entries = {(j, i): v for (i, j), v in m.entries.items()}
+    return t
 
 
 def _rank_mod_p(rows, p: int) -> int:

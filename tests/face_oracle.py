@@ -1,6 +1,7 @@
-"""Brute-force face oracle: decides each sign vector of an arrangement on
-its own, independent of the incremental enumeration in
-`arrtop.realfaces`."""
+"""Brute-force face oracles: each sign vector of an arrangement decided
+on its own, independent of the incremental enumeration in
+`arrtop.realfaces`, and each face's adjacent chambers found by scanning
+every chamber's signs."""
 
 from arrtop.feasibility import feasible_point
 
@@ -16,3 +17,11 @@ def sign_vector_realizable(arr, sigma):
             ineqs.append(([s * x for x in h.normal], s * h.offset, True))
     w = feasible_point(eqs, ineqs, arr.dim)
     return None if w is None else tuple(w)
+
+
+def adjacent_chambers_by_scan(fc, face_index):
+    """Chambers whose sign vector agrees with the face's wherever the
+    face's is nonzero, in index order."""
+    sign = fc.faces[face_index].sign
+    return tuple(c for c in fc.chambers
+                 if all(s == 0 or s == t for s, t in zip(sign, fc.faces[c].sign)))

@@ -1,18 +1,18 @@
 """Oracles for `arrtop.salvetti.twisted_complex`, which specializes only
 the complex reduced over Λ, over Q on ints times one scale.
 
-The full twisted specialization of the Salvetti complex: every incidence
-sign * t^neg of the full complex becomes an r x r block, the sign times
-the transposed product of the monodromies of the hyperplanes in neg.
-The matrices compose to zero because the build gated the full boundary
-over Λ.
+The full twisted specialization of the Salvetti complex: every entry
+of the full boundary over Λ becomes an r x r block, each monomial
+c * t^e evaluated from its packed exponent as c times the transposed
+product of M_i^e_i.  The matrices compose to zero because the build
+gated the full boundary over Λ.
 
 The plan's evaluation in field arithmetic: the reduced complex's
 specialization itself, entries Fractions over Q, with no scale."""
 
 from arrtop.exactla import FMatrixSparse, complex_dims
 from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
-from arrtop.salvetti import TwistedComplex, _matmul
+from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _matmul
 
 
 def full_twisted_complex(sc, system) -> TwistedComplex:
@@ -22,19 +22,20 @@ def full_twisted_complex(sc, system) -> TwistedComplex:
     field, p = system.field, system.field.p
     r = system.rank
     ident = identity_matrix(field, r)
-    block_cache = {}
+    mask = (1 << _BITS) - 1
+    monomials = {}
 
-    def blocks_for(neg):
-        """Nonzero (row, col, value) of the block for +t^neg and for -t^neg."""
-        got = block_cache.get(neg)
+    def monomial(m):
+        """Product of M_i^e_i for the packed exponent m."""
+        got = monomials.get(m)
         if got is None:
-            acc = ident
-            for i in sorted(neg):
-                acc = mat_mul(field, acc, system.monodromy[i])
-            block = [(a, b, acc[b][a]) for a in range(r) for b in range(r)
-                     if acc[b][a]]  # acc transposed
-            got = (block, [(a, b, -v % p if p else -v) for a, b, v in block])
-            block_cache[neg] = got
+            got = ident
+            for i in range(arr.d):
+                e = ((m >> (_BITS * i)) & mask) - _BIAS
+                for _ in range(abs(e)):
+                    got = mat_mul(field, got, system.monodromy[i] if e > 0
+                                  else system.inverse[i])
+            monomials[m] = got
         return got
 
     counts = sc.cell_counts
@@ -42,16 +43,18 @@ def full_twisted_complex(sc, system) -> TwistedComplex:
     mats = []
     for k in range(1, len(counts)):
         m = FMatrixSparse(dims[k - 1], dims[k])
-        entries = m.entries
-        for pos, records in enumerate(sc.boundary[k]):
-            col = r * pos
-            # one record per position: the targets of a cell are distinct faces
-            for target, sign, neg, _crossings in records:
+        for pos, row in enumerate(sc.boundary[k]):
+            for target, poly in row.items():
                 if not 0 <= target < counts[k - 1]:
                     raise IndexError(f"boundary target {target} outside degree {k - 1}")
-                row = r * target
-                for a, b, v in blocks_for(neg)[sign < 0]:
-                    entries[row + a, col + b] = v
+                for a in range(r):
+                    for b in range(r):
+                        # transposed
+                        v = sum(c * monomial(e)[b][a] for e, c in poly.items())
+                        if p:
+                            v %= p
+                        if v:
+                            m.entries[r * target + a, r * pos + b] = v
         mats.append(m)
     return TwistedComplex(field, r, dims, mats)
 

@@ -50,6 +50,17 @@ def test_info_malformed_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arrangement", [
+    {"dim": 2, "hyperplanes": [["1", "0"]]},
+    {"dim": 2, "hyperplanes": [{"label": "x", "normal": 1, "offset": "0"}]},
+    {"dim": 2, "hyperplanes": [{"label": "x", "normal": "10", "offset": "0"}]},
+    {"dim": 2, "hyperplanes": 7},
+], ids=["list-row", "int-normal", "string-normal", "int-hyperplanes"])
+def test_info_malformed_hyperplanes_exit_2(tmp_path, capsys, arrangement):
+    assert main(["info", write(tmp_path, "bad.json", arrangement)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed hyperplane 1")
+
+
 def test_info_missing_file_exits_2(tmp_path, capsys):
     assert main(["info", str(tmp_path / "nope.json")]) == 2
 

@@ -32,7 +32,6 @@ def test_validate_a1():
 
 def test_validate_cen3_flags(cen3):
     assert cen3.is_central and cen3.is_essential
-    assert cen3.common_point() == (Fraction(0), Fraction(0))
 
 
 def test_validate_rejects_proportional_rows():

@@ -7,11 +7,17 @@ from arrtop.geometry import (
     evaluate_poly,
     intersection_poset,
 )
-from arrtop.harness import braid_essentialized, random_central, random_generic
+from arrtop.harness import (
+    CorpusSpec,
+    braid_essentialized,
+    generate_corpus,
+    random_central,
+    random_generic,
+)
 from arrtop.realfaces import enumerate_faces, region_counts
 
 from conftest import make_arrangement
-from face_oracle import sign_vector_realizable
+from face_oracle import adjacent_chambers_by_scan, sign_vector_realizable
 
 
 def faces_by_dim(fc):
@@ -112,6 +118,14 @@ def test_adjacent_chambers_match_localized_region_count(gen3, cen3):
             local = Arrangement.build(arr.dim, sub)
             chi = characteristic_polynomial(intersection_poset(local))
             assert adjacent == (-1) ** arr.dim * evaluate_poly(chi, -1)
+
+
+def test_adjacent_chambers_by_covers_match_the_scan():
+    arrs = [item.arrangement for item in generate_corpus(CorpusSpec(seed=0))]
+    for arr in arrs + [braid_essentialized(5)]:
+        fc = enumerate_faces(arr)
+        for i in range(len(fc.faces)):
+            assert fc.adjacent_chambers(i) == adjacent_chambers_by_scan(fc, i)
 
 
 def test_cover_relation_is_zero_relaxation(gen3):

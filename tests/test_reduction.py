@@ -165,8 +165,8 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
     real_reduce = salvetti._reduce
     corrupted = []
 
-    def corrupting(sc, rows):
-        red = real_reduce(sc, rows)
+    def corrupting(sc):
+        red = real_reduce(sc)
         # an entry of boundary 2 whose target has a nonzero boundary: any
         # change δ to it changes d∘d by δ times that boundary, never zero
         row = next(row for row in red.boundary[2]

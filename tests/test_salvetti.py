@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from dense_rank_oracle import rank_bareiss
+from conftest import make_arrangement
+from dense_rank_oracle import rank_bareiss, transpose
 from salvetti_oracle import full_twisted_complex
 
 from arrtop import exactla, salvetti
@@ -32,6 +33,16 @@ F7 = FieldSpec.prime(7)
 
 def complex_for(arr):
     return build_salvetti(enumerate_faces(arr))
+
+
+@pytest.fixture(scope="module")
+def corpus_items():
+    return {item.arrangement_id: item for item in generate_corpus(CorpusSpec(seed=0))}
+
+
+@pytest.fixture(scope="module")
+def braid5_faces():
+    return enumerate_faces(braid_essentialized(5))
 
 
 @pytest.mark.parametrize("fixture,counts", [
@@ -70,20 +81,73 @@ def test_boundary_squares_to_zero_over_z(gen3):
     assert all(v == 0 for v in prod.values())
 
 
-def test_incidence_records(bool2):
-    sc = complex_for(bool2)
+def test_orientation_composes_to_zero_on_every_codim2_interval(corpus_items):
+    for item in corpus_items.values():
+        fc = enumerate_faces(item.arrangement)
+        eps = salvetti._orient(fc)
+        for f in range(len(fc.faces)):
+            assert set(eps[f]) == set(fc.covering(f))
+            assert all(s in (-1, 1) for s in eps[f].values())
+            total = {}
+            for g, s in eps[f].items():
+                for lam, t in eps[g].items():
+                    total[lam] = total.get(lam, 0) + s * t
+            assert all(v == 0 for v in total.values())
+
+
+def _slab3():
+    # two parallel planes and a third plane in C^3: not essential, no vertex
+    return make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, 0), 0)])
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(2)], ids=["Q", "F2"])
+def test_dual_complex_of_the_face_poset_is_a_point(corpus_items, braid5_faces, field):
+    # cells: the faces graded by codim; boundary: ε
+    complexes = [enumerate_faces(item.arrangement) for item in corpus_items.values()]
+    for fc in complexes + [braid5_faces, enumerate_faces(_slab3())]:
+        n = fc.arrangement.dim
+        eps = salvetti._orient(fc)
+        top = max(n - f.dim for f in fc.faces)
+        pos = [{} for _ in range(top + 1)]
+        for f, face in enumerate(fc.faces):
+            layer = pos[n - face.dim]
+            layer[f] = len(layer)
+        mats = []
+        for k in range(1, top + 1):
+            m = FMatrixSparse(len(pos[k - 1]), len(pos[k]))
+            for f, j in pos[k].items():
+                for g, s in eps[f].items():
+                    m.entries[pos[k - 1][g], j] = s % field.p if field.p else s
+            mats.append(m)
+        counts = [len(layer) for layer in pos]
+        assert complex_dims(mats, counts, field).homology == [1] + [0] * top
+
+
+@pytest.mark.parametrize("fixture", ["bool2", "gen3", "cen3", "slab3"])
+def test_boundary_entries_read_off_the_orientation(fixture, request):
+    # every entry of (F, C) sits at (G, G∘C), G∘C the chamber adjacent to G
+    # nearest to C, with sign ε(F, G) whatever C is, and exponent the
+    # hyperplanes C crosses from their negative side
+    arr = _slab3() if fixture == "slab3" else request.getfixturevalue(fixture)
+    sc = complex_for(arr)
     fc = sc.fc
-    for inc in sc.incidences():
-        source = sc.cells[inc.degree][inc.source]
-        target = sc.cells[inc.degree - 1][inc.target]
-        assert inc.sign in (-1, 1)
-        # target face covers source face
-        assert inc.target in range(len(sc.cells[inc.degree - 1]))
-        f, g = fc.faces[source.face], fc.faces[target.face]
-        assert g.dim == f.dim + 1
-        # crossings are the separating set of the two chambers
-        c, d = fc.faces[source.chamber].sign, fc.faces[target.chamber].sign
-        assert inc.crossings == frozenset(i for i, (x, y) in enumerate(zip(c, d)) if x != y)
+    eps = salvetti._orient(fc)
+    one, _ = salvetti._packing(arr.d)
+    for k in range(1, len(sc.cells)):
+        lower = {(cell.face, cell.chamber): pos for pos, cell in enumerate(sc.cells[k - 1])}
+        for pos, cell in enumerate(sc.cells[k]):
+            row = sc.boundary[k][pos]
+            assert len(row) == len(eps[cell.face])
+            c_sign = fc.faces[cell.chamber].sign
+            for g, s in eps[cell.face].items():
+                dist = {other: sum(a != b for a, b in zip(c_sign, fc.faces[other].sign))
+                        for other in fc.adjacent_chambers(g)}
+                nearest = min(dist, key=dist.get)
+                assert sorted(dist.values())[:2] != [dist[nearest]] * 2
+                d_sign = fc.faces[nearest].sign
+                neg = sum(1 << (salvetti._BITS * i) for i in range(arr.d)
+                          if c_sign[i] == -1 and d_sign[i] == 1)
+                assert row[lower[g, nearest]] == {one + neg: s}
 
 
 @pytest.mark.parametrize("maker,seed", [
@@ -205,30 +269,10 @@ def test_boundary_matrix_shapes(cen3):
 
 
 def test_boundary_rank_equals_transpose_rank(gen3):
-    from arrtop.exactla import rank
     sc = complex_for(gen3)
     for m in boundary_matrices(sc):
-        assert rank(m, Q) == rank(m.transpose(), Q)
-        assert rank(m, F7) == rank(m.transpose(), F7)
-
-
-def test_incidence_target_chamber_is_nearest(gen3, cen3):
-    # among the chambers adjacent to the target face, the one recorded in
-    # the incidence minimizes the separating set from the source chamber
-    for arr in (gen3, cen3):
-        sc = complex_for(arr)
-        fc = sc.fc
-        for inc in sc.incidences():
-            source = sc.cells[inc.degree][inc.source]
-            target = sc.cells[inc.degree - 1][inc.target]
-            c_sign = fc.faces[source.chamber].sign
-            best = len(inc.crossings)
-            for other in fc.adjacent_chambers(target.face):
-                o_sign = fc.faces[other].sign
-                dist = sum(1 for a, b in zip(c_sign, o_sign) if a != b)
-                assert dist >= best
-                if dist == best:
-                    assert other == target.chamber
+        assert rank(m, Q) == rank(transpose(m), Q)
+        assert rank(m, F7) == rank(transpose(m), F7)
 
 
 def test_build_gate_takes_no_ranks_but_catches_a_bad_sign(gen3, monkeypatch):
@@ -236,27 +280,30 @@ def test_build_gate_takes_no_ranks_but_catches_a_bad_sign(gen3, monkeypatch):
         raise AssertionError("build_salvetti took a rank")
 
     monkeypatch.setattr(exactla, "rank", no_rank)
-    assert complex_for(gen3).cell_counts == [7, 18, 12]
-
     real_orient = salvetti._orient
-    flipped = []
+    calls, flipped = [], []
 
-    def corrupted(cell, covers, k, prev_signs, fc):
-        signs = real_orient(cell, covers, k, prev_signs, fc)
-        if k == 2 and not flipped:
-            signs[0] = -signs[0]
-            flipped.append(cell)
-        return signs
+    def counted(fc):
+        calls.append(fc)
+        return real_orient(fc)
+
+    monkeypatch.setattr(salvetti, "_orient", counted)
+    assert complex_for(gen3).cell_counts == [7, 18, 12]
+    assert len(calls) == 1                # one orientation per build, per face
+
+    def corrupted(fc):
+        eps = real_orient(fc)
+        # a vertex: its dual cell's boundary then no longer composes to zero
+        f = next(f for f, face in enumerate(fc.faces) if face.dim == 0)
+        g = next(iter(eps[f]))
+        eps[f][g] = -eps[f][g]
+        flipped.append((f, g))
+        return eps
 
     monkeypatch.setattr(salvetti, "_orient", corrupted)
     with pytest.raises(ChainComplexError):
         complex_for(gen3)
     assert flipped
-
-
-@pytest.fixture(scope="module")
-def corpus_items():
-    return {item.arrangement_id: item for item in generate_corpus(CorpusSpec(seed=0))}
 
 
 @pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
@@ -277,14 +324,15 @@ def test_sparse_q_ranks_match_bareiss_oracle_on_corpus(corpus_items, arr_id, ste
 
 def test_group_ring_gate_catches_a_monomial_the_integer_check_misses(gen3):
     sc = complex_for(gen3)
-    records = sc.boundary[2]
-    pos, idx = next((pos, i) for pos, recs in enumerate(records)
-                    for i, rec in enumerate(recs) if rec[2])
-    target, sign, _neg, crossings = records[pos][idx]
-    records[pos][idx] = (target, sign, frozenset(), crossings)
+    one, _ = salvetti._packing(gen3.d)
+    # an entry ±t^neg with neg nonempty becomes ±1
+    row, target = next((row, t) for row in sc.boundary[2]
+                       for t, poly in row.items() if one not in poly)
+    ((_m, sign),) = row[target].items()
+    row[target] = {one: sign}
     exactla.verify_composition(boundary_matrices(sc), Q)   # t = 1 still composes
     with pytest.raises(ChainComplexError):
-        salvetti._verify_over_group_ring(salvetti._over_group_ring(sc), gen3.d)
+        salvetti._verify_over_group_ring(sc.boundary, gen3.d)
 
 
 @pytest.mark.parametrize("arr_id", ["braid4", "gen-4-3"])
@@ -324,7 +372,8 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
                         lambda mats, field: checks.append(field) or real_check(mats, field))
     sc = complex_for(gen3)
     # once on the full boundary, once on the reduced one
-    assert len(gates) == 2 and gates[1] is sc.reduced.boundary and checks == []
+    assert len(gates) == 2 and gates[0] is sc.boundary and checks == []
+    assert gates[1] is sc.reduced.boundary
     assert [len(layer) for layer in gates[0][1:]] == sc.cell_counts[1:]
     twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
     twisted_betti(sc, build_local_system(F7, 2, [[[2, 0], [0, 3]]] * 3))
