@@ -146,6 +146,8 @@ def _repro(args, primes, check) -> str:
 def cmd_verify(args) -> int:
     primes = tuple(args.prime) if args.prime else harness.DEFAULT_PRIMES
     checks = args.checks or None
+    if args.all and args.files:
+        raise ArrangementError("--all runs the generated corpus; it takes no input files")
     if args.all:
         spec = CorpusSpec(seed=args.seed, primes=primes)
         corpus = harness.generate_corpus(spec)

@@ -1,20 +1,21 @@
 """Exact rational linear feasibility with witness extraction.
 
-Decides systems of affine equalities plus strict / weak inequalities
-over Q and, when feasible, returns an exact rational point in the
-relative interior.  Equalities are eliminated by row reduction; the
-remaining inequality system is decided by Fourier-Motzkin elimination,
-and a witness is reconstructed by back-substitution through the
-eliminated variables.  Problem dimensions here are tiny (ambient
-dimension of an arrangement), so the doubling blowup of elimination is
-irrelevant.
+Decides a system of strict / weak inequalities on an affine flat over Q
+and, when feasible, returns an exact rational point in its relative
+interior.  The equalities are the caller's flat, given as a point and a
+direction basis (read from the intersection poset, which solved for it
+once); the inequalities, written in the flat's coordinates, are decided
+by Fourier-Motzkin elimination, and a witness is reconstructed by
+back-substitution through the eliminated variables.  Problem dimensions
+here are tiny (ambient dimension of an arrangement), so the doubling
+blowup of elimination is irrelevant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import dot, solve_affine
+from .exactla import dot
 
 # An inequality is (coeffs, const, strict) meaning coeffs·u + const > 0
 # (strict) or >= 0.
@@ -85,17 +86,12 @@ def _interval_pick(ineqs, v, partial):
     return (lo + hi) / 2
 
 
-def feasible_point(eqs, ineqs, n):
-    """Witness for {x in Q^n : eqs hold, ineqs hold}, or None.
+def feasible_point(p, basis, ineqs):
+    """Witness for {x = p + sum u_j·basis_j : ineqs hold}, or None.
 
-    eqs: list of (coeffs, rhs) with coeffs·x = rhs.
     ineqs: list of (coeffs, rhs, strict) with coeffs·x > rhs (strict)
     or coeffs·x >= rhs.
     """
-    sol = solve_affine(eqs, n)
-    if sol is None:
-        return None
-    p, basis = sol
     m = len(basis)
     reduced = []
     for a, b, strict in ineqs:
@@ -109,7 +105,7 @@ def feasible_point(eqs, ineqs, n):
             continue
         reduced.append((coef, const, strict))
     if m == 0:
-        return list(p)
+        return tuple(p)
     levels = _eliminate(reduced, m)
     if levels is None:
         return None
@@ -121,4 +117,4 @@ def feasible_point(eqs, ineqs, n):
     for coef, vec in zip(u, basis):
         if coef != 0:
             x = [xi + coef * vi for xi, vi in zip(x, vec)]
-    return x
+    return tuple(x)

@@ -18,11 +18,19 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def parse_rational(s) -> Fraction:
     """Parse a rational string: optional sign, digits, optional '/digits'."""
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
         raise ValueError(f"malformed rational {s!r}")
     return Fraction(s.strip())
+
+
+def parse_int(value) -> int:
+    """An int or an integer string; a float or a bool is refused rather
+    than truncated or read as 0 and 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"malformed integer {value!r}")
+    return int(value)
 
 
 # Largest characteristic accepted, an input bound: the F_p rank engine
@@ -110,5 +118,5 @@ class FieldSpec:
         if kind == "Q":
             return FieldSpec.rationals()
         if kind == "Fp":
-            return FieldSpec.prime(int(obj["p"]))
+            return FieldSpec.prime(parse_int(obj["p"]))
         raise ValueError(f"unknown field spec {obj!r}")

@@ -2,11 +2,13 @@
 
 An arrangement is a finite set of affine hyperplanes a·x = b with
 rational coefficients in C^n (complexified-real: the defining forms are
-real).  This module computes the intersection poset of flats with its
-Möbius function, the characteristic polynomial, Whitney-sum Betti
-numbers of the complement, and the surgeries used by dimension
-arguments: essentialization, localization at a flat, deconing a central
-arrangement, and certified generic sections.
+real).  This module computes the intersection poset of flats, once per
+arrangement instance, with its Möbius function and its meet table
+X ∩ H_i (faces and section certificates read flats from it), the
+characteristic polynomial, Whitney-sum Betti numbers of the complement,
+and the surgeries used by dimension arguments: essentialization,
+localization at a flat, deconing a central arrangement, and certified
+generic sections.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import dot, identity_matrix, mat_inverse, nullspace, rank_dense, rref, solve_affine
-from .fields import FieldSpec, parse_rational
+from .fields import FieldSpec, parse_int, parse_rational
 
 
 class ArrangementError(Exception):
@@ -53,6 +56,10 @@ class Arrangement:
     @property
     def d(self) -> int:
         return len(self.hyperplanes)
+
+    @cached_property
+    def _poset(self) -> "FlatPoset":
+        return _build_poset(self)
 
     @staticmethod
     def build(dim, hyperplanes) -> "Arrangement":
@@ -102,7 +109,7 @@ def validate_arrangement(raw: dict) -> Arrangement:
     if not isinstance(raw, dict) or "dim" not in raw or "hyperplanes" not in raw:
         raise ArrangementError("arrangement file needs 'dim' and 'hyperplanes'")
     try:
-        dim = int(raw["dim"])
+        dim = parse_int(raw["dim"])
     except (TypeError, ValueError):
         raise ArrangementError(f"bad ambient dimension {raw.get('dim')!r}")
     hyps = []
@@ -137,9 +144,6 @@ class Flat:
     containing: frozenset
     mobius: int
 
-    def key(self):
-        return tuple(sorted(self.containing))
-
 
 @dataclass
 class FlatPoset:
@@ -147,11 +151,17 @@ class FlatPoset:
 
     The bottom element is the ambient space with Möbius value 1; Y <= X
     iff the flat X is contained in Y, equivalently containing(Y) is a
-    subset of containing(X).
+    subset of containing(X).  `meet` maps (containing(X), i) to
+    containing(X ∩ H_i) when that is a proper nonempty subflat of X; no
+    entry means H_i is constant on X (it contains X or misses it).
     """
 
     arrangement: Arrangement
     flats: tuple
+    meet: dict
+
+    def __post_init__(self):
+        self.by_containing = {f.containing: f for f in self.flats}
 
     @property
     def ambient_dim(self) -> int:
@@ -167,27 +177,24 @@ class FlatPoset:
         return counts
 
 
-def _hyperplanes_containing(arr: Arrangement, point, directions) -> frozenset:
-    found = []
-    for i, h in enumerate(arr.hyperplanes):
-        if h.eval(point) == 0 and all(dot(h.normal, v) == 0 for v in directions):
-            found.append(i)
-    return frozenset(found)
-
-
 def intersection_poset(arr: Arrangement) -> FlatPoset:
-    """All nonempty intersections of hyperplane subsets, with Möbius values."""
+    """All nonempty intersections of hyperplane subsets, with Möbius
+    values and the meet table; built once per arrangement instance."""
+    return arr._poset
+
+
+def _build_poset(arr: Arrangement) -> FlatPoset:
     n = arr.dim
     origin = tuple(Fraction(0) for _ in range(n))
     std = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
     flats = {frozenset(): (origin, std)}
+    meet = {}
     frontier = [frozenset()]
     while frontier:
         fresh = []
         for key in frontier:
-            point, dirs = flats[key]
             for i in range(arr.d):
-                if i in key:
+                if i in key or (key, i) in meet:
                     continue
                 eqs = [(arr.hyperplanes[j].normal, arr.hyperplanes[j].offset)
                        for j in sorted(key | {i})]
@@ -195,7 +202,12 @@ def intersection_poset(arr: Arrangement) -> FlatPoset:
                 if sol is None:
                     continue
                 pt, basis = sol
-                closure = _hyperplanes_containing(arr, pt, basis)
+                closure = frozenset(j for j, g in enumerate(arr.hyperplanes) if g.eval(pt) == 0
+                                    and all(dot(g.normal, v) == 0 for v in basis))
+                # X ∩ H_j is this same flat for every H_j through it: one
+                # codimension up from X, and contained in it
+                for j in closure - key:
+                    meet[key, j] = closure
                 if closure not in flats:
                     flats[closure] = (tuple(pt), tuple(tuple(v) for v in basis))
                     fresh.append(closure)
@@ -213,7 +225,7 @@ def intersection_poset(arr: Arrangement) -> FlatPoset:
         Flat(codim=n - len(flats[key][1]), point=flats[key][0],
              directions=flats[key][1], containing=key, mobius=mobius[key])
         for key in order)
-    return FlatPoset(arr, result)
+    return FlatPoset(arr, result, meet)
 
 
 def characteristic_polynomial(poset: FlatPoset):
@@ -272,12 +284,7 @@ def essentialize(arr: Arrangement):
 
 def localize(arr: Arrangement, flat: Flat) -> Arrangement:
     """Subarrangement of the hyperplanes containing the flat (central)."""
-    for i in flat.containing:
-        h = arr.hyperplanes[i]
-        if h.eval(flat.point) != 0 or any(dot(h.normal, v) != 0 for v in flat.directions):
-            raise ArrangementError(f"{h.label} does not contain the given flat")
-    closure = _hyperplanes_containing(arr, flat.point, flat.directions)
-    if closure != flat.containing:
+    if intersection_poset(arr).by_containing.get(flat.containing) != flat:
         raise ArrangementError("not a flat of this arrangement")
     hyps = [arr.hyperplanes[i] for i in sorted(flat.containing)]
     return Arrangement.build(arr.dim, hyps)
@@ -338,7 +345,6 @@ def _check_section(arr, poset, sec_poset, base, dirs, k):
     """Combinatorial genericity: codim <= k flats survive with the same
     codimension and containing set, higher ones are missed, and the
     truncated Betti numbers match."""
-    by_key = {f.containing: f for f in sec_poset.flats}
     survivors = 0
     for f in poset.flats:
         eqs = []
@@ -349,7 +355,7 @@ def _check_section(arr, poset, sec_poset, base, dirs, k):
         if f.codim <= k:
             if sol is None or k - len(sol[1]) != f.codim:
                 return f"flat {sorted(f.containing)} (codim {f.codim}) not met transversally"
-            g = by_key.get(f.containing)
+            g = sec_poset.by_containing.get(f.containing)
             if g is None or g.codim != f.codim:
                 return f"flat {sorted(f.containing)} has no matching section flat"
             survivors += 1

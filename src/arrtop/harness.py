@@ -310,7 +310,6 @@ class VerifyContext:
         self.seed = seed
         self.primes = tuple(primes)
         self.arrangements = {}
-        self._poset = {}
         self._betti = {}
         self._faces = {}
         self._salvetti = {}
@@ -326,9 +325,7 @@ class VerifyContext:
         return self.arrangements[arr_id]
 
     def poset(self, arr_id):
-        if arr_id not in self._poset:
-            self._poset[arr_id] = geometry.intersection_poset(self.arrangements[arr_id])
-        return self._poset[arr_id]
+        return geometry.intersection_poset(self.arrangements[arr_id])
 
     def betti(self, arr_id):
         if arr_id not in self._betti:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactla import identity_matrix, mat_inverse, mat_mul
-from .fields import FieldSpec
+from .fields import FieldSpec, parse_int
 from .geometry import Arrangement
 
 
@@ -167,7 +167,7 @@ def local_system_from_json(obj) -> LocalSystem:
     """Parse a system file; malformed input raises LocalSystemError."""
     try:
         fieldspec = FieldSpec.from_json(obj["field"])
-        rank = int(obj["rank"])
+        rank = parse_int(obj["rank"])
         if not all(isinstance(flat, list) for flat in obj["monodromy"]):
             raise TypeError("each monodromy matrix must be a list")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

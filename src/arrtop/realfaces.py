@@ -4,21 +4,24 @@ Every face is stored with an exact rational witness in its relative
 interior, so adjacency and boundedness queries are certified rather
 than inferred.  Enumeration is incremental: hyperplanes are inserted
 one at a time and each existing face is split against the new
-hyperplane; a single exact feasibility call per split decides whether
-the face meets the hyperplane, and the two open sides get witnesses by
-exact segment arithmetic.  A 3^d brute force over sign vectors is the
-test oracle.
+hyperplane.  Flats come from the intersection poset: each face carries
+its flat, whose meet with the new hyperplane says whether the face is
+split and where the zero side lies; one exact feasibility call in that
+flat decides whether the face meets the hyperplane, and the two open
+sides get witnesses by exact segment arithmetic.  A 3^d brute force
+over sign vectors is the test oracle.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exactla import dot, nullspace, rank_dense
+from .exactla import dot
 from .feasibility import feasible_point
-from .geometry import Arrangement
+from .geometry import Arrangement, intersection_poset
 
 
 @dataclass(frozen=True)
@@ -76,35 +79,29 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _face_dim(arr, sigma) -> int:
-    zero_normals = [arr.hyperplanes[i].normal for i, s in enumerate(sigma) if s == 0]
-    return arr.dim - rank_dense(zero_normals) if zero_normals else arr.dim
-
-
 def enumerate_faces(arr: Arrangement) -> FaceComplex:
     """Every realizable sign vector, with witness, dimension and covers."""
     n = arr.dim
+    poset = intersection_poset(arr)
+    flats, meet = poset.by_containing, poset.meet
     origin = tuple(Fraction(0) for _ in range(n))
-    faces = [((), origin)]
+    faces = [((), origin, frozenset())]      # (sign, witness, containing set of its flat)
     for k, h in enumerate(arr.hyperplanes):
         split = []
-        for sigma, w in faces:
+        for sigma, w, flat in faces:
             sw = _sign(h.eval(w))
-            zero_normals = [list(arr.hyperplanes[i].normal)
-                            for i, s in enumerate(sigma) if s == 0]
+            zero_flat = meet.get((flat, k))
             # constant on the face's flat: the sign at the witness is the
             # sign everywhere, and the face is not split
-            if zero_normals and rank_dense(zero_normals + [list(h.normal)]) == \
-                    rank_dense(zero_normals):
-                split.append((sigma + (sw,), w))
+            if zero_flat is None:
+                split.append((sigma + (sw,), w, flat))
                 continue
             strict = [(i, arr.hyperplanes[i]) for i, s in enumerate(sigma) if s != 0]
             if sw == 0:
                 # h vanishes at the witness but not on the flat: all three
                 # sides are realized; walk along a flat direction
-                split.append((sigma + (0,), w))
-                dirs = nullspace(zero_normals, n)
-                v = next(v for v in dirs if dot(h.normal, v) != 0)
+                split.append((sigma + (0,), w, zero_flat))
+                v = next(v for v in flats[flat].directions if dot(h.normal, v) != 0)
                 t = Fraction(1)
                 for i, hp in strict:
                     move = dot(hp.normal, v)
@@ -112,12 +109,15 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                         t = min(t, sigma[i] * hp.eval(w) / (2 * abs(move)))
                 for eps in (t, -t):
                     pt = tuple(x + eps * y for x, y in zip(w, v))
-                    split.append((sigma + (_sign(h.eval(pt)),), pt))
+                    split.append((sigma + (_sign(h.eval(pt)),), pt, flat))
             else:
-                split.append((sigma + (sw,), w))
-                zero_w = _zero_side_witness(arr, sigma, k, n)
+                split.append((sigma + (sw,), w, flat))
+                zf = flats[zero_flat]
+                zero_w = feasible_point(zf.point, zf.directions, [
+                    ([sigma[i] * x for x in hp.normal], sigma[i] * hp.offset, True)
+                    for i, hp in strict])
                 if zero_w is not None:
-                    split.append((sigma + (0,), zero_w))
+                    split.append((sigma + (0,), zero_w, zero_flat))
                     # step past zero_w along the segment from w; each strict
                     # value moves affinely, g(delta) = gz + delta*(gz - gw)
                     delta = Fraction(1)
@@ -127,45 +127,40 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                         if gw > gz:
                             delta = min(delta, gz / (2 * (gw - gz)))
                     far = tuple(z + delta * (z - x) for x, z in zip(w, zero_w))
-                    split.append((sigma + (-sw,), far))
+                    split.append((sigma + (-sw,), far, flat))
         faces = split
 
-    built = []
-    for sigma, w in faces:
-        built.append(Face(sigma, _face_dim(arr, sigma), w))
-    built.sort(key=lambda f: (f.dim, f.sign))
-    covers = []
-    for i, lo in enumerate(built):
-        for j, hi in enumerate(built):
-            if hi.dim == lo.dim + 1 and all(s == 0 or s == t for s, t in zip(lo.sign, hi.sign)):
-                covers.append((i, j))
-    return FaceComplex(arr, tuple(built), tuple(covers))
-
-
-def _zero_side_witness(arr, sigma, k, n):
-    h = arr.hyperplanes[k]
-    eqs = [(arr.hyperplanes[i].normal, arr.hyperplanes[i].offset)
-           for i, s in enumerate(sigma) if s == 0]
-    eqs.append((h.normal, h.offset))
-    ineqs = [([s * x for x in arr.hyperplanes[i].normal], s * arr.hyperplanes[i].offset, True)
-             for i, s in enumerate(sigma) if s != 0]
-    w = feasible_point(eqs, ineqs, n)
-    return None if w is None else tuple(w)
+    faces.sort(key=lambda f: (-flats[f[2]].codim, f[0]))
+    built = tuple(Face(sigma, n - flats[flat].codim, w) for sigma, w, flat in faces)
+    on_flat = defaultdict(list)
+    for i, (_, _, flat) in enumerate(faces):
+        on_flat[flat].append(i)
+    # a face covers another only if its flat X covers the other's, some
+    # X ∩ H_i; faces on such a pair of flats are compared by their signs
+    pairs = {(flat, lower) for (flat, _), lower in meet.items()}
+    covers = sorted((i, j) for flat, lower in pairs
+                    for i in on_flat[lower] for j in on_flat[flat]
+                    if all(s == 0 or s == t for s, t in zip(built[i].sign, built[j].sign)))
+    return FaceComplex(arr, built, tuple(covers))
 
 
 def is_bounded(fc: FaceComplex, face_index: int) -> bool:
-    """Whether the face is bounded: its recession cone is {0}."""
+    """Whether the face is bounded: its recession cone is {0}, a cone in
+    the directions of the face's flat."""
     arr = fc.arrangement
     sigma = fc.faces[face_index].sign
     n = arr.dim
-    eqs = [(arr.hyperplanes[i].normal, Fraction(0)) for i, s in enumerate(sigma) if s == 0]
+    flat = intersection_poset(arr).by_containing[
+        frozenset(i for i, s in enumerate(sigma) if s == 0)]
+    origin = tuple(Fraction(0) for _ in range(n))
     base = [([s * x for x in arr.hyperplanes[i].normal], Fraction(0), False)
             for i, s in enumerate(sigma) if s != 0]
     for j in range(n):
         for sgn in (1, -1):
             ray = [Fraction(0)] * n
             ray[j] = Fraction(sgn)
-            if feasible_point(eqs, base + [(ray, Fraction(1), False)], n) is not None:
+            if feasible_point(origin, flat.directions,
+                              base + [(ray, Fraction(1), False)]) is not None:
                 return False
     return True
 

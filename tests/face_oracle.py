@@ -1,8 +1,10 @@
 """Brute-force face oracles: each sign vector of an arrangement decided
 on its own, independent of the incremental enumeration in
-`arrtop.realfaces`, and each face's adjacent chambers found by scanning
-every chamber's signs."""
+`arrtop.realfaces` and of the intersection poset it reads: each face's
+dimension by a rank, its covers and its adjacent chambers by scanning
+every face's signs."""
 
+from arrtop.exactla import rank_dense, solve_affine
 from arrtop.feasibility import feasible_point
 
 
@@ -15,8 +17,24 @@ def sign_vector_realizable(arr, sigma):
             eqs.append((h.normal, h.offset))
         else:
             ineqs.append(([s * x for x in h.normal], s * h.offset, True))
-    w = feasible_point(eqs, ineqs, arr.dim)
-    return None if w is None else tuple(w)
+    sol = solve_affine(eqs, arr.dim)
+    if sol is None:
+        return None
+    return feasible_point(*sol, ineqs)
+
+
+def face_dim(arr, sigma):
+    """n minus the rank of the normals of the hyperplanes the face lies on."""
+    zero_normals = [h.normal for s, h in zip(sigma, arr.hyperplanes) if s == 0]
+    return arr.dim - rank_dense(zero_normals)
+
+
+def covers_by_scan(faces):
+    """Pairs (i, j) with faces[i] covered by faces[j], over all pairs:
+    one dimension up, with every nonzero sign kept."""
+    return tuple((i, j) for i, lo in enumerate(faces) for j, hi in enumerate(faces)
+                 if hi.dim == lo.dim + 1
+                 and all(s == 0 or s == t for s, t in zip(lo.sign, hi.sign)))
 
 
 def adjacent_chambers_by_scan(fc, face_index):

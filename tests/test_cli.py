@@ -55,7 +55,8 @@ def test_info_malformed_exits_2(tmp_path, capsys):
     {"dim": 2, "hyperplanes": [{"label": "x", "normal": 1, "offset": "0"}]},
     {"dim": 2, "hyperplanes": [{"label": "x", "normal": "10", "offset": "0"}]},
     {"dim": 2, "hyperplanes": 7},
-], ids=["list-row", "int-normal", "string-normal", "int-hyperplanes"])
+    {"dim": 1, "hyperplanes": [{"label": "x", "normal": [True], "offset": "0"}]},
+], ids=["list-row", "int-normal", "string-normal", "int-hyperplanes", "bool-normal"])
 def test_info_malformed_hyperplanes_exit_2(tmp_path, capsys, arrangement):
     assert main(["info", write(tmp_path, "bad.json", arrangement)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed hyperplane 1")
@@ -167,7 +168,10 @@ def test_verify_dimension1_file_named_like_a_builtin_system(tmp_path, capsys):
     {"field": {"kind": "Fp"}, "rank": 1, "monodromy": [["2"], ["2"], ["2"]]},
     [["2"], ["2"], ["2"]],
     {"field": {"kind": "Q"}, "rank": 1, "monodromy": [5, 6]},
-], ids=["no-field", "fp-without-p", "top-level-list", "scalar-matrices"])
+    {**SYS_222_Q, "rank": 1.7},
+    {"field": {"kind": "Fp", "p": 7.9}, "rank": 1, "monodromy": [["2"]] * 3},
+], ids=["no-field", "fp-without-p", "top-level-list", "scalar-matrices", "float-rank",
+        "float-p"])
 def test_betti_malformed_system_exits_2(tmp_path, capsys, system):
     code = main(["betti", write(tmp_path, "gen3.json", GEN3),
                  "--system", write(tmp_path, "sys.json", system)])
@@ -262,6 +266,30 @@ def test_corpus_generate(tmp_path):
     first_system = manifest["arrangements"][0]["systems"][0]
     arr0 = manifest["arrangements"][0]["id"]
     assert (out / arr0 / f"{first_system}.json").exists()
+
+
+def test_verify_all_with_files_exits_2(tmp_path, capsys):
+    # --all runs the generated corpus; files next to it must not be ignored
+    code = main(["verify", "--all", "--checks", "euler", write(tmp_path, "cen3.json", CEN3)])
+    assert code == 2
+    assert "--all" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim,normal", [(2.9, ["1", "0"]), (True, ["1"])],
+                         ids=["float-dim", "bool-dim"])
+def test_info_non_integer_dim_exits_2(tmp_path, capsys, dim, normal):
+    # refused, not truncated to 2 or read as 1
+    arrangement = {"dim": dim, "hyperplanes": [{"label": "x", "normal": normal}]}
+    assert main(["info", write(tmp_path, "bad.json", arrangement)]) == 2
+    assert "bad ambient dimension" in capsys.readouterr().err
+
+
+def test_integer_strings_are_accepted(tmp_path, capsys):
+    system = {"field": {"kind": "Fp", "p": "7"}, "rank": "1", "monodromy": [["2"]] * 3}
+    code = main(["betti", write(tmp_path, "arr.json", {**GEN3, "dim": "2"}),
+                 "--system", write(tmp_path, "sys.json", system)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["field"] == {"kind": "Fp", "p": 7}
 
 
 @pytest.mark.parametrize("argv", [["info"], ["betti", "x.json"], []])

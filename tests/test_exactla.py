@@ -380,3 +380,18 @@ def test_library_imports_no_numpy():
             else:
                 continue
             assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+
+
+def test_faces_and_feasibility_solve_for_no_flats():
+    # flats come from the intersection poset, which solves for each once
+    banned = {"rank_dense", "nullspace", "rref", "solve_affine"}
+    for name in ("realfaces.py", "feasibility.py"):
+        path = Path(arrtop.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                used = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            else:
+                continue
+            assert not used & banned, (name, sorted(used & banned))

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from arrtop import geometry
 from arrtop.exactla import dot, solve_affine
 from arrtop.geometry import (
+    Arrangement,
     ArrangementError,
     GenericityError,
     betti_numbers,
@@ -18,7 +20,8 @@ from arrtop.geometry import (
     validate_arrangement,
     zero_flats,
 )
-from arrtop.harness import braid_essentialized, random_generic
+from arrtop.harness import VerifyContext, braid_essentialized, random_generic
+from arrtop.realfaces import enumerate_faces
 
 from conftest import make_arrangement
 
@@ -251,3 +254,30 @@ def test_zaslavsky_evaluations(gen3, cen3):
         n = arr.dim
         assert (-1) ** n * evaluate_poly(chi, -1) == regions
         assert (-1) ** n * evaluate_poly(chi, 1) == bounded
+
+
+def test_each_arrangement_builds_its_poset_once(monkeypatch):
+    built = []
+    build = geometry._build_poset
+
+    def counting(arr):
+        built.append(arr)
+        return build(arr)
+
+    monkeypatch.setattr(geometry, "_build_poset", counting)
+    arr = braid_essentialized(4)
+    ctx = VerifyContext(seed=0)
+    ctx.register("braid4", arr)
+    poset = intersection_poset(arr)
+    enumerate_faces(arr)
+    sec, _ = generic_section(arr, 2, seed=1)
+    assert ctx.poset("braid4") is poset
+    assert sum(a is arr for a in built) == 1
+    # the section's poset, built to certify it, serves its faces too
+    enumerate_faces(sec)
+    assert sum(a is sec for a in built) == 1
+    # an equal arrangement is another instance, with its own poset
+    twin = Arrangement.build(arr.dim, arr.hyperplanes)
+    assert twin == arr
+    assert intersection_poset(twin) is not poset
+    assert sum(a is twin for a in built) == 1

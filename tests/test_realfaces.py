@@ -4,6 +4,7 @@ import pytest
 
 from arrtop.geometry import (
     characteristic_polynomial,
+    decone,
     evaluate_poly,
     intersection_poset,
 )
@@ -17,7 +18,12 @@ from arrtop.harness import (
 from arrtop.realfaces import enumerate_faces, region_counts
 
 from conftest import make_arrangement
-from face_oracle import adjacent_chambers_by_scan, sign_vector_realizable
+from face_oracle import (
+    adjacent_chambers_by_scan,
+    covers_by_scan,
+    face_dim,
+    sign_vector_realizable,
+)
 
 
 def faces_by_dim(fc):
@@ -126,6 +132,21 @@ def test_adjacent_chambers_by_covers_match_the_scan():
         fc = enumerate_faces(arr)
         for i in range(len(fc.faces)):
             assert fc.adjacent_chambers(i) == adjacent_chambers_by_scan(fc, i)
+
+
+def test_dims_and_covers_match_the_rank_and_scan_oracles(a2):
+    # dims come from the flats of the poset, covers from its pairs of
+    # flats X ∩ H_i in X; the oracles take a rank and scan every pair
+    corpus = [item.arrangement for item in generate_corpus(CorpusSpec(seed=0))]
+    braid5 = braid_essentialized(5)
+    slab = make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1), ((1, 1, 0), 0)])
+    assert not slab.is_essential
+    # x = 0, x = 1, y = 0: x = 1 misses the flat x = 0, which has no meet with it
+    parallel = make_arrangement(2, [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)])
+    for arr in corpus + [braid5, decone(braid5, 0), a2, slab, parallel]:
+        fc = enumerate_faces(arr)
+        assert [f.dim for f in fc.faces] == [face_dim(arr, f.sign) for f in fc.faces]
+        assert fc.covers == covers_by_scan(fc.faces)
 
 
 def test_cover_relation_is_zero_relaxation(gen3):
