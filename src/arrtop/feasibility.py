@@ -2,23 +2,25 @@
 
 Decides a system of strict / weak inequalities on an affine flat over Q
 and, when feasible, returns an exact rational point in its relative
-interior.  The equalities are the caller's flat, given as a point and a
-direction basis (read from the intersection poset, which solved for it
-once); the inequalities, written in the flat's coordinates, are decided
-by Fourier-Motzkin elimination, and a witness is reconstructed by
-back-substitution through the eliminated variables.  Problem dimensions
-here are tiny (ambient dimension of an arrangement), so the doubling
-blowup of elimination is irrelevant.
+interior.  The flat is the caller's, given as a point and a direction
+basis, and the inequalities come already written in the flat's
+coordinates as integer rows: the intersection poset keeps every
+hyperplane's primitive row per flat, so nothing is projected here.
+Fourier-Motzkin elimination runs on Python ints, dividing each combined
+row by its content; positive scaling moves no bound, so the witness,
+reconstructed by back-substitution through the eliminated variables,
+does not depend on how the rows are scaled.  Problem dimensions here
+are tiny (ambient dimension of an arrangement), so the doubling blowup
+of elimination is irrelevant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .exactla import dot
-
-# An inequality is (coeffs, const, strict) meaning coeffs·u + const > 0
-# (strict) or >= 0.
+# An inequality is (coeffs, const, strict) with integer entries, meaning
+# coeffs·u + const > 0 (strict) or >= 0.
 
 
 def _eliminate(ineqs, nvars):
@@ -41,8 +43,12 @@ def _eliminate(ineqs, nvars):
             for ua, uc, us in uppers:
                 # u_v > -(l·u + lc)/la and u_v < ... combine:
                 coef = [ua[j] * la[v] - la[j] * ua[v] for j in range(nvars)]
-                coef[v] = Fraction(0)
+                coef[v] = 0
                 const = uc * la[v] - lc * ua[v]
+                g = gcd(const, *coef)
+                if g > 1:
+                    coef = [x // g for x in coef]
+                    const //= g
                 new.append((coef, const, ls or us))
         current = new
     for a, c, strict in current:
@@ -67,7 +73,7 @@ def _interval_pick(ineqs, v, partial):
         if a[v] == 0:
             continue
         rest = c + sum(a[j] * partial[j] for j in range(v) if a[j] != 0)
-        bound = -rest / a[v]
+        bound = Fraction(-rest) / a[v]
         if a[v] > 0:
             if lo is None or bound > lo:
                 lo = bound
@@ -86,24 +92,22 @@ def _interval_pick(ineqs, v, partial):
     return (lo + hi) / 2
 
 
-def feasible_point(p, basis, ineqs):
-    """Witness for {x = p + sum u_j·basis_j : ineqs hold}, or None.
+def feasible_point(p, basis, rows):
+    """Witness for {x = p + sum u_j·basis_j : rows hold}, or None.
 
-    ineqs: list of (coeffs, rhs, strict) with coeffs·x > rhs (strict)
-    or coeffs·x >= rhs.
+    rows: list of (coeffs, const, strict) with integer entries in the
+    flat's coordinates u, meaning coeffs·u + const > 0 (strict) or >= 0.
     """
     m = len(basis)
     reduced = []
-    for a, b, strict in ineqs:
-        coef = [dot(a, v) for v in basis]
-        const = dot(a, p) - b
-        if all(x == 0 for x in coef):
-            if strict and not const > 0:
+    for a, c, strict in rows:
+        if not any(a):
+            if strict and not c > 0:
                 return None
-            if not strict and not const >= 0:
+            if not strict and not c >= 0:
                 return None
             continue
-        reduced.append((coef, const, strict))
+        reduced.append((a, c, strict))
     if m == 0:
         return tuple(p)
     levels = _eliminate(reduced, m)

@@ -17,12 +17,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(s) -> Fraction:
-    """Parse a rational string: optional sign, digits, optional '/digits'."""
+    """Parse a rational string: optional sign, digits, optional '/digits'
+    with a nonzero denominator."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
         raise ValueError(f"malformed rational {s!r}")
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 def parse_int(value) -> int:

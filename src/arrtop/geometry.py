@@ -3,8 +3,11 @@
 An arrangement is a finite set of affine hyperplanes a·x = b with
 rational coefficients in C^n (complexified-real: the defining forms are
 real).  This module computes the intersection poset of flats, once per
-arrangement instance, with its Möbius function and its meet table
-X ∩ H_i (faces and section certificates read flats from it), the
+arrangement instance, with its Möbius function, its meet table
+X ∩ H_i and, per flat, every hyperplane as a primitive integer row in
+the flat's coordinates (faces and section certificates read flats from
+it; face feasibility reads the rows).  Meets are read off those rows,
+so each flat is solved for once.  It also computes the
 characteristic polynomial, Whitney-sum Betti numbers of the complement,
 and the surgeries used by dimension arguments: essentialization,
 localization at a flat, deconing a central arrangement, and certified
@@ -17,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .exactla import dot, identity_matrix, mat_inverse, nullspace, rank_dense, rref, solve_affine
 from .fields import FieldSpec, parse_int, parse_rational
@@ -154,11 +158,16 @@ class FlatPoset:
     subset of containing(X).  `meet` maps (containing(X), i) to
     containing(X ∩ H_i) when that is a proper nonempty subflat of X; no
     entry means H_i is constant on X (it contains X or misses it).
+    `rows` maps containing(X) to one (coeffs, const) per hyperplane: the
+    primitive integer row that is a positive multiple of
+    u -> a·(p + sum_j u_j v_j) - b, H_i in X's coordinates (p the flat's
+    point, v_j its directions).
     """
 
     arrangement: Arrangement
     flats: tuple
     meet: dict
+    rows: dict
 
     def __post_init__(self):
         self.by_containing = {f.containing: f for f in self.flats}
@@ -183,33 +192,54 @@ def intersection_poset(arr: Arrangement) -> FlatPoset:
     return arr._poset
 
 
+def primitive_row(values) -> tuple:
+    """The primitive integer vector that is a positive multiple of the
+    rational vector `values` (all zeros stay zeros)."""
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _flat_rows(arr: Arrangement, point, basis) -> tuple:
+    """(coeffs, const) per hyperplane: u -> a·(point + sum_j u_j basis_j) - b
+    as a primitive integer row; zero coeffs mean constant on the flat."""
+    rows = (primitive_row([dot(h.normal, v) for v in basis] + [h.eval(point)])
+            for h in arr.hyperplanes)
+    return tuple((row[:-1], row[-1]) for row in rows)
+
+
 def _build_poset(arr: Arrangement) -> FlatPoset:
     n = arr.dim
     origin = tuple(Fraction(0) for _ in range(n))
     std = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
     flats = {frozenset(): (origin, std)}
+    rows = {frozenset(): _flat_rows(arr, origin, std)}
     meet = {}
     frontier = [frozenset()]
     while frontier:
         fresh = []
         for key in frontier:
-            for i in range(arr.d):
-                if i in key or (key, i) in meet:
-                    continue
-                eqs = [(arr.hyperplanes[j].normal, arr.hyperplanes[j].offset)
-                       for j in sorted(key | {i})]
-                sol = solve_affine(eqs, n)
-                if sol is None:
-                    continue
-                pt, basis = sol
-                closure = frozenset(j for j, g in enumerate(arr.hyperplanes) if g.eval(pt) == 0
-                                    and all(dot(g.normal, v) == 0 for v in basis))
-                # X ∩ H_j is this same flat for every H_j through it: one
-                # codimension up from X, and contained in it
-                for j in closure - key:
+            # H_j contains X ∩ H_i exactly when its row on X is ±H_i's row
+            # (H_j ⊇ X has the zero row, and key lists those): one group
+            # per meet, in order of its least index
+            groups = {}
+            for i, (coeffs, const) in enumerate(rows[key]):
+                if any(coeffs):
+                    row = coeffs + (const,)
+                    if next(x for x in coeffs if x) < 0:
+                        row = tuple(-x for x in row)
+                    groups.setdefault(row, []).append(i)
+            for group in groups.values():
+                closure = key | frozenset(group)
+                for j in group:
                     meet[key, j] = closure
                 if closure not in flats:
+                    eqs = [(arr.hyperplanes[j].normal, arr.hyperplanes[j].offset)
+                           for j in sorted(key | {group[0]})]
+                    pt, basis = solve_affine(eqs, n)
                     flats[closure] = (tuple(pt), tuple(tuple(v) for v in basis))
+                    rows[closure] = _flat_rows(arr, *flats[closure])
                     fresh.append(closure)
         frontier = fresh
 
@@ -225,7 +255,7 @@ def _build_poset(arr: Arrangement) -> FlatPoset:
         Flat(codim=n - len(flats[key][1]), point=flats[key][0],
              directions=flats[key][1], containing=key, mobius=mobius[key])
         for key in order)
-    return FlatPoset(arr, result, meet)
+    return FlatPoset(arr, result, meet, rows)
 
 
 def characteristic_polynomial(poset: FlatPoset):

@@ -8,8 +8,11 @@ hyperplane.  Flats come from the intersection poset: each face carries
 its flat, whose meet with the new hyperplane says whether the face is
 split and where the zero side lies; one exact feasibility call in that
 flat decides whether the face meets the hyperplane, and the two open
-sides get witnesses by exact segment arithmetic.  A 3^d brute force
-over sign vectors is the test oracle.
+sides get witnesses by exact segment arithmetic.  The feasibility call
+reads the face's strict hyperplanes as the poset's integer rows in the
+zero-side flat's coordinates, signed by the face, so nothing is
+projected per call; boundedness reads the rows of the face's own flat.
+A 3^d brute force over sign vectors is the test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .exactla import dot
 from .feasibility import feasible_point
-from .geometry import Arrangement, intersection_poset
+from .geometry import Arrangement, intersection_poset, primitive_row
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
     """Every realizable sign vector, with witness, dimension and covers."""
     n = arr.dim
     poset = intersection_poset(arr)
-    flats, meet = poset.by_containing, poset.meet
+    flats, meet, rows = poset.by_containing, poset.meet, poset.rows
     origin = tuple(Fraction(0) for _ in range(n))
     faces = [((), origin, frozenset())]      # (sign, witness, containing set of its flat)
     for k, h in enumerate(arr.hyperplanes):
@@ -112,10 +115,10 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                     split.append((sigma + (_sign(h.eval(pt)),), pt, flat))
             else:
                 split.append((sigma + (sw,), w, flat))
-                zf = flats[zero_flat]
+                zf, zrows = flats[zero_flat], rows[zero_flat]
                 zero_w = feasible_point(zf.point, zf.directions, [
-                    ([sigma[i] * x for x in hp.normal], sigma[i] * hp.offset, True)
-                    for i, hp in strict])
+                    ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
+                    for i, _ in strict])
                 if zero_w is not None:
                     split.append((sigma + (0,), zero_w, zero_flat))
                     # step past zero_w along the segment from w; each strict
@@ -150,17 +153,18 @@ def is_bounded(fc: FaceComplex, face_index: int) -> bool:
     arr = fc.arrangement
     sigma = fc.faces[face_index].sign
     n = arr.dim
-    flat = intersection_poset(arr).by_containing[
-        frozenset(i for i, s in enumerate(sigma) if s == 0)]
+    poset = intersection_poset(arr)
+    key = frozenset(i for i, s in enumerate(sigma) if s == 0)
+    flat, rows = poset.by_containing[key], poset.rows[key]
     origin = tuple(Fraction(0) for _ in range(n))
-    base = [([s * x for x in arr.hyperplanes[i].normal], Fraction(0), False)
+    base = [(tuple(s * x for x in rows[i][0]), 0, False)
             for i, s in enumerate(sigma) if s != 0]
     for j in range(n):
         for sgn in (1, -1):
-            ray = [Fraction(0)] * n
-            ray[j] = Fraction(sgn)
+            # sgn·x_j >= 1 in the flat's coordinates
+            *ray, const = primitive_row([sgn * v[j] for v in flat.directions] + [-1])
             if feasible_point(origin, flat.directions,
-                              base + [(ray, Fraction(1), False)]) is not None:
+                              base + [(ray, const, False)]) is not None:
                 return False
     return True
 

@@ -4,23 +4,28 @@ on its own, independent of the incremental enumeration in
 dimension by a rank, its covers and its adjacent chambers by scanning
 every face's signs."""
 
-from arrtop.exactla import rank_dense, solve_affine
+from math import lcm
+
+from arrtop.exactla import dot, rank_dense, solve_affine
 from arrtop.feasibility import feasible_point
 
 
 def sign_vector_realizable(arr, sigma):
     """Exact relative-interior witness for a sign vector, or None
-    (equality solve plus strict feasibility)."""
-    eqs, ineqs = [], []
-    for s, h in zip(sigma, arr.hyperplanes):
-        if s == 0:
-            eqs.append((h.normal, h.offset))
-        else:
-            ineqs.append(([s * x for x in h.normal], s * h.offset, True))
+    (equality solve, then strict feasibility on rows projected here)."""
+    eqs = [(h.normal, h.offset) for s, h in zip(sigma, arr.hyperplanes) if s == 0]
     sol = solve_affine(eqs, arr.dim)
     if sol is None:
         return None
-    return feasible_point(*sol, ineqs)
+    point, basis = sol
+    rows = []
+    for s, h in zip(sigma, arr.hyperplanes):
+        if s != 0:
+            row = [s * dot(h.normal, v) for v in basis] + [s * h.eval(point)]
+            scale = lcm(*(x.denominator for x in row))
+            row = [int(x * scale) for x in row]
+            rows.append((row[:-1], row[-1], True))
+    return feasible_point(point, basis, rows)
 
 
 def face_dim(arr, sigma):

@@ -179,6 +179,31 @@ def test_betti_malformed_system_exits_2(tmp_path, capsys, system):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _with_entry(obj, path, value):
+    """A deep copy of obj with the entry at path (keys and indices) set."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for step in head:
+        target = target[step]
+    target[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("command,arrangement,system", [
+    ("info", _with_entry(GEN3, ("hyperplanes", 2, "normal", 1), "1/0"), None),
+    ("info", _with_entry(GEN3, ("hyperplanes", 2, "offset"), "1/0"), None),
+    ("betti", GEN3, _with_entry(SYS_222_Q, ("monodromy", 1, 0), "1/0")),
+], ids=["normal", "offset", "monodromy"])
+def test_zero_denominator_exits_2(tmp_path, capsys, command, arrangement, system):
+    argv = [command, write(tmp_path, "arr.json", arrangement)]
+    if system is not None:
+        argv += ["--system", write(tmp_path, "sys.json", system)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
 def test_verify_without_inputs_exits_2(capsys):
     assert main(["verify"]) == 2
 

@@ -383,15 +383,19 @@ def test_library_imports_no_numpy():
 
 
 def test_faces_and_feasibility_solve_for_no_flats():
-    # flats come from the intersection poset, which solves for each once
-    banned = {"rank_dense", "nullspace", "rref", "solve_affine"}
-    for name in ("realfaces.py", "feasibility.py"):
+    # flats come from the intersection poset, which solves for each once;
+    # it also projects every hyperplane onto each flat, so feasibility
+    # takes rows in flat coordinates and computes no dot product
+    solvers = {"rank_dense", "nullspace", "rref", "solve_affine"}
+    for name, banned in (("realfaces.py", solvers), ("feasibility.py", solvers | {"dot"})):
         path = Path(arrtop.__file__).parent / name
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom):
                 used = {a.name for a in node.names}
             elif isinstance(node, ast.Attribute):
                 used = {node.attr}
+            elif isinstance(node, ast.Name):
+                used = {node.id}
             else:
                 continue
             assert not used & banned, (name, sorted(used & banned))

@@ -1,0 +1,56 @@
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from arrtop.feasibility import feasible_point
+
+
+@st.composite
+def systems(draw):
+    """Integer rows in m flat coordinates, some of them planted to hold
+    at an integer point so that feasible systems are common, and one
+    positive multiplier per row."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    point = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        coeffs = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=m, max_size=m))
+        strict = draw(st.booleans())
+        if draw(st.booleans()):
+            const = -sum(a * x for a, x in zip(coeffs, point)) + draw(
+                st.integers(min_value=int(strict), max_value=3))
+        else:
+            const = draw(st.integers(min_value=-6, max_value=6))
+        rows.append((coeffs, const, strict))
+    scales = draw(st.lists(st.integers(min_value=1, max_value=50),
+                           min_size=len(rows), max_size=len(rows)))
+    planted = all(sum(a * x for a, x in zip(c, point)) + k >= int(s) for c, k, s in rows)
+    return m, rows, scales, planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_witness_is_exact_and_ignores_positive_scaling(system):
+    m, rows, scales, planted = system
+    origin = tuple(Fraction(0) for _ in range(m))
+    basis = tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))
+    witness = feasible_point(origin, basis, rows)
+    scaled = [([s * a for a in c], s * k, strict) for (c, k, strict), s in zip(rows, scales)]
+    assert feasible_point(origin, basis, scaled) == witness
+    if planted:
+        assert witness is not None
+    if witness is not None:
+        # with the standard basis the witness is its own flat coordinates
+        assert all(type(x) is Fraction for x in witness)
+        for coeffs, const, strict in rows:
+            value = sum(a * x for a, x in zip(coeffs, witness)) + const
+            assert value > 0 if strict else value >= 0
+
+
+def test_witness_lies_on_the_flat():
+    # u = (1/2) on the line p + u·v, for 0 < u < 1
+    p = (Fraction(1), Fraction(2))
+    v = ((Fraction(1, 3), Fraction(-1)),)
+    assert feasible_point(p, v, [((1,), 0, True), ((-1,), 1, True)]) == \
+        (Fraction(7, 6), Fraction(3, 2))
+    assert feasible_point(p, v, [((1,), 0, True), ((-1,), 0, True)]) is None

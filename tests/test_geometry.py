@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -20,10 +21,17 @@ from arrtop.geometry import (
     validate_arrangement,
     zero_flats,
 )
-from arrtop.harness import VerifyContext, braid_essentialized, random_generic
+from arrtop.harness import (
+    CorpusSpec,
+    VerifyContext,
+    braid_essentialized,
+    generate_corpus,
+    random_generic,
+)
 from arrtop.realfaces import enumerate_faces
 
 from conftest import make_arrangement
+from poset_oracle import poset_by_pair_solves
 
 
 def test_validate_a1():
@@ -281,3 +289,70 @@ def test_each_arrangement_builds_its_poset_once(monkeypatch):
     assert twin == arr
     assert intersection_poset(twin) is not poset
     assert sum(a is twin for a in built) == 1
+
+
+def _with_surgeries(arr, seed):
+    """arr, its localizations at its zero flats, its decones and its
+    generic sections."""
+    yield arr
+    for flat in zero_flats(intersection_poset(arr)):
+        yield localize(arr, flat)
+    if arr.is_central and arr.is_essential and arr.dim >= 2:
+        for i0 in range(arr.d):
+            yield decone(arr, i0)
+    for k in range(1, arr.dim):
+        yield generic_section(arr, k, seed)[0]
+
+
+def oracle_arrangements():
+    for seed in (0, 1, 2):
+        for item in generate_corpus(CorpusSpec(seed=seed)):
+            yield from _with_surgeries(item.arrangement, seed)
+    braid5 = braid_essentialized(5)
+    yield from (braid5, random_generic(8, 3, 1), decone(braid5, 0))
+    # a non-essential slab, and x = 0, x = 1, y = 0 (x = 1 misses x = 0)
+    yield make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1), ((1, 1, 0), 0)])
+    yield make_arrangement(2, [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)])
+
+
+def test_poset_matches_the_pair_solving_oracle():
+    # meets are read off each flat's integer rows; the oracle solves
+    # every (flat, hyperplane) pair and evaluates every hyperplane
+    for arr in oracle_arrangements():
+        poset = intersection_poset(arr)
+        flats, meet = poset_by_pair_solves(arr)
+        assert poset.flats == flats
+        assert poset.meet == meet
+        assert poset.rows.keys() == poset.by_containing.keys()
+        for key, rows in poset.rows.items():
+            flat = poset.by_containing[key]
+            assert len(rows) == arr.d
+            for h, (coeffs, const) in zip(arr.hyperplanes, rows):
+                row = (*coeffs, const)
+                exact = [dot(h.normal, v) for v in flat.directions] + [h.eval(flat.point)]
+                assert all(type(x) is int for x in row)
+                assert len(row) == len(exact)
+                assert gcd(*row) == (1 if any(row) else 0)
+                # a positive multiple of (a·v_j, a·p - b)
+                lead = next((x for x in exact if x), None)
+                if lead is None:
+                    assert not any(row)
+                    continue
+                scale = row[exact.index(lead)] / lead
+                assert scale > 0
+                assert all(r == scale * x for r, x in zip(row, exact))
+
+
+def test_poset_solves_once_per_flat(monkeypatch):
+    arr = braid_essentialized(5)
+    calls = []
+    solve = geometry.solve_affine
+
+    def counting(eqs, n):
+        calls.append(len(eqs))
+        return solve(eqs, n)
+
+    monkeypatch.setattr(geometry, "solve_affine", counting)
+    poset = intersection_poset(arr)
+    assert len(poset.flats) == 52
+    assert len(calls) == len(poset.flats) - 1

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -54,9 +55,12 @@ def test_gen3_faces(gen3):
 
 
 def test_witnesses_are_exact(gen3, cen3):
-    for arr in (gen3, cen3, braid_essentialized(4)):
+    # feasibility runs on integer rows; every witness stays a point of Q^n
+    corpus = [item.arrangement for item in generate_corpus(CorpusSpec(seed=0))]
+    for arr in [gen3, cen3, braid_essentialized(4), braid_essentialized(5)] + corpus:
         fc = enumerate_faces(arr)
         for f in fc.faces:
+            assert all(type(x) is Fraction for x in f.witness)
             signs = tuple((h.eval(f.witness) > 0) - (h.eval(f.witness) < 0)
                           for h in arr.hyperplanes)
             assert signs == f.sign
