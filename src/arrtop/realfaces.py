@@ -7,12 +7,15 @@ one at a time and each existing face is split against the new
 hyperplane.  Flats come from the intersection poset: each face carries
 its flat, whose meet with the new hyperplane says whether the face is
 split and where the zero side lies; one exact feasibility call in that
-flat decides whether the face meets the hyperplane, and the two open
-sides get witnesses by exact segment arithmetic.  The feasibility call
-reads the face's strict hyperplanes as the poset's integer rows in the
-zero-side flat's coordinates, signed by the face, so nothing is
-projected per call; boundedness reads the rows of the face's own flat.
-A 3^d brute force over sign vectors is the test oracle.
+flat, on the poset's integer rows in its coordinates signed by the
+face, decides whether the face meets the hyperplane.  A witness is held
+as integers (W, D), the point W/D, and H_i's sign there is that of
+(A_i, C_i)·(W, D), (A_i, C_i) its ambient row in the poset, so the walk
+and segment steps that place the open sides run on ints.  A face on
+X ∩ H_i has two covers on X, its signs with every hyperplane through
+X ∩ H_i but not X set to one side or the other: each is one lookup
+(covectors, Björner et al., *Oriented Matroids*).  Oracles: a 3^d brute
+force over sign vectors and the same enumeration in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
-from .exactla import dot
 from .feasibility import feasible_point
 from .geometry import Arrangement, intersection_poset, primitive_row
 
@@ -42,7 +45,7 @@ class Face:
 class FaceComplex:
     arrangement: Arrangement
     faces: tuple
-    covers: tuple        # pairs (i, j): faces[i] is covered by faces[j]
+    covers: tuple        # sorted (i, j): faces[j] covers faces[i]; two per flat over i's flat
 
     def __post_init__(self):
         self._by_sign = {f.sign: i for i, f in enumerate(self.faces)}
@@ -78,73 +81,89 @@ class FaceComplex:
         return adj
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def enumerate_faces(arr: Arrangement) -> FaceComplex:
     """Every realizable sign vector, with witness, dimension and covers."""
     n = arr.dim
     poset = intersection_poset(arr)
     flats, meet, rows = poset.by_containing, poset.meet, poset.rows
-    origin = tuple(Fraction(0) for _ in range(n))
-    faces = [((), origin, frozenset())]      # (sign, witness, containing set of its flat)
-    for k, h in enumerate(arr.hyperplanes):
+    # (A_i, C_i)·(W, D) is D times a positive multiple of H_i at W/D
+    hom = [a + (c,) for a, c in rows[frozenset()]]
+    faces = [((), (0,) * n + (1,), frozenset())]   # (sign, (W, D), containing set of its flat)
+    for k, row in enumerate(hom):
         split = []
         for sigma, w, flat in faces:
-            sw = _sign(h.eval(w))
+            value = sum(map(mul, row, w))
+            sw = (value > 0) - (value < 0)
             zero_flat = meet.get((flat, k))
             # constant on the face's flat: the sign at the witness is the
             # sign everywhere, and the face is not split
             if zero_flat is None:
                 split.append((sigma + (sw,), w, flat))
                 continue
-            strict = [(i, arr.hyperplanes[i]) for i, s in enumerate(sigma) if s != 0]
+            strict = [i for i, s in enumerate(sigma) if s != 0]
             if sw == 0:
                 # h vanishes at the witness but not on the flat: all three
-                # sides are realized; walk along a flat direction
+                # sides are realized; walk by t = tn/td <= 1 along the first
+                # flat direction V/vden that h moves on, at most half way to
+                # any strict hyperplane
                 split.append((sigma + (0,), w, zero_flat))
-                v = next(v for v in flats[flat].directions if dot(h.normal, v) != 0)
-                t = Fraction(1)
-                for i, hp in strict:
-                    move = dot(hp.normal, v)
-                    if move != 0:
-                        t = min(t, sigma[i] * hp.eval(w) / (2 * abs(move)))
-                for eps in (t, -t):
-                    pt = tuple(x + eps * y for x, y in zip(w, v))
-                    split.append((sigma + (_sign(h.eval(pt)),), pt, flat))
+                coeffs = rows[flat][k][0]
+                j = next(j for j, c in enumerate(coeffs) if c)
+                *v, vden = primitive_row((*flats[flat].directions[j], 1))
+                v.append(0)
+                tn, td = 1, 1
+                for i in strict:
+                    rate = 2 * w[-1] * abs(sum(map(mul, hom[i], v)))
+                    gap = sigma[i] * sum(map(mul, hom[i], w)) * vden
+                    if rate and gap * td < tn * rate:
+                        tn, td = gap, rate
+                for s in (1, -1):
+                    pt = primitive_row([td * vden * x + s * tn * w[-1] * y for x, y in zip(w, v)])
+                    split.append((sigma + (s if coeffs[j] > 0 else -s,), pt, flat))
             else:
                 split.append((sigma + (sw,), w, flat))
                 zf, zrows = flats[zero_flat], rows[zero_flat]
                 zero_w = feasible_point(zf.point, zf.directions, [
                     ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
-                    for i, _ in strict])
+                    for i in strict])
                 if zero_w is not None:
-                    split.append((sigma + (0,), zero_w, zero_flat))
-                    # step past zero_w along the segment from w; each strict
-                    # value moves affinely, g(delta) = gz + delta*(gz - gw)
-                    delta = Fraction(1)
-                    for i, hp in strict:
-                        gw = sigma[i] * hp.eval(w)
-                        gz = sigma[i] * hp.eval(zero_w)
-                        if gw > gz:
-                            delta = min(delta, gz / (2 * (gw - gz)))
-                    far = tuple(z + delta * (z - x) for x, z in zip(w, zero_w))
-                    split.append((sigma + (-sw,), far, flat))
+                    z = primitive_row((*zero_w, 1))
+                    split.append((sigma + (0,), z, zero_flat))
+                    # step past z along the segment from w by delta = dn/dd <= 1;
+                    # each strict value moves affinely, g(delta) = gz + delta*(gz - gw)
+                    dn, dd = 1, 1
+                    for i in strict:
+                        gw = sigma[i] * sum(map(mul, hom[i], w)) * z[-1]
+                        gz = sigma[i] * sum(map(mul, hom[i], z)) * w[-1]
+                        if gw > gz and gz * dd < dn * 2 * (gw - gz):
+                            dn, dd = gz, 2 * (gw - gz)
+                    far = [(dd + dn) * w[-1] * x - dn * z[-1] * y for x, y in zip(z, w)]
+                    split.append((sigma + (-sw,), primitive_row(far), flat))
         faces = split
 
     faces.sort(key=lambda f: (-flats[f[2]].codim, f[0]))
-    built = tuple(Face(sigma, n - flats[flat].codim, w) for sigma, w, flat in faces)
-    on_flat = defaultdict(list)
-    for i, (_, _, flat) in enumerate(faces):
+    index, on_flat = {}, defaultdict(list)
+    for i, (sigma, _, flat) in enumerate(faces):
+        index[sigma] = i
         on_flat[flat].append(i)
-    # a face covers another only if its flat X covers the other's, some
-    # X ∩ H_i; faces on such a pair of flats are compared by their signs
-    pairs = {(flat, lower) for (flat, _), lower in meet.items()}
-    covers = sorted((i, j) for flat, lower in pairs
-                    for i in on_flat[lower] for j in on_flat[flat]
-                    if all(s == 0 or s == t for s, t in zip(built[i].sign, built[j].sign)))
-    return FaceComplex(arr, built, tuple(covers))
+    # covers on X of a face on L = X ∩ H_i: each H_j through L but not X
+    # set to side·e_j, e_j the sign of H_j's row on X (± one another)
+    covers = []
+    for flat, lower in {(flat, lower) for (flat, _), lower in meet.items()}:
+        flips = [(j, 1 if next(c for c in rows[flat][j][0] if c) > 0 else -1)
+                 for j in lower - flat]
+        for i in on_flat[lower]:
+            for side in (1, -1):
+                sigma = list(faces[i][0])
+                for j, e in flips:
+                    sigma[j] = side * e
+                if tuple(sigma) not in index:
+                    raise RuntimeError(f"face {faces[i][0]} on flat {sorted(lower)} has no "
+                                       f"cover {tuple(sigma)} on flat {sorted(flat)}")
+                covers.append((i, index[tuple(sigma)]))
+    built = tuple(Face(sigma, n - flats[flat].codim, tuple(Fraction(x, w[-1]) for x in w[:-1]))
+                  for sigma, w, flat in faces)
+    return FaceComplex(arr, built, tuple(sorted(covers)))
 
 
 def is_bounded(fc: FaceComplex, face_index: int) -> bool:

@@ -1,13 +1,21 @@
-"""Brute-force face oracles: each sign vector of an arrangement decided
-on its own, independent of the incremental enumeration in
-`arrtop.realfaces` and of the intersection poset it reads: each face's
-dimension by a rank, its covers and its adjacent chambers by scanning
-every face's signs."""
+"""Face oracles for `arrtop.realfaces`.
 
+Brute force: each sign vector of an arrangement decided on its own,
+independent of the incremental enumeration and of the intersection
+poset it reads: each face's dimension by a rank, its covers and its
+adjacent chambers by scanning every face's signs.  Beside them, the
+same incremental enumeration in Fraction arithmetic: every hyperplane
+evaluated at every witness by `Hyperplane.eval`, walk and segment steps
+on Fractions.  The integer enumeration must reproduce its faces,
+witnesses included."""
+
+from fractions import Fraction
 from math import lcm
 
 from arrtop.exactla import dot, rank_dense, solve_affine
 from arrtop.feasibility import feasible_point
+from arrtop.geometry import intersection_poset
+from arrtop.realfaces import Face
 
 
 def sign_vector_realizable(arr, sigma):
@@ -48,3 +56,56 @@ def adjacent_chambers_by_scan(fc, face_index):
     sign = fc.faces[face_index].sign
     return tuple(c for c in fc.chambers
                  if all(s == 0 or s == t for s, t in zip(sign, fc.faces[c].sign)))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def faces_by_fractions(arr):
+    """The faces of the arrangement, sorted by (codim, sign), split one
+    hyperplane at a time with witnesses in Fraction arithmetic."""
+    n = arr.dim
+    poset = intersection_poset(arr)
+    flats, meet, rows = poset.by_containing, poset.meet, poset.rows
+    origin = tuple(Fraction(0) for _ in range(n))
+    faces = [((), origin, frozenset())]      # (sign, witness, containing set of its flat)
+    for k, h in enumerate(arr.hyperplanes):
+        split = []
+        for sigma, w, flat in faces:
+            sw = _sign(h.eval(w))
+            zero_flat = meet.get((flat, k))
+            if zero_flat is None:
+                split.append((sigma + (sw,), w, flat))
+                continue
+            strict = [(i, arr.hyperplanes[i]) for i, s in enumerate(sigma) if s != 0]
+            if sw == 0:
+                split.append((sigma + (0,), w, zero_flat))
+                v = next(v for v in flats[flat].directions if dot(h.normal, v) != 0)
+                t = Fraction(1)
+                for i, hp in strict:
+                    move = dot(hp.normal, v)
+                    if move != 0:
+                        t = min(t, sigma[i] * hp.eval(w) / (2 * abs(move)))
+                for eps in (t, -t):
+                    pt = tuple(x + eps * y for x, y in zip(w, v))
+                    split.append((sigma + (_sign(h.eval(pt)),), pt, flat))
+            else:
+                split.append((sigma + (sw,), w, flat))
+                zf, zrows = flats[zero_flat], rows[zero_flat]
+                zero_w = feasible_point(zf.point, zf.directions, [
+                    ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
+                    for i, _ in strict])
+                if zero_w is not None:
+                    split.append((sigma + (0,), zero_w, zero_flat))
+                    delta = Fraction(1)
+                    for i, hp in strict:
+                        gw = sigma[i] * hp.eval(w)
+                        gz = sigma[i] * hp.eval(zero_w)
+                        if gw > gz:
+                            delta = min(delta, gz / (2 * (gw - gz)))
+                    far = tuple(z + delta * (z - x) for x, z in zip(w, zero_w))
+                    split.append((sigma + (-sw,), far, flat))
+        faces = split
+    faces.sort(key=lambda f: (-flats[f[2]].codim, f[0]))
+    return tuple(Face(sigma, n - flats[flat].codim, w) for sigma, w, flat in faces)

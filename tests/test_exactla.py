@@ -385,9 +385,12 @@ def test_library_imports_no_numpy():
 def test_faces_and_feasibility_solve_for_no_flats():
     # flats come from the intersection poset, which solves for each once;
     # it also projects every hyperplane onto each flat, so feasibility
-    # takes rows in flat coordinates and computes no dot product
+    # takes rows in flat coordinates and computes no dot product, and
+    # faces take every sign from the poset's integer rows: no Fraction
+    # dot product, no `Hyperplane.eval`
     solvers = {"rank_dense", "nullspace", "rref", "solve_affine"}
-    for name, banned in (("realfaces.py", solvers), ("feasibility.py", solvers | {"dot"})):
+    for name, banned in (("realfaces.py", solvers | {"dot", "eval"}),
+                         ("feasibility.py", solvers | {"dot"})):
         path = Path(arrtop.__file__).parent / name
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom):

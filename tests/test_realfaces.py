@@ -2,12 +2,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from arrtop import realfaces
 from arrtop.geometry import (
+    ArrangementError,
     characteristic_polynomial,
     decone,
     evaluate_poly,
+    generic_section,
     intersection_poset,
+    localize,
+    zero_flats,
 )
 from arrtop.harness import (
     CorpusSpec,
@@ -23,8 +29,24 @@ from face_oracle import (
     adjacent_chambers_by_scan,
     covers_by_scan,
     face_dim,
+    faces_by_fractions,
     sign_vector_realizable,
 )
+import face_oracle
+
+
+def _with_derived(arr, seed):
+    """The arrangement with what `verify` derives from it: its
+    localizations at zero flats, its decones and its generic sections."""
+    out = [arr] + [localize(arr, flat) for flat in zero_flats(intersection_poset(arr))]
+    if arr.is_central and arr.is_essential and arr.dim >= 2:
+        out += [decone(arr, i0) for i0 in range(arr.d)]
+    return out + [generic_section(arr, k, seed)[0] for k in range(1, arr.dim)]
+
+
+def _ladder():
+    braid5 = braid_essentialized(5)
+    return [braid5, random_generic(8, 3, 1), decone(braid5, 0)]
 
 
 def faces_by_dim(fc):
@@ -139,16 +161,21 @@ def test_adjacent_chambers_by_covers_match_the_scan():
 
 
 def test_dims_and_covers_match_the_rank_and_scan_oracles(a2):
-    # dims come from the flats of the poset, covers from its pairs of
-    # flats X ∩ H_i in X; the oracles take a rank and scan every pair
-    corpus = [item.arrangement for item in generate_corpus(CorpusSpec(seed=0))]
-    braid5 = braid_essentialized(5)
+    # dims come from the flats of the poset, covers by lookup over its
+    # pairs of flats X ∩ H_i in X, witnesses from integer rows; the
+    # oracles take a rank, scan every pair and split in Fraction arithmetic
     slab = make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1), ((1, 1, 0), 0)])
     assert not slab.is_essential
     # x = 0, x = 1, y = 0: x = 1 misses the flat x = 0, which has no meet with it
     parallel = make_arrangement(2, [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)])
-    for arr in corpus + [braid5, decone(braid5, 0), a2, slab, parallel]:
+    arrs = _ladder() + [a2, slab, parallel]
+    for seed in (0, 1, 2):
+        for item in generate_corpus(CorpusSpec(seed=seed)):
+            arrs += _with_derived(item.arrangement, seed)
+    for arr in arrs:
         fc = enumerate_faces(arr)
+        assert fc.faces == faces_by_fractions(arr)
+        assert all(type(x) is Fraction for f in fc.faces for x in f.witness)
         assert [f.dim for f in fc.faces] == [face_dim(arr, f.sign) for f in fc.faces]
         assert fc.covers == covers_by_scan(fc.faces)
 
@@ -160,3 +187,61 @@ def test_cover_relation_is_zero_relaxation(gen3):
         assert g.dim == f.dim + 1
         assert all(s == 0 or s == t for s, t in zip(f.sign, g.sign))
         assert sum(1 for s in f.sign if s == 0) > sum(1 for s in g.sign if s == 0)
+
+
+@st.composite
+def small_arrangements(draw):
+    """Up to 5 hyperplanes in dimension 1-3 with normals in [-2, 2]^n:
+    parallel hyperplanes and multiple points are common."""
+    n = draw(st.integers(1, 3))
+    coords = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(st.tuples(*[coords] * n), coords), min_size=1, max_size=5))
+    try:
+        return make_arrangement(n, rows)
+    except ArrangementError:        # a zero normal or a repeated hyperplane
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_arrangements())
+def test_faces_and_covers_match_the_oracle_on_random_arrangements(arr):
+    fc = enumerate_faces(arr)
+    assert fc.faces == faces_by_fractions(arr)
+    assert fc.covers == covers_by_scan(fc.faces)
+    # a face on L has exactly two covers on each flat X with L = X ∩ H_i
+    meet = intersection_poset(arr).meet
+    zeros = [frozenset(i for i, s in enumerate(f.sign) if s == 0) for f in fc.faces]
+    for i, face in enumerate(fc.faces):
+        if face.is_chamber:
+            continue
+        above = {flat for (flat, _), lower in meet.items() if lower == zeros[i]}
+        on = [zeros[j] for j in fc.covering(i)]
+        assert above and sorted(on, key=sorted) == sorted(list(above) * 2, key=sorted)
+
+
+def test_a_missing_cover_raises(gen3, monkeypatch):
+    # without its LPs the enumeration loses faces that other faces'
+    # covers name; the lookup must fail, not drop the pair
+    monkeypatch.setattr(realfaces, "feasible_point", lambda *args: None)
+    with pytest.raises(RuntimeError, match=r"face \(.*\) on flat \[.*\] has no cover "
+                                           r"\(.*\) on flat \[.*\]"):
+        enumerate_faces(gen3)
+
+
+def test_lp_calls_match_the_fraction_enumeration(monkeypatch):
+    # the integer walk and segment steps replace no LP and add none
+    counts = {"new": 0, "oracle": 0}
+
+    def counting(key, solve):
+        def call(*args):
+            counts[key] += 1
+            return solve(*args)
+        return call
+
+    monkeypatch.setattr(realfaces, "feasible_point", counting("new", realfaces.feasible_point))
+    monkeypatch.setattr(face_oracle, "feasible_point",
+                        counting("oracle", face_oracle.feasible_point))
+    for arr in _ladder()[:2]:
+        enumerate_faces(arr)
+        faces_by_fractions(arr)
+    assert counts == {"new": 2012, "oracle": 2012}
