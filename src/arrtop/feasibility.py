@@ -2,22 +2,25 @@
 
 Decides a system of strict / weak inequalities on an affine flat over Q
 and, when feasible, returns an exact rational point in its relative
-interior.  The flat is the caller's, given as a point and a direction
-basis, and the inequalities come already written in the flat's
-coordinates as integer rows: the intersection poset keeps every
-hyperplane's primitive row per flat, so nothing is projected here.
-Fourier-Motzkin elimination runs on Python ints, dividing each combined
-row by its content; positive scaling moves no bound, so the witness,
-reconstructed by back-substitution through the eliminated variables,
-does not depend on how the rows are scaled.  Problem dimensions here
+interior as a primitive integer vector (W, D), the point W/D.  The flat
+is the caller's integer frame, its point and directions over one
+denominator, and the inequalities come already written in the flat's
+coordinates as integer rows: the intersection poset keeps both per
+flat, so nothing is projected here.  Fourier-Motzkin elimination runs on
+Python ints, dividing each combined row by its content; positive scaling
+moves no bound, so the witness, reconstructed on ints by
+back-substitution through the eliminated variables (one common
+denominator, bounds compared by cross-multiplication), does not depend
+on how the rows are scaled.  Problem dimensions here
 are tiny (ambient dimension of an arrangement), so the doubling blowup
 of elimination is irrelevant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .geometry import primitive_row
 
 # An inequality is (coeffs, const, strict) with integer entries, meaning
 # coeffs·u + const > 0 (strict) or >= 0.
@@ -54,71 +57,66 @@ def _eliminate(ineqs, nvars):
     for a, c, strict in current:
         if any(x != 0 for x in a):
             raise AssertionError("variable left after elimination")
-        if strict and not c > 0:
-            return None
-        if not strict and not c >= 0:
+        if not (c > 0 if strict else c >= 0):
             return None
     return levels
 
 
-def _interval_pick(ineqs, v, partial):
-    """Value for variable v; variables below v are already assigned.
-
-    Constraints passed in come from the elimination level where only
-    variables 0..v survive, so the interval is guaranteed nonempty.
-    """
-    lo = None
-    hi = None
+def _interval_pick(ineqs, v, num, den):
+    """(n, d), d > 0: a value n/d for variable v, variables below v being
+    num[j]/den.  Constraints come from the elimination level where only
+    variables 0..v survive, so the interval is nonempty; each bound is a
+    pair (n, d), d > 0, and bounds compare by cross-multiplication."""
+    lo = hi = None
     for a, c, strict in ineqs:
         if a[v] == 0:
             continue
-        rest = c + sum(a[j] * partial[j] for j in range(v) if a[j] != 0)
-        bound = Fraction(-rest) / a[v]
+        rest = c * den + sum(a[j] * num[j] for j in range(v) if a[j] != 0)
         if a[v] > 0:
-            if lo is None or bound > lo:
+            bound = -rest, a[v] * den
+            if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
                 lo = bound
         else:
-            if hi is None or bound < hi:
+            bound = rest, -a[v] * den
+            if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
                 hi = bound
     if lo is None and hi is None:
-        return Fraction(0)
+        return 0, 1
     if lo is None:
-        return hi - 1
+        return hi[0] - hi[1], hi[1]
     if hi is None:
-        return lo + 1
-    if lo == hi:
+        return lo[0] + lo[1], lo[1]
+    if lo[0] * hi[1] == hi[0] * lo[1]:
         # both weak, else elimination would have failed
         return lo
-    return (lo + hi) / 2
+    return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
 
 
-def feasible_point(p, basis, rows):
-    """Witness for {x = p + sum u_j·basis_j : rows hold}, or None.
+def feasible_point(point, basis, rows):
+    """Witness for {x = p + sum u_j·v_j : rows hold} as the primitive
+    (W, D), x = W/D, a positive multiple of point + sum u_j·basis_j; or None.
 
-    rows: list of (coeffs, const, strict) with integer entries in the
-    flat's coordinates u, meaning coeffs·u + const > 0 (strict) or >= 0.
+    point = (L·p, L) and basis = ((L·v_j, 0), ...) give the flat over one
+    denominator L.  rows: list of (coeffs, const, strict) with integer
+    entries in u, meaning coeffs·u + const > 0 (strict) or >= 0.
     """
+    if any(not any(a) and not (c > 0 if strict else c >= 0) for a, c, strict in rows):
+        return None
+    reduced = [(a, c, strict) for a, c, strict in rows if any(a)]
     m = len(basis)
-    reduced = []
-    for a, c, strict in rows:
-        if not any(a):
-            if strict and not c > 0:
-                return None
-            if not strict and not c >= 0:
-                return None
-            continue
-        reduced.append((a, c, strict))
-    if m == 0:
-        return tuple(p)
+    if not reduced:
+        return primitive_row(point)
     levels = _eliminate(reduced, m)
     if levels is None:
         return None
-    u = [Fraction(0)] * m
+    # u_j = num[j] / den, one common denominator
+    num, den = [0] * m, 1
     # levels[i] holds the constraints before eliminating variable m-1-i
     for v in range(m):
-        u[v] = _interval_pick(levels[m - 1 - v], v, u)
-    x = list(p)
-    for coef, vec in zip(u, basis):
-        if coef != 0:
-            x = [xi + coef * vi for xi, vi in zip(x, vec)]
-    return tuple(x)
+        n, d = _interval_pick(levels[m - 1 - v], v, num, den)
+        g = gcd(n, d)
+        n, d, new = n // g, d // g, lcm(den, d // g)
+        num = [x * (new // den) for x in num]
+        num[v], den = n * (new // d), new
+    return primitive_row([den * x + sum(u * vec[i] for u, vec in zip(num, basis))
+                          for i, x in enumerate(point)])

@@ -6,8 +6,10 @@ real).  This module computes the intersection poset of flats, once per
 arrangement instance, with its Möbius function, its meet table
 X ∩ H_i and, per flat, every hyperplane as a primitive integer row in
 the flat's coordinates (faces and section certificates read flats from
-it; face feasibility reads the rows).  Meets are read off those rows,
-so each flat is solved for once.  It also computes the
+it; face feasibility reads the rows).  Each row is integer dot products
+of the hyperplane's primitive ambient row with the flat's point and
+directions over one denominator, its integer frame.  Meets are read off
+those rows, so each flat is solved for once.  It also computes the
 characteristic polynomial, Whitney-sum Betti numbers of the complement,
 and the surgeries used by dimension arguments: essentialization,
 localization at a flat, deconing a central arrangement, and certified
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .exactla import dot, identity_matrix, mat_inverse, nullspace, rank_dense, rref, solve_affine
 from .fields import FieldSpec, parse_int, parse_rational
@@ -158,23 +161,21 @@ class FlatPoset:
     subset of containing(X).  `meet` maps (containing(X), i) to
     containing(X ∩ H_i) when that is a proper nonempty subflat of X; no
     entry means H_i is constant on X (it contains X or misses it).
-    `rows` maps containing(X) to one (coeffs, const) per hyperplane: the
-    primitive integer row that is a positive multiple of
-    u -> a·(p + sum_j u_j v_j) - b, H_i in X's coordinates (p the flat's
-    point, v_j its directions).
+    `frames` maps containing(X) to X's point p and directions v_j over
+    one common denominator L, as integer vectors (L·p, L) and (L·v_j, 0).
+    `rows` maps it to one (coeffs, const) per hyperplane: the primitive
+    integer row that is a positive multiple of u -> a·(p + sum_j u_j v_j) - b,
+    H_i in X's coordinates.
     """
 
-    arrangement: Arrangement
+    ambient_dim: int
     flats: tuple
     meet: dict
     rows: dict
+    frames: dict
 
     def __post_init__(self):
         self.by_containing = {f.containing: f for f in self.flats}
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.arrangement.dim
 
     def of_codim(self, c):
         return [f for f in self.flats if f.codim == c]
@@ -201,11 +202,21 @@ def primitive_row(values) -> tuple:
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def _flat_rows(arr: Arrangement, point, basis) -> tuple:
-    """(coeffs, const) per hyperplane: u -> a·(point + sum_j u_j basis_j) - b
-    as a primitive integer row; zero coeffs mean constant on the flat."""
-    rows = (primitive_row([dot(h.normal, v) for v in basis] + [h.eval(point)])
-            for h in arr.hyperplanes)
+def _frame(point, basis) -> tuple:
+    """((L·point, L), ((L·v, 0) for v in basis)), L the lcm of every denominator."""
+    scale = lcm(*(x.denominator for v in (point, *basis) for x in v))
+    point, *basis = ([x.numerator * (scale // x.denominator) for x in v] for v in (point, *basis))
+    return (*point, scale), tuple((*v, 0) for v in basis)
+
+
+def _flat_rows(ambient, frame) -> tuple:
+    """(coeffs, const) per hyperplane: (A, C)·(L·v_j, 0) and (A, C)·(L·p, L)
+    for its primitive ambient row (A, C), a positive multiple of (a, -b):
+    L times a positive multiple of u -> a·(p + sum_j u_j v_j) - b, made
+    primitive.  Zero coeffs mean constant on the flat."""
+    point, basis = frame
+    rows = (primitive_row([sum(map(mul, h, v)) for v in basis] + [sum(map(mul, h, point))])
+            for h in ambient)
     return tuple((row[:-1], row[-1]) for row in rows)
 
 
@@ -213,8 +224,9 @@ def _build_poset(arr: Arrangement) -> FlatPoset:
     n = arr.dim
     origin = tuple(Fraction(0) for _ in range(n))
     std = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
-    flats = {frozenset(): (origin, std)}
-    rows = {frozenset(): _flat_rows(arr, origin, std)}
+    ambient = [primitive_row((*h.normal, -h.offset)) for h in arr.hyperplanes]
+    flats, frames = {frozenset(): (origin, std)}, {frozenset(): _frame(origin, std)}
+    rows = {frozenset(): _flat_rows(ambient, frames[frozenset()])}
     meet = {}
     frontier = [frozenset()]
     while frontier:
@@ -239,7 +251,8 @@ def _build_poset(arr: Arrangement) -> FlatPoset:
                            for j in sorted(key | {group[0]})]
                     pt, basis = solve_affine(eqs, n)
                     flats[closure] = (tuple(pt), tuple(tuple(v) for v in basis))
-                    rows[closure] = _flat_rows(arr, *flats[closure])
+                    frames[closure] = _frame(pt, basis)
+                    rows[closure] = _flat_rows(ambient, frames[closure])
                     fresh.append(closure)
         frontier = fresh
 
@@ -255,7 +268,7 @@ def _build_poset(arr: Arrangement) -> FlatPoset:
         Flat(codim=n - len(flats[key][1]), point=flats[key][0],
              directions=flats[key][1], containing=key, mobius=mobius[key])
         for key in order)
-    return FlatPoset(arr, result, meet, rows)
+    return FlatPoset(n, result, meet, rows, frames)
 
 
 def characteristic_polynomial(poset: FlatPoset):

@@ -22,8 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import geometry, localsys, realfaces, salvetti
-from .exactla import (FMatrixSparse, identity_matrix, mat_sub_identity, rank as matrix_rank,
-                      rank_dense)
+from .exactla import FMatrixSparse, identity_matrix, mat_sub_identity, rank as matrix_rank
 from .fields import FieldSpec
 from .geometry import Arrangement, Hyperplane
 from .localsys import LocalSystem, build_local_system, is_trivial
@@ -115,11 +114,14 @@ def _in_general_position(arr: Arrangement) -> bool:
     essential arrangement, exactly when its Betti numbers are the binomial
     coefficients, with no intersection poset built."""
     n = arr.dim
-    rows = [[*h.normal, h.offset] for h in arr.hyperplanes]
-    k = min(n, arr.d)
-    return (all(rank_dense([row[:n] for row in sub]) == k
-                for sub in combinations(rows, k))
-            and all(rank_dense(sub) == n + 1 for sub in combinations(rows, n + 1)))
+    rows = [geometry.primitive_row((*h.normal, h.offset)) for h in arr.hyperplanes]
+    q, k = FieldSpec.rationals(), min(n, arr.d)
+
+    def rank(sub, width):
+        entries = {(i, j): x for i, row in enumerate(sub) for j, x in enumerate(row[:width]) if x}
+        return matrix_rank(FMatrixSparse(len(sub), width, entries), q)
+    return (all(rank(sub, n) == k for sub in combinations(rows, k))
+            and all(rank(sub, n + 1) == n + 1 for sub in combinations(rows, n + 1)))
 
 
 def random_generic(d: int, n: int, seed: int) -> Arrangement:

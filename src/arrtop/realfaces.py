@@ -8,10 +8,11 @@ hyperplane.  Flats come from the intersection poset: each face carries
 its flat, whose meet with the new hyperplane says whether the face is
 split and where the zero side lies; one exact feasibility call in that
 flat, on the poset's integer rows in its coordinates signed by the
-face, decides whether the face meets the hyperplane.  A witness is held
-as integers (W, D), the point W/D, and H_i's sign there is that of
+face and on the flat's integer frame, decides whether the face meets
+the hyperplane and returns its witness on ints.  A witness is held as
+integers (W, D), the point W/D, and H_i's sign there is that of
 (A_i, C_i)·(W, D), (A_i, C_i) its ambient row in the poset, so the walk
-and segment steps that place the open sides run on ints.  A face on
+(along a frame direction) and segment steps run on ints.  A face on
 X ∩ H_i has two covers on X, its signs with every hyperplane through
 X ∩ H_i but not X set to one side or the other: each is one lookup
 (covectors, Björner et al., *Oriented Matroids*).  Oracles: a 3^d brute
@@ -48,7 +49,6 @@ class FaceComplex:
     covers: tuple        # sorted (i, j): faces[j] covers faces[i]; two per flat over i's flat
 
     def __post_init__(self):
-        self._by_sign = {f.sign: i for i, f in enumerate(self.faces)}
         self._chambers = tuple(i for i, f in enumerate(self.faces) if f.is_chamber)
         up = [[] for _ in self.faces]
         for lo, hi in self.covers:
@@ -58,9 +58,6 @@ class FaceComplex:
     @property
     def chambers(self):
         return self._chambers
-
-    def index_of(self, sign) -> int:
-        return self._by_sign[tuple(sign)]
 
     def covering(self, face_index: int):
         """Indices of the faces covering the given face (dimension +1)."""
@@ -85,10 +82,10 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
     """Every realizable sign vector, with witness, dimension and covers."""
     n = arr.dim
     poset = intersection_poset(arr)
-    flats, meet, rows = poset.by_containing, poset.meet, poset.rows
+    flats, meet, rows, frames = poset.by_containing, poset.meet, poset.rows, poset.frames
     # (A_i, C_i)·(W, D) is D times a positive multiple of H_i at W/D
     hom = [a + (c,) for a, c in rows[frozenset()]]
-    faces = [((), (0,) * n + (1,), frozenset())]   # (sign, (W, D), containing set of its flat)
+    faces = [((), frames[frozenset()][0], frozenset())]   # (sign, (W, D), containing(flat))
     for k, row in enumerate(hom):
         split = []
         for sigma, w, flat in faces:
@@ -109,8 +106,7 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                 split.append((sigma + (0,), w, zero_flat))
                 coeffs = rows[flat][k][0]
                 j = next(j for j, c in enumerate(coeffs) if c)
-                *v, vden = primitive_row((*flats[flat].directions[j], 1))
-                v.append(0)
+                (*_, vden), v = frames[flat][0], frames[flat][1][j]
                 tn, td = 1, 1
                 for i in strict:
                     rate = 2 * w[-1] * abs(sum(map(mul, hom[i], v)))
@@ -122,12 +118,11 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                     split.append((sigma + (s if coeffs[j] > 0 else -s,), pt, flat))
             else:
                 split.append((sigma + (sw,), w, flat))
-                zf, zrows = flats[zero_flat], rows[zero_flat]
-                zero_w = feasible_point(zf.point, zf.directions, [
+                zrows = rows[zero_flat]
+                z = feasible_point(*frames[zero_flat], [
                     ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
                     for i in strict])
-                if zero_w is not None:
-                    z = primitive_row((*zero_w, 1))
+                if z is not None:
                     split.append((sigma + (0,), z, zero_flat))
                     # step past z along the segment from w by delta = dn/dd <= 1;
                     # each strict value moves affinely, g(delta) = gz + delta*(gz - gw)
@@ -174,16 +169,16 @@ def is_bounded(fc: FaceComplex, face_index: int) -> bool:
     n = arr.dim
     poset = intersection_poset(arr)
     key = frozenset(i for i, s in enumerate(sigma) if s == 0)
-    flat, rows = poset.by_containing[key], poset.rows[key]
-    origin = tuple(Fraction(0) for _ in range(n))
+    (*_, den), basis = poset.frames[key]
+    rows = poset.rows[key]
     base = [(tuple(s * x for x in rows[i][0]), 0, False)
             for i, s in enumerate(sigma) if s != 0]
     for j in range(n):
         for sgn in (1, -1):
-            # sgn·x_j >= 1 in the flat's coordinates
-            *ray, const = primitive_row([sgn * v[j] for v in flat.directions] + [-1])
-            if feasible_point(origin, flat.directions,
-                              base + [(ray, const, False)]) is not None:
+            # sgn·x_j >= 1 in the flat's coordinates: sgn·(L·x_j) >= L
+            ray = tuple(sgn * v[j] for v in basis)
+            if feasible_point((0,) * n + (1,), basis,
+                              base + [(ray, -den, False)]) is not None:
                 return False
     return True
 

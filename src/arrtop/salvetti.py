@@ -5,14 +5,17 @@ real arrangement together with a chamber C adjacent to it.  The cell
 [F, C] is a copy of the dual cell of F, so its boundary is
 ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G covering F
 (Salvetti, Invent. Math. 88, 1987).  G∘C is the chamber adjacent to G
-nearest to C (G's sign where nonzero, C's sign where G is zero); neg is
-the set of hyperplanes C crosses from their negative side on its way to
-G∘C; ε is one orientation of the face poset, so the sign depends on the
-face alone, not on the chamber.  It is fixed codim by codim by closing
-all "diamonds" (two-step intervals) over the signs one codim below.
-The boundary lives over Λ = Z[t_1^±1..t_d^±1], as the chain complex of
-the universal abelian cover, and the build gates the orientation by
-checking d∘d = 0 once over Λ (composition only, no ranks).
+nearest to C, G's sign where nonzero and C's elsewhere; neg is the set
+of hyperplanes C crosses from their negative side on its way to G∘C.
+With each sign vector packed into int masks plus and minus, G∘C is the
+chamber with minus mask minus[G] | (minus[C] & ~(plus[G] | minus[G]))
+and neg is minus[C] & plus[G].  ε is one orientation of the face poset,
+so the sign depends on the face alone, not on the chamber.  It is fixed
+codim by codim by closing all "diamonds" (two-step intervals) over the
+signs one codim below.  The boundary lives over Λ = Z[t_1^±1..t_d^±1],
+as the chain complex of the universal abelian cover, and the build
+gates the orientation by checking d∘d = 0 once over Λ (composition
+only, no ranks).
 
 Every entry ±t^a is a unit of Λ.  So the build then eliminates pairs
 of cells joined by a unit entry, Gaussian elimination over Λ (algebraic
@@ -74,11 +77,6 @@ class SalvettiComplex:
         return len(self.cells) - 1
 
 
-def _compose(g_sign, c_sign):
-    """Chamber adjacent to G nearest C: G's sign where nonzero, else C's."""
-    return tuple(g if g != 0 else c for g, c in zip(g_sign, c_sign))
-
-
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     """All (face, adjacent chamber) pairs, graded by codim, with the
     boundary over Λ: ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G
@@ -97,19 +95,20 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
 
     eps = _orient(fc)
     one, _ = _packing(arr.d)
+    # each sign vector as packed masks: bit _BITS * i set where H_i is + (-)
+    plus = [sum(1 << (_BITS * i) for i, s in enumerate(f.sign) if s > 0) for f in fc.faces]
+    minus = [sum(1 << (_BITS * i) for i, s in enumerate(f.sign) if s < 0) for f in fc.faces]
+    chamber = {minus[c]: c for c in fc.chambers}
     boundary = [[{} for _ in cells[0]]]
     for k in range(1, top_codim + 1):
         layer = []
         for cell in cells[k]:
-            csign = fc.faces[cell.chamber].sign
-            entries = []
-            for g, s in eps[cell.face].items():
-                dsign = _compose(fc.faces[g].sign, csign)
-                # t^neg: the hyperplanes C crosses from their negative side
-                neg = sum(1 << (_BITS * i) for i, (a, b) in enumerate(zip(csign, dsign))
-                          if a < b)
-                entries.append((index[k - 1][g, fc.index_of(dsign)], {one + neg: s}))
-            layer.append(dict(sorted(entries)))
+            cm = minus[cell.chamber]
+            # [G, G∘C], G∘C G's sign where nonzero and C's elsewhere, times
+            # t^neg, neg the hyperplanes where C is - and G is +
+            layer.append(dict(sorted(
+                (index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]],
+                 {one + (cm & plus[g]): s}) for g, s in eps[cell.face].items())))
         boundary.append(layer)
 
     sc = SalvettiComplex(fc, cells, boundary)
@@ -227,17 +226,18 @@ def _verify_over_group_ring(boundary, d):
     orientation; on the reduced one, the reduction's updates."""
     one, top_bits = _packing(d)
     for k in range(2, len(boundary)):
-        lower = boundary[k - 1]
+        # each cell of degree k - 1 as its terms (target, exponent, coefficient)
+        lower = [[(i, b, e) for i, inner in row.items() for b, e in inner.items()]
+                 for row in boundary[k - 1]]
         for j, row in enumerate(boundary[k]):
             acc = {}                 # (packed exponent, target) -> coefficient
             for m, outer in row.items():
-                inner_row = lower[m]
+                terms = lower[m]
                 for a, c in outer.items():
                     a -= one
-                    for i, inner in inner_row.items():
-                        for b, e in inner.items():
-                            key = a + b, i
-                            acc[key] = acc.get(key, 0) + c * e
+                    for i, b, e in terms:
+                        key = a + b, i
+                        acc[key] = acc.get(key, 0) + c * e
             for (key, i), c in acc.items():      # every product is a key here
                 if key & top_bits:
                     raise _out_of_range()

@@ -6,16 +6,56 @@ poset it reads: each face's dimension by a rank, its covers and its
 adjacent chambers by scanning every face's signs.  Beside them, the
 same incremental enumeration in Fraction arithmetic: every hyperplane
 evaluated at every witness by `Hyperplane.eval`, walk and segment steps
-on Fractions.  The integer enumeration must reproduce its faces,
-witnesses included."""
+and LP witnesses on Fractions.  The integer enumeration must reproduce
+its faces, witnesses included."""
 
 from fractions import Fraction
 from math import lcm
 
 from arrtop.exactla import dot, rank_dense, solve_affine
-from arrtop.feasibility import feasible_point
+from arrtop.feasibility import _eliminate
 from arrtop.geometry import intersection_poset
 from arrtop.realfaces import Face
+
+
+def _interval_pick(ineqs, v, partial):
+    """Value for variable v as a Fraction; variables below v are already
+    assigned."""
+    lo = hi = None
+    for a, c, strict in ineqs:
+        if a[v] == 0:
+            continue
+        bound = Fraction(-(c + sum(a[j] * partial[j] for j in range(v)))) / a[v]
+        if a[v] > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi - 1
+    if hi is None:
+        return lo + 1
+    return lo if lo == hi else (lo + hi) / 2
+
+
+def feasible_point(p, basis, rows):
+    """`arrtop.feasibility.feasible_point` in Fraction arithmetic: the
+    flat as a rational point p and directions, the same elimination, the
+    bounds and the witness p + sum u_j·basis_j as Fractions."""
+    if any(not any(a) and not (c > 0 if strict else c >= 0) for a, c, strict in rows):
+        return None
+    reduced = [(a, c, strict) for a, c, strict in rows if any(a)]
+    m = len(basis)
+    if m == 0:
+        return tuple(p)
+    levels = _eliminate(reduced, m)
+    if levels is None:
+        return None
+    u = [Fraction(0)] * m
+    for v in range(m):
+        u[v] = _interval_pick(levels[m - 1 - v], v, u)
+    return tuple(x + sum(c * vec[i] for c, vec in zip(u, basis)) for i, x in enumerate(p))
 
 
 def sign_vector_realizable(arr, sigma):

@@ -3,12 +3,22 @@ pair: breadth first from the ambient space, each X ∩ H_i solved from
 the equations of X's hyperplanes and H_i, and its closure found by
 evaluating every hyperplane on the solution.  `arrtop.geometry` reads
 meets off integer rows instead; this is its oracle, independent of the
-rows."""
+rows.  Beside it, the rows themselves by Fraction dot products with the
+flat's rational point and directions; geometry takes integer dot
+products of the ambient rows with the flat's integer frame."""
 
 from fractions import Fraction
 
 from arrtop.exactla import dot, solve_affine
-from arrtop.geometry import Flat
+from arrtop.geometry import Flat, primitive_row
+
+
+def flat_rows_by_fractions(arr, point, basis):
+    """(coeffs, const) per hyperplane: u -> a·(point + sum_j u_j basis_j) - b
+    as a primitive integer row, from Fraction dot products."""
+    rows = (primitive_row([dot(h.normal, v) for v in basis] + [h.eval(point)])
+            for h in arr.hyperplanes)
+    return tuple((row[:-1], row[-1]) for row in rows)
 
 
 def poset_by_pair_solves(arr):

@@ -8,11 +8,39 @@ product of M_i^e_i.  The matrices compose to zero because the build
 gated the full boundary over Λ.
 
 The plan's evaluation in field arithmetic: the reduced complex's
-specialization itself, entries Fractions over Q, with no scale."""
+specialization itself, entries Fractions over Q, with no scale.
+
+The full boundary over Λ from sign tuples: G∘C composed sign by sign,
+t^neg summed over the hyperplanes where C's sign is below G∘C's, and
+the chamber G∘C found by its sign vector.  `build_salvetti` reads the
+same entries off packed sign masks."""
 
 from arrtop.exactla import FMatrixSparse, complex_dims
 from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
-from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _matmul
+from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _matmul, _orient, _packing
+
+
+def boundary_by_sign_tuples(sc):
+    """boundary[k][pos] = {target: {packed exponent: ±1}} over sc's cells."""
+    fc = sc.fc
+    by_sign = {f.sign: i for i, f in enumerate(fc.faces)}
+    index = [{(s.face, s.chamber): i for i, s in enumerate(layer)} for layer in sc.cells]
+    eps = _orient(fc)
+    one, _ = _packing(fc.arrangement.d)
+    boundary = [[{} for _ in sc.cells[0]]]
+    for k in range(1, len(sc.cells)):
+        layer = []
+        for cell in sc.cells[k]:
+            csign = fc.faces[cell.chamber].sign
+            entries = []
+            for g, s in eps[cell.face].items():
+                dsign = tuple(x if x != 0 else c for x, c in zip(fc.faces[g].sign, csign))
+                neg = sum(1 << (_BITS * i) for i, (a, b) in enumerate(zip(csign, dsign))
+                          if a < b)
+                entries.append((index[k - 1][g, by_sign[dsign]], {one + neg: s}))
+            layer.append(dict(sorted(entries)))
+        boundary.append(layer)
+    return boundary
 
 
 def full_twisted_complex(sc, system) -> TwistedComplex:

@@ -387,12 +387,24 @@ def test_faces_and_feasibility_solve_for_no_flats():
     # it also projects every hyperplane onto each flat, so feasibility
     # takes rows in flat coordinates and computes no dot product, and
     # faces take every sign from the poset's integer rows: no Fraction
-    # dot product, no `Hyperplane.eval`
+    # dot product, no `Hyperplane.eval`.  Feasibility builds its witness
+    # on ints, the poset's rows are integer dot products with each flat's
+    # integer frame, and the general-position certificate takes sparse
+    # ranks of integer rows
     solvers = {"rank_dense", "nullspace", "rref", "solve_affine"}
-    for name, banned in (("realfaces.py", solvers | {"dot", "eval"}),
-                         ("feasibility.py", solvers | {"dot"})):
+
+    def module(name):
         path = Path(arrtop.__file__).parent / name
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        return ast.parse(path.read_text(), str(path))
+
+    flat_rows = next(node for node in module("geometry.py").body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_flat_rows")
+    for name, tree, banned in (
+            ("realfaces.py", module("realfaces.py"), solvers | {"dot", "eval"}),
+            ("feasibility.py", module("feasibility.py"), solvers | {"dot", "Fraction"}),
+            ("harness.py", module("harness.py"), {"rank_dense"}),
+            ("geometry._flat_rows", flat_rows, {"dot", "eval", "Fraction"})):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 used = {a.name for a in node.names}
             elif isinstance(node, ast.Attribute):

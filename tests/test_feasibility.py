@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from arrtop.feasibility import feasible_point
+
+from face_oracle import feasible_point as fraction_feasible_point
 
 
 @st.composite
@@ -32,25 +35,34 @@ def systems(draw):
 @given(systems())
 def test_witness_is_exact_and_ignores_positive_scaling(system):
     m, rows, scales, planted = system
-    origin = tuple(Fraction(0) for _ in range(m))
-    basis = tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))
+    origin = (0,) * m + (1,)
+    basis = tuple(tuple(int(i == j) for j in range(m + 1)) for i in range(m))
     witness = feasible_point(origin, basis, rows)
     scaled = [([s * a for a in c], s * k, strict) for (c, k, strict), s in zip(rows, scales)]
     assert feasible_point(origin, basis, scaled) == witness
     if planted:
         assert witness is not None
-    if witness is not None:
-        # with the standard basis the witness is its own flat coordinates
-        assert all(type(x) is Fraction for x in witness)
+    fractions = fraction_feasible_point(tuple(Fraction(0) for _ in range(m)),
+                                        tuple(b[:m] for b in basis), rows)
+    if witness is None:
+        assert fractions is None
+    else:
+        # with the standard basis the witness (W, D) is its own flat
+        # coordinates W/D, primitive, and the Fraction oracle's point
+        *w, den = witness
+        assert all(type(x) is int for x in witness) and den > 0
+        assert gcd(*witness) == 1
+        assert tuple(Fraction(x, den) for x in w) == fractions
         for coeffs, const, strict in rows:
-            value = sum(a * x for a, x in zip(coeffs, witness)) + const
+            value = sum(a * x for a, x in zip(coeffs, w)) + const * den
             assert value > 0 if strict else value >= 0
 
 
 def test_witness_lies_on_the_flat():
-    # u = (1/2) on the line p + u·v, for 0 < u < 1
-    p = (Fraction(1), Fraction(2))
-    v = ((Fraction(1, 3), Fraction(-1)),)
-    assert feasible_point(p, v, [((1,), 0, True), ((-1,), 1, True)]) == \
-        (Fraction(7, 6), Fraction(3, 2))
+    # u = (1/2) on the line p + u·v, p = (1, 2) and v = (1/3, -1) over
+    # L = 3, for 0 < u < 1: the point (7/6, 3/2)
+    p, v = (3, 6, 3), ((1, -3, 0),)
+    assert feasible_point(p, v, [((1,), 0, True), ((-1,), 1, True)]) == (7, 9, 6)
     assert feasible_point(p, v, [((1,), 0, True), ((-1,), 0, True)]) is None
+    # no nonconstant row: the flat's own point, made primitive
+    assert feasible_point((2, 4, 2), v, [((0,), 1, True)]) == (1, 2, 1)

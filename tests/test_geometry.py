@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -29,9 +31,10 @@ from arrtop.harness import (
     random_generic,
 )
 from arrtop.realfaces import enumerate_faces
+from arrtop.salvetti import build_salvetti
 
-from conftest import make_arrangement
-from poset_oracle import poset_by_pair_solves
+from conftest import make_arrangement, oracle_arrangements
+from poset_oracle import flat_rows_by_fractions, poset_by_pair_solves
 
 
 def test_validate_a1():
@@ -291,30 +294,6 @@ def test_each_arrangement_builds_its_poset_once(monkeypatch):
     assert sum(a is twin for a in built) == 1
 
 
-def _with_surgeries(arr, seed):
-    """arr, its localizations at its zero flats, its decones and its
-    generic sections."""
-    yield arr
-    for flat in zero_flats(intersection_poset(arr)):
-        yield localize(arr, flat)
-    if arr.is_central and arr.is_essential and arr.dim >= 2:
-        for i0 in range(arr.d):
-            yield decone(arr, i0)
-    for k in range(1, arr.dim):
-        yield generic_section(arr, k, seed)[0]
-
-
-def oracle_arrangements():
-    for seed in (0, 1, 2):
-        for item in generate_corpus(CorpusSpec(seed=seed)):
-            yield from _with_surgeries(item.arrangement, seed)
-    braid5 = braid_essentialized(5)
-    yield from (braid5, random_generic(8, 3, 1), decone(braid5, 0))
-    # a non-essential slab, and x = 0, x = 1, y = 0 (x = 1 misses x = 0)
-    yield make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1), ((1, 1, 0), 0)])
-    yield make_arrangement(2, [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)])
-
-
 def test_poset_matches_the_pair_solving_oracle():
     # meets are read off each flat's integer rows; the oracle solves
     # every (flat, hyperplane) pair and evaluates every hyperplane
@@ -323,9 +302,17 @@ def test_poset_matches_the_pair_solving_oracle():
         flats, meet = poset_by_pair_solves(arr)
         assert poset.flats == flats
         assert poset.meet == meet
-        assert poset.rows.keys() == poset.by_containing.keys()
+        assert poset.rows.keys() == poset.frames.keys() == poset.by_containing.keys()
         for key, rows in poset.rows.items():
             flat = poset.by_containing[key]
+            # the frame is the flat's point and directions over one denominator
+            (*point, den), basis = poset.frames[key]
+            assert den > 0 and all(type(x) is int for v in (point, *basis) for x in v)
+            assert tuple(Fraction(x, den) for x in point) == flat.point
+            assert tuple(tuple(Fraction(x, den) for x in v[:-1]) for v in basis) == \
+                flat.directions
+            assert all(v[-1] == 0 for v in basis)
+            assert rows == flat_rows_by_fractions(arr, flat.point, flat.directions)
             assert len(rows) == arr.d
             for h, (coeffs, const) in zip(arr.hyperplanes, rows):
                 row = (*coeffs, const)
@@ -356,3 +343,21 @@ def test_poset_solves_once_per_flat(monkeypatch):
     poset = intersection_poset(arr)
     assert len(poset.flats) == 52
     assert len(calls) == len(poset.flats) - 1
+
+
+def test_a_dropped_corpus_frees_its_posets_without_the_cyclic_gc():
+    # a poset keeps its ambient dimension, not its arrangement, so an
+    # arrangement and the poset it caches form no reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        corpus = generate_corpus(CorpusSpec(seed=0))
+        posets = []
+        for item in corpus:
+            build_salvetti(enumerate_faces(item.arrangement))
+            posets.append(weakref.ref(intersection_poset(item.arrangement)))
+        assert all(ref() is not None for ref in posets)
+        del corpus, item
+        assert [ref() for ref in posets] == [None] * len(posets)
+    finally:
+        gc.enable()

@@ -1,9 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from arrtop import harness
+from arrtop.exactla import rank_dense
 from arrtop.fields import FieldSpec
 from arrtop.geometry import (
     Arrangement,
@@ -337,3 +342,62 @@ def test_general_position_certificate_agrees_with_the_poset():
             outcomes.append(generic)
     assert len(outcomes) >= 1000
     assert 200 <= sum(outcomes) <= len(outcomes) - 200, sum(outcomes)
+
+
+def _in_general_position_by_fractions(arr):
+    """The certificate in Fraction arithmetic: dense ranks of the
+    [normal | offset] rows as given."""
+    n = arr.dim
+    rows = [[*h.normal, h.offset] for h in arr.hyperplanes]
+    k = min(n, arr.d)
+    return (all(rank_dense([row[:n] for row in sub]) == k for sub in combinations(rows, k))
+            and all(rank_dense(sub) == n + 1 for sub in combinations(rows, n + 1)))
+
+
+def test_general_position_certificate_matches_the_fraction_rank_oracle():
+    # the certificate takes sparse ranks of primitive integer rows; the
+    # oracle takes Fraction ranks of the rows as given.  Each draw plants,
+    # at random, a hyperplane whose normal is a rational combination of two
+    # others and n + 1 hyperplanes through one rational point
+    rng = random.Random(5)
+    outcomes = []
+    for d, n in ((3, 1), (3, 2), (4, 2), (5, 2), (4, 3), (6, 3), (5, 4)):
+        for _ in range(40):
+            normals = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                       for _ in range(d)]
+            offsets = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(d)]
+            if n >= 2 and rng.random() < 0.4:
+                a, b, c = rng.sample(range(d), 3)
+                s, t = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+                normals[c] = [s * x + t * y for x, y in zip(normals[a], normals[b])]
+            if d > n and rng.random() < 0.4:
+                point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for i in rng.sample(range(d), n + 1):
+                    offsets[i] = sum(x * y for x, y in zip(normals[i], point))
+            hyps = [Hyperplane(tuple(v), o, f"H{i + 1}")
+                    for i, (v, o) in enumerate(zip(normals, offsets))]
+            try:
+                arr = Arrangement.build(n, hyps)
+            except ArrangementError:
+                continue
+            generic = _in_general_position_by_fractions(arr)
+            assert _in_general_position(arr) == generic, arr.to_json()
+            outcomes.append(generic)
+    assert len(outcomes) >= 200
+    assert 50 <= sum(outcomes) <= len(outcomes) - 50, sum(outcomes)
+
+
+def test_random_generic_draws_what_the_fraction_oracle_accepts():
+    # the corpus and ladder shapes, seeds 0-9: the same draws as an
+    # acceptance by Fraction ranks, and the same arrangements as when
+    # random_generic took those ranks itself (their digest)
+    drawn = []
+    for d, n in ((4, 2), (6, 2), (4, 3), (8, 3)):
+        for seed in range(10):
+            arr = random_generic(d, n, seed)
+            oracle = harness._sample("generic", d, n, seed, lambda rng: rng.randint(-9, 9),
+                                     _in_general_position_by_fractions)
+            assert arr == oracle
+            drawn.append(arr.to_json())
+    digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+    assert digest == "be40c7e3dd8a4a00cba1695f711863500245808c2f76fa1cc2ad220692b9f72b"

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from conftest import make_arrangement
+from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_bareiss, transpose
-from salvetti_oracle import full_twisted_complex
+from salvetti_oracle import boundary_by_sign_tuples, full_twisted_complex
 
 from arrtop import exactla, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
@@ -410,3 +410,15 @@ def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
                         assert isinstance(v, q_type) and v != 0
                     else:
                         assert isinstance(v, int) and 1 <= v < field.p
+
+
+def test_boundary_matches_the_sign_tuple_oracle():
+    # entries come from packed sign masks and one chamber lookup by its
+    # minus mask; the oracle composes sign tuples and looks up the sign
+    arrs = list(oracle_arrangements())
+    assert any(not arr.is_essential for arr in arrs)
+    for arr in arrs:
+        sc = complex_for(arr)
+        assert sc.boundary == boundary_by_sign_tuples(sc)
+        assert all(len(row) == len(sc.fc.covering(cell.face))
+                   for layer, rows in zip(sc.cells, sc.boundary) for cell, row in zip(layer, rows))
