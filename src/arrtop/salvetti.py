@@ -26,12 +26,15 @@ polynomials, is gated by d∘d = 0 over Λ too; it keeps at least b_i
 cells in degree i, and no minimality is claimed.  Every twisted complex
 specializes the reduced boundary at commuting monodromy (LocalSystem
 refuses any other), a ring homomorphism, so no per-system check runs.
-A twisted complex over Q is that specialization times one positive
-integer `scale` that clears every denominator, so it is built on Python
-ints: one nonzero scalar on every boundary keeps d² = 0 and every rank,
-and exactla's one sparse rank engine takes them over Q, as over F_p,
-with no Fraction.  Untwisted homology uses the full boundary at t = 1,
-its signs alone.
+The evaluation plan, compiled once, reaches each monomial by one product
+with one M_i^±1, reduced mod p once per product and once per entry; the
+r x r block keys are built once per (reduced complex, rank), so per
+system a scalar entry costs one multiply-add.  A twisted complex over Q
+is that specialization times one positive integer `scale` that clears
+every denominator, so it is built on Python ints: one nonzero scalar on
+every boundary keeps d² = 0 and every rank, and exactla's one sparse
+rank engine takes them over Q, as over F_p, with no Fraction.
+Untwisted homology uses the full boundary at t = 1, its signs alone.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -48,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import mul
 
 from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
@@ -203,17 +207,28 @@ class ReducedComplex:
     evaluation plan: monomials[j - 1] = (parent, i, s) makes monomial j
     the product of monomial parent and t_i^s (monomial 0 is 1, parents come
     first), and entries[k - 1] lists (target, pos, ((monomial, coefficient),
-    ...)) of boundary k."""
+    ...)) of boundary k.  For rank r > 1, block_entries(r) pairs each
+    entry's terms with the keys of its r x r block, built once per rank."""
 
     d: int
     cells: list
     boundary: list
     monomials: list = None
     entries: list = None
+    blocks: dict = None          # rank -> block_entries(rank)
 
     @property
     def cell_counts(self):
         return [len(layer) for layer in self.cells]
+
+    def block_entries(self, r):
+        """Per boundary, (keys (r * target + a, r * pos + b), a outer, terms)."""
+        got = self.blocks.get(r)
+        if got is None:
+            got = self.blocks[r] = [
+                [([(r * t + a, r * pos + b) for a in range(r) for b in range(r)], terms)
+                 for t, pos, terms in layer] for layer in self.entries]
+        return got
 
 
 def _is_unit(poly) -> bool:
@@ -343,7 +358,7 @@ def _compile(red: ReducedComplex):
     one, _ = _packing(red.d)
     mask = (1 << _BITS) - 1
     index = {one: 0}
-    red.monomials = []
+    red.monomials, red.blocks = [], {}
 
     def monomial(m):
         chain = []
@@ -398,13 +413,6 @@ class TwistedComplex:
     scale: int = 1
 
 
-def _matmul(a, b, r, p):
-    """Product of flat row-major r x r matrices, reduced mod p unless p is None."""
-    out = [sum(a[i * r + l] * b[l * r + j] for l in range(r))
-           for i in range(r) for j in range(r)]
-    return [x % p for x in out] if p else out
-
-
 def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     """The reduced boundary over Λ specialized at the system's monodromy.
 
@@ -412,12 +420,15 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     the monodromy matrices (inverse monodromy for negative exponents),
     transposed.  Each monomial is one product of an earlier monomial and
     one M_i^±1, on Python ints, reduced mod p once per product and once
-    per entry.  Over Q each M_i^±1 is N/D, N an integer matrix and D the
-    lcm of its denominators, so monomial j is an integer value over the
-    product of its generators' D; every matrix is multiplied by one
-    positive integer `scale`, the lcm of those denominators, and its
-    entries are ints.  One nonzero scalar on every boundary keeps d² = 0,
-    so the matrices are still GatedBoundaries, and keeps every rank."""
+    per entry.  For r > 1 monomials are kept transposed and flat, a product
+    entry is a row times a column, and a block sums its terms as whole
+    vectors, written through red.block_entries(r).  Over Q each M_i^±1 is
+    N/D, N an integer matrix and D the lcm of its denominators, so monomial
+    j is an integer value over the product of its generators' D; every
+    matrix is multiplied by one positive integer `scale`, the lcm of those
+    denominators, and its entries are ints.  One nonzero scalar on every
+    boundary keeps d² = 0, so the matrices are still GatedBoundaries, and
+    keeps every rank."""
     arr = sc.fc.arrangement
     if system.d != arr.d:
         raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
@@ -433,7 +444,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
                 # M_i^s = N / D: N an integer matrix, D the lcm of its denominators
                 den = gen_dens[i, s] = lcm(*(x.denominator for row in m for x in row))
                 m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-            got = gens[i, s] = m[0][0] if r == 1 else [x for row in m for x in row]
+            got = gens[i, s] = m[0][0] if r == 1 else list(zip(*m))    # its columns
         return got
 
     if r == 1:
@@ -442,9 +453,12 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
             v = vals[parent] * generator(i, s)
             vals.append(v % p if p else v)
     else:
-        vals = [[int(i == j) for i in range(r) for j in range(r)]]
+        # vals[j][a * r + b] is entry (b, a) of monomial j
+        vals = [[int(a == b) for a in range(r) for b in range(r)]]
         for parent, i, s in red.monomials:
-            vals.append(_matmul(vals[parent], generator(i, s), r, p))
+            rows = [vals[parent][b::r] for b in range(r)]
+            out = [sum(map(mul, row, col)) for col in generator(i, s) for row in rows]
+            vals.append([x % p for x in out] if p else out)
     scale = 1
     if not p:
         # monomial j is vals[j] / dens[j]; scale clears every denominator
@@ -458,26 +472,26 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
 
     dims = [r * c for c in red.cell_counts]
     mats = []
-    for k, layer in enumerate(red.entries, start=1):
+    for k, layer in enumerate(red.entries if r == 1 else red.block_entries(r), start=1):
         m = FMatrixSparse(dims[k - 1], dims[k])
         entries = m.entries
-        for target, pos, terms in layer:
-            if r == 1:
-                v = sum(c * vals[j] for j, c in terms)
+        if r == 1:
+            for target, pos, terms in layer:
+                v = 0
+                for j, c in terms:
+                    v += c * vals[j]
                 if p:
                     v %= p
                 if v:
                     entries[target, pos] = v
-                continue
-            block = [sum(c * vals[j][x] for j, c in terms) for x in range(r * r)]
-            row, col = r * target, r * pos
-            for a in range(r):
-                for b in range(r):
-                    v = block[b * r + a]             # transposed
-                    if p:
-                        v %= p
+        else:
+            for keys, ((j, c), *rest) in layer:
+                block = [c * x for x in vals[j]]
+                for j, c in rest:
+                    block = [y + c * x for y, x in zip(block, vals[j])]
+                for key, v in zip(keys, [v % p for v in block] if p else block):
                     if v:
-                        entries[row + a, col + b] = v
+                        entries[key] = v
         mats.append(m)
     return TwistedComplex(field, r, dims, mats, scale)
 

@@ -8,7 +8,9 @@ product of M_i^e_i.  The matrices compose to zero because the build
 gated the full boundary over Λ.
 
 The plan's evaluation in field arithmetic: the reduced complex's
-specialization itself, entries Fractions over Q, with no scale.
+specialization itself, entries Fractions over Q, with no scale, each
+monomial a triple-loop product of row-major matrices and each block
+summed scalar by scalar.
 
 The full boundary over Λ from sign tuples: G∘C composed sign by sign,
 t^neg summed over the hyperplanes where C's sign is below G∘C's, and
@@ -17,7 +19,7 @@ same entries off packed sign masks."""
 
 from arrtop.exactla import FMatrixSparse, complex_dims
 from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
-from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _matmul, _orient, _packing
+from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _orient, _packing
 
 
 def boundary_by_sign_tuples(sc):
@@ -93,6 +95,13 @@ def full_twisted_betti(sc, system):
     tc = full_twisted_complex(sc, system)
     hom = complex_dims(tc.matrices, tc.dims, tc.field).homology
     return hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
+
+
+def _matmul(a, b, r, p):
+    """Product of flat row-major r x r matrices, reduced mod p unless p is None."""
+    out = [sum(a[i * r + l] * b[l * r + j] for l in range(r))
+           for i in range(r) for j in range(r)]
+    return [x % p for x in out] if p else out
 
 
 def plan_twisted_complex(sc, system) -> TwistedComplex:

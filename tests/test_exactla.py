@@ -390,7 +390,8 @@ def test_faces_and_feasibility_solve_for_no_flats():
     # dot product, no `Hyperplane.eval`.  Feasibility builds its witness
     # on ints, the poset's rows are integer dot products with each flat's
     # integer frame, and the general-position certificate takes sparse
-    # ranks of integer rows
+    # ranks of integer rows.  Specialization is one readable path on ints:
+    # no generated source and no Fraction in salvetti.py
     solvers = {"rank_dense", "nullspace", "rref", "solve_affine"}
 
     def module(name):
@@ -403,6 +404,7 @@ def test_faces_and_feasibility_solve_for_no_flats():
             ("realfaces.py", module("realfaces.py"), solvers | {"dot", "eval"}),
             ("feasibility.py", module("feasibility.py"), solvers | {"dot", "Fraction"}),
             ("harness.py", module("harness.py"), {"rank_dense"}),
+            ("salvetti.py", module("salvetti.py"), {"exec", "eval", "compile", "Fraction"}),
             ("geometry._flat_rows", flat_rows, {"dot", "eval", "Fraction"})):
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

@@ -37,14 +37,15 @@ _complexes = {}
 
 
 def complex_named(name):
-    """gen3, cen3, braid4, gen-4-3 (corpus seed 0) and dbraid4, built once."""
+    """gen3, cen3, braid4, gen-4-3 (corpus seed 0), dbraid4 and dbraid5
+    (the sweep's complex), built once."""
     if name not in _complexes:
         if name in ("gen3", "cen3"):
             arr = named_arrangements()[name]
         elif name == "braid4":
             arr = braid_essentialized(4)
-        elif name == "dbraid4":
-            arr = decone(braid_essentialized(4), 0)
+        elif name in ("dbraid4", "dbraid5"):
+            arr = decone(braid_essentialized(int(name[-1])), 0)
         else:
             arr = next(item.arrangement for item in generate_corpus(CorpusSpec(seed=0))
                        if item.arrangement_id == name)
@@ -98,16 +99,30 @@ def test_reduced_betti_equal_the_full_oracle(data):
     assert twisted_betti(sc, system) == full_twisted_betti(sc, system)
 
 
+def jordan_system(field, r, d, scalars=(1,)):
+    """M_i = c_i * J^k_i, J = I + N/2 with N the r x r nilpotent shift, k_i
+    cycling through 1, 2, -1 and c_i through `scalars`: commuting, for
+    r > 1 not semisimple and with blocks that are not symmetric."""
+    j = [[field.element(1 if a == b else Fraction(1, 2) if b == a + 1 else 0)
+          for b in range(r)] for a in range(r)]
+    powers = {1: j, 2: mat_mul(field, j, j), -1: mat_inverse(field, j)}
+    return build_local_system(field, r, [
+        [[field.element(scalars[i % len(scalars)]) * x for x in row]
+         for row in powers[(1, 2, -1)[i % 3]]] for i in range(d)])
+
+
 def assert_scale_times_the_plan_oracle(sc, system):
-    """Over Q: every matrix is scale times the plan's Fraction evaluation,
-    entry for entry, in ints; the Betti numbers are the oracle's."""
+    """Every matrix is scale times the plan's evaluation in the field's own
+    elements (Fractions over Q), entry for entry and in the same order, in
+    ints; scale is 1 over F_p; the Betti numbers are the oracle's."""
     tc, oracle = twisted_complex(sc, system), plan_twisted_complex(sc, system)
     assert type(tc.scale) is int and tc.scale >= 1 and tc.dims == oracle.dims
+    assert tc.scale == 1 or system.field.kind == "Q"
     for m, o in zip(tc.matrices, oracle.matrices, strict=True):
         assert (m.nrows, m.ncols) == (o.nrows, o.ncols)
         assert all(type(v) is int for v in m.entries.values())
-        assert m.entries == {key: tc.scale * v for key, v in o.entries.items()}
-    # the oracle's composition is checked over Q, not taken from Λ
+        assert list(m.entries.items()) == [(key, tc.scale * v) for key, v in o.entries.items()]
+    # the oracle's composition is checked over the field, not taken from Λ
     hom = complex_dims(oracle.matrices, oracle.dims, system.field).homology
     assert twisted_betti(sc, system) == hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
 
@@ -119,6 +134,40 @@ def test_q_specialization_is_scale_times_the_fraction_plan(data):
     system = data.draw(commuting_systems(sc.fc.arrangement.d, fields=(Q,),
                                          q_scalars=Q_SCALARS_236))
     assert_scale_times_the_plan_oracle(sc, system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_specialization_is_the_plan_entry_for_entry_over_every_field(data):
+    # ranks 1-3 over Q, F_2, F_7 and F_101, Jordan blocks among them: a
+    # transposed block key or a product taken in the wrong order fails
+    sc = complex_named(data.draw(st.sampled_from(["gen3", "cen3", "braid4", "gen-4-3"])))
+    assert_scale_times_the_plan_oracle(sc, data.draw(commuting_systems(sc.fc.arrangement.d)))
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=["F101", "Q"])
+@pytest.mark.parametrize("r", [4, 5])
+def test_sweep_complex_matches_the_plan_at_ranks_4_and_5(field, r):
+    sc = complex_named("dbraid5")
+    system = jordan_system(field, r, sc.fc.arrangement.d)
+    assert any(s < 0 for _p, _i, s in sc.reduced.monomials)
+    assert (twisted_complex(sc, system).scale > 1) == (field.kind == "Q")
+    assert_scale_times_the_plan_oracle(sc, system)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(7), Q], ids=["F7", "Q"])
+def test_nothing_leaks_between_ranks(field):
+    # whatever the reduced complex keeps per rank, a complex that has
+    # assembled other ranks gives what a freshly built one gives
+    arr = braid_essentialized(4)
+    sc = build_salvetti(enumerate_faces(arr))
+    for r in (2, 1, 3, 2, 1):
+        system = jordan_system(field, r, arr.d, scalars=(2, 3, -1))
+        got = twisted_complex(sc, system)
+        fresh = twisted_complex(build_salvetti(enumerate_faces(arr)), system)
+        assert (got.dims, got.scale) == (fresh.dims, fresh.scale)
+        assert [list(m.entries.items()) for m in got.matrices] == \
+            [list(m.entries.items()) for m in fresh.matrices]
 
 
 @pytest.mark.parametrize("name", ["gen3", "braid4"])
