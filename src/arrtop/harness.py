@@ -304,8 +304,14 @@ def generate_corpus(spec: CorpusSpec):
 class VerifyContext:
     """Shared caches for one verification run.
 
-    Complexes are identified by stable string ids; twisted dimensions
-    are cached per (complex id, system id, system).
+    Arrangements have stable string ids; faces, region counts and posets
+    are per arrangement, and dims are recorded per (arrangement id, system
+    id, system).  The Salvetti complex is built once per covector set, the
+    ambient dim with the sorted face sign vectors, and twisted_betti runs
+    once per (covector set, system).  That is sound: the complex is built
+    from the covectors alone (Salvetti 1987; faces are listed by codim and
+    sign vector), so an arrangement and, say, its affine images share it,
+    and twisted_betti depends on the complex and the system only.
     """
 
     def __init__(self, seed: int, primes=DEFAULT_PRIMES):
@@ -314,7 +320,10 @@ class VerifyContext:
         self.arrangements = {}
         self._betti = {}
         self._faces = {}
-        self._salvetti = {}
+        self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
+        self._covectors = {}     # arr_id -> index of its covector set
+        self._salvetti = {}      # covector set index -> complex
+        self._answers = {}       # (covector set index, system) -> twisted Betti numbers
         self._dims = {}
         self._sections = {}
         self._locals = {}
@@ -339,16 +348,28 @@ class VerifyContext:
             self._faces[arr_id] = realfaces.enumerate_faces(self.arrangements[arr_id])
         return self._faces[arr_id]
 
+    def covector_set(self, arr_id):
+        """An int per distinct (ambient dim, sorted face sign vectors)."""
+        if arr_id not in self._covectors:
+            fc = self.faces(arr_id)
+            key = (fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces)))
+            self._covectors[arr_id] = self._covector_ids.setdefault(key, len(self._covector_ids))
+        return self._covectors[arr_id]
+
     def salvetti(self, arr_id):
-        if arr_id not in self._salvetti:
-            self._salvetti[arr_id] = salvetti.build_salvetti(self.faces(arr_id))
-        return self._salvetti[arr_id]
+        key = self.covector_set(arr_id)
+        if key not in self._salvetti:
+            self._salvetti[key] = salvetti.build_salvetti(self.faces(arr_id))
+        return self._salvetti[key]
 
     def dims(self, arr_id, sys_id, system):
         # keyed on the system too: a file id may equal a built-in id
         key = (arr_id, sys_id, system)
         if key not in self._dims:
-            self._dims[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
+            shared = (self.covector_set(arr_id), system)
+            if shared not in self._answers:
+                self._answers[shared] = salvetti.twisted_betti(self.salvetti(arr_id), system)
+            self._dims[key] = self._answers[shared]
         return self._dims[key]
 
     def section(self, arr_id, k):

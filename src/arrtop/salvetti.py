@@ -26,14 +26,16 @@ polynomials, is gated by d∘d = 0 over Λ too; it keeps at least b_i
 cells in degree i, and no minimality is claimed.  Every twisted complex
 specializes the reduced boundary at commuting monodromy (LocalSystem
 refuses any other), a ring homomorphism, so no per-system check runs.
-The evaluation plan, compiled once, reaches each monomial by one product
-with one M_i^±1, reduced mod p once per product and once per entry; the
-r x r block keys are built once per (reduced complex, rank), so per
-system a scalar entry costs one multiply-add.  A twisted complex over Q
-is that specialization times one positive integer `scale` that clears
-every denominator, so it is built on Python ints: one nonzero scalar on
-every boundary keeps d² = 0 and every rank, and exactla's one sparse
-rank engine takes them over Q, as over F_p, with no Fraction.
+The evaluation plan, compiled once, lists the distinct generators t_i^±1
+and reaches each monomial by one product with one of them, reduced mod p
+once per product and once per entry; a system turns each generator into
+its M_i^±1 once, and the r x r block keys are built once per (reduced
+complex, rank), so per system a scalar entry costs one multiply-add.  A
+twisted complex over Q is that specialization times one positive integer
+`scale` that clears every denominator, so it is built on Python ints: one
+nonzero scalar on every boundary keeps d² = 0 and every rank, and
+exactla's one sparse rank engine takes them over Q, as over F_p, with no
+Fraction.
 Untwisted homology uses the full boundary at t = 1, its signs alone.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
@@ -204,22 +206,22 @@ class ReducedComplex:
     cells[k] lists the positions, in SalvettiComplex.cells[k], of the cells
     that survive; boundary[k][pos] maps a target position in cells[k - 1]
     to its Laurent polynomial {packed exponent: coefficient}.  The
-    evaluation plan: monomials[j - 1] = (parent, i, s) makes monomial j
-    the product of monomial parent and t_i^s (monomial 0 is 1, parents come
-    first), and entries[k - 1] lists (target, pos, ((monomial, coefficient),
-    ...)) of boundary k.  For rank r > 1, block_entries(r) pairs each
-    entry's terms with the keys of its r x r block, built once per rank."""
+    evaluation plan: generators lists the distinct (i, s), s = ±1, that
+    the monomials use, in first-use order; monomials[j - 1] = (parent, g)
+    makes monomial j the product of monomial parent and t_i^s, (i, s) =
+    generators[g] (monomial 0 is 1, parents come first); and entries[k - 1]
+    lists (target, pos, ((monomial, coefficient), ...)) of boundary k.  For
+    rank r > 1, block_entries(r) pairs each entry's terms with the keys of
+    its r x r block, built once per rank."""
 
     d: int
     cells: list
     boundary: list
+    cell_counts: list = None
+    generators: list = None
     monomials: list = None
     entries: list = None
     blocks: dict = None          # rank -> block_entries(rank)
-
-    @property
-    def cell_counts(self):
-        return [len(layer) for layer in self.cells]
 
     def block_entries(self, r):
         """Per boundary, (keys (r * target + a, r * pos + b), a outer, terms)."""
@@ -357,8 +359,9 @@ def _compile(red: ReducedComplex):
     """Fill in the evaluation plan of the reduced complex."""
     one, _ = _packing(red.d)
     mask = (1 << _BITS) - 1
-    index = {one: 0}
-    red.monomials, red.blocks = [], {}
+    index, gen_index = {one: 0}, {}
+    red.cell_counts = [len(layer) for layer in red.cells]
+    red.generators, red.monomials, red.blocks = [], [], {}
 
     def monomial(m):
         chain = []
@@ -371,7 +374,11 @@ def _compile(red: ReducedComplex):
             m -= s << (_BITS * i)
         j = index[m]
         for m, i, s in reversed(chain):
-            red.monomials.append((j, i, s))
+            g = gen_index.get((i, s))
+            if g is None:
+                g = gen_index[i, s] = len(red.generators)
+                red.generators.append((i, s))
+            red.monomials.append((j, g))
             j = index[m] = len(red.monomials)
         return j
 
@@ -418,11 +425,12 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
 
     Each entry, a Laurent polynomial, becomes an r x r block: its value at
     the monodromy matrices (inverse monodromy for negative exponents),
-    transposed.  Each monomial is one product of an earlier monomial and
-    one M_i^±1, on Python ints, reduced mod p once per product and once
-    per entry.  For r > 1 monomials are kept transposed and flat, a product
-    entry is a row times a column, and a block sums its terms as whole
-    vectors, written through red.block_entries(r).  Over Q each M_i^±1 is
+    transposed.  Each generator of the plan becomes its M_i^±1 once; each
+    monomial is one product of an earlier monomial and one of those, on
+    Python ints, reduced mod p once per product and once per entry.  For
+    r > 1 monomials are kept transposed and flat, a product entry is a row
+    times a column, and a block sums its terms as whole vectors, written
+    through red.block_entries(r).  Over Q each M_i^±1 is
     N/D, N an integer matrix and D the lcm of its denominators, so monomial
     j is an integer value over the product of its generators' D; every
     matrix is multiplied by one positive integer `scale`, the lcm of those
@@ -434,37 +442,34 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
         raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
     red = sc.reduced
     field, r, p = system.field, system.rank, system.field.p
-    gens, gen_dens = {}, {}
-
-    def generator(i, s):
-        got = gens.get((i, s))
-        if got is None:
-            m = system.monodromy[i] if s > 0 else system.inverse[i]
-            if not p:
-                # M_i^s = N / D: N an integer matrix, D the lcm of its denominators
-                den = gen_dens[i, s] = lcm(*(x.denominator for row in m for x in row))
-                m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-            got = gens[i, s] = m[0][0] if r == 1 else list(zip(*m))    # its columns
-        return got
+    gens, gen_dens = [], []
+    for i, s in red.generators:
+        m = system.monodromy[i] if s > 0 else system.inverse[i]
+        if not p:
+            # M_i^s = N / D: N an integer matrix, D the lcm of its denominators
+            den = lcm(*(x.denominator for row in m for x in row))
+            gen_dens.append(den)
+            m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+        gens.append(m[0][0] if r == 1 else list(zip(*m)))          # its columns
 
     if r == 1:
         vals = [1]
-        for parent, i, s in red.monomials:
-            v = vals[parent] * generator(i, s)
+        for parent, g in red.monomials:
+            v = vals[parent] * gens[g]
             vals.append(v % p if p else v)
     else:
         # vals[j][a * r + b] is entry (b, a) of monomial j
         vals = [[int(a == b) for a in range(r) for b in range(r)]]
-        for parent, i, s in red.monomials:
+        for parent, g in red.monomials:
             rows = [vals[parent][b::r] for b in range(r)]
-            out = [sum(map(mul, row, col)) for col in generator(i, s) for row in rows]
+            out = [sum(map(mul, row, col)) for col in gens[g] for row in rows]
             vals.append([x % p for x in out] if p else out)
     scale = 1
     if not p:
         # monomial j is vals[j] / dens[j]; scale clears every denominator
         dens = [1]
-        for parent, i, s in red.monomials:
-            dens.append(dens[parent] * gen_dens[i, s])
+        for parent, g in red.monomials:
+            dens.append(dens[parent] * gen_dens[g])
         scale = lcm(*dens)
         if scale > 1:
             vals = [v * (scale // den) if r == 1 else [x * (scale // den) for x in v]

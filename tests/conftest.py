@@ -41,6 +41,22 @@ def oracle_arrangements():
 
 
 @pytest.fixture
+def call_counter(monkeypatch):
+    """call_counter(module, name) replaces module.name by a wrapper that
+    records the arguments of each call and returns that list."""
+    def install(module, name):
+        real, calls = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+    return install
+
+
+@pytest.fixture
 def mk():
     return make_arrangement
 

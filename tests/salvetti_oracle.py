@@ -121,13 +121,13 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
 
     if r == 1:
         vals = [field.one]
-        for parent, i, s in red.monomials:
-            v = vals[parent] * generator(i, s)
+        for parent, g in red.monomials:
+            v = vals[parent] * generator(*red.generators[g])
             vals.append(v % p if p else v)
     else:
         vals = [[field.one if i == j else field.zero for i in range(r) for j in range(r)]]
-        for parent, i, s in red.monomials:
-            vals.append(_matmul(vals[parent], generator(i, s), r, p))
+        for parent, g in red.monomials:
+            vals.append(_matmul(vals[parent], generator(*red.generators[g]), r, p))
 
     dims = [r * c for c in red.cell_counts]
     mats = []

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from arrtop import harness
+from arrtop import harness, realfaces, salvetti
 from arrtop.cli import main
 
 GEN3 = {"dim": 2, "hyperplanes": [
@@ -92,6 +92,31 @@ def test_verify_files_pass(tmp_path, capsys):
     assert report["summary"]["failed"] == 0
     assert report["reports"][0]["check"] == "main_theorem"
     assert report["reports"][0]["status"] == "pass"
+
+
+def test_verify_builds_one_complex_for_an_affine_image(tmp_path, call_counter):
+    # GEN3 at x = u + v, y = v - 1, its last equation times 3: the same
+    # sign vectors, so one complex serves both arrangements; faces are
+    # still enumerated per arrangement
+    image = {"dim": 2, "hyperplanes": [
+        {"label": "x", "normal": ["1", "1"], "offset": "0"},
+        {"label": "y", "normal": ["0", "1"], "offset": "1"},
+        {"label": "x+y-1", "normal": ["3", "6"], "offset": "6"},
+    ]}
+    builds = call_counter(salvetti, "build_salvetti")
+    faces = call_counter(realfaces, "enumerate_faces")
+    out = tmp_path / "report.json"
+    checks = ["untwisted_match", "constant_equality", "main_theorem", "euler"]
+    code = main(["verify", write(tmp_path, "a.json", GEN3), write(tmp_path, "b.json", image),
+                 write(tmp_path, "sys.json", SYS_222_Q), "--out", str(out),
+                 *(arg for name in checks for arg in ("--checks", name))])
+    assert code == 0
+    assert len(builds) == 1 and len(faces) == 2
+    reports = json.loads(out.read_text())["reports"]
+    seen = {arr: [(r["check"], r["system"], r["aux"], r["status"], r["data"])
+                  for r in reports if r["arrangement"] == arr] for arr in ("a", "b")}
+    assert seen["a"] == seen["b"]
+    assert {entry[0] for entry in seen["a"]} == set(checks)
 
 
 def test_verify_trivial_main_theorem_exits_2(tmp_path, capsys):

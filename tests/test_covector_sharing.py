@@ -1,0 +1,124 @@
+"""A verification run builds one Salvetti complex per covector set and
+takes twisted_betti once per (covector set, system).
+
+The premise, checked on affine images: twisted Betti numbers depend on
+the covectors alone.  Then the cached answers against complexes built
+fresh from each arrangement's own faces, and the work the run does,
+counted."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from arrtop import harness, salvetti
+from arrtop.exactla import rank_dense
+from arrtop.fields import FieldSpec
+from arrtop.geometry import Arrangement, Hyperplane
+from arrtop.harness import (CorpusSpec, braid_essentialized, generate_corpus, random_generic,
+                            run_verification)
+from arrtop.localsys import build_local_system, scalar_system
+from arrtop.realfaces import enumerate_faces
+from arrtop.salvetti import build_salvetti, twisted_betti
+
+Q, F7 = FieldSpec.rationals(), FieldSpec.prime(7)
+SMALL = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+
+
+def affine_image(arr, rng):
+    """arr in the coordinates y of x = A·y + b, A a random invertible
+    rational matrix, each equation then times a random positive rational:
+    H_i at x and its image at y have one sign, so the sign vectors stay."""
+    n = arr.dim
+    while True:
+        a = [[rng.choice(SMALL) for _ in range(n)] for _ in range(n)]
+        if rank_dense(a) == n:
+            break
+    b = [rng.choice(SMALL) for _ in range(n)]
+    hyps = []
+    for h in arr.hyperplanes:
+        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        normal = tuple(lam * sum(h.normal[i] * a[i][j] for i in range(n)) for j in range(n))
+        offset = lam * (h.offset - sum(x * y for x, y in zip(h.normal, b)))
+        hyps.append(Hyperplane(normal, offset, h.label))
+    return Arrangement.build(n, hyps)
+
+
+def some_systems(d, rng):
+    """Commuting systems of rank 1 and 2 over Q and over F_7."""
+    pool = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1)]
+    units = [(rng.randrange(1, 7), rng.randrange(7)) for _ in range(d)]
+    return (scalar_system(Q, [rng.choice(pool) for _ in range(d)]),
+            scalar_system(F7, [rng.randrange(1, 7) for _ in range(d)]),
+            build_local_system(Q, 2, [[[rng.choice(pool), 0], [0, rng.choice(pool)]]
+                                      for _ in range(d)]),
+            build_local_system(F7, 2, [[[c, c * k], [0, c]] for c, k in units]))
+
+
+def test_twisted_betti_depend_only_on_the_covectors():
+    # the seed-0 corpus, braid4 and generic lines in the plane
+    rng = random.Random(0)
+    arrs = [item.arrangement for item in generate_corpus(CorpusSpec(seed=0))]
+    arrs += [braid_essentialized(4)] + [random_generic(6, 2, s) for s in range(3)]
+    for arr in arrs:
+        image = affine_image(arr, rng)
+        assert image.hyperplanes != arr.hyperplanes
+        fc, fc_image = enumerate_faces(arr), enumerate_faces(image)
+        assert sorted(f.sign for f in fc.faces) == sorted(f.sign for f in fc_image.faces)
+        sc, sc_image = build_salvetti(fc), build_salvetti(fc_image)
+        assert sc.boundary == sc_image.boundary
+        for system in some_systems(arr.d, rng):
+            assert twisted_betti(sc, system) == twisted_betti(sc_image, system)
+
+
+def test_the_covector_key_holds_the_ambient_dimension():
+    # x = 0 in C^1 and in C^2 have one sign vector set but differ in b_2
+    ctx = harness.VerifyContext(seed=0)
+    for n in (1, 2):
+        ctx.register(f"c{n}", Arrangement.build(n, [Hyperplane(
+            tuple(Fraction(int(j == 0)) for j in range(n)), Fraction(0), "x")]))
+    assert ctx.covector_set("c1") != ctx.covector_set("c2")
+    system = scalar_system(Q, [Fraction(1)])
+    assert (ctx.dims("c1", "t", system), ctx.dims("c2", "t", system)) == ([1, 1], [1, 1, 0])
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Every VerifyContext that run_verification makes, in order."""
+    made = []
+
+    class Recorded(harness.VerifyContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "VerifyContext", Recorded)
+    return made
+
+
+def test_every_cached_answer_is_its_own_arrangements_answer(contexts):
+    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    (ctx,) = contexts
+    fresh = {}
+    for (arr_id, sys_id, system), dims in ctx._dims.items():
+        if arr_id not in fresh:
+            fresh[arr_id] = build_salvetti(ctx.faces(arr_id))
+            assert fresh[arr_id].fc.arrangement is ctx.arrangement(arr_id)
+        assert dims == twisted_betti(fresh[arr_id], system), (arr_id, sys_id)
+    # not vacuous: some arrangements were answered on another one's complex
+    assert any(ctx.salvetti(arr_id).fc.arrangement is not ctx.arrangement(arr_id)
+               for arr_id in fresh)
+
+
+def test_one_build_per_covector_set_and_one_answer_per_system(contexts, call_counter):
+    builds = call_counter(salvetti, "build_salvetti")
+    answers = call_counter(salvetti, "twisted_betti")
+    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    (ctx,) = contexts
+    key = {arr_id: (fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces)))
+           for arr_id, fc in ctx._faces.items()}
+    assert len(ctx.arrangements) == len(key) == 120
+    assert len(builds) == len({key[arr_id] for arr_id in key}) == 48
+    assert len(ctx._dims) == 10423
+    assert len(answers) == len({(key[arr_id], system) for arr_id, _sys_id, system in ctx._dims}) \
+        == 5999

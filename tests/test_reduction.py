@@ -150,9 +150,29 @@ def test_specialization_is_the_plan_entry_for_entry_over_every_field(data):
 def test_sweep_complex_matches_the_plan_at_ranks_4_and_5(field, r):
     sc = complex_named("dbraid5")
     system = jordan_system(field, r, sc.fc.arrangement.d)
-    assert any(s < 0 for _p, _i, s in sc.reduced.monomials)
+    assert any(s < 0 for _i, s in sc.reduced.generators)
     assert (twisted_complex(sc, system).scale > 1) == (field.kind == "Q")
     assert_scale_times_the_plan_oracle(sc, system)
+
+
+@pytest.mark.parametrize("name", ["gen3", "cen3", "braid4", "gen-4-3", "dbraid5"])
+def test_plan_lists_each_generator_once_in_first_use_order(name):
+    red = complex_named(name).reduced
+    assert red.cell_counts == [len(layer) for layer in red.cells]
+    used = [g for _parent, g in red.monomials]
+    assert list(dict.fromkeys(used)) == list(range(len(red.generators)))
+    assert len(set(red.generators)) == len(red.generators)
+    assert all(0 <= i < red.d and s in (1, -1) for i, s in red.generators)
+    # monomial j is its parent times its generator: one new exponent each,
+    # and every exponent of the reduced boundary among them
+    one = salvetti._packing(red.d)[0]
+    exponents = [one]
+    for parent, g in red.monomials:
+        i, s = red.generators[g]
+        exponents.append(exponents[parent] + (s << (salvetti._BITS * i)))
+    assert len(set(exponents)) == len(exponents)
+    assert {m for layer in red.boundary for row in layer for poly in row.values()
+            for m in poly} <= set(exponents)
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(7), Q], ids=["F7", "Q"])
