@@ -2,14 +2,14 @@
 
 Two layers:
 
-* small dense helpers: row reduction, affine solves and null spaces
-  over Fraction for the combinatorial geometry, and square matrices over
-  a field (identity, product, a - I, one Gauss-Jordan inverse) on plain
-  operators with one `% p` per entry over F_p, and
-* the rank / homology workhorses for chain complexes: one sparse
-  Gaussian elimination on Python ints for every field, fraction-free
-  over Q and mod p over F_p, and homology dimensions from those ranks
-  behind the d² = 0 gate.
+* small dense helpers: one Gauss-Jordan elimination over Q or F_p, on
+  plain operators with one `% p` per entry over F_p, which gives affine
+  solves and null spaces for the coordinate changes of the geometry and
+  the inverse of a square matrix; and identity, product and a - I, and
+* the one rank engine: sparse Gaussian elimination on Python ints for
+  every field, fraction-free over Q and mod p over F_p, which takes every
+  rank (of boundaries, of hyperplane normals, of monodromy rows) and
+  gives homology dimensions behind the d² = 0 gate.
 
 There are no tolerances anywhere; every result is an exact integer or
 rational.
@@ -31,38 +31,35 @@ class ChainComplexError(Exception):
 # dense helpers; square matrices over a field are tuples of row tuples
 
 
-def rref(rows):
-    """Reduced row echelon form over Q.
+def rref(rows, fieldspec: FieldSpec):
+    """Reduced row echelon form by Gauss-Jordan over Q or F_p.
 
-    Returns (rref_rows, pivot_columns).  Input rows are lists/tuples of
-    Fractions; the input is not modified.
+    Returns (rref_rows, pivot_columns).  Input rows hold field elements
+    (ints or Fractions over Q, residues over F_p) and are not modified;
+    over Q the output holds Fractions.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    p = fieldspec.p
+    m = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        inv = pow(m[r][c], -1, p) if p else 1 / m[r][c]
+        prow = m[r] = [x * inv % p if p else x * inv for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return m, pivots
-
-
-def rank_dense(rows) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
 
 
 def solve_affine(eqs, n):
@@ -78,7 +75,7 @@ def solve_affine(eqs, n):
         basis = [[Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
         return particular, basis
     aug = [list(a) + [b] for a, b in eqs]
-    m, pivots = rref(aug)
+    m, pivots = rref(aug, FieldSpec.rationals())
     if n in pivots:
         return None
     particular = [Fraction(0)] * n
@@ -126,22 +123,13 @@ def mat_sub_identity(fieldspec: FieldSpec, a):
 
 
 def mat_inverse(fieldspec: FieldSpec, a):
-    """Inverse of a matrix of field elements by Gauss-Jordan; raises
-    ValueError when `a` is singular."""
-    r, p, one = len(a), fieldspec.p, fieldspec.one
-    aug = [list(row) + list(e) for row, e in zip(a, identity_matrix(fieldspec, r))]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p) if p else one / aug[col][col]
-        prow = aug[col] = [x * inv % p if p else x * inv for x in aug[col]]
-        for i in range(r):
-            f = aug[i][col]
-            if i != col and f:
-                aug[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(aug[i], prow)]
-    return tuple(tuple(row[r:]) for row in aug)
+    """Inverse of a matrix of field elements: the right block of
+    rref([a | I]); raises ValueError when `a` is singular."""
+    r = len(a)
+    m, pivots = rref([[*row, *e] for row, e in zip(a, identity_matrix(fieldspec, r))], fieldspec)
+    if pivots != list(range(r)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[r:]) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +143,12 @@ class FMatrixSparse:
     nrows: int
     ncols: int
     entries: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The matrix whose rows are the given sequences of numbers."""
+        return cls(len(rows), len(rows[0]) if rows else 0,
+                   {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
 
     def columns(self):
         """entries grouped by column: {j: [(i, value), ...]}"""

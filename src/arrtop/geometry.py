@@ -4,16 +4,17 @@ An arrangement is a finite set of affine hyperplanes a·x = b with
 rational coefficients in C^n (complexified-real: the defining forms are
 real).  This module computes the intersection poset of flats, once per
 arrangement instance, with its Möbius function, its meet table
-X ∩ H_i and, per flat, every hyperplane as a primitive integer row in
-the flat's coordinates (faces and section certificates read flats from
-it; face feasibility reads the rows).  Each row is integer dot products
-of the hyperplane's primitive ambient row with the flat's point and
-directions over one denominator, its integer frame.  Meets are read off
-those rows, so each flat is solved for once.  It also computes the
+X ∩ H_i and, per flat, an integer frame (a point and directions over one
+denominator) and every hyperplane as a primitive integer row in the
+flat's coordinates, read by faces and face feasibility.  Meets are read
+off those rows, and the frame of X ∩ H_i is cut on ints from X's frame
+by H_i's row on X, so no flat is ever solved for.  It also computes the
 characteristic polynomial, Whitney-sum Betti numbers of the complement,
 and the surgeries used by dimension arguments: essentialization,
-localization at a flat, deconing a central arrangement, and certified
-generic sections.
+localization at a flat, deconing a central arrangement, and generic
+sections, certified by comparing their poset with the arrangement's.
+Ranks go through exactla's one sparse engine; its one dense elimination
+serves the coordinate changes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .exactla import dot, identity_matrix, mat_inverse, nullspace, rank_dense, rref, solve_affine
+from .exactla import (FMatrixSparse, dot, identity_matrix, mat_inverse, nullspace, rank, rref,
+                      solve_affine)
 from .fields import FieldSpec, parse_int, parse_rational
 
 
@@ -91,7 +93,7 @@ class Arrangement:
             dim=dim,
             hyperplanes=tuple(hyperplanes),
             is_central=solve_affine([(h.normal, h.offset) for h in hyperplanes], dim) is not None,
-            is_essential=rank_dense([h.normal for h in hyperplanes]) == dim,
+            is_essential=_rank([h.normal for h in hyperplanes]) == dim,
         )
         return arr
 
@@ -146,8 +148,6 @@ class Flat:
     """
 
     codim: int
-    point: tuple
-    directions: tuple
     containing: frozenset
     mobius: int
 
@@ -161,10 +161,10 @@ class FlatPoset:
     subset of containing(X).  `meet` maps (containing(X), i) to
     containing(X ∩ H_i) when that is a proper nonempty subflat of X; no
     entry means H_i is constant on X (it contains X or misses it).
-    `frames` maps containing(X) to X's point p and directions v_j over
-    one common denominator L, as integer vectors (L·p, L) and (L·v_j, 0).
-    `rows` maps it to one (coeffs, const) per hyperplane: the primitive
-    integer row that is a positive multiple of u -> a·(p + sum_j u_j v_j) - b,
+    `frames` maps containing(X) to X's integer frame, the primitive
+    (P, L), L > 0, and (V_k, 0) with X = {(P + sum_k u_k V_k)/L}.  `rows`
+    maps it to one (coeffs, const) per hyperplane: the primitive integer
+    row that is a positive multiple of u -> a·(P + sum_k u_k V_k)/L - b,
     H_i in X's coordinates.
     """
 
@@ -193,6 +193,11 @@ def intersection_poset(arr: Arrangement) -> FlatPoset:
     return arr._poset
 
 
+def _rank(rows) -> int:
+    """Rank over Q of a list of rational rows."""
+    return rank(FMatrixSparse.from_rows(rows), FieldSpec.rationals())
+
+
 def primitive_row(values) -> tuple:
     """The primitive integer vector that is a positive multiple of the
     rational vector `values` (all zeros stay zeros)."""
@@ -202,17 +207,24 @@ def primitive_row(values) -> tuple:
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def _frame(point, basis) -> tuple:
-    """((L·point, L), ((L·v, 0) for v in basis)), L the lcm of every denominator."""
-    scale = lcm(*(x.denominator for v in (point, *basis) for x in v))
-    point, *basis = ([x.numerator * (scale // x.denominator) for x in v] for v in (point, *basis))
-    return (*point, scale), tuple((*v, 0) for v in basis)
+def _cut(frame, row) -> tuple:
+    """The frame of X ∩ H from X's frame ((P, L), (V_k, 0)) and H's row
+    (c, c_0) on X: u_j = -(c_0 + sum_k c_k u_k)/c_j on the first j with
+    c_j != 0, so the point is sign(c_j)·(c_j·P - c_0·V_j) over |c_j|·L and
+    each other direction c_j·V_k - c_k·V_j, every vector made primitive."""
+    (point, basis), (coeffs, const) = frame, row
+    j = next(j for j, c in enumerate(coeffs) if c)
+    cj, vj = coeffs[j], basis[j]
+    s = 1 if cj > 0 else -1
+    return (primitive_row([s * (cj * x - const * y) for x, y in zip(point, vj)]),
+            tuple(primitive_row([cj * x - ck * y for x, y in zip(v, vj)])
+                  for k, (ck, v) in enumerate(zip(coeffs, basis)) if k != j))
 
 
 def _flat_rows(ambient, frame) -> tuple:
-    """(coeffs, const) per hyperplane: (A, C)·(L·v_j, 0) and (A, C)·(L·p, L)
+    """(coeffs, const) per hyperplane: (A, C)·(V_k, 0) and (A, C)·(P, L)
     for its primitive ambient row (A, C), a positive multiple of (a, -b):
-    L times a positive multiple of u -> a·(p + sum_j u_j v_j) - b, made
+    L times a positive multiple of u -> a·(P + sum_k u_k V_k)/L - b, made
     primitive.  Zero coeffs mean constant on the flat."""
     point, basis = frame
     rows = (primitive_row([sum(map(mul, h, v)) for v in basis] + [sum(map(mul, h, point))])
@@ -222,10 +234,9 @@ def _flat_rows(ambient, frame) -> tuple:
 
 def _build_poset(arr: Arrangement) -> FlatPoset:
     n = arr.dim
-    origin = tuple(Fraction(0) for _ in range(n))
-    std = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
     ambient = [primitive_row((*h.normal, -h.offset)) for h in arr.hyperplanes]
-    flats, frames = {frozenset(): (origin, std)}, {frozenset(): _frame(origin, std)}
+    unit = tuple(tuple(int(j == k) for j in range(n + 1)) for k in range(n + 1))
+    frames = {frozenset(): (unit[n], unit[:n])}
     rows = {frozenset(): _flat_rows(ambient, frames[frozenset()])}
     meet = {}
     frontier = [frozenset()]
@@ -246,28 +257,19 @@ def _build_poset(arr: Arrangement) -> FlatPoset:
                 closure = key | frozenset(group)
                 for j in group:
                     meet[key, j] = closure
-                if closure not in flats:
-                    eqs = [(arr.hyperplanes[j].normal, arr.hyperplanes[j].offset)
-                           for j in sorted(key | {group[0]})]
-                    pt, basis = solve_affine(eqs, n)
-                    flats[closure] = (tuple(pt), tuple(tuple(v) for v in basis))
-                    frames[closure] = _frame(pt, basis)
+                if closure not in frames:
+                    frames[closure] = _cut(frames[key], rows[key][group[0]])
                     rows[closure] = _flat_rows(ambient, frames[closure])
                     fresh.append(closure)
         frontier = fresh
 
-    order = sorted(flats, key=lambda s: (n - len(flats[s][1]), tuple(sorted(s))))
+    codim = {key: n - len(basis) for key, (_, basis) in frames.items()}
+    order = sorted(frames, key=lambda s: (codim[s], tuple(sorted(s))))
     mobius = {}
     for key in order:
-        if not key:
-            mobius[key] = 1
-        else:
-            mobius[key] = -sum(mobius[other] for other in order
-                               if other != key and other <= key and other in mobius)
-    result = tuple(
-        Flat(codim=n - len(flats[key][1]), point=flats[key][0],
-             directions=flats[key][1], containing=key, mobius=mobius[key])
-        for key in order)
+        mobius[key] = 1 if not key else -sum(mobius[other] for other in order
+                                             if other < key and other in mobius)
+    result = tuple(Flat(codim=codim[key], containing=key, mobius=mobius[key]) for key in order)
     return FlatPoset(n, result, meet, rows, frames)
 
 
@@ -312,7 +314,7 @@ def essentialize(arr: Arrangement):
     if arr.is_essential:
         return arr, identity_matrix(FieldSpec.rationals(), n)
     normals = [h.normal for h in arr.hyperplanes]
-    _, pivots = rref(normals)
+    _, pivots = rref(normals, FieldSpec.rationals())
     m = len(pivots)
     lineality = nullspace(normals, n)
     cols = [[Fraction(1 if i == p else 0) for i in range(n)] for p in pivots]
@@ -327,7 +329,7 @@ def essentialize(arr: Arrangement):
 
 def localize(arr: Arrangement, flat: Flat) -> Arrangement:
     """Subarrangement of the hyperplanes containing the flat (central)."""
-    if intersection_poset(arr).by_containing.get(flat.containing) != flat:
+    if intersection_poset(arr).by_containing.get(flat.containing) is not flat:
         raise ArrangementError("not a flat of this arrangement")
     hyps = [arr.hyperplanes[i] for i in sorted(flat.containing)]
     return Arrangement.build(arr.dim, hyps)
@@ -350,18 +352,13 @@ def decone(arr: Arrangement, i0: int) -> Arrangement:
     if n < 2:
         raise ArrangementError("decone requires ambient dimension >= 2")
     # after translating the center to the origin every defining form is
-    # linear, so only the normals enter the chart computation
+    # linear, so only the normals enter the chart computation.  The unit
+    # vectors e_j, j != the last coordinate a0 uses, complete a0 to a
+    # basis; the last coordinate is the form of H_i0
     a0 = arr.hyperplanes[i0].normal
-    rows = [list(a0)]
-    chosen = []
-    for j in range(n):
-        e = [Fraction(1 if c == j else 0) for c in range(n)]
-        if rank_dense(rows + [e]) > len(rows):
-            rows.append(e)
-            chosen.append(e)
-        if len(rows) == n:
-            break
-    t_rows = chosen + [list(a0)]          # last coordinate is the form of H_i0
+    last = max(j for j, x in enumerate(a0) if x)
+    t_rows = [[Fraction(int(c == j)) for c in range(n)] for j in range(n) if j != last]
+    t_rows.append(list(a0))
     tinv = mat_inverse(FieldSpec.rationals(), t_rows)
     hyps = []
     for j, h in enumerate(arr.hyperplanes):
@@ -384,26 +381,20 @@ class SectionCertificate:
     index_map: tuple
 
 
-def _check_section(arr, poset, sec_poset, base, dirs, k):
-    """Combinatorial genericity: codim <= k flats survive with the same
-    codimension and containing set, higher ones are missed, and the
-    truncated Betti numbers match."""
+def _check_section(poset, sec_poset, k):
+    """Combinatorial genericity, read off the two posets: every flat f of
+    codim <= k has a section flat with f's containing set and codim, those
+    are all of the section's flats, and the truncated Betti numbers match.
+    That section flat is P ∩ f, so f meets the plane P transversally; and
+    a flat f of codim > k meeting P would make P ∩ f a section flat, so
+    P ∩ g for some g ⊆ f of codim <= k, which cannot be."""
     survivors = 0
     for f in poset.flats:
-        eqs = []
-        for i in sorted(f.containing):
-            h = arr.hyperplanes[i]
-            eqs.append(([dot(h.normal, u) for u in dirs], h.offset - dot(h.normal, base)))
-        sol = solve_affine(eqs, k)
         if f.codim <= k:
-            if sol is None or k - len(sol[1]) != f.codim:
-                return f"flat {sorted(f.containing)} (codim {f.codim}) not met transversally"
             g = sec_poset.by_containing.get(f.containing)
             if g is None or g.codim != f.codim:
                 return f"flat {sorted(f.containing)} has no matching section flat"
             survivors += 1
-        elif sol is not None:
-            return f"flat {sorted(f.containing)} of codim {f.codim} > {k} meets the plane"
     if survivors != len(sec_poset.flats):
         return "section has extra flats"
     if betti_numbers(sec_poset) != betti_numbers(poset)[:k + 1]:
@@ -434,13 +425,11 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
         base = tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
         dirs = tuple(tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
                      for _ in range(k))
-        if rank_dense([list(u) for u in dirs]) != k:
+        if _rank(dirs) != k:
             failures.append("degenerate direction matrix")
             continue
-        hyps = []
-        for h in arr.hyperplanes:
-            normal = tuple(dot(h.normal, u) for u in dirs)
-            hyps.append(Hyperplane(normal, h.offset - dot(h.normal, base), h.label))
+        hyps = [Hyperplane(tuple(dot(h.normal, u) for u in dirs),
+                           h.offset - dot(h.normal, base), h.label) for h in arr.hyperplanes]
         if any(all(x == 0 for x in h.normal) for h in hyps):
             failures.append("plane parallel to a hyperplane")
             continue
@@ -449,8 +438,7 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
         except ArrangementError as exc:
             failures.append(str(exc))
             continue
-        sec_poset = intersection_poset(sec)
-        problem = _check_section(arr, poset, sec_poset, base, dirs, k)
+        problem = _check_section(poset, intersection_poset(sec), k)
         if problem is not None:
             failures.append(problem)
             continue

@@ -116,12 +116,10 @@ def _in_general_position(arr: Arrangement) -> bool:
     n = arr.dim
     rows = [geometry.primitive_row((*h.normal, h.offset)) for h in arr.hyperplanes]
     q, k = FieldSpec.rationals(), min(n, arr.d)
-
-    def rank(sub, width):
-        entries = {(i, j): x for i, row in enumerate(sub) for j, x in enumerate(row[:width]) if x}
-        return matrix_rank(FMatrixSparse(len(sub), width, entries), q)
-    return (all(rank(sub, n) == k for sub in combinations(rows, k))
-            and all(rank(sub, n + 1) == n + 1 for sub in combinations(rows, n + 1)))
+    return (all(matrix_rank(FMatrixSparse.from_rows([row[:n] for row in sub]), q) == k
+                for sub in combinations(rows, k))
+            and all(matrix_rank(FMatrixSparse.from_rows(sub), q) == n + 1
+                    for sub in combinations(rows, n + 1)))
 
 
 def random_generic(d: int, n: int, seed: int) -> Arrangement:
@@ -373,19 +371,20 @@ class VerifyContext:
         return self._dims[key]
 
     def section(self, arr_id, k):
+        """The id of the certified generic k-section of the arrangement."""
         key = (arr_id, k)
         if key not in self._sections:
             arr = self.arrangements[arr_id]
-            sec, cert = geometry.generic_section(
+            sec, _cert = geometry.generic_section(
                 arr, k, _subseed(self.seed, "section", arr_id, k))
             if k == arr.dim:
                 # full-dimensional section is the arrangement itself;
                 # keep its id so cached dimensions are shared
-                self._sections[key] = (arr_id, cert)
+                sec_id = arr_id
             else:
                 sec_id = f"{arr_id}|sec{k}"
                 self.register(sec_id, sec)
-                self._sections[key] = (sec_id, cert)
+            self._sections[key] = sec_id
         return self._sections[key]
 
     def localizations(self, arr_id):
@@ -487,7 +486,7 @@ def check_relative_section(ctx: VerifyContext, arr_id: str, sys_id: str,
     if n < 2:
         return CheckReport("relative_section", arr_id, sys_id, "skipped",
                            {"reason": "ambient dimension 1"})
-    sec_id, _cert = ctx.section(arr_id, n - 1)
+    sec_id = ctx.section(arr_id, n - 1)
     dims_a = ctx.dims(arr_id, sys_id, system)
     dims_b = ctx.dims(sec_id, sys_id, system)
     r, b = system.rank, ctx.betti(arr_id)
@@ -524,22 +523,14 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
                          system: LocalSystem, loc_id: str, index_map) -> CheckReport:
     arr = ctx.arrangement(arr_id)
     n = arr.dim
-    sec_id, _ = ctx.section(arr_id, n - 1)
-    loc_sec_id, _ = ctx.section(loc_id, n - 1)
+    sec_id = ctx.section(arr_id, n - 1)
+    loc_sec_id = ctx.section(loc_id, n - 1)
     global_dims = ctx.dims(sec_id, sys_id, system)
     local_dims = ctx.dims(loc_sec_id, sys_id, localsys.restrict(system, index_map))
     ok = global_dims[n - 1] >= local_dims[n - 1]
     return CheckReport("nearby_section", arr_id, sys_id, "pass" if ok else "fail",
                        {"section_dim": global_dims[n - 1],
                         "local_section_dim": local_dims[n - 1]}, aux=loc_id)
-
-
-def _rows_rank(rows, field: FieldSpec) -> int:
-    """Rank of a matrix given as a list of rows."""
-    sparse = FMatrixSparse(len(rows), len(rows[0]))
-    sparse.entries.update(((i, j), v) for i, row in enumerate(rows)
-                          for j, v in enumerate(row) if v)
-    return matrix_rank(sparse, field)
 
 
 def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
@@ -573,7 +564,8 @@ def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
         details.update({"case": "turn-identity", "dims": dims_a})
         return CheckReport("central_structure", arr_id, sys_id,
                            "pass" if ok else "fail", details)
-    if _rows_rank(mat_sub_identity(system.field, turn), system.field) == system.rank:
+    if matrix_rank(FMatrixSparse.from_rows(mat_sub_identity(system.field, turn)),
+                   system.field) == system.rank:
         ok = all(x == 0 for x in dims_a)
         return CheckReport("central_structure", arr_id, sys_id,
                            "pass" if ok else "fail",
@@ -588,7 +580,7 @@ def check_lefschetz(ctx: VerifyContext, arr_id: str, sys_id: str,
     arr = ctx.arrangement(arr_id)
     if not 1 <= i <= arr.dim:
         raise PreconditionError(f"section dimension {i} out of range")
-    sec_id, _ = ctx.section(arr_id, i)
+    sec_id = ctx.section(arr_id, i)
     dims_a = ctx.dims(arr_id, sys_id, system)
     dims_b = ctx.dims(sec_id, sys_id, system)
     ok = dims_a[i] <= dims_b[i] and ctx.betti(sec_id)[i] == ctx.betti(arr_id)[i]
@@ -603,7 +595,7 @@ def c1_expected_dims(system: LocalSystem):
     r, d = system.rank, system.d
     stacked = [row for mat in system.monodromy
                for row in mat_sub_identity(system.field, mat)]
-    b0 = r - _rows_rank(stacked, system.field)
+    b0 = r - matrix_rank(FMatrixSparse.from_rows(stacked), system.field)
     return [b0, r * (d - 1) + b0]
 
 

@@ -5,7 +5,8 @@ matrix per hyperplane meridian; the matrices are required to commute
 pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
 and F_p.  Each system inverts its monodromy once, one inversion per
-distinct matrix, and keeps the result; building a system reads it.
+distinct matrix, and multiplies out its total turn once, and keeps both;
+building a system reads the inverses.
 Systems derived from a checked one (a subset of its matrices, or their
 inverses) commute as a family already and carry the inverses over, so
 they neither check nor invert again.
@@ -14,7 +15,7 @@ they neither check nor invert again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 from .exactla import identity_matrix, mat_inverse, mat_mul
 from .fields import FieldSpec, parse_int
@@ -71,6 +72,13 @@ class LocalSystem:
                     raise LocalSystemError(f"monodromy matrix {idx + 1} is singular")
         return tuple(inverses[m] for m in self.monodromy)
 
+    @cached_property
+    def turn(self) -> tuple:
+        """The product of all monodromy matrices (order-free by
+        commutativity), multiplied out once."""
+        return reduce(partial(mat_mul, self.field), self.monodromy,
+                      identity_matrix(self.field, self.rank))
+
     def inverse_system(self) -> "LocalSystem":
         """Entrywise matrix-inverse system (meridians act by inverses); its
         inverse is this system's monodromy, so nothing is inverted twice."""
@@ -121,16 +129,13 @@ def is_trivial(system: LocalSystem) -> bool:
 
 
 def total_turn(arr: Arrangement, system: LocalSystem):
-    """Product of all monodromy matrices: the turn around the center of a
-    central arrangement (order-free by commutativity)."""
+    """The turn around the center of a central arrangement: the system's
+    cached product of all its monodromy matrices."""
     if not arr.is_central:
         raise LocalSystemError("total turn is defined for central arrangements only")
     if system.d != arr.d:
         raise LocalSystemError(f"system has {system.d} matrices, arrangement has {arr.d}")
-    acc = identity_matrix(system.field, system.rank)
-    for m in system.monodromy:
-        acc = mat_mul(system.field, acc, m)
-    return acc
+    return system.turn
 
 
 def restrict(system: LocalSystem, index_map) -> LocalSystem:
@@ -156,8 +161,7 @@ def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem
         raise LocalSystemError("decone_system needs a central essential arrangement")
     if not 0 <= i0 < arr.d:
         raise LocalSystemError(f"hyperplane index {i0} out of range")
-    t = total_turn(arr, system)
-    if t != identity_matrix(system.field, system.rank):
+    if total_turn(arr, system) != identity_matrix(system.field, system.rank):
         raise LocalSystemError("system does not descend: total turn is not the identity")
     mons, inv = system.monodromy, system.inverse
     return _derived(system, mons[:i0] + mons[i0 + 1:], inv[:i0] + inv[i0 + 1:])

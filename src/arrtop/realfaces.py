@@ -1,22 +1,24 @@
 """Face poset of a real arrangement: sign vectors, chambers, covers.
 
-Every face is stored with an exact rational witness in its relative
-interior, so adjacency and boundedness queries are certified rather
-than inferred.  Enumeration is incremental: hyperplanes are inserted
-one at a time and each existing face is split against the new
-hyperplane.  Flats come from the intersection poset: each face carries
-its flat, whose meet with the new hyperplane says whether the face is
-split and where the zero side lies; one exact feasibility call in that
-flat, on the poset's integer rows in its coordinates signed by the
-face and on the flat's integer frame, decides whether the face meets
-the hyperplane and returns its witness on ints.  A witness is held as
-integers (W, D), the point W/D, and H_i's sign there is that of
-(A_i, C_i)·(W, D), (A_i, C_i) its ambient row in the poset, so the walk
-(along a frame direction) and segment steps run on ints.  A face on
-X ∩ H_i has two covers on X, its signs with every hyperplane through
-X ∩ H_i but not X set to one side or the other: each is one lookup
-(covectors, Björner et al., *Oriented Matroids*).  Oracles: a 3^d brute
-force over sign vectors and the same enumeration in Fraction arithmetic.
+Every face is stored with an exact witness in its relative interior, the
+primitive integers (W, D) of the point W/D, so adjacency and boundedness
+queries are certified rather than inferred.  Enumeration is incremental:
+hyperplanes are inserted one at a time and each existing face is split
+against the new hyperplane.  Flats come from the intersection poset:
+each face carries its flat, whose meet with the new hyperplane says
+whether the face is split and where the zero side lies; one exact
+feasibility call in that flat, on the poset's integer rows in its
+coordinates signed by the face and on the flat's integer frame, decides
+whether the face meets the hyperplane and returns its witness on ints.
+H_i's sign at (W, D) is that of (A_i, C_i)·(W, D), (A_i, C_i) its ambient
+row in the poset, so the walk (along a frame direction) and segment
+steps run on ints too; no flat is solved for and no rank is taken here
+(exactla holds the one rank engine and the one dense elimination).  A
+face on X ∩ H_i has two covers on X, its signs with every hyperplane
+through X ∩ H_i but not X set to one side or the other: each is one
+lookup (covectors, Björner et al., *Oriented Matroids*).  Oracles: a 3^d
+brute force over sign vectors and the same enumeration in Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from operator import mul
 
 from .feasibility import feasible_point
@@ -35,7 +36,7 @@ from .geometry import Arrangement, intersection_poset, primitive_row
 class Face:
     sign: tuple          # entries in {-1, 0, +1}, one per hyperplane
     dim: int
-    witness: tuple
+    witness: tuple       # primitive integers (W, D), D > 0: the point W/D
 
     @property
     def is_chamber(self) -> bool:
@@ -156,8 +157,7 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                     raise RuntimeError(f"face {faces[i][0]} on flat {sorted(lower)} has no "
                                        f"cover {tuple(sigma)} on flat {sorted(flat)}")
                 covers.append((i, index[tuple(sigma)]))
-    built = tuple(Face(sigma, n - flats[flat].codim, tuple(Fraction(x, w[-1]) for x in w[:-1]))
-                  for sigma, w, flat in faces)
+    built = tuple(Face(sigma, n - flats[flat].codim, w) for sigma, w, flat in faces)
     return FaceComplex(arr, built, tuple(sorted(covers)))
 
 

@@ -1,7 +1,8 @@
 """Dense rank oracles for the sparse rank engine in `arrtop.exactla`:
-Gaussian elimination mod p in numpy int64 over F_p, and fraction-free
-Bareiss elimination on Python ints over Q; and the transpose, whose
-rank must equal the matrix's.
+Gaussian elimination mod p in numpy int64 over F_p, fraction-free
+Bareiss elimination on Python ints over Q, and the pivots of the dense
+Gauss-Jordan `rref` over Q; and the transpose, whose rank must equal the
+matrix's.
 
 Rows mod p must hold residues in [0, p) with p <= fields.MAX_PRIME, so
 that (p - 1)**2 fits in int64."""
@@ -10,7 +11,13 @@ from math import lcm
 
 import numpy as np
 
-from arrtop.exactla import FMatrixSparse
+from arrtop.exactla import FMatrixSparse, rref
+from arrtop.fields import FieldSpec
+
+
+def rank_dense(rows) -> int:
+    """Rank over Q of a list of rational rows, by Gauss-Jordan."""
+    return len(rref(rows, FieldSpec.rationals())[1])
 
 
 def transpose(m):

@@ -6,16 +6,21 @@ poset it reads: each face's dimension by a rank, its covers and its
 adjacent chambers by scanning every face's signs.  Beside them, the
 same incremental enumeration in Fraction arithmetic: every hyperplane
 evaluated at every witness by `Hyperplane.eval`, walk and segment steps
-and LP witnesses on Fractions.  The integer enumeration must reproduce
-its faces, witnesses included."""
+and LP witnesses on Fractions, on each flat's frame read as a rational
+point and directions.  The integer enumeration must reproduce its
+faces, witnesses included: each as the primitive (W, D) of the Fraction
+witness."""
 
 from fractions import Fraction
 from math import lcm
 
-from arrtop.exactla import dot, rank_dense, solve_affine
+from arrtop.exactla import dot, solve_affine
 from arrtop.feasibility import _eliminate
-from arrtop.geometry import intersection_poset
+from arrtop.geometry import intersection_poset, primitive_row
 from arrtop.realfaces import Face
+
+from dense_rank_oracle import rank_dense
+from poset_oracle import frame_as_fractions
 
 
 def _interval_pick(ineqs, v, partial):
@@ -108,6 +113,7 @@ def faces_by_fractions(arr):
     n = arr.dim
     poset = intersection_poset(arr)
     flats, meet, rows = poset.by_containing, poset.meet, poset.rows
+    frames = {key: frame_as_fractions(frame) for key, frame in poset.frames.items()}
     origin = tuple(Fraction(0) for _ in range(n))
     faces = [((), origin, frozenset())]      # (sign, witness, containing set of its flat)
     for k, h in enumerate(arr.hyperplanes):
@@ -121,7 +127,7 @@ def faces_by_fractions(arr):
             strict = [(i, arr.hyperplanes[i]) for i, s in enumerate(sigma) if s != 0]
             if sw == 0:
                 split.append((sigma + (0,), w, zero_flat))
-                v = next(v for v in flats[flat].directions if dot(h.normal, v) != 0)
+                v = next(v for v in frames[flat][1] if dot(h.normal, v) != 0)
                 t = Fraction(1)
                 for i, hp in strict:
                     move = dot(hp.normal, v)
@@ -132,8 +138,8 @@ def faces_by_fractions(arr):
                     split.append((sigma + (_sign(h.eval(pt)),), pt, flat))
             else:
                 split.append((sigma + (sw,), w, flat))
-                zf, zrows = flats[zero_flat], rows[zero_flat]
-                zero_w = feasible_point(zf.point, zf.directions, [
+                zrows = rows[zero_flat]
+                zero_w = feasible_point(*frames[zero_flat], [
                     ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
                     for i, _ in strict])
                 if zero_w is not None:
@@ -148,4 +154,5 @@ def faces_by_fractions(arr):
                     split.append((sigma + (-sw,), far, flat))
         faces = split
     faces.sort(key=lambda f: (-flats[f[2]].codim, f[0]))
-    return tuple(Face(sigma, n - flats[flat].codim, w) for sigma, w, flat in faces)
+    return tuple(Face(sigma, n - flats[flat].codim, primitive_row((*w, 1)))
+                 for sigma, w, flat in faces)

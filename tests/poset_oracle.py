@@ -2,15 +2,19 @@
 pair: breadth first from the ambient space, each X ∩ H_i solved from
 the equations of X's hyperplanes and H_i, and its closure found by
 evaluating every hyperplane on the solution.  `arrtop.geometry` reads
-meets off integer rows instead; this is its oracle, independent of the
-rows.  Beside it, the rows themselves by Fraction dot products with the
-flat's rational point and directions; geometry takes integer dot
-products of the ambient rows with the flat's integer frame."""
+meets off integer rows and cuts each flat's integer frame from its
+parent's instead; this is its oracle, independent of rows and frames.
+Beside it, the rows themselves by Fraction dot products with a frame
+read as a rational point and directions; geometry takes integer dot
+products of the ambient rows with the frame.  And the section
+certificate by solves: each flat of the arrangement solved on the
+plane, where geometry compares the section's poset with the
+arrangement's alone."""
 
 from fractions import Fraction
 
 from arrtop.exactla import dot, solve_affine
-from arrtop.geometry import Flat, primitive_row
+from arrtop.geometry import Flat, betti_numbers, primitive_row
 
 
 def flat_rows_by_fractions(arr, point, basis):
@@ -19,6 +23,43 @@ def flat_rows_by_fractions(arr, point, basis):
     rows = (primitive_row([dot(h.normal, v) for v in basis] + [h.eval(point)])
             for h in arr.hyperplanes)
     return tuple((row[:-1], row[-1]) for row in rows)
+
+
+def frame_as_fractions(frame):
+    """An integer frame ((P, L), ((V_k, 0), ...)) as the point P/L and the
+    directions V_k/L, in which its rows are the Fraction rows."""
+    (*point, den), basis = frame
+    return (tuple(Fraction(x, den) for x in point),
+            tuple(tuple(Fraction(x, den) for x in v[:-1]) for v in basis))
+
+
+def check_section_by_solves(arr, poset, sec_poset, base, dirs, k):
+    """The section certificate with one affine solve per flat on the plane
+    base + span(dirs): codim <= k flats met transversally with a section
+    flat of the same codim and containing set, higher ones missed, no
+    extra section flat, and the truncated Betti numbers equal.  Returns
+    None or the first failure."""
+    survivors = 0
+    for f in poset.flats:
+        eqs = []
+        for i in sorted(f.containing):
+            h = arr.hyperplanes[i]
+            eqs.append(([dot(h.normal, u) for u in dirs], h.offset - dot(h.normal, base)))
+        sol = solve_affine(eqs, k)
+        if f.codim <= k:
+            if sol is None or k - len(sol[1]) != f.codim:
+                return f"flat {sorted(f.containing)} (codim {f.codim}) not met transversally"
+            g = sec_poset.by_containing.get(f.containing)
+            if g is None or g.codim != f.codim:
+                return f"flat {sorted(f.containing)} has no matching section flat"
+            survivors += 1
+        elif sol is not None:
+            return f"flat {sorted(f.containing)} of codim {f.codim} > {k} meets the plane"
+    if survivors != len(sec_poset.flats):
+        return "section has extra flats"
+    if betti_numbers(sec_poset) != betti_numbers(poset)[:k + 1]:
+        return "truncated Betti numbers disagree"
+    return None
 
 
 def poset_by_pair_solves(arr):
@@ -55,8 +96,6 @@ def poset_by_pair_solves(arr):
     for key in order:
         mobius[key] = 1 if not key else -sum(mobius[other] for other in order
                                              if other < key and other in mobius)
-    result = tuple(
-        Flat(codim=n - len(flats[key][1]), point=flats[key][0],
-             directions=flats[key][1], containing=key, mobius=mobius[key])
-        for key in order)
+    result = tuple(Flat(codim=n - len(flats[key][1]), containing=key, mobius=mobius[key])
+                   for key in order)
     return result, meet

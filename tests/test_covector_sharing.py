@@ -4,15 +4,15 @@ takes twisted_betti once per (covector set, system).
 The premise, checked on affine images: twisted Betti numbers depend on
 the covectors alone.  Then the cached answers against complexes built
 fresh from each arrangement's own faces, and the work the run does,
-counted."""
+counted.  The seed-0 run's report is pinned by its sha256."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from arrtop import harness, salvetti
-from arrtop.exactla import rank_dense
+from arrtop import cli, harness, salvetti
 from arrtop.fields import FieldSpec
 from arrtop.geometry import Arrangement, Hyperplane
 from arrtop.harness import (CorpusSpec, braid_essentialized, generate_corpus, random_generic,
@@ -20,6 +20,8 @@ from arrtop.harness import (CorpusSpec, braid_essentialized, generate_corpus, ra
 from arrtop.localsys import build_local_system, scalar_system
 from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import build_salvetti, twisted_betti
+
+from dense_rank_oracle import rank_dense
 
 Q, F7 = FieldSpec.rationals(), FieldSpec.prime(7)
 SMALL = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
@@ -96,8 +98,15 @@ def contexts(monkeypatch):
     return made
 
 
+# sha256 of the report `verify --all --seed 0 --out` writes; a change
+# that changes reports updates it and says so
+SEED0_REPORT_SHA256 = "8e3ad8e28791e7fc87a2e6dc6915ae423608be4d16bc3324df6a56f73984cff0"
+
+
 def test_every_cached_answer_is_its_own_arrangements_answer(contexts):
-    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    reports, summary = run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    text = cli._dump(harness.reports_to_json(reports, summary, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED0_REPORT_SHA256
     (ctx,) = contexts
     fresh = {}
     for (arr_id, sys_id, system), dims in ctx._dims.items():

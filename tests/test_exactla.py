@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from dense_rank_oracle import dense_rank_mod_p, rank_bareiss, transpose
+from dense_rank_oracle import dense_rank_mod_p, rank_bareiss, rank_dense, transpose
 from salvetti_oracle import full_twisted_complex
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +19,6 @@ from arrtop.exactla import (
     mat_mul,
     mat_sub_identity,
     rank,
-    rank_dense,
     rref,
     solve_affine,
 )
@@ -106,7 +105,7 @@ def test_solve_affine_inconsistent():
 
 
 def test_rref_pivots():
-    _, pivots = rref([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]])
+    _, pivots = rref([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]], Q)
     assert pivots == [1]
 
 
@@ -383,29 +382,37 @@ def test_library_imports_no_numpy():
 
 
 def test_faces_and_feasibility_solve_for_no_flats():
-    # flats come from the intersection poset, which solves for each once;
-    # it also projects every hyperplane onto each flat, so feasibility
-    # takes rows in flat coordinates and computes no dot product, and
-    # faces take every sign from the poset's integer rows: no Fraction
-    # dot product, no `Hyperplane.eval`.  Feasibility builds its witness
-    # on ints, the poset's rows are integer dot products with each flat's
-    # integer frame, and the general-position certificate takes sparse
-    # ranks of integer rows.  Specialization is one readable path on ints:
-    # no generated source and no Fraction in salvetti.py
+    # flats come from the intersection poset, which cuts each flat's
+    # integer frame from its parent's and solves for none; it also
+    # projects every hyperplane onto each flat, so feasibility takes rows
+    # in flat coordinates and computes no dot product, and faces take
+    # every sign from the poset's integer rows: no Fraction dot product,
+    # no `Hyperplane.eval`, and integer witnesses, no Fraction at all.
+    # Feasibility builds its witness on ints, the poset's rows are integer
+    # dot products with each flat's integer frame, and every rank in the
+    # library goes through the one sparse engine: no dense rank anywhere.
+    # Specialization is one readable path on ints: no generated source and
+    # no Fraction in salvetti.py
     solvers = {"rank_dense", "nullspace", "rref", "solve_affine"}
 
     def module(name):
         path = Path(arrtop.__file__).parent / name
         return ast.parse(path.read_text(), str(path))
 
-    flat_rows = next(node for node in module("geometry.py").body
-                     if isinstance(node, ast.FunctionDef) and node.name == "_flat_rows")
-    for name, tree, banned in (
-            ("realfaces.py", module("realfaces.py"), solvers | {"dot", "eval"}),
-            ("feasibility.py", module("feasibility.py"), solvers | {"dot", "Fraction"}),
-            ("harness.py", module("harness.py"), {"rank_dense"}),
-            ("salvetti.py", module("salvetti.py"), {"exec", "eval", "compile", "Fraction"}),
-            ("geometry._flat_rows", flat_rows, {"dot", "eval", "Fraction"})):
+    def function(name):
+        return next(node for node in module("geometry.py").body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    checked = [
+        ("realfaces.py", module("realfaces.py"), solvers | {"dot", "eval", "Fraction"}),
+        ("feasibility.py", module("feasibility.py"), solvers | {"dot", "Fraction"}),
+        ("salvetti.py", module("salvetti.py"), {"exec", "eval", "compile", "Fraction"}),
+        ("geometry._flat_rows", function("_flat_rows"), {"dot", "eval", "Fraction"}),
+        ("geometry._build_poset", function("_build_poset"), {"solve_affine", "Fraction"}),
+        ("geometry._cut", function("_cut"), {"solve_affine", "Fraction"})]
+    checked += [(path.name, module(path.name), {"rank_dense"})
+                for path in sorted(Path(arrtop.__file__).parent.glob("*.py"))]
+    for name, tree, banned in checked:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 used = {a.name for a in node.names}

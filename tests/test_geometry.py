@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from arrtop.geometry import (
     Arrangement,
     ArrangementError,
     GenericityError,
+    Hyperplane,
     betti_numbers,
     characteristic_polynomial,
     decone,
@@ -34,7 +36,9 @@ from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import build_salvetti
 
 from conftest import make_arrangement, oracle_arrangements
-from poset_oracle import flat_rows_by_fractions, poset_by_pair_solves
+from dense_rank_oracle import rank_dense
+from poset_oracle import (check_section_by_solves, flat_rows_by_fractions, frame_as_fractions,
+                          poset_by_pair_solves)
 
 
 def test_validate_a1():
@@ -143,8 +147,14 @@ def test_flats_against_subset_enumeration(rows, dim):
     assert {f.containing for f in poset.flats} == brute_force_flats(arr)
 
 
+def point_of(poset, flat):
+    """The flat's frame point as Fractions."""
+    return frame_as_fractions(poset.frames[flat.containing])[0]
+
+
 def test_zero_flats(gen3, cen3, mk):
-    points = {f.point for f in zero_flats(intersection_poset(gen3))}
+    poset = intersection_poset(gen3)
+    points = {point_of(poset, f) for f in zero_flats(poset)}
     assert points == {(0, 0), (0, 1), (1, 0)}
     assert len(zero_flats(intersection_poset(cen3))) == 1
     parallel = mk(2, [((1, 0), 0), ((1, 0), 1)])
@@ -188,20 +198,27 @@ def test_essentialize_preserves_betti():
 
 def test_localize(gen3, cen3):
     poset = intersection_poset(gen3)
-    origin = next(f for f in zero_flats(poset) if f.point == (0, 0))
+    origin = next(f for f in zero_flats(poset) if point_of(poset, f) == (0, 0))
     loc = localize(gen3, origin)
     assert [h.label for h in loc.hyperplanes] == ["H1", "H2"]
     assert loc.is_central
-    corner = next(f for f in zero_flats(poset) if f.point == (0, 1))
+    corner = next(f for f in zero_flats(poset) if point_of(poset, f) == (0, 1))
     assert [h.label for h in localize(gen3, corner).hyperplanes] == ["H1", "H3"]
     cen_poset = intersection_poset(cen3)
     assert localize(cen3, zero_flats(cen_poset)[0]).d == 3
 
 
-def test_localize_rejects_foreign_flat(gen3, cen3):
+def test_localize_rejects_foreign_flat(gen3, cen3, mk):
     foreign = zero_flats(intersection_poset(cen3))[0]
     with pytest.raises(ArrangementError):
         localize(gen3, foreign)
+    # three other lines through another point: an equal flat, not its own
+    other = mk(2, [((1, 0), 1), ((0, 1), 1), ((1, 2), 3)])
+    twin = zero_flats(intersection_poset(other))[0]
+    assert twin == foreign
+    with pytest.raises(ArrangementError):
+        localize(other, foreign)
+    assert localize(other, twin).d == 3
 
 
 def test_decone_cen3(cen3):
@@ -295,8 +312,9 @@ def test_each_arrangement_builds_its_poset_once(monkeypatch):
 
 
 def test_poset_matches_the_pair_solving_oracle():
-    # meets are read off each flat's integer rows; the oracle solves
-    # every (flat, hyperplane) pair and evaluates every hyperplane
+    # meets are read off each flat's integer rows and each frame is cut
+    # from its parent's; the oracle solves every (flat, hyperplane) pair
+    # and evaluates every hyperplane
     for arr in oracle_arrangements():
         poset = intersection_poset(arr)
         flats, meet = poset_by_pair_solves(arr)
@@ -305,18 +323,24 @@ def test_poset_matches_the_pair_solving_oracle():
         assert poset.rows.keys() == poset.frames.keys() == poset.by_containing.keys()
         for key, rows in poset.rows.items():
             flat = poset.by_containing[key]
-            # the frame is the flat's point and directions over one denominator
+            # the frame: a primitive point over L > 0 on every hyperplane
+            # through the flat, and n - codim independent primitive
+            # directions parallel to it, so it spans the flat
             (*point, den), basis = poset.frames[key]
             assert den > 0 and all(type(x) is int for v in (point, *basis) for x in v)
-            assert tuple(Fraction(x, den) for x in point) == flat.point
-            assert tuple(tuple(Fraction(x, den) for x in v[:-1]) for v in basis) == \
-                flat.directions
+            assert gcd(*point, den) == 1 and all(gcd(*v) == 1 for v in basis)
             assert all(v[-1] == 0 for v in basis)
-            assert rows == flat_rows_by_fractions(arr, flat.point, flat.directions)
+            p, directions = frame_as_fractions(poset.frames[key])
+            assert len(directions) == arr.dim - flat.codim
+            assert rank_dense(directions) == len(directions)
+            for i in key:
+                h = arr.hyperplanes[i]
+                assert h.eval(p) == 0 and all(dot(h.normal, v) == 0 for v in directions)
+            assert rows == flat_rows_by_fractions(arr, p, directions)
             assert len(rows) == arr.d
             for h, (coeffs, const) in zip(arr.hyperplanes, rows):
                 row = (*coeffs, const)
-                exact = [dot(h.normal, v) for v in flat.directions] + [h.eval(flat.point)]
+                exact = [dot(h.normal, v) for v in directions] + [h.eval(p)]
                 assert all(type(x) is int for x in row)
                 assert len(row) == len(exact)
                 assert gcd(*row) == (1 if any(row) else 0)
@@ -331,6 +355,8 @@ def test_poset_matches_the_pair_solving_oracle():
 
 
 def test_poset_solves_once_per_flat(monkeypatch):
+    # once per flat at most: each frame is cut on ints from its parent's,
+    # so building the poset solves for no flat at all
     arr = braid_essentialized(5)
     calls = []
     solve = geometry.solve_affine
@@ -342,7 +368,59 @@ def test_poset_solves_once_per_flat(monkeypatch):
     monkeypatch.setattr(geometry, "solve_affine", counting)
     poset = intersection_poset(arr)
     assert len(poset.flats) == 52
-    assert len(calls) == len(poset.flats) - 1
+    assert calls == []
+
+
+def plane_section(arr, base, dirs):
+    """arr cut on the plane base + span(dirs) as generic_section cuts it,
+    or None when the plane is parallel to a hyperplane or two hyperplanes
+    cut it in one locus."""
+    hyps = [Hyperplane(tuple(dot(h.normal, u) for u in dirs), h.offset - dot(h.normal, base),
+                       h.label) for h in arr.hyperplanes]
+    if any(not any(h.normal) for h in hyps):
+        return None
+    try:
+        return Arrangement.build(len(dirs), hyps)
+    except ArrangementError:
+        return None
+
+
+def test_section_certificate_agrees_with_the_solving_oracle():
+    # the certificate compares two posets; the oracle solves each flat on
+    # the plane.  Small planes, planes through a vertex and planes along a
+    # line flat are often not generic; large random planes almost always are
+    rng = random.Random(0)
+    arrs = [item.arrangement for seed in (0, 1, 2)
+            for item in generate_corpus(CorpusSpec(seed=seed))] + [braid_essentialized(5)]
+
+    def vec(n, size):
+        return tuple(Fraction(rng.randint(-size, size)) for _ in range(n))
+
+    planes = rejected = 0
+    for arr in arrs:
+        n, poset = arr.dim, intersection_poset(arr)
+        vertices = [point_of(poset, f) for f in zero_flats(poset)]
+        lines = [frame_as_fractions(poset.frames[f.containing])[1][0]
+                 for f in poset.of_codim(n - 1)] if n > 1 else []
+        for k in range(1, n):
+            draws = [(vec(n, 2), [vec(n, 2) for _ in range(k)]) for _ in range(20)]
+            draws += [(rng.choice(vertices), [vec(n, 2) for _ in range(k)])
+                      for _ in range(20) if vertices]
+            draws += [(vec(n, 2), [rng.choice(lines)] + [vec(n, 2) for _ in range(k - 1)])
+                      for _ in range(20) if lines]
+            draws += [(vec(n, 10000), [vec(n, 10000) for _ in range(k)]) for _ in range(6)]
+            for base, dirs in draws:
+                sec = plane_section(arr, base, dirs) if rank_dense(dirs) == k else None
+                if sec is None:
+                    continue
+                sec_poset = intersection_poset(sec)
+                verdict = geometry._check_section(poset, sec_poset, k)
+                oracle = check_section_by_solves(arr, poset, sec_poset, base, dirs, k)
+                assert (verdict is None) == (oracle is None), (arr.to_json(), base, dirs)
+                planes += 1
+                rejected += verdict is not None
+    assert planes >= 1000, planes
+    assert 100 <= rejected <= planes - 100, rejected
 
 
 def test_a_dropped_corpus_frees_its_posets_without_the_cyclic_gc():

@@ -8,7 +8,6 @@ from math import comb
 import pytest
 
 from arrtop import harness
-from arrtop.exactla import rank_dense
 from arrtop.fields import FieldSpec
 from arrtop.geometry import (
     Arrangement,
@@ -43,6 +42,8 @@ from arrtop.harness import (
     run_verification,
 )
 from arrtop.localsys import build_local_system, is_trivial, scalar_system
+
+from dense_rank_oracle import rank_dense
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)

@@ -5,7 +5,7 @@ import pytest
 from arrtop import localsys
 from arrtop.fields import FieldSpec
 from arrtop.geometry import decone, generic_section, intersection_poset, localize
-from arrtop.harness import braid_essentialized
+from arrtop.harness import VerifyContext, braid_essentialized, check_central_structure
 from arrtop.localsys import (
     LocalSystem,
     LocalSystemError,
@@ -212,6 +212,25 @@ def test_derived_systems_neither_check_nor_invert_again(monkeypatch):
         fresh = build_local_system(F7, 2, mats)
         assert derived == fresh and derived.inverse == fresh.inverse
         assert got == twisted_betti(sc, fresh)
+
+
+def test_each_system_multiplies_its_total_turn_once(monkeypatch):
+    # the central-structure check takes the total turn, then descends the
+    # system along every decone, which needs that turn to be the identity:
+    # the d matrices are multiplied out once, not again per decone
+    braid4 = braid_essentialized(4)
+    ctx = VerifyContext(seed=0)
+    ctx.register("braid4", braid4)
+    system = scalar_system(F7, [2, 4, 3, 5, 1, 1])        # 2·4·3·5 = 120 = 1 mod 7
+    products = []
+    real_mul = localsys.mat_mul
+    monkeypatch.setattr(localsys, "mat_mul", lambda *args: products.append(args) or real_mul(*args))
+    report = check_central_structure(ctx, "braid4", "s", system)
+    assert report.status == "pass" and report.data["case"] == "turn-identity"
+    assert all(f"decone{i0}" in report.data for i0 in range(braid4.d))
+    assert len(products) == braid4.d
+    assert total_turn(braid4, system) == system.turn == ((1,),)
+    assert len(products) == braid4.d
 
 
 def test_hand_built_singular_system_fails_on_first_use():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -77,14 +78,17 @@ def test_gen3_faces(gen3):
 
 
 def test_witnesses_are_exact(gen3, cen3):
-    # feasibility runs on integer rows; every witness stays a point of Q^n
+    # feasibility runs on integer rows; every witness is the primitive
+    # (W, D), D > 0, of a point W/D of Q^n with the face's signs
     corpus = [item.arrangement for item in generate_corpus(CorpusSpec(seed=0))]
     for arr in [gen3, cen3, braid_essentialized(4), braid_essentialized(5)] + corpus:
         fc = enumerate_faces(arr)
         for f in fc.faces:
-            assert all(type(x) is Fraction for x in f.witness)
-            signs = tuple((h.eval(f.witness) > 0) - (h.eval(f.witness) < 0)
-                          for h in arr.hyperplanes)
+            *w, den = f.witness
+            assert all(type(x) is int for x in f.witness) and den > 0
+            assert len(w) == arr.dim and gcd(*f.witness) == 1
+            point = tuple(Fraction(x, den) for x in w)
+            signs = tuple((h.eval(point) > 0) - (h.eval(point) < 0) for h in arr.hyperplanes)
             assert signs == f.sign
 
 
@@ -175,7 +179,7 @@ def test_dims_and_covers_match_the_rank_and_scan_oracles(a2):
     for arr in arrs:
         fc = enumerate_faces(arr)
         assert fc.faces == faces_by_fractions(arr)
-        assert all(type(x) is Fraction for f in fc.faces for x in f.witness)
+        assert all(type(x) is int for f in fc.faces for x in f.witness)
         assert [f.dim for f in fc.faces] == [face_dim(arr, f.sign) for f in fc.faces]
         assert fc.covers == covers_by_scan(fc.faces)
 
