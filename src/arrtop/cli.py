@@ -30,8 +30,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(obj, out_path):
-    text = _dump(obj)
+def _report_text(out) -> str:
+    """The verify report as one JSON object with one report per line, so
+    it diffs line by line and encodes with the C encoder."""
+    reports = ",\n".join(json.dumps(entry, sort_keys=True) for entry in out["reports"])
+    summary = json.dumps(out["summary"], sort_keys=True)
+    return f'{{"reports": [\n{reports}\n],\n"summary": {summary}}}\n'
+
+
+def _emit(text, out_path):
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -66,7 +73,7 @@ def _arrangement_summary(arr):
 
 def cmd_info(args) -> int:
     arr = geometry.validate_arrangement(_load_json(args.arrangement))
-    _emit(_arrangement_summary(arr), args.out)
+    _emit(_dump(_arrangement_summary(arr)), args.out)
     return 0
 
 
@@ -78,33 +85,38 @@ def cmd_betti(args) -> int:
             f"system has {system.d} matrices, arrangement has {arr.d} hyperplanes")
     sc = salvetti.build_salvetti(realfaces.enumerate_faces(arr))
     poset = geometry.intersection_poset(arr)
-    _emit({
+    _emit(_dump({
         "betti": geometry.betti_numbers(poset),
         "twisted_betti": salvetti.twisted_betti(sc, system),
         "rank": system.rank,
         "field": system.field.to_json(),
-    }, args.out)
+    }), args.out)
     return 0
 
 
 def _classify_files(paths):
+    """(id, arrangement) and (id, system) pairs.  A file's id is
+    `file:<stem>`, so it never equals a built-in id, and a stem may not
+    hold `|`, which joins an id to those of arrangements derived from it."""
     arrangements, systems = [], []
     first_path = {}                      # (kind, id) -> path; ids key the caches
     for path in paths:
         obj = _load_json(path)
-        stem = Path(path).stem
+        file_id = f"file:{Path(path).stem}"
+        if "|" in file_id:
+            raise PreconditionError(f"{path}: a file stem may not contain '|'")
         if isinstance(obj, dict) and "hyperplanes" in obj:
             kind = "arrangement"
-            arrangements.append((stem, geometry.validate_arrangement(obj)))
+            arrangements.append((file_id, geometry.validate_arrangement(obj)))
         elif isinstance(obj, dict) and "monodromy" in obj:
             kind = "system"
-            systems.append((stem, localsys.local_system_from_json(obj)))
+            systems.append((file_id, localsys.local_system_from_json(obj)))
         else:
             raise ArrangementError(f"{path}: neither an arrangement nor a local system")
-        if (kind, stem) in first_path:
-            raise PreconditionError(f"{first_path[kind, stem]} and {path} share the "
-                                    f"{kind} id {stem!r} (ids are file stems)")
-        first_path[kind, stem] = path
+        if (kind, file_id) in first_path:
+            raise PreconditionError(f"{first_path[kind, file_id]} and {path} share the "
+                                    f"{kind} id {file_id!r} (ids come from file stems)")
+        first_path[kind, file_id] = path
     return arrangements, systems
 
 
@@ -159,10 +171,13 @@ def cmd_verify(args) -> int:
         for name in checks or ():
             check = harness.CHECKS[name]
             for item in corpus:
-                for sys_id, system in item.systems:
-                    if not check.on_system(system):
-                        raise PreconditionError(f"{sys_id}: outside the hypotheses of "
-                                                f"{name} ({check.statement})")
+                outside = [sys_id for sys_id, system in item.systems
+                           if not check.on_system(system)]
+                if not check.on_arrangement(item.arrangement):
+                    outside.insert(0, item.arrangement_id)
+                if outside:
+                    raise PreconditionError(f"{outside[0]}: outside the hypotheses of "
+                                            f"{name} ({check.statement})")
     reports, summary = harness.run_verification(
         corpus, seed=args.seed, checks=checks, primes=primes)
     if checks:
@@ -172,11 +187,11 @@ def cmd_verify(args) -> int:
             raise PreconditionError(
                 f"selected check(s) {', '.join(vacuous)} produced no reports "
                 "on these inputs")
-    out = harness.reports_to_json(reports, summary, args.seed)
+    out = harness.reports_to_json(reports, summary)
     for entry in out["reports"]:
         if entry["status"] == "fail":
             entry["repro"] = _repro(args, primes, entry["check"])
-    _emit(out, args.out)
+    _emit(_report_text(out), args.out)
     if not args.out:
         sys.stdout.flush()
     sys.stderr.write(f"checks: {summary['total']}, passed: {summary['passed']}, "

@@ -369,36 +369,19 @@ def decone(arr: Arrangement, i0: int) -> Arrangement:
     return Arrangement.build(n - 1, hyps)
 
 
-@dataclass(frozen=True)
-class SectionCertificate:
-    """Witness that a section plane is combinatorially generic."""
-
-    k: int
-    seed: int
-    attempts: int
-    base_point: tuple
-    directions: tuple
-    index_map: tuple
-
-
 def _check_section(poset, sec_poset, k):
     """Combinatorial genericity, read off the two posets: every flat f of
-    codim <= k has a section flat with f's containing set and codim, those
-    are all of the section's flats, and the truncated Betti numbers match.
+    codim <= k has a section flat with f's containing set and codim.
     That section flat is P ∩ f, so f meets the plane P transversally; and
     a flat f of codim > k meeting P would make P ∩ f a section flat, so
-    P ∩ g for some g ⊆ f of codim <= k, which cannot be."""
-    survivors = 0
+    P ∩ g for some g ⊆ f of codim <= k, which cannot be.  So the test
+    also implies that these are all of the section's flats, with the same
+    Möbius values, hence that the truncated Betti numbers match."""
     for f in poset.flats:
         if f.codim <= k:
             g = sec_poset.by_containing.get(f.containing)
             if g is None or g.codim != f.codim:
                 return f"flat {sorted(f.containing)} has no matching section flat"
-            survivors += 1
-    if survivors != len(sec_poset.flats):
-        return "section has extra flats"
-    if betti_numbers(sec_poset) != betti_numbers(poset)[:k + 1]:
-        return "truncated Betti numbers disagree"
     return None
 
 
@@ -407,21 +390,20 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
 
     The plane is drawn pseudo-randomly (integer coordinates, determined
     by seed); each draw is certified against the intersection poset and
-    redrawn on failure, up to `max_attempts`.  For k = n the arrangement
-    is returned unchanged.
+    redrawn on failure, up to `max_attempts`.  Hyperplane i of the
+    section is the plane's cut of hyperplane i, so a local system on the
+    arrangement is one on the section.  For k = n the arrangement is
+    returned unchanged.
     """
     n = arr.dim
     if not 1 <= k <= n:
         raise ArrangementError(f"section dimension {k} out of range 1..{n}")
     if k == n:
-        cert = SectionCertificate(k, seed, 0, tuple(Fraction(0) for _ in range(n)),
-                                  identity_matrix(FieldSpec.rationals(), n),
-                                  tuple(range(arr.d)))
-        return arr, cert
+        return arr
     poset = intersection_poset(arr)
     rng = random.Random(seed)
     failures = []
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(max_attempts):
         base = tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
         dirs = tuple(tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
                      for _ in range(k))
@@ -442,8 +424,7 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
         if problem is not None:
             failures.append(problem)
             continue
-        cert = SectionCertificate(k, seed, attempt, base, dirs, tuple(range(arr.d)))
-        return sec, cert
+        return sec
     raise GenericityError(
         f"no generic {k}-section of d={arr.d} arrangement after {max_attempts} attempts",
         failures)

@@ -47,8 +47,8 @@ class CheckReport:
     data: dict = dc_field(default_factory=dict)
     aux: str = ""
 
-    def to_json(self, seed):
-        return {**vars(self), "statement": CHECKS[self.check].statement, "seed": seed}
+    def to_json(self):
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ class VerifyContext:
         return self._salvetti[key]
 
     def dims(self, arr_id, sys_id, system):
-        # keyed on the system too: a file id may equal a built-in id
+        # keyed on the system too, so no answer is ever shared by ids alone
         key = (arr_id, sys_id, system)
         if key not in self._dims:
             shared = (self.covector_set(arr_id), system)
@@ -375,8 +375,7 @@ class VerifyContext:
         key = (arr_id, k)
         if key not in self._sections:
             arr = self.arrangements[arr_id]
-            sec, _cert = geometry.generic_section(
-                arr, k, _subseed(self.seed, "section", arr_id, k))
+            sec = geometry.generic_section(arr, k, _subseed(self.seed, "section", arr_id, k))
             if k == arr.dim:
                 # full-dimensional section is the arrangement itself;
                 # keep its id so cached dimensions are shared
@@ -388,8 +387,8 @@ class VerifyContext:
         return self._sections[key]
 
     def localizations(self, arr_id):
-        """(loc_id, index_map, flat) per zero flat; the localized
-        arrangement at a zero flat is central and essential."""
+        """(loc_id, index_map) per zero flat; the localized arrangement at
+        a zero flat is central and essential."""
         if arr_id not in self._locals:
             poset = self.poset(arr_id)
             out = []
@@ -398,7 +397,7 @@ class VerifyContext:
                 index_map = tuple(sorted(flat.containing))
                 loc_id = f"{arr_id}|loc" + "-".join(str(i) for i in index_map)
                 self.register(loc_id, loc)
-                out.append((loc_id, index_map, flat))
+                out.append((loc_id, index_map))
             self._locals[arr_id] = tuple(out)
         return self._locals[arr_id]
 
@@ -481,11 +480,9 @@ def check_euler(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_relative_section(ctx: VerifyContext, arr_id: str, sys_id: str,
                            system: LocalSystem) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
-    n = arr.dim
+    n = ctx.arrangement(arr_id).dim
     if n < 2:
-        return CheckReport("relative_section", arr_id, sys_id, "skipped",
-                           {"reason": "ambient dimension 1"})
+        raise PreconditionError("relative-section check needs ambient dimension >= 2")
     sec_id = ctx.section(arr_id, n - 1)
     dims_a = ctx.dims(arr_id, sys_id, system)
     dims_b = ctx.dims(sec_id, sys_id, system)
@@ -505,7 +502,7 @@ def check_local_global(ctx: VerifyContext, arr_id: str, sys_id: str,
     dims_a = ctx.dims(arr_id, sys_id, system)
     local_sum = 0
     parts = []
-    for loc_id, index_map, _flat in ctx.localizations(arr_id):
+    for loc_id, index_map in ctx.localizations(arr_id):
         restricted = localsys.restrict(system, index_map)
         local_dims = ctx.dims(loc_id, sys_id, restricted)
         local_sum += local_dims[n]
@@ -616,8 +613,8 @@ ARRANGEMENT, SYSTEM, DIMS_CACHE = "arrangement", "system", "dims-cache"
 
 def _cached_dimension1(ctx):
     """(arr_id, sys_id, system, dims) per cached dimension-1 complex, sorted
-    stably by ids: a file system may share its id with a built-in one, and
-    systems have no order."""
+    by ids, since systems have no order.  File ids carry a `file:` prefix,
+    so a file system never shares its ids with a built-in one."""
     found = [key + (dims,) for key, dims in ctx._dims.items()
              if ctx.arrangement(key[0]).dim == 1]
     return sorted(found, key=lambda entry: entry[:2])
@@ -658,7 +655,7 @@ CHECKS = {
     "relative_section": Check(
         "for a generic hyperplane section B: b_i agrees for i <= n-2 "
         "and b_{n-1}(B) - b_{n-1}(U) + b_n(U) = r*b_n(U)",
-        check_relative_section),
+        check_relative_section, on_arrangement=lambda arr: arr.dim >= 2),
     "local_global": Check(
         "b_n(U;L) >= sum of b_n over localizations at 0-flats; "
         "equality for constant coefficients",
@@ -667,8 +664,7 @@ CHECKS = {
         "generic section of U dominates the generic section of "
         "each localization in degree n-1",
         check_nearby_section, on_arrangement=lambda arr: arr.dim >= 2,
-        expand=lambda ctx, arr_id: ((loc_id, index_map) for loc_id, index_map, _flat
-                                    in ctx.localizations(arr_id))),
+        expand=lambda ctx, arr_id: ctx.localizations(arr_id)),
     "central_structure": Check(
         "central case: invertible (T - I) forces vanishing; "
         "T = I gives b_k(U) = b_k(M) + b_{k-1}(M) for every decone",
@@ -689,7 +685,8 @@ def run_verification(corpus, seed: int, checks=None, primes=DEFAULT_PRIMES):
     """Run the selected checks over a corpus; returns (reports, summary).
 
     Reports are sorted by (check, arrangement, system, aux); the summary
-    counts pass, fail and skipped, in total and per selected check."""
+    counts pass, fail and skipped, in total and per selected check, and
+    states each selected check once."""
     unknown = set(checks or ()) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -717,9 +714,10 @@ def run_verification(corpus, seed: int, checks=None, primes=DEFAULT_PRIMES):
         by_check[r.check][r.status] += 1
     totals = Counter(r.status for r in reports)
     summary = {"total": len(reports), "passed": totals["pass"], "failed": totals["fail"],
-               "skipped": totals["skipped"], "by_check": by_check, "seed": seed}
+               "skipped": totals["skipped"], "by_check": by_check, "seed": seed,
+               "statements": {name: CHECKS[name].statement for name in selected}}
     return reports, summary
 
 
-def reports_to_json(reports, summary, seed):
-    return {"reports": [r.to_json(seed) for r in reports], "summary": summary}
+def reports_to_json(reports, summary):
+    return {"reports": [r.to_json() for r in reports], "summary": summary}

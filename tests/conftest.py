@@ -24,7 +24,7 @@ def _with_surgeries(arr, seed):
         for i0 in range(arr.d):
             yield decone(arr, i0)
     for k in range(1, arr.dim):
-        yield generic_section(arr, k, seed)[0]
+        yield generic_section(arr, k, seed)
 
 
 def oracle_arrangements():

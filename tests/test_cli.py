@@ -19,6 +19,10 @@ CEN3 = {"dim": 2, "hyperplanes": [
 ]}
 SYS_222_Q = {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["2"], ["2"]]}
 SYS_TRIVIAL = {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["1"], ["1"], ["1"]]}
+TWO_POINTS = {"dim": 1, "hyperplanes": [
+    {"label": "a", "normal": ["1"], "offset": "0"},
+    {"label": "b", "normal": ["1"], "offset": "1"}]}
+SYS_23_Q = {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]}
 
 
 def write(tmp_path, name, obj):
@@ -94,6 +98,23 @@ def test_verify_files_pass(tmp_path, capsys):
     assert report["reports"][0]["status"] == "pass"
 
 
+def test_verify_report_has_one_report_per_line(tmp_path):
+    # a header line, the reports, then the summary: the report diffs line
+    # by line and is still one JSON object
+    out = tmp_path / "report.json"
+    assert main(["verify", write(tmp_path, "gen3.json", GEN3),
+                 write(tmp_path, "sys.json", SYS_222_Q), "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
+    lines = text.splitlines()
+    total = report["summary"]["total"]
+    assert total == len(report["reports"]) > 1 and len(lines) == total + 3
+    assert lines[0] == '{"reports": [' and lines[total + 1] == "],"
+    assert lines[total + 2].startswith('"summary": {')
+    assert [json.loads(line.removesuffix(",")) for line in lines[1:total + 1]] == \
+        report["reports"]
+
+
 def test_verify_builds_one_complex_for_an_affine_image(tmp_path, call_counter):
     # GEN3 at x = u + v, y = v - 1, its last equation times 3: the same
     # sign vectors, so one complex serves both arrangements; faces are
@@ -114,9 +135,9 @@ def test_verify_builds_one_complex_for_an_affine_image(tmp_path, call_counter):
     assert len(builds) == 1 and len(faces) == 2
     reports = json.loads(out.read_text())["reports"]
     seen = {arr: [(r["check"], r["system"], r["aux"], r["status"], r["data"])
-                  for r in reports if r["arrangement"] == arr] for arr in ("a", "b")}
-    assert seen["a"] == seen["b"]
-    assert {entry[0] for entry in seen["a"]} == set(checks)
+                  for r in reports if r["arrangement"] == arr] for arr in ("file:a", "file:b")}
+    assert seen["file:a"] == seen["file:b"]
+    assert {entry[0] for entry in seen["file:a"]} == set(checks)
 
 
 def test_verify_trivial_main_theorem_exits_2(tmp_path, capsys):
@@ -132,14 +153,11 @@ def test_verify_trivial_main_theorem_exits_2(tmp_path, capsys):
     ("arrangement", GEN3, CEN3),
 ], ids=["system", "arrangement"])
 def test_verify_refuses_repeated_ids(tmp_path, capsys, kind, first, second):
-    # ids are file stems; two files with one stem would share cached results
-    two_points = {"dim": 1, "hyperplanes": [
-        {"label": "a", "normal": ["1"], "offset": "0"},
-        {"label": "b", "normal": ["1"], "offset": "1"}]}
+    # ids come from file stems; two files with one stem would share cached results
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     if kind == "system":
-        files = [write(tmp_path, "arr.json", two_points),
+        files = [write(tmp_path, "arr.json", TWO_POINTS),
                  write(tmp_path / "a", "sys.json", first),
                  write(tmp_path / "b", "sys.json", second)]
     else:
@@ -149,6 +167,15 @@ def test_verify_refuses_repeated_ids(tmp_path, capsys, kind, first, second):
     assert main(["verify", *files]) == 2
     err = capsys.readouterr().err
     assert files[1] in err and files[2 if kind == "system" else 0] in err
+
+
+def test_verify_refuses_a_stem_that_reads_as_a_derived_id(tmp_path, capsys):
+    # a.json's sections and localizations are registered as file:a|...;
+    # a file a|sec1.json would be replaced by a's section in the caches
+    files = [write(tmp_path, "a.json", GEN3), write(tmp_path, "a|sec1.json", CEN3),
+             write(tmp_path, "sys.json", SYS_222_Q)]
+    assert main(["verify", *files]) == 2
+    assert files[1] in capsys.readouterr().err
 
 
 def test_verify_file_named_like_a_builtin_system(tmp_path, capsys):
@@ -167,24 +194,23 @@ def test_verify_file_named_like_a_builtin_system(tmp_path, capsys):
 
 
 def test_verify_dimension1_file_named_like_a_builtin_system(tmp_path, capsys):
-    # the dims cache then holds two dimension-1 entries under one pair of
-    # ids; c1_oracle must check both without ever ordering the systems
-    two_points = {"dim": 1, "hyperplanes": [
-        {"label": "a", "normal": ["1"], "offset": "0"},
-        {"label": "b", "normal": ["1"], "offset": "1"}]}
-    files = [write(tmp_path, "pts.json", two_points),
-             write(tmp_path, "const-r1.json",
-                   {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]})]
+    # a file's id is file:<stem>, so the file system const-r1 and the
+    # built-in const-r1 get one c1_oracle report each, under distinct ids
+    files = [write(tmp_path, "pts.json", TWO_POINTS),
+             write(tmp_path, "const-r1.json", SYS_23_Q)]
     outs = [tmp_path / "one.json", tmp_path / "two.json"]
     for out in outs:
         assert main(["verify", *files, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     report = json.loads(outs[0].read_text())
-    c1 = [r for r in report["reports"]
-          if r["check"] == "c1_oracle" and r["arrangement"] == "pts"
-          and r["system"] == "const-r1"]
-    assert len(c1) == 2 and all(r["status"] == "pass" for r in c1)
-    assert sorted(r["data"]["dims"] for r in c1) == [[0, 1], [1, 2]]
+    keys = [(r["check"], r["arrangement"], r["system"], r["aux"]) for r in report["reports"]]
+    assert len(keys) == len(set(keys))
+    c1 = {r["system"]: r for r in report["reports"]
+          if r["check"] == "c1_oracle" and r["arrangement"] == "file:pts"
+          and r["system"] in ("const-r1", "file:const-r1")}
+    assert len(c1) == 2 and all(r["status"] == "pass" for r in c1.values())
+    assert c1["file:const-r1"]["data"]["dims"] == [0, 1]
+    assert c1["const-r1"]["data"]["dims"] == [1, 2]
     assert "skipped: " in capsys.readouterr().err
 
 
@@ -255,17 +281,12 @@ def test_verify_failure_carries_a_repro_that_reproduces_it(tmp_path, capsys, mon
         expected = f"arrtop verify --all --seed 3 --checks {name}"
     elif mode == "dims-cache":
         # c1_oracle alone exits 2: its repro keeps the checks that fill the cache
-        two_points = {"dim": 1, "hyperplanes": [
-            {"label": "a", "normal": ["1"], "offset": "0"},
-            {"label": "b", "normal": ["1"], "offset": "1"}]}
-        name, target = "c1_oracle", ("pts", "s23")
-        files = [write(tmp_path, "pts.json", two_points),
-                 write(tmp_path, "s23.json",
-                       {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]})]
+        name, target = "c1_oracle", ("file:pts", "file:s23")
+        files = [write(tmp_path, "pts.json", TWO_POINTS), write(tmp_path, "s23.json", SYS_23_Q)]
         argv = ["verify", *files, "--checks", "euler", "--checks", name]
         expected = f"arrtop verify {shlex.join(files)} --seed 0 --checks euler --checks {name}"
     else:
-        name, target = "euler", ("gen3", "s 222")
+        name, target = "euler", ("file:gen3", "file:s 222")
         files = [write(tmp_path, "gen3.json", GEN3), write(tmp_path, "s 222.json", SYS_222_Q)]
         argv = ["verify", *files, "--prime", "5", "--prime", "11"]
         expected = (f"arrtop verify {shlex.join(files)} --seed 0 --checks {name} "
@@ -297,6 +318,21 @@ def test_verify_vacuous_check_exits_2(tmp_path, capsys):
     assert main(["verify", "--all", "--checks", "c1_oracle", "--out", str(out)]) == 2
     assert "c1_oracle" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_relative_section_in_dimension1_exits_2(tmp_path, capsys):
+    # declared for ambient dimension >= 2, it has no instance on points in
+    # C^1, alone or beside a plane arrangement
+    three_points = {"dim": 1, "hyperplanes": [
+        {"label": str(i), "normal": ["1"], "offset": str(i)} for i in range(3)]}
+    out = tmp_path / "report.json"
+    for files in ([write(tmp_path, "a2.json", TWO_POINTS), write(tmp_path, "s.json", SYS_23_Q)],
+                  [write(tmp_path, "gen3.json", GEN3), write(tmp_path, "p3.json", three_points),
+                   write(tmp_path, "s222.json", SYS_222_Q)]):
+        assert main(["verify", *files, "--checks", "relative_section",
+                     "--out", str(out)]) == 2
+        assert "relative_section" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_verify_prime_beyond_engine_limit_exits_2(capsys):

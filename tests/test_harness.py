@@ -151,9 +151,10 @@ def test_relative_section_twisted(named_ctx):
     assert report.data["top_bound"] == 2
 
 
-def test_relative_section_skips_dim1(named_ctx):
-    report = check_relative_section(named_ctx, "a2", "s", scalar_system(Q, [2, 3]))
-    assert report.status == "skipped"
+def test_relative_section_rejects_dimension1(named_ctx):
+    # declared for dim >= 2 in the registry, so a run never calls it there
+    with pytest.raises(PreconditionError):
+        check_relative_section(named_ctx, "a2", "s", scalar_system(Q, [2, 3]))
 
 
 def test_local_global_brieskorn(named_ctx):
@@ -170,7 +171,7 @@ def test_local_global_twisted(named_ctx):
 
 def test_nearby_section(named_ctx):
     locs = named_ctx.localizations("gen3")
-    by_flat = {tuple(index_map): loc_id for loc_id, index_map, _ in locs}
+    by_flat = {tuple(index_map): loc_id for loc_id, index_map in locs}
     loc_id = by_flat[(0, 1)]
     untwisted = check_nearby_section(named_ctx, "gen3", "const-r1",
                                      scalar_system(Q, [1, 1, 1]), loc_id, (0, 1))
@@ -289,8 +290,12 @@ def test_registry_declares_every_check_in_order(small_run):
                           "central_structure", "lefschetz", "c1_oracle")
     assert tuple(CHECKS) == ALL_CHECKS
     _corpus, (reports, summary) = small_run
-    for entry in reports_to_json(reports, summary, 0)["reports"]:
-        assert entry["statement"] == CHECKS[entry["check"]].statement
+    assert list(summary["statements"]) == list(ALL_CHECKS)
+    assert summary["statements"] == {name: CHECKS[name].statement for name in ALL_CHECKS}
+    for entry in reports_to_json(reports, summary)["reports"]:
+        # each report states its check once, through the summary
+        assert set(entry) == {"check", "arrangement", "system", "status", "data", "aux"}
+        assert entry["check"] in summary["statements"]
 
 
 @pytest.mark.parametrize("name", [name for name in ALL_CHECKS if name != "c1_oracle"])
@@ -298,16 +303,17 @@ def test_single_check_run_matches_full_run(small_run, name):
     # c1_oracle alone sees no complexes: it reads those other checks evaluated
     corpus, (reports, _summary) = small_run
     alone, summary = run_verification(corpus, seed=0, checks=[name])
-    assert alone and [r.to_json(0) for r in alone] == \
-        [r.to_json(0) for r in reports if r.check == name]
-    assert list(summary["by_check"]) == [name]
+    assert alone and [r.to_json() for r in alone] == \
+        [r.to_json() for r in reports if r.check == name]
+    assert list(summary["by_check"]) == list(summary["statements"]) == [name]
 
 
 def test_summary_counts_add_up(small_run):
     _corpus, (reports, summary) = small_run
     assert summary["passed"] + summary["failed"] + summary["skipped"] == \
         summary["total"] == len(reports)
-    assert summary["skipped"] > 0          # relative_section on dimension 1
+    # skips come only from central_structure on a degenerate total turn
+    assert summary["skipped"] == summary["by_check"]["central_structure"]["skipped"] > 0
     assert list(summary["by_check"]) == list(ALL_CHECKS)
     for name, counts in summary["by_check"].items():
         assert counts == {status: sum(1 for r in reports

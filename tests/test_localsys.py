@@ -157,7 +157,7 @@ def counting_inverse(monkeypatch):
 
 def test_monodromy_is_inverted_once_per_distinct_matrix(monkeypatch):
     braid4 = braid_essentialized(4)
-    section, _cert = generic_section(braid4, 2, seed=0)
+    section = generic_section(braid4, 2, seed=0)
     complexes = [build_salvetti(enumerate_faces(arr)) for arr in (braid4, section)]
     assert section.d == braid4.d == 6
     assert any(s < 0 for sc in complexes for _i, s in sc.reduced.generators)

@@ -42,7 +42,7 @@ def _with_derived(arr, seed):
     out = [arr] + [localize(arr, flat) for flat in zero_flats(intersection_poset(arr))]
     if arr.is_central and arr.is_essential and arr.dim >= 2:
         out += [decone(arr, i0) for i0 in range(arr.d)]
-    return out + [generic_section(arr, k, seed)[0] for k in range(1, arr.dim)]
+    return out + [generic_section(arr, k, seed) for k in range(1, arr.dim)]
 
 
 def _ladder():
