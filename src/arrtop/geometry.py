@@ -51,9 +51,6 @@ class Hyperplane:
     offset: Fraction
     label: str
 
-    def eval(self, point) -> Fraction:
-        return dot(self.normal, point) - self.offset
-
 
 @dataclass(frozen=True)
 class Arrangement:

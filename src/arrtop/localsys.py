@@ -4,12 +4,12 @@ A rank-r local system is encoded by one invertible r x r monodromy
 matrix per hyperplane meridian; the matrices are required to commute
 pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
-and F_p.  Each system inverts its monodromy once, one inversion per
-distinct matrix, and multiplies out its total turn once, and keeps both;
-building a system reads the inverses.
-Systems derived from a checked one (a subset of its matrices, or their
-inverses) commute as a family already and carry the inverses over, so
-they neither check nor invert again.
+and F_p.  Each system computes once, and keeps, its inverses (one per
+distinct matrix, read at build), its total turn, whether it is trivial
+and its partition, the finest blocks on which all its matrices are
+block diagonal.  Systems derived from a checked one (a subset of its
+matrices, or their inverses) commute as a family already and carry the
+inverses over, so they neither check nor invert again.
 """
 
 from __future__ import annotations
@@ -73,6 +73,24 @@ class LocalSystem:
         return tuple(inverses[m] for m in self.monodromy)
 
     @cached_property
+    def partition(self) -> tuple:
+        """The finest partition of range(r) (blocks by least index) on which
+        every M_i, so every inverse, is block diagonal: the components of
+        the matrices' off-diagonal supports."""
+        block = {a: {a} for a in range(self.rank)}
+        for m in set(self.monodromy) if self.rank > 1 else ():
+            for a, b in ((a, b) for a, row in enumerate(m) for b, x in enumerate(row) if x):
+                if block[a] is not block[b]:
+                    block.update(dict.fromkeys(merged := block[a] | block[b], merged))
+        return tuple(dict.fromkeys(tuple(sorted(part)) for part in block.values()))
+
+    @cached_property
+    def trivial(self) -> bool:
+        """Every monodromy matrix is the identity, decided once."""
+        ident = identity_matrix(self.field, self.rank)
+        return all(m == ident for m in self.monodromy)
+
+    @cached_property
     def turn(self) -> tuple:
         """The product of all monodromy matrices (order-free by
         commutativity), multiplied out once."""
@@ -124,8 +142,7 @@ def scalar_system(fieldspec: FieldSpec, scalars) -> LocalSystem:
 
 
 def is_trivial(system: LocalSystem) -> bool:
-    ident = identity_matrix(system.field, system.rank)
-    return all(m == ident for m in system.monodromy)
+    return system.trivial
 
 
 def total_turn(arr: Arrangement, system: LocalSystem):

@@ -29,8 +29,8 @@ refuses any other), a ring homomorphism, so no per-system check runs.
 The evaluation plan, compiled once, lists the distinct generators t_i^±1
 and reaches each monomial by one product with one of them, reduced mod p
 once per product and once per entry; a system turns each generator into
-its M_i^±1 once, and the r x r block keys are built once per (reduced
-complex, rank), so per system a scalar entry costs one multiply-add.  A
+its M_i^±1 once and each block of its partition at the block's own size
+(a diagonal rank-r system takes r scalar passes) on keys built once.  A
 twisted complex over Q is that specialization times one positive integer
 `scale` that clears every denominator, so it is built on Python ints: one
 nonzero scalar on every boundary keeps d² = 0 and every rank, and
@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
 from .fields import FieldSpec
@@ -210,9 +210,8 @@ class ReducedComplex:
     the monomials use, in first-use order; monomials[j - 1] = (parent, g)
     makes monomial j the product of monomial parent and t_i^s, (i, s) =
     generators[g] (monomial 0 is 1, parents come first); and entries[k - 1]
-    lists (target, pos, ((monomial, coefficient), ...)) of boundary k.  For
-    rank r > 1, block_entries(r) pairs each entry's terms with the keys of
-    its r x r block, built once per rank."""
+    lists (target, pos, ((monomial, coefficient), ...)) of boundary k;
+    block_entries(r, partition) gives each entry's keys on every block."""
 
     d: int
     cells: list
@@ -221,15 +220,26 @@ class ReducedComplex:
     generators: list = None
     monomials: list = None
     entries: list = None
-    blocks: dict = None          # rank -> block_entries(rank)
+    blocks: dict = None          # (rank, partition) -> block_entries(rank, partition)
 
-    def block_entries(self, r):
-        """Per boundary, (keys (r * target + a, r * pos + b), a outer, terms)."""
-        got = self.blocks.get(r)
+    def block_entries(self, r, partition):
+        """(dims, starts, blocks), once per (r, partition).  blocks pairs each
+        block with (keys, terms) per entry of entries[k - 1], keys (r * target
+        + a, r * pos + b) for a, b in the block, a outer (one key at size
+        one).  starts[k - 1] = (rows, columns, seed): the seed is {} for one
+        block, else every in-block key of boundary k, in order, to None."""
+        got = self.blocks.get((r, partition))
         if got is None:
-            got = self.blocks[r] = [
-                [([(r * t + a, r * pos + b) for a in range(r) for b in range(r)], terms)
-                 for t, pos, terms in layer] for layer in self.entries]
+            dims = [r * c for c in self.cell_counts]
+            pairs = sorted((a, b) for block in partition for a in block for b in block)
+            seeds = [dict.fromkeys((r * t + a, r * pos + b) for t, pos, _terms in layer
+                                   for a, b in pairs) if len(partition) > 1 else {}
+                     for layer in self.entries]
+            got = self.blocks[r, partition] = (dims, list(zip(dims, dims[1:], seeds)), [
+                (block, [[([(r * t + a, r * pos + b) for a in block for b in block]
+                           if len(block) > 1 else (r * t + block[0], r * pos + block[0]), terms)
+                          for t, pos, terms in layer] for layer in self.entries])
+                for block in partition])
         return got
 
 
@@ -425,80 +435,84 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
 
     Each entry, a Laurent polynomial, becomes an r x r block: its value at
     the monodromy matrices (inverse monodromy for negative exponents),
-    transposed.  Each generator of the plan becomes its M_i^±1 once; each
-    monomial is one product of an earlier monomial and one of those, on
-    Python ints, reduced mod p once per product and once per entry.  For
-    r > 1 monomials are kept transposed and flat, a product entry is a row
-    times a column, and a block sums its terms as whole vectors, written
-    through red.block_entries(r).  Over Q each M_i^±1 is
-    N/D, N an integer matrix and D the lcm of its denominators, so monomial
-    j is an integer value over the product of its generators' D; every
-    matrix is multiplied by one positive integer `scale`, the lcm of those
-    denominators, and its entries are ints.  One nonzero scalar on every
-    boundary keeps d² = 0, so the matrices are still GatedBoundaries, and
-    keeps every rank."""
-    arr = sc.fc.arrangement
-    if system.d != arr.d:
-        raise ValueError(f"system has {system.d} matrices, arrangement has {arr.d}")
+    transposed.  That is zero off the blocks of system.partition; each block
+    is evaluated at its own size and written at its own keys
+    (red.block_entries), on scalars at size one, else on monomials kept
+    transposed and flat (a product entry is a row times a column) with an
+    entry's terms summed as whole vectors.  Each monomial is one product of
+    an earlier one and one M_i^±1 on Python ints, reduced mod p once per
+    product and once per entry.  Over Q, M_i^±1 = N/D with D the lcm of all
+    its denominators, and every matrix is multiplied by one positive
+    integer `scale` that clears the monomials' denominators, so its entries
+    are ints: one nonzero scalar on every boundary keeps d² = 0 (the
+    matrices stay GatedBoundaries) and every rank."""
     red = sc.reduced
+    if len(system.monodromy) != red.d:
+        raise ValueError(f"system has {system.d} matrices, arrangement has {red.d}")
     field, r, p = system.field, system.rank, system.field.p
     gens, gen_dens = [], []
     for i, s in red.generators:
         m = system.monodromy[i] if s > 0 else system.inverse[i]
         if not p:
-            # M_i^s = N / D: N an integer matrix, D the lcm of its denominators
+            # M_i^s = N / D: N an integer matrix, D the lcm of all its denominators
             den = lcm(*(x.denominator for row in m for x in row))
             gen_dens.append(den)
             m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-        gens.append(m[0][0] if r == 1 else list(zip(*m)))          # its columns
-
-    if r == 1:
-        vals = [1]
-        for parent, g in red.monomials:
-            v = vals[parent] * gens[g]
-            vals.append(v % p if p else v)
-    else:
-        # vals[j][a * r + b] is entry (b, a) of monomial j
-        vals = [[int(a == b) for a in range(r) for b in range(r)]]
-        for parent, g in red.monomials:
-            rows = [vals[parent][b::r] for b in range(r)]
-            out = [sum(map(mul, row, col)) for col in gens[g] for row in rows]
-            vals.append([x % p for x in out] if p else out)
+        gens.append(m)
     scale = 1
     if not p:
-        # monomial j is vals[j] / dens[j]; scale clears every denominator
+        # monomial j is integer values over dens[j]; scale clears every denominator
         dens = [1]
         for parent, g in red.monomials:
             dens.append(dens[parent] * gen_dens[g])
         scale = lcm(*dens)
-        if scale > 1:
-            vals = [v * (scale // den) if r == 1 else [x * (scale // den) for x in v]
-                    for v, den in zip(vals, dens)]
 
-    dims = [r * c for c in red.cell_counts]
-    mats = []
-    for k, layer in enumerate(red.entries if r == 1 else red.block_entries(r), start=1):
-        m = FMatrixSparse(dims[k - 1], dims[k])
-        entries = m.entries
-        if r == 1:
-            for target, pos, terms in layer:
-                v = 0
-                for j, c in terms:
-                    v += c * vals[j]
-                if p:
-                    v %= p
-                if v:
-                    entries[target, pos] = v
-        else:
-            for keys, ((j, c), *rest) in layer:
-                block = [c * x for x in vals[j]]
-                for j, c in rest:
-                    block = [y + c * x for y, x in zip(block, vals[j])]
-                for key, v in zip(keys, [v % p for v in block] if p else block):
+    dims, starts, blocks = red.block_entries(r, system.partition if r > 1 else ((0,),))
+    # seeds hold several blocks' keys in order; the unwritten ones (zeros) go below
+    mats = [FMatrixSparse(nrows, ncols, seed.copy()) for nrows, ncols, seed in starts]
+    for block, layers in blocks:
+        if len(block) == 1:
+            (a,) = block
+            gen = [m[a][a] for m in gens]
+            vals = [1]
+            for parent, g in red.monomials:
+                v = vals[parent] * gen[g]
+                vals.append(v % p if p else v)
+            if scale > 1:
+                vals = [v * (scale // den) for v, den in zip(vals, dens)]
+            for m, layer in zip(mats, layers):
+                entries = m.entries
+                for key, terms in layer:
+                    v = 0
+                    for j, c in terms:
+                        v += c * vals[j]
+                    if p:
+                        v %= p
                     if v:
                         entries[key] = v
-        mats.append(m)
-    return TwistedComplex(field, r, dims, mats, scale)
+            continue
+        s, pick = len(block), itemgetter(*block)
+        cols = [list(map(pick, pick(list(zip(*m))))) for m in gens]     # block columns
+        # vals[j][a * s + b] is entry (b, a) of monomial j on the block
+        vals = [[int(a == b) for a in range(s) for b in range(s)]]
+        for parent, g in red.monomials:
+            rows = [vals[parent][b::s] for b in range(s)]
+            out = [sum(map(mul, row, col)) for col in cols[g] for row in rows]
+            vals.append([x % p for x in out] if p else out)
+        if scale > 1:
+            vals = [[x * (scale // den) for x in v] for v, den in zip(vals, dens)]
+        for m, layer in zip(mats, layers):
+            entries = m.entries
+            for keys, ((j, c), *rest) in layer:
+                acc = [c * x for x in vals[j]]
+                for j, c in rest:
+                    acc = [y + c * x for y, x in zip(acc, vals[j])]
+                for key, v in zip(keys, [v % p for v in acc] if p else acc):
+                    if v:
+                        entries[key] = v
+    for m in mats if len(blocks) > 1 else ():
+        m.entries = dict(filter(itemgetter(1), m.entries.items()))
+    return TwistedComplex(field, r, list(dims), mats, scale)
 
 
 def twisted_betti(sc: SalvettiComplex, system: LocalSystem):

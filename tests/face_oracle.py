@@ -5,7 +5,7 @@ independent of the incremental enumeration and of the intersection
 poset it reads: each face's dimension by a rank, its covers and its
 adjacent chambers by scanning every face's signs.  Beside them, the
 same incremental enumeration in Fraction arithmetic: every hyperplane
-evaluated at every witness by `Hyperplane.eval`, walk and segment steps
+evaluated at every witness by `affine_value`, walk and segment steps
 and LP witnesses on Fractions, on each flat's frame read as a rational
 point and directions.  The integer enumeration must reproduce its
 faces, witnesses included: each as the primitive (W, D) of the Fraction
@@ -20,7 +20,7 @@ from arrtop.geometry import intersection_poset, primitive_row
 from arrtop.realfaces import Face
 
 from dense_rank_oracle import rank_dense
-from poset_oracle import frame_as_fractions
+from poset_oracle import affine_value, frame_as_fractions
 
 
 def _interval_pick(ineqs, v, partial):
@@ -74,7 +74,7 @@ def sign_vector_realizable(arr, sigma):
     rows = []
     for s, h in zip(sigma, arr.hyperplanes):
         if s != 0:
-            row = [s * dot(h.normal, v) for v in basis] + [s * h.eval(point)]
+            row = [s * dot(h.normal, v) for v in basis] + [s * affine_value(h, point)]
             scale = lcm(*(x.denominator for x in row))
             row = [int(x * scale) for x in row]
             rows.append((row[:-1], row[-1], True))
@@ -119,7 +119,7 @@ def faces_by_fractions(arr):
     for k, h in enumerate(arr.hyperplanes):
         split = []
         for sigma, w, flat in faces:
-            sw = _sign(h.eval(w))
+            sw = _sign(affine_value(h, w))
             zero_flat = meet.get((flat, k))
             if zero_flat is None:
                 split.append((sigma + (sw,), w, flat))
@@ -132,10 +132,10 @@ def faces_by_fractions(arr):
                 for i, hp in strict:
                     move = dot(hp.normal, v)
                     if move != 0:
-                        t = min(t, sigma[i] * hp.eval(w) / (2 * abs(move)))
+                        t = min(t, sigma[i] * affine_value(hp, w) / (2 * abs(move)))
                 for eps in (t, -t):
                     pt = tuple(x + eps * y for x, y in zip(w, v))
-                    split.append((sigma + (_sign(h.eval(pt)),), pt, flat))
+                    split.append((sigma + (_sign(affine_value(h, pt)),), pt, flat))
             else:
                 split.append((sigma + (sw,), w, flat))
                 zrows = rows[zero_flat]
@@ -146,8 +146,8 @@ def faces_by_fractions(arr):
                     split.append((sigma + (0,), zero_w, zero_flat))
                     delta = Fraction(1)
                     for i, hp in strict:
-                        gw = sigma[i] * hp.eval(w)
-                        gz = sigma[i] * hp.eval(zero_w)
+                        gw = sigma[i] * affine_value(hp, w)
+                        gz = sigma[i] * affine_value(hp, zero_w)
                         if gw > gz:
                             delta = min(delta, gz / (2 * (gw - gz)))
                     far = tuple(z + delta * (z - x) for x, z in zip(w, zero_w))

@@ -17,10 +17,14 @@ from arrtop.exactla import dot, solve_affine
 from arrtop.geometry import Flat, betti_numbers, primitive_row
 
 
+def affine_value(h, point):
+    """a·point - b for the hyperplane a·x = b: zero on it, signed off it."""
+    return dot(h.normal, point) - h.offset
+
 def flat_rows_by_fractions(arr, point, basis):
     """(coeffs, const) per hyperplane: u -> a·(point + sum_j u_j basis_j) - b
     as a primitive integer row, from Fraction dot products."""
-    rows = (primitive_row([dot(h.normal, v) for v in basis] + [h.eval(point)])
+    rows = (primitive_row([dot(h.normal, v) for v in basis] + [affine_value(h, point)])
             for h in arr.hyperplanes)
     return tuple((row[:-1], row[-1]) for row in rows)
 
@@ -82,7 +86,8 @@ def poset_by_pair_solves(arr):
                 if sol is None:
                     continue
                 pt, basis = sol
-                closure = frozenset(j for j, g in enumerate(arr.hyperplanes) if g.eval(pt) == 0
+                closure = frozenset(j for j, g in enumerate(arr.hyperplanes)
+                                    if affine_value(g, pt) == 0
                                     and all(dot(g.normal, v) == 0 for v in basis))
                 for j in closure - key:
                     meet[key, j] = closure

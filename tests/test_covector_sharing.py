@@ -131,3 +131,18 @@ def test_one_build_per_covector_set_and_one_answer_per_system(contexts, call_cou
     assert len(ctx._dims) == 10423
     assert len(answers) == len({(key[arr_id], system) for arr_id, _sys_id, system in ctx._dims}) \
         == 5999
+
+
+def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
+    oracle = call_counter(harness, "c1_expected_dims")
+    corpus = generate_corpus(CorpusSpec(seed=0))[:4]
+    expected = 0
+    for run in range(2):
+        reports, _summary = run_verification(corpus, seed=0, checks=("lefschetz", "c1_oracle"))
+        ctx = contexts[run]
+        systems = {system for arr_id, _sys_id, system in ctx._dims
+                   if ctx.arrangement(arr_id).dim == 1}
+        c1_reports = sum(1 for r in reports if r.check == "c1_oracle")
+        assert c1_reports > len(systems) > 0                  # systems repeat across ids
+        expected += len(systems)                             # nothing kept across runs
+        assert len(oracle) == expected

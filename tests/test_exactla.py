@@ -387,7 +387,7 @@ def test_faces_and_feasibility_solve_for_no_flats():
     # projects every hyperplane onto each flat, so feasibility takes rows
     # in flat coordinates and computes no dot product, and faces take
     # every sign from the poset's integer rows: no Fraction dot product,
-    # no `Hyperplane.eval`, and integer witnesses, no Fraction at all.
+    # no hyperplane evaluated at a point, and integer witnesses, no Fraction at all.
     # Feasibility builds its witness on ints, the poset's rows are integer
     # dot products with each flat's integer frame, and every rank in the
     # library goes through the one sparse engine: no dense rank anywhere.

@@ -37,8 +37,8 @@ from arrtop.salvetti import build_salvetti
 
 from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_dense
-from poset_oracle import (check_section_by_solves, flat_rows_by_fractions, frame_as_fractions,
-                          poset_by_pair_solves)
+from poset_oracle import (affine_value, check_section_by_solves, flat_rows_by_fractions,
+                          frame_as_fractions, poset_by_pair_solves)
 
 
 def test_validate_a1():
@@ -130,7 +130,7 @@ def brute_force_flats(arr):
             point, basis = sol
             closure = frozenset(
                 i for i, h in enumerate(arr.hyperplanes)
-                if h.eval(point) == 0 and all(dot(h.normal, v) == 0 for v in basis))
+                if affine_value(h, point) == 0 and all(dot(h.normal, v) == 0 for v in basis))
             keys.add(closure)
     return keys
 
@@ -333,12 +333,12 @@ def test_poset_matches_the_pair_solving_oracle():
             assert rank_dense(directions) == len(directions)
             for i in key:
                 h = arr.hyperplanes[i]
-                assert h.eval(p) == 0 and all(dot(h.normal, v) == 0 for v in directions)
+                assert affine_value(h, p) == 0 and all(dot(h.normal, v) == 0 for v in directions)
             assert rows == flat_rows_by_fractions(arr, p, directions)
             assert len(rows) == arr.d
             for h, (coeffs, const) in zip(arr.hyperplanes, rows):
                 row = (*coeffs, const)
-                exact = [dot(h.normal, v) for v in directions] + [h.eval(p)]
+                exact = [dot(h.normal, v) for v in directions] + [affine_value(h, p)]
                 assert all(type(x) is int for x in row)
                 assert len(row) == len(exact)
                 assert gcd(*row) == (1 if any(row) else 0)

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_reduction import block_diagonal_systems
 
 from arrtop import localsys
+from arrtop.exactla import identity_matrix
 from arrtop.fields import FieldSpec
 from arrtop.geometry import decone, generic_section, intersection_poset, localize
-from arrtop.harness import VerifyContext, braid_essentialized, check_central_structure
+from arrtop.harness import (VerifyContext, braid_essentialized, check_central_structure,
+                            named_arrangements)
 from arrtop.localsys import (
     LocalSystem,
     LocalSystemError,
@@ -239,3 +243,71 @@ def test_hand_built_singular_system_fails_on_first_use():
         system.inverse
     with pytest.raises(LocalSystemError, match="matrix 2 is singular"):
         system.inverse_system()
+
+
+def assert_partition_is_the_components(system):
+    """system.partition covers range(r), blocks sorted and in order of their
+    least index; every monodromy matrix and every inverse is zero off its
+    blocks, and each block is connected by the matrices' nonzero
+    off-diagonal entries, so no finer partition would do."""
+    part = system.partition
+    assert sorted(a for block in part for a in block) == list(range(system.rank))
+    assert all(list(block) == sorted(block) for block in part) and list(part) == sorted(part)
+    where = {a: i for i, block in enumerate(part) for a in block}
+    for m in system.monodromy + system.inverse:
+        assert all(not x or where[a] == where[b]
+                   for a, row in enumerate(m) for b, x in enumerate(row))
+    for block in part:
+        seen, todo = {block[0]}, [block[0]]
+        while todo:
+            a = todo.pop()
+            for b in set(block) - seen:
+                if any(m[a][b] or m[b][a] for m in system.monodromy):
+                    seen.add(b)
+                    todo.append(b)
+        assert seen == set(block)
+
+
+def test_partition_of_rank_one_and_of_a_diagonal_system():
+    assert scalar_system(Q, [2, 3]).partition == ((0,),)
+    assert build_local_system(F7, 3, [[[2, 0, 0], [0, 3, 0], [0, 0, 2]]] * 2).partition \
+        == ((0,), (1,), (2,))
+
+
+def test_a_scalar_first_matrix_beside_a_jordan_matrix_gives_one_block():
+    system = build_local_system(Q, 2, [[[2, 0], [0, 2]], [[1, 1], [0, 1]], [[3, 0], [0, 3]]])
+    assert system.partition == ((0, 1),)
+    assert system.inverse_system().partition == ((0, 1),)
+    assert_partition_is_the_components(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_partition_is_the_components_also_on_derived_systems(data):
+    cen3 = named_arrangements()["cen3"]
+    system = data.draw(block_diagonal_systems(cen3.d, turn_one=data.draw(st.booleans())))
+    assert_partition_is_the_components(system)
+    inverse = system.inverse_system()
+    assert_partition_is_the_components(inverse)
+    assert inverse.partition == system.partition             # inverses share it
+    index_map = data.draw(st.lists(st.integers(0, cen3.d - 1), min_size=1, unique=True))
+    assert_partition_is_the_components(restrict(system, index_map))
+    if system.turn == identity_matrix(system.field, system.rank):
+        for i0 in range(cen3.d):
+            assert_partition_is_the_components(decone_system(cen3, system, i0))
+
+
+def test_is_trivial_is_decided_once_per_system(monkeypatch):
+    made = []
+    real = localsys.identity_matrix
+
+    def counted(field, r):
+        made.append(r)
+        return real(field, r)
+
+    monkeypatch.setattr(localsys, "identity_matrix", counted)
+    trivial = LocalSystem(Q, 2, (((1, 0), (0, 1)),) * 3)
+    twisted = build_local_system(F7, 2, [[[1, 1], [0, 1]]] * 3)
+    for _ in range(3):
+        assert is_trivial(trivial) and not is_trivial(twisted)
+    assert made == [2, 2]

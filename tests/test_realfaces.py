@@ -33,6 +33,7 @@ from face_oracle import (
     faces_by_fractions,
     sign_vector_realizable,
 )
+from poset_oracle import affine_value
 import face_oracle
 
 
@@ -88,7 +89,8 @@ def test_witnesses_are_exact(gen3, cen3):
             assert all(type(x) is int for x in f.witness) and den > 0
             assert len(w) == arr.dim and gcd(*f.witness) == 1
             point = tuple(Fraction(x, den) for x in w)
-            signs = tuple((h.eval(point) > 0) - (h.eval(point) < 0) for h in arr.hyperplanes)
+            values = [affine_value(h, point) for h in arr.hyperplanes]
+            signs = tuple((x > 0) - (x < 0) for x in values)
             assert signs == f.sign
 
 

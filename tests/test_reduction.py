@@ -91,6 +91,66 @@ def commuting_systems(draw, d, fields=FIELDS, q_scalars=Q_SCALARS):
     return system.inverse_system() if draw(st.booleans()) else system
 
 
+# over Q block i of a block-diagonal system draws its scalars with
+# denominator 2, 3 or 6 by i, so that blocks differ in their denominators
+Q_BY_DENOMINATOR = tuple(tuple(Fraction(n, den) for n in (1, -1, 5, -7)) for den in (2, 3, 6))
+
+
+def conjugated_jordan(draw, field, s, d, scalar):
+    """d commuting s x s matrices c_i * J^k_i, J the unipotent Jordan block
+    (I plus the shift), conjugated by one unitriangular product."""
+    small = st.integers(-2, 2)
+    mats = []
+    for _ in range(d):
+        c, k = draw(scalar), draw(st.integers(0, 3))
+        mats.append([[field.element(c * comb(k, b - a) if b >= a else 0) for b in range(s)]
+                     for a in range(s)])
+    low = [[field.element(1 if a == b else draw(small) if b < a else 0)
+            for b in range(s)] for a in range(s)]
+    up = [[field.element(1 if a == b else draw(small) if b > a else 0)
+           for b in range(s)] for a in range(s)]
+    base = mat_mul(field, low, up)
+    base_inv = mat_inverse(field, base)
+    return [mat_mul(field, mat_mul(field, base, m), base_inv) for m in mats]
+
+
+@st.composite
+def block_diagonal_systems(draw, d, fields=FIELDS, turn_one=False):
+    """Rank 2-4 over one of `fields`, block diagonal on a random partition
+    whose blocks a random basis permutation interleaves ({0, 2} and {1},
+    say).  Each block is a commuting family of its own: diagonal scalars,
+    or a scalar times a Jordan power conjugated inside the block.  Over Q
+    the blocks' denominators differ (Q_BY_DENOMINATOR), so the whole
+    matrix's D is no block's own.  turn_one makes the product of all
+    matrices 1; the system is possibly inverted."""
+    field = draw(st.sampled_from(fields))
+    r = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(r)))
+    cuts = sorted(draw(st.sets(st.integers(1, r - 1))))
+    blocks = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, r])]
+    mats = [[[field.zero] * r for _ in range(r)] for _ in range(d)]
+    for i, block in enumerate(blocks):
+        s = len(block)
+        scalar = (st.sampled_from(Q_BY_DENOMINATOR[i % 3]) if field.kind == "Q"
+                  else st.integers(1, field.p - 1))
+        if s == 1 or draw(st.booleans()):
+            parts = [[[field.element(draw(scalar)) if a == b else field.zero for b in range(s)]
+                      for a in range(s)] for _ in range(d)]
+        else:
+            parts = conjugated_jordan(draw, field, s, d, scalar)
+        for m, part in zip(mats, parts):
+            for x, a in enumerate(block):
+                for y, b in enumerate(block):
+                    m[a][b] = part[x][y]
+    if turn_one:
+        turn = mats[0]
+        for m in mats[1:-1]:
+            turn = mat_mul(field, turn, m)
+        mats[-1] = [list(row) for row in mat_inverse(field, turn)]
+    system = build_local_system(field, r, mats)
+    return system.inverse_system() if draw(st.booleans()) else system
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_reduced_betti_equal_the_full_oracle(data):
@@ -145,6 +205,33 @@ def test_specialization_is_the_plan_entry_for_entry_over_every_field(data):
     assert_scale_times_the_plan_oracle(sc, data.draw(commuting_systems(sc.fc.arrangement.d)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_diagonal_specialization_is_the_plan(data):
+    # blocks interleaved by a permutation, over Q of different denominators:
+    # each block at its own size writes the plan's entries at its keys, in
+    # key order, times the scale of the whole matrices
+    name = data.draw(st.sampled_from(["gen3", "cen3", "braid4", "gen-4-3", "dbraid5"]))
+    sc = complex_named(name)
+    assert_scale_times_the_plan_oracle(sc, data.draw(block_diagonal_systems(sc.fc.arrangement.d)))
+
+
+@pytest.mark.parametrize("name", ["braid4", "dbraid5"])
+@pytest.mark.parametrize("field", [FieldSpec.prime(7), Q], ids=["F7", "Q"])
+def test_interleaved_blocks_of_sizes_two_and_one_match_the_plan(name, field):
+    # blocks {0, 2}, a Jordan block with denominators 2, and {1}, scalars
+    # with denominator 3: a block of size > 1 beside one of size 1
+    sc = complex_named(name)
+    d = sc.fc.arrangement.d
+    h, t = field.element(Fraction(1, 2)), field.element(Fraction(1, 3))
+    mats = [[[h, 0, h * k], [0, t * (k % 5 + 1), 0], [0, 0, h]] for k in range(d)]
+    for system in (build_local_system(field, 3, mats),
+                   build_local_system(field, 3, mats).inverse_system()):
+        assert system.partition == ((0, 2), (1,))
+        assert (twisted_complex(sc, system).scale > 1) == (field.kind == "Q")
+        assert_scale_times_the_plan_oracle(sc, system)
+
+
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=["F101", "Q"])
 @pytest.mark.parametrize("r", [4, 5])
 def test_sweep_complex_matches_the_plan_at_ranks_4_and_5(field, r):
@@ -177,12 +264,17 @@ def test_plan_lists_each_generator_once_in_first_use_order(name):
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(7), Q], ids=["F7", "Q"])
 def test_nothing_leaks_between_ranks(field):
-    # whatever the reduced complex keeps per rank, a complex that has
-    # assembled other ranks gives what a freshly built one gives
+    # whatever the reduced complex keeps per (rank, partition), a complex
+    # that has assembled other ranks, and at rank 3 a diagonal system and a
+    # Jordan system in turn, gives what a freshly built one gives
     arr = braid_essentialized(4)
     sc = build_salvetti(enumerate_faces(arr))
-    for r in (2, 1, 3, 2, 1):
-        system = jordan_system(field, r, arr.d, scalars=(2, 3, -1))
+    diagonal = [[[field.element((2, 3, -1, 5)[(i + a) % 4]) if a == b else 0
+                  for b in range(3)] for a in range(3)] for i in range(arr.d)]
+    systems = [jordan_system(field, r, arr.d, scalars=(2, 3, -1)) for r in (2, 1, 3, 2, 1)]
+    systems += [build_local_system(field, 3, diagonal), jordan_system(field, 3, arr.d, (2, -1)),
+                build_local_system(field, 3, diagonal).inverse_system()]
+    for system in systems:
         got = twisted_complex(sc, system)
         fresh = twisted_complex(build_salvetti(enumerate_faces(arr)), system)
         assert (got.dims, got.scale) == (fresh.dims, fresh.scale)
