@@ -170,14 +170,10 @@ def cmd_verify(args) -> int:
         # explicit files plus an explicit check: enforce the check's hypotheses
         for name in checks or ():
             check = harness.CHECKS[name]
-            for item in corpus:
-                outside = [sys_id for sys_id, system in item.systems
-                           if not check.on_system(system)]
-                if not check.on_arrangement(item.arrangement):
-                    outside.insert(0, item.arrangement_id)
-                if outside:
-                    raise PreconditionError(f"{outside[0]}: outside the hypotheses of "
-                                            f"{name} ({check.statement})")
+            outside = [i for item in corpus for i in check.outside(item)]
+            if outside:
+                raise PreconditionError(f"{outside[0]}: outside the hypotheses of "
+                                        f"{name} ({check.statement})")
     reports, summary = harness.run_verification(
         corpus, seed=args.seed, checks=checks, primes=primes)
     if checks:

@@ -92,12 +92,6 @@ def solve_affine(eqs, n):
     return particular, basis
 
 
-def nullspace(rows, n):
-    """Basis of {x : a·x = 0 for every row a}."""
-    sol = solve_affine([(row, Fraction(0)) for row in rows], n)
-    return sol[1]
-
-
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 

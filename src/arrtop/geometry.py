@@ -26,8 +26,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .exactla import (FMatrixSparse, dot, identity_matrix, mat_inverse, nullspace, rank, rref,
-                      solve_affine)
+from .exactla import FMatrixSparse, dot, mat_inverse, rank, rref, solve_affine
 from .fields import FieldSpec, parse_int, parse_rational
 
 
@@ -300,28 +299,21 @@ def zero_flats(poset: FlatPoset):
 # surgeries
 
 
-def essentialize(arr: Arrangement):
+def essentialize(arr: Arrangement) -> Arrangement:
     """Quotient by the lineality space along a rational complement.
 
-    Returns (essential arrangement, projection rows).  The projection P
-    satisfies: x lies on hyperplane i iff P x lies on the image
-    hyperplane i.  Identity when the input is already essential.
+    The coordinate vectors at the pivot columns of the normals span a
+    complement of the lineality space, on which every normal vanishes, so
+    each hyperplane keeps its normal's pivot entries and its offset: the
+    quotient has the same flats, each with the same containing set and
+    codim.  The input itself when it is already essential.
     """
-    n = arr.dim
     if arr.is_essential:
-        return arr, identity_matrix(FieldSpec.rationals(), n)
-    normals = [h.normal for h in arr.hyperplanes]
-    _, pivots = rref(normals, FieldSpec.rationals())
-    m = len(pivots)
-    lineality = nullspace(normals, n)
-    cols = [[Fraction(1 if i == p else 0) for i in range(n)] for p in pivots]
-    cols += [list(v) for v in lineality]
-    basis = [[cols[j][i] for j in range(n)] for i in range(n)]  # columns -> matrix
-    inv = mat_inverse(FieldSpec.rationals(), basis)
-    proj = tuple(tuple(inv[r][c] for c in range(n)) for r in range(m))
-    hyps = [Hyperplane(tuple(h.normal[p] for p in pivots), h.offset, h.label)
-            for h in arr.hyperplanes]
-    return Arrangement.build(m, hyps), proj
+        return arr
+    _, pivots = rref([h.normal for h in arr.hyperplanes], FieldSpec.rationals())
+    return Arrangement.build(len(pivots), [
+        Hyperplane(tuple(h.normal[p] for p in pivots), h.offset, h.label)
+        for h in arr.hyperplanes])
 
 
 def localize(arr: Arrangement, flat: Flat) -> Arrangement:

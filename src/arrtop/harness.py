@@ -82,9 +82,7 @@ def braid_essentialized(m: int) -> Arrangement:
             normal = [Fraction(0)] * m
             normal[i], normal[j] = Fraction(1), Fraction(-1)
             hyps.append(Hyperplane(tuple(normal), Fraction(0), f"x{i + 1}-x{j + 1}"))
-    arr = Arrangement.build(m, hyps)
-    essential, _ = geometry.essentialize(arr)
-    return essential
+    return geometry.essentialize(Arrangement.build(m, hyps))
 
 
 def _subseed(*parts) -> int:
@@ -137,19 +135,23 @@ def random_central(d: int, n: int, seed: int) -> Arrangement:
 # corpus of local systems
 
 
+# the corpus shape: braid sizes m, (d, n) of the random generic and random
+# central arrangements, and the random systems drawn per arrangement
+BRAID_SIZES = (3, 4)
+GENERIC_SIZES = ((4, 2), (6, 2), (4, 3))
+CENTRAL_SIZES = ((4, 3), (5, 3))
+RANK1_Q_RANDOM = 6
+RANK1_FP_RANDOM = 9
+RANK2_DIAG_Q = 2
+RANK2_DIAG_FP = 2
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Deterministic corpus description; expansion depends only on seed."""
 
     seed: int = 0
     primes: tuple = DEFAULT_PRIMES
-    braid_sizes: tuple = (3, 4)
-    generic_sizes: tuple = ((4, 2), (6, 2), (4, 3))
-    central_sizes: tuple = ((4, 3), (5, 3))
-    rank1_q_random: int = 6
-    rank1_fp_random: int = 9
-    rank2_diag_q: int = 2
-    rank2_diag_fp: int = 2
     min_nontrivial: int = 100
 
 
@@ -192,7 +194,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
         _add_with_inverse(out, seen, f"q1-eq-{_id_frag(s)}",
                           localsys.scalar_system(q, [s] * d))
     rng = random.Random(_subseed(spec.seed, arr_id, "q1"))
-    for t in range(spec.rank1_q_random):
+    for t in range(RANK1_Q_RANDOM):
         scalars = [pool[rng.randrange(len(pool))] for _ in range(d)]
         _add_with_inverse(out, seen, f"q1-rnd-{t}", localsys.scalar_system(q, scalars))
 
@@ -214,7 +216,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
             _add_with_inverse(out, seen, f"f{p}1-eq-{s}",
                               localsys.scalar_system(fp, [s] * d))
         rng = random.Random(_subseed(spec.seed, arr_id, f"fp1-{p}"))
-        for t in range(spec.rank1_fp_random):
+        for t in range(RANK1_FP_RANDOM):
             while True:
                 scalars = [rng.randrange(1, p) for _ in range(d)]
                 if any(s != 1 for s in scalars):
@@ -223,7 +225,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
                               localsys.scalar_system(fp, scalars))
 
     rng = random.Random(_subseed(spec.seed, arr_id, "q2"))
-    for t in range(spec.rank2_diag_q):
+    for t in range(RANK2_DIAG_Q):
         mats = []
         for _ in range(d):
             a = pool[rng.randrange(len(pool))]
@@ -236,7 +238,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
             continue
         fp = FieldSpec.prime(p)
         rng = random.Random(_subseed(spec.seed, arr_id, f"fp2-{p}"))
-        for t in range(spec.rank2_diag_fp):
+        for t in range(RANK2_DIAG_FP):
             mats = [[[rng.randrange(2, p), 0], [0, rng.randrange(2, p)]]
                     for _ in range(d)]
             _add_with_inverse(out, seen, f"f{p}2-diag-{t}",
@@ -280,12 +282,12 @@ def generate_corpus(spec: CorpusSpec):
     generic and random central arrangements, each with its systems."""
     items = []
     arrangements = list(named_arrangements().items())
-    for m in spec.braid_sizes:
+    for m in BRAID_SIZES:
         arrangements.append((f"braid{m}", braid_essentialized(m)))
-    for d, n in spec.generic_sizes:
+    for d, n in GENERIC_SIZES:
         arrangements.append(
             (f"gen-{d}-{n}", random_generic(d, n, _subseed(spec.seed, "gen", d, n))))
-    for d, n in spec.central_sizes:
+    for d, n in CENTRAL_SIZES:
         arrangements.append(
             (f"cen-{d}-{n}", random_central(d, n, _subseed(spec.seed, "cen", d, n))))
     for arr_id, arr in arrangements:
@@ -454,11 +456,6 @@ def check_constant_equality(ctx: VerifyContext, arr_id: str, r: int) -> CheckRep
 def check_main_theorem(ctx: VerifyContext, arr_id: str, sys_id: str,
                        system: LocalSystem) -> CheckReport:
     arr = ctx.arrangement(arr_id)
-    if not arr.is_essential:
-        raise PreconditionError("main theorem check needs an essential arrangement")
-    if is_trivial(system):
-        raise PreconditionError("main theorem check needs a nontrivial system "
-                                "(use the constant-equality check)")
     dims = ctx.dims(arr_id, sys_id, system)
     bound = [system.rank * x for x in ctx.betti(arr_id)]
     ok = all(dims[i] < bound[i] for i in range(arr.dim + 1))
@@ -482,8 +479,6 @@ def check_euler(ctx: VerifyContext, arr_id: str, sys_id: str,
 def check_relative_section(ctx: VerifyContext, arr_id: str, sys_id: str,
                            system: LocalSystem) -> CheckReport:
     n = ctx.arrangement(arr_id).dim
-    if n < 2:
-        raise PreconditionError("relative-section check needs ambient dimension >= 2")
     sec_id = ctx.section(arr_id, n - 1)
     dims_a = ctx.dims(arr_id, sys_id, system)
     dims_b = ctx.dims(sec_id, sys_id, system)
@@ -534,9 +529,6 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
 def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
                             system: LocalSystem) -> CheckReport:
     arr = ctx.arrangement(arr_id)
-    if not (arr.is_central and arr.is_essential):
-        raise PreconditionError("central-structure check needs a central "
-                                "essential arrangement")
     n = arr.dim
     turn = localsys.total_turn(arr, system)
     ident = identity_matrix(system.field, system.rank)
@@ -575,9 +567,6 @@ def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_lefschetz(ctx: VerifyContext, arr_id: str, sys_id: str,
                     system: LocalSystem, i: int) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
-    if not 1 <= i <= arr.dim:
-        raise PreconditionError(f"section dimension {i} out of range")
     sec_id = ctx.section(arr_id, i)
     dims_a = ctx.dims(arr_id, sys_id, system)
     dims_b = ctx.dims(sec_id, sys_id, system)
@@ -627,7 +616,12 @@ class Check:
     """One declared check.  `run` gets (ctx, arr_id) under scope ARRANGEMENT,
     (ctx, arr_id, sys_id, system) under SYSTEM, then each tuple of
     `expand(ctx, arr_id)`, where both predicates hold.  DIMS_CACHE runs
-    last, once per tuple of `expand(ctx)`."""
+    last, once per tuple of `expand(ctx)`.
+
+    The predicates `on_arrangement` and `on_system` are the check's
+    hypotheses, stated here only: `run` assumes them and tests none, the
+    runner calls it only where they hold, and `outside` reads them for
+    inputs given explicitly."""
 
     statement: str
     run: Callable
@@ -636,12 +630,18 @@ class Check:
     on_system: Callable = lambda system: True
     expand: Callable = lambda ctx, arr_id: ((),)
 
+    def outside(self, item) -> list:
+        """The ids of a corpus item that the hypotheses exclude: the
+        arrangement's first, then each excluded system's."""
+        ids = [] if self.on_arrangement(item.arrangement) else [item.arrangement_id]
+        return ids + [sys_id for sys_id, system in item.systems if not self.on_system(system)]
+
 
 CHECKS = {
     "untwisted_match": Check(
         "Salvetti homology equals Whitney-sum Betti numbers; "
         "chamber counts match the characteristic-polynomial evaluations",
-        check_untwisted_match, ARRANGEMENT),
+        check_untwisted_match, ARRANGEMENT, on_arrangement=lambda arr: arr.is_essential),
     "constant_equality": Check(
         "constant rank-r coefficients give exactly r times the "
         "untwisted Betti numbers in every degree",
@@ -649,7 +649,8 @@ CHECKS = {
         expand=lambda ctx, arr_id: ((r,) for r in CONSTANT_RANKS)),
     "main_theorem": Check(
         "nontrivial coefficients: b_i(U;L) < r*b_i(U) in every degree",
-        check_main_theorem, on_system=lambda system: not is_trivial(system)),
+        check_main_theorem, on_arrangement=lambda arr: arr.is_essential,
+        on_system=lambda system: not is_trivial(system)),
     "euler": Check(
         "alternating sum of twisted Betti numbers equals r times the "
         "Euler characteristic of the complement",
@@ -670,7 +671,8 @@ CHECKS = {
     "central_structure": Check(
         "central case: invertible (T - I) forces vanishing; "
         "T = I gives b_k(U) = b_k(M) + b_{k-1}(M) for every decone",
-        check_central_structure, on_arrangement=lambda arr: arr.is_central),
+        check_central_structure,
+        on_arrangement=lambda arr: arr.is_central and arr.is_essential),
     "lefschetz": Check(
         "generic i-section: b_i(U;L) <= b_i(B;L) and untwisted b_i agree",
         check_lefschetz,

@@ -223,19 +223,12 @@ class ReducedComplex:
     blocks: dict = None          # (rank, partition) -> block_entries(rank, partition)
 
     def block_entries(self, r, partition):
-        """(dims, starts, blocks), once per (r, partition).  blocks pairs each
-        block with (keys, terms) per entry of entries[k - 1], keys (r * target
-        + a, r * pos + b) for a, b in the block, a outer (one key at size
-        one).  starts[k - 1] = (rows, columns, seed): the seed is {} for one
-        block, else every in-block key of boundary k, in order, to None."""
+        """(dims, blocks), once per (r, partition).  blocks pairs each block
+        with (keys, terms) per entry of entries[k - 1], keys (r * target + a,
+        r * pos + b) for a, b in the block, a outer (one key at size one)."""
         got = self.blocks.get((r, partition))
         if got is None:
-            dims = [r * c for c in self.cell_counts]
-            pairs = sorted((a, b) for block in partition for a in block for b in block)
-            seeds = [dict.fromkeys((r * t + a, r * pos + b) for t, pos, _terms in layer
-                                   for a, b in pairs) if len(partition) > 1 else {}
-                     for layer in self.entries]
-            got = self.blocks[r, partition] = (dims, list(zip(dims, dims[1:], seeds)), [
+            got = self.blocks[r, partition] = ([r * c for c in self.cell_counts], [
                 (block, [[([(r * t + a, r * pos + b) for a in block for b in block]
                            if len(block) > 1 else (r * t + block[0], r * pos + block[0]), terms)
                           for t, pos, terms in layer] for layer in self.entries])
@@ -411,11 +404,20 @@ def boundary_matrices(sc: SalvettiComplex):
     return mats
 
 
+def _padded_homology(sc: SalvettiComplex, matrices, dims, fieldspec: FieldSpec):
+    """Homology dims of boundaries the build gated (no composition check
+    here: it proved d∘d = 0 over Λ, on the full boundary and on the reduced
+    one), padded to the ambient dimension: a non-essential arrangement has
+    no cells above its top codim."""
+    hom = complex_dims(GatedBoundaries(matrices), dims, fieldspec).homology
+    return hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
+
+
 def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
-    """Homology dims of the untwisted full complex over Q (or over F_p)."""
-    fieldspec = fieldspec or FieldSpec.rationals()
-    mats = GatedBoundaries(boundary_matrices(sc))
-    return complex_dims(mats, sc.cell_counts, fieldspec).homology
+    """Homology dims of the untwisted full complex over Q (or over F_p),
+    padded to the ambient dimension."""
+    return _padded_homology(sc, boundary_matrices(sc), sc.cell_counts,
+                            fieldspec or FieldSpec.rationals())
 
 
 @dataclass
@@ -467,9 +469,8 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
             dens.append(dens[parent] * gen_dens[g])
         scale = lcm(*dens)
 
-    dims, starts, blocks = red.block_entries(r, system.partition if r > 1 else ((0,),))
-    # seeds hold several blocks' keys in order; the unwritten ones (zeros) go below
-    mats = [FMatrixSparse(nrows, ncols, seed.copy()) for nrows, ncols, seed in starts]
+    dims, blocks = red.block_entries(r, system.partition if r > 1 else ((0,),))
+    mats = [FMatrixSparse(nrows, ncols) for nrows, ncols in zip(dims, dims[1:])]
     for block, layers in blocks:
         if len(block) == 1:
             (a,) = block
@@ -510,8 +511,6 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
                 for key, v in zip(keys, [v % p for v in acc] if p else acc):
                     if v:
                         entries[key] = v
-    for m in mats if len(blocks) > 1 else ():
-        m.entries = dict(filter(itemgetter(1), m.entries.items()))
     return TwistedComplex(field, r, list(dims), mats, scale)
 
 
@@ -524,8 +523,4 @@ def twisted_betti(sc: SalvettiComplex, system: LocalSystem):
     inversion, so statements quantified over all systems are unaffected.
     """
     tc = twisted_complex(sc, system)
-    # no per-system composition check: the build proved d∘d = 0 over Λ,
-    # on the full boundary and on the reduced one
-    hom = complex_dims(GatedBoundaries(tc.matrices), tc.dims, tc.field).homology
-    n = sc.fc.arrangement.dim
-    return hom + [0] * (n + 1 - len(hom))
+    return _padded_homology(sc, tc.matrices, tc.dims, tc.field)

@@ -23,6 +23,11 @@ TWO_POINTS = {"dim": 1, "hyperplanes": [
     {"label": "a", "normal": ["1"], "offset": "0"},
     {"label": "b", "normal": ["1"], "offset": "1"}]}
 SYS_23_Q = {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"]]}
+SYS_11_Q = {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["1"], ["1"]]}
+LINES = {"dim": 2, "hyperplanes": [            # x = 0 and x = 1: not essential
+    {"label": "x", "normal": ["1", "0"], "offset": "0"},
+    {"label": "x-1", "normal": ["1", "0"], "offset": "1"}]}
+ESSENTIAL_ONLY = ("main_theorem", "untwisted_match", "central_structure")
 
 
 def write(tmp_path, name, obj):
@@ -317,6 +322,27 @@ def test_verify_vacuous_check_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--all", "--checks", "c1_oracle", "--out", str(out)]) == 2
     assert "c1_oracle" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_non_essential_file_gets_every_other_check(tmp_path, capsys):
+    files = [write(tmp_path, "line.json", LINES), write(tmp_path, "s.json", SYS_23_Q),
+             write(tmp_path, "t.json", SYS_11_Q)]
+    out = tmp_path / "report.json"
+    assert main(["verify", *files, "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert reports and all(r["status"] == "pass" for r in reports)
+    assert {r["check"] for r in reports} == set(harness.ALL_CHECKS) - {
+        *ESSENTIAL_ONLY, "nearby_section"}                        # no 0-flat to localize at
+
+
+@pytest.mark.parametrize("check", ESSENTIAL_ONLY)
+def test_verify_essential_only_check_on_a_non_essential_file_exits_2(tmp_path, capsys, check):
+    files = [write(tmp_path, "line.json", LINES), write(tmp_path, "s.json", SYS_23_Q)]
+    out = tmp_path / "report.json"
+    assert main(["verify", *files, "--checks", check, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "file:line" in err and check in err
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,6 @@ from arrtop.harness import (
     ALL_CHECKS,
     CHECKS,
     CorpusSpec,
-    PreconditionError,
     VerifyContext,
     _in_general_position,
     braid_essentialized,
@@ -40,17 +41,23 @@ from arrtop.harness import (
     random_generic,
     reports_to_json,
     run_verification,
+    systems_for_arrangement,
 )
-from arrtop.localsys import build_local_system, is_trivial, scalar_system
+from arrtop.localsys import LocalSystemError, build_local_system, is_trivial, scalar_system
 
+from conftest import make_arrangement
 from dense_rank_oracle import rank_dense
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
 
-SMALL = CorpusSpec(seed=0, braid_sizes=(3,), generic_sizes=((4, 2),), central_sizes=(),
-                   rank1_q_random=2, rank1_fp_random=2, rank2_diag_q=1, rank2_diag_fp=1,
-                   min_nontrivial=0)
+SPEC = CorpusSpec(seed=0)
+
+
+def small_corpus():
+    """The default corpus's first six items, the named examples and braid3:
+    every check has instances on them."""
+    return generate_corpus(SPEC)[:6]
 
 
 def ctx_with(*pairs):
@@ -58,6 +65,12 @@ def ctx_with(*pairs):
     for arr_id, arr in pairs:
         ctx.register(arr_id, arr)
     return ctx
+
+
+def times_c(arr):
+    """arr x C: each normal gains a zero coordinate, so it is not essential."""
+    return Arrangement.build(arr.dim + 1, [Hyperplane((*h.normal, Fraction(0)), h.offset,
+                                                      h.label) for h in arr.hyperplanes])
 
 
 @pytest.fixture
@@ -124,8 +137,12 @@ def test_main_theorem_a2(named_ctx):
 
 
 def test_main_theorem_rejects_trivial(named_ctx):
-    with pytest.raises(PreconditionError):
-        check_main_theorem(named_ctx, "gen3", "s", scalar_system(Q, [1, 1, 1]))
+    # declared for nontrivial systems on essential arrangements only
+    main = CHECKS["main_theorem"]
+    assert not main.on_system(scalar_system(Q, [1, 1, 1]))
+    assert main.on_system(scalar_system(Q, [2, 1, 1]))
+    assert main.on_arrangement(named_ctx.arrangement("gen3"))
+    assert not main.on_arrangement(times_c(named_ctx.arrangement("gen3")))
 
 
 def test_euler_check(named_ctx):
@@ -152,8 +169,11 @@ def test_relative_section_twisted(named_ctx):
 
 
 def test_relative_section_rejects_dimension1(named_ctx):
-    # declared for dim >= 2 in the registry, so a run never calls it there
-    with pytest.raises(PreconditionError):
+    # declared for dim >= 2 in the registry, so a run never calls it there;
+    # called anyway, it asks for a 0-section, which does not exist
+    assert not CHECKS["relative_section"].on_arrangement(named_ctx.arrangement("a2"))
+    assert CHECKS["relative_section"].on_arrangement(named_ctx.arrangement("gen3"))
+    with pytest.raises(ArrangementError):
         check_relative_section(named_ctx, "a2", "s", scalar_system(Q, [2, 3]))
 
 
@@ -210,7 +230,14 @@ def test_central_structure_degenerate_turn_skips(named_ctx):
 
 
 def test_central_structure_rejects_noncentral(named_ctx):
-    with pytest.raises(PreconditionError):
+    # declared for central essential arrangements; called anyway on a
+    # non-central one, it has no total turn to read
+    central = CHECKS["central_structure"]
+    cen3, gen3 = named_ctx.arrangement("cen3"), named_ctx.arrangement("gen3")
+    assert central.on_arrangement(cen3)
+    assert not central.on_arrangement(gen3)
+    assert not central.on_arrangement(times_c(cen3))
+    with pytest.raises(LocalSystemError):
         check_central_structure(named_ctx, "gen3", "s", scalar_system(Q, [2, 2, 2]))
 
 
@@ -223,9 +250,42 @@ def test_lefschetz(named_ctx):
     assert full.data["dim"] == full.data["section_dim"]
 
 
+def test_no_check_body_tests_its_own_hypotheses():
+    # each check's hypotheses are stated once, in its CHECKS entry
+    tree = ast.parse(Path(harness.__file__).read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")}
+    assert set(bodies) == {check.run.__name__ for check in CHECKS.values()}
+    for name, body in bodies.items():
+        raised = {node.id for stmt in ast.walk(body) if isinstance(stmt, ast.Raise)
+                  for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        assert "PreconditionError" not in raised, name
+
+
+def test_non_essential_arrangements_get_every_other_check():
+    # braid3 before essentializing, gen3 x C, three parallel lines and
+    # cen3 x C: every check that applies runs and passes; untwisted_match,
+    # main_theorem and central_structure are declared for essential
+    # arrangements only, and no 0-flat gives nearby_section an instance
+    named = named_arrangements()
+    arrs = {"braid3-full": make_arrangement(3, [((1, -1, 0), 0), ((1, 0, -1), 0),
+                                                ((0, 1, -1), 0)]),
+            "gen3xC": times_c(named["gen3"]),
+            "lines3": make_arrangement(2, [((1, 0), c) for c in range(3)]),
+            "cen3xC": times_c(named["cen3"])}
+    corpus = [harness.CorpusItem(arr_id, arr, systems_for_arrangement(arr, SPEC, arr_id))
+              for arr_id, arr in arrs.items()]
+    assert not any(arr.is_essential for arr in arrs.values())
+    reports, summary = run_verification(corpus, seed=0)
+    assert summary["passed"] == summary["total"] == len(reports) > 0
+    assert {r.check for r in reports} == set(ALL_CHECKS) - {
+        "untwisted_match", "main_theorem", "central_structure", "nearby_section"}
+    assert {r.arrangement for r in reports if r.check != "c1_oracle"} == set(arrs)
+
+
 def test_corpus_determinism():
-    a = generate_corpus(SMALL)
-    b = generate_corpus(SMALL)
+    a = generate_corpus(SPEC)
+    b = generate_corpus(SPEC)
     assert [item.arrangement_id for item in a] == [item.arrangement_id for item in b]
     for x, y in zip(a, b):
         assert x.arrangement == y.arrangement
@@ -233,7 +293,7 @@ def test_corpus_determinism():
 
 
 def test_corpus_closed_under_inversion():
-    for item in generate_corpus(SMALL):
+    for item in generate_corpus(SPEC):
         keys = {(s.field, s.monodromy) for _, s in item.systems}
         for _, s in item.systems:
             inv = s.inverse_system()
@@ -242,7 +302,7 @@ def test_corpus_closed_under_inversion():
 
 @pytest.fixture(scope="module")
 def small_run():
-    corpus = generate_corpus(SMALL)
+    corpus = small_corpus()
     return corpus, run_verification(corpus, seed=0)
 
 
@@ -276,7 +336,7 @@ def test_run_verification_small(small_run):
 
 
 def test_run_verification_check_filter():
-    corpus = generate_corpus(SMALL)
+    corpus = small_corpus()
     reports, summary = run_verification(corpus, seed=0, checks=["untwisted_match"])
     assert {r.check for r in reports} == {"untwisted_match"}
     assert summary["failed"] == 0

@@ -170,6 +170,19 @@ def test_untwisted_oracle_braid4():
         assert untwisted_homology(sc, FieldSpec.prime(p)) == [1, 6, 11, 6]
 
 
+@pytest.mark.parametrize("arr", [
+    make_arrangement(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), 1)]),   # gen3 x C
+    make_arrangement(2, [((1, 0), 0), ((1, 0), 1)]),                       # x = 0, x = 1
+], ids=["gen3xC", "parallel"])
+def test_untwisted_homology_pads_to_the_ambient_dimension(arr):
+    # a non-essential arrangement has no cells above its top codim; its
+    # homology is padded with zeros, as twisted_betti's is
+    sc = complex_for(arr)
+    assert len(sc.cell_counts) < arr.dim + 1
+    for field in (Q, F7):
+        assert untwisted_homology(sc, field) == betti_numbers(intersection_poset(arr))
+
+
 def test_twisted_a1(a1):
     sc = complex_for(a1)
     assert twisted_betti(sc, scalar_system(Q, [2])) == [0, 0]
