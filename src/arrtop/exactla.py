@@ -4,12 +4,12 @@ Two layers:
 
 * small dense helpers: one Gauss-Jordan elimination over Q or F_p, on
   plain operators with one `% p` per entry over F_p, which gives affine
-  solves and null spaces for the coordinate changes of the geometry and
-  the inverse of a square matrix; and identity, product and a - I, and
+  solves for the coordinate changes of the geometry and the inverse of a
+  square matrix; and identity, product and a - I, and
 * the one rank engine: sparse Gaussian elimination on Python ints for
   every field, fraction-free over Q and mod p over F_p, which takes every
   rank (of boundaries, of hyperplane normals, of monodromy rows) and
-  gives homology dimensions behind the d² = 0 gate.
+  gives homology dimensions, by compression, behind the d² = 0 gate.
 
 There are no tolerances anywhere; every result is an exact integer or
 rational.
@@ -160,8 +160,10 @@ def _make_primitive(row: dict):
             row[j] //= content
 
 
-def _sparse_rank(entries: dict, fieldspec: FieldSpec) -> int:
-    """Rank by sparse elimination on {(i, j): value} entries, over Q or F_p.
+def _sparse_rank(entries: dict, fieldspec: FieldSpec, drop, pivots: set) -> int:
+    """Rank by sparse elimination on {(i, j): value} entries, over Q or F_p,
+    with the rows in `drop` left out; each step adds its column to
+    `pivots`, and these columns span the kept rows' column space.
 
     Each row is a {col: value} dict and each column keeps the set of rows
     that use it.  Pivot columns are taken by increasing initial count
@@ -180,6 +182,8 @@ def _sparse_rank(entries: dict, fieldspec: FieldSpec) -> int:
     p = fieldspec.p
     rows, cols = {}, {}
     for (i, j), v in entries.items():
+        if i in drop:
+            continue
         if p:
             v = v % p if type(v) is int else fieldspec.element(v)
         if v:
@@ -193,7 +197,6 @@ def _sparse_rank(entries: dict, fieldspec: FieldSpec) -> int:
                 for j, v in row.items():
                     row[j] = v.numerator * (scale // v.denominator)
             _make_primitive(row)
-    rank = 0
     for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
         users = cols[c]
         if not users:
@@ -202,7 +205,7 @@ def _sparse_rank(entries: dict, fieldspec: FieldSpec) -> int:
         prow = rows.pop(piv)
         for j in prow:
             cols[j].discard(piv)
-        rank += 1
+        pivots.add(c)
         if not users:
             continue
         a = prow.pop(c)
@@ -246,15 +249,16 @@ def _sparse_rank(entries: dict, fieldspec: FieldSpec) -> int:
                         del row[j]
                         cols[j].discard(i)
             _make_primitive(row)
-    return rank
+    return len(pivots)
 
 
-def rank(matrix: FMatrixSparse, fieldspec: FieldSpec) -> int:
+def rank(matrix: FMatrixSparse, fieldspec: FieldSpec, drop=(), pivots=None) -> int:
     """Exact rank of a sparse matrix over the given field; `matrix` is
-    left as it is."""
+    left as it is.  `drop` and `pivots` are complex_dims' own: rows left
+    out and a set that receives the pivot columns (see _sparse_rank)."""
     if matrix.nrows == 0 or matrix.ncols == 0 or not matrix.entries:
         return 0
-    return _sparse_rank(matrix.entries, fieldspec)
+    return _sparse_rank(matrix.entries, fieldspec, drop, set() if pivots is None else pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +280,9 @@ class GatedBoundaries(tuple):
     whose composition was checked zero over Λ, each multiplied by one
     common nonzero scalar (over Q, the twisted complex's integer scale),
     which keeps the composition zero and every rank.  complex_dims takes
-    this type as the proof and skips its own composition check; the ranks
-    themselves are exact without it."""
+    this type as the proof and skips its own composition check; its ranks
+    rest on that proof, because each boundary is compressed by the pivot
+    columns of the one below."""
 
 
 def verify_composition(matrices, fieldspec: FieldSpec):
@@ -307,7 +312,10 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
     for k = 1..n; `dims` lists the chain-group dimensions.  Composition to
     zero is verified first (GatedBoundaries carry a proof over Λ instead)
     and a violation is a hard error, never a wrong answer.  Each rank is
-    then taken by the one sparse engine, over Q or F_p alike."""
+    then taken by the one sparse engine, over Q or F_p alike, bottom up
+    by compression (Bauer–Kerber–Reininghaus 2014): d_k leaves out the rows
+    at d_{k-1}'s pivot columns J.  These are independent, so dropping the
+    coordinates J is injective on ker d_{k-1}, which holds im d_k as d² = 0."""
     n = len(dims) - 1
     if len(matrices) != n:
         raise ValueError(f"expected {n} boundary matrices, got {len(matrices)}")
@@ -317,7 +325,10 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
                              f"expected {dims[k - 1]}x{dims[k]}")
     if not isinstance(matrices, GatedBoundaries):
         verify_composition(matrices, fieldspec)
-    ranks = [rank(m, fieldspec) for m in matrices]
+    ranks, pivots = [], set()
+    for m in matrices:
+        drop, pivots = pivots, set()
+        ranks.append(rank(m, fieldspec, drop, pivots))
     homology = []
     for k in range(n + 1):
         below = ranks[k - 1] if k >= 1 else 0

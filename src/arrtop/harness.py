@@ -328,6 +328,7 @@ class VerifyContext:
         self._dims = {}
         self._sections = {}
         self._locals = {}
+        self._restricted = {}    # (system, index map) -> localsys.restrict(...)
         self._decones = {}
 
     def register(self, arr_id: str, arr: Arrangement):
@@ -403,6 +404,12 @@ class VerifyContext:
                 out.append((loc_id, index_map))
             self._locals[arr_id] = tuple(out)
         return self._locals[arr_id]
+
+    def restricted(self, system, index_map):
+        key = (system, tuple(index_map))
+        if key not in self._restricted:
+            self._restricted[key] = localsys.restrict(system, index_map)
+        return self._restricted[key]
 
     def decone(self, arr_id, i0):
         key = (arr_id, i0)
@@ -499,8 +506,7 @@ def check_local_global(ctx: VerifyContext, arr_id: str, sys_id: str,
     local_sum = 0
     parts = []
     for loc_id, index_map in ctx.localizations(arr_id):
-        restricted = localsys.restrict(system, index_map)
-        local_dims = ctx.dims(loc_id, sys_id, restricted)
+        local_dims = ctx.dims(loc_id, sys_id, ctx.restricted(system, index_map))
         local_sum += local_dims[n]
         parts.append(local_dims[n])
     if is_trivial(system):
@@ -519,7 +525,7 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
     sec_id = ctx.section(arr_id, n - 1)
     loc_sec_id = ctx.section(loc_id, n - 1)
     global_dims = ctx.dims(sec_id, sys_id, system)
-    local_dims = ctx.dims(loc_sec_id, sys_id, localsys.restrict(system, index_map))
+    local_dims = ctx.dims(loc_sec_id, sys_id, ctx.restricted(system, index_map))
     ok = global_dims[n - 1] >= local_dims[n - 1]
     return CheckReport("nearby_section", arr_id, sys_id, "pass" if ok else "fail",
                        {"section_dim": global_dims[n - 1],

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrtop import cli, harness, salvetti
+from arrtop import cli, harness, localsys, salvetti
 from arrtop.fields import FieldSpec
 from arrtop.geometry import Arrangement, Hyperplane
 from arrtop.harness import (CorpusSpec, braid_essentialized, generate_corpus, random_generic,
@@ -146,3 +146,20 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
         assert c1_reports > len(systems) > 0                  # systems repeat across ids
         expected += len(systems)                             # nothing kept across runs
         assert len(oracle) == expected
+
+
+def test_one_restricted_system_per_system_and_index_map(contexts, call_counter, monkeypatch):
+    restricts = call_counter(localsys, "restrict")
+    corpus, checks = generate_corpus(CorpusSpec(seed=0)), ("local_global", "nearby_section")
+    reports, _summary = run_verification(corpus, seed=0, checks=checks)
+    (ctx,) = contexts
+    pairs = {(system, tuple(index_map)) for system, index_map in restricts}
+    assert len(restricts) == len(pairs) == len(ctx._restricted) == 3790
+    uses = sum(len(r.data["local_tops"]) if r.check == "local_global" else 1 for r in reports)
+    assert uses > len(pairs)                               # pairs repeat across reports
+    # the same reports with every restricted system made afresh
+    monkeypatch.setattr(harness.VerifyContext, "restricted",
+                        lambda self, system, index_map: localsys.restrict(system, index_map))
+    fresh, _summary = run_verification(corpus, seed=0, checks=checks)
+    assert len(restricts) == len(pairs) + uses
+    assert [r.to_json() for r in fresh] == [r.to_json() for r in reports]
