@@ -33,9 +33,9 @@ def _dump(obj) -> str:
 def _report_text(out) -> str:
     """The verify report as one JSON object with one report per line, so
     it diffs line by line and encodes with the C encoder."""
-    reports = ",\n".join(json.dumps(entry, sort_keys=True) for entry in out["reports"])
-    summary = json.dumps(out["summary"], sort_keys=True)
-    return f'{{"reports": [\n{reports}\n],\n"summary": {summary}}}\n'
+    encode = json.JSONEncoder(sort_keys=True).encode   # json.dumps builds one per line
+    reports = ",\n".join(map(encode, out["reports"]))
+    return f'{{"reports": [\n{reports}\n],\n"summary": {encode(out["summary"])}}}\n'
 
 
 def _emit(text, out_path):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .fields import FieldSpec
@@ -101,6 +102,7 @@ def _reduced(rows, p):
     return tuple(tuple(x % p for x in row) if p else tuple(row) for row in rows)
 
 
+@cache                                  # immutable, so built once per (field, r)
 def identity_matrix(fieldspec: FieldSpec, r: int):
     one, zero = fieldspec.one, fieldspec.zero
     return tuple(tuple(one if i == j else zero for j in range(r)) for i in range(r))

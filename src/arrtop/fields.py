@@ -106,6 +106,8 @@ class FieldSpec:
 
     def element(self, value) -> "Fraction | int":
         """Coerce an int / Fraction / rational string into this field."""
+        if type(value) is int:           # not a bool: parse_rational refuses those
+            return Fraction(value) if self.kind == "Q" else value % self.p
         q = value if isinstance(value, Fraction) else parse_rational(value)
         if self.kind == "Q":
             return q

@@ -171,9 +171,8 @@ def _add_with_inverse(out, seen, sys_id, system) -> int:
     added = 0
     for candidate_id, candidate in ((sys_id, system),
                                     (sys_id + "-inv", system.inverse_system())):
-        key = (candidate.field, candidate.monodromy)
-        if key not in seen:
-            seen[key] = candidate_id
+        if candidate not in seen:        # hashes the system once, via its cached _hash
+            seen[candidate] = candidate_id
             out.append((candidate_id, candidate))
             added += 1
     return added
@@ -186,8 +185,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
     out, seen = [], {}
 
     for r in CONSTANT_RANKS:
-        ident = identity_matrix(q, r)
-        out.append((f"const-r{r}", LocalSystem(q, r, tuple(ident for _ in range(d)))))
+        out.append((f"const-r{r}", LocalSystem(q, r, (identity_matrix(q, r),) * d)))
 
     pool = [Fraction(2), Fraction(3), Fraction(5), Fraction(1, 2), Fraction(-1)]
     for s in pool:
@@ -450,8 +448,7 @@ def check_untwisted_match(ctx: VerifyContext, arr_id: str) -> CheckReport:
 def check_constant_equality(ctx: VerifyContext, arr_id: str, r: int) -> CheckReport:
     arr = ctx.arrangement(arr_id)
     q = FieldSpec.rationals()
-    ident = identity_matrix(q, r)
-    system = LocalSystem(q, r, tuple(ident for _ in range(arr.d)))
+    system = LocalSystem(q, r, (identity_matrix(q, r),) * arr.d)
     dims = ctx.dims(arr_id, f"const-r{r}", system)
     b = ctx.betti(arr_id)
     expected = [r * x for x in b]
@@ -537,9 +534,8 @@ def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
     arr = ctx.arrangement(arr_id)
     n = arr.dim
     turn = localsys.total_turn(arr, system)
-    ident = identity_matrix(system.field, system.rank)
     dims_a = ctx.dims(arr_id, sys_id, system)
-    if turn == ident:
+    if turn == identity_matrix(system.field, system.rank):
         if n == 1:
             expected = [system.rank * x for x in ctx.betti(arr_id)]
             ok = dims_a == expected

@@ -4,12 +4,12 @@ A rank-r local system is encoded by one invertible r x r monodromy
 matrix per hyperplane meridian; the matrices are required to commute
 pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
-and F_p.  Each system computes once, and keeps, its inverses (one per
-distinct matrix, read at build), its total turn, whether it is trivial
-and its partition, the finest blocks on which all its matrices are
-block diagonal.  Systems derived from a checked one (a subset of its
-matrices, or their inverses) commute as a family already and carry the
-inverses over, so they neither check nor invert again.
+and F_p.  Each system computes once, and keeps, its partition (the
+finest blocks on which all its matrices are block diagonal), its
+commutation check and inverses, block by block on it as such matrices
+commute and invert blockwise, its total turn over the full matrices and
+whether it is trivial.  Systems derived from one (some of its matrices,
+or their inverses) commute already and carry its inverses over.
 """
 
 from __future__ import annotations
@@ -34,18 +34,20 @@ class LocalSystem:
 
     def __post_init__(self):
         """Refuse non-commuting monodromy however the system is made from
-        new matrices: the d²=0 gate over Λ carries over to a
-        specialization only then."""
-        first = {}                       # distinct matrix -> first hyperplane
-        for j, m in enumerate(self.monodromy if self.rank > 1 else ()):
+        new matrices: the d²=0 gate over Λ carries over to a specialization
+        only then.  Block-diagonal matrices commute when their blocks do, scalars always."""
+        blocks, field = [block for block in self.partition if len(block) > 1], self.field
+        first = {}                       # distinct matrix -> (first hyperplane, its blocks)
+        for j, m in enumerate(self.monodromy if blocks else ()):
             if m in first:
                 continue
-            for other, i in first.items():
-                if mat_mul(self.field, other, m) != mat_mul(self.field, m, other):
+            subs = [tuple(tuple(m[a][b] for b in block) for a in block) for block in blocks]
+            for i, others in first.values():
+                if any(mat_mul(field, x, y) != mat_mul(field, y, x) for x, y in zip(others, subs)):
                     raise LocalSystemError(
                         f"matrices {i + 1} and {j + 1} do not commute; "
                         "only abelian monodromy is supported")
-            first[m] = j
+            first[m] = (j, subs)
 
     def __hash__(self):
         return self._hash
@@ -61,24 +63,28 @@ class LocalSystem:
 
     @cached_property
     def inverse(self) -> tuple:
-        """The inverse of each monodromy matrix, each distinct matrix
-        inverted once; a singular one raises LocalSystemError naming it."""
-        inverses = {}
+        """The inverse of each monodromy matrix, each distinct one inverted once
+        and, being block diagonal, block by block; a singular one raises LocalSystemError."""
+        inverses, zero, span = {}, self.field.zero, range(self.rank)
         for idx, m in enumerate(self.monodromy):
             if m not in inverses:
                 try:
-                    inverses[m] = mat_inverse(self.field, m)
-                except ValueError:
+                    rows = {a: dict(zip(block, row)) for block in self.partition
+                            for a, row in zip(block, _invert(self.field, m, block))}
+                except (ValueError, ZeroDivisionError):
                     raise LocalSystemError(f"monodromy matrix {idx + 1} is singular")
+                inverses[m] = tuple(tuple(rows[a].get(b, zero) for b in span) for a in span)
         return tuple(inverses[m] for m in self.monodromy)
 
     @cached_property
     def partition(self) -> tuple:
         """The finest partition of range(r) (blocks by least index) on which
-        every M_i, so every inverse, is block diagonal: the components of
-        the matrices' off-diagonal supports."""
+        every M_i, so every inverse, is block diagonal: the components of the
+        matrices' off-diagonal supports.  Validation and inversion go by its blocks."""
+        if self.rank == 1:
+            return ((0,),)
         block = {a: {a} for a in range(self.rank)}
-        for m in set(self.monodromy) if self.rank > 1 else ():
+        for m in set(self.monodromy):
             for a, b in ((a, b) for a, row in enumerate(m) for b, x in enumerate(row) if x):
                 if block[a] is not block[b]:
                     block.update(dict.fromkeys(merged := block[a] | block[b], merged))
@@ -92,8 +98,8 @@ class LocalSystem:
 
     @cached_property
     def turn(self) -> tuple:
-        """The product of all monodromy matrices (order-free by
-        commutativity), multiplied out once."""
+        """The product of all monodromy matrices (order-free by commutativity),
+        multiplied out once over the full matrices, so no wrong partition fools it."""
         return reduce(partial(mat_mul, self.field), self.monodromy,
                       identity_matrix(self.field, self.rank))
 
@@ -108,6 +114,14 @@ class LocalSystem:
             "rank": self.rank,
             "monodromy": [[str(x) for row in m for x in row] for m in self.monodromy],
         }
+
+
+def _invert(field: FieldSpec, m, block):
+    """m's block on `block`, inverted: a field inverse at size one, else Gauss-Jordan."""
+    if len(block) > 1:
+        return mat_inverse(field, [[m[a][b] for b in block] for a in block])
+    x = m[block[0]][block[0]]
+    return ((pow(x, -1, field.p) if field.p else field.one / x,),)
 
 
 def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple) -> LocalSystem:

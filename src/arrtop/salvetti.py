@@ -469,7 +469,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
             dens.append(dens[parent] * gen_dens[g])
         scale = lcm(*dens)
 
-    dims, blocks = red.block_entries(r, system.partition if r > 1 else ((0,),))
+    dims, blocks = red.block_entries(r, system.partition)
     mats = [FMatrixSparse(nrows, ncols) for nrows, ncols in zip(dims, dims[1:])]
     for block, layers in blocks:
         if len(block) == 1:

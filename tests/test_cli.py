@@ -235,6 +235,37 @@ def test_betti_malformed_system_exits_2(tmp_path, capsys, system):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+Q_FIELD, F7_FIELD = {"kind": "Q"}, {"kind": "Fp", "p": 7}
+
+
+@pytest.mark.parametrize("system,message", [
+    ({"field": Q_FIELD, "rank": 1, "monodromy": [[True], ["2"], ["2"]]},
+     "malformed rational True"),
+    ({"field": Q_FIELD, "rank": 1, "monodromy": [[0.5], ["2"], ["2"]]},
+     "malformed rational 0.5"),
+    ({"field": F7_FIELD, "rank": 1, "monodromy": [["1/7"], ["2"], ["2"]]},
+     "1/7 has no image in F_7"),
+    ({"field": Q_FIELD, "rank": 1, "monodromy": [["2"], ["0"], ["2"]]},
+     "monodromy matrix 2 is singular"),
+    ({"field": F7_FIELD, "rank": 1, "monodromy": [["2"], [7], ["2"]]},
+     "monodromy matrix 2 is singular"),
+    # block {0, 1} beside the size-one block {2}: singular in the block,
+    # then a zero scalar beside an invertible block
+    ({"field": Q_FIELD, "rank": 3, "monodromy": [
+        [2, 0, 0, 0, 2, 0, 0, 0, 3], [1, 1, 0, 1, 1, 0, 0, 0, 2], [2, 0, 0, 0, 2, 0, 0, 0, 5]]},
+     "monodromy matrix 2 is singular"),
+    ({"field": F7_FIELD, "rank": 3, "monodromy": [
+        [1, 1, 0, 0, 1, 0, 0, 0, 3], [2, 0, 0, 0, 2, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1]]},
+     "monodromy matrix 2 is singular"),
+], ids=["bool", "float", "seventh-over-F7", "zero-Q", "zero-F7", "singular-block",
+        "zero-beside-a-block"])
+def test_betti_refuses_a_bad_entry_or_block_with_its_message(tmp_path, capsys, system, message):
+    code = main(["betti", write(tmp_path, "gen3.json", GEN3),
+                 "--system", write(tmp_path, "sys.json", system)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _with_entry(obj, path, value):
     """A deep copy of obj with the entry at path (keys and indices) set."""
     obj = json.loads(json.dumps(obj))

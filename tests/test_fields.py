@@ -74,3 +74,14 @@ def test_largest_accepted_prime_ranks_exactly():
     p = next(q for q in range(MAX_PRIME, 0, -1) if _is_prime(q))
     rows = corank_one_matrix(p)
     assert rank(sparse(rows), FieldSpec.prime(p)) == rank_mod_p_reference(rows, p) == 11
+
+
+@pytest.mark.parametrize("field", [FieldSpec.rationals(), FieldSpec.prime(2),
+                                   FieldSpec.prime(7), FieldSpec.prime(MAX_PRIME - 7)])
+def test_an_int_element_is_the_parsed_one_and_a_bool_is_refused(field):
+    for n in (0, 1, -1, 6, 7, -7, 10**30 + 1, -(10**30)):
+        got, parsed = field.element(n), field.element(str(n))
+        assert got == parsed and type(got) is type(parsed)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"malformed rational {flag}"):
+            field.element(flag)

@@ -300,6 +300,19 @@ def test_corpus_closed_under_inversion():
             assert (inv.field, inv.monodromy) in keys
 
 
+# sha256 of repr of (arrangement id, system id, monodromy, inverse) for
+# every system of generate_corpus(SPEC): reports carry dimensions, not
+# matrices, so a change to what generation builds could pass the report pin
+CORPUS0_SYSTEMS_SHA256 = "0cb00164b49305f33d4d0b5d53dffb153465fd43f32b43399e8519d8bc58626a"
+
+
+def test_corpus_systems_and_inverses_are_pinned():
+    rows = [(item.arrangement_id, sys_id, s.monodromy, s.inverse)
+            for item in generate_corpus(SPEC) for sys_id, s in item.systems]
+    assert len(rows) == 1242
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CORPUS0_SYSTEMS_SHA256
+
+
 @pytest.fixture(scope="module")
 def small_run():
     corpus = small_corpus()

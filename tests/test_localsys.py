@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_reduction import block_diagonal_systems
+from localsys_oracle import first_noncommuting_pair, full_inverses
+from test_reduction import FIELDS, block_diagonal_systems, commuting_systems, conjugated_jordan
 
 from arrtop import localsys
-from arrtop.exactla import identity_matrix
+from arrtop.exactla import identity_matrix, mat_mul
 from arrtop.fields import FieldSpec
 from arrtop.geometry import decone, generic_section, intersection_poset, localize
 from arrtop.harness import (VerifyContext, braid_essentialized, check_central_structure,
@@ -160,21 +161,37 @@ def counting_inverse(monkeypatch):
 
 
 def test_monodromy_is_inverted_once_per_distinct_matrix(monkeypatch):
+    # each distinct matrix is inverted once, block by block: Gauss-Jordan
+    # (mat_inverse) on each of its blocks of size > 1, one field inverse
+    # on each of size one
     braid4 = braid_essentialized(4)
     section = generic_section(braid4, 2, seed=0)
     complexes = [build_salvetti(enumerate_faces(arr)) for arr in (braid4, section)]
     assert section.d == braid4.d == 6
     assert any(s < 0 for sc in complexes for _i, s in sc.reduced.generators)
     calls = counting_inverse(monkeypatch)
+    scalars = []
+    real_invert = localsys._invert
+    monkeypatch.setattr(localsys, "_invert", lambda field, m, block: (
+        len(block) == 1 and scalars.append((m, block))) or real_invert(field, m, block))
     jordan, unipotent = [[2, 1], [0, 2]], [[1, 1], [0, 1]]
+    # block {0, 2} beside the size-one block {1}
+    mixed = [[[2, 0, 1], [0, 3, 0], [0, 0, 2]], [[1, 0, 1], [0, 5, 0], [0, 0, 1]]]
     systems = [build_local_system(Q, 2, [jordan, unipotent, jordan, jordan, unipotent, jordan]),
-               scalar_system(F7, [3, 5, 3, 3, 5, 3])]
+               scalar_system(F7, [3, 5, 3, 3, 5, 3]),
+               build_local_system(F7, 3, [mixed[k] for k in (0, 1, 0, 0, 1, 0)])]
+    assert systems[2].partition == ((0, 2), (1,))
     for system in systems:
         for sc in complexes:
             twisted_complex(sc, system)
-    assert len(calls) == 4
+    distinct = [(system, m) for system in systems for m in set(system.monodromy)]
+    assert len(calls) == len(scalars) == 4
     assert sorted(map(str, calls)) == sorted(
-        str(m) for system in systems for m in set(system.monodromy))
+        str([[m[a][b] for b in block] for a in block])
+        for system, m in distinct for block in system.partition if len(block) > 1)
+    assert sorted(map(repr, scalars)) == sorted(
+        repr((m, block)) for system, m in distinct for block in system.partition
+        if len(block) == 1)
 
 
 def test_inverse_system_inverts_nothing(monkeypatch):
@@ -311,3 +328,75 @@ def test_is_trivial_is_decided_once_per_system(monkeypatch):
     for _ in range(3):
         assert is_trivial(trivial) and not is_trivial(twisted)
     assert made == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# validation and inversion go block by block; the full matrices are the oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_by_block_inverse_is_the_full_inverse(data):
+    # Q, F_2, F_7 and F_101; ranks 1-4 with blocks of every size
+    d = data.draw(st.integers(1, 5))
+    system = data.draw(st.one_of(block_diagonal_systems(d), commuting_systems(d)))
+    for s in (system, system.inverse_system()):
+        # repr: the same entries and the same types (Fractions over Q)
+        assert repr(s.inverse) == repr(full_inverses(s.field, s.monodromy))
+        ident = identity_matrix(s.field, s.rank)
+        assert all(mat_mul(s.field, m, inv) == ident for m, inv in zip(s.monodromy, s.inverse))
+
+
+@st.composite
+def families_noncommuting_in_one_block(draw):
+    """(field, rank, matrices): rank 3-4 over one of FIELDS, one block of
+    size 2 or 3 among size-one blocks, interleaved.  Each of the d
+    matrices is drawn from a pool of at most 4, so some repeat; a pool
+    matrix has its own scalars off the block and, on it, one of a
+    commuting family (a conjugated Jordan family) or an arbitrary matrix,
+    so that some families commute and others fail in that block only."""
+    field = draw(st.sampled_from(FIELDS))
+    r = draw(st.integers(3, 4))
+    block = sorted(draw(st.permutations(range(r)))[:draw(st.integers(2, 3))])
+    s = len(block)
+    entry = st.integers(-2, 2).map(field.element)
+    scalar = (st.sampled_from((1, -1, 2, 3, Fraction(1, 2))) if field.kind == "Q"
+              else st.integers(1, field.p - 1))
+    commuting = conjugated_jordan(draw, field, s, 3, scalar)
+    pool = []
+    for _ in range(draw(st.integers(2, 4))):
+        part = (draw(st.sampled_from(commuting)) if draw(st.booleans()) else
+                [[draw(entry) for _ in range(s)] for _ in range(s)])
+        m = [[field.element(draw(scalar)) if a == b else field.zero for b in range(r)]
+             for a in range(r)]
+        for x, a in enumerate(block):
+            for y, b in enumerate(block):
+                m[a][b] = part[x][y]
+        pool.append(tuple(map(tuple, m)))
+    d = draw(st.integers(2, 6))
+    return field, r, tuple(pool[draw(st.integers(0, len(pool) - 1))] for _ in range(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=families_noncommuting_in_one_block())
+def test_block_by_block_commutation_is_the_pairwise_check(family):
+    field, r, mats = family
+    pair = first_noncommuting_pair(field, mats)
+    if pair is None:
+        assert LocalSystem(field, r, mats).monodromy == mats
+    else:
+        with pytest.raises(LocalSystemError,
+                           match=f"^matrices {pair[0]} and {pair[1]} do not commute"):
+            LocalSystem(field, r, mats)
+
+
+def test_a_family_failing_in_a_block_beside_scalars_names_the_pair():
+    # block {0, 2} beside the size-one block {1}: matrices 1 to 3 commute,
+    # 4 commutes with 1 (a scalar on the block) but not with 2
+    mats = [[[2, 0, 0], [0, 3, 0], [0, 0, 2]], [[1, 0, 1], [0, 5, 0], [0, 0, 1]],
+            [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 1], [0, 4, 0], [1, 0, 0]]]
+    system_mats = tuple(tuple(tuple(F7.element(x) for x in row) for row in m) for m in mats)
+    assert first_noncommuting_pair(F7, system_mats) == (2, 4)
+    with pytest.raises(LocalSystemError, match="^matrices 2 and 4 do not commute"):
+        build_local_system(F7, 3, mats)
+    assert build_local_system(F7, 3, mats[:3]).partition == ((0, 2), (1,))
