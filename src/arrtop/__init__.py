@@ -31,7 +31,6 @@ from .localsys import (
 )
 from .salvetti import (
     SalvettiComplex,
-    boundary_matrices,
     build_salvetti,
     twisted_betti,
     twisted_complex,
@@ -51,11 +50,11 @@ __all__ = [
     "Arrangement", "ArrangementError", "ChainComplexError", "CorpusSpec",
     "FMatrixSparse", "FieldSpec", "GenericityError", "Hyperplane",
     "LocalSystem", "LocalSystemError", "PreconditionError", "SalvettiComplex",
-    "betti_numbers", "boundary_matrices", "build_local_system",
-    "build_salvetti", "characteristic_polynomial", "complex_dims", "decone",
-    "decone_system", "enumerate_faces", "essentialize", "generate_corpus",
-    "generic_section", "intersection_poset", "is_trivial", "localize",
-    "parse_rational", "rank", "region_counts", "restrict", "run_verification",
-    "scalar_system", "total_turn", "twisted_betti", "twisted_complex",
-    "untwisted_homology", "validate_arrangement", "zero_flats",
+    "betti_numbers", "build_local_system", "build_salvetti",
+    "characteristic_polynomial", "complex_dims", "decone", "decone_system",
+    "enumerate_faces", "essentialize", "generate_corpus", "generic_section",
+    "intersection_poset", "is_trivial", "localize", "parse_rational", "rank",
+    "region_counts", "restrict", "run_verification", "scalar_system",
+    "total_turn", "twisted_betti", "twisted_complex", "untwisted_homology",
+    "validate_arrangement", "zero_flats",
 ]

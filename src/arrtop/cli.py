@@ -7,8 +7,9 @@ Subcommands:
   corpus  generate --seed N --out dir    write a corpus to disk
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage,
-parse or precondition error.  Identical inputs and seed produce
-byte-identical reports.
+parse or precondition error, 3 internal failure (a failed gate, memory
+exhausted, any other unexpected error), reported on stderr without a
+traceback.  Identical inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from pathlib import Path
 
 from . import geometry, harness, localsys, realfaces, salvetti
-from .exactla import ChainComplexError
 from .geometry import ArrangementError, GenericityError
 from .harness import CorpusSpec, PreconditionError
 from .localsys import LocalSystemError
@@ -271,9 +271,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ChainComplexError as exc:
-        sys.stderr.write(f"internal consistency failure: {exc}\n")
-        return 2
+    except Exception as exc:     # anything else is the program's own failure
+        sys.stderr.write(f"internal failure: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def run():

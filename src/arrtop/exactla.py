@@ -25,7 +25,7 @@ from math import gcd, lcm
 from .fields import FieldSpec
 
 class ChainComplexError(Exception):
-    """Raised when consecutive boundary matrices do not compose to zero."""
+    """A chain complex failed a gate: d∘d ≠ 0, exponents out of range, too few cells."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,36 +61,6 @@ def rref(rows, fieldspec: FieldSpec):
         if r == nrows:
             break
     return m, pivots
-
-
-def solve_affine(eqs, n):
-    """Solve a rational system a·x = b.
-
-    `eqs` is a list of (coeffs, rhs).  Returns (particular, basis) where
-    `particular` is one solution (free variables set to 0) and `basis`
-    spans the solution space of the homogeneous system, or None if the
-    system is inconsistent.
-    """
-    if not eqs:
-        particular = [Fraction(0)] * n
-        basis = [[Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        return particular, basis
-    aug = [list(a) + [b] for a, b in eqs]
-    m, pivots = rref(aug, FieldSpec.rationals())
-    if n in pivots:
-        return None
-    particular = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        particular[c] = m[r][n]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return particular, basis
 
 
 def dot(a, b):

@@ -26,7 +26,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .exactla import FMatrixSparse, dot, mat_inverse, rank, rref, solve_affine
+from .exactla import FMatrixSparse, dot, mat_inverse, rank, rref
 from .fields import FieldSpec, parse_int, parse_rational
 
 
@@ -85,13 +85,14 @@ class Arrangement:
                 raise ArrangementError(
                     f"duplicate hyperplanes: {seen[key]} and {h.label} define the same locus")
             seen[key] = h.label
-        arr = Arrangement(
+        # central: normal·x = offset is consistent, the offsets adding no rank
+        normals = _rank([h.normal for h in hyperplanes])
+        return Arrangement(
             dim=dim,
             hyperplanes=tuple(hyperplanes),
-            is_central=solve_affine([(h.normal, h.offset) for h in hyperplanes], dim) is not None,
-            is_essential=_rank([h.normal for h in hyperplanes]) == dim,
+            is_central=_rank([(*h.normal, h.offset) for h in hyperplanes]) == normals,
+            is_essential=normals == dim,
         )
-        return arr
 
     def to_json(self) -> dict:
         return {

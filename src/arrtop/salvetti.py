@@ -20,12 +20,15 @@ only, no ranks).
 Every entry ±t^a is a unit of Λ.  So the build then eliminates pairs
 of cells joined by a unit entry, Gaussian elimination over Λ (algebraic
 Morse theory: Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker, Mem.
-AMS 197, 2009).  That is a chain homotopy equivalence for every abelian
-local system at once.  The reduced boundary, whose entries are Laurent
-polynomials, is gated by d∘d = 0 over Λ too; it keeps at least b_i
-cells in degree i, and no minimality is claimed.  Every twisted complex
-specializes the reduced boundary at commuting monodromy (LocalSystem
-refuses any other), a ring homomorphism, so no per-system check runs.
+AMS 197, 2009), in the full boundary itself, which is not kept.  That
+is a chain homotopy equivalence for every abelian local system at once.
+The reduced boundary, whose entries are Laurent polynomials, is gated
+by d∘d = 0 over Λ too, and by cells_i ≥ b_i(U) in every degree i, b_i
+the Whitney numbers of the intersection poset: a reduction that loses a
+cycle can keep d² = 0, never that count.  No minimality is claimed.
+Every twisted complex specializes the reduced boundary at commuting
+monodromy (LocalSystem refuses any other), a ring homomorphism, so no
+per-system check runs.
 The evaluation plan, compiled once, lists the distinct generators t_i^±1
 and reaches each monomial by one product with one of them, reduced mod p
 once per product and once per entry; a system turns each generator into
@@ -35,8 +38,7 @@ twisted complex over Q is that specialization times one positive integer
 `scale` that clears every denominator, so it is built on Python ints: one
 nonzero scalar on every boundary keeps d² = 0 and every rank, and
 exactla's one sparse rank engine takes them over Q, as over F_p, with no
-Fraction.
-Untwisted homology uses the full boundary at t = 1, its signs alone.
+Fraction.  Untwisted homology is the reduced complex at t = 1.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -55,8 +57,10 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import itemgetter, mul
 
-from .exactla import ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims
+from .exactla import (ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims,
+                      identity_matrix)
 from .fields import FieldSpec
+from .geometry import betti_numbers, intersection_poset
 from .localsys import LocalSystem
 from .realfaces import FaceComplex
 
@@ -70,23 +74,33 @@ class SCell:
 @dataclass
 class SalvettiComplex:
     fc: FaceComplex
-    cells: list          # cells[k] = list of SCell, sorted
-    boundary: list       # boundary[k][pos] = {target_pos: {packed exponent: coefficient}}
-    reduced: "ReducedComplex" = None     # the same boundary over Λ, reduced
+    cells: list                  # cells[k] = list of SCell, sorted
+    reduced: "ReducedComplex"    # the boundary over Λ on these cells, reduced
 
     @property
     def cell_counts(self):
         return [len(layer) for layer in self.cells]
 
-    @property
-    def dim(self):
-        return len(self.cells) - 1
-
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
-    """All (face, adjacent chamber) pairs, graded by codim, with the
-    boundary over Λ: ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G
-    covering F, gated by boundary-squared = 0 over Λ."""
+    """The Salvetti complex, kept reduced: the full boundary over Λ
+    (_full_complex), gated by boundary-squared = 0 over Λ, then reduced in
+    place and gated again, by d² = 0 and by reduced cells_i ≥ b_i(U)."""
+    arr = fc.arrangement
+    cells, boundary = _full_complex(fc)
+    _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
+    red = _reduce(cells, boundary, arr.d)                # eliminates in boundary itself
+    _verify_over_group_ring(red.boundary, arr.d)         # raises on a bad reduction
+    _check_cell_counts(red.cells, betti_numbers(intersection_poset(arr)))
+    _compile(red)
+    return SalvettiComplex(fc, cells, red)
+
+
+def _full_complex(fc: FaceComplex):
+    """(cells, boundary): all (face, adjacent chamber) pairs, graded by
+    codim, and the boundary over Λ, boundary[k][pos] = {target position:
+    {packed exponent: coefficient}}, ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C]
+    over the faces G covering F."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
@@ -116,13 +130,7 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
                 (index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]],
                  {one + (cm & plus[g]): s}) for g, s in eps[cell.face].items())))
         boundary.append(layer)
-
-    sc = SalvettiComplex(fc, cells, boundary)
-    _verify_over_group_ring(sc.boundary, arr.d)          # raises on a bad orientation
-    sc.reduced = _reduce(sc)
-    _verify_over_group_ring(sc.reduced.boundary, arr.d)  # raises on a bad reduction
-    _compile(sc.reduced)
-    return sc
+    return cells, boundary
 
 
 def _orient(fc: FaceComplex):
@@ -267,7 +275,7 @@ def _verify_over_group_ring(boundary, d):
                         f"{k}->{k - 2} at ({i},{j})")
 
 
-def _reduce(sc: SalvettiComplex) -> ReducedComplex:
+def _reduce(cells, rows, d) -> ReducedComplex:
     """Eliminate unit entries over Λ, degrees top down: a chain homotopy
     equivalence for every abelian local system at once (algebraic Morse
     theory).
@@ -277,20 +285,18 @@ def _reduce(sc: SalvettiComplex) -> ReducedComplex:
     is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
     τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
     σ; then τ and σ are dropped, with σ's boundary and τ's column one
-    degree up.  Works on a copy of sc.boundary, in which a dropped cell's
-    row becomes None."""
-    rows = [[{t: dict(poly) for t, poly in row.items()} for row in layer]
-            for layer in sc.boundary]
-    d = sc.fc.arrangement.d
+    degree up.  Works in place on rows, the full boundary over Λ on
+    `cells` (_full_complex), in which a dropped cell's row becomes None;
+    the reduced boundary reuses the surviving entries."""
     top_bits = _packing(d)[1]
-    top = sc.dim
+    top = len(cells) - 1
     # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
-    cob = [[set() for _ in layer] for layer in sc.cells]
+    cob = [[set() for _ in layer] for layer in cells]
     for k in range(1, top + 1):
         for pos, row in enumerate(rows[k]):
             for t in row:
                 cob[k - 1][t].add(pos)
-    dropped = [set() for _ in sc.cells]
+    dropped = [set() for _ in cells]
 
     for k in range(top, 0, -1):
         up, down = rows[k], cob[k - 1]
@@ -348,14 +354,25 @@ def _reduce(sc: SalvettiComplex) -> ReducedComplex:
             for x in row:
                 heappush(heap, (len(down[x]), x))
 
-    cells = [[pos for pos in range(len(layer)) if pos not in dropped[k]]
-             for k, layer in enumerate(sc.cells)]
-    new = [{pos: i for i, pos in enumerate(layer)} for layer in cells]
-    boundary = [[{} for _ in cells[0]]]
+    kept = [[pos for pos in range(len(layer)) if pos not in dropped[k]]
+            for k, layer in enumerate(cells)]
+    new = [{pos: i for i, pos in enumerate(layer)} for layer in kept]
+    boundary = [[{} for _ in kept[0]]]
     for k in range(1, top + 1):
         boundary.append([{new[k - 1][t]: poly for t, poly in sorted(rows[k][pos].items())}
-                         for pos in cells[k]])
-    return ReducedComplex(d, cells, boundary)
+                         for pos in kept[k]])
+    return ReducedComplex(d, kept, boundary)
+
+
+def _check_cell_counts(cells, betti):
+    """The reduced complex is homotopy equivalent to U, so it keeps at
+    least b_i(U) cells in every degree i; raises when it does not.  Above
+    the top codim of a non-essential arrangement both are 0."""
+    for i, b in enumerate(betti):
+        count = len(cells[i]) if i < len(cells) else 0
+        if count < b:
+            raise ChainComplexError(
+                f"reduced complex keeps {count} cells in degree {i}, below b_{i} = {b}")
 
 
 def _compile(red: ReducedComplex):
@@ -390,34 +407,21 @@ def _compile(red: ReducedComplex):
                    for layer in red.boundary[1:]]
 
 
-def boundary_matrices(sc: SalvettiComplex):
-    """Boundary matrices of the full complex at t = 1, each entry the sum
-    of its coefficients: ±1."""
-    counts = sc.cell_counts
-    mats = []
-    for k in range(1, len(counts)):
-        m = FMatrixSparse(counts[k - 1], counts[k])
-        for pos, row in enumerate(sc.boundary[k]):
-            for target, poly in row.items():
-                m.entries[target, pos] = sum(poly.values())
-        mats.append(m)
-    return mats
-
-
-def _padded_homology(sc: SalvettiComplex, matrices, dims, fieldspec: FieldSpec):
-    """Homology dims of boundaries the build gated (no composition check
-    here: it proved d∘d = 0 over Λ, on the full boundary and on the reduced
-    one), padded to the ambient dimension: a non-essential arrangement has
-    no cells above its top codim."""
-    hom = complex_dims(GatedBoundaries(matrices), dims, fieldspec).homology
+def _padded_homology(sc: SalvettiComplex, tc: TwistedComplex):
+    """Homology dims of a specialization of sc's reduced boundary, which
+    the build gated (no composition check here: it proved d∘d = 0 over Λ),
+    padded to the ambient dimension: a non-essential arrangement has no
+    cells above its top codim."""
+    hom = complex_dims(GatedBoundaries(tc.matrices), tc.dims, tc.field).homology
     return hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
 
 
 def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
-    """Homology dims of the untwisted full complex over Q (or over F_p),
-    padded to the ambient dimension."""
-    return _padded_homology(sc, boundary_matrices(sc), sc.cell_counts,
-                            fieldspec or FieldSpec.rationals())
+    """Homology dims of U over Q (or over F_p), padded to the ambient
+    dimension: the reduced complex at the constant rank-1 system, t = 1."""
+    field = fieldspec or FieldSpec.rationals()
+    constant = LocalSystem(field, 1, (identity_matrix(field, 1),) * sc.reduced.d)
+    return _padded_homology(sc, twisted_complex(sc, constant))
 
 
 @dataclass
@@ -522,5 +526,4 @@ def twisted_betti(sc: SalvettiComplex, system: LocalSystem):
     entrywise-inverse system.  The verification corpus is closed under
     inversion, so statements quantified over all systems are unaffected.
     """
-    tc = twisted_complex(sc, system)
-    return _padded_homology(sc, tc.matrices, tc.dims, tc.field)
+    return _padded_homology(sc, twisted_complex(sc, system))

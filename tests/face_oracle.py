@@ -14,13 +14,13 @@ witness."""
 from fractions import Fraction
 from math import lcm
 
-from arrtop.exactla import dot, solve_affine
+from arrtop.exactla import dot
 from arrtop.feasibility import _eliminate
 from arrtop.geometry import intersection_poset, primitive_row
 from arrtop.realfaces import Face
 
 from dense_rank_oracle import rank_dense
-from poset_oracle import affine_value, frame_as_fractions
+from poset_oracle import affine_value, frame_as_fractions, solve_affine
 
 
 def _interval_pick(ineqs, v, partial):

@@ -13,8 +13,35 @@ arrangement's alone."""
 
 from fractions import Fraction
 
-from arrtop.exactla import dot, solve_affine
+from arrtop.exactla import dot, rref
+from arrtop.fields import FieldSpec
 from arrtop.geometry import Flat, betti_numbers, primitive_row
+
+
+def solve_affine(eqs, n):
+    """Solve a rational system a·x = b by Gauss-Jordan.
+
+    `eqs` is a list of (coeffs, rhs).  Returns (particular, basis) where
+    `particular` is one solution (free variables set to 0) and `basis`
+    spans the solution space of the homogeneous system, or None if the
+    system is inconsistent."""
+    if not eqs:
+        return ([Fraction(0)] * n,
+                [[Fraction(int(j == i)) for j in range(n)] for i in range(n)])
+    m, pivots = rref([list(a) + [b] for a, b in eqs], FieldSpec.rationals())
+    if n in pivots:
+        return None
+    particular = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        particular[c] = m[r][n]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f]
+        basis.append(v)
+    return particular, basis
 
 
 def affine_value(h, point):

@@ -1,6 +1,12 @@
 """Oracles for `arrtop.salvetti.twisted_complex`, which specializes only
 the complex reduced over Λ, over Q on ints times one scale.
 
+The full boundary over Λ: a SalvettiComplex keeps only the reduced one,
+so the oracles rebuild the full one with the build's first step,
+`_full_complex`.  Its untwisted matrices at t = 1 are each entry's
+coefficient sum, ±1: the oracle of `untwisted_homology`, which reads the
+reduced complex at the constant system.
+
 The full twisted specialization of the Salvetti complex: every entry
 of the full boundary over Λ becomes an r x r block, each monomial
 c * t^e evaluated from its packed exponent as c times the transposed
@@ -19,7 +25,40 @@ same entries off packed sign masks."""
 
 from arrtop.exactla import FMatrixSparse, complex_dims
 from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
-from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _orient, _packing
+from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _full_complex, _orient, _packing
+
+
+def full_boundary(sc):
+    """boundary[k][pos] = {target: {packed exponent: ±1}}, the full
+    boundary over Λ on sc's cells, built again from sc's faces."""
+    cells, boundary = _full_complex(sc.fc)
+    assert cells == sc.cells
+    return boundary
+
+
+def full_untwisted_matrices(sc):
+    """The full boundary matrices at t = 1: ±1 entries."""
+    return untwisted_matrices(full_boundary(sc), sc.cell_counts)
+
+
+def untwisted_matrices(boundary, counts):
+    """Boundary matrices at t = 1 of boundary[k][pos] = {target: {packed
+    exponent: coefficient}}, each entry the sum of its coefficients."""
+    mats = []
+    for k, layer in enumerate(boundary[1:], start=1):
+        m = FMatrixSparse(counts[k - 1], counts[k])
+        for pos, row in enumerate(layer):
+            for target, poly in row.items():
+                m.entries[target, pos] = sum(poly.values())
+        mats.append(m)
+    return mats
+
+
+def full_untwisted_homology(sc, field):
+    """Homology dims of the full complex at t = 1, padded like
+    untwisted_homology; composition is checked over the field."""
+    hom = complex_dims(full_untwisted_matrices(sc), sc.cell_counts, field).homology
+    return hom + [0] * (sc.fc.arrangement.dim + 1 - len(hom))
 
 
 def boundary_by_sign_tuples(sc):
@@ -70,10 +109,11 @@ def full_twisted_complex(sc, system) -> TwistedComplex:
 
     counts = sc.cell_counts
     dims = [r * c for c in counts]
+    boundary = full_boundary(sc)
     mats = []
     for k in range(1, len(counts)):
         m = FMatrixSparse(dims[k - 1], dims[k])
-        for pos, row in enumerate(sc.boundary[k]):
+        for pos, row in enumerate(boundary[k]):
             for target, poly in row.items():
                 if not 0 <= target < counts[k - 1]:
                     raise IndexError(f"boundary target {target} outside degree {k - 1}")

@@ -7,6 +7,13 @@ from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
+# Traced names whose function left arrtop with its work, not under a new
+# name: the tracer lists them as not found.  Each must stay gone.
+REMOVED = {
+    # the full boundary at t = 1; untwisted homology reads the reduced complex
+    "salvetti.boundary_matrices",
+}
+
 
 def _spans_constants():
     """TRACED and MUST_PATCH, read from the source without importing it."""
@@ -30,6 +37,9 @@ def test_every_traced_name_resolves_in_arrtop():
                 cls, attr = name.split(".")
                 owner = getattr(module, cls)
             fn = vars(owner).get(attr)
+            if f"{layer}.{name}" in REMOVED:
+                assert fn is None, f"{layer}.{name} is listed as removed but still defined"
+                continue
             assert callable(fn), f"{layer}.{name} is traced but gone"
             functions.add(fn)
     for dotted in must_patch:

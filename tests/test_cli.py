@@ -438,3 +438,44 @@ def test_integer_strings_are_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["info"], ["betti", "x.json"], []])
 def test_usage_errors_exit_2(argv):
     assert main(argv) == 2
+
+
+real_orient = salvetti._orient
+
+
+def _corrupted_orientation(fc):
+    # a vertex's dual cell then no longer composes to zero over Λ
+    eps = real_orient(fc)
+    f = next(f for f, face in enumerate(fc.faces) if face.dim == 0)
+    g = next(iter(eps[f]))
+    eps[f][g] = -eps[f][g]
+    return eps
+
+
+def _raising(exc):
+    def raise_it(*args):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("command", ["info", "betti", "verify"])
+@pytest.mark.parametrize("name,patch,message", [
+    ("_orient", _corrupted_orientation, "internal failure: ChainComplexError: boundary "
+                                        "composition nonzero over Λ"),
+    ("_reduce", _raising(MemoryError()), "internal failure: MemoryError: "),
+    ("_orient", _raising(RuntimeError("inconsistent signs on a dual cell")),
+     "internal failure: RuntimeError: inconsistent signs on a dual cell"),
+], ids=["gate", "memory", "other"])
+def test_internal_failures_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch, command,
+                                                      name, patch, message):
+    # exit 1 means a check failed; a failed gate, exhausted memory or any
+    # other error of the program's own exits 3 with one line on stderr
+    monkeypatch.setattr(salvetti, name, patch)
+    arr = write(tmp_path, "gen3.json", GEN3)
+    argv = {"info": ["info", arr],
+            "betti": ["betti", arr, "--system", write(tmp_path, "s.json", SYS_222_Q)],
+            "verify": ["verify", arr, "--out", str(tmp_path / "r.json")]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err

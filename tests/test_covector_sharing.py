@@ -4,7 +4,7 @@ takes twisted_betti once per (covector set, system).
 The premise, checked on affine images: twisted Betti numbers depend on
 the covectors alone.  Then the cached answers against complexes built
 fresh from each arrangement's own faces, and the work the run does,
-counted.  The seed-0 run's report is pinned by its sha256."""
+counted.  The reports of the seed 0, 1 and 2 runs are pinned by their sha256."""
 
 import hashlib
 import random
@@ -22,6 +22,7 @@ from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import build_salvetti, twisted_betti
 
 from dense_rank_oracle import rank_dense
+from salvetti_oracle import full_boundary
 
 Q, F7 = FieldSpec.rationals(), FieldSpec.prime(7)
 SMALL = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
@@ -68,7 +69,8 @@ def test_twisted_betti_depend_only_on_the_covectors():
         fc, fc_image = enumerate_faces(arr), enumerate_faces(image)
         assert sorted(f.sign for f in fc.faces) == sorted(f.sign for f in fc_image.faces)
         sc, sc_image = build_salvetti(fc), build_salvetti(fc_image)
-        assert sc.boundary == sc_image.boundary
+        assert full_boundary(sc) == full_boundary(sc_image)
+        assert sc.reduced.boundary == sc_image.reduced.boundary
         for system in some_systems(arr.d, rng):
             assert twisted_betti(sc, system) == twisted_betti(sc_image, system)
 
@@ -98,9 +100,11 @@ def contexts(monkeypatch):
     return made
 
 
-# sha256 of the report `verify --all --seed 0 --out` writes; a change
-# that changes reports updates it and says so
+# sha256 of the report `verify --all --seed S --out` writes, S = 0 and
+# then S = 1, 2; a change that changes reports updates them and says so
 SEED0_REPORT_SHA256 = "16914136e3930aa949762a58e07d12694b22e5ce23aba04457b2aaff86f527a7"
+REPORT_SHA256 = {1: "9b5a65560f278954aeff0d4a43017bc265ab9bd603bc9260c9d0681474a4cf06",
+                 2: "089cfda34399cd910fbe753fb62313f7682bc0329f57a447fc41d08c4955087c"}
 
 
 def test_every_cached_answer_is_its_own_arrangements_answer(contexts):
@@ -163,3 +167,10 @@ def test_one_restricted_system_per_system_and_index_map(contexts, call_counter, 
     fresh, _summary = run_verification(corpus, seed=0, checks=checks)
     assert len(restricts) == len(pairs) + uses
     assert [r.to_json() for r in fresh] == [r.to_json() for r in reports]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reports_at_seeds_1_and_2_are_pinned(seed):
+    reports, summary = run_verification(generate_corpus(CorpusSpec(seed=seed)), seed=seed)
+    text = cli._report_text(harness.reports_to_json(reports, summary))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed]

@@ -20,7 +20,6 @@ from arrtop.exactla import (
     mat_sub_identity,
     rank,
     rref,
-    solve_affine,
 )
 from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
 from arrtop.harness import CorpusSpec, generate_corpus
@@ -97,11 +96,6 @@ def test_bareiss_agrees_with_rref(rows):
 def test_modular_rank_bounded_by_rational_rank(rows, p):
     m = sparse_from_rows(rows)
     assert rank(m, FieldSpec.prime(p)) <= rank(m, Q)
-
-
-def test_solve_affine_inconsistent():
-    assert solve_affine([((Fraction(1),), Fraction(0)),
-                         ((Fraction(1),), Fraction(1))], 1) is None
 
 
 def test_rref_pivots():

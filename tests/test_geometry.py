@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from arrtop import geometry
-from arrtop.exactla import dot, solve_affine
+from arrtop.exactla import dot
 from arrtop.geometry import (
     Arrangement,
     ArrangementError,
@@ -38,7 +38,7 @@ from arrtop.salvetti import build_salvetti
 from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_dense
 from poset_oracle import (affine_value, check_section_by_solves, flat_rows_by_fractions,
-                          frame_as_fractions, poset_by_pair_solves)
+                          frame_as_fractions, poset_by_pair_solves, solve_affine)
 
 
 def test_validate_a1():
@@ -50,6 +50,17 @@ def test_validate_a1():
 
 def test_validate_cen3_flags(cen3):
     assert cen3.is_central and cen3.is_essential
+
+
+def test_central_by_ranks_matches_the_affine_solve():
+    # central is decided by rank([normal | offset]) == rank(normals); the
+    # oracle solves normal·x = offset for a common point
+    flags = []
+    for arr in oracle_arrangements():
+        common = solve_affine([(h.normal, h.offset) for h in arr.hyperplanes], arr.dim)
+        assert arr.is_central == (common is not None)
+        flags.append(arr.is_central)
+    assert any(flags) and not all(flags)
 
 
 def test_validate_rejects_proportional_rows():
@@ -364,15 +375,16 @@ def test_poset_matches_the_pair_solving_oracle():
 def test_poset_solves_once_per_flat(monkeypatch):
     # once per flat at most: each frame is cut on ints from its parent's,
     # so building the poset solves for no flat at all
+    # (rref is the one dense solver geometry keeps)
     arr = braid_essentialized(5)
     calls = []
-    solve = geometry.solve_affine
+    solve = geometry.rref
 
-    def counting(eqs, n):
-        calls.append(len(eqs))
-        return solve(eqs, n)
+    def counting(rows, field):
+        calls.append(len(rows))
+        return solve(rows, field)
 
-    monkeypatch.setattr(geometry, "solve_affine", counting)
+    monkeypatch.setattr(geometry, "rref", counting)
     poset = intersection_poset(arr)
     assert len(poset.flats) == 52
     assert calls == []

@@ -325,8 +325,8 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
     real_reduce = salvetti._reduce
     corrupted = []
 
-    def corrupting(sc):
-        red = real_reduce(sc)
+    def corrupting(*args):
+        red = real_reduce(*args)
         # an entry of boundary 2 whose target has a nonzero boundary: any
         # change δ to it changes d∘d by δ times that boundary, never zero
         row = next(row for row in red.boundary[2]
@@ -348,6 +348,27 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
     with pytest.raises(ChainComplexError):
         build_salvetti(enumerate_faces(gen3))
     assert corrupted             # the full gate passed; the reduced one raised
+
+
+@pytest.mark.parametrize("name", ["gen3", "cen3", "braid4"])
+def test_reduction_that_drops_a_surviving_cell_is_refused(name, monkeypatch):
+    # dropping a top-degree cell keeps d² = 0 over Λ, so only the count
+    # gate, reduced cells_i >= b_i(U), can see that a cycle was lost
+    arr = complex_named(name).fc.arrangement
+    real_reduce = salvetti._reduce
+    dropped = []
+
+    def dropping(*args):
+        red = real_reduce(*args)
+        top = len(red.cells) - 1
+        dropped.append(red.cells[top].pop())
+        red.boundary[top].pop()
+        return red
+
+    monkeypatch.setattr(salvetti, "_reduce", dropping)
+    with pytest.raises(ChainComplexError, match=r"below b_\d"):
+        build_salvetti(enumerate_faces(arr))
+    assert dropped
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_bareiss, transpose
-from salvetti_oracle import boundary_by_sign_tuples, full_twisted_complex
+from salvetti_oracle import (boundary_by_sign_tuples, full_boundary, full_twisted_complex,
+                             full_untwisted_homology, full_untwisted_matrices,
+                             untwisted_matrices)
 
 from arrtop import exactla, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
@@ -20,7 +22,6 @@ from arrtop.harness import (
 from arrtop.localsys import LocalSystem, LocalSystemError, build_local_system, scalar_system
 from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import (
-    boundary_matrices,
     build_salvetti,
     twisted_betti,
     twisted_complex,
@@ -72,7 +73,7 @@ def test_euler_alternating_sum(gen3, cen3, a2):
 
 def test_boundary_squares_to_zero_over_z(gen3):
     sc = complex_for(gen3)
-    mats = boundary_matrices(sc)
+    mats = full_untwisted_matrices(sc)
     cols = mats[0].columns()
     prod = {}
     for (m, j), v in mats[1].entries.items():
@@ -133,10 +134,11 @@ def test_boundary_entries_read_off_the_orientation(fixture, request):
     fc = sc.fc
     eps = salvetti._orient(fc)
     one, _ = salvetti._packing(arr.d)
+    boundary = full_boundary(sc)
     for k in range(1, len(sc.cells)):
         lower = {(cell.face, cell.chamber): pos for pos, cell in enumerate(sc.cells[k - 1])}
         for pos, cell in enumerate(sc.cells[k]):
-            row = sc.boundary[k][pos]
+            row = boundary[k][pos]
             assert len(row) == len(eps[cell.face])
             c_sign = fc.faces[cell.chamber].sign
             for g, s in eps[cell.face].items():
@@ -275,7 +277,7 @@ def test_cell_count_dominates_twisted_betti(gen3):
 
 def test_boundary_matrix_shapes(cen3):
     sc = complex_for(cen3)
-    mats = boundary_matrices(sc)
+    mats = full_untwisted_matrices(sc)
     assert [(m.nrows, m.ncols) for m in mats] == [(6, 12), (12, 6)]
     assert all(isinstance(m, FMatrixSparse) for m in mats)
     assert all(v in (-1, 1) for m in mats for v in m.entries.values())
@@ -283,7 +285,7 @@ def test_boundary_matrix_shapes(cen3):
 
 def test_boundary_rank_equals_transpose_rank(gen3):
     sc = complex_for(gen3)
-    for m in boundary_matrices(sc):
+    for m in full_untwisted_matrices(sc):
         assert rank(m, Q) == rank(transpose(m), Q)
         assert rank(m, F7) == rank(transpose(m), F7)
 
@@ -326,7 +328,7 @@ def test_sparse_q_ranks_match_bareiss_oracle_on_corpus(corpus_items, arr_id, ste
     # so the matrices are at full size
     item = corpus_items[arr_id]
     sc = complex_for(item.arrangement)
-    for m in boundary_matrices(sc):
+    for m in full_untwisted_matrices(sc):
         assert rank(m, Q) == rank_bareiss(m)
     systems = [s for _, s in item.systems if s.field.kind == "Q"]
     for system in systems[::step]:
@@ -337,15 +339,16 @@ def test_sparse_q_ranks_match_bareiss_oracle_on_corpus(corpus_items, arr_id, ste
 
 def test_group_ring_gate_catches_a_monomial_the_integer_check_misses(gen3):
     sc = complex_for(gen3)
+    boundary = full_boundary(sc)
     one, _ = salvetti._packing(gen3.d)
     # an entry ±t^neg with neg nonempty becomes ±1
-    row, target = next((row, t) for row in sc.boundary[2]
+    row, target = next((row, t) for row in boundary[2]
                        for t, poly in row.items() if one not in poly)
     ((_m, sign),) = row[target].items()
     row[target] = {one: sign}
-    exactla.verify_composition(boundary_matrices(sc), Q)   # t = 1 still composes
+    exactla.verify_composition(untwisted_matrices(boundary, sc.cell_counts), Q)  # t = 1 composes
     with pytest.raises(ChainComplexError):
-        salvetti._verify_over_group_ring(sc.boundary, gen3.d)
+        salvetti._verify_over_group_ring(boundary, gen3.d)
 
 
 @pytest.mark.parametrize("arr_id", ["braid4", "gen-4-3"])
@@ -385,7 +388,7 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
                         lambda mats, field: checks.append(field) or real_check(mats, field))
     sc = complex_for(gen3)
     # once on the full boundary, once on the reduced one
-    assert len(gates) == 2 and gates[0] is sc.boundary and checks == []
+    assert len(gates) == 2 and gates[0] is not sc.reduced.boundary and checks == []
     assert gates[1] is sc.reduced.boundary
     assert [len(layer) for layer in gates[0][1:]] == sc.cell_counts[1:]
     twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
@@ -432,6 +435,76 @@ def test_boundary_matches_the_sign_tuple_oracle():
     assert any(not arr.is_essential for arr in arrs)
     for arr in arrs:
         sc = complex_for(arr)
-        assert sc.boundary == boundary_by_sign_tuples(sc)
+        boundary = full_boundary(sc)
+        assert boundary == boundary_by_sign_tuples(sc)
         assert all(len(row) == len(sc.fc.covering(cell.face))
-                   for layer, rows in zip(sc.cells, sc.boundary) for cell, row in zip(layer, rows))
+                   for layer, rows in zip(sc.cells, boundary) for cell, row in zip(layer, rows))
+
+
+@pytest.fixture(scope="module")
+def corpus_and_braid5_complexes(braid5_faces):
+    """The complex of every corpus arrangement at seeds 0-2, and braid5's."""
+    arrs = [item.arrangement for seed in (0, 1, 2)
+            for item in generate_corpus(CorpusSpec(seed=seed))]
+    return [complex_for(arr) for arr in arrs] + [build_salvetti(braid5_faces)]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7, 101])
+def test_untwisted_homology_is_the_full_complex_at_one(corpus_and_braid5_complexes, p):
+    # untwisted_homology reads the reduced complex at the constant system;
+    # the full complex at t = 1 and the Whitney numbers are its oracles
+    field = FieldSpec.prime(p) if p else Q
+    for sc in corpus_and_braid5_complexes:
+        b = betti_numbers(intersection_poset(sc.fc.arrangement))
+        assert untwisted_homology(sc, field) == full_untwisted_homology(sc, field) == b
+
+
+def test_untwisted_homology_takes_no_twisted_betti(gen3, monkeypatch):
+    # the benchmark times each system by twisted_betti; the untwisted
+    # check is not a system
+    def refused(*args):
+        raise AssertionError("untwisted_homology called twisted_betti")
+
+    sc = complex_for(gen3)
+    monkeypatch.setattr(salvetti, "twisted_betti", refused)
+    assert untwisted_homology(sc) == untwisted_homology(sc, F7) == [1, 3, 3]
+
+
+def _reachable(root):
+    """Every list, dict, tuple and set reachable from root through these
+    containers and through the fields of arrtop objects."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += list(obj)
+        elif type(obj).__module__.startswith("arrtop."):
+            stack += list(vars(obj).values())
+    return seen
+
+
+def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
+    gated, real_gate = [], salvetti._verify_over_group_ring
+    monkeypatch.setattr(salvetti, "_verify_over_group_ring",
+                        lambda rows, d: gated.append(rows) or real_gate(rows, d))
+    for arr in (braid_essentialized(4), random_generic(5, 3, 1), _slab3()):
+        gated.clear()
+        sc = complex_for(arr)
+        full, reduced = gated
+        assert reduced is sc.reduced.boundary
+        assert set(vars(sc)) == {"fc", "cells", "reduced"}
+        # the reduction eliminated in the gated boundary itself: exactly the
+        # dropped cells of degree >= 1 have no row left there
+        for k in range(1, len(sc.cells)):
+            assert [pos for pos, row in enumerate(full[k]) if row is not None] == \
+                sc.reduced.cells[k]
+        reachable = _reachable(sc)
+        assert id(full) not in reachable
+        assert not any(id(layer) in reachable for layer in full)
+        assert not any(id(row) in reachable for layer in full[1:] for row in layer
+                       if row is not None)
