@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands:
-  info    <arr.json>                     arrangement invariants
+  info    <arr.json>                     invariants of the intersection poset
   betti   <arr.json> --system <sys.json> twisted Betti numbers
   verify  [--all | files...]             run verification checks
   corpus  generate --seed N --out dir    write a corpus to disk
@@ -53,21 +53,21 @@ def _load_json(path):
 
 
 def _arrangement_summary(arr):
+    """Read off the poset alone (Zaslavsky, 1975): regions (-1)^n·χ(-1),
+    bounded chambers (-1)^n·χ(1) if essential, else none, and cells."""
     poset = geometry.intersection_poset(arr)
-    fc = realfaces.enumerate_faces(arr)
-    sc = salvetti.build_salvetti(fc)
-    regions, bounded = realfaces.region_counts(fc)
+    chi = geometry.characteristic_polynomial(poset)
     return {
         "dim": arr.dim,
         "num_hyperplanes": arr.d,
         "central": arr.is_central,
         "essential": arr.is_essential,
         "flat_counts": poset.flat_counts(),
-        "char_poly": geometry.characteristic_polynomial(poset),
+        "char_poly": chi,
         "betti": geometry.betti_numbers(poset),
-        "regions": regions,
-        "bounded": bounded,
-        "cells": sc.cell_counts,
+        "regions": (-1) ** arr.dim * geometry.evaluate_poly(chi, -1),
+        "bounded": (-1) ** arr.dim * geometry.evaluate_poly(chi, 1) if arr.is_essential else 0,
+        "cells": geometry.cell_counts(poset),
     }
 
 

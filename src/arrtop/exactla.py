@@ -25,7 +25,7 @@ from math import gcd, lcm
 from .fields import FieldSpec
 
 class ChainComplexError(Exception):
-    """A chain complex failed a gate: d∘d ≠ 0, exponents out of range, too few cells."""
+    """A chain complex failed a gate: d∘d ≠ 0, exponents out of range, cells off the count."""
 
 
 # ---------------------------------------------------------------------------

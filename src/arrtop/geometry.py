@@ -10,9 +10,10 @@ flat's coordinates, read by faces and face feasibility.  Meets are read
 off those rows, and the frame of X ∩ H_i is cut on ints from X's frame
 by H_i's row on X, so no flat is ever solved for.  It also computes the
 characteristic polynomial, Whitney-sum Betti numbers of the complement,
-and the surgeries used by dimension arguments: essentialization,
-localization at a flat, deconing a central arrangement, and generic
-sections, certified by comparing their poset with the arrangement's.
+the Salvetti complex's cell counts, and the surgeries used by dimension
+arguments: essentialization, localization at a flat, deconing a central
+arrangement, and generic sections, certified by comparing their poset
+with the arrangement's.
 Ranks go through exactla's one sparse engine; its one dense elimination
 serves the coordinate changes.
 """
@@ -262,12 +263,18 @@ def _build_poset(arr: Arrangement) -> FlatPoset:
 
     codim = {key: n - len(basis) for key, (_, basis) in frames.items()}
     order = sorted(frames, key=lambda s: (codim[s], tuple(sorted(s))))
-    mobius = {}
-    for key in order:
-        mobius[key] = 1 if not key else -sum(mobius[other] for other in order
-                                             if other < key and other in mobius)
+    mobius = _mobius(order)
     result = tuple(Flat(codim=codim[key], containing=key, mobius=mobius[key]) for key in order)
     return FlatPoset(n, result, meet, rows, frames)
+
+
+def _mobius(keys):
+    """{Z: μ(X, Z)} for X = keys[0], keys listing every flat Z ⊆ X by its
+    containing set, in increasing codim."""
+    mobius = {keys[0]: 1}
+    for key in keys[1:]:
+        mobius[key] = -sum(m for other, m in mobius.items() if other < key)
+    return mobius
 
 
 def characteristic_polynomial(poset: FlatPoset):
@@ -289,6 +296,21 @@ def betti_numbers(poset: FlatPoset):
     for f in poset.flats:
         b[f.codim] += abs(f.mobius)
     return b
+
+
+def cell_counts(poset: FlatPoset):
+    """Cells per degree of the Salvetti complex, up to the top codim, read
+    off the poset (Zaslavsky, *Facing up to arrangements*, 1975): the faces
+    on a flat X are the regions of the restriction A^X, Σ_{Z ⊆ X} |μ(X, Z)|,
+    and each is adjacent to the r(A_X) = Σ_{Y ⊇ X} |μ(Y)| chambers of the
+    localization, so cells_k sums r(A^X)·r(A_X) over the codim-k flats X."""
+    keys = [f.containing for f in poset.flats]
+    counts = [0] * (poset.flats[-1].codim + 1)
+    for f in poset.flats:
+        x = f.containing
+        faces = sum(map(abs, _mobius([z for z in keys if z >= x]).values()))
+        counts[f.codim] += faces * sum(abs(y.mobius) for y in poset.flats if y.containing <= x)
+    return counts
 
 
 def zero_flats(poset: FlatPoset):

@@ -13,9 +13,9 @@ and neg is minus[C] & plus[G].  ε is one orientation of the face poset,
 so the sign depends on the face alone, not on the chamber.  It is fixed
 codim by codim by closing all "diamonds" (two-step intervals) over the
 signs one codim below.  The boundary lives over Λ = Z[t_1^±1..t_d^±1],
-as the chain complex of the universal abelian cover, and the build
-gates the orientation by checking d∘d = 0 once over Λ (composition
-only, no ranks).
+as the chain complex of the universal abelian cover.  The build checks
+its cell counts against the poset's (geometry.cell_counts), then gates
+the orientation by d∘d = 0 once over Λ (composition only, no ranks).
 
 Every entry ±t^a is a unit of Λ.  So the build then eliminates pairs
 of cells joined by a unit entry, Gaussian elimination over Λ (algebraic
@@ -52,7 +52,7 @@ the usual inversion).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import itemgetter, mul
@@ -60,47 +60,62 @@ from operator import itemgetter, mul
 from .exactla import (ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims,
                       identity_matrix)
 from .fields import FieldSpec
-from .geometry import betti_numbers, intersection_poset
+from .geometry import betti_numbers, cell_counts, intersection_poset
 from .localsys import LocalSystem
 from .realfaces import FaceComplex
 
 
-@dataclass(frozen=True)
-class SCell:
-    face: int            # index into FaceComplex.faces
-    chamber: int         # index of an adjacent chamber face
-
-
 @dataclass
 class SalvettiComplex:
-    fc: FaceComplex
-    cells: list                  # cells[k] = list of SCell, sorted
-    reduced: "ReducedComplex"    # the boundary over Λ on these cells, reduced
+    """The Salvetti complex of fc, kept reduced over Λ, with the plan that
+    evaluates it: monomial j > 0 is monomial parent times t_i^s, for
+    monomials[j - 1] = (parent, g) and (i, s) = generators[g] (monomial 0
+    is 1, parents come first, generators in first-use order)."""
 
-    @property
-    def cell_counts(self):
-        return [len(layer) for layer in self.cells]
+    fc: FaceComplex
+    cell_counts: list    # cells per degree of the full complex, as the poset predicts
+    cells: list          # cells[k]: the positions among those of the cells kept
+    boundary: list       # boundary[k][pos] = {target in cells[k - 1]: Laurent polynomial}
+    generators: list     # the distinct (i, s), s = ±1
+    monomials: list      # (parent, g) per monomial j > 0
+    entries: list        # entries[k - 1]: (target, pos, ((monomial, coefficient), ...))
+    blocks: dict = field(default_factory=dict)   # (rank, partition) -> block_entries
+
+    def block_entries(self, r, partition):
+        """(dims, blocks), once per (r, partition).  blocks pairs each block
+        with (keys, terms) per entry of entries[k - 1], keys (r * target + a,
+        r * pos + b) for a, b in the block, a outer (one key at size one)."""
+        got = self.blocks.get((r, partition))
+        if got is None:
+            got = self.blocks[r, partition] = ([r * len(layer) for layer in self.cells], [
+                (block, [[([(r * t + a, r * pos + b) for a in block for b in block]
+                           if len(block) > 1 else (r * t + block[0], r * pos + block[0]), terms)
+                          for t, pos, terms in layer] for layer in self.entries])
+                for block in partition])
+        return got
 
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
-    """The Salvetti complex, kept reduced: the full boundary over Λ
-    (_full_complex), gated by boundary-squared = 0 over Λ, then reduced in
+    """The Salvetti complex, kept reduced: the full boundary over Λ, its
+    counts checked against the poset's and gated by d² = 0, then reduced in
     place and gated again, by d² = 0 and by reduced cells_i ≥ b_i(U)."""
     arr = fc.arrangement
-    cells, boundary = _full_complex(fc)
+    poset = intersection_poset(arr)
+    boundary = _full_complex(fc)
+    counts = [len(layer) for layer in boundary]
+    _check_counts(counts, cell_counts(poset), exact=True)     # raises on a missing face
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
-    red = _reduce(cells, boundary, arr.d)                # eliminates in boundary itself
-    _verify_over_group_ring(red.boundary, arr.d)         # raises on a bad reduction
-    _check_cell_counts(red.cells, betti_numbers(intersection_poset(arr)))
-    _compile(red)
-    return SalvettiComplex(fc, cells, red)
+    cells, reduced = _reduce(boundary, arr.d)            # eliminates in boundary itself
+    _verify_over_group_ring(reduced, arr.d)              # raises on a bad reduction
+    _check_counts([len(layer) for layer in cells], betti_numbers(poset), exact=False)
+    return SalvettiComplex(fc, counts, cells, reduced, *_compile(reduced, arr.d))
 
 
 def _full_complex(fc: FaceComplex):
-    """(cells, boundary): all (face, adjacent chamber) pairs, graded by
-    codim, and the boundary over Λ, boundary[k][pos] = {target position:
+    """The boundary over Λ on all (face, adjacent chamber) pairs, graded by
+    codim and sorted by sign vectors: boundary[k][pos] = {target position:
     {packed exponent: coefficient}}, ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C]
-    over the faces G covering F."""
+    over the faces G covering F (one empty row per chamber in degree 0)."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
@@ -108,10 +123,10 @@ def _full_complex(fc: FaceComplex):
     cells = [[] for _ in range(top_codim + 1)]
     for fi, face in enumerate(fc.faces):
         for c in fc.adjacent_chambers(fi):
-            cells[n - face.dim].append(SCell(fi, c))
+            cells[n - face.dim].append((fi, c))
     for layer in cells:
-        layer.sort(key=lambda s: (fc.faces[s.face].sign, fc.faces[s.chamber].sign))
-    index = [{(s.face, s.chamber): i for i, s in enumerate(layer)} for layer in cells]
+        layer.sort(key=lambda s: (fc.faces[s[0]].sign, fc.faces[s[1]].sign))
+    index = [{s: i for i, s in enumerate(layer)} for layer in cells]
 
     eps = _orient(fc)
     one, _ = _packing(arr.d)
@@ -122,15 +137,15 @@ def _full_complex(fc: FaceComplex):
     boundary = [[{} for _ in cells[0]]]
     for k in range(1, top_codim + 1):
         layer = []
-        for cell in cells[k]:
-            cm = minus[cell.chamber]
+        for f, c in cells[k]:
+            cm = minus[c]
             # [G, G∘C], G∘C G's sign where nonzero and C's elsewhere, times
             # t^neg, neg the hyperplanes where C is - and G is +
             layer.append(dict(sorted(
                 (index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]],
-                 {one + (cm & plus[g]): s}) for g, s in eps[cell.face].items())))
+                 {one + (cm & plus[g]): s}) for g, s in eps[f].items())))
         boundary.append(layer)
-    return cells, boundary
+    return boundary
 
 
 def _orient(fc: FaceComplex):
@@ -207,47 +222,6 @@ def _out_of_range():
     return ChainComplexError(f"an exponent over Λ left [-{_BIAS}, {_BIAS})")
 
 
-@dataclass
-class ReducedComplex:
-    """The boundary over Λ after Gaussian elimination on unit entries.
-
-    cells[k] lists the positions, in SalvettiComplex.cells[k], of the cells
-    that survive; boundary[k][pos] maps a target position in cells[k - 1]
-    to its Laurent polynomial {packed exponent: coefficient}.  The
-    evaluation plan: generators lists the distinct (i, s), s = ±1, that
-    the monomials use, in first-use order; monomials[j - 1] = (parent, g)
-    makes monomial j the product of monomial parent and t_i^s, (i, s) =
-    generators[g] (monomial 0 is 1, parents come first); and entries[k - 1]
-    lists (target, pos, ((monomial, coefficient), ...)) of boundary k;
-    block_entries(r, partition) gives each entry's keys on every block."""
-
-    d: int
-    cells: list
-    boundary: list
-    cell_counts: list = None
-    generators: list = None
-    monomials: list = None
-    entries: list = None
-    blocks: dict = None          # (rank, partition) -> block_entries(rank, partition)
-
-    def block_entries(self, r, partition):
-        """(dims, blocks), once per (r, partition).  blocks pairs each block
-        with (keys, terms) per entry of entries[k - 1], keys (r * target + a,
-        r * pos + b) for a, b in the block, a outer (one key at size one)."""
-        got = self.blocks.get((r, partition))
-        if got is None:
-            got = self.blocks[r, partition] = ([r * c for c in self.cell_counts], [
-                (block, [[([(r * t + a, r * pos + b) for a in block for b in block]
-                           if len(block) > 1 else (r * t + block[0], r * pos + block[0]), terms)
-                          for t, pos, terms in layer] for layer in self.entries])
-                for block in partition])
-        return got
-
-
-def _is_unit(poly) -> bool:
-    return len(poly) == 1 and next(iter(poly.values())) in (1, -1)
-
-
 def _verify_over_group_ring(boundary, d):
     """The d²=0 gate over Λ on boundary[k][pos] = {target: {packed
     exponent: coefficient}}.  On the full boundary it checks the
@@ -275,7 +249,7 @@ def _verify_over_group_ring(boundary, d):
                         f"{k}->{k - 2} at ({i},{j})")
 
 
-def _reduce(cells, rows, d) -> ReducedComplex:
+def _reduce(rows, d):
     """Eliminate unit entries over Λ, degrees top down: a chain homotopy
     equivalence for every abelian local system at once (algebraic Morse
     theory).
@@ -285,18 +259,18 @@ def _reduce(cells, rows, d) -> ReducedComplex:
     is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
     τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
     σ; then τ and σ are dropped, with σ's boundary and τ's column one
-    degree up.  Works in place on rows, the full boundary over Λ on
-    `cells` (_full_complex), in which a dropped cell's row becomes None;
-    the reduced boundary reuses the surviving entries."""
+    degree up.  Works in place on rows, the full boundary over Λ, in which
+    a dropped cell's row becomes None.  Returns (cells, boundary): cells[k]
+    the positions in rows[k] of the cells kept, and the reduced boundary
+    on them, which reuses the surviving entries."""
     top_bits = _packing(d)[1]
-    top = len(cells) - 1
+    top = len(rows) - 1
     # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
-    cob = [[set() for _ in layer] for layer in cells]
+    cob = [[set() for _ in layer] for layer in rows]
     for k in range(1, top + 1):
         for pos, row in enumerate(rows[k]):
             for t in row:
                 cob[k - 1][t].add(pos)
-    dropped = [set() for _ in cells]
 
     for k in range(top, 0, -1):
         up, down = rows[k], cob[k - 1]
@@ -307,7 +281,8 @@ def _reduce(cells, rows, d) -> ReducedComplex:
             users = down[s]
             if n != len(users):
                 continue
-            units = [t for t in users if _is_unit(up[t][s])]
+            units = [t for t in users                      # entries ±t^a
+                     if len(u := up[t][s]) == 1 and next(iter(u.values())) in (1, -1)]
             if not units:
                 continue
             t = min(units, key=lambda t: (len(up[t]), t))
@@ -341,12 +316,10 @@ def _reduce(cells, rows, d) -> ReducedComplex:
                         del row2[x]
                         down[x].discard(t2)
             users.clear()
-            dropped[k].add(t)
-            dropped[k - 1].add(s)
             if k > 1:
                 for lam in rows[k - 1][s]:
                     cob[k - 2][lam].discard(s)
-                rows[k - 1][s] = None
+            rows[k - 1][s] = None
             if k < top:
                 for rho in cob[k][t]:
                     del rows[k + 1][rho][t]
@@ -354,40 +327,42 @@ def _reduce(cells, rows, d) -> ReducedComplex:
             for x in row:
                 heappush(heap, (len(down[x]), x))
 
-    kept = [[pos for pos in range(len(layer)) if pos not in dropped[k]]
-            for k, layer in enumerate(cells)]
+    kept = [[pos for pos, row in enumerate(layer) if row is not None] for layer in rows]
     new = [{pos: i for i, pos in enumerate(layer)} for layer in kept]
     boundary = [[{} for _ in kept[0]]]
     for k in range(1, top + 1):
         boundary.append([{new[k - 1][t]: poly for t, poly in sorted(rows[k][pos].items())}
                          for pos in kept[k]])
-    return ReducedComplex(d, kept, boundary)
+    return kept, boundary
 
 
-def _check_cell_counts(cells, betti):
-    """The reduced complex is homotopy equivalent to U, so it keeps at
-    least b_i(U) cells in every degree i; raises when it does not.  Above
-    the top codim of a non-essential arrangement both are 0."""
-    for i, b in enumerate(betti):
-        count = len(cells[i]) if i < len(cells) else 0
-        if count < b:
+def _check_counts(counts, expected, exact):
+    """Raises unless counts[i] == expected[i] (exact) or >= it in every
+    degree i, a degree beyond a list counting 0.  A face missing on one
+    flat can keep d² = 0, never the poset's count; a reduction that loses
+    a cycle, never b_i(U)."""
+    for i in range(max(len(counts), len(expected))):
+        count, bound = (x[i] if i < len(x) else 0 for x in (counts, expected))
+        if count < bound or exact and count != bound:
             raise ChainComplexError(
-                f"reduced complex keeps {count} cells in degree {i}, below b_{i} = {b}")
+                f"full complex has {count} cells in degree {i}, the poset predicts {bound}"
+                if exact else
+                f"reduced complex keeps {count} cells in degree {i}, below b_{i} = {bound}")
 
 
-def _compile(red: ReducedComplex):
-    """Fill in the evaluation plan of the reduced complex."""
-    one, _ = _packing(red.d)
+def _compile(boundary, d):
+    """(generators, monomials, entries): the evaluation plan of the reduced
+    boundary."""
+    one, _ = _packing(d)
     mask = (1 << _BITS) - 1
     index, gen_index = {one: 0}, {}
-    red.cell_counts = [len(layer) for layer in red.cells]
-    red.generators, red.monomials, red.blocks = [], [], {}
+    generators, monomials = [], []
 
     def monomial(m):
         chain = []
         while m not in index:
             # step back along the first variable with a nonzero exponent
-            i, f = next((i, f) for i in range(red.d)
+            i, f = next((i, f) for i in range(d)
                         if (f := (m >> (_BITS * i)) & mask) != _BIAS)
             s = 1 if f > _BIAS else -1
             chain.append((m, i, s))
@@ -396,15 +371,16 @@ def _compile(red: ReducedComplex):
         for m, i, s in reversed(chain):
             g = gen_index.get((i, s))
             if g is None:
-                g = gen_index[i, s] = len(red.generators)
-                red.generators.append((i, s))
-            red.monomials.append((j, g))
-            j = index[m] = len(red.monomials)
+                g = gen_index[i, s] = len(generators)
+                generators.append((i, s))
+            monomials.append((j, g))
+            j = index[m] = len(monomials)
         return j
 
-    red.entries = [[(t, pos, tuple((monomial(m), c) for m, c in sorted(poly.items())))
-                    for pos, row in enumerate(layer) for t, poly in row.items()]
-                   for layer in red.boundary[1:]]
+    entries = [[(t, pos, tuple((monomial(m), c) for m, c in sorted(poly.items())))
+                for pos, row in enumerate(layer) for t, poly in row.items()]
+               for layer in boundary[1:]]
+    return generators, monomials, entries
 
 
 def _padded_homology(sc: SalvettiComplex, tc: TwistedComplex):
@@ -420,7 +396,7 @@ def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
     """Homology dims of U over Q (or over F_p), padded to the ambient
     dimension: the reduced complex at the constant rank-1 system, t = 1."""
     field = fieldspec or FieldSpec.rationals()
-    constant = LocalSystem(field, 1, (identity_matrix(field, 1),) * sc.reduced.d)
+    constant = LocalSystem(field, 1, (identity_matrix(field, 1),) * sc.fc.arrangement.d)
     return _padded_homology(sc, twisted_complex(sc, constant))
 
 
@@ -443,7 +419,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     the monodromy matrices (inverse monodromy for negative exponents),
     transposed.  That is zero off the blocks of system.partition; each block
     is evaluated at its own size and written at its own keys
-    (red.block_entries), on scalars at size one, else on monomials kept
+    (sc.block_entries), on scalars at size one, else on monomials kept
     transposed and flat (a product entry is a row times a column) with an
     entry's terms summed as whole vectors.  Each monomial is one product of
     an earlier one and one M_i^±1 on Python ints, reduced mod p once per
@@ -452,12 +428,12 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     integer `scale` that clears the monomials' denominators, so its entries
     are ints: one nonzero scalar on every boundary keeps d² = 0 (the
     matrices stay GatedBoundaries) and every rank."""
-    red = sc.reduced
-    if len(system.monodromy) != red.d:
-        raise ValueError(f"system has {system.d} matrices, arrangement has {red.d}")
+    d = sc.fc.arrangement.d
+    if len(system.monodromy) != d:
+        raise ValueError(f"system has {system.d} matrices, arrangement has {d}")
     field, r, p = system.field, system.rank, system.field.p
     gens, gen_dens = [], []
-    for i, s in red.generators:
+    for i, s in sc.generators:
         m = system.monodromy[i] if s > 0 else system.inverse[i]
         if not p:
             # M_i^s = N / D: N an integer matrix, D the lcm of all its denominators
@@ -469,18 +445,18 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     if not p:
         # monomial j is integer values over dens[j]; scale clears every denominator
         dens = [1]
-        for parent, g in red.monomials:
+        for parent, g in sc.monomials:
             dens.append(dens[parent] * gen_dens[g])
         scale = lcm(*dens)
 
-    dims, blocks = red.block_entries(r, system.partition)
+    dims, blocks = sc.block_entries(r, system.partition)
     mats = [FMatrixSparse(nrows, ncols) for nrows, ncols in zip(dims, dims[1:])]
     for block, layers in blocks:
         if len(block) == 1:
             (a,) = block
             gen = [m[a][a] for m in gens]
             vals = [1]
-            for parent, g in red.monomials:
+            for parent, g in sc.monomials:
                 v = vals[parent] * gen[g]
                 vals.append(v % p if p else v)
             if scale > 1:
@@ -500,7 +476,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
         cols = [list(map(pick, pick(list(zip(*m))))) for m in gens]     # block columns
         # vals[j][a * s + b] is entry (b, a) of monomial j on the block
         vals = [[int(a == b) for a in range(s) for b in range(s)]]
-        for parent, g in red.monomials:
+        for parent, g in sc.monomials:
             rows = [vals[parent][b::s] for b in range(s)]
             out = [sum(map(mul, row, col)) for col in cols[g] for row in rows]
             vals.append([x % p for x in out] if p else out)

@@ -28,11 +28,26 @@ from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
 from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _full_complex, _orient, _packing
 
 
+def cell_pairs(fc):
+    """cells[k] = the (face, adjacent chamber) pairs of codim k, in the
+    order of the full boundary's positions: by the face's sign vector,
+    then the chamber's."""
+    n = fc.arrangement.dim
+    cells = [[] for _ in range(max(n - f.dim for f in fc.faces) + 1)]
+    for f, face in enumerate(fc.faces):
+        cells[n - face.dim] += [(f, c) for c in fc.adjacent_chambers(f)]
+    for layer in cells:
+        layer.sort(key=lambda cell: (fc.faces[cell[0]].sign, fc.faces[cell[1]].sign))
+    return cells
+
+
 def full_boundary(sc):
     """boundary[k][pos] = {target: {packed exponent: ±1}}, the full
-    boundary over Λ on sc's cells, built again from sc's faces."""
-    cells, boundary = _full_complex(sc.fc)
-    assert cells == sc.cells
+    boundary over Λ on the cells of cell_pairs(sc.fc), built again from
+    sc's faces."""
+    boundary = _full_complex(sc.fc)
+    assert [len(layer) for layer in boundary] == sc.cell_counts
+    assert sc.cell_counts == [len(layer) for layer in cell_pairs(sc.fc)]
     return boundary
 
 
@@ -62,19 +77,21 @@ def full_untwisted_homology(sc, field):
 
 
 def boundary_by_sign_tuples(sc):
-    """boundary[k][pos] = {target: {packed exponent: ±1}} over sc's cells."""
+    """boundary[k][pos] = {target: {packed exponent: ±1}} over the cells
+    of cell_pairs(sc.fc)."""
     fc = sc.fc
+    cells = cell_pairs(fc)
     by_sign = {f.sign: i for i, f in enumerate(fc.faces)}
-    index = [{(s.face, s.chamber): i for i, s in enumerate(layer)} for layer in sc.cells]
+    index = [{cell: i for i, cell in enumerate(layer)} for layer in cells]
     eps = _orient(fc)
     one, _ = _packing(fc.arrangement.d)
-    boundary = [[{} for _ in sc.cells[0]]]
-    for k in range(1, len(sc.cells)):
+    boundary = [[{} for _ in cells[0]]]
+    for k in range(1, len(cells)):
         layer = []
-        for cell in sc.cells[k]:
-            csign = fc.faces[cell.chamber].sign
+        for face, chamber in cells[k]:
+            csign = fc.faces[chamber].sign
             entries = []
-            for g, s in eps[cell.face].items():
+            for g, s in eps[face].items():
                 dsign = tuple(x if x != 0 else c for x, c in zip(fc.faces[g].sign, csign))
                 neg = sum(1 << (_BITS * i) for i, (a, b) in enumerate(zip(csign, dsign))
                           if a < b)
@@ -148,7 +165,6 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
     """The reduced boundary's evaluation plan at the monodromy, each
     product in the field's own elements (Fraction over Q), reduced mod p
     once per product and once per entry; scale 1."""
-    red = sc.reduced
     field, r, p = system.field, system.rank, system.field.p
     gens = {}
 
@@ -161,17 +177,17 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
 
     if r == 1:
         vals = [field.one]
-        for parent, g in red.monomials:
-            v = vals[parent] * generator(*red.generators[g])
+        for parent, g in sc.monomials:
+            v = vals[parent] * generator(*sc.generators[g])
             vals.append(v % p if p else v)
     else:
         vals = [[field.one if i == j else field.zero for i in range(r) for j in range(r)]]
-        for parent, g in red.monomials:
-            vals.append(_matmul(vals[parent], generator(*red.generators[g]), r, p))
+        for parent, g in sc.monomials:
+            vals.append(_matmul(vals[parent], generator(*sc.generators[g]), r, p))
 
-    dims = [r * c for c in red.cell_counts]
+    dims = [r * len(layer) for layer in sc.cells]
     mats = []
-    for k, layer in enumerate(red.entries, start=1):
+    for k, layer in enumerate(sc.entries, start=1):
         m = FMatrixSparse(dims[k - 1], dims[k])
         for target, pos, terms in layer:
             block = [sum(c * (vals[j] if r == 1 else vals[j][x]) for j, c in terms)

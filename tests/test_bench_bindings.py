@@ -3,7 +3,16 @@ that renames one would silently drop a layer from traced runs."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+from conftest import make_arrangement
+
+from arrtop.exactla import FMatrixSparse
+from arrtop.fields import FieldSpec
+from arrtop.localsys import scalar_system
+from arrtop.realfaces import enumerate_faces
+from arrtop.salvetti import build_salvetti
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -46,3 +55,37 @@ def test_every_traced_name_resolves_in_arrtop():
         layer, attr = dotted.split(".")
         value = getattr(importlib.import_module(f"arrtop.{layer}"), attr, None)
         assert value in functions, f"{dotted} is not bound to a traced function"
+
+
+def _load_spans():
+    """perfbench/spans.py as a module, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_reads_a_real_result():
+    # each hook reads attributes off its function's result; a refactor that
+    # drops one (cell_counts, faces, matrices) must fail here, not in a
+    # traced run
+    q = FieldSpec.rationals()
+    gen3 = make_arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)])
+    fc = enumerate_faces(gen3)
+    sc = build_salvetti(fc)
+    calls = {
+        "exactla.rank": ((FMatrixSparse.from_rows([[1, 2], [2, 4]]), q), ("Q", 4, False)),
+        "realfaces.enumerate_faces": ((gen3,), 19),
+        "salvetti.build_salvetti": ((fc,), (7, 18, 12)),
+        "salvetti.twisted_complex": ((sc, scalar_system(q, [2, 3, 5])), None),
+    }
+    hooks = _load_spans().HOOKS
+    assert set(hooks) == set(calls)
+    for name, hook in hooks.items():
+        layer, attr = name.split(".")
+        args, expected = calls[name]
+        got = hook(args, getattr(importlib.import_module(f"arrtop.{layer}"), attr)(*args))
+        if expected is None:             # the twisted complex's stored entries
+            assert isinstance(got, int) and got > 0
+        else:
+            assert got == expected

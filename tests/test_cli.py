@@ -3,9 +3,12 @@ import shlex
 from dataclasses import replace
 
 import pytest
+from conftest import make_arrangement, oracle_arrangements
+from info_oracle import info_by_faces
 
-from arrtop import harness, realfaces, salvetti
-from arrtop.cli import main
+from arrtop import geometry, harness, realfaces, salvetti
+from arrtop.cli import _arrangement_summary, main
+from arrtop.harness import braid_essentialized
 
 GEN3 = {"dim": 2, "hyperplanes": [
     {"label": "x", "normal": ["1", "0"], "offset": "0"},
@@ -51,6 +54,40 @@ def test_info_cen3(tmp_path, capsys):
     assert out["betti"] == [1, 3, 2]
     assert out["regions"] == 6 and out["bounded"] == 0
     assert out["cells"] == [6, 12, 6]
+
+
+def test_info_matches_the_face_oracle():
+    # every invariant read off the poset equals the one counted on the
+    # faces and the built complex, non-essential arrangements included;
+    # x = 0, y = 0, x + y = 1 in C^3 has (-1)^3·χ(1) = -1 and no bounded
+    # chamber
+    gen3_x_c = make_arrangement(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), 1)])
+    chi = geometry.characteristic_polynomial(geometry.intersection_poset(gen3_x_c))
+    assert -geometry.evaluate_poly(chi, 1) == -1
+    parallel = make_arrangement(2, [((1, 0), 0), ((1, 0), 1)])
+    arrs = [*oracle_arrangements(), gen3_x_c, parallel]
+    assert sum(not arr.is_essential for arr in arrs) == 3
+    for arr in arrs:
+        assert _arrangement_summary(arr) == info_by_faces(arr)
+
+
+def test_info_enumerates_no_face_and_builds_no_complex(tmp_path, capsys, call_counter):
+    calls = [call_counter(realfaces, "enumerate_faces"), call_counter(realfaces, "region_counts"),
+             call_counter(salvetti, "build_salvetti")]
+    for name, arr, cells in (("gen3.json", GEN3, [7, 18, 12]), ("lines.json", LINES, [3, 4])):
+        assert main(["info", write(tmp_path, name, arr)]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == cells
+    assert calls == [[], [], []]
+
+
+def test_info_braid7(tmp_path, capsys):
+    # braid7 was too large to build for info; its sizes come from the poset
+    path = tmp_path / "braid7.json"
+    path.write_text(json.dumps(braid_essentialized(7).to_json()))
+    assert main(["info", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cells"] == [5040, 30240, 75600, 100800, 75600, 30240, 5040]
+    assert out["regions"] == 5040 and out["bounded"] == 0
 
 
 def test_info_malformed_exits_2(tmp_path, capsys):
@@ -458,7 +495,7 @@ def _raising(exc):
     return raise_it
 
 
-@pytest.mark.parametrize("command", ["info", "betti", "verify"])
+@pytest.mark.parametrize("command", ["betti", "verify"])
 @pytest.mark.parametrize("name,patch,message", [
     ("_orient", _corrupted_orientation, "internal failure: ChainComplexError: boundary "
                                         "composition nonzero over Λ"),
@@ -472,10 +509,24 @@ def test_internal_failures_exit_3_without_a_traceback(tmp_path, capsys, monkeypa
     # other error of the program's own exits 3 with one line on stderr
     monkeypatch.setattr(salvetti, name, patch)
     arr = write(tmp_path, "gen3.json", GEN3)
-    argv = {"info": ["info", arr],
-            "betti": ["betti", arr, "--system", write(tmp_path, "s.json", SYS_222_Q)],
+    argv = {"betti": ["betti", arr, "--system", write(tmp_path, "s.json", SYS_222_Q)],
             "verify": ["verify", arr, "--out", str(tmp_path / "r.json")]}[command]
     assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError(), "internal failure: MemoryError: "),
+    (RuntimeError("a poset failure"), "internal failure: RuntimeError: a poset failure"),
+], ids=["memory", "other"])
+def test_info_internal_failures_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                           exc, message):
+    # info builds no complex, so no Salvetti gate runs under it; a failure
+    # in its own poset work exits 3 with one line on stderr
+    monkeypatch.setattr(geometry, "cell_counts", _raising(exc))
+    assert main(["info", write(tmp_path, "gen3.json", GEN3)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert "Traceback" not in err

@@ -168,7 +168,7 @@ def test_monodromy_is_inverted_once_per_distinct_matrix(monkeypatch):
     section = generic_section(braid4, 2, seed=0)
     complexes = [build_salvetti(enumerate_faces(arr)) for arr in (braid4, section)]
     assert section.d == braid4.d == 6
-    assert any(s < 0 for sc in complexes for _i, s in sc.reduced.generators)
+    assert any(s < 0 for sc in complexes for _i, s in sc.generators)
     calls = counting_inverse(monkeypatch)
     scalars = []
     real_invert = localsys._invert
@@ -216,7 +216,7 @@ def test_derived_systems_neither_check_nor_invert_again(monkeypatch):
                                         ((2, 1), (4, 2), (3, 3), (5, 1), (1, 0), (1, 0))])
     local = build_salvetti(enumerate_faces(localize(braid4, triple)))
     deconed = build_salvetti(enumerate_faces(decone(braid4, 0)))
-    assert all(any(s < 0 for _i, s in sc.reduced.generators) for sc in (local, deconed))
+    assert all(any(s < 0 for _i, s in sc.generators) for sc in (local, deconed))
     inverses = counting_inverse(monkeypatch)
     descended = decone_system(braid4, system, 0)
     products = []

@@ -237,28 +237,29 @@ def test_interleaved_blocks_of_sizes_two_and_one_match_the_plan(name, field):
 def test_sweep_complex_matches_the_plan_at_ranks_4_and_5(field, r):
     sc = complex_named("dbraid5")
     system = jordan_system(field, r, sc.fc.arrangement.d)
-    assert any(s < 0 for _i, s in sc.reduced.generators)
+    assert any(s < 0 for _i, s in sc.generators)
     assert (twisted_complex(sc, system).scale > 1) == (field.kind == "Q")
     assert_scale_times_the_plan_oracle(sc, system)
 
 
 @pytest.mark.parametrize("name", ["gen3", "cen3", "braid4", "gen-4-3", "dbraid5"])
 def test_plan_lists_each_generator_once_in_first_use_order(name):
-    red = complex_named(name).reduced
-    assert red.cell_counts == [len(layer) for layer in red.cells]
-    used = [g for _parent, g in red.monomials]
-    assert list(dict.fromkeys(used)) == list(range(len(red.generators)))
-    assert len(set(red.generators)) == len(red.generators)
-    assert all(0 <= i < red.d and s in (1, -1) for i, s in red.generators)
+    sc = complex_named(name)
+    d = sc.fc.arrangement.d
+    assert sc.block_entries(1, ((0,),))[0] == [len(layer) for layer in sc.cells]
+    used = [g for _parent, g in sc.monomials]
+    assert list(dict.fromkeys(used)) == list(range(len(sc.generators)))
+    assert len(set(sc.generators)) == len(sc.generators)
+    assert all(0 <= i < d and s in (1, -1) for i, s in sc.generators)
     # monomial j is its parent times its generator: one new exponent each,
     # and every exponent of the reduced boundary among them
-    one = salvetti._packing(red.d)[0]
+    one = salvetti._packing(d)[0]
     exponents = [one]
-    for parent, g in red.monomials:
-        i, s = red.generators[g]
+    for parent, g in sc.monomials:
+        i, s = sc.generators[g]
         exponents.append(exponents[parent] + (s << (salvetti._BITS * i)))
     assert len(set(exponents)) == len(exponents)
-    assert {m for layer in red.boundary for row in layer for poly in row.values()
+    assert {m for layer in sc.boundary for row in layer for poly in row.values()
             for m in poly} <= set(exponents)
 
 
@@ -309,7 +310,7 @@ def test_reduced_betti_equal_the_full_oracle_on_a_corpus_sample(name):
 def test_reduced_counts_lie_between_cells_and_betti(name):
     sc = complex_named(name)
     b = betti_numbers(intersection_poset(sc.fc.arrangement))
-    reduced = sc.reduced.cell_counts
+    reduced = [len(layer) for layer in sc.cells]
     assert len(reduced) == len(sc.cell_counts) == len(b)
     assert all(c >= x >= y for c, x, y in zip(sc.cell_counts, reduced, b))
     euler = [sum((-1) ** k * c for k, c in enumerate(counts))
@@ -317,7 +318,7 @@ def test_reduced_counts_lie_between_cells_and_betti(name):
     assert euler[0] == euler[1] == euler[2]
     # every surviving cell is a cell of the full complex, in its order
     assert all(layer == sorted(set(layer)) and (not layer or layer[-1] < c)
-               for layer, c in zip(sc.reduced.cells, sc.cell_counts))
+               for layer, c in zip(sc.cells, sc.cell_counts))
 
 
 @pytest.mark.parametrize("change", ["coefficient", "exponent"])
@@ -326,12 +327,11 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
     corrupted = []
 
     def corrupting(*args):
-        red = real_reduce(*args)
+        cells, boundary = real_reduce(*args)
         # an entry of boundary 2 whose target has a nonzero boundary: any
         # change δ to it changes d∘d by δ times that boundary, never zero
-        row = next(row for row in red.boundary[2]
-                   if any(red.boundary[1][t] for t in row))
-        poly = row[next(t for t in row if red.boundary[1][t])]
+        row = next(row for row in boundary[2] if any(boundary[1][t] for t in row))
+        poly = row[next(t for t in row if boundary[1][t])]
         m, c = next(iter(poly.items()))
         if change == "coefficient":
             poly[m] = 2 * c
@@ -342,7 +342,7 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
             if not poly[moved]:
                 del poly[moved]
         corrupted.append(m)
-        return red
+        return cells, boundary
 
     monkeypatch.setattr(salvetti, "_reduce", corrupting)
     with pytest.raises(ChainComplexError):
@@ -359,11 +359,11 @@ def test_reduction_that_drops_a_surviving_cell_is_refused(name, monkeypatch):
     dropped = []
 
     def dropping(*args):
-        red = real_reduce(*args)
-        top = len(red.cells) - 1
-        dropped.append(red.cells[top].pop())
-        red.boundary[top].pop()
-        return red
+        cells, boundary = real_reduce(*args)
+        top = len(cells) - 1
+        dropped.append(cells[top].pop())
+        boundary[top].pop()
+        return cells, boundary
 
     monkeypatch.setattr(salvetti, "_reduce", dropping)
     with pytest.raises(ChainComplexError, match=r"below b_\d"):

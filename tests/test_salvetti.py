@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_bareiss, transpose
-from salvetti_oracle import (boundary_by_sign_tuples, full_boundary, full_twisted_complex,
-                             full_untwisted_homology, full_untwisted_matrices,
-                             untwisted_matrices)
+from salvetti_oracle import (boundary_by_sign_tuples, cell_pairs, full_boundary,
+                             full_twisted_complex, full_untwisted_homology,
+                             full_untwisted_matrices, untwisted_matrices)
 
 from arrtop import exactla, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
@@ -20,7 +20,7 @@ from arrtop.harness import (
     random_generic,
 )
 from arrtop.localsys import LocalSystem, LocalSystemError, build_local_system, scalar_system
-from arrtop.realfaces import enumerate_faces
+from arrtop.realfaces import FaceComplex, enumerate_faces
 from arrtop.salvetti import (
     build_salvetti,
     twisted_betti,
@@ -60,7 +60,7 @@ def test_cell_counts(fixture, counts, request):
 def test_zero_cells_are_chambers(gen3):
     fc = enumerate_faces(gen3)
     sc = build_salvetti(fc)
-    assert len(sc.cells[0]) == len(fc.chambers)
+    assert sc.cell_counts[0] == len(fc.chambers)
 
 
 def test_euler_alternating_sum(gen3, cen3, a2):
@@ -135,13 +135,14 @@ def test_boundary_entries_read_off_the_orientation(fixture, request):
     eps = salvetti._orient(fc)
     one, _ = salvetti._packing(arr.d)
     boundary = full_boundary(sc)
-    for k in range(1, len(sc.cells)):
-        lower = {(cell.face, cell.chamber): pos for pos, cell in enumerate(sc.cells[k - 1])}
-        for pos, cell in enumerate(sc.cells[k]):
+    cells = cell_pairs(fc)
+    for k in range(1, len(cells)):
+        lower = {cell: pos for pos, cell in enumerate(cells[k - 1])}
+        for pos, (face, chamber) in enumerate(cells[k]):
             row = boundary[k][pos]
-            assert len(row) == len(eps[cell.face])
-            c_sign = fc.faces[cell.chamber].sign
-            for g, s in eps[cell.face].items():
+            assert len(row) == len(eps[face])
+            c_sign = fc.faces[chamber].sign
+            for g, s in eps[face].items():
                 dist = {other: sum(a != b for a, b in zip(c_sign, fc.faces[other].sign))
                         for other in fc.adjacent_chambers(g)}
                 nearest = min(dist, key=dist.get)
@@ -321,6 +322,34 @@ def test_build_gate_takes_no_ranks_but_catches_a_bad_sign(gen3, monkeypatch):
     assert flipped
 
 
+def _without_face(fc, i):
+    """fc with face i and its covers removed, the other faces renumbered."""
+    new = {j: j - (j > i) for j in range(len(fc.faces)) if j != i}
+    return FaceComplex(fc.arrangement, fc.faces[:i] + fc.faces[i + 1:],
+                       tuple((new[a], new[b]) for a, b in fc.covers if i not in (a, b)))
+
+
+@pytest.mark.parametrize("name", ["gen3", "braid4"])
+def test_build_refuses_a_missing_face_by_the_poset_count(name, request, monkeypatch):
+    # a missing top-codim face takes its cells and their boundary rows with
+    # it and keeps d² = 0; only the count predicted by the poset sees it
+    arr = braid_essentialized(4) if name == "braid4" else request.getfixturevalue(name)
+    fc = enumerate_faces(arr)
+    top = max(arr.dim - face.dim for face in fc.faces)
+    i = next(i for i, face in enumerate(fc.faces) if arr.dim - face.dim == top)
+    lacking = _without_face(fc, i)
+    assert len(lacking.faces) == len(fc.faces) - 1
+    assert len(lacking.covers) == len(fc.covers) - len(fc.covering(i))
+    # the gate over Λ passes on what is left
+    salvetti._verify_over_group_ring(salvetti._full_complex(lacking), arr.d)
+    gates = []
+    monkeypatch.setattr(salvetti, "_verify_over_group_ring", lambda *args: gates.append(args))
+    with pytest.raises(ChainComplexError,
+                       match=rf"full complex has \d+ cells in degree {top}, the poset predicts"):
+        build_salvetti(lacking)
+    assert gates == []                    # refused before the gate over Λ
+
+
 @pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
 def test_sparse_q_ranks_match_bareiss_oracle_on_corpus(corpus_items, arr_id, step):
     # dense Bareiss is the oracle for the sparse Q ranks, on the untwisted
@@ -388,8 +417,8 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
                         lambda mats, field: checks.append(field) or real_check(mats, field))
     sc = complex_for(gen3)
     # once on the full boundary, once on the reduced one
-    assert len(gates) == 2 and gates[0] is not sc.reduced.boundary and checks == []
-    assert gates[1] is sc.reduced.boundary
+    assert len(gates) == 2 and gates[0] is not sc.boundary and checks == []
+    assert gates[1] is sc.boundary
     assert [len(layer) for layer in gates[0][1:]] == sc.cell_counts[1:]
     twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
     twisted_betti(sc, build_local_system(F7, 2, [[[2, 0], [0, 3]]] * 3))
@@ -415,7 +444,7 @@ def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
         full = full_twisted_complex(sc, system).matrices
         assert all(m.entries for m in full)
         reduced = twisted_complex(sc, system).matrices
-        counts = sc.reduced.cell_counts
+        counts = [len(layer) for layer in sc.cells]
         assert [(m.nrows, m.ncols) for m in reduced] == \
             [(2 * a, 2 * b) for a, b in zip(counts, counts[1:])]
         for mats, q_type in ((full, Fraction), (reduced, int)):
@@ -437,8 +466,9 @@ def test_boundary_matches_the_sign_tuple_oracle():
         sc = complex_for(arr)
         boundary = full_boundary(sc)
         assert boundary == boundary_by_sign_tuples(sc)
-        assert all(len(row) == len(sc.fc.covering(cell.face))
-                   for layer, rows in zip(sc.cells, boundary) for cell, row in zip(layer, rows))
+        assert all(len(row) == len(sc.fc.covering(face))
+                   for layer, rows in zip(cell_pairs(sc.fc), boundary)
+                   for (face, _chamber), row in zip(layer, rows))
 
 
 @pytest.fixture(scope="module")
@@ -496,13 +526,15 @@ def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
         gated.clear()
         sc = complex_for(arr)
         full, reduced = gated
-        assert reduced is sc.reduced.boundary
-        assert set(vars(sc)) == {"fc", "cells", "reduced"}
+        assert reduced is sc.boundary
+        assert set(vars(sc)) == {"fc", "cell_counts", "cells", "boundary", "generators",
+                                 "monomials", "entries", "blocks"}
+        assert all(value is not None for value in vars(sc).values())
         # the reduction eliminated in the gated boundary itself: exactly the
-        # dropped cells of degree >= 1 have no row left there
-        for k in range(1, len(sc.cells)):
-            assert [pos for pos, row in enumerate(full[k]) if row is not None] == \
-                sc.reduced.cells[k]
+        # dropped cells have no row left there
+        assert [len(layer) for layer in full] == sc.cell_counts
+        for k in range(len(sc.cells)):
+            assert [pos for pos, row in enumerate(full[k]) if row is not None] == sc.cells[k]
         reachable = _reachable(sc)
         assert id(full) not in reachable
         assert not any(id(layer) in reachable for layer in full)
