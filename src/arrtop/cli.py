@@ -53,10 +53,11 @@ def _load_json(path):
 
 
 def _arrangement_summary(arr):
-    """Read off the poset alone (Zaslavsky, 1975): regions (-1)^n·χ(-1),
-    bounded chambers (-1)^n·χ(1) if essential, else none, and cells."""
+    """Read off the poset alone (Zaslavsky, 1975): regions and bounded
+    chambers from χ, and cells."""
     poset = geometry.intersection_poset(arr)
     chi = geometry.characteristic_polynomial(poset)
+    regions, bounded = geometry.zaslavsky_counts(chi, arr.is_essential)
     return {
         "dim": arr.dim,
         "num_hyperplanes": arr.d,
@@ -65,8 +66,8 @@ def _arrangement_summary(arr):
         "flat_counts": poset.flat_counts(),
         "char_poly": chi,
         "betti": geometry.betti_numbers(poset),
-        "regions": (-1) ** arr.dim * geometry.evaluate_poly(chi, -1),
-        "bounded": (-1) ** arr.dim * geometry.evaluate_poly(chi, 1) if arr.is_essential else 0,
+        "regions": regions,
+        "bounded": bounded,
         "cells": geometry.cell_counts(poset),
     }
 
@@ -196,8 +197,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.action != "generate":
-        raise ArrangementError(f"unknown corpus action {args.action!r}")
     spec = CorpusSpec(seed=args.seed)
     corpus = harness.generate_corpus(spec)
     root = Path(args.out)

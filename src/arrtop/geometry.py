@@ -290,6 +290,13 @@ def evaluate_poly(coeffs, t: int) -> int:
     return sum(c * t ** i for i, c in enumerate(coeffs))
 
 
+def zaslavsky_counts(chi, essential: bool):
+    """Zaslavsky's (1975) (regions, bounded chambers): (-1)^n·χ(-1), and
+    (-1)^n·χ(1) on an essential arrangement, else 0."""
+    sign = (-1) ** (len(chi) - 1)
+    return sign * evaluate_poly(chi, -1), sign * evaluate_poly(chi, 1) if essential else 0
+
+
 def betti_numbers(poset: FlatPoset):
     """Whitney sums: b_i = sum of |mu(X)| over flats of codimension i."""
     b = [0] * (poset.ambient_dim + 1)
@@ -397,12 +404,15 @@ def _check_section(poset, sec_poset, k):
     return None
 
 
-def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32):
+SECTION_ATTEMPTS = 32            # draws generic_section certifies before it gives up
+
+
+def generic_section(arr: Arrangement, k: int, seed: int):
     """Certified combinatorially generic k-plane section.
 
     The plane is drawn pseudo-randomly (integer coordinates, determined
     by seed); each draw is certified against the intersection poset and
-    redrawn on failure, up to `max_attempts`.  Hyperplane i of the
+    redrawn on failure, up to SECTION_ATTEMPTS draws.  Hyperplane i of the
     section is the plane's cut of hyperplane i, so a local system on the
     arrangement is one on the section.  For k = n the arrangement is
     returned unchanged.
@@ -415,7 +425,7 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
     poset = intersection_poset(arr)
     rng = random.Random(seed)
     failures = []
-    for _ in range(max_attempts):
+    for _ in range(SECTION_ATTEMPTS):
         base = tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
         dirs = tuple(tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
                      for _ in range(k))
@@ -438,5 +448,5 @@ def generic_section(arr: Arrangement, k: int, seed: int, max_attempts: int = 32)
             continue
         return sec
     raise GenericityError(
-        f"no generic {k}-section of d={arr.d} arrangement after {max_attempts} attempts",
+        f"no generic {k}-section of d={arr.d} arrangement after {SECTION_ATTEMPTS} attempts",
         failures)

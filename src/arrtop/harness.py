@@ -178,6 +178,19 @@ def _add_with_inverse(out, seen, sys_id, system) -> int:
     return added
 
 
+def _fp_scalars(rng, p, d) -> list:
+    """d scalars in F_p^*, redrawn until one is not 1."""
+    while True:
+        scalars = [rng.randrange(1, p) for _ in range(d)]
+        if any(s != 1 for s in scalars):
+            return scalars
+
+
+def _fp_diagonal(rng, p, d) -> list:
+    """d diagonal 2 x 2 matrices with entries in 2..p-1, drawn row by row."""
+    return [[[rng.randrange(2, p), 0], [0, rng.randrange(2, p)]] for _ in range(d)]
+
+
 def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
     """Local systems attached to one arrangement, closed under inversion."""
     d = arr.d
@@ -215,12 +228,8 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
                               localsys.scalar_system(fp, [s] * d))
         rng = random.Random(_subseed(spec.seed, arr_id, f"fp1-{p}"))
         for t in range(RANK1_FP_RANDOM):
-            while True:
-                scalars = [rng.randrange(1, p) for _ in range(d)]
-                if any(s != 1 for s in scalars):
-                    break
             _add_with_inverse(out, seen, f"f{p}1-rnd-{t}",
-                              localsys.scalar_system(fp, scalars))
+                              localsys.scalar_system(fp, _fp_scalars(rng, p, d)))
 
     rng = random.Random(_subseed(spec.seed, arr_id, "q2"))
     for t in range(RANK2_DIAG_Q):
@@ -237,10 +246,8 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
         fp = FieldSpec.prime(p)
         rng = random.Random(_subseed(spec.seed, arr_id, f"fp2-{p}"))
         for t in range(RANK2_DIAG_FP):
-            mats = [[[rng.randrange(2, p), 0], [0, rng.randrange(2, p)]]
-                    for _ in range(d)]
             _add_with_inverse(out, seen, f"f{p}2-diag-{t}",
-                              build_local_system(fp, 2, mats))
+                              build_local_system(fp, 2, _fp_diagonal(rng, p, d)))
 
     uni = [[1, 1], [0, 1]]
     _add_with_inverse(out, seen, "q2-uni", build_local_system(q, 2, [uni] * d))
@@ -261,17 +268,11 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
         while attempt < 20 * spec.min_nontrivial and nontrivial < spec.min_nontrivial:
             attempt += 1
             if attempt % 3:
-                while True:
-                    scalars = [rng.randrange(1, p) for _ in range(d)]
-                    if any(s != 1 for s in scalars):
-                        break
                 nontrivial += _add_with_inverse(out, seen, f"f{p}1-top-{attempt}",
-                                                localsys.scalar_system(fp, scalars))
+                                                localsys.scalar_system(fp, _fp_scalars(rng, p, d)))
             else:
-                mats = [[[rng.randrange(2, p), 0], [0, rng.randrange(2, p)]]
-                        for _ in range(d)]
                 nontrivial += _add_with_inverse(out, seen, f"f{p}2-top-{attempt}",
-                                                build_local_system(fp, 2, mats))
+                                                build_local_system(fp, 2, _fp_diagonal(rng, p, d)))
     return tuple(out)
 
 
@@ -300,34 +301,29 @@ def generate_corpus(spec: CorpusSpec):
 
 
 class VerifyContext:
-    """Shared caches for one verification run.
-
-    Arrangements have stable string ids; faces, region counts and posets
-    are per arrangement, and dims are recorded per (arrangement id, system
-    id, system).  The Salvetti complex is built once per covector set, the
-    ambient dim with the sorted face sign vectors, and twisted_betti runs
-    once per (covector set, system).  That is sound: the complex is built
-    from the covectors alone (Salvetti 1987; faces are listed by codim and
-    sign vector), so an arrangement and, say, its affine images share it,
-    and twisted_betti depends on the complex and the system only.
+    """Shared caches for one verification run: one table per fact, keyed
+    by what decides it.  Arrangements have string ids, derived ones too
+    (`|sec{k}`, `|dec{i}`, `|loc...`; no input id holds `|`).  Faces are
+    enumerated once per arrangement for its covector set, the ambient dim
+    with the sorted face sign vectors; a new one has its Salvetti complex
+    built from those faces, and twisted_betti runs once per (covector set,
+    system).  That is sound: the complex is built from the covectors alone
+    (Salvetti 1987), and twisted_betti depends on it and the system only.
     """
 
     def __init__(self, seed: int, primes=DEFAULT_PRIMES):
         self.seed = seed
         self.primes = tuple(primes)
         self.arrangements = {}
+        self.dimension1 = {}     # (arr_id, sys_id, system) -> dims, dimension-1 arrangements
         self._betti = {}
-        self._faces = {}
         self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
         self._covectors = {}     # arr_id -> index of its covector set
-        self._salvetti = {}      # covector set index -> complex
+        self._salvetti = []      # covector set index -> complex
         self._answers = {}       # (covector set index, system) -> twisted Betti numbers
         self._c1 = {}            # system -> c1_expected_dims(system)
-        self._dims = {}
-        self._sections = {}
         self._locals = {}
         self._restricted = {}    # (system, index map) -> localsys.restrict(...)
-        self._decones = {}
 
     def register(self, arr_id: str, arr: Arrangement):
         self.arrangements[arr_id] = arr
@@ -343,50 +339,44 @@ class VerifyContext:
             self._betti[arr_id] = geometry.betti_numbers(self.poset(arr_id))
         return self._betti[arr_id]
 
-    def faces(self, arr_id):
-        if arr_id not in self._faces:
-            self._faces[arr_id] = realfaces.enumerate_faces(self.arrangements[arr_id])
-        return self._faces[arr_id]
-
     def covector_set(self, arr_id):
-        """An int per distinct (ambient dim, sorted face sign vectors)."""
+        """An int per distinct (ambient dim, sorted face sign vectors); a
+        new one has its complex built from this arrangement's faces."""
         if arr_id not in self._covectors:
-            fc = self.faces(arr_id)
+            fc = realfaces.enumerate_faces(self.arrangements[arr_id])
             key = (fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces)))
-            self._covectors[arr_id] = self._covector_ids.setdefault(key, len(self._covector_ids))
+            if key not in self._covector_ids:
+                self._salvetti.append(salvetti.build_salvetti(fc))
+                self._covector_ids[key] = len(self._salvetti) - 1
+            self._covectors[arr_id] = self._covector_ids[key]
         return self._covectors[arr_id]
 
     def salvetti(self, arr_id):
-        key = self.covector_set(arr_id)
-        if key not in self._salvetti:
-            self._salvetti[key] = salvetti.build_salvetti(self.faces(arr_id))
-        return self._salvetti[key]
+        return self._salvetti[self.covector_set(arr_id)]
 
     def dims(self, arr_id, sys_id, system):
-        # keyed on the system too, so no answer is ever shared by ids alone
-        key = (arr_id, sys_id, system)
-        if key not in self._dims:
-            shared = (self.covector_set(arr_id), system)
-            if shared not in self._answers:
-                self._answers[shared] = salvetti.twisted_betti(self.salvetti(arr_id), system)
-            self._dims[key] = self._answers[shared]
-        return self._dims[key]
+        # keyed on the system itself, so no answer is ever shared by ids alone
+        key = (self.covector_set(arr_id), system)
+        if key not in self._answers:
+            self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
+        if self.arrangements[arr_id].dim == 1:
+            self.dimension1[arr_id, sys_id, system] = self._answers[key]
+        return self._answers[key]
+
+    def c1_expected(self, system):
+        if system not in self._c1:
+            self._c1[system] = c1_expected_dims(system)
+        return self._c1[system]
 
     def section(self, arr_id, k):
-        """The id of the certified generic k-section of the arrangement."""
-        key = (arr_id, k)
-        if key not in self._sections:
-            arr = self.arrangements[arr_id]
-            sec = geometry.generic_section(arr, k, _subseed(self.seed, "section", arr_id, k))
-            if k == arr.dim:
-                # full-dimensional section is the arrangement itself;
-                # keep its id so cached dimensions are shared
-                sec_id = arr_id
-            else:
-                sec_id = f"{arr_id}|sec{k}"
-                self.register(sec_id, sec)
-            self._sections[key] = sec_id
-        return self._sections[key]
+        """The id of the certified generic k-section of the arrangement:
+        its own id when k is its dimension."""
+        arr = self.arrangements[arr_id]
+        sec_id = arr_id if k == arr.dim else f"{arr_id}|sec{k}"
+        if sec_id not in self.arrangements:
+            self.register(sec_id, geometry.generic_section(
+                arr, k, _subseed(self.seed, "section", arr_id, k)))
+        return sec_id
 
     def localizations(self, arr_id):
         """(loc_id, index_map) per zero flat; the localized arrangement at
@@ -410,13 +400,10 @@ class VerifyContext:
         return self._restricted[key]
 
     def decone(self, arr_id, i0):
-        key = (arr_id, i0)
-        if key not in self._decones:
-            m = geometry.decone(self.arrangements[arr_id], i0)
-            m_id = f"{arr_id}|dec{i0}"
-            self.register(m_id, m)
-            self._decones[key] = m_id
-        return self._decones[key]
+        m_id = f"{arr_id}|dec{i0}"
+        if m_id not in self.arrangements:
+            self.register(m_id, geometry.decone(self.arrangements[arr_id], i0))
+        return m_id
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +411,22 @@ class VerifyContext:
 
 
 def check_untwisted_match(ctx: VerifyContext, arr_id: str) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
-    poset = ctx.poset(arr_id)
-    b = ctx.betti(arr_id)
-    chi = geometry.characteristic_polynomial(poset)
-    n = arr.dim
-    regions, bounded = realfaces.region_counts(ctx.faces(arr_id))
-    hom_q = salvetti.untwisted_homology(ctx.salvetti(arr_id))
-    data = {
-        "betti": b, "homology_q": hom_q,
-        "regions": [regions, bounded],
-        "zaslavsky": [(-1) ** n * geometry.evaluate_poly(chi, -1),
-                      (-1) ** n * geometry.evaluate_poly(chi, 1)],
-    }
-    ok = hom_q == b and regions == data["zaslavsky"][0] and bounded == data["zaslavsky"][1]
+    """Regions are counted on the shared complex's faces, which may be
+    another arrangement's with the same (ambient dim, covector set); both
+    counts are functions of it.  Chambers are the sign vectors without a
+    zero, and on an essential arrangement a closed chamber C is bounded
+    exactly when Σ (-1)^dim F over its faces F ≤ C is 1 (0 when not),
+    the face order and dims being read off the covectors."""
+    arr, b = ctx.arrangement(arr_id), ctx.betti(arr_id)
+    chi = geometry.characteristic_polynomial(ctx.poset(arr_id))
+    sc = ctx.salvetti(arr_id)
+    data = {"betti": b, "regions": list(realfaces.region_counts(sc.fc)),
+            "homology_q": salvetti.untwisted_homology(sc),
+            "zaslavsky": list(geometry.zaslavsky_counts(chi, arr.is_essential))}
     for p in ctx.primes:
-        hom_p = salvetti.untwisted_homology(ctx.salvetti(arr_id), FieldSpec.prime(p))
-        data[f"homology_f{p}"] = hom_p
-        ok = ok and hom_p == b
+        data[f"homology_f{p}"] = salvetti.untwisted_homology(sc, FieldSpec.prime(p))
+    ok = data["regions"] == data["zaslavsky"] and \
+        all(hom == b for key, hom in data.items() if key.startswith("homology"))
     return CheckReport("untwisted_match", arr_id, None, "pass" if ok else "fail", data)
 
 
@@ -590,11 +575,10 @@ def c1_expected_dims(system: LocalSystem):
 
 def check_c1_closed_form(ctx: VerifyContext, arr_id: str, sys_id: str,
                          system: LocalSystem, computed) -> CheckReport:
-    if system not in ctx._c1:
-        ctx._c1[system] = c1_expected_dims(system)
-    ok = list(computed[:2]) == ctx._c1[system] and all(x == 0 for x in computed[2:])
+    expected = ctx.c1_expected(system)
+    ok = list(computed[:2]) == expected and all(x == 0 for x in computed[2:])
     return CheckReport("c1_oracle", arr_id, sys_id, "pass" if ok else "fail",
-                       {"dims": list(computed), "expected": ctx._c1[system]})
+                       {"dims": list(computed), "expected": expected})
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +589,10 @@ ARRANGEMENT, SYSTEM, DIMS_CACHE = "arrangement", "system", "dims-cache"
 
 
 def _cached_dimension1(ctx):
-    """(arr_id, sys_id, system, dims) per cached dimension-1 complex, sorted
-    by ids, since systems have no order.  File ids carry a `file:` prefix,
-    so a file system never shares its ids with a built-in one."""
-    found = [key + (dims,) for key, dims in ctx._dims.items()
-             if ctx.arrangement(key[0]).dim == 1]
-    return sorted(found, key=lambda entry: entry[:2])
+    """(arr_id, sys_id, system, dims) per dimension-1 answer, sorted by
+    ids, since systems have no order (file ids carry a `file:` prefix)."""
+    return sorted((key + (dims,) for key, dims in ctx.dimension1.items()),
+                  key=lambda entry: entry[:2])
 
 
 @dataclass(frozen=True)

@@ -37,17 +37,15 @@ class LocalSystem:
         new matrices: the d²=0 gate over Λ carries over to a specialization
         only then.  Block-diagonal matrices commute when their blocks do, scalars always."""
         blocks, field = [block for block in self.partition if len(block) > 1], self.field
-        first = {}                       # distinct matrix -> (first hyperplane, its blocks)
-        for j, m in enumerate(self.monodromy if blocks else ()):
-            if m in first:
-                continue
+        checked = []                     # (first hyperplane, its blocks) per distinct matrix
+        for m, (j, *_) in self._distinct.items() if blocks else ():
             subs = [tuple(tuple(m[a][b] for b in block) for a in block) for block in blocks]
-            for i, others in first.values():
+            for i, others in checked:
                 if any(mat_mul(field, x, y) != mat_mul(field, y, x) for x, y in zip(others, subs)):
                     raise LocalSystemError(
                         f"matrices {i + 1} and {j + 1} do not commute; "
                         "only abelian monodromy is supported")
-            first[m] = (j, subs)
+            checked.append((j, subs))
 
     def __hash__(self):
         return self._hash
@@ -62,19 +60,29 @@ class LocalSystem:
         return len(self.monodromy)
 
     @cached_property
+    def _distinct(self) -> dict:
+        """{matrix: positions holding it}, by first position, for validation,
+        partition and inversion: a tuple does not cache its hash, so once."""
+        positions = {}
+        for j, m in enumerate(self.monodromy):
+            positions.setdefault(m, []).append(j)
+        return positions
+
+    @cached_property
     def inverse(self) -> tuple:
         """The inverse of each monodromy matrix, each distinct one inverted once
         and, being block diagonal, block by block; a singular one raises LocalSystemError."""
-        inverses, zero, span = {}, self.field.zero, range(self.rank)
-        for idx, m in enumerate(self.monodromy):
-            if m not in inverses:
-                try:
-                    rows = {a: dict(zip(block, row)) for block in self.partition
-                            for a, row in zip(block, _invert(self.field, m, block))}
-                except (ValueError, ZeroDivisionError):
-                    raise LocalSystemError(f"monodromy matrix {idx + 1} is singular")
-                inverses[m] = tuple(tuple(rows[a].get(b, zero) for b in span) for a in span)
-        return tuple(inverses[m] for m in self.monodromy)
+        out, zero, span = [None] * self.d, self.field.zero, range(self.rank)
+        for m, positions in self._distinct.items():
+            try:
+                rows = {a: dict(zip(block, row)) for block in self.partition
+                        for a, row in zip(block, _invert(self.field, m, block))}
+            except (ValueError, ZeroDivisionError):
+                raise LocalSystemError(f"monodromy matrix {positions[0] + 1} is singular")
+            inverse = tuple(tuple(rows[a].get(b, zero) for b in span) for a in span)
+            for j in positions:
+                out[j] = inverse
+        return tuple(out)
 
     @cached_property
     def partition(self) -> tuple:
@@ -84,7 +92,7 @@ class LocalSystem:
         if self.rank == 1:
             return ((0,),)
         block = {a: {a} for a in range(self.rank)}
-        for m in set(self.monodromy):
+        for m in self._distinct:
             for a, b in ((a, b) for a, row in enumerate(m) for b, x in enumerate(row) if x):
                 if block[a] is not block[b]:
                     block.update(dict.fromkeys(merged := block[a] | block[b], merged))

@@ -162,25 +162,23 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
 
 
 def is_bounded(fc: FaceComplex, face_index: int) -> bool:
-    """Whether the face is bounded: its recession cone is {0}, a cone in
-    the directions of the face's flat."""
+    """Whether the face is bounded: its recession cone, the directions u
+    of its flat with s_i·(A_i·u) >= 0 for each strict sign s_i, is {0}.
+    On an essential arrangement the restriction to any flat is essential,
+    so a nonzero u in the cone has a positive sum of those values: the
+    face is bounded exactly when the cone with that sum >= 1 is empty,
+    one LP.  On a non-essential one every face holds a line."""
     arr = fc.arrangement
+    if not arr.is_essential:
+        return False
     sigma = fc.faces[face_index].sign
-    n = arr.dim
     poset = intersection_poset(arr)
     key = frozenset(i for i, s in enumerate(sigma) if s == 0)
-    (*_, den), basis = poset.frames[key]
-    rows = poset.rows[key]
-    base = [(tuple(s * x for x in rows[i][0]), 0, False)
-            for i, s in enumerate(sigma) if s != 0]
-    for j in range(n):
-        for sgn in (1, -1):
-            # sgn·x_j >= 1 in the flat's coordinates: sgn·(L·x_j) >= L
-            ray = tuple(sgn * v[j] for v in basis)
-            if feasible_point((0,) * n + (1,), basis,
-                              base + [(ray, -den, False)]) is not None:
-                return False
-    return True
+    rows, basis = poset.rows[key], poset.frames[key][1]
+    cone = [tuple(s * x for x in rows[i][0]) for i, s in enumerate(sigma) if s != 0]
+    total = tuple(sum(a[j] for a in cone) for j in range(len(basis)))
+    return feasible_point((0,) * arr.dim + (1,), basis,
+                          [(a, 0, False) for a in cone] + [(total, -1, False)]) is None
 
 
 def region_counts(fc: FaceComplex):

@@ -9,7 +9,7 @@ evaluated at every witness by `affine_value`, walk and segment steps
 and LP witnesses on Fractions, on each flat's frame read as a rational
 point and directions.  The integer enumeration must reproduce its
 faces, witnesses included: each as the primitive (W, D) of the Fraction
-witness."""
+witness.  Boundedness by 2n LPs, one per ambient ray direction."""
 
 from fractions import Fraction
 from math import lcm
@@ -156,3 +156,25 @@ def faces_by_fractions(arr):
     faces.sort(key=lambda f: (-flats[f[2]].codim, f[0]))
     return tuple(Face(sigma, n - flats[flat].codim, primitive_row((*w, 1)))
                  for sigma, w, flat in faces)
+
+
+def is_bounded_by_rays(fc, face_index):
+    """Whether the face is bounded, by 2n LPs in Fraction arithmetic: no
+    recession direction of the face's flat reaches sgn·x_j >= 1 in any
+    ambient coordinate j.  Needs no essential arrangement."""
+    arr = fc.arrangement
+    sigma = fc.faces[face_index].sign
+    n = arr.dim
+    poset = intersection_poset(arr)
+    key = frozenset(i for i, s in enumerate(sigma) if s == 0)
+    (*_, den), basis = poset.frames[key]
+    rows = poset.rows[key]
+    base = [(tuple(s * x for x in rows[i][0]), 0, False)
+            for i, s in enumerate(sigma) if s != 0]
+    for j in range(n):
+        for sgn in (1, -1):
+            # sgn·x_j >= 1 in the flat's coordinates: sgn·(L·x_j) >= L
+            ray = tuple(sgn * v[j] for v in basis)
+            if feasible_point((0,) * n, basis, base + [(ray, -den, False)]) is not None:
+                return False
+    return True

@@ -2,9 +2,10 @@
 takes twisted_betti once per (covector set, system).
 
 The premise, checked on affine images: twisted Betti numbers depend on
-the covectors alone.  Then the cached answers against complexes built
-fresh from each arrangement's own faces, and the work the run does,
-counted.  The reports of the seed 0, 1 and 2 runs are pinned by their sha256."""
+the covectors alone.  Then the answers a run gives, and the region
+counts on the faces its shared complexes hold, against those of each
+arrangement's own faces, and the work the run does, counted.  The
+reports of the seed 0, 1 and 2 runs are pinned by their sha256."""
 
 import hashlib
 import random
@@ -18,7 +19,7 @@ from arrtop.geometry import Arrangement, Hyperplane
 from arrtop.harness import (CorpusSpec, braid_essentialized, generate_corpus, random_generic,
                             run_verification)
 from arrtop.localsys import build_local_system, scalar_system
-from arrtop.realfaces import enumerate_faces
+from arrtop.realfaces import enumerate_faces, region_counts
 from arrtop.salvetti import build_salvetti, twisted_betti
 
 from dense_rank_oracle import rank_dense
@@ -88,16 +89,27 @@ def test_the_covector_key_holds_the_ambient_dimension():
 
 @pytest.fixture
 def contexts(monkeypatch):
-    """Every VerifyContext that run_verification makes, in order."""
+    """Every VerifyContext that run_verification makes, in order, each
+    recording in `asked` what its dims() returned per (arr_id, sys_id, system)."""
     made = []
 
     class Recorded(harness.VerifyContext):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.asked = {}
             made.append(self)
+
+        def dims(self, arr_id, sys_id, system):
+            self.asked[arr_id, sys_id, system] = super().dims(arr_id, sys_id, system)
+            return self.asked[arr_id, sys_id, system]
 
     monkeypatch.setattr(harness, "VerifyContext", Recorded)
     return made
+
+
+def covector_key(arr):
+    fc = enumerate_faces(arr)
+    return fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces))
 
 
 # sha256 of the report `verify --all --seed S --out` writes, S = 0 and
@@ -113,9 +125,9 @@ def test_every_cached_answer_is_its_own_arrangements_answer(contexts):
     assert hashlib.sha256(text.encode()).hexdigest() == SEED0_REPORT_SHA256
     (ctx,) = contexts
     fresh = {}
-    for (arr_id, sys_id, system), dims in ctx._dims.items():
+    for (arr_id, sys_id, system), dims in ctx.asked.items():
         if arr_id not in fresh:
-            fresh[arr_id] = build_salvetti(ctx.faces(arr_id))
+            fresh[arr_id] = build_salvetti(enumerate_faces(ctx.arrangement(arr_id)))
             assert fresh[arr_id].fc.arrangement is ctx.arrangement(arr_id)
         assert dims == twisted_betti(fresh[arr_id], system), (arr_id, sys_id)
     # not vacuous: some arrangements were answered on another one's complex
@@ -128,13 +140,24 @@ def test_one_build_per_covector_set_and_one_answer_per_system(contexts, call_cou
     answers = call_counter(salvetti, "twisted_betti")
     run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
     (ctx,) = contexts
-    key = {arr_id: (fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces)))
-           for arr_id, fc in ctx._faces.items()}
+    key = {arr_id: covector_key(arr) for arr_id, arr in ctx.arrangements.items()}
     assert len(ctx.arrangements) == len(key) == 120
-    assert len(builds) == len({key[arr_id] for arr_id in key}) == 48
-    assert len(ctx._dims) == 10423
-    assert len(answers) == len({(key[arr_id], system) for arr_id, _sys_id, system in ctx._dims}) \
+    assert len(builds) == len(set(key.values())) == 48
+    assert len({id(ctx.salvetti(arr_id)) for arr_id in key}) == 48
+    assert len(ctx.asked) == 10423
+    assert len(answers) == len({(key[arr_id], system) for arr_id, _sys_id, system in ctx.asked}) \
         == 5999
+
+
+def test_region_counts_on_the_shared_complex_are_each_arrangements_own(contexts):
+    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    (ctx,) = contexts
+    shared = 0
+    for arr_id, arr in ctx.arrangements.items():
+        fc = ctx.salvetti(arr_id).fc
+        shared += fc.arrangement is not arr
+        assert region_counts(fc) == region_counts(enumerate_faces(arr)), arr_id
+    assert shared > 0
 
 
 def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
@@ -144,8 +167,9 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
     for run in range(2):
         reports, _summary = run_verification(corpus, seed=0, checks=("lefschetz", "c1_oracle"))
         ctx = contexts[run]
-        systems = {system for arr_id, _sys_id, system in ctx._dims
-                   if ctx.arrangement(arr_id).dim == 1}
+        assert ctx.dimension1 == {key: dims for key, dims in ctx.asked.items()
+                                  if ctx.arrangement(key[0]).dim == 1}
+        systems = {system for _arr_id, _sys_id, system in ctx.dimension1}
         c1_reports = sum(1 for r in reports if r.check == "c1_oracle")
         assert c1_reports > len(systems) > 0                  # systems repeat across ids
         expected += len(systems)                             # nothing kept across runs

@@ -289,9 +289,10 @@ def test_generic_section_truncates_betti():
         betti_numbers(intersection_poset(arr))[:2]
 
 
-def test_generic_section_budget_exhaustion(gen3):
+def test_generic_section_budget_exhaustion(gen3, monkeypatch):
+    monkeypatch.setattr(geometry, "SECTION_ATTEMPTS", 0)
     with pytest.raises(GenericityError):
-        generic_section(gen3, 1, seed=0, max_attempts=0)
+        generic_section(gen3, 1, seed=0)
 
 
 def test_zaslavsky_evaluations(gen3, cen3):
@@ -300,6 +301,12 @@ def test_zaslavsky_evaluations(gen3, cen3):
         n = arr.dim
         assert (-1) ** n * evaluate_poly(chi, -1) == regions
         assert (-1) ** n * evaluate_poly(chi, 1) == bounded
+        assert geometry.zaslavsky_counts(chi, arr.is_essential) == (regions, bounded)
+    # x = 0, y = 0, x + y = 1 in C^3: (-1)^3·χ(1) = -1, but no chamber is bounded
+    gen3_x_c = make_arrangement(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), 1)])
+    chi = characteristic_polynomial(intersection_poset(gen3_x_c))
+    assert -evaluate_poly(chi, 1) == -1
+    assert geometry.zaslavsky_counts(chi, gen3_x_c.is_essential) == (7, 0)
 
 
 def test_each_arrangement_builds_its_poset_once(monkeypatch):

@@ -25,12 +25,13 @@ from arrtop.harness import (
 )
 from arrtop.realfaces import enumerate_faces, region_counts
 
-from conftest import make_arrangement
+from conftest import make_arrangement, oracle_arrangements
 from face_oracle import (
     adjacent_chambers_by_scan,
     covers_by_scan,
     face_dim,
     faces_by_fractions,
+    is_bounded_by_rays,
     sign_vector_realizable,
 )
 from poset_oracle import affine_value
@@ -117,6 +118,21 @@ def test_region_counts_match_zaslavsky():
         n = arr.dim
         assert chambers == (-1) ** n * evaluate_poly(chi, -1)
         assert bounded == (-1) ** n * evaluate_poly(chi, 1)
+
+
+def test_one_lp_boundedness_matches_the_ray_oracle_on_every_face():
+    # the non-essential ones included, where no face is bounded
+    arrs = list(oracle_arrangements())
+    faces = bounded = 0
+    for arr in arrs:
+        fc = enumerate_faces(arr)
+        for i in range(len(fc.faces)):
+            answer = realfaces.is_bounded(fc, i)
+            assert answer == is_bounded_by_rays(fc, i), (arr, i)
+            bounded += answer
+        faces += len(fc.faces)
+    assert not all(arr.is_essential for arr in arrs)
+    assert (len(arrs), faces) == (263, 6541) and 0 < bounded < faces
 
 
 @pytest.mark.parametrize("rows,dim", [
