@@ -8,8 +8,8 @@ Two layers:
   square matrix; and identity, product and a - I, and
 * the one rank engine: sparse Gaussian elimination on Python ints for
   every field, fraction-free over Q and mod p over F_p, which takes every
-  rank (of boundaries, of hyperplane normals, of monodromy rows) and
-  gives homology dimensions, by compression, behind the d² = 0 gate.
+  rank on the rows a matrix hands it (a twisted boundary specializes them
+  then) and gives homology dimensions, by compression, behind d² = 0.
 
 There are no tolerances anywhere; every result is an exact integer or
 rational.
@@ -116,12 +116,18 @@ class FMatrixSparse:
         return cls(len(rows), len(rows[0]) if rows else 0,
                    {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
 
-    def columns(self):
-        """entries grouped by column: {j: [(i, value), ...]}"""
-        cols = {}
+    def rows(self, drop, fieldspec: FieldSpec):
+        """Fresh {i: {j: v}} of the nonzero rows not in `drop`: mod p over F_p
+        (FieldSpec.element), over Q ints, each row times its denominators' lcm."""
+        p, rows = fieldspec.p, {}
         for (i, j), v in self.entries.items():
-            cols.setdefault(j, []).append((i, v))
-        return cols
+            if i not in drop and (v := fieldspec.element(v) if p else v):
+                rows.setdefault(i, {})[j] = v
+        for row in () if p else rows.values():
+            scale = lcm(*(v.denominator for v in row.values()))
+            for j, v in row.items():
+                row[j] = v.numerator * (scale // v.denominator)
+        return rows
 
 
 def _make_primitive(row: dict):
@@ -132,42 +138,27 @@ def _make_primitive(row: dict):
             row[j] //= content
 
 
-def _sparse_rank(entries: dict, fieldspec: FieldSpec, drop, pivots: set) -> int:
-    """Rank by sparse elimination on {(i, j): value} entries, over Q or F_p,
-    with the rows in `drop` left out; each step adds its column to
-    `pivots`, and these columns span the kept rows' column space.
+def _sparse_rank(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
+    """Rank by sparse elimination over Q or F_p, in place on rows {i: {col:
+    value}} of field elements (ints over Q), as rows(drop, fieldspec) gives;
+    each step adds its column to `pivots`, which span the rows' column space.
 
-    Each row is a {col: value} dict and each column keeps the set of rows
-    that use it.  Pivot columns are taken by increasing initial count
-    (ties by index), each with the shortest of its rows (ties by index),
-    so the mostly-±1 boundaries fill in little.  Arithmetic is on Python
-    ints, so no prime overflows.
+    Each column keeps the set of rows that use it.  Pivot columns are
+    taken by increasing initial count (ties by index), each with the
+    shortest of its rows (ties by index), so the mostly-±1 boundaries fill
+    in little.  Arithmetic is on Python ints, so no prime overflows.
 
-    Over F_p a Fraction entry n/d maps to n·d⁻¹ as in FieldSpec.element,
-    which raises ValueError when p divides d.  Over Q elimination is
-    fraction-free: at ingest each row is scaled by the lcm of its own
-    denominators and divided by the gcd of its entries (a twisted complex
-    carries its integer scale in every entry); row i becomes
-    (a/g)·row_i − (f/g)·pivot row, where a and f are the pivot column's
-    entries and g = gcd(a, f), and the result is divided by the gcd of its
-    entries again, which keeps coefficients from growing."""
+    Over Q elimination is fraction-free: each row is first divided by the
+    gcd of its entries (a twisted complex carries its integer scale in
+    every entry); row i becomes (a/g)·row_i − (f/g)·pivot row, where a and
+    f are the pivot column's entries and g = gcd(a, f), and the result is
+    divided by its gcd again, which keeps coefficients from growing."""
     p = fieldspec.p
-    rows, cols = {}, {}
-    for (i, j), v in entries.items():
-        if i in drop:
-            continue
-        if p:
-            v = v % p if type(v) is int else fieldspec.element(v)
-        if v:
-            rows.setdefault(i, {})[j] = v
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
             cols.setdefault(j, set()).add(i)
-    if not p:
-        fractions = any(type(v) is not int for v in entries.values())
-        for row in rows.values():
-            if fractions:
-                scale = lcm(*(v.denominator for v in row.values()))
-                for j, v in row.items():
-                    row[j] = v.numerator * (scale // v.denominator)
+        if not p:
             _make_primitive(row)
     for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
         users = cols[c]
@@ -224,13 +215,12 @@ def _sparse_rank(entries: dict, fieldspec: FieldSpec, drop, pivots: set) -> int:
     return len(pivots)
 
 
-def rank(matrix: FMatrixSparse, fieldspec: FieldSpec, drop=(), pivots=None) -> int:
-    """Exact rank of a sparse matrix over the given field; `matrix` is
-    left as it is.  `drop` and `pivots` are complex_dims' own: rows left
-    out and a set that receives the pivot columns (see _sparse_rank)."""
-    if matrix.nrows == 0 or matrix.ncols == 0 or not matrix.entries:
-        return 0
-    return _sparse_rank(matrix.entries, fieldspec, drop, set() if pivots is None else pivots)
+def rank(matrix, fieldspec: FieldSpec, drop=(), pivots=None) -> int:
+    """Exact rank over the given field of the rows not in `drop` of a boundary
+    (FMatrixSparse, twisted), which rows(drop, fieldspec) builds only now;
+    `pivots` receives the pivot columns (see _sparse_rank)."""
+    return _sparse_rank(matrix.rows(drop, fieldspec), fieldspec,
+                        set() if pivots is None else pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +243,20 @@ class GatedBoundaries(tuple):
     common nonzero scalar (over Q, the twisted complex's integer scale),
     which keeps the composition zero and every rank.  complex_dims takes
     this type as the proof and skips its own composition check; its ranks
-    rest on that proof, because each boundary is compressed by the pivot
-    columns of the one below."""
+    rest on that proof, because each boundary hands over (and specializes)
+    only its rows off the pivot columns of the one below."""
 
 
 def verify_composition(matrices, fieldspec: FieldSpec):
     """Check d_k ∘ d_{k+1} = 0 over `fieldspec` in every degree;
     `matrices[k-1]` is the boundary C_k -> C_{k-1}."""
     p = fieldspec.p
-    for k in range(1, len(matrices)):
-        upper, lower = matrices[k], matrices[k - 1]
-        lower_cols = lower.columns()
-        for j, col in upper.columns().items():
+    cols = [{} for _ in matrices]                # cols[k - 1][j] = [(i, value), ...]
+    for m, by_column in zip(matrices, cols):
+        for (i, j), v in m.entries.items():
+            by_column.setdefault(j, []).append((i, v))
+    for k, (lower_cols, upper_cols) in enumerate(zip(cols, cols[1:]), start=1):
+        for j, col in upper_cols.items():
             acc = {}
             for m, v in col:
                 for i, w in lower_cols.get(m, ()):
@@ -285,9 +277,9 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
     zero is verified first (GatedBoundaries carry a proof over Λ instead)
     and a violation is a hard error, never a wrong answer.  Each rank is
     then taken by the one sparse engine, over Q or F_p alike, bottom up
-    by compression (Bauer–Kerber–Reininghaus 2014): d_k leaves out the rows
-    at d_{k-1}'s pivot columns J.  These are independent, so dropping the
-    coordinates J is injective on ker d_{k-1}, which holds im d_k as d² = 0."""
+    by compression (Bauer–Kerber–Reininghaus 2014): d_k hands over (a twisted
+    one specializes) only its rows off d_{k-1}'s pivot columns J, independent,
+    so dropping J is injective on ker d_{k-1}, which holds im d_k as d² = 0."""
     n = len(dims) - 1
     if len(matrices) != n:
         raise ValueError(f"expected {n} boundary matrices, got {len(matrices)}")

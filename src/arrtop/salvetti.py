@@ -25,20 +25,19 @@ is a chain homotopy equivalence for every abelian local system at once.
 The reduced boundary, whose entries are Laurent polynomials, is gated
 by d∘d = 0 over Λ too, and by cells_i ≥ b_i(U) in every degree i, b_i
 the Whitney numbers of the intersection poset: a reduction that loses a
-cycle can keep d² = 0, never that count.  No minimality is claimed.
-Every twisted complex specializes the reduced boundary at commuting
-monodromy (LocalSystem refuses any other), a ring homomorphism, so no
-per-system check runs.
-The evaluation plan, compiled once, lists the distinct generators t_i^±1
-and reaches each monomial by one product with one of them, reduced mod p
-once per product and once per entry; a system turns each generator into
-its M_i^±1 once and each block of its partition at the block's own size
-(a diagonal rank-r system takes r scalar passes) on keys built once.  A
-twisted complex over Q is that specialization times one positive integer
-`scale` that clears every denominator, so it is built on Python ints: one
-nonzero scalar on every boundary keeps d² = 0 and every rank, and
-exactla's one sparse rank engine takes them over Q, as over F_p, with no
-Fraction.  Untwisted homology is the reduced complex at t = 1.
+cycle can keep d² = 0, never that count; when every count is b_i(U) the
+complex is minimal, and its boundary must vanish at t = 1.  Every
+twisted complex specializes the reduced boundary at commuting monodromy
+(LocalSystem refuses any other), a ring homomorphism, so no per-system
+check runs.  The plan, compiled once, lists the distinct generators
+t_i^±1, reaches each monomial by one product with one of them and groups
+the entries by target row.  A system evaluates each monomial once per
+block of its partition; a boundary specializes a row only when the rank
+engine pulls it, after compression, never at the pivots one degree
+down.  Over Q all is times one positive integer `scale` that clears
+every denominator, on Python ints: one nonzero scalar on every boundary
+keeps d² = 0 and every rank.  Untwisted homology is the reduced complex
+at t = 1.
 
 Twisted boundaries: crossing a hyperplane from its negative to its
 positive side picks up the meridian monodromy, so a full turn around a
@@ -52,13 +51,12 @@ the usual inversion).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import itemgetter, mul
 
-from .exactla import (ChainComplexError, FMatrixSparse, GatedBoundaries, complex_dims,
-                      identity_matrix)
+from .exactla import ChainComplexError, GatedBoundaries, complex_dims, identity_matrix
 from .fields import FieldSpec
 from .geometry import betti_numbers, cell_counts, intersection_poset
 from .localsys import LocalSystem
@@ -78,21 +76,7 @@ class SalvettiComplex:
     boundary: list       # boundary[k][pos] = {target in cells[k - 1]: Laurent polynomial}
     generators: list     # the distinct (i, s), s = ±1
     monomials: list      # (parent, g) per monomial j > 0
-    entries: list        # entries[k - 1]: (target, pos, ((monomial, coefficient), ...))
-    blocks: dict = field(default_factory=dict)   # (rank, partition) -> block_entries
-
-    def block_entries(self, r, partition):
-        """(dims, blocks), once per (r, partition).  blocks pairs each block
-        with (keys, terms) per entry of entries[k - 1], keys (r * target + a,
-        r * pos + b) for a, b in the block, a outer (one key at size one)."""
-        got = self.blocks.get((r, partition))
-        if got is None:
-            got = self.blocks[r, partition] = ([r * len(layer) for layer in self.cells], [
-                (block, [[([(r * t + a, r * pos + b) for a in block for b in block]
-                           if len(block) > 1 else (r * t + block[0], r * pos + block[0]), terms)
-                          for t, pos, terms in layer] for layer in self.entries])
-                for block in partition])
-        return got
+    rows: list           # rows[k - 1]: (target, ((pos, ((monomial, coefficient), ...)), ...))
 
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
@@ -107,7 +91,9 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
     cells, reduced = _reduce(boundary, arr.d)            # eliminates in boundary itself
     _verify_over_group_ring(reduced, arr.d)              # raises on a bad reduction
-    _check_counts([len(layer) for layer in cells], betti_numbers(poset), exact=False)
+    betti = betti_numbers(poset)
+    _check_counts([len(layer) for layer in cells], betti, exact=False)
+    _check_minimal(reduced, betti)
     return SalvettiComplex(fc, counts, cells, reduced, *_compile(reduced, arr.d))
 
 
@@ -350,9 +336,16 @@ def _check_counts(counts, expected, exact):
                 f"reduced complex keeps {count} cells in degree {i}, below b_{i} = {bound}")
 
 
+def _check_minimal(boundary, betti):
+    """A minimal complex, cells_i = b_i(U) in every degree, has zero boundary at t = 1."""
+    if [len(layer) for layer in boundary] == betti[:len(boundary)] and any(
+            sum(poly.values()) for layer in boundary for row in layer for poly in row.values()):
+        raise ChainComplexError("a minimal reduced complex has a nonzero boundary at t = 1")
+
+
 def _compile(boundary, d):
-    """(generators, monomials, entries): the evaluation plan of the reduced
-    boundary."""
+    """(generators, monomials, rows): the evaluation plan of the reduced
+    boundary, its entries grouped by target row."""
     one, _ = _packing(d)
     mask = (1 << _BITS) - 1
     index, gen_index = {one: 0}, {}
@@ -377,10 +370,13 @@ def _compile(boundary, d):
             j = index[m] = len(monomials)
         return j
 
-    entries = [[(t, pos, tuple((monomial(m), c) for m, c in sorted(poly.items())))
-                for pos, row in enumerate(layer) for t, poly in row.items()]
-               for layer in boundary[1:]]
-    return generators, monomials, entries
+    rows = [{} for _ in boundary[1:]]
+    for by_target, layer in zip(rows, boundary[1:]):
+        for pos, row in enumerate(layer):
+            for t, poly in row.items():
+                by_target.setdefault(t, []).append(
+                    (pos, tuple((monomial(m), c) for m, c in sorted(poly.items()))))
+    return generators, monomials, [sorted(by_target.items()) for by_target in rows]
 
 
 def _padded_homology(sc: SalvettiComplex, tc: TwistedComplex):
@@ -401,9 +397,47 @@ def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
 
 
 @dataclass
+class TwistedBoundary:
+    """`scale` times C_k -> C_{k-1} of a specialization: the plan's rows[k - 1]
+    and (a, [(b, vals), ...]) per row a of the system's blocks, vals[j] entry
+    (a, b) of monomial j.  rows(drop, fieldspec), pulled by exactla.rank after
+    compression, specializes only the rows not in `drop`, in the system's own
+    field; `entries` materializes every row, for the oracles and tests."""
+
+    nrows: int
+    ncols: int
+    plan: list
+    blocks: list
+    r: int
+    p: int | None
+
+    @property
+    def entries(self):
+        return {(i, j): v for i, row in self.rows(()).items() for j, v in row.items()}
+
+    def rows(self, drop, fieldspec=None):
+        r, p, out = self.r, self.p, {}
+        for a, channels in self.blocks:
+            for t, entries in self.plan:
+                if (i := r * t + a) in drop:
+                    continue
+                row = {}
+                for b, vals in channels:
+                    for pos, terms in entries:
+                        v = 0
+                        for j, c in terms:
+                            v += c * vals[j]
+                        if v := v % p if p else v:
+                            row[r * pos + b] = v
+                if row:
+                    out[i] = row
+        return out
+
+
+@dataclass
 class TwistedComplex:
-    """matrices[k - 1] is `scale` times the boundary C_k -> C_{k-1} of the
-    specialization; scale is a positive integer, 1 over F_p."""
+    """matrices[k - 1], a TwistedBoundary, is `scale` times the boundary
+    C_k -> C_{k-1} of the specialization; scale is a positive integer, 1 over F_p."""
 
     field: FieldSpec
     rank: int
@@ -418,16 +452,15 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     Each entry, a Laurent polynomial, becomes an r x r block: its value at
     the monodromy matrices (inverse monodromy for negative exponents),
     transposed.  That is zero off the blocks of system.partition; each block
-    is evaluated at its own size and written at its own keys
-    (sc.block_entries), on scalars at size one, else on monomials kept
-    transposed and flat (a product entry is a row times a column) with an
-    entry's terms summed as whole vectors.  Each monomial is one product of
-    an earlier one and one M_i^±1 on Python ints, reduced mod p once per
-    product and once per entry.  Over Q, M_i^±1 = N/D with D the lcm of all
-    its denominators, and every matrix is multiplied by one positive
-    integer `scale` that clears the monomials' denominators, so its entries
-    are ints: one nonzero scalar on every boundary keeps d² = 0 (the
-    matrices stay GatedBoundaries) and every rank."""
+    evaluates every monomial here, as one product of an earlier one and one
+    M_i^±1 on Python ints, mod p over F_p: on scalars at size one, else kept
+    transposed and flat (a product entry is a row times a column).  Entries
+    are specialized later, row by row, on demand after compression, by each
+    TwistedBoundary.  Over Q, M_i^±1 = N/D with D the lcm of its
+    denominators, and every matrix is `scale` times the specialization,
+    scale the positive integer that clears the monomials' denominators: one
+    nonzero scalar on every boundary keeps d² = 0 (GatedBoundaries) and
+    every rank."""
     d = sc.fc.arrangement.d
     if len(system.monodromy) != d:
         raise ValueError(f"system has {system.d} matrices, arrangement has {d}")
@@ -449,9 +482,8 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
             dens.append(dens[parent] * gen_dens[g])
         scale = lcm(*dens)
 
-    dims, blocks = sc.block_entries(r, system.partition)
-    mats = [FMatrixSparse(nrows, ncols) for nrows, ncols in zip(dims, dims[1:])]
-    for block, layers in blocks:
+    blocks = []
+    for block in system.partition:
         if len(block) == 1:
             (a,) = block
             gen = [m[a][a] for m in gens]
@@ -461,37 +493,23 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
                 vals.append(v % p if p else v)
             if scale > 1:
                 vals = [v * (scale // den) for v, den in zip(vals, dens)]
-            for m, layer in zip(mats, layers):
-                entries = m.entries
-                for key, terms in layer:
-                    v = 0
-                    for j, c in terms:
-                        v += c * vals[j]
-                    if p:
-                        v %= p
-                    if v:
-                        entries[key] = v
+            blocks.append((a, [(a, vals)]))
             continue
         s, pick = len(block), itemgetter(*block)
         cols = [list(map(pick, pick(list(zip(*m))))) for m in gens]     # block columns
-        # vals[j][a * s + b] is entry (b, a) of monomial j on the block
-        vals = [[int(a == b) for a in range(s) for b in range(s)]]
+        # vals[j][x * s + y] is entry (y, x) of monomial j on the block
+        vals = [[int(x == y) for x in range(s) for y in range(s)]]
         for parent, g in sc.monomials:
-            rows = [vals[parent][b::s] for b in range(s)]
+            rows = [vals[parent][y::s] for y in range(s)]
             out = [sum(map(mul, row, col)) for col in cols[g] for row in rows]
-            vals.append([x % p for x in out] if p else out)
+            vals.append([v % p for v in out] if p else out)
         if scale > 1:
-            vals = [[x * (scale // den) for x in v] for v, den in zip(vals, dens)]
-        for m, layer in zip(mats, layers):
-            entries = m.entries
-            for keys, ((j, c), *rest) in layer:
-                acc = [c * x for x in vals[j]]
-                for j, c in rest:
-                    acc = [y + c * x for y, x in zip(acc, vals[j])]
-                for key, v in zip(keys, [v % p for v in acc] if p else acc):
-                    if v:
-                        entries[key] = v
-    return TwistedComplex(field, r, list(dims), mats, scale)
+            vals = [[v * (scale // den) for v in vs] for vs, den in zip(vals, dens)]
+        blocks += [(a, [(b, [vs[x * s + y] for vs in vals]) for y, b in enumerate(block)])
+                   for x, a in enumerate(block)]
+    dims = [r * len(layer) for layer in sc.cells]
+    return TwistedComplex(field, r, dims, [TwistedBoundary(*shape, plan, blocks, r, p)
+                                           for *shape, plan in zip(dims, dims[1:], sc.rows)], scale)
 
 
 def twisted_betti(sc: SalvettiComplex, system: LocalSystem):

@@ -187,9 +187,9 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
 
     dims = [r * len(layer) for layer in sc.cells]
     mats = []
-    for k, layer in enumerate(sc.entries, start=1):
+    for k, layer in enumerate(sc.rows, start=1):
         m = FMatrixSparse(dims[k - 1], dims[k])
-        for target, pos, terms in layer:
+        for target, pos, terms in ((t, pos, terms) for t, row in layer for pos, terms in row):
             block = [sum(c * (vals[j] if r == 1 else vals[j][x]) for j, c in terms)
                      for x in range(r * r)]
             for a in range(r):

@@ -246,7 +246,13 @@ def test_sweep_complex_matches_the_plan_at_ranks_4_and_5(field, r):
 def test_plan_lists_each_generator_once_in_first_use_order(name):
     sc = complex_named(name)
     d = sc.fc.arrangement.d
-    assert sc.block_entries(1, ((0,),))[0] == [len(layer) for layer in sc.cells]
+    # the plan lists each reduced entry once, under its target row, rows
+    # in target order
+    assert [[t for t, _row in layer] for layer in sc.rows] == \
+        [sorted({t for row in layer for t in row}) for layer in sc.boundary[1:]]
+    assert [sorted((t, pos) for t, row in layer for pos, _terms in row) for layer in sc.rows] \
+        == [sorted((t, pos) for pos, row in enumerate(layer) for t in row)
+            for layer in sc.boundary[1:]]
     used = [g for _parent, g in sc.monomials]
     assert list(dict.fromkeys(used)) == list(range(len(sc.generators)))
     assert len(set(sc.generators)) == len(sc.generators)

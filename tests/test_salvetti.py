@@ -74,7 +74,9 @@ def test_euler_alternating_sum(gen3, cen3, a2):
 def test_boundary_squares_to_zero_over_z(gen3):
     sc = complex_for(gen3)
     mats = full_untwisted_matrices(sc)
-    cols = mats[0].columns()
+    cols = {}
+    for (i, m), w in mats[0].entries.items():
+        cols.setdefault(m, []).append((i, w))
     prod = {}
     for (m, j), v in mats[1].entries.items():
         for i, w in cols.get(m, []):
@@ -528,7 +530,7 @@ def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
         full, reduced = gated
         assert reduced is sc.boundary
         assert set(vars(sc)) == {"fc", "cell_counts", "cells", "boundary", "generators",
-                                 "monomials", "entries", "blocks"}
+                                 "monomials", "rows"}
         assert all(value is not None for value in vars(sc).values())
         # the reduction eliminated in the gated boundary itself: exactly the
         # dropped cells have no row left there
