@@ -271,7 +271,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:     # anything else is the program's own failure
-        sys.stderr.write(f"internal failure: {type(exc).__name__}: {exc}\n")
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        sys.stderr.write(f"internal failure: {type(exc).__name__}: {message}\n")
         return 3
 
 

@@ -309,6 +309,12 @@ class VerifyContext:
     built from those faces, and twisted_betti runs once per (covector set,
     system).  That is sound: the complex is built from the covectors alone
     (Salvetti 1987), and twisted_betti depends on it and the system only.
+
+    One answer serves L and L.inverse_system(): every arrangement here has
+    rational equations, so complex conjugation c is a homeomorphism of U
+    acting by -1 on H_1(U), through which commuting monodromy factors, so
+    c*L = L^-1 and H_*(U; L) ≅ H_*(U; L^-1) over Q and F_p, cohomology too
+    (Dimca 2017).  c1_expected too: M_i and M_i^-1 fix the same vectors.
     """
 
     def __init__(self, seed: int, primes=DEFAULT_PRIMES):
@@ -320,8 +326,8 @@ class VerifyContext:
         self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
         self._covectors = {}     # arr_id -> index of its covector set
         self._salvetti = []      # covector set index -> complex
-        self._answers = {}       # (covector set index, system) -> twisted Betti numbers
-        self._c1 = {}            # system -> c1_expected_dims(system)
+        self._answers = {}       # (covector set index, system or inverse) -> twisted Betti numbers
+        self._c1 = {}            # system or its inverse -> c1_expected_dims(system)
         self._locals = {}
         self._restricted = {}    # (system, index map) -> localsys.restrict(...)
 
@@ -359,6 +365,7 @@ class VerifyContext:
         key = (self.covector_set(arr_id), system)
         if key not in self._answers:
             self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
+            self._answers.setdefault((key[0], system.inverse_system()), self._answers[key])
         if self.arrangements[arr_id].dim == 1:
             self.dimension1[arr_id, sys_id, system] = self._answers[key]
         return self._answers[key]
@@ -366,6 +373,7 @@ class VerifyContext:
     def c1_expected(self, system):
         if system not in self._c1:
             self._c1[system] = c1_expected_dims(system)
+            self._c1.setdefault(system.inverse_system(), self._c1[system])
         return self._c1[system]
 
     def section(self, arr_id, k):
@@ -416,7 +424,8 @@ def check_untwisted_match(ctx: VerifyContext, arr_id: str) -> CheckReport:
     counts are functions of it.  Chambers are the sign vectors without a
     zero, and on an essential arrangement a closed chamber C is bounded
     exactly when Σ (-1)^dim F over its faces F ≤ C is 1 (0 when not),
-    the face order and dims being read off the covectors."""
+    the face order and dims being read off the covectors.  The homology
+    ranks repeat on purpose what the build's t = 1 gate proves, b_i = cells_i."""
     arr, b = ctx.arrangement(arr_id), ctx.betti(arr_id)
     chi = geometry.characteristic_polynomial(ctx.poset(arr_id))
     sc = ctx.salvetti(arr_id)
@@ -431,6 +440,8 @@ def check_untwisted_match(ctx: VerifyContext, arr_id: str) -> CheckReport:
 
 
 def check_constant_equality(ctx: VerifyContext, arr_id: str, r: int) -> CheckReport:
+    """The build's t = 1 gate already proves r·cells_i = r·b_i on a minimal
+    complex; the ranks are kept on purpose, as a second computation."""
     arr = ctx.arrangement(arr_id)
     q = FieldSpec.rationals()
     system = LocalSystem(q, r, (identity_matrix(q, r),) * arr.d)

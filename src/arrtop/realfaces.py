@@ -1,8 +1,8 @@
 """Face poset of a real arrangement: sign vectors, chambers, covers.
 
 Every face is stored with an exact witness in its relative interior, the
-primitive integers (W, D) of the point W/D, so adjacency and boundedness
-queries are certified rather than inferred.  Enumeration is incremental:
+primitive integers (W, D) of the point W/D, so adjacency queries are
+certified rather than inferred.  Enumeration is incremental:
 hyperplanes are inserted one at a time and each existing face is split
 against the new hyperplane.  Flats come from the intersection poset:
 each face carries its flat, whose meet with the new hyperplane says
@@ -161,28 +161,15 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
     return FaceComplex(arr, built, tuple(sorted(covers)))
 
 
-def is_bounded(fc: FaceComplex, face_index: int) -> bool:
-    """Whether the face is bounded: its recession cone, the directions u
-    of its flat with s_i·(A_i·u) >= 0 for each strict sign s_i, is {0}.
-    On an essential arrangement the restriction to any flat is essential,
-    so a nonzero u in the cone has a positive sum of those values: the
-    face is bounded exactly when the cone with that sum >= 1 is empty,
-    one LP.  On a non-essential one every face holds a line."""
-    arr = fc.arrangement
-    if not arr.is_essential:
-        return False
-    sigma = fc.faces[face_index].sign
-    poset = intersection_poset(arr)
-    key = frozenset(i for i, s in enumerate(sigma) if s == 0)
-    rows, basis = poset.rows[key], poset.frames[key][1]
-    cone = [tuple(s * x for x in rows[i][0]) for i, s in enumerate(sigma) if s != 0]
-    total = tuple(sum(a[j] for a in cone) for j in range(len(basis)))
-    return feasible_point((0,) * arr.dim + (1,), basis,
-                          [(a, 0, False) for a in cone] + [(total, -1, False)]) is None
-
-
 def region_counts(fc: FaceComplex):
-    """(number of chambers, number of bounded chambers)."""
-    chambers = fc.chambers
-    bounded = sum(1 for c in chambers if is_bounded(fc, c))
-    return len(chambers), bounded
+    """(chambers, bounded chambers), with no LP: Σ (-1)^dim F over the
+    faces F ≤ C, those with C among their adjacent chambers, is the
+    compactly supported Euler characteristic of the closed chamber C, 1
+    for a polytope, 0 for a pointed unbounded one (an essential arrangement
+    has no other).  On any other arrangement every chamber holds a line."""
+    euler = dict.fromkeys(fc.chambers, 0)
+    if fc.arrangement.is_essential:
+        for f, face in enumerate(fc.faces):
+            for c in fc.adjacent_chambers(f):
+                euler[c] += (-1) ** face.dim
+    return len(euler), sum(1 for x in euler.values() if x == 1)

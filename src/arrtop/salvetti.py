@@ -516,8 +516,8 @@ def twisted_betti(sc: SalvettiComplex, system: LocalSystem):
     """Twisted Betti numbers: per-degree homology dims of the twisted
     complex, padded to the ambient dimension.
 
-    Convention: these are the cohomology dimensions of the
-    entrywise-inverse system.  The verification corpus is closed under
-    inversion, so statements quantified over all systems are unaffected.
-    """
+    Convention: the cohomology dimensions of the inverse system, which are
+    L's own: arrtop's equations are rational, so complex conjugation is a
+    homeomorphism of U acting by -1 on H_1(U); it carries commuting L to
+    L.inverse_system(), so b_i(U; L) = b_i(U; L^-1) (Dimca 2017)."""
     return _padded_homology(sc, twisted_complex(sc, system))

@@ -9,11 +9,13 @@ evaluated at every witness by `affine_value`, walk and segment steps
 and LP witnesses on Fractions, on each flat's frame read as a rational
 point and directions.  The integer enumeration must reproduce its
 faces, witnesses included: each as the primitive (W, D) of the Fraction
-witness.  Boundedness by 2n LPs, one per ambient ray direction."""
+witness.  Boundedness by one integer LP per face, and by 2n LPs in
+Fraction arithmetic, one per ambient ray direction."""
 
 from fractions import Fraction
 from math import lcm
 
+from arrtop import feasibility
 from arrtop.exactla import dot
 from arrtop.feasibility import _eliminate
 from arrtop.geometry import intersection_poset, primitive_row
@@ -178,3 +180,24 @@ def is_bounded_by_rays(fc, face_index):
             if feasible_point((0,) * n, basis, base + [(ray, -den, False)]) is not None:
                 return False
     return True
+
+
+def is_bounded_by_lp(fc, face_index):
+    """Whether the face is bounded: its recession cone, the directions u
+    of its flat with s_i·(A_i·u) >= 0 for each strict sign s_i, is {0}.
+    On an essential arrangement the restriction to any flat is essential,
+    so a nonzero u in the cone has a positive sum of those values: the
+    face is bounded exactly when the cone with that sum >= 1 is empty,
+    one LP on the poset's integer rows.  On a non-essential one every face
+    holds a line."""
+    arr = fc.arrangement
+    if not arr.is_essential:
+        return False
+    sigma = fc.faces[face_index].sign
+    poset = intersection_poset(arr)
+    key = frozenset(i for i, s in enumerate(sigma) if s == 0)
+    rows, basis = poset.rows[key], poset.frames[key][1]
+    cone = [tuple(s * x for x in rows[i][0]) for i, s in enumerate(sigma) if s != 0]
+    total = tuple(sum(a[j] for a in cone) for j in range(len(basis)))
+    return feasibility.feasible_point((0,) * arr.dim + (1,), basis,
+                                      [(a, 0, False) for a in cone] + [(total, -1, False)]) is None

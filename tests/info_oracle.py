@@ -1,7 +1,7 @@
 """Oracle for `arrtop info`, which reads every invariant off the
 intersection poset: the same summary from the enumerated faces and the
 built complex.  Regions and bounded chambers are counted face by face
-(`region_counts`, one LP per chamber), and the cells are those of the
+(`region_counts`, an Euler sum per chamber), and the cells are those of the
 Salvetti complex that `build_salvetti` builds and gates."""
 
 from arrtop import geometry

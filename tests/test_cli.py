@@ -6,7 +6,7 @@ import pytest
 from conftest import make_arrangement, oracle_arrangements
 from info_oracle import info_by_faces
 
-from arrtop import geometry, harness, realfaces, salvetti
+from arrtop import cli, geometry, harness, realfaces, salvetti
 from arrtop.cli import _arrangement_summary, main
 from arrtop.harness import braid_essentialized
 
@@ -499,7 +499,7 @@ def _raising(exc):
 @pytest.mark.parametrize("name,patch,message", [
     ("_orient", _corrupted_orientation, "internal failure: ChainComplexError: boundary "
                                         "composition nonzero over Λ"),
-    ("_reduce", _raising(MemoryError()), "internal failure: MemoryError: "),
+    ("_reduce", _raising(MemoryError()), "internal failure: MemoryError: out of memory"),
     ("_orient", _raising(RuntimeError("inconsistent signs on a dual cell")),
      "internal failure: RuntimeError: inconsistent signs on a dual cell"),
 ], ids=["gate", "memory", "other"])
@@ -518,7 +518,7 @@ def test_internal_failures_exit_3_without_a_traceback(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("exc,message", [
-    (MemoryError(), "internal failure: MemoryError: "),
+    (MemoryError(), "internal failure: MemoryError: out of memory"),
     (RuntimeError("a poset failure"), "internal failure: RuntimeError: a poset failure"),
 ], ids=["memory", "other"])
 def test_info_internal_failures_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch,
@@ -530,3 +530,10 @@ def test_info_internal_failures_exit_3_without_a_traceback(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_out_of_memory_in_a_command_says_so(tmp_path, capsys, monkeypatch):
+    # MemoryError() carries no message; the line must not end at the colon
+    monkeypatch.setattr(cli, "cmd_verify", _raising(MemoryError()))
+    assert main(["verify", "--all", "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == "internal failure: MemoryError: out of memory\n"

@@ -1,11 +1,13 @@
 """A verification run builds one Salvetti complex per covector set and
-takes twisted_betti once per (covector set, system).
+takes twisted_betti once per covector set and pair {system, inverse}.
 
-The premise, checked on affine images: twisted Betti numbers depend on
-the covectors alone.  Then the answers a run gives, and the region
-counts on the faces its shared complexes hold, against those of each
-arrangement's own faces, and the work the run does, counted.  The
-reports of the seed 0, 1 and 2 runs are pinned by their sha256."""
+The premises: twisted Betti numbers depend on the covectors alone,
+checked on affine images, and a system and its inverse have the same
+ones, checked on every pair a run asks for by the slow path.  Then the
+answers a run gives, and the region counts on the faces its shared
+complexes hold, against those of each arrangement's own faces, and the
+work the run does, counted.  The reports of the seed 0, 1 and 2 runs are
+pinned by their sha256."""
 
 import hashlib
 import random
@@ -145,8 +147,9 @@ def test_one_build_per_covector_set_and_one_answer_per_system(contexts, call_cou
     assert len(builds) == len(set(key.values())) == 48
     assert len({id(ctx.salvetti(arr_id)) for arr_id in key}) == 48
     assert len(ctx.asked) == 10423
-    assert len(answers) == len({(key[arr_id], system) for arr_id, _sys_id, system in ctx.asked}) \
-        == 5999
+    assert len({(key[arr_id], system) for arr_id, _sys_id, system in ctx.asked}) == 5999
+    assert len(answers) == len({(key[arr_id], frozenset((system, system.inverse_system())))
+                                for arr_id, _sys_id, system in ctx.asked}) == 3318
 
 
 def test_region_counts_on_the_shared_complex_are_each_arrangements_own(contexts):
@@ -170,9 +173,10 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
         assert ctx.dimension1 == {key: dims for key, dims in ctx.asked.items()
                                   if ctx.arrangement(key[0]).dim == 1}
         systems = {system for _arr_id, _sys_id, system in ctx.dimension1}
+        pairs = {frozenset((system, system.inverse_system())) for system in systems}
         c1_reports = sum(1 for r in reports if r.check == "c1_oracle")
-        assert c1_reports > len(systems) > 0                  # systems repeat across ids
-        expected += len(systems)                             # nothing kept across runs
+        assert c1_reports > len(systems) > len(pairs) > 0    # systems repeat across ids
+        expected += len(pairs)                               # nothing kept across runs
         assert len(oracle) == expected
 
 
@@ -198,3 +202,57 @@ def test_reports_at_seeds_1_and_2_are_pinned(seed):
     reports, summary = run_verification(generate_corpus(CorpusSpec(seed=seed)), seed=seed)
     text = cli._report_text(harness.reports_to_json(reports, summary))
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed]
+
+
+def pair_mismatches(ctx):
+    """The slow path on both members of every pair the run asked for: per
+    (arr_id, sys_id, system) asked, twisted_betti on the run's complex at
+    the system and at its inverse system, each (covector set, system)
+    computed afresh once.  Returns (arr_id, sys_id, run's answer, direct,
+    inverse) wherever the three are not equal."""
+    fresh, out = {}, []
+
+    def direct(arr_id, system):
+        key = (ctx.covector_set(arr_id), system)
+        if key not in fresh:
+            fresh[key] = twisted_betti(ctx.salvetti(arr_id), system)
+        return fresh[key]
+
+    for (arr_id, sys_id, system), dims in ctx.asked.items():
+        answers = (dims, direct(arr_id, system), direct(arr_id, system.inverse_system()))
+        if not answers[0] == answers[1] == answers[2]:
+            out.append((arr_id, sys_id) + answers)
+    return out
+
+
+# twisted_betti calls of `verify --all --seed S`: 5999, 6043 and 6067
+# before one answer served each pair {L, L^-1}
+PAIR_CALLS = {0: 3318, 1: 3362, 2: 3342}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_answer_per_pair_agrees_with_the_slow_path_on_both_members(
+        seed, contexts, call_counter, tmp_path):
+    answers = call_counter(salvetti, "twisted_betti")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--all", "--seed", str(seed), "--out", str(out)]) == 0
+    pinned = SEED0_REPORT_SHA256 if seed == 0 else REPORT_SHA256[seed]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
+    (ctx,) = contexts
+    pairs = {(ctx.covector_set(arr_id), frozenset((system, system.inverse_system())))
+             for arr_id, _sys_id, system in ctx.asked}
+    assert len(answers) == len(pairs) == PAIR_CALLS[seed]
+    # both members were asked for in most pairs, so most answers served two
+    asked = {(ctx.covector_set(arr_id), system) for arr_id, _sys_id, system in ctx.asked}
+    assert len(asked) > 1.7 * len(pairs)
+    assert pair_mismatches(ctx) == []
+
+
+def test_the_pair_oracle_fails_when_t_inverse_is_evaluated_at_m(contexts, monkeypatch):
+    # a mutation no gate sees: each t_i^-1 evaluated at M_i, not M_i^-1
+    real = salvetti.twisted_complex
+    monkeypatch.setattr(salvetti, "twisted_complex", lambda sc, system: real(
+        sc, localsys._derived(system, system.monodromy, system.monodromy)))
+    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    (ctx,) = contexts
+    assert pair_mismatches(ctx)

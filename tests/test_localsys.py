@@ -8,9 +8,9 @@ from test_reduction import FIELDS, block_diagonal_systems, commuting_systems, co
 from arrtop import localsys
 from arrtop.exactla import identity_matrix, mat_mul
 from arrtop.fields import FieldSpec
-from arrtop.geometry import decone, generic_section, intersection_poset, localize
-from arrtop.harness import (VerifyContext, braid_essentialized, check_central_structure,
-                            named_arrangements)
+from arrtop.geometry import decone, generic_section, intersection_poset, localize, zero_flats
+from arrtop.harness import (CorpusSpec, VerifyContext, braid_essentialized,
+                            check_central_structure, generate_corpus, named_arrangements)
 from arrtop.localsys import (
     LocalSystem,
     LocalSystemError,
@@ -116,6 +116,69 @@ def test_inverse_system_roundtrip():
     system = build_local_system(Q, 2, [[[1, 1], [0, 1]], [[2, 1], [0, 2]]])
     double = system.inverse_system().inverse_system()
     assert double == system
+
+
+# ---------------------------------------------------------------------------
+# a verify run keys each answer under a system and under its inverse system,
+# the corpus's own or one derived by restrict or decone_system
+
+
+def _braid4_systems():
+    """braid4 and its seed-0 corpus systems, over Q and F_p, with systems
+    of total turn I over Q and F_7 that descend along its decones."""
+    (item,) = [item for item in generate_corpus(CorpusSpec(seed=0))
+               if item.arrangement_id == "braid4"]
+    systems = [system for _sys_id, system in item.systems]
+    systems += [scalar_system(F7, [2, 4, 3, 5, 1, 1]),
+                scalar_system(Q, [2, 3, Fraction(1, 6), 5, Fraction(1, 5), 1])]
+    assert {system.field for system in systems} >= {Q, F7, FieldSpec.prime(101)}
+    return item.arrangement, systems
+
+
+def _index_maps(arr):
+    """Each localization's index map at a zero flat, and a reordered subset."""
+    return [sorted(flat.containing) for flat in zero_flats(intersection_poset(arr))] + [[4, 0, 2]]
+
+
+def _derived_systems(arr, system):
+    """The system restricted along each of _index_maps(arr), and descended
+    along each decone when its turn is I."""
+    out = [restrict(system, m) for m in _index_maps(arr)]
+    if system.turn == identity_matrix(system.field, system.rank):
+        out += [decone_system(arr, system, i0) for i0 in range(arr.d)]
+    return out
+
+
+def test_inverse_system_is_an_involution_with_equal_hashes():
+    arr, systems = _braid4_systems()
+    derived = [d for system in systems for d in _derived_systems(arr, system)]
+    assert len(derived) > 2 * len(systems)          # decones among them
+    for system in systems + derived:
+        double = system.inverse_system().inverse_system()
+        assert double == system and hash(double) == hash(system)
+        assert {system: 0}[double] == 0
+
+
+def test_restrict_commutes_with_inversion():
+    arr, systems = _braid4_systems()
+    for system in systems:
+        for m in _index_maps(arr):
+            inverse_first = restrict(system.inverse_system(), m)
+            restricted_first = restrict(system, m).inverse_system()
+            assert inverse_first == restricted_first
+            assert hash(inverse_first) == hash(restricted_first)
+
+
+def test_decone_system_commutes_with_inversion():
+    arr, systems = _braid4_systems()
+    identity = [s for s in systems if s.turn == identity_matrix(s.field, s.rank)]
+    assert {s.field for s in identity if not is_trivial(s)} >= {Q, F7}
+    for system in identity:
+        for i0 in range(arr.d):
+            inverse_first = decone_system(arr, system.inverse_system(), i0)
+            deconed_first = decone_system(arr, system, i0).inverse_system()
+            assert inverse_first == deconed_first
+            assert hash(inverse_first) == hash(deconed_first)
 
 
 def test_json_roundtrip():

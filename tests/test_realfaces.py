@@ -31,6 +31,7 @@ from face_oracle import (
     covers_by_scan,
     face_dim,
     faces_by_fractions,
+    is_bounded_by_lp,
     is_bounded_by_rays,
     sign_vector_realizable,
 )
@@ -127,12 +128,30 @@ def test_one_lp_boundedness_matches_the_ray_oracle_on_every_face():
     for arr in arrs:
         fc = enumerate_faces(arr)
         for i in range(len(fc.faces)):
-            answer = realfaces.is_bounded(fc, i)
+            answer = is_bounded_by_lp(fc, i)
             assert answer == is_bounded_by_rays(fc, i), (arr, i)
             bounded += answer
         faces += len(fc.faces)
     assert not all(arr.is_essential for arr in arrs)
     assert (len(arrs), faces) == (263, 6541) and 0 < bounded < faces
+
+
+def test_bounded_chambers_by_euler_sum_match_the_lp_oracle():
+    # on every oracle arrangement, the non-essential ones included, where a
+    # chamber's Euler sum can be 1 although it holds a line (a slab in C^3)
+    chambers = bounded = 0
+    for arr in oracle_arrangements():
+        fc = enumerate_faces(arr)
+        by_lp = sum(1 for c in fc.chambers if is_bounded_by_lp(fc, c))
+        assert region_counts(fc) == (len(fc.chambers), by_lp), arr
+        chambers, bounded = chambers + len(fc.chambers), bounded + by_lp
+    assert 0 < bounded < chambers
+    slab = make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1)])
+    fc = enumerate_faces(slab)
+    middle = next(c for c in fc.chambers if fc.faces[c].sign == (1, -1))
+    faces = [f for f in range(len(fc.faces)) if middle in fc.adjacent_chambers(f)]
+    assert sum((-1) ** fc.faces[f].dim for f in faces) == 1
+    assert region_counts(fc) == (3, 0)
 
 
 @pytest.mark.parametrize("rows,dim", [
