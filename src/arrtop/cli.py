@@ -32,10 +32,16 @@ def _dump(obj) -> str:
 
 def _report_text(out) -> str:
     """The verify report as one JSON object with one report per line, so
-    it diffs line by line and encodes with the C encoder."""
-    encode = json.JSONEncoder(sort_keys=True).encode   # json.dumps builds one per line
-    reports = ",\n".join(map(encode, out["reports"]))
-    return f'{{"reports": [\n{reports}\n],\n"summary": {encode(out["summary"])}}}\n'
+    it diffs line by line.  One C encoder writes every line as json.dumps
+    with sorted keys would (JSONEncoder.encode builds an encoder per call);
+    it skips the circularity check, since a report is a tree."""
+    base = json.JSONEncoder(sort_keys=True)
+    encode = json.encoder.c_make_encoder(
+        None, base.default, json.encoder.encode_basestring_ascii, base.indent,
+        base.key_separator, base.item_separator, base.sort_keys, base.skipkeys,
+        base.allow_nan)
+    reports = ",\n".join("".join(encode(report, 0)) for report in out["reports"])
+    return f'{{"reports": [\n{reports}\n],\n"summary": {base.encode(out["summary"])}}}\n'
 
 
 def _emit(text, out_path):
@@ -185,9 +191,8 @@ def cmd_verify(args) -> int:
                 f"selected check(s) {', '.join(vacuous)} produced no reports "
                 "on these inputs")
     out = harness.reports_to_json(reports, summary)
-    for entry in out["reports"]:
-        if entry["status"] == "fail":
-            entry["repro"] = _repro(args, primes, entry["check"])
+    out["reports"] = [{**entry, "repro": _repro(args, primes, entry["check"])}
+                      if entry["status"] == "fail" else entry for entry in out["reports"]]
     _emit(_report_text(out), args.out)
     if not args.out:
         sys.stdout.flush()

@@ -48,7 +48,9 @@ class CheckReport:
     aux: str = ""
 
     def to_json(self):
-        return dict(vars(self))
+        """The report's own fields, not a copy: a caller that adds one
+        copies first."""
+        return vars(self)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,16 @@ class VerifyContext:
     system).  That is sound: the complex is built from the covectors alone
     (Salvetti 1987), and twisted_betti depends on it and the system only.
 
+    Local systems have int ids.  `intern` gives each distinct content
+    (LocalSystem's full equality: field, rank and every matrix) one id and
+    one canonical object, comparing content once per object it meets, and
+    every table keys on those ids: equal systems share an id and unequal
+    ones never do, so the ids share exactly what the systems as keys
+    shared, without hashing a system per lookup.  Checks get canonical
+    objects, so each distinct system computes its partition, inverses,
+    turn and triviality once, and its inverse, restrictions and
+    descents are made once per (id, derivation).
+
     One answer serves L and L.inverse_system(): every arrangement here has
     rational equations, so complex conjugation c is a homeomorphism of U
     acting by -1 on H_1(U), through which commuting monodromy factors, so
@@ -321,15 +333,43 @@ class VerifyContext:
         self.seed = seed
         self.primes = tuple(primes)
         self.arrangements = {}
-        self.dimension1 = {}     # (arr_id, sys_id, system) -> dims, dimension-1 arrangements
+        self.systems = []        # system id -> its canonical LocalSystem
+        self.dimension1 = {}     # (arr_id, sys_id, system id) -> dims, dimension-1 arrangements
         self._betti = {}
         self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
         self._covectors = {}     # arr_id -> index of its covector set
         self._salvetti = []      # covector set index -> complex
-        self._answers = {}       # (covector set index, system or inverse) -> twisted Betti numbers
-        self._c1 = {}            # system or its inverse -> c1_expected_dims(system)
+        self._ids = {}           # canonical system, by content -> its id
+        self._met = {}           # id() of each system met -> (its id, the object, kept alive)
+        self._inverses = {}      # system id -> its inverse system's id, both ways
+        self._answers = {}       # (covector set index, system id) -> twisted Betti numbers
+        self._c1 = {}            # system id -> c1_expected_dims of its system
         self._locals = {}
-        self._restricted = {}    # (system, index map) -> localsys.restrict(...)
+        self._restricted = {}    # (system id, index map) -> canonical restricted system
+        self._descended = {}     # (system id, i0) -> canonical descended system
+
+    def intern(self, system: LocalSystem) -> int:
+        """The id of the system's content.  An object met before is found
+        by id(), which no other object takes while the run keeps it; a new
+        one is looked up once by content, hash and full equality."""
+        met = self._met.get(id(system))
+        if met is None:
+            sid = self._ids.setdefault(system, len(self.systems))
+            if sid == len(self.systems):
+                self.systems.append(system)
+            met = self._met[id(system)] = (sid, system)
+        return met[0]
+
+    def canonical(self, system: LocalSystem) -> LocalSystem:
+        return self.systems[self.intern(system)]
+
+    def _inverse_id(self, sid: int) -> int:
+        """The id of system `sid`'s inverse system, made once per pair:
+        the inverse of the inverse is the system itself."""
+        if sid not in self._inverses:
+            inverse = self.intern(self.systems[sid].inverse_system())
+            self._inverses[sid], self._inverses[inverse] = inverse, sid
+        return self._inverses[sid]
 
     def register(self, arr_id: str, arr: Arrangement):
         self.arrangements[arr_id] = arr
@@ -361,20 +401,23 @@ class VerifyContext:
         return self._salvetti[self.covector_set(arr_id)]
 
     def dims(self, arr_id, sys_id, system):
-        # keyed on the system itself, so no answer is ever shared by ids alone
-        key = (self.covector_set(arr_id), system)
+        # keyed on the system's interned content id, so no answer is ever
+        # shared by sys_id alone, and none is missed between equal systems
+        sid = self.intern(system)
+        key = (self.covector_set(arr_id), sid)
         if key not in self._answers:
-            self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
-            self._answers.setdefault((key[0], system.inverse_system()), self._answers[key])
+            self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), self.systems[sid])
+            self._answers.setdefault((key[0], self._inverse_id(sid)), self._answers[key])
         if self.arrangements[arr_id].dim == 1:
-            self.dimension1[arr_id, sys_id, system] = self._answers[key]
+            self.dimension1[arr_id, sys_id, sid] = self._answers[key]
         return self._answers[key]
 
     def c1_expected(self, system):
-        if system not in self._c1:
-            self._c1[system] = c1_expected_dims(system)
-            self._c1.setdefault(system.inverse_system(), self._c1[system])
-        return self._c1[system]
+        sid = self.intern(system)
+        if sid not in self._c1:
+            self._c1[sid] = c1_expected_dims(self.systems[sid])
+            self._c1.setdefault(self._inverse_id(sid), self._c1[sid])
+        return self._c1[sid]
 
     def section(self, arr_id, k):
         """The id of the certified generic k-section of the arrangement:
@@ -402,10 +445,20 @@ class VerifyContext:
         return self._locals[arr_id]
 
     def restricted(self, system, index_map):
-        key = (system, tuple(index_map))
+        key = (self.intern(system), tuple(index_map))
         if key not in self._restricted:
-            self._restricted[key] = localsys.restrict(system, index_map)
+            self._restricted[key] = self.canonical(
+                localsys.restrict(self.systems[key[0]], index_map))
         return self._restricted[key]
+
+    def descended(self, arr_id, system, i0):
+        """The system descended along deconing at hyperplane i0; the
+        arrangement only lets decone_system check that it descends."""
+        key = (self.intern(system), i0)
+        if key not in self._descended:
+            self._descended[key] = self.canonical(localsys.decone_system(
+                self.arrangements[arr_id], self.systems[key[0]], i0))
+        return self._descended[key]
 
     def decone(self, arr_id, i0):
         m_id = f"{arr_id}|dec{i0}"
@@ -543,7 +596,7 @@ def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
         ok = True
         for i0 in range(arr.d):
             m_id = ctx.decone(arr_id, i0)
-            descended = localsys.decone_system(arr, system, i0)
+            descended = ctx.descended(arr_id, system, i0)
             dims_m = ctx.dims(m_id, sys_id, descended)
             padded = list(dims_m) + [0]
             expected = [padded[k] + (padded[k - 1] if k else 0) for k in range(n + 1)]
@@ -602,7 +655,8 @@ ARRANGEMENT, SYSTEM, DIMS_CACHE = "arrangement", "system", "dims-cache"
 def _cached_dimension1(ctx):
     """(arr_id, sys_id, system, dims) per dimension-1 answer, sorted by
     ids, since systems have no order (file ids carry a `file:` prefix)."""
-    return sorted((key + (dims,) for key, dims in ctx.dimension1.items()),
+    return sorted(((arr_id, sys_id, ctx.systems[sid], dims)
+                   for (arr_id, sys_id, sid), dims in ctx.dimension1.items()),
                   key=lambda entry: entry[:2])
 
 
@@ -692,16 +746,18 @@ def run_verification(corpus, seed: int, checks=None, primes=DEFAULT_PRIMES):
     selected = [name for name in ALL_CHECKS if not checks or name in checks]
     entries = [CHECKS[name] for name in selected]
     ctx = VerifyContext(seed, primes)
+    items = []                           # (item, its systems as canonical objects)
     for item in corpus:
         ctx.register(item.arrangement_id, item.arrangement)
+        items.append((item, [(sys_id, ctx.canonical(system)) for sys_id, system in item.systems]))
     reports = []
-    for item in corpus:
+    for item, systems in items:
         aid = item.arrangement_id
         for check in entries:
             if check.scope == DIMS_CACHE or not check.on_arrangement(item.arrangement):
                 continue
             subjects = [()] if check.scope == ARRANGEMENT else \
-                [pair for pair in item.systems if check.on_system(pair[1])]
+                [pair for pair in systems if check.on_system(pair[1])]
             reports.extend(check.run(ctx, aid, *subject, *extra)
                            for subject in subjects for extra in check.expand(ctx, aid))
     for check in entries:

@@ -4,12 +4,13 @@ A rank-r local system is encoded by one invertible r x r monodromy
 matrix per hyperplane meridian; the matrices are required to commute
 pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
-and F_p.  Each system computes once, and keeps, its partition (the
-finest blocks on which all its matrices are block diagonal), its
-commutation check and inverses, block by block on it as such matrices
-commute and invert blockwise, its total turn over the full matrices and
-whether it is trivial.  Systems derived from one (some of its matrices,
-or their inverses) commute already and carry its inverses over.
+and F_p.  Each system computes once, and keeps, its matrices' hashes,
+its partition (the finest blocks on which all its matrices are block
+diagonal), its commutation check and inverses, block by block on it as
+such matrices commute and invert blockwise, its total turn over the full
+matrices and whether it is trivial.  Systems derived from one (some of
+its matrices, or their inverses) commute already and carry its inverses
+over, and the hashes of the matrices they share with it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ class LocalSystem:
     field: FieldSpec
     rank: int
     monodromy: tuple     # one r x r matrix per hyperplane, pairwise commuting
+    # set when a system is made: _matrix_hashes, hash(M_j) per position
 
     def __post_init__(self):
-        """Refuse non-commuting monodromy however the system is made from
-        new matrices: the d²=0 gate over Λ carries over to a specialization
-        only then.  Block-diagonal matrices commute when their blocks do, scalars always."""
+        """Hash each matrix once, and refuse non-commuting monodromy however
+        the system is made from new matrices: the d²=0 gate over Λ carries
+        over to a specialization only then.  Block-diagonal matrices commute
+        when their blocks do, scalars always."""
+        self.__dict__["_matrix_hashes"] = tuple(map(hash, self.monodromy))
         blocks, field = [block for block in self.partition if len(block) > 1], self.field
         checked = []                     # (first hyperplane, its blocks) per distinct matrix
-        for m, (j, *_) in self._distinct.items() if blocks else ():
+        for m, (j, *_) in self._distinct if blocks else ():
             subs = [tuple(tuple(m[a][b] for b in block) for a in block) for block in blocks]
             for i, others in checked:
                 if any(mat_mul(field, x, y) != mat_mul(field, y, x) for x, y in zip(others, subs)):
@@ -52,28 +56,42 @@ class LocalSystem:
 
     @cached_property
     def _hash(self) -> int:
-        """Computed once: the dims cache looks systems up thousands of times."""
-        return hash((self.field, self.rank, self.monodromy))
+        """Computed once, over the matrix hashes taken when the system was
+        made, which _distinct groups by too: a tuple does not cache its hash."""
+        return hash((self.field, self.rank, self._matrix_hashes))
 
     @property
     def d(self) -> int:
         return len(self.monodromy)
 
     @cached_property
-    def _distinct(self) -> dict:
-        """{matrix: positions holding it}, by first position, for validation,
-        partition and inversion: a tuple does not cache its hash, so once."""
-        positions = {}
-        for j, m in enumerate(self.monodromy):
-            positions.setdefault(m, []).append(j)
-        return positions
+    def _distinct(self) -> list:
+        """(matrix, positions holding it) per distinct matrix, by first
+        position, for validation, partition and inversion.  A matrix is
+        compared only with the first one of its hash, and with every
+        distinct one when they differ, which only a collision makes."""
+        out, first, mons = [], {}, self.monodromy
+        for j, h in enumerate(self._matrix_hashes):
+            k = first.setdefault(h, len(out))    # out's entry for the first matrix of hash h
+            if k == len(out):
+                out.append((mons[j], [j]))
+            elif out[k][0] == mons[j]:
+                out[k][1].append(j)
+            else:
+                for m, positions in out:
+                    if m == mons[j]:
+                        positions.append(j)
+                        break
+                else:
+                    out.append((mons[j], [j]))
+        return out
 
     @cached_property
     def inverse(self) -> tuple:
         """The inverse of each monodromy matrix, each distinct one inverted once
         and, being block diagonal, block by block; a singular one raises LocalSystemError."""
         out, zero, span = [None] * self.d, self.field.zero, range(self.rank)
-        for m, positions in self._distinct.items():
+        for m, positions in self._distinct:
             try:
                 rows = {a: dict(zip(block, row)) for block in self.partition
                         for a, row in zip(block, _invert(self.field, m, block))}
@@ -92,7 +110,7 @@ class LocalSystem:
         if self.rank == 1:
             return ((0,),)
         block = {a: {a} for a in range(self.rank)}
-        for m in self._distinct:
+        for m, _positions in self._distinct:
             for a, b in ((a, b) for a, row in enumerate(m) for b, x in enumerate(row) if x):
                 if block[a] is not block[b]:
                     block.update(dict.fromkeys(merged := block[a] | block[b], merged))
@@ -132,14 +150,16 @@ def _invert(field: FieldSpec, m, block):
     return ((pow(x, -1, field.p) if field.p else field.one / x,),)
 
 
-def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple) -> LocalSystem:
+def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple,
+             hashes: tuple | None = None) -> LocalSystem:
     """A system on matrices of `system`'s checked family (some of them, or
-    their inverses) with `inverse` as its inverses.  Inverses and subsets
+    their inverses) with `inverse` as its inverses, and `hashes` as its
+    matrices' hashes when they are some of `system`'s.  Inverses and subsets
     of a commuting family commute, so __post_init__'s check does not run."""
     derived = object.__new__(LocalSystem)
-    for name, value in (("field", system.field), ("rank", system.rank),
-                        ("monodromy", monodromy), ("inverse", inverse)):
-        object.__setattr__(derived, name, value)
+    derived.__dict__.update(
+        field=system.field, rank=system.rank, monodromy=monodromy, inverse=inverse,
+        _matrix_hashes=tuple(map(hash, monodromy)) if hashes is None else hashes)
     return derived
 
 
@@ -186,9 +206,9 @@ def restrict(system: LocalSystem, index_map) -> LocalSystem:
     for i in index_map:
         if not 0 <= i < system.d:
             raise LocalSystemError(f"index {i} out of range 0..{system.d - 1}")
-    inv = system.inverse
+    inv, hashes = system.inverse, system._matrix_hashes
     return _derived(system, tuple(system.monodromy[i] for i in index_map),
-                    tuple(inv[i] for i in index_map))
+                    tuple(inv[i] for i in index_map), tuple(hashes[i] for i in index_map))
 
 
 def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem:
@@ -202,8 +222,9 @@ def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem
         raise LocalSystemError(f"hyperplane index {i0} out of range")
     if total_turn(arr, system) != identity_matrix(system.field, system.rank):
         raise LocalSystemError("system does not descend: total turn is not the identity")
-    mons, inv = system.monodromy, system.inverse
-    return _derived(system, mons[:i0] + mons[i0 + 1:], inv[:i0] + inv[i0 + 1:])
+    mons, inv, hashes = system.monodromy, system.inverse, system._matrix_hashes
+    return _derived(system, mons[:i0] + mons[i0 + 1:], inv[:i0] + inv[i0 + 1:],
+                    hashes[:i0] + hashes[i0 + 1:])
 
 
 def local_system_from_json(obj) -> LocalSystem:

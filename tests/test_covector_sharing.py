@@ -7,10 +7,14 @@ ones, checked on every pair a run asks for by the slow path.  Then the
 answers a run gives, and the region counts on the faces its shared
 complexes hold, against those of each arrangement's own faces, and the
 work the run does, counted.  The reports of the seed 0, 1 and 2 runs are
-pinned by their sha256."""
+pinned by their sha256.  Every system a run meets is interned to one id
+and one object per content: the systems it makes and compares are
+counted, and intern tables keyed by id() or by (field, rank) fail the
+answer count and the report pin."""
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +24,7 @@ from arrtop.fields import FieldSpec
 from arrtop.geometry import Arrangement, Hyperplane
 from arrtop.harness import (CorpusSpec, braid_essentialized, generate_corpus, random_generic,
                             run_verification)
-from arrtop.localsys import build_local_system, scalar_system
+from arrtop.localsys import LocalSystem, build_local_system, scalar_system
 from arrtop.realfaces import enumerate_faces, region_counts
 from arrtop.salvetti import build_salvetti, twisted_betti
 
@@ -170,9 +174,12 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
     for run in range(2):
         reports, _summary = run_verification(corpus, seed=0, checks=("lefschetz", "c1_oracle"))
         ctx = contexts[run]
-        assert ctx.dimension1 == {key: dims for key, dims in ctx.asked.items()
-                                  if ctx.arrangement(key[0]).dim == 1}
-        systems = {system for _arr_id, _sys_id, system in ctx.dimension1}
+        assert ctx.dimension1 == {(arr_id, sys_id, ctx.intern(system)): dims
+                                  for (arr_id, sys_id, system), dims in ctx.asked.items()
+                                  if ctx.arrangement(arr_id).dim == 1}
+        ids = {sid for _arr_id, _sys_id, sid in ctx.dimension1}
+        systems = {ctx.systems[sid] for sid in ids}
+        assert len(systems) == len(ids)                      # one id per content
         pairs = {frozenset((system, system.inverse_system())) for system in systems}
         c1_reports = sum(1 for r in reports if r.check == "c1_oracle")
         assert c1_reports > len(systems) > len(pairs) > 0    # systems repeat across ids
@@ -187,6 +194,7 @@ def test_one_restricted_system_per_system_and_index_map(contexts, call_counter, 
     (ctx,) = contexts
     pairs = {(system, tuple(index_map)) for system, index_map in restricts}
     assert len(restricts) == len(pairs) == len(ctx._restricted) == 3790
+    assert {(ctx.systems[sid], index_map) for sid, index_map in ctx._restricted} == pairs
     uses = sum(len(r.data["local_tops"]) if r.check == "local_global" else 1 for r in reports)
     assert uses > len(pairs)                               # pairs repeat across reports
     # the same reports with every restricted system made afresh
@@ -256,3 +264,99 @@ def test_the_pair_oracle_fails_when_t_inverse_is_evaluated_at_m(contexts, monkey
     run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
     (ctx,) = contexts
     assert pair_mismatches(ctx)
+
+
+# ---------------------------------------------------------------------------
+# the run interns each local system: one id and one canonical object per
+# content, which every table keys on
+
+
+def count_system_work(monkeypatch):
+    """Counts each LocalSystem made (built or derived) under "made", and
+    each call of its __hash__ and __eq__ under "hash" and "eq"."""
+    counts = Counter()
+
+    def counting(kind, real):
+        def counted(*args):
+            counts[kind] += 1
+            return real(*args)
+        return counted
+
+    for owner, name, kind in ((LocalSystem, "__post_init__", "made"),
+                              (localsys, "_derived", "made"),
+                              (LocalSystem, "__hash__", "hash"),
+                              (LocalSystem, "__eq__", "eq")):
+        monkeypatch.setattr(owner, name, counting(kind, getattr(owner, name)))
+    return counts
+
+
+# systems made, and their __hash__ and __eq__ calls, in `verify --all
+# --seed 0`, corpus generation included; 10154, 106984 and 38882 when the
+# run's tables keyed on the systems themselves
+SEED0_SYSTEM_WORK = {"made": 6946, "hash": 9298, "eq": 4721}
+
+
+def test_the_run_makes_and_compares_each_system_once_per_content(monkeypatch, call_counter,
+                                                                 tmp_path):
+    counts = count_system_work(monkeypatch)
+    answers = call_counter(salvetti, "twisted_betti")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--all", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED0_REPORT_SHA256
+    assert dict(counts) == SEED0_SYSTEM_WORK
+    assert len(answers) == PAIR_CALLS[0]
+
+
+def test_the_engine_and_derivations_get_one_object_per_content(contexts, call_counter):
+    calls = {f"{module.__name__}.{name}": call_counter(module, name)
+             for module, name in ((salvetti, "twisted_betti"), (localsys, "restrict"),
+                                  (localsys, "decone_system"), (localsys, "total_turn"))}
+    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    (ctx,) = contexts
+    assert len(set(ctx.systems)) == len(ctx.systems)          # one id per content
+    canonical = {id(system) for system in ctx.systems}
+    for name, args in calls.items():
+        got = [arg for call in args for arg in call if isinstance(arg, LocalSystem)]
+        assert got and all(id(system) in canonical for system in got), name
+    for _arr_id, _sys_id, system in ctx.asked:
+        assert ctx.systems[ctx.intern(system)] == system
+
+
+def intern_keyed_by(key):
+    """VerifyContext.intern with its content table keyed by key(system)."""
+    def intern(self, system):
+        met = self._met.get(id(system))
+        if met is None:
+            sid = self._ids.setdefault(key(system), len(self.systems))
+            if sid == len(self.systems):
+                self.systems.append(system)
+            met = self._met[id(system)] = (sid, system)
+        return met[0]
+    return intern
+
+
+def test_an_intern_table_keyed_by_id_alone_fails_the_answer_count(contexts, call_counter,
+                                                                  monkeypatch):
+    # every object its own id: an inverse system made afresh never meets
+    # its equal in the corpus, so pairs no longer share an answer
+    monkeypatch.setattr(harness.VerifyContext, "intern", intern_keyed_by(id))
+    answers = call_counter(salvetti, "twisted_betti")
+    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    (ctx,) = contexts
+    pairs = {(ctx.covector_set(arr_id), frozenset((system, system.inverse_system())))
+             for arr_id, _sys_id, system in ctx.asked}
+    assert len(pairs) == PAIR_CALLS[0] < len(answers)
+
+
+@pytest.mark.parametrize("key", [lambda s: (s.field, s.rank), lambda s: (s.field, s.rank, s.d)],
+                         ids=["field-rank", "field-rank-d"])
+def test_an_intern_table_keyed_by_field_and_rank_fails_the_report_pin(key, monkeypatch,
+                                                                     tmp_path):
+    # by (field, rank), some system meets an arrangement of another number
+    # of hyperplanes and the run stops; with that number in the key too,
+    # no check fails, but the reports are not the pinned ones
+    monkeypatch.setattr(harness.VerifyContext, "intern", intern_keyed_by(key))
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--all", "--seed", "0", "--out", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert (code, digest) != (0, SEED0_REPORT_SHA256)

@@ -204,7 +204,46 @@ def test_hash_is_cached_and_agrees_with_equality():
     b = scalar_system(Q, [2, 3])
     assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
     assert a != scalar_system(Q, [3, 2])
-    assert vars(a)["_hash"] == hash((a.field, a.rank, a.monodromy))
+    # the field, the rank and each matrix's hash, the one _distinct groups by
+    assert vars(a)["_hash"] == hash((a.field, a.rank, tuple(hash(m) for m in a.monodromy)))
+    assert vars(a)["_matrix_hashes"] == tuple(hash(m) for m in a.monodromy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equal_systems_hash_equal_also_when_derived(data):
+    # each system beside a copy built afresh from its entries, and each of
+    # their inverse, restricted and descended systems beside the other's
+    # and beside one built from the derived matrices
+    cen3 = named_arrangements()["cen3"]
+    turn_one = data.draw(st.booleans())
+    system = data.draw(st.one_of(block_diagonal_systems(cen3.d, turn_one=turn_one),
+                                 commuting_systems(cen3.d)))
+    copy = build_local_system(system.field, system.rank, system.monodromy)
+    index_map = data.draw(st.lists(st.integers(0, cen3.d - 1), min_size=1, unique=True))
+    pairs = [(system, copy), (system.inverse_system(), copy.inverse_system()),
+             (restrict(system, index_map), restrict(copy, index_map)),
+             (restrict(system.inverse_system(), index_map),
+              restrict(copy, index_map).inverse_system())]
+    if system.turn == identity_matrix(system.field, system.rank):
+        for i0 in range(cen3.d):
+            pairs += [(decone_system(cen3, system, i0), decone_system(cen3, copy, i0)),
+                      (decone_system(cen3, system.inverse_system(), i0),
+                       decone_system(cen3, copy, i0).inverse_system())]
+    pairs += [(a, build_local_system(a.field, a.rank, a.monodromy)) for a, _b in pairs]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b) and {a: 0}[b] == 0
+        assert hash(a) == hash((a.field, a.rank, tuple(hash(m) for m in a.monodromy)))
+
+
+def test_unequal_matrices_of_one_hash_stay_apart():
+    # hash(-1) == hash(-2), so the scalars -1 and -2 collide as matrices
+    assert hash(((Fraction(-1),),)) == hash(((Fraction(-2),),))
+    system = scalar_system(Q, [-1, -2, -1, 3, -2])
+    assert system._distinct == [(((-1,),), [0, 2]), (((-2,),), [1, 4]), (((3,),), [3])]
+    half, third = Fraction(-1, 2), Fraction(1, 3)
+    assert system.inverse == (((-1,),), ((half,),), ((-1,),), ((third,),), ((half,),))
+    assert system != scalar_system(Q, [-2, -1, -1, 3, -2])
 
 
 # ---------------------------------------------------------------------------
