@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage,
 parse or precondition error, 3 internal failure (a failed gate, memory
-exhausted, any other unexpected error), reported on stderr without a
-traceback.  Identical inputs and seed produce byte-identical reports.
+exhausted, any other unexpected error, a bare ValueError included),
+reported on stderr without a traceback.  Input is checked where it
+enters and refused with an input error type; identical inputs and seed
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import geometry, harness, localsys, realfaces, salvetti
+from .fields import FieldSpec, parse_int
 from .geometry import ArrangementError, GenericityError
 from .harness import CorpusSpec, PreconditionError
 from .localsys import LocalSystemError
@@ -226,6 +229,14 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+def _prime(text) -> int:
+    """A --prime value: a prime the engine takes, else a usage error."""
+    try:
+        return FieldSpec.prime(parse_int(text)).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="arrtop",
@@ -251,7 +262,7 @@ def build_parser():
     p_verify.add_argument("--checks", action="append", choices=harness.ALL_CHECKS,
                           metavar="NAME", help="repeatable check filter")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--prime", type=int, action="append")
+    p_verify.add_argument("--prime", type=_prime, action="append")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -271,8 +282,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ArrangementError, LocalSystemError, PreconditionError, GenericityError,
-            ValueError) as exc:
+    except (ArrangementError, LocalSystemError, PreconditionError, GenericityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:     # anything else is the program's own failure

@@ -143,10 +143,24 @@ def _sparse_rank(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
     value}} of field elements (ints over Q), as rows(drop, fieldspec) gives;
     each step adds its column to `pivots`, which span the rows' column space.
 
+    Rows come nonzero (rows() drops the empty ones), so at most one row
+    has rank len(rows) and, as pivot, that row's least column, which is
+    what _eliminate would pick: no column index is built for it."""
+    if len(rows) <= 1:
+        for row in rows.values():
+            pivots.add(min(row))
+        return len(rows)
+    return _eliminate(rows, fieldspec, pivots)
+
+
+def _eliminate(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
+    """_sparse_rank's elimination, for any number of rows.
+
     Each column keeps the set of rows that use it.  Pivot columns are
     taken by increasing initial count (ties by index), each with the
-    shortest of its rows (ties by index), so the mostly-±1 boundaries fill
-    in little.  Arithmetic is on Python ints, so no prime overflows.
+    shortest of its rows (ties by index), both ordered as plain tuples, so
+    the mostly-±1 boundaries fill in little.  Arithmetic is on Python
+    ints, so no prime overflows.
 
     Over Q elimination is fraction-free: each row is first divided by the
     gcd of its entries (a twisted complex carries its integer scale in
@@ -157,14 +171,18 @@ def _sparse_rank(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
     cols = {}
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            users = cols.get(j)
+            if users is None:
+                cols[j] = {i}
+            else:
+                users.add(i)
         if not p:
             _make_primitive(row)
-    for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
+    for _count, c in sorted([(len(users), c) for c, users in cols.items()]):
         users = cols[c]
         if not users:
             continue
-        piv = min(users, key=lambda i: (len(rows[i]), i))
+        piv = next(iter(users)) if len(users) == 1 else min([(len(rows[i]), i) for i in users])[1]
         prow = rows.pop(piv)
         for j in prow:
             cols[j].discard(piv)
@@ -227,7 +245,7 @@ def rank(matrix, fieldspec: FieldSpec, drop=(), pivots=None) -> int:
 # chain complexes
 
 
-@dataclass
+@dataclass(slots=True)
 class ComplexDims:
     """Per-degree cell dimensions, boundary ranks and homology dims."""
 
@@ -279,7 +297,9 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
     then taken by the one sparse engine, over Q or F_p alike, bottom up
     by compression (Bauer–Kerber–Reininghaus 2014): d_k hands over (a twisted
     one specializes) only its rows off d_{k-1}'s pivot columns J, independent,
-    so dropping J is injective on ker d_{k-1}, which holds im d_k as d² = 0."""
+    so dropping J is injective on ker d_{k-1}, which holds im d_k as d² = 0.
+    Homology follows in one pass over the ranks, which raises on a negative
+    dimension."""
     n = len(dims) - 1
     if len(matrices) != n:
         raise ValueError(f"expected {n} boundary matrices, got {len(matrices)}")
@@ -293,12 +313,10 @@ def complex_dims(matrices, dims, fieldspec: FieldSpec) -> ComplexDims:
     for m in matrices:
         drop, pivots = pivots, set()
         ranks.append(rank(m, fieldspec, drop, pivots))
-    homology = []
-    for k in range(n + 1):
-        below = ranks[k - 1] if k >= 1 else 0
-        above = ranks[k] if k < n else 0
-        h = dims[k] - below - above
-        if h < 0:
-            raise ChainComplexError(f"negative homology dimension in degree {k}")
+    homology, below = [], 0              # h_k = dims_k - rank d_k - rank d_{k+1}
+    for c, above in zip(dims, ranks + [0]):
+        if (h := c - below - above) < 0:
+            raise ChainComplexError(f"negative homology dimension in degree {len(homology)}")
         homology.append(h)
+        below = above
     return ComplexDims(list(dims), ranks, homology)

@@ -312,15 +312,20 @@ class VerifyContext:
     system).  That is sound: the complex is built from the covectors alone
     (Salvetti 1987), and twisted_betti depends on it and the system only.
 
-    Local systems have int ids.  `intern` gives each distinct content
-    (LocalSystem's full equality: field, rank and every matrix) one id and
-    one canonical object, comparing content once per object it meets, and
-    every table keys on those ids: equal systems share an id and unequal
-    ones never do, so the ids share exactly what the systems as keys
-    shared, without hashing a system per lookup.  Checks get canonical
-    objects, so each distinct system computes its partition, inverses,
-    turn and triviality once, and its inverse, restrictions and
-    descents are made once per (id, derivation).
+    Local systems have int ids.  Each distinct content (LocalSystem's full
+    equality: field, rank and every matrix) has one id and one canonical
+    object, found by its content key (field, rank, the matrices' hashes),
+    then by comparing the matrices, which takes an identical matrix as
+    equal without reading it; a key lists every content that has it, more
+    than one only on a hash collision.  Every table keys on those ids:
+    equal systems share an id and unequal ones never do.  `intern` looks
+    up an object met before by id(); a new one once by content.  A
+    derivation (inverse, restriction, descent) is made once per (id,
+    derivation): its own checks run, then its content key, read off the
+    source's matrix hashes, finds the derived id before any LocalSystem is
+    made, and only a new content is made, by localsys.  Checks get
+    canonical objects, so each distinct system computes its partition,
+    inverses, turn and triviality once.
 
     One answer serves L and L.inverse_system(): every arrangement here has
     rational equations, so complex conjugation c is a homeomorphism of U
@@ -339,7 +344,7 @@ class VerifyContext:
         self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
         self._covectors = {}     # arr_id -> index of its covector set
         self._salvetti = []      # covector set index -> complex
-        self._ids = {}           # canonical system, by content -> its id
+        self._ids = {}           # content key -> ids of its contents (one, unless hashes collide)
         self._met = {}           # id() of each system met -> (its id, the object, kept alive)
         self._inverses = {}      # system id -> its inverse system's id, both ways
         self._answers = {}       # (covector set index, system id) -> twisted Betti numbers
@@ -348,15 +353,38 @@ class VerifyContext:
         self._restricted = {}    # (system id, index map) -> canonical restricted system
         self._descended = {}     # (system id, i0) -> canonical descended system
 
+    def _find(self, key, monodromy):
+        """The id of the content with this key and these matrices, or None."""
+        for sid in self._ids.get(key, ()):
+            if self.systems[sid].monodromy == monodromy:
+                return sid
+        return None
+
+    def _add(self, key, system: LocalSystem) -> int:
+        """A new content's id, with `system` as its canonical object."""
+        sid = len(self.systems)
+        self.systems.append(system)
+        self._met[id(system)] = (sid, system)
+        self._ids.setdefault(key, []).append(sid)
+        return sid
+
+    def _derived_id(self, source: LocalSystem, hashes, monodromy, make) -> int:
+        """The id of the content in source's field and rank with these
+        matrices, whose hashes are `hashes`; make() makes a new one's system."""
+        key = (source.field, source.rank, hashes)
+        sid = self._find(key, monodromy)
+        return self._add(key, make()) if sid is None else sid
+
     def intern(self, system: LocalSystem) -> int:
         """The id of the system's content.  An object met before is found
         by id(), which no other object takes while the run keeps it; a new
-        one is looked up once by content, hash and full equality."""
+        one is looked up once by content."""
         met = self._met.get(id(system))
         if met is None:
-            sid = self._ids.setdefault(system, len(self.systems))
-            if sid == len(self.systems):
-                self.systems.append(system)
+            key = (system.field, system.rank, system._matrix_hashes)
+            sid = self._find(key, system.monodromy)
+            if sid is None:
+                sid = self._add(key, system)
             met = self._met[id(system)] = (sid, system)
         return met[0]
 
@@ -364,10 +392,13 @@ class VerifyContext:
         return self.systems[self.intern(system)]
 
     def _inverse_id(self, sid: int) -> int:
-        """The id of system `sid`'s inverse system, made once per pair:
+        """The id of system `sid`'s inverse system, found once per pair:
         the inverse of the inverse is the system itself."""
         if sid not in self._inverses:
-            inverse = self.intern(self.systems[sid].inverse_system())
+            source = self.systems[sid]
+            hashes = source.inverse_hashes()
+            inverse = self._derived_id(source, hashes, source.inverse,
+                                       lambda: source.inverse_system(hashes))
             self._inverses[sid], self._inverses[inverse] = inverse, sid
         return self._inverses[sid]
 
@@ -445,19 +476,28 @@ class VerifyContext:
         return self._locals[arr_id]
 
     def restricted(self, system, index_map):
+        """The system restricted along index_map (see localsys.restrict)."""
         key = (self.intern(system), tuple(index_map))
         if key not in self._restricted:
-            self._restricted[key] = self.canonical(
-                localsys.restrict(self.systems[key[0]], index_map))
+            source, kept = self.systems[key[0]], key[1]
+            localsys.check_index_map(source, kept)
+            hashes = source._matrix_hashes
+            self._restricted[key] = self.systems[self._derived_id(
+                source, tuple(hashes[i] for i in kept), tuple(source.monodromy[i] for i in kept),
+                lambda: localsys.restrict(source, kept))]
         return self._restricted[key]
 
     def descended(self, arr_id, system, i0):
         """The system descended along deconing at hyperplane i0; the
-        arrangement only lets decone_system check that it descends."""
+        arrangement only lets localsys check that it descends."""
         key = (self.intern(system), i0)
         if key not in self._descended:
-            self._descended[key] = self.canonical(localsys.decone_system(
-                self.arrangements[arr_id], self.systems[key[0]], i0))
+            arr, source = self.arrangements[arr_id], self.systems[key[0]]
+            localsys.check_descends(arr, source, i0)
+            hashes, mons = source._matrix_hashes, source.monodromy
+            self._descended[key] = self.systems[self._derived_id(
+                source, hashes[:i0] + hashes[i0 + 1:], mons[:i0] + mons[i0 + 1:],
+                lambda: localsys.decone_system(arr, source, i0))]
         return self._descended[key]
 
     def decone(self, arr_id, i0):
@@ -629,11 +669,16 @@ def check_lefschetz(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def c1_expected_dims(system: LocalSystem):
     """Closed form on C^1 minus d points: b_0 is the dimension of the
-    common fixed space of the monodromies, b_1 = r(d-1) + b_0."""
+    common fixed space of the monodromies, b_1 = r(d-1) + b_0.  At rank 1
+    b_0 is 1 when every M_i is 1 and 0 otherwise, read off the scalars;
+    above it, r minus the rank of the stacked M_i - I."""
     r, d = system.rank, system.d
-    stacked = [row for mat in system.monodromy
-               for row in mat_sub_identity(system.field, mat)]
-    b0 = r - matrix_rank(FMatrixSparse.from_rows(stacked), system.field)
+    if r == 1:
+        b0 = int(all(m[0][0] == 1 for m in system.monodromy))
+    else:
+        stacked = [row for mat in system.monodromy
+                   for row in mat_sub_identity(system.field, mat)]
+        b0 = r - matrix_rank(FMatrixSparse.from_rows(stacked), system.field)
     return [b0, r * (d - 1) + b0]
 
 

@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import itemgetter, mul
+from operator import mul
 
 from .exactla import ChainComplexError, GatedBoundaries, complex_dims, identity_matrix
 from .fields import FieldSpec
@@ -396,7 +396,7 @@ def untwisted_homology(sc: SalvettiComplex, fieldspec: FieldSpec = None):
     return _padded_homology(sc, twisted_complex(sc, constant))
 
 
-@dataclass
+@dataclass(slots=True)
 class TwistedBoundary:
     """`scale` times C_k -> C_{k-1} of a specialization: the plan's rows[k - 1]
     and (a, [(b, vals), ...]) per row a of the system's blocks, vals[j] entry
@@ -434,7 +434,7 @@ class TwistedBoundary:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class TwistedComplex:
     """matrices[k - 1], a TwistedBoundary, is `scale` times the boundary
     C_k -> C_{k-1} of the specialization; scale is a positive integer, 1 over F_p."""
@@ -446,70 +446,88 @@ class TwistedComplex:
     scale: int = 1
 
 
+def _chain(monomials, gen, p):
+    """Per monomial j, the product of gen[g] along its chain (monomial 0
+    is 1, monomial j its parent times gen[g]), mod p unless p is None."""
+    vals = [1]
+    append = vals.append
+    if p:
+        for parent, g in monomials:
+            append(vals[parent] * gen[g] % p)
+    else:
+        for parent, g in monomials:
+            append(vals[parent] * gen[g])
+    return vals
+
+
 def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
     """The reduced boundary over Λ specialized at the system's monodromy.
 
     Each entry, a Laurent polynomial, becomes an r x r block: its value at
     the monodromy matrices (inverse monodromy for negative exponents),
-    transposed.  That is zero off the blocks of system.partition; each block
-    evaluates every monomial here, as one product of an earlier one and one
-    M_i^±1 on Python ints, mod p over F_p: on scalars at size one, else kept
-    transposed and flat (a product entry is a row times a column).  Entries
-    are specialized later, row by row, on demand after compression, by each
-    TwistedBoundary.  Over Q, M_i^±1 = N/D with D the lcm of its
-    denominators, and every matrix is `scale` times the specialization,
-    scale the positive integer that clears the monomials' denominators: one
-    nonzero scalar on every boundary keeps d² = 0 (GatedBoundaries) and
-    every rank."""
+    transposed.  That is zero off the blocks of system.partition, and each
+    block evaluates every monomial here from its own generator values
+    alone, as one product of an earlier one and one generator, on Python
+    ints, mod p over F_p.  A block of size one reads the scalars
+    M_i^±1[a][a] (over Q their numerators, and their denominators for the
+    monomials'); a larger one the s x s sub-blocks, over Q each times the
+    lcm D of its denominators, kept transposed and flat (a product entry is
+    a row times a column).  Entries are specialized later, row by row, on
+    demand after compression, by each TwistedBoundary.  Over Q every
+    matrix is `scale` times the specialization, scale the lcm of every
+    block's monomial denominators: one positive scalar on every boundary
+    keeps d² = 0 (GatedBoundaries) and every rank, whichever common
+    multiple it is."""
     d = sc.fc.arrangement.d
-    if len(system.monodromy) != d:
+    if system.d != d:
         raise ValueError(f"system has {system.d} matrices, arrangement has {d}")
-    field, r, p = system.field, system.rank, system.field.p
-    gens, gen_dens = [], []
-    for i, s in sc.generators:
-        m = system.monodromy[i] if s > 0 else system.inverse[i]
-        if not p:
-            # M_i^s = N / D: N an integer matrix, D the lcm of all its denominators
-            den = lcm(*(x.denominator for row in m for x in row))
-            gen_dens.append(den)
-            m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-        gens.append(m)
-    scale = 1
-    if not p:
-        # monomial j is integer values over dens[j]; scale clears every denominator
-        dens = [1]
-        for parent, g in sc.monomials:
-            dens.append(dens[parent] * gen_dens[g])
-        scale = lcm(*dens)
-
-    blocks = []
+    r, p, monomials = system.rank, system.field.p, sc.monomials
+    mons, invs = system.monodromy, system.inverse
+    blocks, evaluated = [], []      # evaluated, over Q: (value lists, monomial denominators)
     for block in system.partition:
         if len(block) == 1:
             (a,) = block
-            gen = [m[a][a] for m in gens]
-            vals = [1]
-            for parent, g in sc.monomials:
-                v = vals[parent] * gen[g]
-                vals.append(v % p if p else v)
-            if scale > 1:
-                vals = [v * (scale // den) for v, den in zip(vals, dens)]
+            gen = [(mons if sign > 0 else invs)[i][a][a] for i, sign in sc.generators]
+            if p:
+                vals = _chain(monomials, gen, p)
+            else:
+                vals = _chain(monomials, [x.numerator for x in gen], None)
+                gen_dens = [x.denominator for x in gen]
+                evaluated.append(([vals], _chain(monomials, gen_dens, None)
+                                  if any(den != 1 for den in gen_dens) else None))
             blocks.append((a, [(a, vals)]))
             continue
-        s, pick = len(block), itemgetter(*block)
-        cols = [list(map(pick, pick(list(zip(*m))))) for m in gens]     # block columns
+        s, dens = len(block), None
+        # cols[g][x]: column block[x] of generator g on the block's rows
+        cols = [[[m[y][x] for y in block] for x in block]
+                for m in ((mons if sign > 0 else invs)[i] for i, sign in sc.generators)]
+        if not p:
+            gen_dens = [lcm(*(v.denominator for col in g for v in col)) for g in cols]
+            cols = [[[v.numerator * (den // v.denominator) for v in col] for col in g]
+                    for g, den in zip(cols, gen_dens)]
+            if any(den != 1 for den in gen_dens):
+                dens = _chain(monomials, gen_dens, None)
         # vals[j][x * s + y] is entry (y, x) of monomial j on the block
         vals = [[int(x == y) for x in range(s) for y in range(s)]]
-        for parent, g in sc.monomials:
+        for parent, g in monomials:
             rows = [vals[parent][y::s] for y in range(s)]
             out = [sum(map(mul, row, col)) for col in cols[g] for row in rows]
             vals.append([v % p for v in out] if p else out)
-        if scale > 1:
-            vals = [[v * (scale // den) for v in vs] for vs, den in zip(vals, dens)]
-        blocks += [(a, [(b, [vs[x * s + y] for vs in vals]) for y, b in enumerate(block)])
+        channels = [[vs[x * s + y] for vs in vals] for x in range(s) for y in range(s)]
+        blocks += [(a, [(b, channels[x * s + y]) for y, b in enumerate(block)])
                    for x, a in enumerate(block)]
+        if not p:
+            evaluated.append((channels, dens))
+    scale = lcm(*(lcm(*dens) for _, dens in evaluated if dens))
+    if scale > 1:
+        for channels, dens in evaluated:
+            factors = [scale // den for den in dens] if dens else [scale] * len(channels[0])
+            for vals in channels:
+                vals[:] = map(mul, vals, factors)
     dims = [r * len(layer) for layer in sc.cells]
-    return TwistedComplex(field, r, dims, [TwistedBoundary(*shape, plan, blocks, r, p)
-                                           for *shape, plan in zip(dims, dims[1:], sc.rows)], scale)
+    return TwistedComplex(system.field, r, dims, [
+        TwistedBoundary(nrows, ncols, plan, blocks, r, p)
+        for nrows, ncols, plan in zip(dims, dims[1:], sc.rows)], scale)
 
 
 def twisted_betti(sc: SalvettiComplex, system: LocalSystem):

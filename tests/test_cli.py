@@ -6,7 +6,7 @@ import pytest
 from conftest import make_arrangement, oracle_arrangements
 from info_oracle import info_by_faces
 
-from arrtop import cli, geometry, harness, realfaces, salvetti
+from arrtop import cli, geometry, harness, localsys, realfaces, salvetti
 from arrtop.cli import _arrangement_summary, main
 from arrtop.harness import braid_essentialized
 
@@ -537,3 +537,16 @@ def test_out_of_memory_in_a_command_says_so(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", _raising(MemoryError()))
     assert main(["verify", "--all", "--out", str(tmp_path / "r.json")]) == 3
     assert capsys.readouterr().err == "internal failure: MemoryError: out of memory\n"
+
+
+def test_a_value_error_of_the_program_exits_3(tmp_path, capsys, monkeypatch):
+    # verify --all reads no user input, so a ValueError raised inside it is
+    # the program's own failure, not a usage error: here twisted_complex's
+    # count check, handed each system one matrix short
+    real = salvetti.twisted_complex
+    monkeypatch.setattr(salvetti, "twisted_complex", lambda sc, system: real(
+        sc, localsys.restrict(system, range(system.d - 1))))
+    assert main(["verify", "--all", "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal failure: ValueError: system has ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -188,20 +188,28 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
 
 
 def test_one_restricted_system_per_system_and_index_map(contexts, call_counter, monkeypatch):
-    restricts = call_counter(localsys, "restrict")
+    restrict, restricts = localsys.restrict, call_counter(localsys, "restrict")
     corpus, checks = generate_corpus(CorpusSpec(seed=0)), ("local_global", "nearby_section")
     reports, _summary = run_verification(corpus, seed=0, checks=checks)
     (ctx,) = contexts
-    pairs = {(system, tuple(index_map)) for system, index_map in restricts}
-    assert len(restricts) == len(pairs) == len(ctx._restricted) == 3790
-    assert {(ctx.systems[sid], index_map) for sid, index_map in ctx._restricted} == pairs
+    # one entry per (id, index map), each the restriction made afresh
+    pairs = {(ctx.systems[sid], index_map) for sid, index_map in ctx._restricted}
+    assert len(pairs) == len(ctx._restricted) == 3790
+    assert all(restricted == restrict(ctx.systems[sid], index_map)
+               for (sid, index_map), restricted in ctx._restricted.items())
+    # found by content key before any system is made: restrict runs once
+    # per new content, 3790 times when each pair made its system
+    contents = set(ctx._restricted.values())
+    made = [restrict(system, index_map) for system, index_map in restricts]
+    assert len(restricts) == len(set(made)) == 548 and set(made) <= contents
+    assert len(contents) == 1805
     uses = sum(len(r.data["local_tops"]) if r.check == "local_global" else 1 for r in reports)
     assert uses > len(pairs)                               # pairs repeat across reports
     # the same reports with every restricted system made afresh
     monkeypatch.setattr(harness.VerifyContext, "restricted",
                         lambda self, system, index_map: localsys.restrict(system, index_map))
     fresh, _summary = run_verification(corpus, seed=0, checks=checks)
-    assert len(restricts) == len(pairs) + uses
+    assert len(restricts) == 548 + uses
     assert [r.to_json() for r in fresh] == [r.to_json() for r in reports]
 
 
@@ -292,8 +300,9 @@ def count_system_work(monkeypatch):
 
 # systems made, and their __hash__ and __eq__ calls, in `verify --all
 # --seed 0`, corpus generation included; 10154, 106984 and 38882 when the
-# run's tables keyed on the systems themselves
-SEED0_SYSTEM_WORK = {"made": 6946, "hash": 9298, "eq": 4721}
+# run's tables keyed on the systems themselves, and 6946, 9298 and 4721
+# when each derivation made its system before interning it
+SEED0_SYSTEM_WORK = {"made": 2802, "hash": 2734, "eq": 322}
 
 
 def test_the_run_makes_and_compares_each_system_once_per_content(monkeypatch, call_counter,
@@ -360,3 +369,22 @@ def test_an_intern_table_keyed_by_field_and_rank_fails_the_report_pin(key, monke
     code = cli.main(["verify", "--all", "--seed", "0", "--out", str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     assert (code, digest) != (0, SEED0_REPORT_SHA256)
+
+
+def test_the_content_key_holds_the_field_and_a_collision_keeps_both_contents():
+    # hash(2) == hash(Fraction(2)) and ((2,),) == ((Fraction(2),),): only
+    # the field in the key keeps the Q and F_7 systems on 2, 3 apart
+    ctx = harness.VerifyContext(seed=0)
+    q, f7 = scalar_system(Q, [2, 3]), scalar_system(F7, [2, 3])
+    assert q._matrix_hashes == f7._matrix_hashes and q.monodromy == f7.monodromy
+    assert ctx.intern(q) != ctx.intern(f7)
+    assert [ctx.restricted(s, (1,)).field for s in (q, f7)] == [Q, F7]
+    # hash(-1) == hash(-2): one key, two contents, each found again by content
+    minus = [scalar_system(Q, [x, 3]) for x in (-1, -2)]
+    assert minus[0]._matrix_hashes == minus[1]._matrix_hashes
+    ids = [ctx.intern(s) for s in minus]
+    assert ids[0] != ids[1] and ctx._ids[Q, 1, minus[0]._matrix_hashes] == ids
+    assert [ctx.intern(scalar_system(Q, [x, 3])) for x in (-1, -2)] == ids
+    assert [ctx.restricted(s, (0,)).monodromy for s in minus] == [(((-1,),),), (((-2,),),)]
+    assert [ctx.systems[ctx._inverse_id(sid)] for sid in ids] == \
+        [s.inverse_system() for s in minus]

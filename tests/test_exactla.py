@@ -417,3 +417,37 @@ def test_faces_and_feasibility_solve_for_no_flats():
             else:
                 continue
             assert not used & banned, (name, sorted(used & banned))
+
+
+@st.composite
+def few_row_matrices(draw):
+    """(matrix, field): 0, 1 or 2-4 nonzero rows among up to 5, up to 6
+    columns, over Q, F_2, F_7 or F_101."""
+    field = draw(st.sampled_from([Q, F2, F7, FieldSpec.prime(101)]))
+    ncols, nonzero = draw(st.integers(1, 6)), draw(st.sampled_from([0, 1, 2, 3, 4]))
+    elems = st.sampled_from([1, -1, 2, 3, 7, Fraction(1, 2), Fraction(-5, 3)])
+    m = FMatrixSparse(5, ncols)
+    for i in draw(st.lists(st.integers(0, 4), min_size=nonzero, max_size=nonzero, unique=True)):
+        columns = draw(st.lists(st.integers(0, ncols - 1), min_size=1, unique=True))
+        # entries in the field's own elements, each a unit, so the row stays nonzero
+        m.entries.update({(i, j): field.element(draw(elems.filter(
+            lambda x: field.p is None or Fraction(x).numerator % field.p != 0
+            and Fraction(x).denominator % field.p != 0)))
+            for j in columns})
+    return m, field
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_row_matrices())
+def test_the_few_row_shortcut_gives_the_general_loops_rank_and_pivots(case):
+    # a matrix handed at most one row is ranked without a column index;
+    # the general loop, forced here, must give the same rank and pivots
+    m, field = case
+    fast, slow = set(), set()
+    got = exactla._sparse_rank(m.rows((), field), field, fast)
+    assert got == exactla._eliminate(m.rows((), field), field, slow) and fast == slow
+    nonzero = {i for i, _j in m.entries}
+    if len(nonzero) <= 1:                 # rank = rows, pivot = the row's least column
+        assert (got, fast) == (len(nonzero), {min(j for _i, j in m.entries)} if nonzero else set())
+    rows = [[m.entries.get((i, j), 0) for j in range(m.ncols)] for i in range(m.nrows)]
+    assert got == (rank_dense(rows) if field.p is None else dense_rank_mod_p(m, field.p))

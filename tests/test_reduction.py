@@ -5,7 +5,7 @@ specialization in salvetti_oracle.py is its oracle, and over Q the
 plan's Fraction evaluation there is the oracle of its integer scale."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,7 +210,7 @@ def test_specialization_is_the_plan_entry_for_entry_over_every_field(data):
 def test_block_diagonal_specialization_is_the_plan(data):
     # blocks interleaved by a permutation, over Q of different denominators:
     # each block at its own size writes the plan's entries at its keys,
-    # times the scale of the whole matrices
+    # times the complex's one scale
     name = data.draw(st.sampled_from(["gen3", "cen3", "braid4", "gen-4-3", "dbraid5"]))
     sc = complex_named(name)
     assert_scale_times_the_plan_oracle(sc, data.draw(block_diagonal_systems(sc.fc.arrangement.d)))
@@ -229,6 +229,33 @@ def test_interleaved_blocks_of_sizes_two_and_one_match_the_plan(name, field):
                    build_local_system(field, 3, mats).inverse_system()):
         assert system.partition == ((0, 2), (1,))
         assert (twisted_complex(sc, system).scale > 1) == (field.kind == "Q")
+        assert_scale_times_the_plan_oracle(sc, system)
+
+
+def whole_matrix_scale(sc, system):
+    """The scale had every generator's values been taken over the lcm of
+    the denominators of its whole r x r matrix: the lcm over the monomials
+    of the products of those lcms along their chains."""
+    gen_dens = [lcm(*(x.denominator for row in (system.monodromy if s > 0 else system.inverse)[i]
+                      for x in row)) for i, s in sc.generators]
+    dens = [1]
+    for parent, g in sc.monomials:
+        dens.append(dens[parent] * gen_dens[g])
+    return lcm(*dens)
+
+
+@pytest.mark.parametrize("name", ["braid4", "dbraid5"])
+def test_a_per_block_scale_below_the_whole_matrix_lcm_matches_the_plan(name):
+    # diag(1/2, 2) and diag(2, 1/2) in turn: every generator's matrix has
+    # denominator 2, but each block only on half the generators, so a
+    # monomial mixing both kinds needs a smaller power of 2 per block
+    sc = complex_named(name)
+    half, two = Fraction(1, 2), Fraction(2)
+    mats = [[[half, 0], [0, two]] if i % 2 else [[two, 0], [0, half]]
+            for i in range(sc.fc.arrangement.d)]
+    for system in (build_local_system(Q, 2, mats), build_local_system(Q, 2, mats).inverse_system()):
+        assert system.partition == ((0,), (1,))
+        assert 1 < twisted_complex(sc, system).scale < whole_matrix_scale(sc, system)
         assert_scale_times_the_plan_oracle(sc, system)
 
 
