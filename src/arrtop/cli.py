@@ -57,7 +57,7 @@ def _emit(text, out_path):
 def _load_json(path):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # JSON, UTF-8 or int-length errors are ValueErrors
         raise ArrangementError(f"cannot read {path}: {exc}")
 
 

@@ -320,12 +320,13 @@ class VerifyContext:
     than one only on a hash collision.  Every table keys on those ids:
     equal systems share an id and unequal ones never do.  `intern` looks
     up an object met before by id(); a new one once by content.  A
-    derivation (inverse, restriction, descent) is made once per (id,
-    derivation): its own checks run, then its content key, read off the
-    source's matrix hashes, finds the derived id before any LocalSystem is
-    made, and only a new content is made, by localsys.  Checks get
-    canonical objects, so each distinct system computes its partition,
-    inverses, turn and triviality once.
+    derivation (inverse, restriction, descent) is found once per (id,
+    derivation): localsys checks it and lays out its matrices and their
+    hashes (`localsys.restriction`, `localsys.descent`, the inverses and
+    `inverse_hashes`), whose content key finds the derived id before any
+    LocalSystem is made, and only a new content is made, by localsys.
+    Checks get canonical objects, so each distinct system computes its
+    partition, inverses, turn and triviality once.
 
     One answer serves L and L.inverse_system(): every arrangement here has
     rational equations, so complex conjugation c is a homeomorphism of U
@@ -368,7 +369,7 @@ class VerifyContext:
         self._ids.setdefault(key, []).append(sid)
         return sid
 
-    def _derived_id(self, source: LocalSystem, hashes, monodromy, make) -> int:
+    def _derived_id(self, source: LocalSystem, monodromy, hashes, make) -> int:
         """The id of the content in source's field and rank with these
         matrices, whose hashes are `hashes`; make() makes a new one's system."""
         key = (source.field, source.rank, hashes)
@@ -396,9 +397,8 @@ class VerifyContext:
         the inverse of the inverse is the system itself."""
         if sid not in self._inverses:
             source = self.systems[sid]
-            hashes = source.inverse_hashes()
-            inverse = self._derived_id(source, hashes, source.inverse,
-                                       lambda: source.inverse_system(hashes))
+            inverse = self._derived_id(source, source.inverse, source.inverse_hashes,
+                                       source.inverse_system)
             self._inverses[sid], self._inverses[inverse] = inverse, sid
         return self._inverses[sid]
 
@@ -480,11 +480,9 @@ class VerifyContext:
         key = (self.intern(system), tuple(index_map))
         if key not in self._restricted:
             source, kept = self.systems[key[0]], key[1]
-            localsys.check_index_map(source, kept)
-            hashes = source._matrix_hashes
+            monodromy, _inverse, hashes = localsys.restriction(source, kept)
             self._restricted[key] = self.systems[self._derived_id(
-                source, tuple(hashes[i] for i in kept), tuple(source.monodromy[i] for i in kept),
-                lambda: localsys.restrict(source, kept))]
+                source, monodromy, hashes, lambda: localsys.restrict(source, kept))]
         return self._restricted[key]
 
     def descended(self, arr_id, system, i0):
@@ -493,11 +491,9 @@ class VerifyContext:
         key = (self.intern(system), i0)
         if key not in self._descended:
             arr, source = self.arrangements[arr_id], self.systems[key[0]]
-            localsys.check_descends(arr, source, i0)
-            hashes, mons = source._matrix_hashes, source.monodromy
+            monodromy, _inverse, hashes = localsys.descent(arr, source, i0)
             self._descended[key] = self.systems[self._derived_id(
-                source, hashes[:i0] + hashes[i0 + 1:], mons[:i0] + mons[i0 + 1:],
-                lambda: localsys.decone_system(arr, source, i0))]
+                source, monodromy, hashes, lambda: localsys.decone_system(arr, source, i0))]
         return self._descended[key]
 
     def decone(self, arr_id, i0):
@@ -669,16 +665,11 @@ def check_lefschetz(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def c1_expected_dims(system: LocalSystem):
     """Closed form on C^1 minus d points: b_0 is the dimension of the
-    common fixed space of the monodromies, b_1 = r(d-1) + b_0.  At rank 1
-    b_0 is 1 when every M_i is 1 and 0 otherwise, read off the scalars;
-    above it, r minus the rank of the stacked M_i - I."""
+    common fixed space of the monodromies, b_1 = r(d-1) + b_0."""
     r, d = system.rank, system.d
-    if r == 1:
-        b0 = int(all(m[0][0] == 1 for m in system.monodromy))
-    else:
-        stacked = [row for mat in system.monodromy
-                   for row in mat_sub_identity(system.field, mat)]
-        b0 = r - matrix_rank(FMatrixSparse.from_rows(stacked), system.field)
+    stacked = [row for mat in system.monodromy
+               for row in mat_sub_identity(system.field, mat)]
+    b0 = r - matrix_rank(FMatrixSparse.from_rows(stacked), system.field)
     return [b0, r * (d - 1) + b0]
 
 

@@ -7,20 +7,20 @@ alone and no fundamental-group presentation is needed.  Fields are Q
 and F_p.  Each system computes once, and keeps, its matrices' hashes,
 its partition (the finest blocks on which all its matrices are block
 diagonal), its commutation check and inverses, block by block on it as
-such matrices commute and invert blockwise, its total turn (the product
-of its scalars at rank 1, of its full matrices above) and whether it is
-trivial.  Systems derived from one (some of its matrices, or their
-inverses) commute already and carry its inverses over, and the hashes of
-the matrices they share with it.  Each such fact is a plain cached
-attribute: computed on first use and stored in the instance dict, where
-every later read finds it without a lock.
+such matrices commute and invert blockwise, its inverses' hashes, its
+total turn over the full matrices and whether it is trivial.  Systems
+derived from one (some of its matrices, or their inverses) commute
+already and carry its inverses over, and the hashes of the matrices they
+share with it.  Each derivation lays out the derived matrices, inverses
+and hashes in one place (`restriction`, `descent`), which `restrict`
+and `decone_system` build on and which a caller can read before making
+any system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from math import prod
+from functools import cached_property, partial, reduce
 
 from .exactla import identity_matrix, mat_inverse, mat_mul
 from .fields import FieldSpec, parse_int
@@ -29,25 +29,6 @@ from .geometry import Arrangement
 
 class LocalSystemError(Exception):
     pass
-
-
-class _cached:
-    """A fact computed once per system: the first read stores the value in
-    the instance dict under the fact's name, which, this descriptor having
-    no __set__, every later read finds first.  functools.cached_property
-    does the same, but takes a lock on each first read on Python 3.11."""
-
-    def __init__(self, compute):
-        self.compute, self.__doc__ = compute, compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, system, owner=None):
-        if system is None:
-            return self
-        value = system.__dict__[self.name] = self.compute(system)
-        return value
 
 
 @dataclass(frozen=True)
@@ -77,7 +58,7 @@ class LocalSystem:
     def __hash__(self):
         return self._hash
 
-    @_cached
+    @cached_property
     def _hash(self) -> int:
         """Computed once, over the matrix hashes taken when the system was
         made, which _distinct groups by too: a tuple does not cache its hash."""
@@ -87,7 +68,7 @@ class LocalSystem:
     def d(self) -> int:
         return len(self.monodromy)
 
-    @_cached
+    @cached_property
     def _distinct(self) -> list:
         """(matrix, positions holding it) per distinct matrix, by first
         position, for validation, partition and inversion.  A matrix is
@@ -109,7 +90,7 @@ class LocalSystem:
                     out.append((mons[j], [j]))
         return out
 
-    @_cached
+    @cached_property
     def inverse(self) -> tuple:
         """The inverse of each monodromy matrix, each distinct one inverted once
         and, being block diagonal, block by block; a singular one raises LocalSystemError."""
@@ -125,7 +106,7 @@ class LocalSystem:
                 out[j] = inverse
         return tuple(out)
 
-    @_cached
+    @cached_property
     def partition(self) -> tuple:
         """The finest partition of range(r) (blocks by least index) on which
         every M_i, so every inverse, is block diagonal: the components of the
@@ -139,24 +120,20 @@ class LocalSystem:
                     block.update(dict.fromkeys(merged := block[a] | block[b], merged))
         return tuple(dict.fromkeys(tuple(sorted(part)) for part in block.values()))
 
-    @_cached
+    @cached_property
     def trivial(self) -> bool:
         """Every monodromy matrix is the identity, decided once."""
         ident = identity_matrix(self.field, self.rank)
         return all(m == ident for m in self.monodromy)
 
-    @_cached
+    @cached_property
     def turn(self) -> tuple:
         """The product of all monodromy matrices (order-free by commutativity),
-        multiplied out once: at rank 1 as the d scalars' product (mod p), a
-        1 x 1 matrix; above it over the full matrices, so no wrong partition
-        fools it."""
-        field = self.field
-        if self.rank == 1:
-            x = prod((m[0][0] for m in self.monodromy), start=field.one)
-            return ((x % field.p if field.p else x,),)
-        return reduce(partial(mat_mul, field), self.monodromy, identity_matrix(field, self.rank))
+        multiplied out once over the full matrices, so no wrong partition fools it."""
+        return reduce(partial(mat_mul, self.field), self.monodromy,
+                      identity_matrix(self.field, self.rank))
 
+    @cached_property
     def inverse_hashes(self) -> tuple:
         """hash(M_j^-1) per position j, each distinct inverse hashed once:
         the inverse system's matrix hashes."""
@@ -167,12 +144,10 @@ class LocalSystem:
                 out[j] = h
         return tuple(out)
 
-    def inverse_system(self, hashes: tuple | None = None) -> "LocalSystem":
+    def inverse_system(self) -> "LocalSystem":
         """Entrywise matrix-inverse system (meridians act by inverses); its
-        inverse is this system's monodromy, so nothing is inverted twice.
-        `hashes`, when a caller has them, are inverse_hashes()."""
-        return _derived(self, self.inverse, self.monodromy,
-                        self.inverse_hashes() if hashes is None else hashes)
+        inverse is this system's monodromy, so nothing is inverted twice."""
+        return _derived(self, self.inverse, self.monodromy, self.inverse_hashes)
 
     def to_json(self) -> dict:
         return {
@@ -240,34 +215,38 @@ def total_turn(arr: Arrangement, system: LocalSystem):
     return system.turn
 
 
-def check_index_map(system: LocalSystem, index_map):
-    """Refuse an index map that is not injective or leaves range(system.d)."""
+def restriction(system: LocalSystem, index_map):
+    """The restricted system's (monodromy, inverses, matrix hashes), read
+    off the system's, once the index map is checked injective and in range."""
+    index_map = list(index_map)
     if len(set(index_map)) != len(index_map):
         raise LocalSystemError("index map must be injective")
     for i in index_map:
         if not 0 <= i < system.d:
             raise LocalSystemError(f"index {i} out of range 0..{system.d - 1}")
+    return tuple(tuple(seq[i] for i in index_map)
+                 for seq in (system.monodromy, system.inverse, system._matrix_hashes))
 
 
 def restrict(system: LocalSystem, index_map) -> LocalSystem:
     """System on a sub/section arrangement: hyperplane j of the target
     carries the monodromy of original hyperplane index_map[j]."""
-    index_map = list(index_map)
-    check_index_map(system, index_map)
-    inv, hashes = system.inverse, system._matrix_hashes
-    return _derived(system, tuple(system.monodromy[i] for i in index_map),
-                    tuple(inv[i] for i in index_map), tuple(hashes[i] for i in index_map))
+    return _derived(system, *restriction(system, index_map))
 
 
-def check_descends(arr: Arrangement, system: LocalSystem, i0: int):
-    """Refuse to decone unless arr is central and essential, i0 one of its
-    hyperplanes and the system's total turn (cached) the identity."""
+def descent(arr: Arrangement, system: LocalSystem, i0: int):
+    """The descended system's (monodromy, inverses, matrix hashes): the
+    system's without position i0, once arr is checked central and
+    essential, i0 one of its hyperplanes and the total turn (cached) the
+    identity."""
     if not (arr.is_central and arr.is_essential):
         raise LocalSystemError("decone_system needs a central essential arrangement")
     if not 0 <= i0 < arr.d:
         raise LocalSystemError(f"hyperplane index {i0} out of range")
     if total_turn(arr, system) != identity_matrix(system.field, system.rank):
         raise LocalSystemError("system does not descend: total turn is not the identity")
+    return tuple(seq[:i0] + seq[i0 + 1:]
+                 for seq in (system.monodromy, system.inverse, system._matrix_hashes))
 
 
 def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem:
@@ -275,10 +254,7 @@ def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem
 
     Only systems whose total turn is the identity descend; others are
     rejected."""
-    check_descends(arr, system, i0)
-    mons, inv, hashes = system.monodromy, system.inverse, system._matrix_hashes
-    return _derived(system, mons[:i0] + mons[i0 + 1:], inv[:i0] + inv[i0 + 1:],
-                    hashes[:i0] + hashes[i0 + 1:])
+    return _derived(system, *descent(arr, system, i0))
 
 
 def local_system_from_json(obj) -> LocalSystem:

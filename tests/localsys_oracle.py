@@ -1,14 +1,9 @@
 """Full-matrix oracles for `LocalSystem`'s block-by-block validation and
 inversion: every pair of distinct monodromy matrices multiplied both
 ways at full size, and every distinct matrix inverted whole by
-Gauss-Jordan (`exactla.mat_inverse`).  Neither reads the partition.
-And for the rank-1 scalar forms: the total turn as d matrix products,
-and the C^1 closed form's b_0 as r minus the rank of the stacked M_i - I."""
+Gauss-Jordan (`exactla.mat_inverse`).  Neither reads the partition."""
 
-from functools import partial, reduce
-
-from arrtop.exactla import (FMatrixSparse, identity_matrix, mat_inverse, mat_mul,
-                            mat_sub_identity, rank)
+from arrtop.exactla import mat_inverse, mat_mul
 
 
 def first_noncommuting_pair(field, matrices):
@@ -29,18 +24,3 @@ def first_noncommuting_pair(field, matrices):
 def full_inverses(field, matrices):
     """Each matrix inverted whole; ValueError when one is singular."""
     return tuple(mat_inverse(field, m) for m in matrices)
-
-
-def full_turn(system):
-    """The product of the monodromy matrices, d matrix products."""
-    return reduce(partial(mat_mul, system.field), system.monodromy,
-                  identity_matrix(system.field, system.rank))
-
-
-def full_c1_expected_dims(system):
-    """[b_0, b_1] on C^1 minus d points, b_0 the dimension of the common
-    fixed space: r minus the rank of the stacked M_i - I."""
-    r, d = system.rank, system.d
-    stacked = [row for m in system.monodromy for row in mat_sub_identity(system.field, m)]
-    b0 = r - rank(FMatrixSparse.from_rows(stacked), system.field)
-    return [b0, r * (d - 1) + b0]

@@ -112,6 +112,26 @@ def test_info_missing_file_exits_2(tmp_path, capsys):
     assert main(["info", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"dim": 1, "hyperplanes": [{"label": "\xff", "normal": ["1"], "offset": "0"}]}',
+    b'{"dim": ' + b"1" * 5000 + b', "hyperplanes": []}',
+], ids=["not-utf8", "int-past-the-digit-limit"])
+@pytest.mark.parametrize("command", ["info", "betti-arrangement", "betti-system", "verify"])
+def test_an_unreadable_input_file_exits_2(tmp_path, capsys, command, content):
+    # UnicodeDecodeError and json's int-length error are ValueErrors, which
+    # the file reader refuses as input errors, not internal failures
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {"info": ["info", str(bad)],
+            "betti-arrangement": ["betti", str(bad), "--system",
+                                  write(tmp_path, "sys.json", SYS_222_Q)],
+            "betti-system": ["betti", write(tmp_path, "gen3.json", GEN3), "--system", str(bad)],
+            "verify": ["verify", str(bad)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
 def test_betti_command(tmp_path, capsys):
     code = main(["betti", write(tmp_path, "gen3.json", GEN3),
                  "--system", write(tmp_path, "sys.json", SYS_222_Q)])

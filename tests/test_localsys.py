@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from localsys_oracle import (first_noncommuting_pair, full_c1_expected_dims, full_inverses,
-                             full_turn)
+from localsys_oracle import first_noncommuting_pair, full_inverses
 from test_reduction import FIELDS, block_diagonal_systems, commuting_systems, conjugated_jordan
 
 from arrtop import localsys
@@ -11,8 +10,7 @@ from arrtop.exactla import identity_matrix, mat_mul
 from arrtop.fields import FieldSpec
 from arrtop.geometry import decone, generic_section, intersection_poset, localize, zero_flats
 from arrtop.harness import (CorpusSpec, VerifyContext, braid_essentialized,
-                            c1_expected_dims, check_central_structure, generate_corpus,
-                            named_arrangements)
+                            check_central_structure, generate_corpus, named_arrangements)
 from arrtop.localsys import (
     LocalSystem,
     LocalSystemError,
@@ -339,62 +337,23 @@ def test_derived_systems_neither_check_nor_invert_again(monkeypatch):
         assert got == twisted_betti(sc, fresh)
 
 
-def test_rank_1_turn_and_fixed_space_agree_with_the_full_matrix_forms():
-    # every rank-1 system of the seed-0 corpus, its inverse, and each of
-    # their restrictions to a prefix or a suffix of the hyperplanes: the
-    # scalar product and the "every M_i = 1" b_0 against d matrix products
-    # and the stacked rank
-    cases = []
-    for item in generate_corpus(CorpusSpec(seed=0)):
-        for _sys_id, system in item.systems:
-            if system.rank == 1:
-                for s in (system, system.inverse_system()):
-                    cases += [s, *(restrict(s, range(k)) for k in range(s.d)),
-                              *(restrict(s, range(k, s.d)) for k in range(1, s.d))]
-    for system in cases:
-        assert system.turn == full_turn(system), system
-        assert c1_expected_dims(system) == full_c1_expected_dims(system), system
-    # not vacuous: turns equal to 1 and not, b_0 of 1 and 0, and systems
-    # trivial but at their last hyperplane, which a form skipping M_d misses
-    assert len(cases) > 5000
-    assert {s.turn == ((1,),) for s in cases} == {True, False}
-    assert {c1_expected_dims(s)[0] for s in cases} == {0, 1}
-    assert any(s.d and all(m == ((1,),) for m in s.monodromy[:-1]) and s.monodromy[-1] != ((1,),)
-               for s in cases)
-
-
-def turn_products(monkeypatch, system):
-    """The calls of localsys.prod and localsys.mat_mul while the
-    central-structure check runs on braid4 (taking the total turn, then
-    descending the system along every decone, which needs that turn to
-    be the identity) and while total_turn is asked again."""
+def test_each_system_multiplies_its_total_turn_once(monkeypatch):
+    # the central-structure check takes the total turn, then descends the
+    # system along every decone, which needs that turn to be the identity:
+    # the d matrices are multiplied out once, not again per decone
     braid4 = braid_essentialized(4)
     ctx = VerifyContext(seed=0)
     ctx.register("braid4", braid4)
-    counted = {"prod": [], "mat_mul": []}
-    for name, seen in counted.items():
-        real = getattr(localsys, name)
-        monkeypatch.setattr(localsys, name, lambda *args, real=real, seen=seen, **kwargs:
-                            seen.append(args) or real(*args, **kwargs))
+    system = scalar_system(F7, [2, 4, 3, 5, 1, 1])        # 2·4·3·5 = 120 = 1 mod 7
+    products = []
+    real_mul = localsys.mat_mul
+    monkeypatch.setattr(localsys, "mat_mul", lambda *args: products.append(args) or real_mul(*args))
     report = check_central_structure(ctx, "braid4", "s", system)
     assert report.status == "pass" and report.data["case"] == "turn-identity"
     assert all(f"decone{i0}" in report.data for i0 in range(braid4.d))
-    assert total_turn(braid4, system) == system.turn == identity_matrix(F7, system.rank)
-    return {name: len(seen) for name, seen in counted.items()}
-
-
-def test_each_system_multiplies_its_total_turn_once(monkeypatch):
-    # the turn is multiplied out once, not again per decone: at rank 1 as
-    # one product of the d scalars, with no matrix product
-    system = scalar_system(F7, [2, 4, 3, 5, 1, 1])        # 2·4·3·5 = 120 = 1 mod 7
-    assert turn_products(monkeypatch, system) == {"prod": 1, "mat_mul": 0}
-
-
-def test_a_rank_2_system_multiplies_its_full_matrices_once(monkeypatch):
-    # above rank 1 the turn is the d full matrices multiplied out once
-    system = build_local_system(F7, 2, [[[a, 0], [0, b]] for a, b in
-                                        ((2, 3), (4, 5), (3, 1), (5, 1), (1, 1), (1, 1))])
-    assert turn_products(monkeypatch, system) == {"prod": 0, "mat_mul": 6}
+    assert len(products) == braid4.d
+    assert total_turn(braid4, system) == system.turn == ((1,),)
+    assert len(products) == braid4.d
 
 
 def test_hand_built_singular_system_fails_on_first_use():
