@@ -7,7 +7,8 @@ Subcommands:
   corpus  generate --seed N --out dir    write a corpus to disk
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage,
-parse or precondition error, 3 internal failure (a failed gate, memory
+parse or precondition error (an unreadable input file or an unwritable
+--out path included), 3 internal failure (a failed gate, memory
 exhausted, any other unexpected error, a bare ValueError included),
 reported on stderr without a traceback.  Input is checked where it
 enters and refused with an input error type; identical inputs and seed
@@ -47,9 +48,20 @@ def _report_text(out) -> str:
     return f'{{"reports": [\n{reports}\n],\n"summary": {base.encode(out["summary"])}}}\n'
 
 
+def _write(path: Path, text: str, parents=False):
+    """Write a file, making its missing directories when `parents`; a path
+    that cannot be written is an input error, like one that cannot be read."""
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ArrangementError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text, out_path):
     if out_path:
-        Path(out_path).write_text(text)
+        _write(Path(out_path), text)
     else:
         sys.stdout.write(text)
 
@@ -208,15 +220,13 @@ def cmd_corpus(args) -> int:
     spec = CorpusSpec(seed=args.seed)
     corpus = harness.generate_corpus(spec)
     root = Path(args.out)
-    root.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": args.seed, "arrangements": []}
     for item in corpus:
         arr_dir = root / item.arrangement_id
-        arr_dir.mkdir(exist_ok=True)
-        (arr_dir / "arrangement.json").write_text(_dump(item.arrangement.to_json()))
+        _write(arr_dir / "arrangement.json", _dump(item.arrangement.to_json()), parents=True)
         sys_index = []
         for sys_id, system in item.systems:
-            (arr_dir / f"{sys_id}.json").write_text(_dump(system.to_json()))
+            _write(arr_dir / f"{sys_id}.json", _dump(system.to_json()))
             sys_index.append(sys_id)
         manifest["arrangements"].append({
             "id": item.arrangement_id,
@@ -224,7 +234,7 @@ def cmd_corpus(args) -> int:
             "num_hyperplanes": item.arrangement.d,
             "systems": sys_index,
         })
-    (root / "manifest.json").write_text(_dump(manifest))
+    _write(root / "manifest.json", _dump(manifest), parents=True)
     sys.stderr.write(f"wrote {len(corpus)} arrangements under {root}\n")
     return 0
 

@@ -312,21 +312,16 @@ class VerifyContext:
     system).  That is sound: the complex is built from the covectors alone
     (Salvetti 1987), and twisted_betti depends on it and the system only.
 
-    Local systems have int ids.  Each distinct content (LocalSystem's full
-    equality: field, rank and every matrix) has one id and one canonical
-    object, found by its content key (field, rank, the matrices' hashes),
-    then by comparing the matrices, which takes an identical matrix as
-    equal without reading it; a key lists every content that has it, more
-    than one only on a hash collision.  Every table keys on those ids:
-    equal systems share an id and unequal ones never do.  `intern` looks
-    up an object met before by id(); a new one once by content.  A
-    derivation (inverse, restriction, descent) is found once per (id,
-    derivation): localsys checks it and lays out its matrices and their
-    hashes (`localsys.restriction`, `localsys.descent`, the inverses and
-    `inverse_hashes`), whose content key finds the derived id before any
-    LocalSystem is made, and only a new content is made, by localsys.
-    Checks get canonical objects, so each distinct system computes its
-    partition, inverses, turn and triviality once.
+    Local systems key the tables themselves, by LocalSystem's equality
+    (field, rank and every matrix), so equal systems share every entry and
+    unequal ones never do.  One content table maps each system to the
+    first object of its content met, the canonical one.  A system is made
+    canonical where it enters the run: the corpus's, the constant ones
+    check_constant_equality makes, and each inverse, restriction and
+    descent, made by localsys once per (system, derivation), carrying its
+    source's inverses and matrix hashes.  So the checks pass canonical
+    objects, and a lookup hashes a cached int and compares by identity;
+    only `canonical` compares the matrices of a new object.
 
     One answer serves L and L.inverse_system(): every arrangement here has
     rational equations, so complex conjugation c is a homeomorphism of U
@@ -339,68 +334,31 @@ class VerifyContext:
         self.seed = seed
         self.primes = tuple(primes)
         self.arrangements = {}
-        self.systems = []        # system id -> its canonical LocalSystem
-        self.dimension1 = {}     # (arr_id, sys_id, system id) -> dims, dimension-1 arrangements
+        self.dimension1 = {}     # (arr_id, sys_id, system) -> dims, dimension-1 arrangements
         self._betti = {}
         self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
         self._covectors = {}     # arr_id -> index of its covector set
         self._salvetti = []      # covector set index -> complex
-        self._ids = {}           # content key -> ids of its contents (one, unless hashes collide)
-        self._met = {}           # id() of each system met -> (its id, the object, kept alive)
-        self._inverses = {}      # system id -> its inverse system's id, both ways
-        self._answers = {}       # (covector set index, system id) -> twisted Betti numbers
-        self._c1 = {}            # system id -> c1_expected_dims of its system
+        self._systems = {}       # system -> the canonical object of its content
+        self._inverses = {}      # system -> its inverse system, both ways
+        self._answers = {}       # (covector set index, system) -> twisted Betti numbers
+        self._c1 = {}            # system -> c1_expected_dims of it
         self._locals = {}
-        self._restricted = {}    # (system id, index map) -> canonical restricted system
-        self._descended = {}     # (system id, i0) -> canonical descended system
-
-    def _find(self, key, monodromy):
-        """The id of the content with this key and these matrices, or None."""
-        for sid in self._ids.get(key, ()):
-            if self.systems[sid].monodromy == monodromy:
-                return sid
-        return None
-
-    def _add(self, key, system: LocalSystem) -> int:
-        """A new content's id, with `system` as its canonical object."""
-        sid = len(self.systems)
-        self.systems.append(system)
-        self._met[id(system)] = (sid, system)
-        self._ids.setdefault(key, []).append(sid)
-        return sid
-
-    def _derived_id(self, source: LocalSystem, monodromy, hashes, make) -> int:
-        """The id of the content in source's field and rank with these
-        matrices, whose hashes are `hashes`; make() makes a new one's system."""
-        key = (source.field, source.rank, hashes)
-        sid = self._find(key, monodromy)
-        return self._add(key, make()) if sid is None else sid
-
-    def intern(self, system: LocalSystem) -> int:
-        """The id of the system's content.  An object met before is found
-        by id(), which no other object takes while the run keeps it; a new
-        one is looked up once by content."""
-        met = self._met.get(id(system))
-        if met is None:
-            key = (system.field, system.rank, system._matrix_hashes)
-            sid = self._find(key, system.monodromy)
-            if sid is None:
-                sid = self._add(key, system)
-            met = self._met[id(system)] = (sid, system)
-        return met[0]
+        self._restricted = {}    # (system, index map) -> restricted system
+        self._descended = {}     # (system, i0) -> descended system
 
     def canonical(self, system: LocalSystem) -> LocalSystem:
-        return self.systems[self.intern(system)]
+        """The first object met of the system's content."""
+        return self._systems.setdefault(system, system)
 
-    def _inverse_id(self, sid: int) -> int:
-        """The id of system `sid`'s inverse system, found once per pair:
-        the inverse of the inverse is the system itself."""
-        if sid not in self._inverses:
-            source = self.systems[sid]
-            inverse = self._derived_id(source, source.inverse, source.inverse_hashes,
-                                       source.inverse_system)
-            self._inverses[sid], self._inverses[inverse] = inverse, sid
-        return self._inverses[sid]
+    def inverse(self, system: LocalSystem) -> LocalSystem:
+        """The system's canonical inverse system, made once per pair: the
+        inverse of the inverse is the system itself."""
+        inverse = self._inverses.get(system)
+        if inverse is None:
+            inverse = self.canonical(system.inverse_system())
+            self._inverses[system], self._inverses[inverse] = inverse, system
+        return inverse
 
     def register(self, arr_id: str, arr: Arrangement):
         self.arrangements[arr_id] = arr
@@ -432,23 +390,23 @@ class VerifyContext:
         return self._salvetti[self.covector_set(arr_id)]
 
     def dims(self, arr_id, sys_id, system):
-        # keyed on the system's interned content id, so no answer is ever
-        # shared by sys_id alone, and none is missed between equal systems
-        sid = self.intern(system)
-        key = (self.covector_set(arr_id), sid)
-        if key not in self._answers:
-            self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), self.systems[sid])
-            self._answers.setdefault((key[0], self._inverse_id(sid)), self._answers[key])
+        # keyed on the system, so no answer is ever shared by sys_id alone,
+        # and none is missed between equal systems
+        key = (self.covector_set(arr_id), system)
+        dims = self._answers.get(key)
+        if dims is None:
+            dims = self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
+            self._answers.setdefault((key[0], self.inverse(system)), dims)
         if self.arrangements[arr_id].dim == 1:
-            self.dimension1[arr_id, sys_id, sid] = self._answers[key]
-        return self._answers[key]
+            self.dimension1[arr_id, sys_id, system] = dims
+        return dims
 
     def c1_expected(self, system):
-        sid = self.intern(system)
-        if sid not in self._c1:
-            self._c1[sid] = c1_expected_dims(self.systems[sid])
-            self._c1.setdefault(self._inverse_id(sid), self._c1[sid])
-        return self._c1[sid]
+        expected = self._c1.get(system)
+        if expected is None:
+            expected = self._c1[system] = c1_expected_dims(system)
+            self._c1.setdefault(self.inverse(system), expected)
+        return expected
 
     def section(self, arr_id, k):
         """The id of the certified generic k-section of the arrangement:
@@ -477,24 +435,21 @@ class VerifyContext:
 
     def restricted(self, system, index_map):
         """The system restricted along index_map (see localsys.restrict)."""
-        key = (self.intern(system), tuple(index_map))
-        if key not in self._restricted:
-            source, kept = self.systems[key[0]], key[1]
-            monodromy, _inverse, hashes = localsys.restriction(source, kept)
-            self._restricted[key] = self.systems[self._derived_id(
-                source, monodromy, hashes, lambda: localsys.restrict(source, kept))]
-        return self._restricted[key]
+        key = (system, tuple(index_map))
+        restricted = self._restricted.get(key)
+        if restricted is None:
+            restricted = self._restricted[key] = self.canonical(localsys.restrict(*key))
+        return restricted
 
     def descended(self, arr_id, system, i0):
         """The system descended along deconing at hyperplane i0; the
         arrangement only lets localsys check that it descends."""
-        key = (self.intern(system), i0)
-        if key not in self._descended:
-            arr, source = self.arrangements[arr_id], self.systems[key[0]]
-            monodromy, _inverse, hashes = localsys.descent(arr, source, i0)
-            self._descended[key] = self.systems[self._derived_id(
-                source, monodromy, hashes, lambda: localsys.decone_system(arr, source, i0))]
-        return self._descended[key]
+        key = (system, i0)
+        descended = self._descended.get(key)
+        if descended is None:
+            descended = self._descended[key] = self.canonical(
+                localsys.decone_system(self.arrangements[arr_id], *key))
+        return descended
 
     def decone(self, arr_id, i0):
         m_id = f"{arr_id}|dec{i0}"
@@ -533,7 +488,7 @@ def check_constant_equality(ctx: VerifyContext, arr_id: str, r: int) -> CheckRep
     complex; the ranks are kept on purpose, as a second computation."""
     arr = ctx.arrangement(arr_id)
     q = FieldSpec.rationals()
-    system = LocalSystem(q, r, (identity_matrix(q, r),) * arr.d)
+    system = ctx.canonical(LocalSystem(q, r, (identity_matrix(q, r),) * arr.d))
     dims = ctx.dims(arr_id, f"const-r{r}", system)
     b = ctx.betti(arr_id)
     expected = [r * x for x in b]
@@ -691,8 +646,7 @@ ARRANGEMENT, SYSTEM, DIMS_CACHE = "arrangement", "system", "dims-cache"
 def _cached_dimension1(ctx):
     """(arr_id, sys_id, system, dims) per dimension-1 answer, sorted by
     ids, since systems have no order (file ids carry a `file:` prefix)."""
-    return sorted(((arr_id, sys_id, ctx.systems[sid], dims)
-                   for (arr_id, sys_id, sid), dims in ctx.dimension1.items()),
+    return sorted(((*key, dims) for key, dims in ctx.dimension1.items()),
                   key=lambda entry: entry[:2])
 
 

@@ -9,12 +9,10 @@ its partition (the finest blocks on which all its matrices are block
 diagonal), its commutation check and inverses, block by block on it as
 such matrices commute and invert blockwise, its inverses' hashes, its
 total turn over the full matrices and whether it is trivial.  Systems
-derived from one (some of its matrices, or their inverses) commute
-already and carry its inverses over, and the hashes of the matrices they
-share with it.  Each derivation lays out the derived matrices, inverses
-and hashes in one place (`restriction`, `descent`), which `restrict`
-and `decone_system` build on and which a caller can read before making
-any system.
+derived from one (`inverse_system`, `restrict`, `decone_system`: some of
+its matrices, or their inverses) commute already and carry its inverses
+over, and the hashes of their matrices (an inverse system's are its
+source's inverses' hashes), so no matrix is inverted or hashed again.
 """
 
 from __future__ import annotations
@@ -166,15 +164,14 @@ def _invert(field: FieldSpec, m, block):
 
 
 def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple,
-             hashes: tuple | None = None) -> LocalSystem:
+             hashes: tuple) -> LocalSystem:
     """A system on matrices of `system`'s checked family (some of them, or
-    their inverses) with `inverse` as its inverses, and `hashes` as its
-    matrices' hashes when they are some of `system`'s.  Inverses and subsets
-    of a commuting family commute, so __post_init__'s check does not run."""
+    their inverses) with `inverse` as its inverses and `hashes` as its
+    matrices' hashes.  Inverses and subsets of a commuting family commute,
+    so __post_init__'s check does not run."""
     derived = object.__new__(LocalSystem)
-    derived.__dict__.update(
-        field=system.field, rank=system.rank, monodromy=monodromy, inverse=inverse,
-        _matrix_hashes=tuple(map(hash, monodromy)) if hashes is None else hashes)
+    derived.__dict__.update(field=system.field, rank=system.rank, monodromy=monodromy,
+                            inverse=inverse, _matrix_hashes=hashes)
     return derived
 
 
@@ -191,6 +188,8 @@ def build_local_system(fieldspec: FieldSpec, rank: int, matrices) -> LocalSystem
         if len(rows) != rank or any(len(row) != rank for row in rows):
             raise LocalSystemError(f"matrix {idx + 1} is not {rank}x{rank}")
         mats.append(rows)
+    if not mats:                         # before anything sized by the rank is built
+        raise LocalSystemError("a local system needs one matrix per hyperplane, got none")
     system = LocalSystem(fieldspec, rank, tuple(mats))
     system.inverse                       # raises on a singular matrix; kept for later use
     return system
@@ -215,46 +214,36 @@ def total_turn(arr: Arrangement, system: LocalSystem):
     return system.turn
 
 
-def restriction(system: LocalSystem, index_map):
-    """The restricted system's (monodromy, inverses, matrix hashes), read
-    off the system's, once the index map is checked injective and in range."""
+def restrict(system: LocalSystem, index_map) -> LocalSystem:
+    """System on a sub/section arrangement: hyperplane j of the target
+    carries the monodromy of original hyperplane index_map[j], with its
+    inverse and hash."""
     index_map = list(index_map)
     if len(set(index_map)) != len(index_map):
         raise LocalSystemError("index map must be injective")
     for i in index_map:
         if not 0 <= i < system.d:
             raise LocalSystemError(f"index {i} out of range 0..{system.d - 1}")
-    return tuple(tuple(seq[i] for i in index_map)
-                 for seq in (system.monodromy, system.inverse, system._matrix_hashes))
+    return _derived(system, *(tuple(seq[i] for i in index_map)
+                              for seq in (system.monodromy, system.inverse,
+                                          system._matrix_hashes)))
 
 
-def restrict(system: LocalSystem, index_map) -> LocalSystem:
-    """System on a sub/section arrangement: hyperplane j of the target
-    carries the monodromy of original hyperplane index_map[j]."""
-    return _derived(system, *restriction(system, index_map))
+def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem:
+    """Descend along the deconing of a central essential arrangement: the
+    system without hyperplane i0, with its inverses and hashes.
 
-
-def descent(arr: Arrangement, system: LocalSystem, i0: int):
-    """The descended system's (monodromy, inverses, matrix hashes): the
-    system's without position i0, once arr is checked central and
-    essential, i0 one of its hyperplanes and the total turn (cached) the
-    identity."""
+    Only systems whose total turn (cached) is the identity descend; others
+    are rejected."""
     if not (arr.is_central and arr.is_essential):
         raise LocalSystemError("decone_system needs a central essential arrangement")
     if not 0 <= i0 < arr.d:
         raise LocalSystemError(f"hyperplane index {i0} out of range")
     if total_turn(arr, system) != identity_matrix(system.field, system.rank):
         raise LocalSystemError("system does not descend: total turn is not the identity")
-    return tuple(seq[:i0] + seq[i0 + 1:]
-                 for seq in (system.monodromy, system.inverse, system._matrix_hashes))
-
-
-def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem:
-    """Descend along the deconing of a central essential arrangement.
-
-    Only systems whose total turn is the identity descend; others are
-    rejected."""
-    return _derived(system, *descent(arr, system, i0))
+    return _derived(system, *(seq[:i0] + seq[i0 + 1:]
+                              for seq in (system.monodromy, system.inverse,
+                                          system._matrix_hashes)))
 
 
 def local_system_from_json(obj) -> LocalSystem:

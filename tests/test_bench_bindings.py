@@ -1,11 +1,14 @@
 """The benchmark's tracer patches arrtop functions by name; a refactor
-that renames one would silently drop a layer from traced runs."""
+that renames one would silently drop a layer from traced runs, and one
+that stops calling one would fail the traced run's required spans."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
 from conftest import make_arrangement
 
 from arrtop.exactla import FMatrixSparse
@@ -15,6 +18,7 @@ from arrtop.realfaces import enumerate_faces
 from arrtop.salvetti import build_salvetti
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 # Traced names whose function left arrtop with its work, not under a new
 # name: the tracer lists them as not found.  Each must stay gone.
@@ -57,10 +61,11 @@ def test_every_traced_name_resolves_in_arrtop():
         assert value in functions, f"{dotted} is not bound to a traced function"
 
 
-def _load_spans():
-    """perfbench/spans.py as a module, loaded by path."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
+def _load(path):
+    """A perfbench module, loaded by path (and listed in sys.modules,
+    where dataclasses look a module up)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -79,7 +84,7 @@ def test_every_hook_reads_a_real_result():
         "salvetti.build_salvetti": ((fc,), (7, 18, 12)),
         "salvetti.twisted_complex": ((sc, scalar_system(q, [2, 3, 5])), None),
     }
-    hooks = _load_spans().HOOKS
+    hooks = _load(SPANS).HOOKS
     assert set(hooks) == set(calls)
     for name, hook in hooks.items():
         layer, attr = name.split(".")
@@ -89,3 +94,24 @@ def test_every_hook_reads_a_real_result():
             assert isinstance(got, int) and got > 0
         else:
             assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(_load(WORKLOADS).WORKLOADS))
+def test_each_workload_makes_its_required_traced_calls(name, tmp_path):
+    # one traced set-up and pass at the benchmark's seed, checked as a
+    # traced run checks them: each required span, "<layer" naming the
+    # layer of its caller, was called at least once
+    workload = _load(WORKLOADS).WORKLOADS[name]
+    tracer = _load(SPANS).Tracer(None)
+    tracer.install()
+    try:
+        workload.execute(workload.setup(1), 1, tmp_path)
+    finally:
+        tracer.uninstall()
+    seen = tracer.calls_by_parent_layer()
+    missing = []
+    for required in workload.required_spans:
+        span, _, parent = required.partition("<")
+        if not any(n == span and (not parent or p == parent) for n, p in seen):
+            missing.append(required)
+    assert missing == []

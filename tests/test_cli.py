@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from dataclasses import replace
 
 import pytest
@@ -130,6 +131,38 @@ def test_an_unreadable_input_file_exits_2(tmp_path, capsys, command, content):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["info", "betti", "verify", "corpus"])
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys, command):
+    # a directory, paths under a missing directory, and an existing file
+    # as the corpus root: each refused as an input error, not exit 3
+    gen3, taken = write(tmp_path, "gen3.json", GEN3), tmp_path / "taken"
+    taken.write_text("")
+    out, argv = {
+        "info": (tmp_path, ["info", gen3]),
+        "betti": (tmp_path / "missing" / "x.json",
+                  ["betti", gen3, "--system", write(tmp_path, "sys.json", SYS_222_Q)]),
+        "verify": (tmp_path / "missing" / "r.json", ["verify", "--all", "--checks", "euler"]),
+        "corpus": (taken, ["corpus", "generate"]),
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_a_system_with_no_matrices_exits_2_before_its_rank_is_used(tmp_path, capsys, command):
+    # no arrangement has zero hyperplanes; anything sized by rank 10^9
+    # would take minutes and gigabytes
+    gen3 = write(tmp_path, "gen3.json", GEN3)
+    system = write(tmp_path, "sys.json", {"field": {"kind": "Q"}, "rank": 10**9, "monodromy": []})
+    argv = ["betti", gen3, "--system", system] if command == "betti" else ["verify", gen3, system]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: a local system needs one matrix per hyperplane, got none\n"
 
 
 def test_betti_command(tmp_path, capsys):

@@ -7,10 +7,10 @@ ones, checked on every pair a run asks for by the slow path.  Then the
 answers a run gives, and the region counts on the faces its shared
 complexes hold, against those of each arrangement's own faces, and the
 work the run does, counted.  The reports of the seed 0, 1 and 2 runs are
-pinned by their sha256.  Every system a run meets is interned to one id
-and one object per content: the systems it makes and compares are
-counted, and intern tables keyed by id() or by (field, rank) fail the
-answer count and the report pin."""
+pinned by their sha256.  The run's tables key on the systems, one
+canonical object per content: the systems it makes, hashes and compares
+are counted, and LocalSystem equality by identity or by (field, rank)
+fails the answer count, the run or the report pin."""
 
 import hashlib
 import random
@@ -174,16 +174,15 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
     for run in range(2):
         reports, _summary = run_verification(corpus, seed=0, checks=("lefschetz", "c1_oracle"))
         ctx = contexts[run]
-        assert ctx.dimension1 == {(arr_id, sys_id, ctx.intern(system)): dims
-                                  for (arr_id, sys_id, system), dims in ctx.asked.items()
-                                  if ctx.arrangement(arr_id).dim == 1}
-        ids = {sid for _arr_id, _sys_id, sid in ctx.dimension1}
-        systems = {ctx.systems[sid] for sid in ids}
-        assert len(systems) == len(ids)                      # one id per content
+        assert ctx.dimension1 == {key: dims for key, dims in ctx.asked.items()
+                                  if ctx.arrangement(key[0]).dim == 1}
+        systems = [system for _arr_id, _sys_id, system in ctx.dimension1]
+        assert all(ctx.canonical(system) is system for system in systems)
         pairs = {frozenset((system, system.inverse_system())) for system in systems}
         c1_reports = sum(1 for r in reports if r.check == "c1_oracle")
-        assert c1_reports > len(systems) > len(pairs) > 0    # systems repeat across ids
-        expected += len(pairs)                               # nothing kept across runs
+        assert c1_reports > len(set(systems)) > len(pairs) > 0  # systems repeat across ids
+        assert all(args[0] is ctx.canonical(args[0]) for args in oracle[expected:])
+        expected += len(pairs)                                  # nothing kept across runs
         assert len(oracle) == expected
 
 
@@ -192,24 +191,21 @@ def test_one_restricted_system_per_system_and_index_map(contexts, call_counter, 
     corpus, checks = generate_corpus(CorpusSpec(seed=0)), ("local_global", "nearby_section")
     reports, _summary = run_verification(corpus, seed=0, checks=checks)
     (ctx,) = contexts
-    # one entry per (id, index map), each the restriction made afresh
-    pairs = {(ctx.systems[sid], index_map) for sid, index_map in ctx._restricted}
-    assert len(pairs) == len(ctx._restricted) == 3790
-    assert all(restricted == restrict(ctx.systems[sid], index_map)
-               for (sid, index_map), restricted in ctx._restricted.items())
-    # found by content key before any system is made: restrict runs once
-    # per new content, 3790 times when each pair made its system
-    contents = set(ctx._restricted.values())
-    made = [restrict(system, index_map) for system, index_map in restricts]
-    assert len(restricts) == len(set(made)) == 548 and set(made) <= contents
-    assert len(contents) == 1805
+    # one entry per (system, index map), each the restriction made afresh;
+    # restrict runs once per entry, and equal restrictions share one object
+    assert len(ctx._restricted) == len(restricts) == 3790
+    assert all(restricted == restrict(system, index_map)
+               for (system, index_map), restricted in ctx._restricted.items())
+    assert restricts == list(ctx._restricted)
+    assert len(set(ctx._restricted.values())) == 1805
+    assert len({id(r) for r in ctx._restricted.values()}) == 1805
     uses = sum(len(r.data["local_tops"]) if r.check == "local_global" else 1 for r in reports)
-    assert uses > len(pairs)                               # pairs repeat across reports
+    assert uses > len(ctx._restricted)                     # pairs repeat across reports
     # the same reports with every restricted system made afresh
     monkeypatch.setattr(harness.VerifyContext, "restricted",
                         lambda self, system, index_map: localsys.restrict(system, index_map))
     fresh, _summary = run_verification(corpus, seed=0, checks=checks)
-    assert len(restricts) == 548 + uses
+    assert len(restricts) == 3790 + uses
     assert [r.to_json() for r in fresh] == [r.to_json() for r in reports]
 
 
@@ -268,15 +264,16 @@ def test_the_pair_oracle_fails_when_t_inverse_is_evaluated_at_m(contexts, monkey
     # a mutation no gate sees: each t_i^-1 evaluated at M_i, not M_i^-1
     real = salvetti.twisted_complex
     monkeypatch.setattr(salvetti, "twisted_complex", lambda sc, system: real(
-        sc, localsys._derived(system, system.monodromy, system.monodromy)))
+        sc, localsys._derived(system, system.monodromy, system.monodromy,
+                              system._matrix_hashes)))
     run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
     (ctx,) = contexts
     assert pair_mismatches(ctx)
 
 
 # ---------------------------------------------------------------------------
-# the run interns each local system: one id and one canonical object per
-# content, which every table keys on
+# the run's tables key on the systems themselves, one canonical object per
+# content, so every lookup after the first compares by identity
 
 
 def count_system_work(monkeypatch):
@@ -299,14 +296,17 @@ def count_system_work(monkeypatch):
 
 
 # systems made, and their __hash__ and __eq__ calls, in `verify --all
-# --seed 0`, corpus generation included; 10154, 106984 and 38882 when the
-# run's tables keyed on the systems themselves, and 6946, 9298 and 4721
-# when each derivation made its system before interning it
-SEED0_SYSTEM_WORK = {"made": 2802, "hash": 2734, "eq": 322}
+# --seed 0`, corpus generation included.  Earlier designs: 10154, 106984
+# and 38882 when tables keyed on whatever object a check passed; 6946,
+# 9298 and 4721 with int ids, each derivation made before it was
+# interned; 2802, 2734 and 322 with derivations found by a content key
+# before any system was made.  Now each derivation is made once per
+# (system, derivation) and each hash returns a cached int.
+SEED0_SYSTEM_WORK = {"made": 6946, "hash": 72817, "eq": 4721}
 
 
-def test_the_run_makes_and_compares_each_system_once_per_content(monkeypatch, call_counter,
-                                                                 tmp_path):
+def test_the_run_makes_hashes_and_compares_systems_as_pinned(monkeypatch, call_counter,
+                                                            tmp_path):
     counts = count_system_work(monkeypatch)
     answers = call_counter(salvetti, "twisted_betti")
     out = tmp_path / "report.json"
@@ -322,35 +322,31 @@ def test_the_engine_and_derivations_get_one_object_per_content(contexts, call_co
                                   (localsys, "decone_system"), (localsys, "total_turn"))}
     run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
     (ctx,) = contexts
-    assert len(set(ctx.systems)) == len(ctx.systems)          # one id per content
-    canonical = {id(system) for system in ctx.systems}
+    assert all(key is system for key, system in ctx._systems.items())
+    canonical = {id(system) for system in ctx._systems}
     for name, args in calls.items():
         got = [arg for call in args for arg in call if isinstance(arg, LocalSystem)]
         assert got and all(id(system) in canonical for system in got), name
     for _arr_id, _sys_id, system in ctx.asked:
-        assert ctx.systems[ctx.intern(system)] == system
+        assert ctx.canonical(system) is system
 
 
-def intern_keyed_by(key):
-    """VerifyContext.intern with its content table keyed by key(system)."""
-    def intern(self, system):
-        met = self._met.get(id(system))
-        if met is None:
-            sid = self._ids.setdefault(key(system), len(self.systems))
-            if sid == len(self.systems):
-                self.systems.append(system)
-            met = self._met[id(system)] = (sid, system)
-        return met[0]
-    return intern
+def run_with_equality(monkeypatch, key, corpus):
+    """LocalSystem's __eq__ and __hash__ replaced by key(system)'s, for a
+    verify run on `corpus`, made beforehand with the real ones."""
+    monkeypatch.setattr(LocalSystem, "__eq__", lambda self, other: key(self) == key(other))
+    monkeypatch.setattr(LocalSystem, "__hash__", lambda self: hash(key(self)))
+    monkeypatch.setattr(harness, "generate_corpus", lambda spec: corpus)
 
 
-def test_an_intern_table_keyed_by_id_alone_fails_the_answer_count(contexts, call_counter,
-                                                                  monkeypatch):
-    # every object its own id: an inverse system made afresh never meets
-    # its equal in the corpus, so pairs no longer share an answer
-    monkeypatch.setattr(harness.VerifyContext, "intern", intern_keyed_by(id))
+def test_equality_by_identity_fails_the_answer_count(contexts, call_counter, monkeypatch):
+    # every object its own content: an inverse system made afresh never
+    # meets its equal in the corpus, so pairs no longer share an answer
+    corpus = generate_corpus(CorpusSpec(seed=0))
+    run_with_equality(monkeypatch, id, corpus)
     answers = call_counter(salvetti, "twisted_betti")
-    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
+    run_verification(corpus, seed=0)
+    monkeypatch.undo()
     (ctx,) = contexts
     pairs = {(ctx.covector_set(arr_id), frozenset((system, system.inverse_system())))
              for arr_id, _sys_id, system in ctx.asked}
@@ -359,12 +355,11 @@ def test_an_intern_table_keyed_by_id_alone_fails_the_answer_count(contexts, call
 
 @pytest.mark.parametrize("key", [lambda s: (s.field, s.rank), lambda s: (s.field, s.rank, s.d)],
                          ids=["field-rank", "field-rank-d"])
-def test_an_intern_table_keyed_by_field_and_rank_fails_the_report_pin(key, monkeypatch,
-                                                                     tmp_path):
+def test_equality_by_field_and_rank_fails_the_run_or_the_pin(key, monkeypatch, tmp_path):
     # by (field, rank), some system meets an arrangement of another number
     # of hyperplanes and the run stops; with that number in the key too,
     # no check fails, but the reports are not the pinned ones
-    monkeypatch.setattr(harness.VerifyContext, "intern", intern_keyed_by(key))
+    run_with_equality(monkeypatch, key, generate_corpus(CorpusSpec(seed=0)))
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--all", "--seed", "0", "--out", str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
@@ -373,18 +368,17 @@ def test_an_intern_table_keyed_by_field_and_rank_fails_the_report_pin(key, monke
 
 def test_the_content_key_holds_the_field_and_a_collision_keeps_both_contents():
     # hash(2) == hash(Fraction(2)) and ((2,),) == ((Fraction(2),),): only
-    # the field in the key keeps the Q and F_7 systems on 2, 3 apart
+    # the field keeps the Q and F_7 systems on 2, 3 apart
     ctx = harness.VerifyContext(seed=0)
     q, f7 = scalar_system(Q, [2, 3]), scalar_system(F7, [2, 3])
     assert q._matrix_hashes == f7._matrix_hashes and q.monodromy == f7.monodromy
-    assert ctx.intern(q) != ctx.intern(f7)
+    assert ctx.canonical(q) is q and ctx.canonical(f7) is f7
     assert [ctx.restricted(s, (1,)).field for s in (q, f7)] == [Q, F7]
-    # hash(-1) == hash(-2): one key, two contents, each found again by content
+    assert [ctx.inverse(s).field for s in (q, f7)] == [Q, F7]
+    # hash(-1) == hash(-2): two contents of one hash, each found again by content
     minus = [scalar_system(Q, [x, 3]) for x in (-1, -2)]
-    assert minus[0]._matrix_hashes == minus[1]._matrix_hashes
-    ids = [ctx.intern(s) for s in minus]
-    assert ids[0] != ids[1] and ctx._ids[Q, 1, minus[0]._matrix_hashes] == ids
-    assert [ctx.intern(scalar_system(Q, [x, 3])) for x in (-1, -2)] == ids
+    assert hash(minus[0]) == hash(minus[1]) and minus[0] != minus[1]
+    assert [ctx.canonical(s) for s in minus] == minus
+    assert all(ctx.canonical(scalar_system(Q, [x, 3])) is s for x, s in zip((-1, -2), minus))
     assert [ctx.restricted(s, (0,)).monodromy for s in minus] == [(((-1,),),), (((-2,),),)]
-    assert [ctx.systems[ctx._inverse_id(sid)] for sid in ids] == \
-        [s.inverse_system() for s in minus]
+    assert [ctx.inverse(s) for s in minus] == [s.inverse_system() for s in minus]
