@@ -18,6 +18,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import shlex
 import sys
@@ -30,22 +31,43 @@ from .harness import CorpusSpec, PreconditionError
 from .localsys import LocalSystemError
 
 
+# The C encoder of json.dumps(obj, sort_keys=True), built once
+# (JSONEncoder.encode builds one per call); it skips the circularity
+# check, since what arrtop writes is a tree.
+_C_ENCODER = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", True, False, True)   # indent, separators, sort_keys, skipkeys, allow_nan
+
+
+def _compact(obj) -> str:
+    return "".join(_C_ENCODER(obj, 0))
+
+
+def _indented(obj, indent="") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for str or int keys, by a
+    plain recursive function: json's indenting encoder is nested closures,
+    which make a reference cycle on every call."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return _compact(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        left, right = "{", "}"
+        lines = (f"{_compact(str(k))}: {_indented(v, inner)}" for k, v in sorted(obj.items()))
+    else:
+        left, right = "[", "]"
+        lines = (_indented(v, inner) for v in obj)
+    return f"{left}\n{inner}" + f",\n{inner}".join(lines) + f"\n{indent}{right}"
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _indented(obj) + "\n"
 
 
 def _report_text(out) -> str:
     """The verify report as one JSON object with one report per line, so
-    it diffs line by line.  One C encoder writes every line as json.dumps
-    with sorted keys would (JSONEncoder.encode builds an encoder per call);
-    it skips the circularity check, since a report is a tree."""
-    base = json.JSONEncoder(sort_keys=True)
-    encode = json.encoder.c_make_encoder(
-        None, base.default, json.encoder.encode_basestring_ascii, base.indent,
-        base.key_separator, base.item_separator, base.sort_keys, base.skipkeys,
-        base.allow_nan)
-    reports = ",\n".join("".join(encode(report, 0)) for report in out["reports"])
-    return f'{{"reports": [\n{reports}\n],\n"summary": {base.encode(out["summary"])}}}\n'
+    it diffs line by line."""
+    reports = ",\n".join(map(_compact, out["reports"]))
+    return f'{{"reports": [\n{reports}\n],\n"summary": {_compact(out["summary"])}}}\n'
 
 
 def _write(path: Path, text: str, parents=False):
@@ -290,6 +312,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # arrtop makes no reference cycles (tests/test_gc.py), so the cyclic
+    # collector would only rescan acyclic data: pause it for the command
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ArrangementError, LocalSystemError, PreconditionError, GenericityError) as exc:
@@ -299,6 +325,9 @@ def main(argv=None) -> int:
         message = "out of memory" if isinstance(exc, MemoryError) else exc
         sys.stderr.write(f"internal failure: {type(exc).__name__}: {message}\n")
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run():

@@ -9,7 +9,6 @@ into it; it does no arithmetic of its own.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -69,24 +68,44 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+_FIELDS = {}                             # (kind, p) -> its one FieldSpec
+
+
 class FieldSpec:
-    """Q (kind='Q') or F_p (kind='Fp' with p prime)."""
+    """Q (kind='Q') or F_p (kind='Fp' with p prime).  There is one object
+    per field, checked once when first made, so fields compare and hash by
+    identity, in C: systems hash and compare their field at no Python cost."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind == "Q":
-            if self.p is not None:
+    def __new__(cls, kind: str, p: int | None = None):
+        field = _FIELDS.get((kind, p))
+        if field is not None and type(p) is type(field.p):     # 7.0 finds F_7: refused below
+            return field
+        if kind == "Q":
+            if p is not None:
                 raise ValueError("Q takes no characteristic")
-        elif self.kind == "Fp":
-            if self.p is not None and self.p > MAX_PRIME:
-                raise ValueError(f"Fp supports primes up to {MAX_PRIME}, got {self.p}")
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"Fp needs a prime, got {self.p}")
+        elif kind == "Fp":
+            if type(p) is int and p > MAX_PRIME:
+                raise ValueError(f"Fp supports primes up to {MAX_PRIME}, got {p}")
+            if type(p) is not int or not _is_prime(p):
+                raise ValueError(f"Fp needs a prime, got {p}")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+        field = object.__new__(cls)
+        object.__setattr__(field, "kind", kind)
+        object.__setattr__(field, "p", p)
+        _FIELDS[kind, p] = field
+        return field
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a FieldSpec")
+
+    def __reduce__(self):                # a copy or an unpickled field is the same object
+        return FieldSpec, (self.kind, self.p)
+
+    def __repr__(self):
+        return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     @staticmethod
     def rationals() -> "FieldSpec":

@@ -603,3 +603,15 @@ def test_a_value_error_of_the_program_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal failure: ValueError: system has ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_dump_writes_what_json_dumps_writes():
+    # _dump avoids json's indenting encoder, whose closures make a cycle
+    # per call; json.dumps is its oracle
+    objects = [{}, [], (1, (2, 3)), [1.5, None, True, False, 'q"\n', "é☃"],
+               {"a": {}, "b": [], "c": [[], {}]}, {10: "ten", 3: "three"}]
+    for item in harness.generate_corpus(harness.CorpusSpec(seed=0)):
+        objects += [_arrangement_summary(item.arrangement), item.arrangement.to_json()]
+        objects += [system.to_json() for _, system in item.systems]
+    for obj in objects:
+        assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

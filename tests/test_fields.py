@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from arrtop.exactla import FMatrixSparse, rank
 from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
+from arrtop.localsys import local_system_from_json, scalar_system
 
 
 def trial_division(n):
@@ -85,3 +88,25 @@ def test_an_int_element_is_the_parsed_one_and_a_bool_is_refused(field):
     for flag in (True, False):
         with pytest.raises(ValueError, match=f"malformed rational {flag}"):
             field.element(flag)
+
+
+def test_a_field_is_one_object_however_it_is_made():
+    # fields compare and hash by identity, so every way of making or
+    # copying one must give the same object
+    for made in ([FieldSpec.rationals(), FieldSpec("Q"), FieldSpec.from_json({"kind": "Q"})],
+                 [FieldSpec.prime(7), FieldSpec("Fp", 7), FieldSpec.from_json({"kind": "Fp", "p": 7}),
+                  FieldSpec.from_json({"kind": "Fp", "p": "7"})]):
+        first = made[0]
+        made += [copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))]
+        assert all(field is first and field == first and hash(field) == hash(first)
+                   for field in made)
+    assert len({FieldSpec.rationals(), FieldSpec.prime(7), FieldSpec.prime(11),
+                FieldSpec("Fp", 7)}) == 3
+    from_file = local_system_from_json({"field": {"kind": "Fp", "p": "7"}, "rank": 1,
+                                        "monodromy": [["2"], ["3"]]})
+    made_here = scalar_system(FieldSpec("Fp", 7), [2, 3])
+    assert from_file == made_here and hash(from_file) == hash(made_here)
+    with pytest.raises(AttributeError):
+        FieldSpec.prime(7).p = 11
+    with pytest.raises(ValueError, match="needs a prime"):
+        FieldSpec("Fp", 7.0)             # its key equals F_7's, yet it is refused
