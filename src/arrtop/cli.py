@@ -293,14 +293,14 @@ def build_parser():
                           help="run every check on the generated default corpus")
     p_verify.add_argument("--checks", action="append", choices=harness.ALL_CHECKS,
                           metavar="NAME", help="repeatable check filter")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=parse_int, default=0)
     p_verify.add_argument("--prime", type=_prime, action="append")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="corpus files on disk")
     p_corpus.add_argument("action", choices=["generate"])
-    p_corpus.add_argument("--seed", type=int, default=0)
+    p_corpus.add_argument("--seed", type=parse_int, default=0)
     p_corpus.add_argument("--out", required=True)
     p_corpus.set_defaults(func=cmd_corpus)
     return parser

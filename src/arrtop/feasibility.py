@@ -1,6 +1,6 @@
 """Exact rational linear feasibility with witness extraction.
 
-Decides a system of strict / weak inequalities on an affine flat over Q
+Decides a system of strict inequalities on an affine flat over Q
 and, when feasible, returns an exact rational point in its relative
 interior as a primitive integer vector (W, D), the point W/D.  The flat
 is the caller's integer frame, its point and directions over one
@@ -22,8 +22,8 @@ from math import gcd, lcm
 
 from .geometry import primitive_row
 
-# An inequality is (coeffs, const, strict) with integer entries, meaning
-# coeffs·u + const > 0 (strict) or >= 0.
+# An inequality is (coeffs, const) with integer entries, meaning
+# coeffs·u + const > 0.
 
 
 def _eliminate(ineqs, nvars):
@@ -34,16 +34,16 @@ def _eliminate(ineqs, nvars):
     for v in range(nvars - 1, -1, -1):
         levels.append(current)
         lowers, uppers, rest = [], [], []
-        for a, c, strict in current:
-            if a[v] > 0:
-                lowers.append((a, c, strict))
-            elif a[v] < 0:
-                uppers.append((a, c, strict))
+        for row in current:
+            if row[0][v] > 0:
+                lowers.append(row)
+            elif row[0][v] < 0:
+                uppers.append(row)
             else:
-                rest.append((a, c, strict))
+                rest.append(row)
         new = list(rest)
-        for la, lc, ls in lowers:
-            for ua, uc, us in uppers:
+        for la, lc in lowers:
+            for ua, uc in uppers:
                 # u_v > -(l·u + lc)/la and u_v < ... combine:
                 coef = [ua[j] * la[v] - la[j] * ua[v] for j in range(nvars)]
                 coef[v] = 0
@@ -52,12 +52,12 @@ def _eliminate(ineqs, nvars):
                 if g > 1:
                     coef = [x // g for x in coef]
                     const //= g
-                new.append((coef, const, ls or us))
+                new.append((coef, const))
         current = new
-    for a, c, strict in current:
+    for a, c in current:
         if any(x != 0 for x in a):
             raise AssertionError("variable left after elimination")
-        if not (c > 0 if strict else c >= 0):
+        if c <= 0:
             return None
     return levels
 
@@ -65,10 +65,10 @@ def _eliminate(ineqs, nvars):
 def _interval_pick(ineqs, v, num, den):
     """(n, d), d > 0: a value n/d for variable v, variables below v being
     num[j]/den.  Constraints come from the elimination level where only
-    variables 0..v survive, so the interval is nonempty; each bound is a
-    pair (n, d), d > 0, and bounds compare by cross-multiplication."""
+    variables 0..v survive, so the open interval is nonempty; each bound is
+    a pair (n, d), d > 0, and bounds compare by cross-multiplication."""
     lo = hi = None
-    for a, c, strict in ineqs:
+    for a, c in ineqs:
         if a[v] == 0:
             continue
         rest = c * den + sum(a[j] * num[j] for j in range(v) if a[j] != 0)
@@ -86,9 +86,6 @@ def _interval_pick(ineqs, v, num, den):
         return hi[0] - hi[1], hi[1]
     if hi is None:
         return lo[0] + lo[1], lo[1]
-    if lo[0] * hi[1] == hi[0] * lo[1]:
-        # both weak, else elimination would have failed
-        return lo
     return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
 
 
@@ -97,12 +94,12 @@ def feasible_point(point, basis, rows):
     (W, D), x = W/D, a positive multiple of point + sum u_j·basis_j; or None.
 
     point = (L·p, L) and basis = ((L·v_j, 0), ...) give the flat over one
-    denominator L.  rows: list of (coeffs, const, strict) with integer
-    entries in u, meaning coeffs·u + const > 0 (strict) or >= 0.
+    denominator L.  rows: list of (coeffs, const) with integer entries in
+    u, meaning coeffs·u + const > 0.
     """
-    if any(not any(a) and not (c > 0 if strict else c >= 0) for a, c, strict in rows):
+    if any(not any(a) and c <= 0 for a, c in rows):
         return None
-    reduced = [(a, c, strict) for a, c, strict in rows if any(a)]
+    reduced = [(a, c) for a, c in rows if any(a)]
     m = len(basis)
     if not reduced:
         return primitive_row(point)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def parse_rational(s) -> Fraction:
@@ -29,11 +30,12 @@ def parse_rational(s) -> Fraction:
 
 
 def parse_int(value) -> int:
-    """An int or an integer string; a float or a bool is refused rather
-    than truncated or read as 0 and 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"malformed integer {value!r}")
-    return int(value)
+    """An int, or a string of parse_rational's integer form (optional sign,
+    digits; no digit separators); a float or a bool is refused rather than
+    truncated or read as 0 and 1."""
+    if type(value) is int or isinstance(value, str) and _INT_RE.match(value.strip()):
+        return int(value)
+    raise ValueError(f"malformed integer {value!r}")
 
 
 # Largest characteristic accepted, an input bound: the F_p rank engine

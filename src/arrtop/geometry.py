@@ -38,10 +38,6 @@ class ArrangementError(Exception):
 class GenericityError(Exception):
     """No combinatorially generic section found within the retry budget."""
 
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = failures or []
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -424,29 +420,21 @@ def generic_section(arr: Arrangement, k: int, seed: int):
         return arr
     poset = intersection_poset(arr)
     rng = random.Random(seed)
-    failures = []
     for _ in range(SECTION_ATTEMPTS):
         base = tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
         dirs = tuple(tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
                      for _ in range(k))
-        if _rank(dirs) != k:
-            failures.append("degenerate direction matrix")
+        if _rank(dirs) != k:            # a degenerate direction matrix
             continue
         hyps = [Hyperplane(tuple(dot(h.normal, u) for u in dirs),
                            h.offset - dot(h.normal, base), h.label) for h in arr.hyperplanes]
-        if any(all(x == 0 for x in h.normal) for h in hyps):
-            failures.append("plane parallel to a hyperplane")
+        if any(all(x == 0 for x in h.normal) for h in hyps):    # parallel to a hyperplane
             continue
         try:
             sec = Arrangement.build(k, hyps)
-        except ArrangementError as exc:
-            failures.append(str(exc))
+        except ArrangementError:
             continue
-        problem = _check_section(poset, intersection_poset(sec), k)
-        if problem is not None:
-            failures.append(problem)
-            continue
-        return sec
+        if _check_section(poset, intersection_poset(sec), k) is None:
+            return sec
     raise GenericityError(
-        f"no generic {k}-section of d={arr.d} arrangement after {SECTION_ATTEMPTS} attempts",
-        failures)
+        f"no generic {k}-section of d={arr.d} arrangement after {SECTION_ATTEMPTS} attempts")

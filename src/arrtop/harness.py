@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
 from . import geometry, localsys, realfaces, salvetti
 from .exactla import FMatrixSparse, identity_matrix, mat_sub_identity, rank as matrix_rank
@@ -109,17 +109,11 @@ def _sample(kind, d, n, seed, offset, accept) -> Arrangement:
 
 
 def _in_general_position(arr: Arrangement) -> bool:
-    """Every min(n, d) normals are independent and every n + 1 hyperplanes
-    have a nonsingular [normal | offset] matrix, so share no point: for an
-    essential arrangement, exactly when its Betti numbers are the binomial
-    coefficients, with no intersection poset built."""
-    n = arr.dim
-    rows = [geometry.primitive_row((*h.normal, h.offset)) for h in arr.hyperplanes]
-    q, k = FieldSpec.rationals(), min(n, arr.d)
-    return (all(matrix_rank(FMatrixSparse.from_rows([row[:n] for row in sub]), q) == k
-                for sub in combinations(rows, k))
-            and all(matrix_rank(FMatrixSparse.from_rows(sub), q) == n + 1
-                    for sub in combinations(rows, n + 1)))
+    """An essential arrangement is in general position exactly when its
+    Betti numbers are the binomial coefficients; the poset read here is the
+    one the run would build for the arrangement anyway."""
+    return geometry.betti_numbers(geometry.intersection_poset(arr)) == \
+        [comb(arr.d, i) for i in range(arr.dim + 1)]
 
 
 def random_generic(d: int, n: int, seed: int) -> Arrangement:
@@ -173,7 +167,7 @@ def _add_with_inverse(out, seen, sys_id, system) -> int:
     added = 0
     for candidate_id, candidate in ((sys_id, system),
                                     (sys_id + "-inv", system.inverse_system())):
-        if candidate not in seen:        # hashes the system once, via its cached _hash
+        if candidate not in seen:        # its content is hashed once and cached in _hash
             seen[candidate] = candidate_id
             out.append((candidate_id, candidate))
             added += 1
@@ -319,9 +313,9 @@ class VerifyContext:
     canonical where it enters the run: the corpus's, the constant ones
     check_constant_equality makes, and each inverse, restriction and
     descent, made by localsys once per (system, derivation), carrying its
-    source's inverses and matrix hashes.  So the checks pass canonical
-    objects, and a lookup hashes a cached int and compares by identity;
-    only `canonical` compares the matrices of a new object.
+    source's inverses.  So the checks pass canonical objects, and a lookup
+    hashes a cached int and compares by identity; only `canonical` compares
+    the matrices of a new object.
 
     One answer serves L and L.inverse_system(): every arrangement here has
     rational equations, so complex conjugation c is a homeomorphism of U

@@ -4,15 +4,14 @@ A rank-r local system is encoded by one invertible r x r monodromy
 matrix per hyperplane meridian; the matrices are required to commute
 pairwise, so the monodromy of any loop is determined by winding numbers
 alone and no fundamental-group presentation is needed.  Fields are Q
-and F_p.  Each system computes once, and keeps, its matrices' hashes,
-its partition (the finest blocks on which all its matrices are block
-diagonal), its commutation check and inverses, block by block on it as
-such matrices commute and invert blockwise, its inverses' hashes, its
-total turn over the full matrices and whether it is trivial.  Systems
-derived from one (`inverse_system`, `restrict`, `decone_system`: some of
-its matrices, or their inverses) commute already and carry its inverses
-over, and the hashes of their matrices (an inverse system's are its
-source's inverses' hashes), so no matrix is inverted or hashed again.
+and F_p.  Each system computes once, and keeps, its hash, its partition
+(the finest blocks on which all its matrices are block diagonal), its
+commutation check and inverses, block by block on it as such matrices
+commute and invert blockwise, its total turn over the full matrices and
+whether it is trivial.  Systems derived from one (`inverse_system`,
+`restrict`, `decone_system`: some of its matrices, or their inverses)
+commute already and carry its inverses over, so no matrix is inverted
+again.
 """
 
 from __future__ import annotations
@@ -34,14 +33,12 @@ class LocalSystem:
     field: FieldSpec
     rank: int
     monodromy: tuple     # one r x r matrix per hyperplane, pairwise commuting
-    # set when a system is made: _matrix_hashes, hash(M_j) per position
 
     def __post_init__(self):
-        """Hash each matrix once, and refuse non-commuting monodromy however
-        the system is made from new matrices: the d²=0 gate over Λ carries
-        over to a specialization only then.  Block-diagonal matrices commute
-        when their blocks do, scalars always."""
-        self.__dict__["_matrix_hashes"] = tuple(map(hash, self.monodromy))
+        """Refuse non-commuting monodromy however the system is made from new
+        matrices: the d²=0 gate over Λ carries over to a specialization only
+        then.  Block-diagonal matrices commute when their blocks do, scalars
+        always."""
         blocks, field = [block for block in self.partition if len(block) > 1], self.field
         checked = []                     # (first hyperplane, its blocks) per distinct matrix
         for m, (j, *_) in self._distinct if blocks else ():
@@ -58,9 +55,8 @@ class LocalSystem:
 
     @cached_property
     def _hash(self) -> int:
-        """Computed once, over the matrix hashes taken when the system was
-        made, which _distinct groups by too: a tuple does not cache its hash."""
-        return hash((self.field, self.rank, self._matrix_hashes))
+        """Computed once over the content: a tuple does not cache its hash."""
+        return hash((self.field, self.rank, self.monodromy))
 
     @property
     def d(self) -> int:
@@ -69,24 +65,12 @@ class LocalSystem:
     @cached_property
     def _distinct(self) -> list:
         """(matrix, positions holding it) per distinct matrix, by first
-        position, for validation, partition and inversion.  A matrix is
-        compared only with the first one of its hash, and with every
-        distinct one when they differ, which only a collision makes."""
-        out, first, mons = [], {}, self.monodromy
-        for j, h in enumerate(self._matrix_hashes):
-            k = first.setdefault(h, len(out))    # out's entry for the first matrix of hash h
-            if k == len(out):
-                out.append((mons[j], [j]))
-            elif out[k][0] == mons[j]:
-                out[k][1].append(j)
-            else:
-                for m, positions in out:
-                    if m == mons[j]:
-                        positions.append(j)
-                        break
-                else:
-                    out.append((mons[j], [j]))
-        return out
+        position, for validation, partition and inversion.  The dict keys on
+        the matrices, so unequal ones of one hash stay apart."""
+        groups = {}
+        for j, m in enumerate(self.monodromy):
+            groups.setdefault(m, []).append(j)
+        return list(groups.items())
 
     @cached_property
     def inverse(self) -> tuple:
@@ -131,21 +115,10 @@ class LocalSystem:
         return reduce(partial(mat_mul, self.field), self.monodromy,
                       identity_matrix(self.field, self.rank))
 
-    @cached_property
-    def inverse_hashes(self) -> tuple:
-        """hash(M_j^-1) per position j, each distinct inverse hashed once:
-        the inverse system's matrix hashes."""
-        out, inverse = [0] * self.d, self.inverse
-        for _m, positions in self._distinct:
-            h = hash(inverse[positions[0]])
-            for j in positions:
-                out[j] = h
-        return tuple(out)
-
     def inverse_system(self) -> "LocalSystem":
         """Entrywise matrix-inverse system (meridians act by inverses); its
         inverse is this system's monodromy, so nothing is inverted twice."""
-        return _derived(self, self.inverse, self.monodromy, self.inverse_hashes)
+        return _derived(self, self.inverse, self.monodromy)
 
     def to_json(self) -> dict:
         return {
@@ -163,15 +136,13 @@ def _invert(field: FieldSpec, m, block):
     return ((pow(x, -1, field.p) if field.p else field.one / x,),)
 
 
-def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple,
-             hashes: tuple) -> LocalSystem:
+def _derived(system: LocalSystem, monodromy: tuple, inverse: tuple) -> LocalSystem:
     """A system on matrices of `system`'s checked family (some of them, or
-    their inverses) with `inverse` as its inverses and `hashes` as its
-    matrices' hashes.  Inverses and subsets of a commuting family commute,
-    so __post_init__'s check does not run."""
+    their inverses) with `inverse` as its inverses.  Inverses and subsets of
+    a commuting family commute, so __post_init__'s check does not run."""
     derived = object.__new__(LocalSystem)
     derived.__dict__.update(field=system.field, rank=system.rank, monodromy=monodromy,
-                            inverse=inverse, _matrix_hashes=hashes)
+                            inverse=inverse)
     return derived
 
 
@@ -217,7 +188,7 @@ def total_turn(arr: Arrangement, system: LocalSystem):
 def restrict(system: LocalSystem, index_map) -> LocalSystem:
     """System on a sub/section arrangement: hyperplane j of the target
     carries the monodromy of original hyperplane index_map[j], with its
-    inverse and hash."""
+    inverse."""
     index_map = list(index_map)
     if len(set(index_map)) != len(index_map):
         raise LocalSystemError("index map must be injective")
@@ -225,13 +196,12 @@ def restrict(system: LocalSystem, index_map) -> LocalSystem:
         if not 0 <= i < system.d:
             raise LocalSystemError(f"index {i} out of range 0..{system.d - 1}")
     return _derived(system, *(tuple(seq[i] for i in index_map)
-                              for seq in (system.monodromy, system.inverse,
-                                          system._matrix_hashes)))
+                              for seq in (system.monodromy, system.inverse)))
 
 
 def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem:
     """Descend along the deconing of a central essential arrangement: the
-    system without hyperplane i0, with its inverses and hashes.
+    system without hyperplane i0, with its inverses.
 
     Only systems whose total turn (cached) is the identity descend; others
     are rejected."""
@@ -242,8 +212,7 @@ def decone_system(arr: Arrangement, system: LocalSystem, i0: int) -> LocalSystem
     if total_turn(arr, system) != identity_matrix(system.field, system.rank):
         raise LocalSystemError("system does not descend: total turn is not the identity")
     return _derived(system, *(seq[:i0] + seq[i0 + 1:]
-                              for seq in (system.monodromy, system.inverse,
-                                          system._matrix_hashes)))
+                              for seq in (system.monodromy, system.inverse)))
 
 
 def local_system_from_json(obj) -> LocalSystem:

@@ -121,7 +121,7 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                 split.append((sigma + (sw,), w, flat))
                 zrows = rows[zero_flat]
                 z = feasible_point(*frames[zero_flat], [
-                    ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
+                    ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1])
                     for i in strict])
                 if z is not None:
                     split.append((sigma + (0,), z, zero_flat))

@@ -9,8 +9,9 @@ evaluated at every witness by `affine_value`, walk and segment steps
 and LP witnesses on Fractions, on each flat's frame read as a rational
 point and directions.  The integer enumeration must reproduce its
 faces, witnesses included: each as the primitive (W, D) of the Fraction
-witness.  Boundedness by one integer LP per face, and by 2n LPs in
-Fraction arithmetic, one per ambient ray direction."""
+witness.  Boundedness by one strict integer LP per face (Stiemke's
+alternative), and by the face's sign vector alone: the vertices and
+rays in its closure."""
 
 from fractions import Fraction
 from math import lcm
@@ -29,7 +30,7 @@ def _interval_pick(ineqs, v, partial):
     """Value for variable v as a Fraction; variables below v are already
     assigned."""
     lo = hi = None
-    for a, c, strict in ineqs:
+    for a, c in ineqs:
         if a[v] == 0:
             continue
         bound = Fraction(-(c + sum(a[j] * partial[j] for j in range(v)))) / a[v]
@@ -43,16 +44,16 @@ def _interval_pick(ineqs, v, partial):
         return hi - 1
     if hi is None:
         return lo + 1
-    return lo if lo == hi else (lo + hi) / 2
+    return (lo + hi) / 2
 
 
 def feasible_point(p, basis, rows):
     """`arrtop.feasibility.feasible_point` in Fraction arithmetic: the
     flat as a rational point p and directions, the same elimination, the
     bounds and the witness p + sum u_j·basis_j as Fractions."""
-    if any(not any(a) and not (c > 0 if strict else c >= 0) for a, c, strict in rows):
+    if any(not any(a) and c <= 0 for a, c in rows):
         return None
-    reduced = [(a, c, strict) for a, c, strict in rows if any(a)]
+    reduced = [(a, c) for a, c in rows if any(a)]
     m = len(basis)
     if m == 0:
         return tuple(p)
@@ -79,7 +80,7 @@ def sign_vector_realizable(arr, sigma):
             row = [s * dot(h.normal, v) for v in basis] + [s * affine_value(h, point)]
             scale = lcm(*(x.denominator for x in row))
             row = [int(x * scale) for x in row]
-            rows.append((row[:-1], row[-1], True))
+            rows.append((row[:-1], row[-1]))
     return feasible_point(point, basis, rows)
 
 
@@ -142,7 +143,7 @@ def faces_by_fractions(arr):
                 split.append((sigma + (sw,), w, flat))
                 zrows = rows[zero_flat]
                 zero_w = feasible_point(*frames[zero_flat], [
-                    ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1], True)
+                    ([sigma[i] * x for x in zrows[i][0]], sigma[i] * zrows[i][1])
                     for i, _ in strict])
                 if zero_w is not None:
                     split.append((sigma + (0,), zero_w, zero_flat))
@@ -161,43 +162,35 @@ def faces_by_fractions(arr):
 
 
 def is_bounded_by_rays(fc, face_index):
-    """Whether the face is bounded, by 2n LPs in Fraction arithmetic: no
-    recession direction of the face's flat reaches sgn·x_j >= 1 in any
-    ambient coordinate j.  Needs no essential arrangement."""
-    arr = fc.arrangement
-    sigma = fc.faces[face_index].sign
-    n = arr.dim
-    poset = intersection_poset(arr)
-    key = frozenset(i for i, s in enumerate(sigma) if s == 0)
-    (*_, den), basis = poset.frames[key]
-    rows = poset.rows[key]
-    base = [(tuple(s * x for x in rows[i][0]), 0, False)
-            for i, s in enumerate(sigma) if s != 0]
-    for j in range(n):
-        for sgn in (1, -1):
-            # sgn·x_j >= 1 in the flat's coordinates: sgn·(L·x_j) >= L
-            ray = tuple(sgn * v[j] for v in basis)
-            if feasible_point((0,) * n, basis, base + [(ray, -den, False)]) is not None:
-                return False
-    return True
+    """Whether the face is bounded, by sign vectors alone: its closure, the
+    faces whose signs are its own or 0, is a polyhedron, bounded exactly
+    when it has a vertex (so holds no line) and no ray, an edge closed by
+    fewer than two vertices, since a pointed polyhedron with a recession
+    direction has an unbounded edge.  Needs no essential arrangement."""
+    def closure(sigma):
+        return [g for g in fc.faces if all(t in (0, s) for s, t in zip(sigma, g.sign))]
+
+    faces = closure(fc.faces[face_index].sign)
+    return any(g.dim == 0 for g in faces) and all(
+        sum(v.dim == 0 for v in closure(e.sign)) == 2 for e in faces if e.dim == 1)
 
 
 def is_bounded_by_lp(fc, face_index):
     """Whether the face is bounded: its recession cone, the directions u
-    of its flat with s_i·(A_i·u) >= 0 for each strict sign s_i, is {0}.
-    On an essential arrangement the restriction to any flat is essential,
-    so a nonzero u in the cone has a positive sum of those values: the
-    face is bounded exactly when the cone with that sum >= 1 is empty,
-    one LP on the poset's integer rows.  On a non-essential one every face
-    holds a line."""
+    of its flat with a_i·u >= 0 for a_i = s_i·A_i, each strict sign s_i,
+    is {0}.  On an essential arrangement the restriction to any flat is
+    essential, so a_i·u = 0 for all i only at u = 0, and by Stiemke's
+    alternative the cone is {0} exactly when some y > 0 has sum y_i·a_i = 0:
+    one strict LP on the kernel of the poset's integer rows.  On a
+    non-essential one every face holds a line."""
     arr = fc.arrangement
     if not arr.is_essential:
         return False
     sigma = fc.faces[face_index].sign
-    poset = intersection_poset(arr)
-    key = frozenset(i for i, s in enumerate(sigma) if s == 0)
-    rows, basis = poset.rows[key], poset.frames[key][1]
+    rows = intersection_poset(arr).rows[frozenset(i for i, s in enumerate(sigma) if s == 0)]
     cone = [tuple(s * x for x in rows[i][0]) for i, s in enumerate(sigma) if s != 0]
-    total = tuple(sum(a[j] for a in cone) for j in range(len(basis)))
-    return feasibility.feasible_point((0,) * arr.dim + (1,), basis,
-                                      [(a, 0, False) for a in cone] + [(total, -1, False)]) is None
+    _, kernel = solve_affine([(column, 0) for column in zip(*cone)], len(cone))
+    kernel = [primitive_row(v) for v in kernel]
+    return feasibility.feasible_point((0,) * len(cone) + (1,), [(*v, 0) for v in kernel],
+                                      [(tuple(v[i] for v in kernel), 0)
+                                       for i in range(len(cone))]) is not None

@@ -482,6 +482,25 @@ def test_verify_relative_section_in_dimension1_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--all", "--prime", "1_01"],
+                                  ["verify", "--all", "--seed", "1_0"],
+                                  ["corpus", "generate", "--seed", "1_0"]],
+                         ids=["prime", "verify-seed", "corpus-seed"])
+def test_an_option_with_a_digit_separator_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"'{argv[3]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_a_field_prime_with_a_digit_separator_exits_2(tmp_path, capsys, command):
+    # "1_01" is no integer string, so it is not read as F_101
+    gen3 = write(tmp_path, "gen3.json", GEN3)
+    system = write(tmp_path, "sys.json", {**SYS_222_Q, "field": {"kind": "Fp", "p": "1_01"}})
+    argv = ["betti", gen3, "--system", system] if command == "betti" else ["verify", gen3, system]
+    assert main(argv) == 2
+    assert "malformed integer '1_01'" in capsys.readouterr().err
+
+
 def test_verify_prime_beyond_engine_limit_exits_2(capsys):
     assert main(["verify", "--all", "--prime", "4294967311"]) == 2
     assert "4294967311" in capsys.readouterr().err

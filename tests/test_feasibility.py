@@ -10,24 +10,23 @@ from face_oracle import feasible_point as fraction_feasible_point
 
 @st.composite
 def systems(draw):
-    """Integer rows in m flat coordinates, some of them planted to hold
-    at an integer point so that feasible systems are common, and one
+    """Strict integer rows in m flat coordinates, some of them planted to
+    hold at an integer point so that feasible systems are common, and one
     positive multiplier per row."""
     m = draw(st.integers(min_value=1, max_value=3))
     point = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m))
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         coeffs = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=m, max_size=m))
-        strict = draw(st.booleans())
         if draw(st.booleans()):
             const = -sum(a * x for a, x in zip(coeffs, point)) + draw(
-                st.integers(min_value=int(strict), max_value=3))
+                st.integers(min_value=1, max_value=3))
         else:
             const = draw(st.integers(min_value=-6, max_value=6))
-        rows.append((coeffs, const, strict))
+        rows.append((coeffs, const))
     scales = draw(st.lists(st.integers(min_value=1, max_value=50),
                            min_size=len(rows), max_size=len(rows)))
-    planted = all(sum(a * x for a, x in zip(c, point)) + k >= int(s) for c, k, s in rows)
+    planted = all(sum(a * x for a, x in zip(c, point)) + k > 0 for c, k in rows)
     return m, rows, scales, planted
 
 
@@ -38,7 +37,7 @@ def test_witness_is_exact_and_ignores_positive_scaling(system):
     origin = (0,) * m + (1,)
     basis = tuple(tuple(int(i == j) for j in range(m + 1)) for i in range(m))
     witness = feasible_point(origin, basis, rows)
-    scaled = [([s * a for a in c], s * k, strict) for (c, k, strict), s in zip(rows, scales)]
+    scaled = [([s * a for a in c], s * k) for (c, k), s in zip(rows, scales)]
     assert feasible_point(origin, basis, scaled) == witness
     if planted:
         assert witness is not None
@@ -53,16 +52,15 @@ def test_witness_is_exact_and_ignores_positive_scaling(system):
         assert all(type(x) is int for x in witness) and den > 0
         assert gcd(*witness) == 1
         assert tuple(Fraction(x, den) for x in w) == fractions
-        for coeffs, const, strict in rows:
-            value = sum(a * x for a, x in zip(coeffs, w)) + const * den
-            assert value > 0 if strict else value >= 0
+        for coeffs, const in rows:
+            assert sum(a * x for a, x in zip(coeffs, w)) + const * den > 0
 
 
 def test_witness_lies_on_the_flat():
     # u = (1/2) on the line p + u·v, p = (1, 2) and v = (1/3, -1) over
     # L = 3, for 0 < u < 1: the point (7/6, 3/2)
     p, v = (3, 6, 3), ((1, -3, 0),)
-    assert feasible_point(p, v, [((1,), 0, True), ((-1,), 1, True)]) == (7, 9, 6)
-    assert feasible_point(p, v, [((1,), 0, True), ((-1,), 0, True)]) is None
+    assert feasible_point(p, v, [((1,), 0), ((-1,), 1)]) == (7, 9, 6)
+    assert feasible_point(p, v, [((1,), 0), ((-1,), 0)]) is None
     # no nonconstant row: the flat's own point, made primitive
-    assert feasible_point((2, 4, 2), v, [((0,), 1, True)]) == (1, 2, 1)
+    assert feasible_point((2, 4, 2), v, [((0,), 1)]) == (1, 2, 1)

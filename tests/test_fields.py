@@ -5,7 +5,7 @@ import random
 import pytest
 
 from arrtop.exactla import FMatrixSparse, rank
-from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime
+from arrtop.fields import MAX_PRIME, FieldSpec, _is_prime, parse_int, parse_rational
 from arrtop.localsys import local_system_from_json, scalar_system
 
 
@@ -110,3 +110,15 @@ def test_a_field_is_one_object_however_it_is_made():
         FieldSpec.prime(7).p = 11
     with pytest.raises(ValueError, match="needs a prime"):
         FieldSpec("Fp", 7.0)             # its key equals F_7's, yet it is refused
+
+
+def test_parse_int_takes_the_integer_form_parse_rational_takes():
+    # int() alone reads digit separators, which parse_rational refuses
+    for text in ("7", " -12 ", "+3", "0", "101"):
+        assert parse_int(text) == parse_rational(text)
+    for text in ("1_000", "1_01", "_1", "1.0", "0x10", "", "1 0"):
+        for parse in (parse_int, parse_rational):
+            with pytest.raises(ValueError):
+                parse(text)
+    with pytest.raises(ValueError, match="malformed integer"):
+        FieldSpec.from_json({"kind": "Fp", "p": "1_01"})

@@ -4,7 +4,6 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -396,15 +395,14 @@ def test_summary_counts_add_up(small_run):
 
 
 def test_general_position_certificate_agrees_with_the_poset():
-    # random_generic accepts a draw on the certificate alone; it must take
-    # exactly the draws whose Betti numbers are the binomial coefficients.
-    # Small coordinate ranges make most draws degenerate.
+    # random_generic accepts a draw whose poset has the binomial Betti
+    # numbers; it must take exactly the draws the Fraction-rank certificate
+    # takes.  Small coordinate ranges make most draws degenerate.
     rng = random.Random(11)
     outcomes = []
     for d, n, size, per_shape in ((3, 1, 2, 200), (3, 2, 1, 300), (4, 2, 1, 200),
                                   (5, 2, 2, 100), (4, 3, 1, 150), (5, 3, 2, 30),
                                   (4, 3, 5, 30)):
-        binomials = [comb(d, i) for i in range(n + 1)]
         drawn = 0
         while drawn < per_shape:
             hyps = [Hyperplane(tuple(Fraction(rng.randint(-size, size)) for _ in range(n)),
@@ -417,7 +415,7 @@ def test_general_position_certificate_agrees_with_the_poset():
             if not arr.is_essential:
                 continue
             drawn += 1
-            generic = betti_numbers(intersection_poset(arr)) == binomials
+            generic = _in_general_position_by_fractions(arr)
             assert _in_general_position(arr) == generic, arr.to_json()
             outcomes.append(generic)
     assert len(outcomes) >= 1000
