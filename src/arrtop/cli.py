@@ -7,12 +7,13 @@ Subcommands:
   corpus  generate --seed N --out dir    write a corpus to disk
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage,
-parse or precondition error (an unreadable input file or an unwritable
---out path included), 3 internal failure (a failed gate, memory
-exhausted, any other unexpected error, a bare ValueError included),
-reported on stderr without a traceback.  Input is checked where it
-enters and refused with an input error type; identical inputs and seed
-produce byte-identical reports.
+parse or precondition error (an unreadable input file, an unwritable
+--out path and an arrangement whose full Salvetti boundary the poset
+predicts above salvetti.MAX_TERMS Λ-terms included), 3 internal failure
+(a failed gate, memory exhausted, any other unexpected error, a bare
+ValueError included), reported on stderr without a traceback.  Input is
+checked where it enters and refused with an input error type; identical
+inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def cmd_betti(args) -> int:
     if system.d != arr.d:
         raise LocalSystemError(
             f"system has {system.d} matrices, arrangement has {arr.d} hyperplanes")
+    salvetti.check_size(arr, args.arrangement)
     sc = salvetti.build_salvetti(realfaces.enumerate_faces(arr))
     poset = geometry.intersection_poset(arr)
     _emit(_dump({

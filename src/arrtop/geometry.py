@@ -174,6 +174,21 @@ class FlatPoset:
     def of_codim(self, c):
         return [f for f in self.flats if f.codim == c]
 
+    @cached_property
+    def sizes(self):
+        """(cells, Λ-terms) per degree of the Salvetti complex, made once:
+        see cell_counts and term_counts."""
+        keys = [f.containing for f in self.flats]
+        counts, terms = ([0] * (self.flats[-1].codim + 1) for _ in range(2))
+        for f in self.flats:
+            x = f.containing
+            faces = sum(map(abs, _mobius([z for z in keys if z >= x]).values()))
+            below = [y for y in self.flats if y.containing <= x]
+            cells = faces * sum(abs(y.mobius) for y in below)
+            counts[f.codim] += cells
+            terms[f.codim] += 2 * cells * sum(y.codim == f.codim - 1 for y in below)
+        return counts, terms
+
     def flat_counts(self):
         counts = [0] * (self.ambient_dim + 1)
         for f in self.flats:
@@ -307,13 +322,15 @@ def cell_counts(poset: FlatPoset):
     on a flat X are the regions of the restriction A^X, Σ_{Z ⊆ X} |μ(X, Z)|,
     and each is adjacent to the r(A_X) = Σ_{Y ⊇ X} |μ(Y)| chambers of the
     localization, so cells_k sums r(A^X)·r(A_X) over the codim-k flats X."""
-    keys = [f.containing for f in poset.flats]
-    counts = [0] * (poset.flats[-1].codim + 1)
-    for f in poset.flats:
-        x = f.containing
-        faces = sum(map(abs, _mobius([z for z in keys if z >= x]).values()))
-        counts[f.codim] += faces * sum(abs(y.mobius) for y in poset.flats if y.containing <= x)
-    return counts
+    return poset.sizes[0]
+
+
+def term_counts(poset: FlatPoset):
+    """Λ-terms per degree of the Salvetti complex's full boundary, one per
+    cover of a cell's face: a face on a codim-k flat X is covered by two
+    faces on each codim-(k - 1) flat Y ⊇ X, the two rays of the line Y/X
+    in the localization A_X."""
+    return poset.sizes[1]
 
 
 def zero_flats(poset: FlatPoset):

@@ -355,6 +355,8 @@ class VerifyContext:
         return inverse
 
     def register(self, arr_id: str, arr: Arrangement):
+        """Input and derived arrangements alike; one too large is refused."""
+        salvetti.check_size(arr, arr_id)
         self.arrangements[arr_id] = arr
 
     def arrangement(self, arr_id: str) -> Arrangement:

@@ -14,14 +14,21 @@ so the sign depends on the face alone, not on the chamber.  It is fixed
 codim by codim by closing all "diamonds" (two-step intervals) over the
 signs one codim below.  The boundary lives over Λ = Z[t_1^±1..t_d^±1],
 as the chain complex of the universal abelian cover.  The build checks
-its cell counts against the poset's (geometry.cell_counts), then gates
-the orientation by d∘d = 0 once over Λ (composition only, no ranks).
+its cells and Λ-terms per degree against the poset's (geometry's
+cell_counts and term_counts), then gates the orientation by d∘d = 0
+once over Λ (composition only, no ranks).
 
-Every entry ±t^a is a unit of Λ.  So the build then eliminates pairs
-of cells joined by a unit entry, Gaussian elimination over Λ (algebraic
-Morse theory: Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker, Mem.
-AMS 197, 2009), in the full boundary itself, which is not kept.  That
-is a chain homotopy equivalence for every abelian local system at once.
+Every entry ±t^a is a unit of Λ, stored as one signed packed int, so
+any acyclic matching of the cells is an algebraic Morse matching over Λ
+(Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker, Mem. AMS 197,
+2009).  The build fixes one from incidences alone, before any
+arithmetic, as Salvetti-Settepanella (Geom. Topol. 11, 2007) fix theirs:
+it collapses free faces, and makes the highest remaining cell critical
+when none is free, so every pair passes an acyclicity certificate.  The
+Morse step then computes the boundary of the critical cells only, in the
+full boundary itself, which is not kept, and the greedy elimination
+`_reduce` finishes on whatever the matching left above b_i.  Each step is
+a chain homotopy equivalence for every abelian local system at once.
 The reduced boundary, whose entries are Laurent polynomials, is gated
 by d∘d = 0 over Λ too, and by cells_i ≥ b_i(U) in every degree i, b_i
 the Whitney numbers of the intersection poset: a reduction that loses a
@@ -58,7 +65,7 @@ from operator import mul
 
 from .exactla import ChainComplexError, GatedBoundaries, complex_dims, identity_matrix
 from .fields import FieldSpec
-from .geometry import betti_numbers, cell_counts, intersection_poset
+from .geometry import ArrangementError, betti_numbers, cell_counts, intersection_poset, term_counts
 from .localsys import LocalSystem
 from .realfaces import FaceComplex
 
@@ -79,16 +86,35 @@ class SalvettiComplex:
     rows: list           # rows[k - 1]: (target, ((pos, ((monomial, coefficient), ...)), ...))
 
 
+# The largest full boundary, in Λ-terms, that betti and verify build:
+# braid6 has 230400 and gen-12-4 239232; braid7's 4354560 would not fit.
+MAX_TERMS = 1_000_000
+
+
+def check_size(arr, name):
+    """Refuses, before any face is enumerated, an arrangement whose full
+    boundary the poset predicts above MAX_TERMS Λ-terms."""
+    terms = sum(term_counts(intersection_poset(arr)))
+    if terms > MAX_TERMS:
+        raise ArrangementError(f"{name}: its Salvetti complex has {terms} Λ-terms, "
+                               f"above the bound of {MAX_TERMS}")
+
+
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     """The Salvetti complex, kept reduced: the full boundary over Λ, its
-    counts checked against the poset's and gated by d² = 0, then reduced in
-    place and gated again, by d² = 0 and by reduced cells_i ≥ b_i(U)."""
+    cells and Λ-terms checked against the poset's and gated by d² = 0; an
+    acyclic matching fixed from its incidences and checked; the Morse
+    boundary of the critical cells, in place; the greedy finish; then the
+    gates again, d² = 0 and reduced cells_i ≥ b_i(U)."""
     arr = fc.arrangement
     poset = intersection_poset(arr)
     boundary = _full_complex(fc)
     counts = [len(layer) for layer in boundary]
     _check_counts(counts, cell_counts(poset), exact=True)     # raises on a missing face
+    _check_counts([sum(map(len, layer)) for layer in boundary], term_counts(poset),
+                  exact=True, what="Λ-terms")
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
+    _morse(boundary, *_check_matching(boundary, _match(boundary)), arr.d)  # raises on a cycle
     cells, reduced = _reduce(boundary, arr.d)            # eliminates in boundary itself
     _verify_over_group_ring(reduced, arr.d)              # raises on a bad reduction
     betti = betti_numbers(poset)
@@ -100,8 +126,9 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
 def _full_complex(fc: FaceComplex):
     """The boundary over Λ on all (face, adjacent chamber) pairs, graded by
     codim and sorted by sign vectors: boundary[k][pos] = {target position:
-    {packed exponent: coefficient}}, ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C]
-    over the faces G covering F (one empty row per chamber in degree 0)."""
+    ±(one + neg)}, ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G
+    covering F, each unit ±t^neg one signed packed int (one empty row per
+    chamber in degree 0)."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
@@ -129,7 +156,7 @@ def _full_complex(fc: FaceComplex):
             # t^neg, neg the hyperplanes where C is - and G is +
             layer.append(dict(sorted(
                 (index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]],
-                 {one + (cm & plus[g]): s}) for g, s in eps[f].items())))
+                 s * (one + (cm & plus[g]))) for g, s in eps[f].items())))
         boundary.append(layer)
     return boundary
 
@@ -208,24 +235,28 @@ def _out_of_range():
     return ChainComplexError(f"an exponent over Λ left [-{_BIAS}, {_BIAS})")
 
 
+def _terms(row):
+    """(target, packed exponent, coefficient) per term of a row, whose
+    entries are signed packed units ±(one + e) or {packed exponent:
+    coefficient}."""
+    return [(i, b, c) for i, entry in row.items()
+            for b, c in (entry.items() if type(entry) is dict
+                         else ((entry, 1),) if entry > 0 else ((-entry, -1),))]
+
+
 def _verify_over_group_ring(boundary, d):
-    """The d²=0 gate over Λ on boundary[k][pos] = {target: {packed
-    exponent: coefficient}}.  On the full boundary it checks the
-    orientation; on the reduced one, the reduction's updates."""
+    """The d²=0 gate over Λ.  On the full boundary it checks the
+    orientation; on the reduced one, the Morse step and the finish."""
     one, top_bits = _packing(d)
     for k in range(2, len(boundary)):
-        # each cell of degree k - 1 as its terms (target, exponent, coefficient)
-        lower = [[(i, b, e) for i, inner in row.items() for b, e in inner.items()]
-                 for row in boundary[k - 1]]
+        lower = [_terms(row) for row in boundary[k - 1]]
         for j, row in enumerate(boundary[k]):
             acc = {}                 # (packed exponent, target) -> coefficient
-            for m, outer in row.items():
-                terms = lower[m]
-                for a, c in outer.items():
-                    a -= one
-                    for i, b, e in terms:
-                        key = a + b, i
-                        acc[key] = acc.get(key, 0) + c * e
+            for m, a, c in _terms(row):
+                a -= one
+                for i, b, e in lower[m]:
+                    key = a + b, i
+                    acc[key] = acc.get(key, 0) + c * e
             for (key, i), c in acc.items():      # every product is a key here
                 if key & top_bits:
                     raise _out_of_range()
@@ -235,27 +266,148 @@ def _verify_over_group_ring(boundary, d):
                         f"{k}->{k - 2} at ({i},{j})")
 
 
+def _match(boundary):
+    """An acyclic matching of the full complex, fixed from its incidences
+    alone: (k, σ, τ) per pair, σ of degree k - 1 in ∂τ, in collapse order.
+    A cell whose only remaining coface is τ is paired with τ, an elementary
+    collapse; when no cell is free, the remaining cell of highest degree
+    that comes last in its layer becomes critical.  Free cells are taken
+    in that same order.  Either way the cells leave, which frees faces."""
+    cob = [[[] for _ in layer] for layer in boundary]
+    for k in range(1, len(boundary)):
+        for pos, row in enumerate(boundary[k]):
+            for t in row:
+                cob[k - 1][t].append(pos)
+    left = [list(map(len, layer)) for layer in cob]     # remaining cofaces
+    alive = [[True] * len(layer) for layer in boundary]
+    free = [(-k, -s) for k, layer in enumerate(left) for s, n in enumerate(layer) if n == 1]
+    heapify(free)
+    pairs = []
+
+    def remove(k, pos):
+        alive[k][pos] = False
+        for s in boundary[k][pos] if k else ():
+            left[k - 1][s] -= 1
+            if left[k - 1][s] == 1:
+                heappush(free, (1 - k, -s))
+
+    for k in range(len(boundary) - 1, -1, -1):
+        for pos in range(len(boundary[k]) - 1, -1, -1):
+            while free:
+                j, s = (-x for x in heappop(free))
+                if alive[j][s] and left[j][s] == 1:
+                    t = next(t for t in cob[j][s] if alive[j + 1][t])
+                    pairs.append((j + 1, s, t))
+                    remove(j + 1, t)
+                    remove(j, s)
+            if alive[k][pos]:
+                remove(k, pos)                  # critical
+    return pairs
+
+
+def _check_matching(boundary, pairs):
+    """(order, up) of a matching, raising unless it is one and acyclic:
+    order[k][pos] the index of the cell's pair, -1 if critical, and up[k]
+    {σ: τ} over the cells matched upwards.  The certificate: in collapse
+    order, every coface of σ other than τ is critical or in an earlier
+    pair.  A gradient path σ → τ → σ' → τ' has τ a coface of σ' other than
+    τ', so the pairs it visits come strictly later: it cannot close."""
+    order = [[-1] * len(layer) for layer in boundary]
+    up = [{} for _ in boundary]
+    for i, (k, s, t) in enumerate(pairs):
+        if order[k - 1][s] >= 0 or order[k][t] >= 0 or s not in boundary[k][t]:
+            raise ChainComplexError(f"pair {i} is not an edge of a matching")
+        order[k - 1][s] = order[k][t] = i
+        up[k - 1][s] = t
+    for k in range(1, len(boundary)):
+        for x, row in enumerate(boundary[k]):
+            for s in row:             # s matched up, to a τ other than x
+                if up[k - 1].get(s, x) != x and order[k][x] >= order[k - 1][s]:
+                    raise ChainComplexError(f"cell {s} of degree {k - 1} keeps coface {x} "
+                                            f"unmatched at its collapse")
+    return order, up
+
+
+def _morse(rows, order, up, d):
+    """The Morse boundary of the critical cells (Sköldberg), in place in
+    rows, the full boundary: every other row becomes None, and each
+    critical one {critical target: Laurent polynomial}.
+
+    A critical row eliminates its matched-up cells σ in collapse order:
+    with u = [∂τ : σ] it adds -c·u⁻¹·∂τ for its coefficient c at σ, ∂τ the
+    full row of τ, never updated; by the certificate the σ' this brings in
+    come later.  The result sums the gradient paths to critical cells.  A
+    path that reaches a downward-matched cell ends there, since no pair
+    eliminates it, so those columns are dropped before any product: the
+    pruning is exact."""
+    top_bits = _packing(d)[1]
+    for k in range(len(rows) - 1, -1, -1):
+        layer, here = rows[k], order[k]
+        below, ups = (order[k - 1], up[k - 1]) if k else ((), {})
+
+        def kept(row, skip):
+            # (target, packed exponent, sign) per term not matched down
+            return [(y, abs(w), 1 if w > 0 else -1) for y, w in row.items()
+                    if y != skip and (below[y] < 0 or y in ups)]
+
+        # σ -> (packed a, sign of u, the kept terms of ∂τ but σ)
+        flows = {s: (abs(u := layer[t][s]), 1 if u > 0 else -1, kept(layer[t], s))
+                 for s, t in ups.items()}
+        for c, row in enumerate(layer):
+            if here[c] >= 0:
+                continue
+            acc, heap = {}, []
+            q, terms = [(0, 1)], kept(row, None)
+            while True:
+                for y, b, cw in terms:
+                    poly = acc.get(y)
+                    if poly is None:
+                        poly = acc[y] = {}
+                        if below[y] >= 0:
+                            heappush(heap, (below[y], y))
+                    for qm, qc in q:
+                        key = qm + b
+                        if key & top_bits:
+                            raise _out_of_range()
+                        v = poly.get(key, 0) + qc * cw
+                        if v:
+                            poly[key] = v
+                        else:
+                            del poly[key]
+                if not heap:
+                    break
+                s = heappop(heap)[1]
+                a, cu, terms = flows[s]
+                q = [(m - a, -cu * v) for m, v in acc.pop(s).items()]
+            layer[c] = {y: poly for y, poly in sorted(acc.items()) if poly}
+        for pos, i in enumerate(here):
+            if i >= 0:
+                layer[pos] = None
+
+
 def _reduce(rows, d):
-    """Eliminate unit entries over Λ, degrees top down: a chain homotopy
-    equivalence for every abelian local system at once (algebraic Morse
-    theory).
+    """Eliminate the unit entries left in the Morse complex, degrees top
+    down: Gaussian elimination over Λ, again a chain homotopy equivalence
+    for every abelian local system at once.  It finds none when the counts
+    are b_i(U) already, since a unit entry of a minimal complex would be ±1
+    at t = 1, where its boundary vanishes.
 
     In degree k the next cell σ of degree k - 1 is the one with the fewest
     current coboundary entries (a heap, invalidated lazily); its partner τ
     is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
     τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
     σ; then τ and σ are dropped, with σ's boundary and τ's column one
-    degree up.  Works in place on rows, the full boundary over Λ, in which
-    a dropped cell's row becomes None.  Returns (cells, boundary): cells[k]
-    the positions in rows[k] of the cells kept, and the reduced boundary
-    on them, which reuses the surviving entries."""
+    degree up.  Works in place on rows, in which a dropped cell's row is
+    None, the Morse step's ones included.  Returns (cells, boundary):
+    cells[k] the positions in rows[k] of the cells kept, and the reduced
+    boundary on them, which reuses the surviving entries."""
     top_bits = _packing(d)[1]
     top = len(rows) - 1
     # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
     cob = [[set() for _ in layer] for layer in rows]
     for k in range(1, top + 1):
         for pos, row in enumerate(rows[k]):
-            for t in row:
+            for t in row or ():
                 cob[k - 1][t].add(pos)
 
     for k in range(top, 0, -1):
@@ -322,7 +474,7 @@ def _reduce(rows, d):
     return kept, boundary
 
 
-def _check_counts(counts, expected, exact):
+def _check_counts(counts, expected, exact, what="cells"):
     """Raises unless counts[i] == expected[i] (exact) or >= it in every
     degree i, a degree beyond a list counting 0.  A face missing on one
     flat can keep d² = 0, never the poset's count; a reduction that loses
@@ -331,7 +483,7 @@ def _check_counts(counts, expected, exact):
         count, bound = (x[i] if i < len(x) else 0 for x in (counts, expected))
         if count < bound or exact and count != bound:
             raise ChainComplexError(
-                f"full complex has {count} cells in degree {i}, the poset predicts {bound}"
+                f"full complex has {count} {what} in degree {i}, the poset predicts {bound}"
                 if exact else
                 f"reduced complex keeps {count} cells in degree {i}, below b_{i} = {bound}")
 
@@ -354,10 +506,12 @@ def _compile(boundary, d):
     def monomial(m):
         chain = []
         while m not in index:
-            # step back along the first variable with a nonzero exponent
-            i, f = next((i, f) for i in range(d)
-                        if (f := (m >> (_BITS * i)) & mask) != _BIAS)
-            s = 1 if f > _BIAS else -1
+            # step back along a variable with a nonzero exponent: the first
+            # that reaches a monomial already made, else the first
+            steps = [(i, 1 if f > _BIAS else -1) for i in range(d)
+                     if (f := (m >> (_BITS * i)) & mask) != _BIAS]
+            i, s = next(((i, s) for i, s in steps if m - (s << (_BITS * i)) in index),
+                        steps[0])
             chain.append((m, i, s))
             m -= s << (_BITS * i)
         j = index[m]

@@ -3,7 +3,8 @@ the complex reduced over Λ, over Q on ints times one scale.
 
 The full boundary over Λ: a SalvettiComplex keeps only the reduced one,
 so the oracles rebuild the full one with the build's first step,
-`_full_complex`.  Its untwisted matrices at t = 1 are each entry's
+`_full_complex`, and read each signed packed unit ±(one + e) as the
+polynomial {one + e: ±1}.  Its untwisted matrices at t = 1 are each entry's
 coefficient sum, ±1: the oracle of `untwisted_homology`, which reads the
 reduced complex at the constant system.
 
@@ -45,10 +46,17 @@ def full_boundary(sc):
     """boundary[k][pos] = {target: {packed exponent: ±1}}, the full
     boundary over Λ on the cells of cell_pairs(sc.fc), built again from
     sc's faces."""
-    boundary = _full_complex(sc.fc)
+    boundary = as_polynomials(_full_complex(sc.fc))
     assert [len(layer) for layer in boundary] == sc.cell_counts
     assert sc.cell_counts == [len(layer) for layer in cell_pairs(sc.fc)]
     return boundary
+
+
+def as_polynomials(boundary):
+    """The full boundary with each signed packed unit ±(one + e) as the
+    polynomial {one + e: ±1}."""
+    return [[{t: {abs(w): 1 if w > 0 else -1} for t, w in row.items()} for row in layer]
+            for layer in boundary]
 
 
 def full_untwisted_matrices(sc):
@@ -201,3 +209,36 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
                         m.entries[r * target + a, r * pos + b] = v
         mats.append(m)
     return TwistedComplex(field, r, dims, mats)
+
+
+def unpruned_morse(boundary, pairs):
+    """The Morse complex of a matching by plain Gaussian elimination over
+    Λ, the oracle of `salvetti._morse`: pair by pair in collapse order,
+    every row with σ in its boundary, critical or not, becomes
+    d - c·u⁻¹·d(τ), u = [∂τ : σ], then σ's row and τ's row and column are
+    dropped.  No column is dropped before its products.  boundary is
+    {target: {packed exponent: coefficient}} per row and stays as it is;
+    the result has None for every matched cell."""
+    rows = [[dict(row) for row in layer] for layer in boundary]
+    for k, s, t in pairs:
+        tau = rows[k][t]
+        ((a, cu),) = tau.pop(s).items()
+        for x, row in enumerate(rows[k]):
+            if row is None or x == t or s not in row:
+                continue
+            p = row.pop(s)
+            for y, poly in tau.items():
+                acc = dict(row.get(y, {}))
+                for m, c in p.items():
+                    for b, e in poly.items():
+                        acc[m - a + b] = acc.get(m - a + b, 0) - c * cu * e
+                acc = {m: c for m, c in acc.items() if c}
+                if acc:
+                    row[y] = acc
+                else:
+                    row.pop(y, None)
+        rows[k][t] = rows[k - 1][s] = None
+        for row in rows[k + 1] if k + 1 < len(rows) else ():
+            if row is not None:
+                row.pop(t, None)
+    return rows

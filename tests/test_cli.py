@@ -91,6 +91,50 @@ def test_info_braid7(tmp_path, capsys):
     assert out["regions"] == 5040 and out["bounded"] == 0
 
 
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_an_arrangement_too_large_to_build_exits_2_before_any_face(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    # braid7's full boundary has 4354560 Λ-terms, read off the poset; its
+    # build ran out of memory after most of a minute.  A face enumerated
+    # would exit 3 here, at once
+    monkeypatch.setattr(realfaces, "enumerate_faces", _raising(AssertionError("a face")))
+    braid7 = braid_essentialized(7)
+    arr = write(tmp_path, "braid7.json", braid7.to_json())
+    system = write(tmp_path, "sys.json", {"field": {"kind": "Fp", "p": 101}, "rank": 1,
+                                          "monodromy": [["2"]] * braid7.d})
+    argv = ["betti", arr, "--system", system] if command == "betti" else ["verify", arr, system]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    name = arr if command == "betti" else "file:braid7"
+    assert capsys.readouterr().err == (f"error: {name}: its Salvetti complex has 4354560 "
+                                       f"Λ-terms, above the bound of 1000000\n")
+
+
+@pytest.mark.parametrize("kind", ["|sec", "|loc", "|dec"])
+def test_verify_refuses_a_derived_arrangement_above_the_bound(tmp_path, capsys, monkeypatch,
+                                                              kind):
+    # sections, localizations and decones are checked where they are
+    # registered, like inputs; here the bound is 0 for one kind of them.
+    # The system's total turn is 1, so central_structure decones
+    real = salvetti.check_size
+
+    def strict_for_kind(arr, name):
+        with monkeypatch.context() as patch:
+            if kind in name:
+                patch.setattr(salvetti, "MAX_TERMS", 0)
+            real(arr, name)
+
+    monkeypatch.setattr(salvetti, "check_size", strict_for_kind)
+    turn_one = {"field": {"kind": "Q"}, "rank": 1, "monodromy": [["2"], ["3"], ["1/6"]]}
+    argv = ["verify", write(tmp_path, "cen3.json", CEN3), write(tmp_path, "s.json", turn_one),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: file:cen3{kind}") and err.count("\n") == 1
+    assert err.endswith("Λ-terms, above the bound of 0\n")
+
+
 def test_info_malformed_exits_2(tmp_path, capsys):
     bad = {"dim": 1, "hyperplanes": [{"label": "H", "normal": ["0.5"], "offset": "0"}]}
     assert main(["info", write(tmp_path, "bad.json", bad)]) == 2

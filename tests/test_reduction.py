@@ -9,9 +9,10 @@ from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from salvetti_oracle import full_twisted_betti, plan_twisted_complex
+from salvetti_oracle import (as_polynomials, full_twisted_betti, plan_twisted_complex,
+                             unpruned_morse)
 
-from arrtop import salvetti
+from arrtop import cli, salvetti
 from arrtop.exactla import ChainComplexError, complex_dims
 from arrtop.fields import FieldSpec
 from arrtop.geometry import betti_numbers, decone, intersection_poset
@@ -20,6 +21,7 @@ from arrtop.harness import (
     braid_essentialized,
     generate_corpus,
     named_arrangements,
+    random_generic,
     systems_for_arrangement,
 )
 from arrtop.localsys import build_local_system, mat_inverse, mat_mul, scalar_system
@@ -37,8 +39,8 @@ _complexes = {}
 
 
 def complex_named(name):
-    """gen3, cen3, braid4, gen-4-3 (corpus seed 0), dbraid4 and dbraid5
-    (the sweep's complex), built once."""
+    """gen3, cen3, braid4, gen-4-3 and cen-5-3 (corpus seed 0), dbraid4 and
+    dbraid5 (the sweep's complex), built once."""
     if name not in _complexes:
         if name in ("gen3", "cen3"):
             arr = named_arrangements()[name]
@@ -402,6 +404,81 @@ def test_reduction_that_drops_a_surviving_cell_is_refused(name, monkeypatch):
     with pytest.raises(ChainComplexError, match=r"below b_\d"):
         build_salvetti(enumerate_faces(arr))
     assert dropped
+
+
+@pytest.mark.parametrize("name", ["braid4", "dbraid4", "gen-4-3", "cen-5-3"])
+def test_pruned_morse_boundary_equals_the_unpruned_elimination(name):
+    # the Morse step updates critical rows only and drops downward-matched
+    # columns before any product; plain elimination of the same matching,
+    # which updates every row and keeps a column until its pair goes, is
+    # its oracle
+    fc = complex_named(name).fc
+    boundary = salvetti._full_complex(fc)
+    pairs = salvetti._match(boundary)
+    order, up = salvetti._check_matching(boundary, pairs)
+    # some τ still has a downward-matched column when its pair goes, so the
+    # oracle takes products that the Morse step prunes
+    assert any(order[k - 1][y] > order[k][t] and y not in up[k - 1]
+               for k, _s, t in pairs for y in boundary[k][t])
+    oracle = unpruned_morse(as_polynomials(boundary), pairs)
+    salvetti._morse(boundary, order, up, fc.arrangement.d)
+    assert boundary == oracle
+    assert any(row for layer in boundary[1:] for row in layer)
+
+
+def _moved_first(boundary, pairs):
+    """The first pair whose σ has a coface in an earlier pair, moved to the
+    front: σ then keeps that coface unmatched at its collapse."""
+    index = {}
+    for i, (k, s, t) in enumerate(pairs):
+        index[k, t] = index[k - 1, s] = i
+    i = next(i for i, (k, s, t) in enumerate(pairs)
+             if any(index.get((k, x), i) < i for x, row in enumerate(boundary[k])
+                    if s in row and x != t))
+    return [pairs[i], *pairs[:i], *pairs[i + 1:]]
+
+
+def _cycle(boundary, pairs):
+    """Two degree-1 cells on one codim-1 face, both with the two chambers
+    beside it in their boundary, each matched with one of them: the
+    gradient path σ → τ → σ' → τ' → σ closes."""
+    s0, s1 = boundary[1][0]
+    t1 = next(t for t, row in enumerate(boundary[1]) if t and set(row) == {s0, s1})
+    return [(1, s0, 0), (1, s1, t1)]
+
+
+def _repeated(boundary, pairs):
+    return [*pairs, pairs[0]]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_moved_first, "keeps coface .* unmatched at its collapse"),
+    (_cycle, "keeps coface .* unmatched at its collapse"),
+    (_repeated, "is not an edge of a matching"),
+], ids=["moved-first", "cycle", "repeated"])
+def test_a_matching_off_its_certificate_is_refused_at_build(gen3, monkeypatch, mutate, message):
+    real_match, morse = salvetti._match, []
+    monkeypatch.setattr(salvetti, "_match", lambda rows: mutate(rows, real_match(rows)))
+    monkeypatch.setattr(salvetti, "_morse", lambda *args: morse.append(args))
+    with pytest.raises(ChainComplexError, match=message):
+        build_salvetti(enumerate_faces(gen3))
+    assert morse == []                    # refused before any arithmetic
+
+
+def test_every_complex_built_is_minimal(tmp_path, monkeypatch):
+    # the matching and the finish reach b_i(U) cells in every degree on
+    # every complex that verify --all --seed 0 builds, and on the ladder's
+    built, real_build = [], salvetti.build_salvetti
+    monkeypatch.setattr(salvetti, "build_salvetti",
+                        lambda fc: built.append(real_build(fc)) or built[-1])
+    assert cli.main(["verify", "--all", "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 48
+    braid5 = braid_essentialized(5)
+    built += [real_build(enumerate_faces(arr))
+              for arr in (braid5, random_generic(8, 3, 1), decone(braid5, 0))]
+    for sc in built:
+        assert [len(layer) for layer in sc.cells] == \
+            betti_numbers(intersection_poset(sc.fc.arrangement))
 
 
 @settings(max_examples=200, deadline=None)

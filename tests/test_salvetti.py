@@ -10,7 +10,7 @@ from salvetti_oracle import (boundary_by_sign_tuples, cell_pairs, full_boundary,
 from arrtop import exactla, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
 from arrtop.fields import FieldSpec
-from arrtop.geometry import betti_numbers, intersection_poset
+from arrtop.geometry import ArrangementError, betti_numbers, intersection_poset, term_counts
 from arrtop.harness import (
     CorpusSpec,
     braid_essentialized,
@@ -352,6 +352,37 @@ def test_build_refuses_a_missing_face_by_the_poset_count(name, request, monkeypa
     assert gates == []                    # refused before the gate over Λ
 
 
+def test_term_counts_are_the_covers_of_every_cell():
+    # one Λ-term per cover of a cell's face, counted on the enumerated
+    # faces, against the prediction read off the poset alone
+    for arr in oracle_arrangements():
+        fc = enumerate_faces(arr)
+        covers = [sum(len(fc.covering(face)) for face, _chamber in layer)
+                  for layer in cell_pairs(fc)]
+        assert term_counts(intersection_poset(arr)) == covers
+
+
+def test_build_refuses_a_term_count_off_the_poset(gen3, monkeypatch):
+    predicted = term_counts(intersection_poset(gen3))
+    monkeypatch.setattr(salvetti, "term_counts",
+                        lambda poset: [c + (k == 2) for k, c in enumerate(predicted)])
+    gates = []
+    monkeypatch.setattr(salvetti, "_verify_over_group_ring", lambda *args: gates.append(args))
+    with pytest.raises(ChainComplexError, match=rf"full complex has {predicted[2]} Λ-terms "
+                                                rf"in degree 2, the poset predicts"):
+        build_salvetti(enumerate_faces(gen3))
+    assert gates == []
+
+
+def test_the_size_bound_takes_braid6_and_gen_12_4_and_refuses_braid7():
+    for arr, terms in ((braid_essentialized(6), 230400), (random_generic(12, 4, 1), 239232)):
+        assert sum(term_counts(intersection_poset(arr))) == terms <= salvetti.MAX_TERMS
+        salvetti.check_size(arr, "rung")
+    with pytest.raises(ArrangementError, match="braid7: its Salvetti complex has 4354560 "
+                                               "Λ-terms, above the bound of 1000000"):
+        salvetti.check_size(braid_essentialized(7), "braid7")
+
+
 @pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
 def test_sparse_q_ranks_match_bareiss_oracle_on_corpus(corpus_items, arr_id, step):
     # dense Bareiss is the oracle for the sparse Q ranks, on the untwisted
@@ -523,20 +554,39 @@ def _reachable(root):
 def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
     gated, real_gate = [], salvetti._verify_over_group_ring
     monkeypatch.setattr(salvetti, "_verify_over_group_ring",
-                        lambda rows, d: gated.append(rows) or real_gate(rows, d))
+                        lambda rows, d: gated.append((rows, list(map(id, rows))))
+                        or real_gate(rows, d))
+    matched, finished = [], []
+    real_match, real_reduce = salvetti._match, salvetti._reduce
+    monkeypatch.setattr(salvetti, "_match", lambda rows: matched.append(real_match(rows))
+                        or matched[-1])
+    monkeypatch.setattr(salvetti, "_reduce", lambda rows, d: finished.append(
+        (rows, list(map(id, rows)), [[pos for pos, row in enumerate(layer) if row is not None]
+                                     for layer in rows])) or real_reduce(rows, d))
     for arr in (braid_essentialized(4), random_generic(5, 3, 1), _slab3()):
         gated.clear()
         sc = complex_for(arr)
-        full, reduced = gated
+        (full, layer_ids), (reduced, _) = gated
         assert reduced is sc.boundary
         assert set(vars(sc)) == {"fc", "cell_counts", "cells", "boundary", "generators",
                                  "monomials", "rows"}
         assert all(value is not None for value in vars(sc).values())
-        # the reduction eliminated in the gated boundary itself: exactly the
+        # the Morse step worked in the gated boundary itself, no layer
+        # copied: the finish got the same lists, each non-critical row
+        # None and each critical one on critical targets only
+        rows, ids, kept = finished.pop()
+        assert rows is full and ids == layer_ids == list(map(id, full))
+        matched_cells = {(k, t) for k, _s, t in matched[-1]} | \
+                        {(k - 1, s) for k, s, _t in matched[-1]}
+        critical = [[pos for pos in range(count) if (k, pos) not in matched_cells]
+                    for k, count in enumerate(sc.cell_counts)]
+        assert kept == critical
+        # the finish eliminated in the gated boundary too: exactly the
         # dropped cells have no row left there
         assert [len(layer) for layer in full] == sc.cell_counts
         for k in range(len(sc.cells)):
             assert [pos for pos, row in enumerate(full[k]) if row is not None] == sc.cells[k]
+            assert set(sc.cells[k]) <= set(critical[k])
         reachable = _reachable(sc)
         assert id(full) not in reachable
         assert not any(id(layer) in reachable for layer in full)
