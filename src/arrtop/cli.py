@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage,
 parse or precondition error (an unreadable input file, an unwritable
---out path and an arrangement whose full Salvetti boundary the poset
-predicts above salvetti.MAX_TERMS Λ-terms included), 3 internal failure
+--out path, an arrangement file above geometry.MAX_DIM dimensions and an
+arrangement whose full Salvetti boundary the poset predicts above
+salvetti.MAX_TERMS Λ-terms included), 3 internal failure
 (a failed gate, memory exhausted, any other unexpected error, a bare
 ValueError included), reported on stderr without a traceback.  Input is
 checked where it enters and refused with an input error type; identical

@@ -103,11 +103,20 @@ class Arrangement:
         }
 
 
+# The largest ambient dimension an arrangement file may declare.  The
+# poset's frames are (dim + 1)-square, built before any size check, and
+# above C^8 an essential arrangement is past salvetti.MAX_TERMS (the
+# Boolean one in C^9, the smallest, has 2359296 Λ-terms), so this mainly
+# caps the lineality space.
+MAX_DIM = 32
+
+
 def validate_arrangement(raw: dict) -> Arrangement:
     """Parse and canonicalize a raw arrangement description.
 
     Expects {"dim": n, "hyperplanes": [{"label", "normal", "offset"}, ...]}
-    with rational strings.  Hyperplane order is preserved.
+    with rational strings, n at most MAX_DIM.  Hyperplane order is
+    preserved.
     """
     if not isinstance(raw, dict) or "dim" not in raw or "hyperplanes" not in raw:
         raise ArrangementError("arrangement file needs 'dim' and 'hyperplanes'")
@@ -115,6 +124,8 @@ def validate_arrangement(raw: dict) -> Arrangement:
         dim = parse_int(raw["dim"])
     except (TypeError, ValueError):
         raise ArrangementError(f"bad ambient dimension {raw.get('dim')!r}")
+    if dim > MAX_DIM:
+        raise ArrangementError(f"ambient dimension {dim} is above the bound of {MAX_DIM}")
     hyps = []
     try:
         for idx, row in enumerate(raw["hyperplanes"]):

@@ -19,21 +19,23 @@ cell_counts and term_counts), then gates the orientation by d∘d = 0
 once over Λ (composition only, no ranks).
 
 Every entry ±t^a is a unit of Λ, stored as one signed packed int, so
-any acyclic matching of the cells is an algebraic Morse matching over Λ
-(Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker, Mem. AMS 197,
-2009).  The build fixes one from incidences alone, before any
-arithmetic, as Salvetti-Settepanella (Geom. Topol. 11, 2007) fix theirs:
-it collapses free faces, and makes the highest remaining cell critical
-when none is free, so every pair passes an acyclicity certificate.  The
-Morse step then computes the boundary of the critical cells only, in the
-full boundary itself, which is not kept, and the greedy elimination
-`_reduce` finishes on whatever the matching left above b_i.  Each step is
-a chain homotopy equivalence for every abelian local system at once.
-The reduced boundary, whose entries are Laurent polynomials, is gated
-by d∘d = 0 over Λ too, and by cells_i ≥ b_i(U) in every degree i, b_i
-the Whitney numbers of the intersection poset: a reduction that loses a
-cycle can keep d² = 0, never that count; when every count is b_i(U) the
-complex is minimal, and its boundary must vanish at t = 1.  Every
+any acyclic matching of the cells at unit entries is an algebraic Morse
+matching over Λ (Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker,
+Mem. AMS 197, 2009).  The build fixes one from incidences alone, before
+any arithmetic, by coreductions (Mrozek-Batko, Discrete Comput. Geom.
+41, 2009): a cell whose only remaining face sits at a unit entry is
+paired with that face, and the lowest remaining cell becomes critical
+when none is left.  Every pair then passes a certificate on faces that
+makes the matching acyclic.  The Morse step computes the boundary of
+the critical cells only, in the full boundary itself, which is not
+kept.  Its entries are Laurent polynomials, and where one is a unit the
+same match and Morse step run again on it, round after round, until no
+pair is left.  Each round is a chain homotopy equivalence for every
+abelian local system at once.  The reduced boundary is gated by d∘d = 0
+over Λ too, and by cells_i ≥ b_i(U) in every degree i, b_i the Whitney
+numbers of the intersection poset: a reduction that loses a cycle can
+keep d² = 0, never that count; when every count is b_i(U) the complex
+is minimal, and its boundary must vanish at t = 1.  Every
 twisted complex specializes the reduced boundary at commuting monodromy
 (LocalSystem refuses any other), a ring homomorphism, so no per-system
 check runs.  The plan, compiled once, lists the distinct generators
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import lcm
 from operator import mul
 
@@ -102,10 +104,10 @@ def check_size(arr, name):
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     """The Salvetti complex, kept reduced: the full boundary over Λ, its
-    cells and Λ-terms checked against the poset's and gated by d² = 0; an
-    acyclic matching fixed from its incidences and checked; the Morse
-    boundary of the critical cells, in place; the greedy finish; then the
-    gates again, d² = 0 and reduced cells_i ≥ b_i(U)."""
+    cells and Λ-terms checked against the poset's and gated by d² = 0;
+    then rounds of a coreduction matching, checked, and the Morse boundary
+    of its critical cells, in place, until no pair is left; then the gates
+    again, d² = 0 and reduced cells_i ≥ b_i(U)."""
     arr = fc.arrangement
     poset = intersection_poset(arr)
     boundary = _full_complex(fc)
@@ -114,8 +116,9 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     _check_counts([sum(map(len, layer)) for layer in boundary], term_counts(poset),
                   exact=True, what="Λ-terms")
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
-    _morse(boundary, *_check_matching(boundary, _match(boundary)), arr.d)  # raises on a cycle
-    cells, reduced = _reduce(boundary, arr.d)            # eliminates in boundary itself
+    while pairs := _match(boundary):                     # eliminates in boundary itself
+        _morse(boundary, *_check_matching(boundary, pairs), arr.d)  # raises off its certificate
+    cells, reduced = _kept(boundary)
     _verify_over_group_ring(reduced, arr.d)              # raises on a bad reduction
     betti = betti_numbers(poset)
     _check_counts([len(layer) for layer in cells], betti, exact=False)
@@ -235,18 +238,26 @@ def _out_of_range():
     return ChainComplexError(f"an exponent over Λ left [-{_BIAS}, {_BIAS})")
 
 
+def _monomials(entry):
+    """((packed exponent, coefficient), ...) of an entry: a signed packed
+    unit ±(one + e) or a Laurent polynomial {packed exponent: coefficient}."""
+    return (tuple(entry.items()) if type(entry) is dict
+            else ((entry, 1),) if entry > 0 else ((-entry, -1),))
+
+
+def _is_unit(entry):
+    """Whether an entry is a unit ±t^a of Λ."""
+    return len(m := _monomials(entry)) == 1 and m[0][1] in (1, -1)
+
+
 def _terms(row):
-    """(target, packed exponent, coefficient) per term of a row, whose
-    entries are signed packed units ±(one + e) or {packed exponent:
-    coefficient}."""
-    return [(i, b, c) for i, entry in row.items()
-            for b, c in (entry.items() if type(entry) is dict
-                         else ((entry, 1),) if entry > 0 else ((-entry, -1),))]
+    """(target, packed exponent, coefficient) per term of a row."""
+    return [(i, b, c) for i, entry in row.items() for b, c in _monomials(entry)]
 
 
 def _verify_over_group_ring(boundary, d):
     """The d²=0 gate over Λ.  On the full boundary it checks the
-    orientation; on the reduced one, the Morse step and the finish."""
+    orientation; on the reduced one, the Morse rounds."""
     one, top_bits = _packing(d)
     for k in range(2, len(boundary)):
         lower = [_terms(row) for row in boundary[k - 1]]
@@ -266,78 +277,86 @@ def _verify_over_group_ring(boundary, d):
                         f"{k}->{k - 2} at ({i},{j})")
 
 
-def _match(boundary):
-    """An acyclic matching of the full complex, fixed from its incidences
-    alone: (k, σ, τ) per pair, σ of degree k - 1 in ∂τ, in collapse order.
-    A cell whose only remaining coface is τ is paired with τ, an elementary
-    collapse; when no cell is free, the remaining cell of highest degree
-    that comes last in its layer becomes critical.  Free cells are taken
-    in that same order.  Either way the cells leave, which frees faces."""
-    cob = [[[] for _ in layer] for layer in boundary]
-    for k in range(1, len(boundary)):
-        for pos, row in enumerate(boundary[k]):
-            for t in row:
-                cob[k - 1][t].append(pos)
-    left = [list(map(len, layer)) for layer in cob]     # remaining cofaces
-    alive = [[True] * len(layer) for layer in boundary]
-    free = [(-k, -s) for k, layer in enumerate(left) for s, n in enumerate(layer) if n == 1]
-    heapify(free)
+def _match(rows):
+    """Coreduction pairs of the complex in rows, a None row a cell already
+    gone: (k, σ, τ) per pair, σ of degree k - 1 in ∂τ, last-coreduced
+    first.  A remaining cell τ whose only remaining face σ sits at a unit
+    entry ±t^a is paired with σ, a coreduction (Mrozek-Batko, Discrete
+    Comput. Geom. 41, 2009); when none is left, the remaining cell of
+    lowest degree, first in its layer, becomes critical.  Either way the
+    cells leave, which frees cofaces."""
+    cob = [[[] for _ in layer] for layer in rows]
+    for k in range(1, len(rows)):
+        for pos, row in enumerate(rows[k]):
+            for s in row or ():
+                cob[k - 1][s].append(pos)
+    # remaining faces per remaining cell, -1 once it is gone
+    left = [[-1 if row is None else len(row) for row in layer] for layer in rows]
+    free = deque((k, t) for k, layer in enumerate(left) for t, n in enumerate(layer) if n == 1)
     pairs = []
 
     def remove(k, pos):
-        alive[k][pos] = False
-        for s in boundary[k][pos] if k else ():
-            left[k - 1][s] -= 1
-            if left[k - 1][s] == 1:
-                heappush(free, (1 - k, -s))
+        left[k][pos] = -1
+        for t in cob[k][pos] if k + 1 < len(rows) else ():
+            if left[k + 1][t] > 0:
+                left[k + 1][t] -= 1
+                if left[k + 1][t] == 1:
+                    free.append((k + 1, t))
 
-    for k in range(len(boundary) - 1, -1, -1):
-        for pos in range(len(boundary[k]) - 1, -1, -1):
+    for k, layer in enumerate(left):
+        for pos in range(len(layer)):
             while free:
-                j, s = (-x for x in heappop(free))
-                if alive[j][s] and left[j][s] == 1:
-                    t = next(t for t in cob[j][s] if alive[j + 1][t])
-                    pairs.append((j + 1, s, t))
-                    remove(j + 1, t)
-                    remove(j, s)
-            if alive[k][pos]:
+                j, t = free.popleft()
+                if left[j][t] == 1:
+                    row = rows[j][t]
+                    s = next(s for s in row if left[j - 1][s] >= 0)
+                    if _is_unit(row[s]):
+                        pairs.append((j, s, t))
+                        remove(j, t)
+                        remove(j - 1, s)
+            if layer[pos] >= 0:
                 remove(k, pos)                  # critical
+    pairs.reverse()
     return pairs
 
 
-def _check_matching(boundary, pairs):
-    """(order, up) of a matching, raising unless it is one and acyclic:
-    order[k][pos] the index of the cell's pair, -1 if critical, and up[k]
-    {σ: τ} over the cells matched upwards.  The certificate: in collapse
-    order, every coface of σ other than τ is critical or in an earlier
-    pair.  A gradient path σ → τ → σ' → τ' has τ a coface of σ' other than
-    τ', so the pairs it visits come strictly later: it cannot close."""
-    order = [[-1] * len(layer) for layer in boundary]
-    up = [{} for _ in boundary]
+def _check_matching(rows, pairs):
+    """(order, up) of a matching, raising unless it is one, at unit entries
+    and acyclic: order[k][pos] the index of the cell's pair, -1 if
+    critical, and up[k] {σ: τ} over the cells matched upwards.  The
+    certificate, on faces: every upward-matched face σ' ≠ σ of τ lies in a
+    later pair, as coreduction leaves it.  A gradient path σ → τ → σ' → τ'
+    has σ' such a face of τ, so the pairs it visits come strictly later:
+    it cannot close."""
+    order = [[-1] * len(layer) for layer in rows]
+    up = [{} for _ in rows]
     for i, (k, s, t) in enumerate(pairs):
-        if order[k - 1][s] >= 0 or order[k][t] >= 0 or s not in boundary[k][t]:
+        row = rows[k][t]
+        if order[k - 1][s] >= 0 or order[k][t] >= 0 or row is None or s not in row:
             raise ChainComplexError(f"pair {i} is not an edge of a matching")
+        if not _is_unit(row[s]):
+            raise ChainComplexError(f"pair {i} sits at an entry that is not a unit")
         order[k - 1][s] = order[k][t] = i
         up[k - 1][s] = t
-    for k in range(1, len(boundary)):
-        for x, row in enumerate(boundary[k]):
-            for s in row:             # s matched up, to a τ other than x
-                if up[k - 1].get(s, x) != x and order[k][x] >= order[k - 1][s]:
-                    raise ChainComplexError(f"cell {s} of degree {k - 1} keeps coface {x} "
-                                            f"unmatched at its collapse")
+    for i, (k, s, t) in enumerate(pairs):
+        for y in rows[k][t]:
+            if y != s and y in up[k - 1] and order[k - 1][y] < i:
+                raise ChainComplexError(f"face {y} of cell {t} in degree {k} is matched "
+                                        f"up in an earlier pair")
     return order, up
 
 
 def _morse(rows, order, up, d):
     """The Morse boundary of the critical cells (Sköldberg), in place in
-    rows, the full boundary: every other row becomes None, and each
-    critical one {critical target: Laurent polynomial}.
+    rows: every matched row becomes None, and each critical one {critical
+    target: Laurent polynomial}.  An entry is a signed packed unit or a
+    Laurent polynomial, so the step runs on its own output again.
 
-    A critical row eliminates its matched-up cells σ in collapse order:
-    with u = [∂τ : σ] it adds -c·u⁻¹·∂τ for its coefficient c at σ, ∂τ the
-    full row of τ, never updated; by the certificate the σ' this brings in
-    come later.  The result sums the gradient paths to critical cells.  A
-    path that reaches a downward-matched cell ends there, since no pair
+    A critical row eliminates its matched-up cells σ in pair order: with
+    u = [∂τ : σ] it adds -c·u⁻¹·∂τ for its coefficient c at σ, ∂τ the row
+    of τ, never updated; by the certificate the σ' this brings in come
+    later.  The result sums the gradient paths to critical cells.  A path
+    that reaches a downward-matched cell ends there, since no pair
     eliminates it, so those columns are dropped before any product: the
     pruning is exact."""
     top_bits = _packing(d)[1]
@@ -346,15 +365,16 @@ def _morse(rows, order, up, d):
         below, ups = (order[k - 1], up[k - 1]) if k else ((), {})
 
         def kept(row, skip):
-            # (target, packed exponent, sign) per term not matched down
-            return [(y, abs(w), 1 if w > 0 else -1) for y, w in row.items()
-                    if y != skip and (below[y] < 0 or y in ups)]
+            # (target, packed exponent, coefficient) per term not matched down
+            return [(y, b, c) for y, w in row.items() if y != skip and (below[y] < 0 or y in ups)
+                    for b, c in _monomials(w)]
 
-        # σ -> (packed a, sign of u, the kept terms of ∂τ but σ)
-        flows = {s: (abs(u := layer[t][s]), 1 if u > 0 else -1, kept(layer[t], s))
-                 for s, t in ups.items()}
+        flows = {}                 # σ -> (packed a, sign of u, the kept terms of ∂τ but σ)
+        for s, t in ups.items():
+            ((a, cu),) = _monomials(layer[t][s])
+            flows[s] = a, cu, kept(layer[t], s)
         for c, row in enumerate(layer):
-            if here[c] >= 0:
+            if here[c] >= 0 or row is None:
                 continue
             acc, heap = {}, []
             q, terms = [(0, 1)], kept(row, None)
@@ -385,93 +405,14 @@ def _morse(rows, order, up, d):
                 layer[pos] = None
 
 
-def _reduce(rows, d):
-    """Eliminate the unit entries left in the Morse complex, degrees top
-    down: Gaussian elimination over Λ, again a chain homotopy equivalence
-    for every abelian local system at once.  It finds none when the counts
-    are b_i(U) already, since a unit entry of a minimal complex would be ±1
-    at t = 1, where its boundary vanishes.
-
-    In degree k the next cell σ of degree k - 1 is the one with the fewest
-    current coboundary entries (a heap, invalidated lazily); its partner τ
-    is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
-    τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
-    σ; then τ and σ are dropped, with σ's boundary and τ's column one
-    degree up.  Works in place on rows, in which a dropped cell's row is
-    None, the Morse step's ones included.  Returns (cells, boundary):
-    cells[k] the positions in rows[k] of the cells kept, and the reduced
-    boundary on them, which reuses the surviving entries."""
-    top_bits = _packing(d)[1]
-    top = len(rows) - 1
-    # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
-    cob = [[set() for _ in layer] for layer in rows]
-    for k in range(1, top + 1):
-        for pos, row in enumerate(rows[k]):
-            for t in row or ():
-                cob[k - 1][t].add(pos)
-
-    for k in range(top, 0, -1):
-        up, down = rows[k], cob[k - 1]
-        heap = [(len(users), s) for s, users in enumerate(down)]
-        heapify(heap)
-        while heap:
-            n, s = heappop(heap)
-            users = down[s]
-            if n != len(users):
-                continue
-            units = [t for t in users                      # entries ±t^a
-                     if len(u := up[t][s]) == 1 and next(iter(u.values())) in (1, -1)]
-            if not units:
-                continue
-            t = min(units, key=lambda t: (len(up[t]), t))
-            row = up[t]
-            up[t] = None
-            ((mu, cu),) = row.pop(s).items()
-            for x in row:
-                down[x].discard(t)
-            users.discard(t)
-            for t2 in users:
-                row2 = up[t2]
-                # -c'·u⁻¹ = -c'·cu·t^(-a); qm + m below is then the packed
-                # exponent of the product with a term t^m of d(τ)
-                q = [(m - mu, -c * cu) for m, c in row2.pop(s).items()]
-                for x, poly in row.items():
-                    acc = row2.get(x)
-                    if acc is None:
-                        acc = row2[x] = {}
-                        down[x].add(t2)
-                    for qm, qc in q:
-                        for m, c in poly.items():
-                            key = qm + m
-                            if key & top_bits:
-                                raise _out_of_range()
-                            v = acc.get(key, 0) + qc * c
-                            if v:
-                                acc[key] = v
-                            else:
-                                del acc[key]
-                    if not acc:
-                        del row2[x]
-                        down[x].discard(t2)
-            users.clear()
-            if k > 1:
-                for lam in rows[k - 1][s]:
-                    cob[k - 2][lam].discard(s)
-            rows[k - 1][s] = None
-            if k < top:
-                for rho in cob[k][t]:
-                    del rows[k + 1][rho][t]
-                cob[k][t] = set()
-            for x in row:
-                heappush(heap, (len(down[x]), x))
-
-    kept = [[pos for pos, row in enumerate(layer) if row is not None] for layer in rows]
-    new = [{pos: i for i, pos in enumerate(layer)} for layer in kept]
-    boundary = [[{} for _ in kept[0]]]
-    for k in range(1, top + 1):
-        boundary.append([{new[k - 1][t]: poly for t, poly in sorted(rows[k][pos].items())}
-                         for pos in kept[k]])
-    return kept, boundary
+def _kept(rows):
+    """(cells, boundary): cells[k] the positions in rows[k] of the cells
+    left, and their boundary renumbered onto them."""
+    cells = [[pos for pos, row in enumerate(layer) if row is not None] for layer in rows]
+    new = [{pos: i for i, pos in enumerate(layer)} for layer in cells]
+    return cells, [[{} for _ in cells[0]]] + [
+        [{new[k - 1][t]: poly for t, poly in rows[k][pos].items()} for pos in cells[k]]
+        for k in range(1, len(rows))]
 
 
 def _check_counts(counts, expected, exact, what="cells"):

@@ -22,11 +22,20 @@ summed scalar by scalar.
 The full boundary over Λ from sign tuples: G∘C composed sign by sign,
 t^neg summed over the hyperplanes where C's sign is below G∘C's, and
 the chamber G∘C found by its sign vector.  `build_salvetti` reads the
-same entries off packed sign masks."""
+same entries off packed sign masks.
+
+The greedy reduction: Gaussian elimination on unit entries of the full
+boundary, with no matching fixed beforehand, the oracle of the build's
+coreduction Morse rounds.  Its complex is another reduced complex of
+the same arrangement, so the two agree in twisted Betti numbers, not in
+matrices."""
+
+from heapq import heapify, heappop, heappush
 
 from arrtop.exactla import FMatrixSparse, complex_dims
 from arrtop.localsys import identity_matrix, mat_inverse, mat_mul
-from arrtop.salvetti import _BIAS, _BITS, TwistedComplex, _full_complex, _orient, _packing
+from arrtop.salvetti import (_BIAS, _BITS, SalvettiComplex, TwistedComplex, _compile,
+                             _full_complex, _orient, _out_of_range, _packing)
 
 
 def cell_pairs(fc):
@@ -213,7 +222,7 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
 
 def unpruned_morse(boundary, pairs):
     """The Morse complex of a matching by plain Gaussian elimination over
-    Λ, the oracle of `salvetti._morse`: pair by pair in collapse order,
+    Λ, the oracle of `salvetti._morse`: pair by pair in the given order,
     every row with σ in its boundary, critical or not, becomes
     d - c·u⁻¹·d(τ), u = [∂τ : σ], then σ's row and τ's row and column are
     dropped.  No column is dropped before its products.  boundary is
@@ -242,3 +251,99 @@ def unpruned_morse(boundary, pairs):
             if row is not None:
                 row.pop(t, None)
     return rows
+
+
+def greedy_reduce(rows, d):
+    """Eliminate the unit entries of rows, degrees top down: Gaussian
+    elimination over Λ, a chain homotopy equivalence for every abelian
+    local system at once.
+
+    In degree k the next cell σ of degree k - 1 is the one with the fewest
+    current coboundary entries (a heap, invalidated lazily); its partner τ
+    is its shortest coboundary cell whose entry u at σ is ±t^a.  Every other
+    τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
+    σ; then τ and σ are dropped, with σ's boundary and τ's column one
+    degree up.  rows is {target: {packed exponent: coefficient}} per row,
+    worked on in place, a dropped cell's row None.  Returns (cells,
+    boundary): cells[k] the positions in rows[k] of the cells kept, and
+    the reduced boundary on them."""
+    top_bits = _packing(d)[1]
+    top = len(rows) - 1
+    # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
+    cob = [[set() for _ in layer] for layer in rows]
+    for k in range(1, top + 1):
+        for pos, row in enumerate(rows[k]):
+            for t in row or ():
+                cob[k - 1][t].add(pos)
+
+    for k in range(top, 0, -1):
+        up, down = rows[k], cob[k - 1]
+        heap = [(len(users), s) for s, users in enumerate(down)]
+        heapify(heap)
+        while heap:
+            n, s = heappop(heap)
+            users = down[s]
+            if n != len(users):
+                continue
+            units = [t for t in users                      # entries ±t^a
+                     if len(u := up[t][s]) == 1 and next(iter(u.values())) in (1, -1)]
+            if not units:
+                continue
+            t = min(units, key=lambda t: (len(up[t]), t))
+            row = up[t]
+            up[t] = None
+            ((mu, cu),) = row.pop(s).items()
+            for x in row:
+                down[x].discard(t)
+            users.discard(t)
+            for t2 in users:
+                row2 = up[t2]
+                # -c'·u⁻¹ = -c'·cu·t^(-a); qm + m below is then the packed
+                # exponent of the product with a term t^m of d(τ)
+                q = [(m - mu, -c * cu) for m, c in row2.pop(s).items()]
+                for x, poly in row.items():
+                    acc = row2.get(x)
+                    if acc is None:
+                        acc = row2[x] = {}
+                        down[x].add(t2)
+                    for qm, qc in q:
+                        for m, c in poly.items():
+                            key = qm + m
+                            if key & top_bits:
+                                raise _out_of_range()
+                            v = acc.get(key, 0) + qc * c
+                            if v:
+                                acc[key] = v
+                            else:
+                                del acc[key]
+                    if not acc:
+                        del row2[x]
+                        down[x].discard(t2)
+            users.clear()
+            if k > 1:
+                for lam in rows[k - 1][s]:
+                    cob[k - 2][lam].discard(s)
+            rows[k - 1][s] = None
+            if k < top:
+                for rho in cob[k][t]:
+                    del rows[k + 1][rho][t]
+                cob[k][t] = set()
+            for x in row:
+                heappush(heap, (len(down[x]), x))
+
+    kept = [[pos for pos, row in enumerate(layer) if row is not None] for layer in rows]
+    new = [{pos: i for i, pos in enumerate(layer)} for layer in kept]
+    boundary = [[{} for _ in kept[0]]]
+    for k in range(1, top + 1):
+        boundary.append([{new[k - 1][t]: poly for t, poly in sorted(rows[k][pos].items())}
+                         for pos in kept[k]])
+    return kept, boundary
+
+
+def greedy_complex(fc):
+    """The SalvettiComplex of fc reduced by greedy_reduce alone, on the
+    full boundary that `_full_complex` builds."""
+    full = as_polynomials(_full_complex(fc))
+    cells, boundary = greedy_reduce(full, fc.arrangement.d)
+    return SalvettiComplex(fc, [len(layer) for layer in full], cells, boundary,
+                           *_compile(boundary, fc.arrangement.d))

@@ -580,6 +580,33 @@ def test_info_non_integer_dim_exits_2(tmp_path, capsys, dim, normal):
     assert "bad ambient dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["info", "betti", "verify"])
+def test_an_ambient_dimension_above_the_bound_exits_2_where_the_file_enters(
+        tmp_path, capsys, monkeypatch, command):
+    # one hyperplane in C^3000 cost 3.2 s of poset frames before any size
+    # check; the bound refuses it as the file is read, before any poset
+    monkeypatch.setattr(geometry, "_build_poset", _raising(AssertionError("a poset")))
+    dim = geometry.MAX_DIM + 1
+    arr = write(tmp_path, "wide.json", {"dim": dim, "hyperplanes": [
+        {"label": "x", "normal": ["1"] + ["0"] * (dim - 1), "offset": "0"}]})
+    system = write(tmp_path, "sys.json", {"field": {"kind": "Q"}, "rank": 1,
+                                          "monodromy": [["2"]]})
+    argv = {"info": ["info", arr], "betti": ["betti", arr, "--system", system],
+            "verify": ["verify", arr, system, "--out", str(tmp_path / "r.json")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: ambient dimension {dim} is above the bound "
+                                       f"of {geometry.MAX_DIM}\n")
+
+
+def test_an_ambient_dimension_at_the_bound_is_accepted(tmp_path, capsys):
+    dim = geometry.MAX_DIM
+    arr = write(tmp_path, "wide.json", {"dim": dim, "hyperplanes": [
+        {"label": "x", "normal": ["1"] + ["0"] * (dim - 1), "offset": "0"}]})
+    assert main(["info", arr]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["betti"] == [1, 1] + [0] * (dim - 1) and out["essential"] is False
+
+
 def test_integer_strings_are_accepted(tmp_path, capsys):
     system = {"field": {"kind": "Fp", "p": "7"}, "rank": "1", "monodromy": [["2"]] * 3}
     code = main(["betti", write(tmp_path, "arr.json", {**GEN3, "dim": "2"}),
@@ -615,7 +642,7 @@ def _raising(exc):
 @pytest.mark.parametrize("name,patch,message", [
     ("_orient", _corrupted_orientation, "internal failure: ChainComplexError: boundary "
                                         "composition nonzero over Λ"),
-    ("_reduce", _raising(MemoryError()), "internal failure: MemoryError: out of memory"),
+    ("_morse", _raising(MemoryError()), "internal failure: MemoryError: out of memory"),
     ("_orient", _raising(RuntimeError("inconsistent signs on a dual cell")),
      "internal failure: RuntimeError: inconsistent signs on a dual cell"),
 ], ids=["gate", "memory", "other"])

@@ -9,8 +9,8 @@ from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from salvetti_oracle import (as_polynomials, full_twisted_betti, plan_twisted_complex,
-                             unpruned_morse)
+from salvetti_oracle import (as_polynomials, full_twisted_betti, greedy_complex,
+                             plan_twisted_complex, unpruned_morse)
 
 from arrtop import cli, salvetti
 from arrtop.exactla import ChainComplexError, complex_dims
@@ -358,11 +358,11 @@ def test_reduced_counts_lie_between_cells_and_betti(name):
 
 @pytest.mark.parametrize("change", ["coefficient", "exponent"])
 def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
-    real_reduce = salvetti._reduce
+    real_kept = salvetti._kept
     corrupted = []
 
     def corrupting(*args):
-        cells, boundary = real_reduce(*args)
+        cells, boundary = real_kept(*args)
         # an entry of boundary 2 whose target has a nonzero boundary: any
         # change δ to it changes d∘d by δ times that boundary, never zero
         row = next(row for row in boundary[2] if any(boundary[1][t] for t in row))
@@ -379,7 +379,7 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
         corrupted.append(m)
         return cells, boundary
 
-    monkeypatch.setattr(salvetti, "_reduce", corrupting)
+    monkeypatch.setattr(salvetti, "_kept", corrupting)
     with pytest.raises(ChainComplexError):
         build_salvetti(enumerate_faces(gen3))
     assert corrupted             # the full gate passed; the reduced one raised
@@ -390,17 +390,17 @@ def test_reduction_that_drops_a_surviving_cell_is_refused(name, monkeypatch):
     # dropping a top-degree cell keeps d² = 0 over Λ, so only the count
     # gate, reduced cells_i >= b_i(U), can see that a cycle was lost
     arr = complex_named(name).fc.arrangement
-    real_reduce = salvetti._reduce
+    real_kept = salvetti._kept
     dropped = []
 
     def dropping(*args):
-        cells, boundary = real_reduce(*args)
+        cells, boundary = real_kept(*args)
         top = len(cells) - 1
         dropped.append(cells[top].pop())
         boundary[top].pop()
         return cells, boundary
 
-    monkeypatch.setattr(salvetti, "_reduce", dropping)
+    monkeypatch.setattr(salvetti, "_kept", dropping)
     with pytest.raises(ChainComplexError, match=r"below b_\d"):
         build_salvetti(enumerate_faces(arr))
     assert dropped
@@ -427,11 +427,12 @@ def test_pruned_morse_boundary_equals_the_unpruned_elimination(name):
 
 
 def _moved_first(boundary, pairs):
-    """The first pair whose σ has a coface in an earlier pair, moved to the
-    front: σ then keeps that coface unmatched at its collapse."""
+    """The first pair whose σ is a face of the τ of an earlier pair, moved
+    to the front: that τ's pair then comes after a pair matching its face
+    upwards."""
     index = {}
     for i, (k, s, t) in enumerate(pairs):
-        index[k, t] = index[k - 1, s] = i
+        index[k, t] = i
     i = next(i for i, (k, s, t) in enumerate(pairs)
              if any(index.get((k, x), i) < i for x, row in enumerate(boundary[k])
                     if s in row and x != t))
@@ -452,30 +453,86 @@ def _repeated(boundary, pairs):
 
 
 @pytest.mark.parametrize("mutate,message", [
-    (_moved_first, "keeps coface .* unmatched at its collapse"),
-    (_cycle, "keeps coface .* unmatched at its collapse"),
+    (_moved_first, "face .* is matched up in an earlier pair"),
+    (_cycle, "face .* is matched up in an earlier pair"),
     (_repeated, "is not an edge of a matching"),
 ], ids=["moved-first", "cycle", "repeated"])
 def test_a_matching_off_its_certificate_is_refused_at_build(gen3, monkeypatch, mutate, message):
     real_match, morse = salvetti._match, []
+
+    def stop(*args):
+        # a matching let through would loop over rounds that change nothing
+        morse.append(args)
+        raise AssertionError("the matching reached the Morse step")
+
     monkeypatch.setattr(salvetti, "_match", lambda rows: mutate(rows, real_match(rows)))
-    monkeypatch.setattr(salvetti, "_morse", lambda *args: morse.append(args))
+    monkeypatch.setattr(salvetti, "_morse", stop)
     with pytest.raises(ChainComplexError, match=message):
         build_salvetti(enumerate_faces(gen3))
     assert morse == []                    # refused before any arithmetic
 
 
+def test_a_pair_at_an_entry_that_is_not_a_unit_is_refused():
+    # t_1 - 1 is no unit of Λ: Morse theory over Λ cannot invert it, though
+    # the pair is an edge and on its own cannot close a cycle
+    one = salvetti._packing(1)[0]
+    rows = [[{}, {}], [{0: {one: -1}, 1: {one + 1: 1, one: -1}}]]
+    with pytest.raises(ChainComplexError, match="pair 0 sits at an entry that is not a unit"):
+        salvetti._check_matching(rows, [(1, 1, 0)])
+    assert salvetti._check_matching(rows, [(1, 0, 0)])[1] == [{0: 0}, {}]
+    # cell 0 of degree 0 goes critical first, which leaves t_1 - 1 the only
+    # face entry: no coreduction takes it, so every cell stays critical
+    assert salvetti._match(rows) == []
+
+
+def test_cen_5_3_at_seed_2_takes_two_rounds(monkeypatch):
+    # its first round stops at [1, 5, 15, 11], which every gate passes; the
+    # second, on the Morse complex's Laurent polynomials, reaches b_i(U)
+    arr = next(item.arrangement for item in generate_corpus(CorpusSpec(seed=2))
+               if item.arrangement_id == "cen-5-3")
+    rounds, real_morse = [], salvetti._morse
+    monkeypatch.setattr(salvetti, "_morse", lambda rows, *args: real_morse(rows, *args)
+                        or rounds.append([sum(row is not None for row in layer)
+                                          for layer in rows]))
+    sc = build_salvetti(enumerate_faces(arr))
+    assert rounds == [[1, 5, 15, 11], [1, 5, 10, 6]]
+    assert [len(layer) for layer in sc.cells] == [1, 5, 10, 6] == \
+        betti_numbers(intersection_poset(arr))
+    assert any(len(poly) > 1 for layer in sc.boundary for row in layer for poly in row.values())
+
+
+@pytest.mark.parametrize("name", ["braid4", "dbraid4", "gen-4-3", "cen-5-3"])
+def test_greedy_reduction_gives_the_same_answers(name):
+    # the greedy elimination the Morse rounds replaced reduces the same full
+    # boundary another way: the answers agree, the matrices need not
+    sc = complex_named(name)
+    greedy = greedy_complex(sc.fc)
+    assert [len(layer) for layer in greedy.cells] == [len(layer) for layer in sc.cells]
+    systems = systems_for_arrangement(sc.fc.arrangement, CorpusSpec(seed=0), name)
+    sample = [system for _sys_id, system in systems[:3] + systems[3::5]]
+    assert {s.field.kind for s in sample} == {"Q", "Fp"} and len(sample) >= 5
+    for system in sample:
+        assert twisted_betti(sc, system) == twisted_betti(greedy, system)
+
+
 def test_every_complex_built_is_minimal(tmp_path, monkeypatch):
-    # the matching and the finish reach b_i(U) cells in every degree on
-    # every complex that verify --all --seed 0 builds, and on the ladder's
+    # the Morse rounds reach b_i(U) cells in every degree on every complex
+    # that verify --all builds at seeds 0-2, and on the ladder's and gen-10-4
     built, real_build = [], salvetti.build_salvetti
     monkeypatch.setattr(salvetti, "build_salvetti",
                         lambda fc: built.append(real_build(fc)) or built[-1])
-    assert cli.main(["verify", "--all", "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(built) == 48
+    for seed, count in ((0, 48), (1, 49), (2, 47)):
+        out = str(tmp_path / f"r{seed}.json")
+        assert cli.main(["verify", "--all", "--seed", str(seed), "--out", out]) == 0
+        assert len(built) == count
+        for sc in built:
+            assert [len(layer) for layer in sc.cells] == \
+                betti_numbers(intersection_poset(sc.fc.arrangement))
+        built.clear()
     braid5 = braid_essentialized(5)
     built += [real_build(enumerate_faces(arr))
-              for arr in (braid5, random_generic(8, 3, 1), decone(braid5, 0))]
+              for arr in (braid5, random_generic(8, 3, 1), decone(braid5, 0),
+                          random_generic(10, 4, 1))]
     for sc in built:
         assert [len(layer) for layer in sc.cells] == \
             betti_numbers(intersection_poset(sc.fc.arrangement))

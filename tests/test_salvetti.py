@@ -557,32 +557,35 @@ def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
                         lambda rows, d: gated.append((rows, list(map(id, rows))))
                         or real_gate(rows, d))
     matched, finished = [], []
-    real_match, real_reduce = salvetti._match, salvetti._reduce
+    real_match, real_kept = salvetti._match, salvetti._kept
     monkeypatch.setattr(salvetti, "_match", lambda rows: matched.append(real_match(rows))
                         or matched[-1])
-    monkeypatch.setattr(salvetti, "_reduce", lambda rows, d: finished.append(
+    monkeypatch.setattr(salvetti, "_kept", lambda rows: finished.append(
         (rows, list(map(id, rows)), [[pos for pos, row in enumerate(layer) if row is not None]
-                                     for layer in rows])) or real_reduce(rows, d))
+                                     for layer in rows])) or real_kept(rows))
     for arr in (braid_essentialized(4), random_generic(5, 3, 1), _slab3()):
         gated.clear()
+        matched.clear()
         sc = complex_for(arr)
         (full, layer_ids), (reduced, _) = gated
         assert reduced is sc.boundary
         assert set(vars(sc)) == {"fc", "cell_counts", "cells", "boundary", "generators",
                                  "monomials", "rows"}
         assert all(value is not None for value in vars(sc).values())
-        # the Morse step worked in the gated boundary itself, no layer
-        # copied: the finish got the same lists, each non-critical row
-        # None and each critical one on critical targets only
+        # the Morse rounds worked in the gated boundary itself, no layer
+        # copied: the renumbering got the same lists, each matched row None
+        # and each critical one on critical targets only
         rows, ids, kept = finished.pop()
         assert rows is full and ids == layer_ids == list(map(id, full))
-        matched_cells = {(k, t) for k, _s, t in matched[-1]} | \
-                        {(k - 1, s) for k, s, _t in matched[-1]}
+        assert matched[-1] == []              # the rounds end on a round with no pair
+        matched_cells = {(k, t) for pairs in matched for k, _s, t in pairs} | \
+                        {(k - 1, s) for pairs in matched for k, s, _t in pairs}
         critical = [[pos for pos in range(count) if (k, pos) not in matched_cells]
                     for k, count in enumerate(sc.cell_counts)]
         assert kept == critical
-        # the finish eliminated in the gated boundary too: exactly the
-        # dropped cells have no row left there
+        assert all(t in critical[k - 1] for k in range(1, len(full))
+                   for pos in critical[k] for t in full[k][pos])
+        # exactly the kept cells have a row left in the gated boundary
         assert [len(layer) for layer in full] == sc.cell_counts
         for k in range(len(sc.cells)):
             assert [pos for pos, row in enumerate(full[k]) if row is not None] == sc.cells[k]
