@@ -27,8 +27,8 @@ any arithmetic, by coreductions (Mrozek-Batko, Discrete Comput. Geom.
 paired with that face, and the lowest remaining cell becomes critical
 when none is left.  Every pair then passes a certificate on faces that
 makes the matching acyclic.  The Morse step computes the boundary of
-the critical cells only, in the full boundary itself, which is not
-kept.  Its entries are Laurent polynomials, and where one is a unit the
+the critical cells only, renumbered onto them, in place of each full
+layer.  Its entries are Laurent polynomials, and where one is a unit the
 same match and Morse step run again on it, round after round, until no
 pair is left.  Each round is a chain homotopy equivalence for every
 abelian local system at once.  The reduced boundary is gated by d∘d = 0
@@ -81,8 +81,7 @@ class SalvettiComplex:
 
     fc: FaceComplex
     cell_counts: list    # cells per degree of the full complex, as the poset predicts
-    cells: list          # cells[k]: the positions among those of the cells kept
-    boundary: list       # boundary[k][pos] = {target in cells[k - 1]: Laurent polynomial}
+    boundary: list       # boundary[k][pos] = {target pos in degree k - 1: Laurent polynomial}
     generators: list     # the distinct (i, s), s = ±1
     monomials: list      # (parent, g) per monomial j > 0
     rows: list           # rows[k - 1]: (target, ((pos, ((monomial, coefficient), ...)), ...))
@@ -105,9 +104,9 @@ def check_size(arr, name):
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     """The Salvetti complex, kept reduced: the full boundary over Λ, its
     cells and Λ-terms checked against the poset's and gated by d² = 0;
-    then rounds of a coreduction matching, checked, and the Morse boundary
-    of its critical cells, in place, until no pair is left; then the gates
-    again, d² = 0 and reduced cells_i ≥ b_i(U)."""
+    then rounds of a coreduction matching, checked, each leaving the Morse
+    complex of its critical cells in place, until no pair is left; then
+    the gates again, d² = 0 and reduced cells_i ≥ b_i(U)."""
     arr = fc.arrangement
     poset = intersection_poset(arr)
     boundary = _full_complex(fc)
@@ -116,14 +115,13 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     _check_counts([sum(map(len, layer)) for layer in boundary], term_counts(poset),
                   exact=True, what="Λ-terms")
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
-    while pairs := _match(boundary):                     # eliminates in boundary itself
+    while pairs := _match(boundary):                     # one Morse round, in boundary itself
         _morse(boundary, *_check_matching(boundary, pairs), arr.d)  # raises off its certificate
-    cells, reduced = _kept(boundary)
-    _verify_over_group_ring(reduced, arr.d)              # raises on a bad reduction
+    _verify_over_group_ring(boundary, arr.d)             # raises on a bad reduction
     betti = betti_numbers(poset)
-    _check_counts([len(layer) for layer in cells], betti, exact=False)
-    _check_minimal(reduced, betti)
-    return SalvettiComplex(fc, counts, cells, reduced, *_compile(reduced, arr.d))
+    _check_counts([len(layer) for layer in boundary], betti, exact=False)
+    _check_minimal(boundary, betti)
+    return SalvettiComplex(fc, counts, boundary, *_compile(boundary, arr.d))
 
 
 def _full_complex(fc: FaceComplex):
@@ -278,20 +276,19 @@ def _verify_over_group_ring(boundary, d):
 
 
 def _match(rows):
-    """Coreduction pairs of the complex in rows, a None row a cell already
-    gone: (k, σ, τ) per pair, σ of degree k - 1 in ∂τ, last-coreduced
-    first.  A remaining cell τ whose only remaining face σ sits at a unit
-    entry ±t^a is paired with σ, a coreduction (Mrozek-Batko, Discrete
-    Comput. Geom. 41, 2009); when none is left, the remaining cell of
-    lowest degree, first in its layer, becomes critical.  Either way the
-    cells leave, which frees cofaces."""
+    """Coreduction pairs of the complex in rows: (k, σ, τ) per pair, σ of
+    degree k - 1 in ∂τ, last-coreduced first.  A remaining cell τ whose
+    only remaining face σ sits at a unit entry ±t^a is paired with σ, a
+    coreduction (Mrozek-Batko, Discrete Comput. Geom. 41, 2009); when none
+    is left, the remaining cell of lowest degree, first in its layer,
+    becomes critical.  Either way the cells leave, which frees cofaces."""
     cob = [[[] for _ in layer] for layer in rows]
     for k in range(1, len(rows)):
         for pos, row in enumerate(rows[k]):
-            for s in row or ():
+            for s in row:
                 cob[k - 1][s].append(pos)
     # remaining faces per remaining cell, -1 once it is gone
-    left = [[-1 if row is None else len(row) for row in layer] for layer in rows]
+    left = [[len(row) for row in layer] for layer in rows]
     free = deque((k, t) for k, layer in enumerate(left) for t, n in enumerate(layer) if n == 1)
     pairs = []
 
@@ -322,17 +319,17 @@ def _match(rows):
 
 def _check_matching(rows, pairs):
     """(order, up) of a matching, raising unless it is one, at unit entries
-    and acyclic: order[k][pos] the index of the cell's pair, -1 if
-    critical, and up[k] {σ: τ} over the cells matched upwards.  The
-    certificate, on faces: every upward-matched face σ' ≠ σ of τ lies in a
-    later pair, as coreduction leaves it.  A gradient path σ → τ → σ' → τ'
-    has σ' such a face of τ, so the pairs it visits come strictly later:
-    it cannot close."""
+    and acyclic: order[k][pos] the index of the cell's pair, or ~j for the
+    j-th critical cell of its layer, and up[k] {σ: τ} over the cells
+    matched upwards.  The certificate, on faces: every upward-matched face
+    σ' ≠ σ of τ lies in a later pair, as coreduction leaves it.  A
+    gradient path σ → τ → σ' → τ' has σ' such a face of τ, so the pairs it
+    visits come strictly later: it cannot close."""
     order = [[-1] * len(layer) for layer in rows]
     up = [{} for _ in rows]
     for i, (k, s, t) in enumerate(pairs):
         row = rows[k][t]
-        if order[k - 1][s] >= 0 or order[k][t] >= 0 or row is None or s not in row:
+        if order[k - 1][s] >= 0 or order[k][t] >= 0 or s not in row:
             raise ChainComplexError(f"pair {i} is not an edge of a matching")
         if not _is_unit(row[s]):
             raise ChainComplexError(f"pair {i} sits at an entry that is not a unit")
@@ -343,14 +340,19 @@ def _check_matching(rows, pairs):
             if y != s and y in up[k - 1] and order[k - 1][y] < i:
                 raise ChainComplexError(f"face {y} of cell {t} in degree {k} is matched "
                                         f"up in an earlier pair")
+    for layer in order:
+        for j, pos in enumerate([pos for pos, i in enumerate(layer) if i < 0]):
+            layer[pos] = ~j
     return order, up
 
 
 def _morse(rows, order, up, d):
-    """The Morse boundary of the critical cells (Sköldberg), in place in
-    rows: every matched row becomes None, and each critical one {critical
-    target: Laurent polynomial}.  An entry is a signed packed unit or a
-    Laurent polynomial, so the step runs on its own output again.
+    """The Morse complex of the critical cells (Sköldberg), in place in
+    rows: each layer becomes the list of its critical rows, in position
+    order, each {critical target j one degree down: Laurent polynomial},
+    as order numbers them.  Layers go top down, each replaced as soon as
+    its rows are done.  An entry is a signed packed unit or a Laurent
+    polynomial, so the step runs on its own output again.
 
     A critical row eliminates its matched-up cells σ in pair order: with
     u = [∂τ : σ] it adds -c·u⁻¹·∂τ for its coefficient c at σ, ∂τ the row
@@ -373,8 +375,9 @@ def _morse(rows, order, up, d):
         for s, t in ups.items():
             ((a, cu),) = _monomials(layer[t][s])
             flows[s] = a, cu, kept(layer[t], s)
+        critical = []
         for c, row in enumerate(layer):
-            if here[c] >= 0 or row is None:
+            if here[c] >= 0:
                 continue
             acc, heap = {}, []
             q, terms = [(0, 1)], kept(row, None)
@@ -399,20 +402,8 @@ def _morse(rows, order, up, d):
                 s = heappop(heap)[1]
                 a, cu, terms = flows[s]
                 q = [(m - a, -cu * v) for m, v in acc.pop(s).items()]
-            layer[c] = {y: poly for y, poly in sorted(acc.items()) if poly}
-        for pos, i in enumerate(here):
-            if i >= 0:
-                layer[pos] = None
-
-
-def _kept(rows):
-    """(cells, boundary): cells[k] the positions in rows[k] of the cells
-    left, and their boundary renumbered onto them."""
-    cells = [[pos for pos, row in enumerate(layer) if row is not None] for layer in rows]
-    new = [{pos: i for i, pos in enumerate(layer)} for layer in cells]
-    return cells, [[{} for _ in cells[0]]] + [
-        [{new[k - 1][t]: poly for t, poly in rows[k][pos].items()} for pos in cells[k]]
-        for k in range(1, len(rows))]
+            critical.append({~below[y]: poly for y, poly in sorted(acc.items()) if poly})
+        rows[k] = critical
 
 
 def _check_counts(counts, expected, exact, what="cells"):
@@ -619,7 +610,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
             factors = [scale // den for den in dens] if dens else [scale] * len(channels[0])
             for vals in channels:
                 vals[:] = map(mul, vals, factors)
-    dims = [r * len(layer) for layer in sc.cells]
+    dims = [r * len(layer) for layer in sc.boundary]
     return TwistedComplex(system.field, r, dims, [
         TwistedBoundary(nrows, ncols, plan, blocks, r, p)
         for nrows, ncols, plan in zip(dims, dims[1:], sc.rows)], scale)

@@ -202,7 +202,7 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
         for parent, g in sc.monomials:
             vals.append(_matmul(vals[parent], generator(*sc.generators[g]), r, p))
 
-    dims = [r * len(layer) for layer in sc.cells]
+    dims = [r * len(layer) for layer in sc.boundary]
     mats = []
     for k, layer in enumerate(sc.rows, start=1):
         m = FMatrixSparse(dims[k - 1], dims[k])
@@ -227,7 +227,7 @@ def unpruned_morse(boundary, pairs):
     d - c·u⁻¹·d(τ), u = [∂τ : σ], then σ's row and τ's row and column are
     dropped.  No column is dropped before its products.  boundary is
     {target: {packed exponent: coefficient}} per row and stays as it is;
-    the result has None for every matched cell."""
+    the result has None for every matched cell, which `compacted` drops."""
     rows = [[dict(row) for row in layer] for layer in boundary]
     for k, s, t in pairs:
         tau = rows[k][t]
@@ -264,9 +264,8 @@ def greedy_reduce(rows, d):
     τ' with σ in its boundary becomes d(τ') - c'·u⁻¹·d(τ), c' its entry at
     σ; then τ and σ are dropped, with σ's boundary and τ's column one
     degree up.  rows is {target: {packed exponent: coefficient}} per row,
-    worked on in place, a dropped cell's row None.  Returns (cells,
-    boundary): cells[k] the positions in rows[k] of the cells kept, and
-    the reduced boundary on them."""
+    worked on in place, a dropped cell's row None.  Returns the reduced
+    boundary on the cells kept, `compacted`."""
     top_bits = _packing(d)[1]
     top = len(rows) - 1
     # cob[k][pos] = the cells of degree k + 1 with cell pos in their boundary
@@ -331,19 +330,22 @@ def greedy_reduce(rows, d):
             for x in row:
                 heappush(heap, (len(down[x]), x))
 
-    kept = [[pos for pos, row in enumerate(layer) if row is not None] for layer in rows]
-    new = [{pos: i for i, pos in enumerate(layer)} for layer in kept]
-    boundary = [[{} for _ in kept[0]]]
-    for k in range(1, top + 1):
-        boundary.append([{new[k - 1][t]: poly for t, poly in sorted(rows[k][pos].items())}
-                         for pos in kept[k]])
-    return kept, boundary
+    return compacted(rows)
+
+
+def compacted(rows):
+    """rows with every None row dropped and each target renumbered onto
+    the rows left one degree down, in position order, targets sorted."""
+    new = [{pos: i for i, pos in enumerate(pos for pos, row in enumerate(layer)
+                                            if row is not None)} for layer in rows]
+    return [[{new[k - 1][t]: poly for t, poly in sorted(row.items())}
+             for row in layer if row is not None] for k, layer in enumerate(rows)]
 
 
 def greedy_complex(fc):
     """The SalvettiComplex of fc reduced by greedy_reduce alone, on the
     full boundary that `_full_complex` builds."""
     full = as_polynomials(_full_complex(fc))
-    cells, boundary = greedy_reduce(full, fc.arrangement.d)
-    return SalvettiComplex(fc, [len(layer) for layer in full], cells, boundary,
-                           *_compile(boundary, fc.arrangement.d))
+    counts = [len(layer) for layer in full]
+    boundary = greedy_reduce(full, fc.arrangement.d)
+    return SalvettiComplex(fc, counts, boundary, *_compile(boundary, fc.arrangement.d))

@@ -129,7 +129,7 @@ def test_twisted_betti_reaches_the_traced_call_chain(call_counter, index):
     ranks = call_counter(exactla, "rank")
     salvetti.twisted_betti(sc, system)
     assert len(assembled) == len(dims) == 1
-    assert len(ranks) == len(sc.cells) - 1
+    assert len(ranks) == len(sc.boundary) - 1
     tc = twisted_complex(sc, system)
     oracle = plan_twisted_complex(sc, system)
     nnz = sum(len(m.entries) for m in tc.matrices)
@@ -141,7 +141,7 @@ def test_twisted_betti_reaches_the_traced_call_chain(call_counter, index):
 def test_minimal_gate_raises_on_any_perturbed_coefficient():
     sc = dbraid5()
     betti = betti_numbers(intersection_poset(sc.fc.arrangement))
-    assert [len(layer) for layer in sc.cells] == betti        # minimal
+    assert [len(layer) for layer in sc.boundary] == betti        # minimal
     salvetti._check_minimal(sc.boundary, betti)
     polys = [poly for layer in sc.boundary for row in layer for poly in row.values()]
     assert polys

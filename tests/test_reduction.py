@@ -9,7 +9,7 @@ from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from salvetti_oracle import (as_polynomials, full_twisted_betti, greedy_complex,
+from salvetti_oracle import (as_polynomials, compacted, full_twisted_betti, greedy_complex,
                              plan_twisted_complex, unpruned_morse)
 
 from arrtop import cli, salvetti
@@ -345,24 +345,29 @@ def test_reduced_betti_equal_the_full_oracle_on_a_corpus_sample(name):
 def test_reduced_counts_lie_between_cells_and_betti(name):
     sc = complex_named(name)
     b = betti_numbers(intersection_poset(sc.fc.arrangement))
-    reduced = [len(layer) for layer in sc.cells]
+    reduced = [len(layer) for layer in sc.boundary]
     assert len(reduced) == len(sc.cell_counts) == len(b)
     assert all(c >= x >= y for c, x, y in zip(sc.cell_counts, reduced, b))
     euler = [sum((-1) ** k * c for k, c in enumerate(counts))
              for counts in (sc.cell_counts, reduced, b)]
     assert euler[0] == euler[1] == euler[2]
-    # every surviving cell is a cell of the full complex, in its order
-    assert all(layer == sorted(set(layer)) and (not layer or layer[-1] < c)
-               for layer, c in zip(sc.cells, sc.cell_counts))
+    # the first round's order numbers the critical cells of the full
+    # complex 0, 1, ... in their order there
+    boundary = salvetti._full_complex(sc.fc)
+    order, _up = salvetti._check_matching(boundary, salvetti._match(boundary))
+    for layer, c, n in zip(order, sc.cell_counts, reduced):
+        critical = [pos for pos, i in enumerate(layer) if i < 0]
+        assert [~layer[pos] for pos in critical] == list(range(len(critical)))
+        assert len(critical) >= n and (not critical or critical[-1] < c)
 
 
 @pytest.mark.parametrize("change", ["coefficient", "exponent"])
 def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
-    real_kept = salvetti._kept
+    real_morse = salvetti._morse
     corrupted = []
 
-    def corrupting(*args):
-        cells, boundary = real_kept(*args)
+    def corrupting(boundary, *args):
+        real_morse(boundary, *args)
         # an entry of boundary 2 whose target has a nonzero boundary: any
         # change δ to it changes d∘d by δ times that boundary, never zero
         row = next(row for row in boundary[2] if any(boundary[1][t] for t in row))
@@ -377,10 +382,9 @@ def test_reduced_gate_catches_one_corrupted_entry(gen3, monkeypatch, change):
             if not poly[moved]:
                 del poly[moved]
         corrupted.append(m)
-        return cells, boundary
 
-    monkeypatch.setattr(salvetti, "_kept", corrupting)
-    with pytest.raises(ChainComplexError):
+    monkeypatch.setattr(salvetti, "_morse", corrupting)
+    with pytest.raises(ChainComplexError, match="composition nonzero"):
         build_salvetti(enumerate_faces(gen3))
     assert corrupted             # the full gate passed; the reduced one raised
 
@@ -390,17 +394,14 @@ def test_reduction_that_drops_a_surviving_cell_is_refused(name, monkeypatch):
     # dropping a top-degree cell keeps d² = 0 over Λ, so only the count
     # gate, reduced cells_i >= b_i(U), can see that a cycle was lost
     arr = complex_named(name).fc.arrangement
-    real_kept = salvetti._kept
+    real_morse = salvetti._morse
     dropped = []
 
-    def dropping(*args):
-        cells, boundary = real_kept(*args)
-        top = len(cells) - 1
-        dropped.append(cells[top].pop())
-        boundary[top].pop()
-        return cells, boundary
+    def dropping(boundary, *args):
+        real_morse(boundary, *args)
+        dropped.append(boundary[-1].pop())
 
-    monkeypatch.setattr(salvetti, "_kept", dropping)
+    monkeypatch.setattr(salvetti, "_morse", dropping)
     with pytest.raises(ChainComplexError, match=r"below b_\d"):
         build_salvetti(enumerate_faces(arr))
     assert dropped
@@ -422,7 +423,7 @@ def test_pruned_morse_boundary_equals_the_unpruned_elimination(name):
                for k, _s, t in pairs for y in boundary[k][t])
     oracle = unpruned_morse(as_polynomials(boundary), pairs)
     salvetti._morse(boundary, order, up, fc.arrangement.d)
-    assert boundary == oracle
+    assert boundary == compacted(oracle)
     assert any(row for layer in boundary[1:] for row in layer)
 
 
@@ -485,20 +486,68 @@ def test_a_pair_at_an_entry_that_is_not_a_unit_is_refused():
     assert salvetti._match(rows) == []
 
 
+def _cen_5_3_at_seed_2():
+    return next(item.arrangement for item in generate_corpus(CorpusSpec(seed=2))
+                if item.arrangement_id == "cen-5-3")
+
+
 def test_cen_5_3_at_seed_2_takes_two_rounds(monkeypatch):
     # its first round stops at [1, 5, 15, 11], which every gate passes; the
     # second, on the Morse complex's Laurent polynomials, reaches b_i(U)
-    arr = next(item.arrangement for item in generate_corpus(CorpusSpec(seed=2))
-               if item.arrangement_id == "cen-5-3")
+    arr = _cen_5_3_at_seed_2()
     rounds, real_morse = [], salvetti._morse
     monkeypatch.setattr(salvetti, "_morse", lambda rows, *args: real_morse(rows, *args)
-                        or rounds.append([sum(row is not None for row in layer)
-                                          for layer in rows]))
+                        or rounds.append([len(layer) for layer in rows]))
     sc = build_salvetti(enumerate_faces(arr))
     assert rounds == [[1, 5, 15, 11], [1, 5, 10, 6]]
-    assert [len(layer) for layer in sc.cells] == [1, 5, 10, 6] == \
+    assert [len(layer) for layer in sc.boundary] == [1, 5, 10, 6] == \
         betti_numbers(intersection_poset(arr))
     assert any(len(poly) > 1 for layer in sc.boundary for row in layer for poly in row.values())
+
+
+@pytest.mark.parametrize("name", ["braid4", "gen-4-3", "dbraid4", "cen-5-3-seed-2"])
+def test_each_match_scans_only_the_cells_the_last_round_left(name, monkeypatch):
+    # a round hands on its critical cells alone: the first match scans the
+    # full complex, each later one the critical cells of the round before,
+    # and the last one, which finds no pair, b_i(U) cells
+    arr = (_cen_5_3_at_seed_2() if name == "cen-5-3-seed-2"
+           else complex_named(name).fc.arrangement)
+    seen, real_match = [], salvetti._match
+    monkeypatch.setattr(salvetti, "_match", lambda rows: seen.append(
+        ([len(layer) for layer in rows], real_match(rows))) or seen[-1][1])
+    sc = build_salvetti(enumerate_faces(arr))
+    assert seen[0][0] == sc.cell_counts
+    for (counts, pairs), (after, _pairs) in zip(seen, seen[1:]):
+        matched = [0] * len(counts)
+        for k, _s, _t in pairs:
+            matched[k - 1] += 1
+            matched[k] += 1
+        assert pairs and after == [c - m for c, m in zip(counts, matched)]
+    assert seen[-1] == (betti_numbers(intersection_poset(arr)), [])
+    assert len(seen) == (3 if name == "cen-5-3-seed-2" else 2)
+
+
+@pytest.mark.parametrize("name", ["gen3", "braid4", "dbraid4", "gen-4-3"])
+def test_a_round_that_moves_a_target_is_refused_by_the_reduced_gate(name, monkeypatch):
+    # a renumbering slip: one target of one critical row in degree 2 moved
+    # to another cell of degree 1 with another boundary.  The counts and
+    # the certificate cannot see it, nor the t = 1 check, since every
+    # boundary of a minimal complex is zero there; the reduced d∘d = 0
+    # gate over Λ sees p·(∂t' - ∂t) ≠ 0
+    real_morse, moved = salvetti._morse, []
+
+    def moving(rows, *args):
+        real_morse(rows, *args)
+        row, t, t2 = next((row, t, t2) for row in rows[2] for t in row
+                          for t2 in range(len(rows[1]))
+                          if t2 not in row and rows[1][t2] != rows[1][t])
+        row[t2] = row.pop(t)
+        moved.append((t, t2))
+
+    monkeypatch.setattr(salvetti, "_morse", moving)
+    with pytest.raises(ChainComplexError, match="composition nonzero over Λ in degrees 2->0"):
+        build_salvetti(enumerate_faces(complex_named(name).fc.arrangement))
+    assert len(moved) == 1           # one round, then the gates
 
 
 @pytest.mark.parametrize("name", ["braid4", "dbraid4", "gen-4-3", "cen-5-3"])
@@ -507,7 +556,7 @@ def test_greedy_reduction_gives_the_same_answers(name):
     # boundary another way: the answers agree, the matrices need not
     sc = complex_named(name)
     greedy = greedy_complex(sc.fc)
-    assert [len(layer) for layer in greedy.cells] == [len(layer) for layer in sc.cells]
+    assert [len(layer) for layer in greedy.boundary] == [len(layer) for layer in sc.boundary]
     systems = systems_for_arrangement(sc.fc.arrangement, CorpusSpec(seed=0), name)
     sample = [system for _sys_id, system in systems[:3] + systems[3::5]]
     assert {s.field.kind for s in sample} == {"Q", "Fp"} and len(sample) >= 5
@@ -526,7 +575,7 @@ def test_every_complex_built_is_minimal(tmp_path, monkeypatch):
         assert cli.main(["verify", "--all", "--seed", str(seed), "--out", out]) == 0
         assert len(built) == count
         for sc in built:
-            assert [len(layer) for layer in sc.cells] == \
+            assert [len(layer) for layer in sc.boundary] == \
                 betti_numbers(intersection_poset(sc.fc.arrangement))
         built.clear()
     braid5 = braid_essentialized(5)
@@ -534,7 +583,7 @@ def test_every_complex_built_is_minimal(tmp_path, monkeypatch):
               for arr in (braid5, random_generic(8, 3, 1), decone(braid5, 0),
                           random_generic(10, 4, 1))]
     for sc in built:
-        assert [len(layer) for layer in sc.cells] == \
+        assert [len(layer) for layer in sc.boundary] == \
             betti_numbers(intersection_poset(sc.fc.arrangement))
 
 

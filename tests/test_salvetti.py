@@ -445,14 +445,18 @@ def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
     gates, checks = [], []
     real_gate, real_check = salvetti._verify_over_group_ring, exactla.verify_composition
     monkeypatch.setattr(salvetti, "_verify_over_group_ring",
-                        lambda rows, d: gates.append(rows) or real_gate(rows, d))
+                        lambda rows, d: gates.append((rows, [len(layer) for layer in rows]))
+                        or real_gate(rows, d))
     monkeypatch.setattr(exactla, "verify_composition",
                         lambda mats, field: checks.append(field) or real_check(mats, field))
     sc = complex_for(gen3)
-    # once on the full boundary, once on the reduced one
-    assert len(gates) == 2 and gates[0] is not sc.boundary and checks == []
-    assert gates[1] is sc.boundary
-    assert [len(layer) for layer in gates[0][1:]] == sc.cell_counts[1:]
+    # once on the full boundary, once on the reduced one, which the Morse
+    # rounds made in its place
+    assert len(gates) == 2 and checks == []
+    (full, full_counts), (reduced, reduced_counts) = gates
+    assert full is reduced is sc.boundary
+    assert full_counts[1:] == sc.cell_counts[1:]
+    assert reduced_counts == [len(layer) for layer in sc.boundary] != full_counts
     twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
     twisted_betti(sc, build_local_system(F7, 2, [[[2, 0], [0, 3]]] * 3))
     untwisted_homology(sc)
@@ -477,7 +481,7 @@ def test_assembled_entries_are_nonzero_and_reduced(corpus_items, field):
         full = full_twisted_complex(sc, system).matrices
         assert all(m.entries for m in full)
         reduced = twisted_complex(sc, system).matrices
-        counts = [len(layer) for layer in sc.cells]
+        counts = [len(layer) for layer in sc.boundary]
         assert [(m.nrows, m.ncols) for m in reduced] == \
             [(2 * a, 2 * b) for a, b in zip(counts, counts[1:])]
         for mats, q_type in ((full, Fraction), (reduced, int)):
@@ -554,44 +558,34 @@ def _reachable(root):
 def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
     gated, real_gate = [], salvetti._verify_over_group_ring
     monkeypatch.setattr(salvetti, "_verify_over_group_ring",
-                        lambda rows, d: gated.append((rows, list(map(id, rows))))
-                        or real_gate(rows, d))
-    matched, finished = [], []
-    real_match, real_kept = salvetti._match, salvetti._kept
+                        lambda rows, d: gated.append((rows, list(rows))) or real_gate(rows, d))
+    matched, rounds = [], []
+    real_match, real_morse = salvetti._match, salvetti._morse
     monkeypatch.setattr(salvetti, "_match", lambda rows: matched.append(real_match(rows))
                         or matched[-1])
-    monkeypatch.setattr(salvetti, "_kept", lambda rows: finished.append(
-        (rows, list(map(id, rows)), [[pos for pos, row in enumerate(layer) if row is not None]
-                                     for layer in rows])) or real_kept(rows))
+    monkeypatch.setattr(salvetti, "_morse", lambda rows, *args: real_morse(rows, *args)
+                        or rounds.append(list(rows)))
     for arr in (braid_essentialized(4), random_generic(5, 3, 1), _slab3()):
         gated.clear()
         matched.clear()
+        rounds.clear()
         sc = complex_for(arr)
-        (full, layer_ids), (reduced, _) = gated
-        assert reduced is sc.boundary
-        assert set(vars(sc)) == {"fc", "cell_counts", "cells", "boundary", "generators",
-                                 "monomials", "rows"}
+        (full, full_layers), (reduced, reduced_layers) = gated
+        assert full is reduced is sc.boundary
+        assert set(vars(sc)) == {"fc", "cell_counts", "boundary", "generators", "monomials",
+                                 "rows"}
         assert all(value is not None for value in vars(sc).values())
-        # the Morse rounds worked in the gated boundary itself, no layer
-        # copied: the renumbering got the same lists, each matched row None
-        # and each critical one on critical targets only
-        rows, ids, kept = finished.pop()
-        assert rows is full and ids == layer_ids == list(map(id, full))
-        assert matched[-1] == []              # the rounds end on a round with no pair
-        matched_cells = {(k, t) for pairs in matched for k, _s, t in pairs} | \
-                        {(k - 1, s) for pairs in matched for k, s, _t in pairs}
-        critical = [[pos for pos in range(count) if (k, pos) not in matched_cells]
-                    for k, count in enumerate(sc.cell_counts)]
-        assert kept == critical
-        assert all(t in critical[k - 1] for k in range(1, len(full))
-                   for pos in critical[k] for t in full[k][pos])
-        # exactly the kept cells have a row left in the gated boundary
-        assert [len(layer) for layer in full] == sc.cell_counts
-        for k in range(len(sc.cells)):
-            assert [pos for pos, row in enumerate(full[k]) if row is not None] == sc.cells[k]
-            assert set(sc.cells[k]) <= set(critical[k])
+        assert [len(layer) for layer in full_layers] == sc.cell_counts
+        # the Morse rounds worked in the gated boundary itself: each round
+        # put a compact layer in place of every layer, no row None, each
+        # target a cell one degree down
+        assert matched[-1] == [] and len(rounds) == len(matched) - 1 > 0
+        for layers in rounds:
+            assert not any(row is None for layer in layers for row in layer)
+            assert all(0 <= t < len(layers[k - 1]) for k in range(1, len(layers))
+                       for row in layers[k] for t in row)
+            assert not any(a is b for a, b in zip(layers, full_layers))
+        assert all(a is b for a, b in zip(reduced_layers, rounds[-1]))
         reachable = _reachable(sc)
-        assert id(full) not in reachable
-        assert not any(id(layer) in reachable for layer in full)
-        assert not any(id(row) in reachable for layer in full[1:] for row in layer
-                       if row is not None)
+        assert not any(id(layer) in reachable for layer in full_layers)
+        assert not any(id(row) in reachable for layer in full_layers[1:] for row in layer)
