@@ -105,8 +105,8 @@ class Arrangement:
 
 # The largest ambient dimension an arrangement file may declare.  The
 # poset's frames are (dim + 1)-square, built before any size check, and
-# above C^8 an essential arrangement is past salvetti.MAX_TERMS (the
-# Boolean one in C^9, the smallest, has 2359296 Λ-terms), so this mainly
+# above C^9 an essential arrangement is past salvetti.MAX_TERMS (the
+# Boolean one in C^10, the smallest, has 10485760 Λ-terms), so this mainly
 # caps the lineality space.
 MAX_DIM = 32
 
@@ -185,20 +185,22 @@ class FlatPoset:
     def of_codim(self, c):
         return [f for f in self.flats if f.codim == c]
 
+    def flat_sizes(self, f):
+        """(cells, Λ-terms) of the Salvetti complex on the faces of the flat
+        f: see cell_counts and term_counts.  Quadratic in the flats inside f."""
+        x = f.containing
+        faces = sum(map(abs, _mobius([z.containing for z in self.flats
+                                      if z.containing >= x]).values()))
+        below = [y for y in self.flats if y.containing <= x]
+        cells = faces * sum(abs(y.mobius) for y in below)
+        return cells, 2 * cells * sum(y.codim == f.codim - 1 for y in below)
+
     @cached_property
     def sizes(self):
-        """(cells, Λ-terms) per degree of the Salvetti complex, made once:
-        see cell_counts and term_counts."""
-        keys = [f.containing for f in self.flats]
-        counts, terms = ([0] * (self.flats[-1].codim + 1) for _ in range(2))
-        for f in self.flats:
-            x = f.containing
-            faces = sum(map(abs, _mobius([z for z in keys if z >= x]).values()))
-            below = [y for y in self.flats if y.containing <= x]
-            cells = faces * sum(abs(y.mobius) for y in below)
-            counts[f.codim] += cells
-            terms[f.codim] += 2 * cells * sum(y.codim == f.codim - 1 for y in below)
-        return counts, terms
+        """(cells, Λ-terms) per degree of the Salvetti complex, made once."""
+        sizes = [(f.codim, self.flat_sizes(f)) for f in self.flats]
+        return tuple([sum(size[j] for c, size in sizes if c == k)
+                      for k in range(self.flats[-1].codim + 1)] for j in (0, 1))
 
     def flat_counts(self):
         counts = [0] * (self.ambient_dim + 1)

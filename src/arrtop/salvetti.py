@@ -7,36 +7,38 @@ real arrangement together with a chamber C adjacent to it.  The cell
 (Salvetti, Invent. Math. 88, 1987).  G∘C is the chamber adjacent to G
 nearest to C, G's sign where nonzero and C's elsewhere; neg is the set
 of hyperplanes C crosses from their negative side on its way to G∘C.
-With each sign vector packed into int masks plus and minus, G∘C is the
-chamber with minus mask minus[G] | (minus[C] & ~(plus[G] | minus[G]))
+With each sign vector as d-bit masks plus and minus (bit i for H_i), G∘C
+is the chamber with minus mask minus[G] | (minus[C] & ~(plus[G] | minus[G]))
 and neg is minus[C] & plus[G].  ε is one orientation of the face poset,
 so the sign depends on the face alone, not on the chamber.  It is fixed
 codim by codim by closing all "diamonds" (two-step intervals) over the
 signs one codim below.  The boundary lives over Λ = Z[t_1^±1..t_d^±1],
 as the chain complex of the universal abelian cover.  The build checks
 its cells and Λ-terms per degree against the poset's (geometry's
-cell_counts and term_counts), then gates the orientation by d∘d = 0
-once over Λ (composition only, no ranks).
+cell_counts and term_counts), then certifies d∘d = 0 over Λ entry by
+entry and face by face, composing no path and taking no rank.
 
-Every entry ±t^a is a unit of Λ, stored as one signed packed int, so
-any acyclic matching of the cells at unit entries is an algebraic Morse
-matching over Λ (Sköldberg, Trans. AMS 358, 2006; Jöllenbeck-Welker,
-Mem. AMS 197, 2009).  The build fixes one from incidences alone, before
-any arithmetic, by coreductions (Mrozek-Batko, Discrete Comput. Geom.
-41, 2009): a cell whose only remaining face sits at a unit entry is
-paired with that face, and the lowest remaining cell becomes critical
-when none is left.  Every pair then passes a certificate on faces that
-makes the matching acyclic.  The Morse step computes the boundary of
-the critical cells only, renumbered onto them, in place of each full
-layer.  Its entries are Laurent polynomials, and where one is a unit the
-same match and Morse step run again on it, round after round, until no
-pair is left.  Each round is a chain homotopy equivalence for every
-abelian local system at once.  The reduced boundary is gated by d∘d = 0
-over Λ too, and by cells_i ≥ b_i(U) in every degree i, b_i the Whitney
-numbers of the intersection poset: a reduction that loses a cycle can
-keep d² = 0, never that count; when every count is b_i(U) the complex
-is minimal, and its boundary must vanish at t = 1.  Every
-twisted complex specializes the reduced boundary at commuting monodromy
+Every entry ±t^neg is a unit of Λ with a 0/1 exponent, stored as one
+signed small int ±(1 + neg), so any acyclic matching of the cells at
+unit entries is an algebraic Morse matching over Λ (Sköldberg, Trans.
+AMS 358, 2006; Jöllenbeck-Welker, Mem. AMS 197, 2009).  The build fixes
+one from incidences alone, before any arithmetic, by coreductions
+(Mrozek-Batko, Discrete Comput. Geom. 41, 2009): a cell whose only
+remaining face sits at a unit entry is paired with that face, and the
+lowest remaining cell becomes critical when none is left.  Every pair
+then passes a certificate on faces that makes the matching acyclic.
+The Morse step computes the boundary of the critical cells only,
+renumbered onto them, in place of each full layer.  Its entries are
+Laurent polynomials on packed exponents (the first round packs each
+distinct unit once), and where one is a unit the same match and Morse
+step run again on it, round after round, until no pair is left.  Each
+round is a chain homotopy equivalence for every abelian local system at
+once.  The reduced boundary is gated by d∘d = 0 over Λ, and by
+cells_i ≥ b_i(U) in every degree i, b_i the Whitney numbers of the
+intersection poset: a reduction that loses a cycle can keep d² = 0,
+never that count; when every count is b_i(U) the complex is minimal,
+and its boundary must vanish at t = 1.  Every twisted complex
+specializes the reduced boundary at commuting monodromy
 (LocalSystem refuses any other), a ring homomorphism, so no per-system
 check runs.  The plan, compiled once, lists the distinct generators
 t_i^±1, reaches each monomial by one product with one of them and groups
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 from math import lcm
 from operator import mul
@@ -87,34 +90,39 @@ class SalvettiComplex:
     rows: list           # rows[k - 1]: (target, ((pos, ((monomial, coefficient), ...)), ...))
 
 
-# The largest full boundary, in Λ-terms, that betti and verify build:
-# braid6 has 230400 and gen-12-4 239232; braid7's 4354560 would not fit.
-MAX_TERMS = 1_000_000
+# The largest full boundary, in Λ-terms, that betti and verify build.  A
+# build peaks at 101 B per term on braid7 (439 MB; 206 and 253 B on braid6
+# and gen-12-4, mostly the interpreter), so 10M terms peak near 1.1 GB.
+MAX_TERMS = 10_000_000
 
 
 def check_size(arr, name):
-    """Refuses, before any face is enumerated, an arrangement whose full
-    boundary the poset predicts above MAX_TERMS Λ-terms."""
-    terms = sum(term_counts(intersection_poset(arr)))
-    if terms > MAX_TERMS:
-        raise ArrangementError(f"{name}: its Salvetti complex has {terms} Λ-terms, "
-                               f"above the bound of {MAX_TERMS}")
+    """Refuses, before any face is enumerated, an arrangement whose full boundary
+    the poset predicts above MAX_TERMS Λ-terms, summed from the top flat down."""
+    poset = intersection_poset(arr)
+    terms = 0
+    for flat in reversed(poset.flats):
+        terms += poset.flat_sizes(flat)[1]
+        if terms > MAX_TERMS:
+            raise ArrangementError(f"{name}: its Salvetti complex has at least {terms} "
+                                   f"Λ-terms, above the bound of {MAX_TERMS}")
 
 
 def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     """The Salvetti complex, kept reduced: the full boundary over Λ, its
-    cells and Λ-terms checked against the poset's and gated by d² = 0;
+    cells and Λ-terms checked against the poset's and d² = 0 certified;
     then rounds of a coreduction matching, checked, each leaving the Morse
     complex of its critical cells in place, until no pair is left; then
     the gates again, d² = 0 and reduced cells_i ≥ b_i(U)."""
     arr = fc.arrangement
     poset = intersection_poset(arr)
-    boundary = _full_complex(fc)
+    boundary, *layout = _full_complex(fc)
     counts = [len(layer) for layer in boundary]
     _check_counts(counts, cell_counts(poset), exact=True)     # raises on a missing face
     _check_counts([sum(map(len, layer)) for layer in boundary], term_counts(poset),
                   exact=True, what="Λ-terms")
-    _verify_over_group_ring(boundary, arr.d)             # raises on a bad orientation
+    _certify_full(fc, boundary, *layout)                 # raises on a bad entry or orientation
+    del layout
     while pairs := _match(boundary):                     # one Morse round, in boundary itself
         _morse(boundary, *_check_matching(boundary, pairs), arr.d)  # raises off its certificate
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad reduction
@@ -125,11 +133,11 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
 
 
 def _full_complex(fc: FaceComplex):
-    """The boundary over Λ on all (face, adjacent chamber) pairs, graded by
-    codim and sorted by sign vectors: boundary[k][pos] = {target position:
-    ±(one + neg)}, ∂[F, C] = Σ ε(F, G)·t^neg·[G, G∘C] over the faces G
-    covering F, each unit ±t^neg one signed packed int (one empty row per
-    chamber in degree 0)."""
+    """(boundary, cells, eps, plus, minus): the boundary over Λ on the (face,
+    adjacent chamber) pairs cells[k][pos], graded by codim and sorted by sign
+    vectors, boundary[k][pos] = {target position: ±(1 + neg)}, ∂[F, C] =
+    Σ ε(F, G)·t^neg·[G, G∘C] over the faces G covering F (one empty row per
+    chamber in degree 0); plus (minus) masks each face's + (-) hyperplanes."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
@@ -143,10 +151,8 @@ def _full_complex(fc: FaceComplex):
     index = [{s: i for i, s in enumerate(layer)} for layer in cells]
 
     eps = _orient(fc)
-    one, _ = _packing(arr.d)
-    # each sign vector as packed masks: bit _BITS * i set where H_i is + (-)
-    plus = [sum(1 << (_BITS * i) for i, s in enumerate(f.sign) if s > 0) for f in fc.faces]
-    minus = [sum(1 << (_BITS * i) for i, s in enumerate(f.sign) if s < 0) for f in fc.faces]
+    plus = [sum(1 << i for i, s in enumerate(f.sign) if s > 0) for f in fc.faces]
+    minus = [sum(1 << i for i, s in enumerate(f.sign) if s < 0) for f in fc.faces]
     chamber = {minus[c]: c for c in fc.chambers}
     boundary = [[{} for _ in cells[0]]]
     for k in range(1, top_codim + 1):
@@ -157,9 +163,47 @@ def _full_complex(fc: FaceComplex):
             # t^neg, neg the hyperplanes where C is - and G is +
             layer.append(dict(sorted(
                 (index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]],
-                 s * (one + (cm & plus[g]))) for g, s in eps[f].items())))
+                 s * (1 + (cm & plus[g]))) for g, s in eps[f].items())))
         boundary.append(layer)
-    return boundary
+    return boundary, cells, eps, plus, minus
+
+
+def _certify_full(fc: FaceComplex, boundary, cells, eps, plus, minus):
+    """Raises unless d∘d = 0 over Λ, by checks once per face and once per
+    entry, never per two-step path.  Per face F: ε is over its covers, and
+    every interval F < G, G' < L has two middle faces, with ε(F, G)·ε(G, L)
+    + ε(F, G')·ε(G', L) = 0.  Per row [F, C]: one entry per cover G of F,
+    of sign ε(F, G), at [G, D] for D = G∘C (G's signs on supp(G), C's off
+    it), with neg = minus[C] & plus[D].  Proof: the path F < G < L of
+    ∂∂[F, C] lands on [L, L∘(G∘C)] = [L, L∘C], as supp(G) ⊆ supp(L), with
+    exponent (minus[C] & plus[G∘C]) + (minus[G∘C] & plus[L∘C]) = minus[C]
+    & plus[L]: the first counts the i in supp(G) with C_i = - and G_i =
+    L_i = +, the second the i off supp(G) with C_i = - and L_i = +.  So
+    the term depends on G only through ε, and each diamond cancels."""
+    for f, signs in enumerate(eps):
+        if tuple(signs) != fc.covering(f):
+            raise ChainComplexError(f"ε of face {f} is not over its covers")
+        paths = {}                   # L -> [ε(F, G)·ε(G, L)] over the middle faces G
+        for g, s in signs.items():
+            for lam, t in eps[g].items():
+                paths.setdefault(lam, []).append(s * t)
+        for lam, products in paths.items():
+            if len(products) != 2 or sum(products):
+                raise ChainComplexError(
+                    f"boundary composition nonzero over Λ from face {f} to face {lam}"
+                    if len(products) == 2 else f"faces {f} < {lam} are not a diamond")
+    for k in range(1, len(boundary)):
+        for pos, ((f, c), row) in enumerate(zip(cells[k], boundary[k])):
+            signs, cm = eps[f], minus[c]
+            if len(row) != len(signs):
+                raise ChainComplexError(f"row {pos} in degree {k} misses a cover")
+            for t, w in row.items():
+                g, dc = cells[k - 1][t]
+                s = signs.get(g)
+                if (s is None or (w > 0) != (s > 0) or abs(w) != 1 + (cm & plus[dc])
+                        or minus[dc] != minus[g] | (cm & ~(plus[g] | minus[g]))):
+                    raise ChainComplexError(f"entry ({t},{pos}) in degree {k} is not "
+                                            f"ε(F, G)·t^neg at [G, G∘C]")
 
 
 def _orient(fc: FaceComplex):
@@ -169,8 +213,8 @@ def _orient(fc: FaceComplex):
 
     Codim 1: the sign of G on F's one hyperplane.  Higher codims, faces
     in increasing codim: propagate through the diamonds, whose closing
-    condition is fixed by the signs one codim down; the covers of F
-    bound a sphere (the dual cell of F), so BFS reaches every cover."""
+    condition is fixed by the signs one codim down (`_certify_full` checks
+    them); the covers of F bound a sphere, so BFS reaches every cover."""
     faces = fc.faces
     n = fc.arrangement.dim
     eps = [None] * len(faces)
@@ -206,22 +250,19 @@ def _orient(fc: FaceComplex):
             while queue:
                 i = queue.popleft()
                 for j, rel in edges[i]:
-                    expected = signs[i] * rel
                     if signs[j] == 0:
-                        signs[j] = expected
+                        signs[j] = signs[i] * rel
                         queue.append(j)
-                    elif signs[j] != expected:
-                        raise RuntimeError("inconsistent signs on a dual cell")
         eps[f] = dict(zip(covers, signs))
     return eps
 
 
-# An exponent vector e over Λ is packed into one int: hyperplane i owns the
-# _BITS-bit field at bit _BITS * i, which holds e_i + _BIAS.  Adding and
-# subtracting packed ints then adds and subtracts exponent vectors.  When
-# a ± b ± c of three packed exponents in range has a field outside
-# [0, 2 * _BIAS), the lowest such field has its top bit set, so `& top`
-# catches every exponent that leaves the range.
+# An exponent vector e over Λ is packed into one int in the reduced
+# boundary: hyperplane i owns the _BITS-bit field at bit _BITS * i, which
+# holds e_i + _BIAS.  Adding and subtracting packed ints then adds and
+# subtracts exponent vectors.  When a ± b ± c of three packed exponents in
+# range has a field outside [0, 2 * _BIAS), the lowest such field has its
+# top bit set, so `& top` catches every exponent that leaves the range.
 _BITS = 16
 _BIAS = 1 << (_BITS - 2)
 
@@ -236,36 +277,25 @@ def _out_of_range():
     return ChainComplexError(f"an exponent over Λ left [-{_BIAS}, {_BIAS})")
 
 
-def _monomials(entry):
-    """((packed exponent, coefficient), ...) of an entry: a signed packed
-    unit ±(one + e) or a Laurent polynomial {packed exponent: coefficient}."""
-    return (tuple(entry.items()) if type(entry) is dict
-            else ((entry, 1),) if entry > 0 else ((-entry, -1),))
-
-
 def _is_unit(entry):
-    """Whether an entry is a unit ±t^a of Λ."""
-    return len(m := _monomials(entry)) == 1 and m[0][1] in (1, -1)
-
-
-def _terms(row):
-    """(target, packed exponent, coefficient) per term of a row."""
-    return [(i, b, c) for i, entry in row.items() for b, c in _monomials(entry)]
+    """Whether an entry is a unit ±t^a of Λ: a full-boundary int or {a: ±1}."""
+    return type(entry) is int or len(entry) == 1 and next(iter(entry.values())) in (1, -1)
 
 
 def _verify_over_group_ring(boundary, d):
-    """The d²=0 gate over Λ.  On the full boundary it checks the
-    orientation; on the reduced one, the Morse rounds."""
+    """The d²=0 gate over Λ on the reduced boundary: it checks the Morse rounds."""
     one, top_bits = _packing(d)
     for k in range(2, len(boundary)):
-        lower = [_terms(row) for row in boundary[k - 1]]
+        lower = [[(i, b, e) for i, poly in row.items() for b, e in poly.items()]
+                 for row in boundary[k - 1]]
         for j, row in enumerate(boundary[k]):
             acc = {}                 # (packed exponent, target) -> coefficient
-            for m, a, c in _terms(row):
-                a -= one
-                for i, b, e in lower[m]:
-                    key = a + b, i
-                    acc[key] = acc.get(key, 0) + c * e
+            for m, poly in row.items():
+                for a, c in poly.items():
+                    a -= one
+                    for i, b, e in lower[m]:
+                        key = a + b, i
+                        acc[key] = acc.get(key, 0) + c * e
             for (key, i), c in acc.items():      # every product is a key here
                 if key & top_bits:
                     raise _out_of_range()
@@ -351,8 +381,8 @@ def _morse(rows, order, up, d):
     rows: each layer becomes the list of its critical rows, in position
     order, each {critical target j one degree down: Laurent polynomial},
     as order numbers them.  Layers go top down, each replaced as soon as
-    its rows are done.  An entry is a signed packed unit or a Laurent
-    polynomial, so the step runs on its own output again.
+    its rows are done.  An entry is a full-boundary unit ±(1 + neg) or a
+    Laurent polynomial, so the step runs on its own output again.
 
     A critical row eliminates its matched-up cells σ in pair order: with
     u = [∂τ : σ] it adds -c·u⁻¹·∂τ for its coefficient c at σ, ∂τ the row
@@ -361,7 +391,15 @@ def _morse(rows, order, up, d):
     that reaches a downward-matched cell ends there, since no pair
     eliminates it, so those columns are dropped before any product: the
     pruning is exact."""
-    top_bits = _packing(d)[1]
+    one, top_bits = _packing(d)
+
+    @cache
+    def packed(neg):                 # a full-boundary mask's exponent, once per mask
+        return one + sum(1 << (_BITS * i) for i in range(d) if neg >> i & 1)
+
+    def monomials(w):
+        return w.items() if type(w) is dict else ((packed(abs(w) - 1), 1 if w > 0 else -1),)
+
     for k in range(len(rows) - 1, -1, -1):
         layer, here = rows[k], order[k]
         below, ups = (order[k - 1], up[k - 1]) if k else ((), {})
@@ -369,11 +407,11 @@ def _morse(rows, order, up, d):
         def kept(row, skip):
             # (target, packed exponent, coefficient) per term not matched down
             return [(y, b, c) for y, w in row.items() if y != skip and (below[y] < 0 or y in ups)
-                    for b, c in _monomials(w)]
+                    for b, c in monomials(w)]
 
         flows = {}                 # σ -> (packed a, sign of u, the kept terms of ∂τ but σ)
         for s, t in ups.items():
-            ((a, cu),) = _monomials(layer[t][s])
+            ((a, cu),) = monomials(layer[t][s])
             flows[s] = a, cu, kept(layer[t], s)
         critical = []
         for c, row in enumerate(layer):

@@ -3,10 +3,12 @@ the complex reduced over Λ, over Q on ints times one scale.
 
 The full boundary over Λ: a SalvettiComplex keeps only the reduced one,
 so the oracles rebuild the full one with the build's first step,
-`_full_complex`, and read each signed packed unit ±(one + e) as the
-polynomial {one + e: ±1}.  Its untwisted matrices at t = 1 are each entry's
-coefficient sum, ±1: the oracle of `untwisted_homology`, which reads the
-reduced complex at the constant system.
+`_full_complex`, and read each signed unit ±(1 + neg) as the polynomial
+{packed exponent of neg: ±1}, the mask neg a 0/1 exponent vector.  Its
+untwisted matrices at t = 1 are each entry's coefficient sum, ±1: the
+oracle of `untwisted_homology`, which reads the reduced complex at the
+constant system.  Its composition over Λ, which the build certifies
+entry by entry without composing, is the reduced gate run on it.
 
 The full twisted specialization of the Salvetti complex: every entry
 of the full boundary over Λ becomes an r x r block, each monomial
@@ -55,17 +57,22 @@ def full_boundary(sc):
     """boundary[k][pos] = {target: {packed exponent: ±1}}, the full
     boundary over Λ on the cells of cell_pairs(sc.fc), built again from
     sc's faces."""
-    boundary = as_polynomials(_full_complex(sc.fc))
+    boundary = as_polynomials(_full_complex(sc.fc)[0], sc.fc.arrangement.d)
     assert [len(layer) for layer in boundary] == sc.cell_counts
     assert sc.cell_counts == [len(layer) for layer in cell_pairs(sc.fc)]
     return boundary
 
 
-def as_polynomials(boundary):
-    """The full boundary with each signed packed unit ±(one + e) as the
-    polynomial {one + e: ±1}."""
-    return [[{t: {abs(w): 1 if w > 0 else -1} for t, w in row.items()} for row in layer]
-            for layer in boundary]
+def packed_mask(neg, d):
+    """The packed exponent of the 0/1 vector with bit i of neg at t_i."""
+    return _packing(d)[0] + sum(1 << (_BITS * i) for i in range(d) if neg >> i & 1)
+
+
+def as_polynomials(boundary, d):
+    """The full boundary with each signed unit ±(1 + neg) as the
+    polynomial {packed_mask(neg): ±1}."""
+    return [[{t: {packed_mask(abs(w) - 1, d): 1 if w > 0 else -1} for t, w in row.items()}
+             for row in layer] for layer in boundary]
 
 
 def full_untwisted_matrices(sc):
@@ -345,7 +352,7 @@ def compacted(rows):
 def greedy_complex(fc):
     """The SalvettiComplex of fc reduced by greedy_reduce alone, on the
     full boundary that `_full_complex` builds."""
-    full = as_polynomials(_full_complex(fc))
+    full = as_polynomials(_full_complex(fc)[0], fc.arrangement.d)
     counts = [len(layer) for layer in full]
     boundary = greedy_reduce(full, fc.arrangement.d)
     return SalvettiComplex(fc, counts, boundary, *_compile(boundary, fc.arrangement.d))

@@ -94,21 +94,22 @@ def test_info_braid7(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["betti", "verify"])
 def test_an_arrangement_too_large_to_build_exits_2_before_any_face(tmp_path, capsys,
                                                                    monkeypatch, command):
-    # braid7's full boundary has 4354560 Λ-terms, read off the poset; its
-    # build ran out of memory after most of a minute.  A face enumerated
-    # would exit 3 here, at once
+    # the Boolean arrangement in C^10 has 10485760 Λ-terms, read off the
+    # poset flat by flat from the top codim down until the sum passes the
+    # bound.  A face enumerated would exit 3 here, at once
     monkeypatch.setattr(realfaces, "enumerate_faces", _raising(AssertionError("a face")))
-    braid7 = braid_essentialized(7)
-    arr = write(tmp_path, "braid7.json", braid7.to_json())
+    bool10 = make_arrangement(10, [(tuple(int(i == j) for j in range(10)), 0)
+                                   for i in range(10)])
+    arr = write(tmp_path, "bool10.json", bool10.to_json())
     system = write(tmp_path, "sys.json", {"field": {"kind": "Fp", "p": 101}, "rank": 1,
-                                          "monodromy": [["2"]] * braid7.d})
+                                          "monodromy": [["2"]] * bool10.d})
     argv = ["betti", arr, "--system", system] if command == "betti" else ["verify", arr, system]
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 2
-    name = arr if command == "betti" else "file:braid7"
-    assert capsys.readouterr().err == (f"error: {name}: its Salvetti complex has 4354560 "
-                                       f"Λ-terms, above the bound of 1000000\n")
+    name = arr if command == "betti" else "file:bool10"
+    assert capsys.readouterr().err == (f"error: {name}: its Salvetti complex has at least "
+                                       f"10004480 Λ-terms, above the bound of 10000000\n")
 
 
 @pytest.mark.parametrize("kind", ["|sec", "|loc", "|dec"])

@@ -353,7 +353,7 @@ def test_reduced_counts_lie_between_cells_and_betti(name):
     assert euler[0] == euler[1] == euler[2]
     # the first round's order numbers the critical cells of the full
     # complex 0, 1, ... in their order there
-    boundary = salvetti._full_complex(sc.fc)
+    boundary = salvetti._full_complex(sc.fc)[0]
     order, _up = salvetti._check_matching(boundary, salvetti._match(boundary))
     for layer, c, n in zip(order, sc.cell_counts, reduced):
         critical = [pos for pos, i in enumerate(layer) if i < 0]
@@ -414,14 +414,14 @@ def test_pruned_morse_boundary_equals_the_unpruned_elimination(name):
     # which updates every row and keeps a column until its pair goes, is
     # its oracle
     fc = complex_named(name).fc
-    boundary = salvetti._full_complex(fc)
+    boundary = salvetti._full_complex(fc)[0]
     pairs = salvetti._match(boundary)
     order, up = salvetti._check_matching(boundary, pairs)
     # some τ still has a downward-matched column when its pair goes, so the
     # oracle takes products that the Morse step prunes
     assert any(order[k - 1][y] > order[k][t] and y not in up[k - 1]
                for k, _s, t in pairs for y in boundary[k][t])
-    oracle = unpruned_morse(as_polynomials(boundary), pairs)
+    oracle = unpruned_morse(as_polynomials(boundary, fc.arrangement.d), pairs)
     salvetti._morse(boundary, order, up, fc.arrangement.d)
     assert boundary == compacted(oracle)
     assert any(row for layer in boundary[1:] for row in layer)

@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_bareiss, transpose
-from salvetti_oracle import (boundary_by_sign_tuples, cell_pairs, full_boundary,
+from salvetti_oracle import (as_polynomials, boundary_by_sign_tuples, cell_pairs, full_boundary,
                              full_twisted_complex, full_untwisted_homology,
                              full_untwisted_matrices, untwisted_matrices)
 
 from arrtop import exactla, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
 from arrtop.fields import FieldSpec
-from arrtop.geometry import ArrangementError, betti_numbers, intersection_poset, term_counts
+from arrtop.geometry import (ArrangementError, FlatPoset, betti_numbers, intersection_poset,
+                             term_counts)
 from arrtop.harness import (
     CorpusSpec,
     braid_essentialized,
@@ -130,13 +131,14 @@ def test_dual_complex_of_the_face_poset_is_a_point(corpus_items, braid5_faces, f
 def test_boundary_entries_read_off_the_orientation(fixture, request):
     # every entry of (F, C) sits at (G, G∘C), G∘C the chamber adjacent to G
     # nearest to C, with sign ε(F, G) whatever C is, and exponent the
-    # hyperplanes C crosses from their negative side
+    # hyperplanes C crosses from their negative side: ±(1 + neg), bit i of
+    # the mask neg for H_i
     arr = _slab3() if fixture == "slab3" else request.getfixturevalue(fixture)
     sc = complex_for(arr)
     fc = sc.fc
     eps = salvetti._orient(fc)
-    one, _ = salvetti._packing(arr.d)
-    boundary = full_boundary(sc)
+    boundary = salvetti._full_complex(fc)[0]
+    assert [len(layer) for layer in boundary] == sc.cell_counts
     cells = cell_pairs(fc)
     for k in range(1, len(cells)):
         lower = {cell: pos for pos, cell in enumerate(cells[k - 1])}
@@ -150,9 +152,8 @@ def test_boundary_entries_read_off_the_orientation(fixture, request):
                 nearest = min(dist, key=dist.get)
                 assert sorted(dist.values())[:2] != [dist[nearest]] * 2
                 d_sign = fc.faces[nearest].sign
-                neg = sum(1 << (salvetti._BITS * i) for i in range(arr.d)
-                          if c_sign[i] == -1 and d_sign[i] == 1)
-                assert row[lower[g, nearest]] == {one + neg: s}
+                neg = sum(1 << i for i in range(arr.d) if c_sign[i] == -1 and d_sign[i] == 1)
+                assert row[lower[g, nearest]] == s * (1 + neg)
 
 
 @pytest.mark.parametrize("maker,seed", [
@@ -324,6 +325,123 @@ def test_build_gate_takes_no_ranks_but_catches_a_bad_sign(gen3, monkeypatch):
     assert flipped
 
 
+def _entry(boundary):
+    """(row, target) of the first degree-2 entry with a nonempty neg mask."""
+    return next((row, t) for row in boundary[2] for t, w in row.items() if abs(w) > 1)
+
+
+def _flip_sign(boundary):
+    row, t = _entry(boundary)
+    row[t] = -row[t]
+
+
+def _flip_a_mask_bit(boundary):
+    row, t = _entry(boundary)
+    row[t] = (1 if row[t] > 0 else -1) * (1 + ((abs(row[t]) - 1) ^ 1))
+
+
+def _move_an_entry(boundary):
+    row, t = _entry(boundary)
+    row[next(y for y in range(len(boundary[1])) if y not in row)] = row.pop(t)
+
+
+@pytest.mark.parametrize("name", ["gen3", "braid4"])
+@pytest.mark.parametrize("mutate,message", [
+    (_flip_sign, "is not ε"),
+    (_flip_a_mask_bit, "is not ε"),
+    (_move_an_entry, "is not ε"),
+    ("ε", "composition nonzero over Λ"),
+], ids=["sign", "mask-bit", "target", "orientation"])
+def test_the_certificate_refuses_each_mutation_of_the_full_boundary(name, request, monkeypatch,
+                                                                    mutate, message):
+    # each mutation breaks d∘d = 0 over Λ; the certificate, which never
+    # composes, must see it before any Morse round
+    arr = braid_essentialized(4) if name == "braid4" else request.getfixturevalue(name)
+    real_full, real_orient, mutated = salvetti._full_complex, salvetti._orient, []
+
+    def mutated_full(fc):
+        boundary, *layout = real_full(fc)
+        if mutate != "ε":
+            mutate(boundary)
+        mutated.append(boundary)
+        return (boundary, *layout)
+
+    def flipped_orient(fc):
+        eps = real_orient(fc)
+        f = next(f for f, face in enumerate(fc.faces) if face.dim == 0)
+        g = next(iter(eps[f]))
+        eps[f][g] = -eps[f][g]
+        return eps
+
+    monkeypatch.setattr(salvetti, "_full_complex", mutated_full)
+    if mutate == "ε":
+        monkeypatch.setattr(salvetti, "_orient", flipped_orient)
+    monkeypatch.setattr(salvetti, "_match", _raising(AssertionError("a Morse round ran")))
+    with pytest.raises(ChainComplexError, match=message):
+        build_salvetti(enumerate_faces(arr))
+    # the composition the certificate stands for is nonzero too
+    (boundary,) = mutated
+    with pytest.raises(ChainComplexError, match="composition nonzero"):
+        salvetti._verify_over_group_ring(as_polynomials(boundary, arr.d), arr.d)
+
+
+def _raising(exc):
+    def raise_it(*args):
+        raise exc
+    return raise_it
+
+
+def test_the_full_boundary_composes_to_zero_over_the_group_ring(braid5_faces):
+    # the oracle of the certificate: the composition over every two-step
+    # path, which the build no longer takes, on each complex it certifies
+    for fc in [enumerate_faces(arr) for arr in oracle_arrangements()] + [braid5_faces]:
+        boundary, *layout = salvetti._full_complex(fc)
+        salvetti._certify_full(fc, boundary, *layout)
+        d = fc.arrangement.d
+        salvetti._verify_over_group_ring(as_polynomials(boundary, d), d)
+
+
+def test_the_certificate_reads_each_entry_once(braid5_faces, monkeypatch):
+    # one check per entry, never per two-step path: while it runs, the
+    # certificate reads sum(term_counts) entries of the full boundary
+    read = [0]
+
+    class CountedRow(dict):
+        def items(self):
+            read[0] += len(self)
+            return super().items()
+
+        def __iter__(self):
+            read[0] += len(self)
+            return super().__iter__()
+
+        def __getitem__(self, key):
+            read[0] += 1
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read[0] += 1
+            return super().get(key, default)
+
+    real_full, real_cert, certified = salvetti._full_complex, salvetti._certify_full, []
+
+    def counted_full(fc):
+        boundary, *layout = real_full(fc)
+        return ([boundary[0]] + [[CountedRow(row) for row in layer] for layer in boundary[1:]],
+                *layout)
+
+    def counted_cert(*args):
+        read[0] = 0
+        real_cert(*args)
+        certified.append(read[0])
+
+    monkeypatch.setattr(salvetti, "_full_complex", counted_full)
+    monkeypatch.setattr(salvetti, "_certify_full", counted_cert)
+    build_salvetti(braid5_faces)
+    assert certified == [sum(term_counts(intersection_poset(braid5_faces.arrangement)))] \
+        == [13440]
+
+
 def _without_face(fc, i):
     """fc with face i and its covers removed, the other faces renumbered."""
     new = {j: j - (j > i) for j in range(len(fc.faces)) if j != i}
@@ -342,14 +460,16 @@ def test_build_refuses_a_missing_face_by_the_poset_count(name, request, monkeypa
     lacking = _without_face(fc, i)
     assert len(lacking.faces) == len(fc.faces) - 1
     assert len(lacking.covers) == len(fc.covers) - len(fc.covering(i))
-    # the gate over Λ passes on what is left
-    salvetti._verify_over_group_ring(salvetti._full_complex(lacking), arr.d)
+    # the certificate and the composition over Λ pass on what is left
+    boundary, *layout = salvetti._full_complex(lacking)
+    salvetti._certify_full(lacking, boundary, *layout)
+    salvetti._verify_over_group_ring(as_polynomials(boundary, arr.d), arr.d)
     gates = []
-    monkeypatch.setattr(salvetti, "_verify_over_group_ring", lambda *args: gates.append(args))
+    monkeypatch.setattr(salvetti, "_certify_full", lambda *args: gates.append(args))
     with pytest.raises(ChainComplexError,
                        match=rf"full complex has \d+ cells in degree {top}, the poset predicts"):
         build_salvetti(lacking)
-    assert gates == []                    # refused before the gate over Λ
+    assert gates == []                    # refused before the certificate
 
 
 def test_term_counts_are_the_covers_of_every_cell():
@@ -367,20 +487,29 @@ def test_build_refuses_a_term_count_off_the_poset(gen3, monkeypatch):
     monkeypatch.setattr(salvetti, "term_counts",
                         lambda poset: [c + (k == 2) for k, c in enumerate(predicted)])
     gates = []
-    monkeypatch.setattr(salvetti, "_verify_over_group_ring", lambda *args: gates.append(args))
+    monkeypatch.setattr(salvetti, "_certify_full", lambda *args: gates.append(args))
     with pytest.raises(ChainComplexError, match=rf"full complex has {predicted[2]} Λ-terms "
                                                 rf"in degree 2, the poset predicts"):
         build_salvetti(enumerate_faces(gen3))
     assert gates == []
 
 
-def test_the_size_bound_takes_braid6_and_gen_12_4_and_refuses_braid7():
-    for arr, terms in ((braid_essentialized(6), 230400), (random_generic(12, 4, 1), 239232)):
+def test_the_size_bound_takes_braid7_and_gen_12_4_and_refuses_braid8(monkeypatch):
+    for arr, terms in ((braid_essentialized(6), 230400), (braid_essentialized(7), 4354560),
+                       (random_generic(12, 4, 1), 239232)):
         assert sum(term_counts(intersection_poset(arr))) == terms <= salvetti.MAX_TERMS
         salvetti.check_size(arr, "rung")
-    with pytest.raises(ArrangementError, match="braid7: its Salvetti complex has 4354560 "
-                                               "Λ-terms, above the bound of 1000000"):
-        salvetti.check_size(braid_essentialized(7), "braid7")
+    # braid8 passes the bound at its first flat, the origin, so its refusal
+    # never scans the flats below it
+    braid8 = braid_essentialized(8)
+    flats = intersection_poset(braid8).flats
+    visited, real_sizes = [], FlatPoset.flat_sizes
+    monkeypatch.setattr(FlatPoset, "flat_sizes",
+                        lambda poset, flat: visited.append(flat) or real_sizes(poset, flat))
+    with pytest.raises(ArrangementError, match="braid8: its Salvetti complex has at least "
+                                               "10241280 Λ-terms, above the bound of 10000000"):
+        salvetti.check_size(braid8, "braid8")
+    assert visited == [flats[-1]] and flats[-1].codim == 7
 
 
 @pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
@@ -399,18 +528,26 @@ def test_sparse_q_ranks_match_bareiss_oracle_on_corpus(corpus_items, arr_id, ste
             [rank_bareiss(m) for m in tc.matrices]
 
 
-def test_group_ring_gate_catches_a_monomial_the_integer_check_misses(gen3):
-    sc = complex_for(gen3)
-    boundary = full_boundary(sc)
-    one, _ = salvetti._packing(gen3.d)
-    # an entry ±t^neg with neg nonempty becomes ±1
-    row, target = next((row, t) for row in boundary[2]
-                       for t, poly in row.items() if one not in poly)
-    ((_m, sign),) = row[target].items()
-    row[target] = {one: sign}
-    exactla.verify_composition(untwisted_matrices(boundary, sc.cell_counts), Q)  # t = 1 composes
+def test_group_ring_gate_catches_a_monomial_the_integer_check_misses(gen3, monkeypatch):
+    real_full, changed = salvetti._full_complex, []
+
+    def dropped_exponent(fc):
+        # an entry ±t^neg with neg nonempty becomes ±1
+        boundary, *layout = real_full(fc)
+        row, target = _entry(boundary)
+        row[target] = 1 if row[target] > 0 else -1
+        changed.append(boundary)
+        return (boundary, *layout)
+
+    monkeypatch.setattr(salvetti, "_full_complex", dropped_exponent)
+    with pytest.raises(ChainComplexError, match="is not ε"):
+        build_salvetti(enumerate_faces(gen3))
+    (boundary,) = changed
+    polys = as_polynomials(boundary, gen3.d)
+    counts = [len(layer) for layer in boundary]
+    exactla.verify_composition(untwisted_matrices(polys, counts), Q)      # t = 1 composes
     with pytest.raises(ChainComplexError):
-        salvetti._verify_over_group_ring(boundary, gen3.d)
+        salvetti._verify_over_group_ring(polys, gen3.d)
 
 
 @pytest.mark.parametrize("arr_id", ["braid4", "gen-4-3"])
@@ -444,18 +581,22 @@ def test_noncommuting_system_refused_before_any_rank(gen3, monkeypatch):
 def test_gate_runs_once_per_build_and_never_per_system(gen3, monkeypatch):
     gates, checks = [], []
     real_gate, real_check = salvetti._verify_over_group_ring, exactla.verify_composition
+    real_cert = salvetti._certify_full
+    monkeypatch.setattr(salvetti, "_certify_full",
+                        lambda fc, rows, *layout: gates.append((rows, [len(x) for x in rows]))
+                        or real_cert(fc, rows, *layout))
     monkeypatch.setattr(salvetti, "_verify_over_group_ring",
                         lambda rows, d: gates.append((rows, [len(layer) for layer in rows]))
                         or real_gate(rows, d))
     monkeypatch.setattr(exactla, "verify_composition",
                         lambda mats, field: checks.append(field) or real_check(mats, field))
     sc = complex_for(gen3)
-    # once on the full boundary, once on the reduced one, which the Morse
-    # rounds made in its place
+    # the certificate once on the full boundary, the gate once on the
+    # reduced one, which the Morse rounds made in its place
     assert len(gates) == 2 and checks == []
     (full, full_counts), (reduced, reduced_counts) = gates
     assert full is reduced is sc.boundary
-    assert full_counts[1:] == sc.cell_counts[1:]
+    assert full_counts == sc.cell_counts
     assert reduced_counts == [len(layer) for layer in sc.boundary] != full_counts
     twisted_betti(sc, scalar_system(Q, [2, 3, 5]))
     twisted_betti(sc, build_local_system(F7, 2, [[[2, 0], [0, 3]]] * 3))
@@ -556,7 +697,9 @@ def _reachable(root):
 
 
 def test_build_reduces_in_place_and_keeps_no_full_boundary(monkeypatch):
-    gated, real_gate = [], salvetti._verify_over_group_ring
+    gated, real_gate, real_cert = [], salvetti._verify_over_group_ring, salvetti._certify_full
+    monkeypatch.setattr(salvetti, "_certify_full", lambda fc, rows, *layout:
+                        gated.append((rows, list(rows))) or real_cert(fc, rows, *layout))
     monkeypatch.setattr(salvetti, "_verify_over_group_ring",
                         lambda rows, d: gated.append((rows, list(rows))) or real_gate(rows, d))
     matched, rounds = [], []
