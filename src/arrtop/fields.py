@@ -43,31 +43,11 @@ def parse_int(value) -> int:
 # test oracle multiplies two residues, so (p - 1)**2 must fit there.
 MAX_PRIME = isqrt(2**63 - 1) + 1
 
-# Miller-Rabin with these bases is deterministic for n < 3.3e24, which
-# covers every 64-bit n.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division up to isqrt(n): FieldSpec asks it only up to
+    MAX_PRIME, about 3e9, a few ms once per prime."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 _FIELDS = {}                             # (kind, p) -> its one FieldSpec

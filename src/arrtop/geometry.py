@@ -181,19 +181,23 @@ class FlatPoset:
 
     def __post_init__(self):
         self.by_containing = {f.containing: f for f in self.flats}
+        self._flat_sizes = {}   # containing(X) -> flat_sizes(X)
 
     def of_codim(self, c):
         return [f for f in self.flats if f.codim == c]
 
     def flat_sizes(self, f):
         """(cells, Λ-terms) of the Salvetti complex on the faces of the flat
-        f: see cell_counts and term_counts.  Quadratic in the flats inside f."""
+        f: see cell_counts and term_counts.  Quadratic in the flats inside f,
+        computed once per flat: check_size and sizes share it."""
         x = f.containing
-        faces = sum(map(abs, _mobius([z.containing for z in self.flats
-                                      if z.containing >= x]).values()))
-        below = [y for y in self.flats if y.containing <= x]
-        cells = faces * sum(abs(y.mobius) for y in below)
-        return cells, 2 * cells * sum(y.codim == f.codim - 1 for y in below)
+        if x not in self._flat_sizes:
+            faces = sum(map(abs, _mobius([z.containing for z in self.flats
+                                          if z.containing >= x]).values()))
+            below = [y for y in self.flats if y.containing <= x]
+            cells = faces * sum(abs(y.mobius) for y in below)
+            self._flat_sizes[x] = cells, 2 * cells * sum(y.codim == f.codim - 1 for y in below)
+        return self._flat_sizes[x]
 
     @cached_property
     def sizes(self):

@@ -301,10 +301,11 @@ class VerifyContext:
     by what decides it.  Arrangements have string ids, derived ones too
     (`|sec{k}`, `|dec{i}`, `|loc...`; no input id holds `|`).  Faces are
     enumerated once per arrangement for its covector set, the ambient dim
-    with the sorted face sign vectors; a new one has its Salvetti complex
-    built from those faces, and twisted_betti runs once per (covector set,
-    system).  That is sound: the complex is built from the covectors alone
-    (Salvetti 1987), and twisted_betti depends on it and the system only.
+    with the sorted face sign vectors; there is one Salvetti complex per
+    covector set, built from the faces of the first arrangement that has
+    it, and twisted_betti runs once per (complex, system).  That is sound:
+    the complex is built from the covectors alone (Salvetti 1987), and
+    twisted_betti depends on it and the system only.
 
     Local systems key the tables themselves, by LocalSystem's equality
     (field, rank and every matrix), so equal systems share every entry and
@@ -330,12 +331,11 @@ class VerifyContext:
         self.arrangements = {}
         self.dimension1 = {}     # (arr_id, sys_id, system) -> dims, dimension-1 arrangements
         self._betti = {}
-        self._covector_ids = {}  # (ambient dim, sorted face sign vectors) -> index
-        self._covectors = {}     # arr_id -> index of its covector set
-        self._salvetti = []      # covector set index -> complex
+        self._complexes = {}     # (ambient dim, sorted face sign vectors) -> complex
+        self._covectors = {}     # arr_id -> the complex of its covector set
         self._systems = {}       # system -> the canonical object of its content
         self._inverses = {}      # system -> its inverse system, both ways
-        self._answers = {}       # (covector set index, system) -> twisted Betti numbers
+        self._answers = {}       # (complex, system) -> twisted Betti numbers
         self._c1 = {}            # system -> c1_expected_dims of it
         self._locals = {}
         self._restricted = {}    # (system, index map) -> restricted system
@@ -370,29 +370,28 @@ class VerifyContext:
             self._betti[arr_id] = geometry.betti_numbers(self.poset(arr_id))
         return self._betti[arr_id]
 
-    def covector_set(self, arr_id):
-        """An int per distinct (ambient dim, sorted face sign vectors); a
-        new one has its complex built from this arrangement's faces."""
-        if arr_id not in self._covectors:
+    def salvetti(self, arr_id):
+        """The complex of the arrangement's covector set, (ambient dim,
+        sorted face sign vectors); a new set has it built from this
+        arrangement's faces."""
+        sc = self._covectors.get(arr_id)
+        if sc is None:
             fc = realfaces.enumerate_faces(self.arrangements[arr_id])
             key = (fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces)))
-            if key not in self._covector_ids:
-                self._salvetti.append(salvetti.build_salvetti(fc))
-                self._covector_ids[key] = len(self._salvetti) - 1
-            self._covectors[arr_id] = self._covector_ids[key]
-        return self._covectors[arr_id]
-
-    def salvetti(self, arr_id):
-        return self._salvetti[self.covector_set(arr_id)]
+            sc = self._complexes.get(key)
+            if sc is None:
+                sc = self._complexes[key] = salvetti.build_salvetti(fc)
+            self._covectors[arr_id] = sc
+        return sc
 
     def dims(self, arr_id, sys_id, system):
-        # keyed on the system, so no answer is ever shared by sys_id alone,
-        # and none is missed between equal systems
-        key = (self.covector_set(arr_id), system)
-        dims = self._answers.get(key)
+        # keyed on the complex and the system, so no answer is ever shared
+        # by sys_id alone, and none is missed between equal systems
+        sc = self.salvetti(arr_id)
+        dims = self._answers.get((sc, system))
         if dims is None:
-            dims = self._answers[key] = salvetti.twisted_betti(self.salvetti(arr_id), system)
-            self._answers.setdefault((key[0], self.inverse(system)), dims)
+            dims = self._answers[sc, system] = salvetti.twisted_betti(sc, system)
+            self._answers.setdefault((sc, self.inverse(system)), dims)
         if self.arrangements[arr_id].dim == 1:
             self.dimension1[arr_id, sys_id, system] = dims
         return dims

@@ -45,6 +45,12 @@ class Face:
 
 @dataclass
 class FaceComplex:
+    """The faces as enumerate_faces orders them, by decreasing codim and
+    then by sign vector, so each codim is one run of indices and the
+    chambers come last; `covers` is sorted, so each face's covers are in
+    index order.  What reads the faces relies on that order and sorts
+    nothing again."""
+
     arrangement: Arrangement
     faces: tuple
     covers: tuple        # sorted (i, j): faces[j] covers faces[i]; two per flat over i's flat
@@ -54,7 +60,7 @@ class FaceComplex:
         up = [[] for _ in self.faces]
         for lo, hi in self.covers:
             up[lo].append(hi)
-        self._covering = tuple(tuple(sorted(lst)) for lst in up)
+        self._covering = tuple(map(tuple, up))
 
     @property
     def chambers(self):
@@ -70,10 +76,10 @@ class FaceComplex:
 
     @cached_property
     def _adjacent(self):
-        """Top down: a chamber's set is itself, any other face's is the
-        union of its covers' sets."""
+        """Top down, in reversed face order: a chamber's set is itself, any
+        other face's is the union of its covers' sets."""
         adj = [None] * len(self.faces)
-        for f in sorted(range(len(self.faces)), key=lambda f: -self.faces[f].dim):
+        for f in reversed(range(len(self.faces))):
             adj[f] = (f,) if self.faces[f].is_chamber else \
                 tuple(sorted(set().union(*(adj[g] for g in self._covering[f]))))
         return adj

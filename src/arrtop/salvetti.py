@@ -75,12 +75,13 @@ from .localsys import LocalSystem
 from .realfaces import FaceComplex
 
 
-@dataclass
+@dataclass(eq=False)
 class SalvettiComplex:
     """The Salvetti complex of fc, kept reduced over Λ, with the plan that
     evaluates it: monomial j > 0 is monomial parent times t_i^s, for
     monomials[j - 1] = (parent, g) and (i, s) = generators[g] (monomial 0
-    is 1, parents come first, generators in first-use order)."""
+    is 1, parents come first, generators in first-use order).  It hashes
+    and compares by identity, so it can key the answers made on it."""
 
     fc: FaceComplex
     cell_counts: list    # cells per degree of the full complex, as the poset predicts
@@ -118,26 +119,24 @@ def build_salvetti(fc: FaceComplex) -> SalvettiComplex:
     poset = intersection_poset(arr)
     boundary, *layout = _full_complex(fc)
     counts = [len(layer) for layer in boundary]
-    _check_counts(counts, cell_counts(poset), exact=True)     # raises on a missing face
-    _check_counts([sum(map(len, layer)) for layer in boundary], term_counts(poset),
-                  exact=True, what="Λ-terms")
+    _check_counts(counts, cell_counts(poset))            # raises on a missing face
+    _check_counts([sum(map(len, layer)) for layer in boundary], term_counts(poset), "Λ-terms")
     _certify_full(fc, boundary, *layout)                 # raises on a bad entry or orientation
     del layout
     while pairs := _match(boundary):                     # one Morse round, in boundary itself
         _morse(boundary, *_check_matching(boundary, pairs), arr.d)  # raises off its certificate
     _verify_over_group_ring(boundary, arr.d)             # raises on a bad reduction
-    betti = betti_numbers(poset)
-    _check_counts([len(layer) for layer in boundary], betti, exact=False)
-    _check_minimal(boundary, betti)
+    _check_reduced(boundary, betti_numbers(poset))
     return SalvettiComplex(fc, counts, boundary, *_compile(boundary, arr.d))
 
 
 def _full_complex(fc: FaceComplex):
     """(boundary, cells, eps, plus, minus): the boundary over Λ on the (face,
-    adjacent chamber) pairs cells[k][pos], graded by codim and sorted by sign
-    vectors, boundary[k][pos] = {target position: ±(1 + neg)}, ∂[F, C] =
-    Σ ε(F, G)·t^neg·[G, G∘C] over the faces G covering F (one empty row per
-    chamber in degree 0); plus (minus) masks each face's + (-) hyperplanes."""
+    adjacent chamber) pairs cells[k][pos], graded by codim and, as the face
+    order has them, in (face sign, chamber sign) order, boundary[k][pos] =
+    {increasing target position: ±(1 + neg)}, ∂[F, C] = Σ ε(F, G)·t^neg·
+    [G, G∘C] over the faces G covering F (one empty row per chamber in
+    degree 0); plus (minus) masks each face's + (-) hyperplanes."""
     arr = fc.arrangement
     n = arr.dim
     top_codim = max(n - f.dim for f in fc.faces)
@@ -146,8 +145,6 @@ def _full_complex(fc: FaceComplex):
     for fi, face in enumerate(fc.faces):
         for c in fc.adjacent_chambers(fi):
             cells[n - face.dim].append((fi, c))
-    for layer in cells:
-        layer.sort(key=lambda s: (fc.faces[s[0]].sign, fc.faces[s[1]].sign))
     index = [{s: i for i, s in enumerate(layer)} for layer in cells]
 
     eps = _orient(fc)
@@ -160,10 +157,10 @@ def _full_complex(fc: FaceComplex):
         for f, c in cells[k]:
             cm = minus[c]
             # [G, G∘C], G∘C G's sign where nonzero and C's elsewhere, times
-            # t^neg, neg the hyperplanes where C is - and G is +
-            layer.append(dict(sorted(
-                (index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]],
-                 s * (1 + (cm & plus[g]))) for g, s in eps[f].items())))
+            # t^neg, neg the hyperplanes where C is - and G is +; the covers
+            # G come in index order, so the targets increase
+            layer.append({index[k - 1][g, chamber[minus[g] | (cm & ~(plus[g] | minus[g]))]]:
+                          s * (1 + (cm & plus[g])) for g, s in eps[f].items()})
         boundary.append(layer)
     return boundary, cells, eps, plus, minus
 
@@ -212,13 +209,14 @@ def _orient(fc: FaceComplex):
     interval F < G, G' < L.
 
     Codim 1: the sign of G on F's one hyperplane.  Higher codims, faces
-    in increasing codim: propagate through the diamonds, whose closing
-    condition is fixed by the signs one codim down (`_certify_full` checks
-    them); the covers of F bound a sphere, so BFS reaches every cover."""
+    in reversed face order, so in increasing codim: propagate through the
+    diamonds, whose closing condition is fixed by the signs one codim down
+    (`_certify_full` checks them); the covers of F bound a sphere, so BFS
+    reaches every cover."""
     faces = fc.faces
     n = fc.arrangement.dim
     eps = [None] * len(faces)
-    for f in sorted(range(len(faces)), key=lambda f: -faces[f].dim):
+    for f in reversed(range(len(faces))):
         covers = fc.covering(f)
         if n - faces[f].dim == 1:
             i = faces[f].sign.index(0)
@@ -444,23 +442,28 @@ def _morse(rows, order, up, d):
         rows[k] = critical
 
 
-def _check_counts(counts, expected, exact, what="cells"):
-    """Raises unless counts[i] == expected[i] (exact) or >= it in every
-    degree i, a degree beyond a list counting 0.  A face missing on one
-    flat can keep d² = 0, never the poset's count; a reduction that loses
-    a cycle, never b_i(U)."""
+def _check_counts(counts, expected, what="cells"):
+    """Raises unless counts[i] == expected[i] in every degree i, a degree
+    beyond a list counting 0: a face missing on one flat can keep d² = 0,
+    never the poset's count."""
     for i in range(max(len(counts), len(expected))):
         count, bound = (x[i] if i < len(x) else 0 for x in (counts, expected))
-        if count < bound or exact and count != bound:
+        if count != bound:
             raise ChainComplexError(
-                f"full complex has {count} {what} in degree {i}, the poset predicts {bound}"
-                if exact else
+                f"full complex has {count} {what} in degree {i}, the poset predicts {bound}")
+
+
+def _check_reduced(boundary, betti):
+    """Raises unless the reduced complex keeps cells_i >= b_i(U) in every
+    degree i (a reduction that loses a cycle can keep d² = 0, never that
+    count) and, when minimal, cells_i = b_i(U) in every degree, has zero
+    boundary at t = 1."""
+    counts = [len(layer) for layer in boundary]
+    for i, bound in enumerate(betti):
+        if (count := counts[i] if i < len(counts) else 0) < bound:
+            raise ChainComplexError(
                 f"reduced complex keeps {count} cells in degree {i}, below b_{i} = {bound}")
-
-
-def _check_minimal(boundary, betti):
-    """A minimal complex, cells_i = b_i(U) in every degree, has zero boundary at t = 1."""
-    if [len(layer) for layer in boundary] == betti[:len(boundary)] and any(
+    if counts == betti[:len(boundary)] and any(
             sum(poly.values()) for layer in boundary for row in layer for poly in row.values()):
         raise ChainComplexError("a minimal reduced complex has a nonzero boundary at t = 1")
 
@@ -564,7 +567,6 @@ class TwistedComplex:
     C_k -> C_{k-1} of the specialization; scale is a positive integer, 1 over F_p."""
 
     field: FieldSpec
-    rank: int
     dims: list
     matrices: list
     scale: int = 1
@@ -649,7 +651,7 @@ def twisted_complex(sc: SalvettiComplex, system: LocalSystem) -> TwistedComplex:
             for vals in channels:
                 vals[:] = map(mul, vals, factors)
     dims = [r * len(layer) for layer in sc.boundary]
-    return TwistedComplex(system.field, r, dims, [
+    return TwistedComplex(system.field, dims, [
         TwistedBoundary(nrows, ncols, plan, blocks, r, p)
         for nrows, ncols, plan in zip(dims, dims[1:], sc.rows)], scale)
 

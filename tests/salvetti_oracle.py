@@ -167,7 +167,7 @@ def full_twisted_complex(sc, system) -> TwistedComplex:
                         if v:
                             m.entries[r * target + a, r * pos + b] = v
         mats.append(m)
-    return TwistedComplex(field, r, dims, mats)
+    return TwistedComplex(field, dims, mats)
 
 
 def full_twisted_betti(sc, system):
@@ -224,7 +224,7 @@ def plan_twisted_complex(sc, system) -> TwistedComplex:
                     if v:
                         m.entries[r * target + a, r * pos + b] = v
         mats.append(m)
-    return TwistedComplex(field, r, dims, mats)
+    return TwistedComplex(field, dims, mats)
 
 
 def unpruned_morse(boundary, pairs):

@@ -88,7 +88,7 @@ def test_the_covector_key_holds_the_ambient_dimension():
     for n in (1, 2):
         ctx.register(f"c{n}", Arrangement.build(n, [Hyperplane(
             tuple(Fraction(int(j == 0)) for j in range(n)), Fraction(0), "x")]))
-    assert ctx.covector_set("c1") != ctx.covector_set("c2")
+    assert ctx.salvetti("c1") is not ctx.salvetti("c2")
     system = scalar_system(Q, [Fraction(1)])
     assert (ctx.dims("c1", "t", system), ctx.dims("c2", "t", system)) == ([1, 1], [1, 1, 0])
 
@@ -219,13 +219,13 @@ def test_reports_at_seeds_1_and_2_are_pinned(seed):
 def pair_mismatches(ctx):
     """The slow path on both members of every pair the run asked for: per
     (arr_id, sys_id, system) asked, twisted_betti on the run's complex at
-    the system and at its inverse system, each (covector set, system)
-    computed afresh once.  Returns (arr_id, sys_id, run's answer, direct,
-    inverse) wherever the three are not equal."""
+    the system and at its inverse system, each (complex, system) computed
+    afresh once.  Returns (arr_id, sys_id, run's answer, direct, inverse)
+    wherever the three are not equal."""
     fresh, out = {}, []
 
     def direct(arr_id, system):
-        key = (ctx.covector_set(arr_id), system)
+        key = (ctx.salvetti(arr_id), system)
         if key not in fresh:
             fresh[key] = twisted_betti(ctx.salvetti(arr_id), system)
         return fresh[key]
@@ -251,11 +251,11 @@ def test_one_answer_per_pair_agrees_with_the_slow_path_on_both_members(
     pinned = SEED0_REPORT_SHA256 if seed == 0 else REPORT_SHA256[seed]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
     (ctx,) = contexts
-    pairs = {(ctx.covector_set(arr_id), frozenset((system, system.inverse_system())))
+    pairs = {(ctx.salvetti(arr_id), frozenset((system, system.inverse_system())))
              for arr_id, _sys_id, system in ctx.asked}
     assert len(answers) == len(pairs) == PAIR_CALLS[seed]
     # both members were asked for in most pairs, so most answers served two
-    asked = {(ctx.covector_set(arr_id), system) for arr_id, _sys_id, system in ctx.asked}
+    asked = {(ctx.salvetti(arr_id), system) for arr_id, _sys_id, system in ctx.asked}
     assert len(asked) > 1.7 * len(pairs)
     assert pair_mismatches(ctx) == []
 
@@ -347,7 +347,7 @@ def test_equality_by_identity_fails_the_answer_count(contexts, call_counter, mon
     run_verification(corpus, seed=0)
     monkeypatch.undo()
     (ctx,) = contexts
-    pairs = {(ctx.covector_set(arr_id), frozenset((system, system.inverse_system())))
+    pairs = {(ctx.salvetti(arr_id), frozenset((system, system.inverse_system())))
              for arr_id, _sys_id, system in ctx.asked}
     assert len(pairs) == PAIR_CALLS[0] < len(answers)
 

@@ -53,8 +53,10 @@ def test_is_prime_agrees_with_trial_division():
 
 
 def test_is_prime_large_mersenne():
-    assert _is_prime(2**61 - 1)
-    assert not _is_prime(2**61 + 1)
+    # 2^31 - 1 is prime and 2^31 + 1 = 3 * 715827883, both below MAX_PRIME
+    assert 2**31 + 1 < MAX_PRIME
+    assert _is_prime(2**31 - 1)
+    assert not _is_prime(2**31 + 1)
 
 
 @pytest.mark.parametrize("n", [561, 3215031751])

@@ -142,7 +142,7 @@ def test_minimal_gate_raises_on_any_perturbed_coefficient():
     sc = dbraid5()
     betti = betti_numbers(intersection_poset(sc.fc.arrangement))
     assert [len(layer) for layer in sc.boundary] == betti        # minimal
-    salvetti._check_minimal(sc.boundary, betti)
+    salvetti._check_reduced(sc.boundary, betti)
     polys = [poly for layer in sc.boundary for row in layer for poly in row.values()]
     assert polys
     for poly in polys:
@@ -150,10 +150,10 @@ def test_minimal_gate_raises_on_any_perturbed_coefficient():
         poly[m] += 1
         try:
             with pytest.raises(ChainComplexError, match="minimal"):
-                salvetti._check_minimal(sc.boundary, betti)
+                salvetti._check_reduced(sc.boundary, betti)
         finally:
             poly[m] -= 1
-    salvetti._check_minimal(sc.boundary, betti)
+    salvetti._check_reduced(sc.boundary, betti)
 
 
 def test_minimal_gate_skips_a_complex_above_the_betti_numbers():
@@ -164,4 +164,4 @@ def test_minimal_gate_skips_a_complex_above_the_betti_numbers():
     boundary[0].append({})
     one = salvetti._packing(sc.fc.arrangement.d)[0]
     boundary[1][0] = {**boundary[1][0], len(sc.boundary[0]): {one: 1}}
-    salvetti._check_minimal(boundary, betti)
+    salvetti._check_reduced(boundary, betti)

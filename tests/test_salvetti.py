@@ -7,7 +7,7 @@ from salvetti_oracle import (as_polynomials, boundary_by_sign_tuples, cell_pairs
                              full_twisted_complex, full_untwisted_homology,
                              full_untwisted_matrices, untwisted_matrices)
 
-from arrtop import exactla, salvetti
+from arrtop import exactla, geometry, salvetti
 from arrtop.exactla import ChainComplexError, FMatrixSparse, complex_dims, rank
 from arrtop.fields import FieldSpec
 from arrtop.geometry import (ArrangementError, FlatPoset, betti_numbers, intersection_poset,
@@ -482,6 +482,27 @@ def test_term_counts_are_the_covers_of_every_cell():
         assert term_counts(intersection_poset(arr)) == covers
 
 
+def test_the_face_order_gives_the_cell_and_target_order_unsorted():
+    # faces by (-codim, sign), covers sorted: so each full layer's cells
+    # come in (face sign, chamber sign) order and each row's targets
+    # increase, with no sort in the build
+    for arr in oracle_arrangements():
+        fc = enumerate_faces(arr)
+        n = arr.dim
+        keys = [(face.dim - n, face.sign) for face in fc.faces]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert list(fc.covers) == sorted(fc.covers)
+        assert all(list(fc.covering(f)) == sorted(fc.covering(f)) for f in range(len(fc.faces)))
+        boundary, cells, *_ = salvetti._full_complex(fc)
+        assert cells == cell_pairs(fc)
+        for layer in cells:
+            signs = [(fc.faces[f].sign, fc.faces[c].sign) for f, c in layer]
+            assert all(a < b for a, b in zip(signs, signs[1:]))
+        for layer in boundary:
+            for row in layer:
+                assert all(a < b for a, b in zip(row, list(row)[1:]))
+
+
 def test_build_refuses_a_term_count_off_the_poset(gen3, monkeypatch):
     predicted = term_counts(intersection_poset(gen3))
     monkeypatch.setattr(salvetti, "term_counts",
@@ -510,6 +531,18 @@ def test_the_size_bound_takes_braid7_and_gen_12_4_and_refuses_braid8(monkeypatch
                                                "10241280 Λ-terms, above the bound of 10000000"):
         salvetti.check_size(braid8, "braid8")
     assert visited == [flats[-1]] and flats[-1].codim == 7
+
+
+def test_the_size_check_and_the_build_size_each_flat_once(call_counter):
+    # check_size's scan and the build's cell and term counts share one
+    # per-flat computation, one interval Möbius each, 52 on braid5
+    braid5 = braid_essentialized(5)
+    flats = intersection_poset(braid5).flats
+    intervals = call_counter(geometry, "_mobius")
+    salvetti.check_size(braid5, "braid5")
+    build_salvetti(enumerate_faces(braid5))
+    assert [keys[0] for (keys,) in intervals] == [f.containing for f in reversed(flats)]
+    assert len(intervals) == len(flats) == 52
 
 
 @pytest.mark.parametrize("arr_id,step", [("cen-5-3", 1), ("gen-4-3", 1), ("braid4", 2)])
