@@ -93,7 +93,7 @@ def _emit(text, out_path):
 def _load_json(path):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:    # JSON, UTF-8 or int-length errors are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:    # bad JSON, UTF-8, int size; nesting
         raise ArrangementError(f"cannot read {path}: {exc}")
 
 

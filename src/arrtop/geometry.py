@@ -13,9 +13,9 @@ characteristic polynomial, Whitney-sum Betti numbers of the complement,
 the Salvetti complex's cell counts, and the surgeries used by dimension
 arguments: essentialization, localization at a flat, deconing a central
 arrangement, and generic sections, certified by comparing their poset
-with the arrangement's.
-Ranks go through exactla's one sparse engine; its one dense elimination
-serves the coordinate changes.
+with the arrangement's.  Decones and sections cut every hyperplane on a
+plane by one section map.  Ranks go through exactla's one sparse engine;
+its one dense elimination serves essentialization alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .exactla import FMatrixSparse, dot, mat_inverse, rank, rref
+from .exactla import FMatrixSparse, dot, rank, rref
 from .fields import FieldSpec, parse_int, parse_rational
 
 
@@ -384,6 +384,13 @@ def localize(arr: Arrangement, flat: Flat) -> Arrangement:
     return Arrangement.build(arr.dim, hyps)
 
 
+def _section(hyperplanes, base, dirs) -> list:
+    """Each a·x = b cut on the plane base + sum_k u_k·dirs_k: the hyperplane
+    (a·dirs_k)_k·u = b - a·base of C^k, with its label."""
+    return [Hyperplane(tuple(dot(h.normal, u) for u in dirs), h.offset - dot(h.normal, base),
+                       h.label) for h in hyperplanes]
+
+
 def decone(arr: Arrangement, i0: int) -> Arrangement:
     """Send hyperplane i0 to infinity via a rational coordinate change.
 
@@ -401,21 +408,17 @@ def decone(arr: Arrangement, i0: int) -> Arrangement:
     if n < 2:
         raise ArrangementError("decone requires ambient dimension >= 2")
     # after translating the center to the origin every defining form is
-    # linear, so only the normals enter the chart computation.  The unit
-    # vectors e_j, j != the last coordinate a0 uses, complete a0 to a
-    # basis; the last coordinate is the form of H_i0
+    # linear, so only the normals enter: the chart is the plane a0·x = 1,
+    # with base e_last/a0_last, last the last coordinate a0 uses, and
+    # directions e_j - (a0_j/a0_last)·e_last for the other coordinates j
     a0 = arr.hyperplanes[i0].normal
     last = max(j for j, x in enumerate(a0) if x)
-    t_rows = [[Fraction(int(c == j)) for c in range(n)] for j in range(n) if j != last]
-    t_rows.append(list(a0))
-    tinv = mat_inverse(FieldSpec.rationals(), t_rows)
-    hyps = []
-    for j, h in enumerate(arr.hyperplanes):
-        if j == i0:
-            continue
-        c = [sum(h.normal[k] * tinv[k][i] for k in range(n)) for i in range(n)]
-        hyps.append(Hyperplane(tuple(c[:n - 1]), -c[n - 1], h.label))
-    return Arrangement.build(n - 1, hyps)
+    base = tuple(Fraction(int(j == last), a0[last]) for j in range(n))
+    dirs = tuple(tuple(Fraction(-a0[j], a0[last]) if k == last else int(k == j) for k in range(n))
+                 for j in range(n) if j != last)
+    return Arrangement.build(n - 1, _section(
+        [Hyperplane(h.normal, Fraction(0), h.label)
+         for j, h in enumerate(arr.hyperplanes) if j != i0], base, dirs))
 
 
 def _check_section(poset, sec_poset, k):
@@ -460,12 +463,8 @@ def generic_section(arr: Arrangement, k: int, seed: int):
                      for _ in range(k))
         if _rank(dirs) != k:            # a degenerate direction matrix
             continue
-        hyps = [Hyperplane(tuple(dot(h.normal, u) for u in dirs),
-                           h.offset - dot(h.normal, base), h.label) for h in arr.hyperplanes]
-        if any(all(x == 0 for x in h.normal) for h in hyps):    # parallel to a hyperplane
-            continue
-        try:
-            sec = Arrangement.build(k, hyps)
+        try:    # a zero normal (a hyperplane parallel to the plane) is refused here
+            sec = Arrangement.build(k, _section(arr.hyperplanes, base, dirs))
         except ArrangementError:
             continue
         if _check_section(poset, intersection_poset(sec), k) is None:

@@ -301,9 +301,11 @@ class VerifyContext:
     by what decides it.  Arrangements have string ids, derived ones too
     (`|sec{k}`, `|dec{i}`, `|loc...`; no input id holds `|`).  Faces are
     enumerated once per arrangement for its covector set, the ambient dim
-    with the sorted face sign vectors; there is one Salvetti complex per
-    covector set, built from the faces of the first arrangement that has
-    it, and twisted_betti runs once per (complex, system).  That is sound:
+    with the face sign vectors in face order (canonical: a face's codim,
+    the rank of the face poset above it, is a function of the set); there
+    is one Salvetti complex per covector set, built from the faces of the
+    first arrangement that has it, and twisted_betti runs once per
+    (complex, system).  That is sound:
     the complex is built from the covectors alone (Salvetti 1987), and
     twisted_betti depends on it and the system only.
 
@@ -331,7 +333,7 @@ class VerifyContext:
         self.arrangements = {}
         self.dimension1 = {}     # (arr_id, sys_id, system) -> dims, dimension-1 arrangements
         self._betti = {}
-        self._complexes = {}     # (ambient dim, sorted face sign vectors) -> complex
+        self._complexes = {}     # (ambient dim, face sign vectors in face order) -> complex
         self._covectors = {}     # arr_id -> the complex of its covector set
         self._systems = {}       # system -> the canonical object of its content
         self._inverses = {}      # system -> its inverse system, both ways
@@ -372,12 +374,12 @@ class VerifyContext:
 
     def salvetti(self, arr_id):
         """The complex of the arrangement's covector set, (ambient dim,
-        sorted face sign vectors); a new set has it built from this
+        face sign vectors in face order); a new set has it built from this
         arrangement's faces."""
         sc = self._covectors.get(arr_id)
         if sc is None:
             fc = realfaces.enumerate_faces(self.arrangements[arr_id])
-            key = (fc.arrangement.dim, tuple(sorted(f.sign for f in fc.faces)))
+            key = (fc.arrangement.dim, tuple(f.sign for f in fc.faces))
             sc = self._complexes.get(key)
             if sc is None:
                 sc = self._complexes[key] = salvetti.build_salvetti(fc)
@@ -504,7 +506,6 @@ def check_main_theorem(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_euler(ctx: VerifyContext, arr_id: str, sys_id: str,
                 system: LocalSystem) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
     dims = ctx.dims(arr_id, sys_id, system)
     b = ctx.betti(arr_id)
     twisted = sum((-1) ** i * x for i, x in enumerate(dims))

@@ -226,12 +226,8 @@ def local_system_from_json(obj) -> LocalSystem:
         raise LocalSystemError(f"malformed local system: {exc!r}")
     mats = []
     for flat in obj["monodromy"]:
-        if len(flat) == rank and all(isinstance(row, list) for row in flat):
-            rows = flat
-        else:
-            if len(flat) != rank * rank:
-                raise LocalSystemError(
-                    f"matrix needs {rank * rank} row-major entries, got {len(flat)}")
-            rows = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
-        mats.append(rows)
+        if len(flat) != rank * rank:
+            raise LocalSystemError(
+                f"matrix needs {rank * rank} row-major entries, got {len(flat)}")
+        mats.append([flat[i * rank:(i + 1) * rank] for i in range(rank)])
     return build_local_system(fieldspec, rank, mats)

@@ -24,7 +24,7 @@ arithmetic.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
@@ -47,41 +47,27 @@ class Face:
 class FaceComplex:
     """The faces as enumerate_faces orders them, by decreasing codim and
     then by sign vector, so each codim is one run of indices and the
-    chambers come last; `covers` is sorted, so each face's covers are in
-    index order.  What reads the faces relies on that order and sorts
-    nothing again."""
+    chambers come last.  covering[i] lists the faces covering faces[i]
+    (dimension + 1) and adjacent[i] the chambers whose closure holds it,
+    each in index order.  What reads the faces relies on that order and
+    sorts nothing again."""
 
     arrangement: Arrangement
     faces: tuple
-    covers: tuple        # sorted (i, j): faces[j] covers faces[i]; two per flat over i's flat
+    covering: tuple      # per face, its covers: two per flat over its flat
+    chambers: tuple = field(init=False)
 
     def __post_init__(self):
-        self._chambers = tuple(i for i, f in enumerate(self.faces) if f.is_chamber)
-        up = [[] for _ in self.faces]
-        for lo, hi in self.covers:
-            up[lo].append(hi)
-        self._covering = tuple(map(tuple, up))
-
-    @property
-    def chambers(self):
-        return self._chambers
-
-    def covering(self, face_index: int):
-        """Indices of the faces covering the given face (dimension +1)."""
-        return self._covering[face_index]
-
-    def adjacent_chambers(self, face_index: int):
-        """Chambers whose closure contains the face, in index order."""
-        return self._adjacent[face_index]
+        self.chambers = tuple(i for i, f in enumerate(self.faces) if f.is_chamber)
 
     @cached_property
-    def _adjacent(self):
+    def adjacent(self):
         """Top down, in reversed face order: a chamber's set is itself, any
         other face's is the union of its covers' sets."""
         adj = [None] * len(self.faces)
         for f in reversed(range(len(self.faces))):
             adj[f] = (f,) if self.faces[f].is_chamber else \
-                tuple(sorted(set().union(*(adj[g] for g in self._covering[f]))))
+                tuple(sorted(set().union(*(adj[g] for g in self.covering[f]))))
         return adj
 
 
@@ -150,7 +136,7 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
         on_flat[flat].append(i)
     # covers on X of a face on L = X ∩ H_i: each H_j through L but not X
     # set to side·e_j, e_j the sign of H_j's row on X (± one another)
-    covers = []
+    covering = [[] for _ in faces]
     for flat, lower in {(flat, lower) for (flat, _), lower in meet.items()}:
         flips = [(j, 1 if next(c for c in rows[flat][j][0] if c) > 0 else -1)
                  for j in lower - flat]
@@ -162,9 +148,9 @@ def enumerate_faces(arr: Arrangement) -> FaceComplex:
                 if tuple(sigma) not in index:
                     raise RuntimeError(f"face {faces[i][0]} on flat {sorted(lower)} has no "
                                        f"cover {tuple(sigma)} on flat {sorted(flat)}")
-                covers.append((i, index[tuple(sigma)]))
+                covering[i].append(index[tuple(sigma)])
     built = tuple(Face(sigma, n - flats[flat].codim, w) for sigma, w, flat in faces)
-    return FaceComplex(arr, built, tuple(sorted(covers)))
+    return FaceComplex(arr, built, tuple(tuple(sorted(up)) for up in covering))
 
 
 def region_counts(fc: FaceComplex):
@@ -176,6 +162,6 @@ def region_counts(fc: FaceComplex):
     euler = dict.fromkeys(fc.chambers, 0)
     if fc.arrangement.is_essential:
         for f, face in enumerate(fc.faces):
-            for c in fc.adjacent_chambers(f):
+            for c in fc.adjacent[f]:
                 euler[c] += (-1) ** face.dim
     return len(euler), sum(1 for x in euler.values() if x == 1)

@@ -143,7 +143,7 @@ def _full_complex(fc: FaceComplex):
 
     cells = [[] for _ in range(top_codim + 1)]
     for fi, face in enumerate(fc.faces):
-        for c in fc.adjacent_chambers(fi):
+        for c in fc.adjacent[fi]:
             cells[n - face.dim].append((fi, c))
     index = [{s: i for i, s in enumerate(layer)} for layer in cells]
 
@@ -178,7 +178,7 @@ def _certify_full(fc: FaceComplex, boundary, cells, eps, plus, minus):
     L_i = +, the second the i off supp(G) with C_i = - and L_i = +.  So
     the term depends on G only through ε, and each diamond cancels."""
     for f, signs in enumerate(eps):
-        if tuple(signs) != fc.covering(f):
+        if tuple(signs) != fc.covering[f]:
             raise ChainComplexError(f"ε of face {f} is not over its covers")
         paths = {}                   # L -> [ε(F, G)·ε(G, L)] over the middle faces G
         for g, s in signs.items():
@@ -217,7 +217,7 @@ def _orient(fc: FaceComplex):
     n = fc.arrangement.dim
     eps = [None] * len(faces)
     for f in reversed(range(len(faces))):
-        covers = fc.covering(f)
+        covers = fc.covering[f]
         if n - faces[f].dim == 1:
             i = faces[f].sign.index(0)
             eps[f] = {g: faces[g].sign[i] for g in covers}

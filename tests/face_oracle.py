@@ -98,6 +98,12 @@ def covers_by_scan(faces):
                  and all(s == 0 or s == t for s, t in zip(lo.sign, hi.sign)))
 
 
+def cover_pairs(fc):
+    """The pairs (i, j) with faces[j] covering faces[i], read off fc.covering
+    in face order, as covers_by_scan lists them."""
+    return tuple((i, j) for i, covers in enumerate(fc.covering) for j in covers)
+
+
 def adjacent_chambers_by_scan(fc, face_index):
     """Chambers whose sign vector agrees with the face's wherever the
     face's is nonzero, in index order."""

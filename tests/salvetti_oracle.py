@@ -47,7 +47,7 @@ def cell_pairs(fc):
     n = fc.arrangement.dim
     cells = [[] for _ in range(max(n - f.dim for f in fc.faces) + 1)]
     for f, face in enumerate(fc.faces):
-        cells[n - face.dim] += [(f, c) for c in fc.adjacent_chambers(f)]
+        cells[n - face.dim] += [(f, c) for c in fc.adjacent[f]]
     for layer in cells:
         layer.sort(key=lambda cell: (fc.faces[cell[0]].sign, fc.faces[cell[1]].sign))
     return cells

@@ -161,11 +161,13 @@ def test_info_missing_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     b'{"dim": 1, "hyperplanes": [{"label": "\xff", "normal": ["1"], "offset": "0"}]}',
     b'{"dim": ' + b"1" * 5000 + b', "hyperplanes": []}',
-], ids=["not-utf8", "int-past-the-digit-limit"])
+    b"[" * 100000,
+], ids=["not-utf8", "int-past-the-digit-limit", "nested-past-the-recursion-limit"])
 @pytest.mark.parametrize("command", ["info", "betti-arrangement", "betti-system", "verify"])
 def test_an_unreadable_input_file_exits_2(tmp_path, capsys, command, content):
-    # UnicodeDecodeError and json's int-length error are ValueErrors, which
-    # the file reader refuses as input errors, not internal failures
+    # UnicodeDecodeError and json's int-length error are ValueErrors, and
+    # nesting past the decoder's limit a RecursionError, which the file
+    # reader refuses as input errors, not internal failures
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     argv = {"info": ["info", str(bad)],
@@ -368,6 +370,21 @@ def test_betti_malformed_system_exits_2(tmp_path, capsys, system):
                  "--system", write(tmp_path, "sys.json", system)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("rank,matrix,message", [
+    (2, [["2", "0"], ["0", "2"]], "matrix needs 4 row-major entries, got 2"),
+    (1, [["2"]], "malformed rational ['2']"),
+], ids=["rank-2", "rank-1"])
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_a_nested_system_matrix_exits_2(tmp_path, capsys, command, rank, matrix, message):
+    # a system file gives each matrix as one row-major list, nothing else
+    gen3 = write(tmp_path, "gen3.json", GEN3)
+    system = write(tmp_path, "sys.json",
+                   {"field": {"kind": "Q"}, "rank": rank, "monodromy": [matrix] * 3})
+    argv = ["betti", gen3, "--system", system] if command == "betti" else ["verify", gen3, system]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 Q_FIELD, F7_FIELD = {"kind": "Q"}, {"kind": "Fp", "p": 7}

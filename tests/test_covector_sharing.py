@@ -142,18 +142,24 @@ def test_every_cached_answer_is_its_own_arrangements_answer(contexts):
 
 
 def test_one_build_per_covector_set_and_one_answer_per_system(contexts, call_counter):
+    # the run keys complexes on the face signs in face order, the oracle
+    # key on the sorted signs: the two must share the same complexes
     builds = call_counter(salvetti, "build_salvetti")
     answers = call_counter(salvetti, "twisted_betti")
-    run_verification(generate_corpus(CorpusSpec(seed=0)), seed=0)
-    (ctx,) = contexts
-    key = {arr_id: covector_key(arr) for arr_id, arr in ctx.arrangements.items()}
-    assert len(ctx.arrangements) == len(key) == 120
-    assert len(builds) == len(set(key.values())) == 48
-    assert len({id(ctx.salvetti(arr_id)) for arr_id in key}) == 48
-    assert len(ctx.asked) == 10423
-    assert len({(key[arr_id], system) for arr_id, _sys_id, system in ctx.asked}) == 5999
-    assert len(answers) == len({(key[arr_id], frozenset((system, system.inverse_system())))
-                                for arr_id, _sys_id, system in ctx.asked}) == 3318
+    for seed, sets in ((0, 48), (1, 49), (2, 47)):
+        del builds[:], answers[:]
+        run_verification(generate_corpus(CorpusSpec(seed=seed)), seed=seed)
+        ctx = contexts[-1]
+        key = {arr_id: covector_key(arr) for arr_id, arr in ctx.arrangements.items()}
+        assert len(ctx.arrangements) == len(key) == 120
+        assert len(builds) == len(set(key.values())) == sets
+        assert len({id(ctx.salvetti(arr_id)) for arr_id in key}) == sets
+        assert len(answers) == len({(key[arr_id], frozenset((system, system.inverse_system())))
+                                    for arr_id, _sys_id, system in ctx.asked})
+        if seed == 0:
+            assert len(ctx.asked) == 10423
+            assert len({(key[arr_id], system) for arr_id, _sys_id, system in ctx.asked}) == 5999
+            assert len(answers) == 3318
 
 
 def test_region_counts_on_the_shared_complex_are_each_arrangements_own(contexts):

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 from arrtop import geometry
-from arrtop.exactla import dot
+from arrtop.exactla import dot, mat_inverse
+from arrtop.fields import FieldSpec
 from arrtop.geometry import (
     Arrangement,
     ArrangementError,
@@ -409,6 +410,61 @@ def plane_section(arr, base, dirs):
         return Arrangement.build(len(dirs), hyps)
     except ArrangementError:
         return None
+
+
+def decone_by_chart(arr, i0):
+    """decone by an inverted chart: T has the unit rows e_j, j != last,
+    the last coordinate a0 = H_i0's normal uses, then a0; each normal a,
+    linear once the center is at the origin, becomes c = a·T^-1, and the
+    hyperplane c[:n-1]·y = -c[n-1] of the chart y_n = a0·x = 1."""
+    n, a0 = arr.dim, arr.hyperplanes[i0].normal
+    last = max(j for j, x in enumerate(a0) if x)
+    t_rows = [[Fraction(int(c == j)) for c in range(n)] for j in range(n) if j != last]
+    tinv = mat_inverse(FieldSpec.rationals(), t_rows + [list(a0)])
+    hyps = []
+    for j, h in enumerate(arr.hyperplanes):
+        if j != i0:
+            c = [sum(h.normal[k] * tinv[k][i] for k in range(n)) for i in range(n)]
+            hyps.append(Hyperplane(tuple(c[:n - 1]), -c[n - 1], h.label))
+    return Arrangement.build(n - 1, hyps)
+
+
+def generic_section_by_plane_section(arr, k, seed):
+    """generic_section with each draw cut by plane_section, which checks
+    for a zero normal before it builds."""
+    n, poset, rng = arr.dim, intersection_poset(arr), random.Random(seed)
+    for _ in range(geometry.SECTION_ATTEMPTS):
+        base = tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
+        dirs = tuple(tuple(Fraction(rng.randint(-10000, 10000)) for _ in range(n))
+                     for _ in range(k))
+        sec = plane_section(arr, base, dirs) if rank_dense(dirs) == k else None
+        if sec is not None and geometry._check_section(poset, intersection_poset(sec), k) is None:
+            return sec
+    return None
+
+
+def test_decones_and_sections_match_the_chart_and_plane_oracles():
+    # one section map cuts both; the oracles invert a chart and cut each
+    # hyperplane on its own, and their files must be the same to the byte
+    corpus = [(seed, item.arrangement) for seed in (0, 1, 2)
+              for item in generate_corpus(CorpusSpec(seed=seed))]
+    # a central arrangement whose center is (1, 2), not the origin
+    shifted = make_arrangement(2, [((1, 0), 1), ((0, 1), 2), ((1, 1), 3)])
+    arrs = corpus + [(0, braid_essentialized(4)), (0, braid_essentialized(5)), (0, shifted)]
+    decones = []
+    for seed, arr in arrs:
+        if arr.is_central and arr.is_essential and arr.dim >= 2:
+            for i0 in range(arr.d):
+                deconed = decone(arr, i0)
+                assert deconed.to_json() == decone_by_chart(arr, i0).to_json()
+                decones.append((seed, deconed))
+    sections = 0
+    for seed, arr in arrs + decones:
+        for k in range(1, arr.dim):
+            assert generic_section(arr, k, seed).to_json() == \
+                generic_section_by_plane_section(arr, k, seed).to_json()
+            sections += 1
+    assert (len(decones), sections) == (88, 119)
 
 
 def test_section_certificate_agrees_with_the_solving_oracle():

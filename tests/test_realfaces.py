@@ -28,6 +28,7 @@ from arrtop.realfaces import enumerate_faces, region_counts
 from conftest import make_arrangement, oracle_arrangements
 from face_oracle import (
     adjacent_chambers_by_scan,
+    cover_pairs,
     covers_by_scan,
     face_dim,
     faces_by_fractions,
@@ -149,7 +150,7 @@ def test_bounded_chambers_by_euler_sum_match_the_lp_oracle():
     slab = make_arrangement(3, [((1, 0, 0), 0), ((1, 0, 0), 1)])
     fc = enumerate_faces(slab)
     middle = next(c for c in fc.chambers if fc.faces[c].sign == (1, -1))
-    faces = [f for f in range(len(fc.faces)) if middle in fc.adjacent_chambers(f)]
+    faces = [f for f in range(len(fc.faces)) if middle in fc.adjacent[f]]
     assert sum((-1) ** fc.faces[f].dim for f in faces) == 1
     assert region_counts(fc) == (3, 0)
 
@@ -184,7 +185,7 @@ def test_adjacent_chambers_match_localized_region_count(gen3, cen3):
         fc = enumerate_faces(arr)
         for i, face in enumerate(fc.faces):
             sub = [arr.hyperplanes[j] for j, s in enumerate(face.sign) if s == 0]
-            adjacent = len(fc.adjacent_chambers(i))
+            adjacent = len(fc.adjacent[i])
             if not sub:
                 assert adjacent == 1
                 continue
@@ -198,7 +199,7 @@ def test_adjacent_chambers_by_covers_match_the_scan():
     for arr in arrs + [braid_essentialized(5)]:
         fc = enumerate_faces(arr)
         for i in range(len(fc.faces)):
-            assert fc.adjacent_chambers(i) == adjacent_chambers_by_scan(fc, i)
+            assert fc.adjacent[i] == adjacent_chambers_by_scan(fc, i)
 
 
 def test_dims_and_covers_match_the_rank_and_scan_oracles(a2):
@@ -218,12 +219,12 @@ def test_dims_and_covers_match_the_rank_and_scan_oracles(a2):
         assert fc.faces == faces_by_fractions(arr)
         assert all(type(x) is int for f in fc.faces for x in f.witness)
         assert [f.dim for f in fc.faces] == [face_dim(arr, f.sign) for f in fc.faces]
-        assert fc.covers == covers_by_scan(fc.faces)
+        assert cover_pairs(fc) == covers_by_scan(fc.faces)
 
 
 def test_cover_relation_is_zero_relaxation(gen3):
     fc = enumerate_faces(gen3)
-    for lo, hi in fc.covers:
+    for lo, hi in cover_pairs(fc):
         f, g = fc.faces[lo], fc.faces[hi]
         assert g.dim == f.dim + 1
         assert all(s == 0 or s == t for s, t in zip(f.sign, g.sign))
@@ -248,7 +249,7 @@ def small_arrangements(draw):
 def test_faces_and_covers_match_the_oracle_on_random_arrangements(arr):
     fc = enumerate_faces(arr)
     assert fc.faces == faces_by_fractions(arr)
-    assert fc.covers == covers_by_scan(fc.faces)
+    assert cover_pairs(fc) == covers_by_scan(fc.faces)
     # a face on L has exactly two covers on each flat X with L = X ∩ H_i
     meet = intersection_poset(arr).meet
     zeros = [frozenset(i for i, s in enumerate(f.sign) if s == 0) for f in fc.faces]
@@ -256,7 +257,7 @@ def test_faces_and_covers_match_the_oracle_on_random_arrangements(arr):
         if face.is_chamber:
             continue
         above = {flat for (flat, _), lower in meet.items() if lower == zeros[i]}
-        on = [zeros[j] for j in fc.covering(i)]
+        on = [zeros[j] for j in fc.covering[i]]
         assert above and sorted(on, key=sorted) == sorted(list(above) * 2, key=sorted)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from conftest import make_arrangement, oracle_arrangements
 from dense_rank_oracle import rank_bareiss, transpose
+from face_oracle import cover_pairs
 from salvetti_oracle import (as_polynomials, boundary_by_sign_tuples, cell_pairs, full_boundary,
                              full_twisted_complex, full_untwisted_homology,
                              full_untwisted_matrices, untwisted_matrices)
@@ -90,7 +91,7 @@ def test_orientation_composes_to_zero_on_every_codim2_interval(corpus_items):
         fc = enumerate_faces(item.arrangement)
         eps = salvetti._orient(fc)
         for f in range(len(fc.faces)):
-            assert set(eps[f]) == set(fc.covering(f))
+            assert set(eps[f]) == set(fc.covering[f])
             assert all(s in (-1, 1) for s in eps[f].values())
             total = {}
             for g, s in eps[f].items():
@@ -148,7 +149,7 @@ def test_boundary_entries_read_off_the_orientation(fixture, request):
             c_sign = fc.faces[chamber].sign
             for g, s in eps[face].items():
                 dist = {other: sum(a != b for a, b in zip(c_sign, fc.faces[other].sign))
-                        for other in fc.adjacent_chambers(g)}
+                        for other in fc.adjacent[g]}
                 nearest = min(dist, key=dist.get)
                 assert sorted(dist.values())[:2] != [dist[nearest]] * 2
                 d_sign = fc.faces[nearest].sign
@@ -446,7 +447,8 @@ def _without_face(fc, i):
     """fc with face i and its covers removed, the other faces renumbered."""
     new = {j: j - (j > i) for j in range(len(fc.faces)) if j != i}
     return FaceComplex(fc.arrangement, fc.faces[:i] + fc.faces[i + 1:],
-                       tuple((new[a], new[b]) for a, b in fc.covers if i not in (a, b)))
+                       tuple(tuple(new[b] for b in covers if b != i)
+                             for a, covers in enumerate(fc.covering) if a != i))
 
 
 @pytest.mark.parametrize("name", ["gen3", "braid4"])
@@ -459,7 +461,7 @@ def test_build_refuses_a_missing_face_by_the_poset_count(name, request, monkeypa
     i = next(i for i, face in enumerate(fc.faces) if arr.dim - face.dim == top)
     lacking = _without_face(fc, i)
     assert len(lacking.faces) == len(fc.faces) - 1
-    assert len(lacking.covers) == len(fc.covers) - len(fc.covering(i))
+    assert len(cover_pairs(lacking)) == len(cover_pairs(fc)) - len(fc.covering[i])
     # the certificate and the composition over Λ pass on what is left
     boundary, *layout = salvetti._full_complex(lacking)
     salvetti._certify_full(lacking, boundary, *layout)
@@ -477,22 +479,21 @@ def test_term_counts_are_the_covers_of_every_cell():
     # faces, against the prediction read off the poset alone
     for arr in oracle_arrangements():
         fc = enumerate_faces(arr)
-        covers = [sum(len(fc.covering(face)) for face, _chamber in layer)
+        covers = [sum(len(fc.covering[face]) for face, _chamber in layer)
                   for layer in cell_pairs(fc)]
         assert term_counts(intersection_poset(arr)) == covers
 
 
 def test_the_face_order_gives_the_cell_and_target_order_unsorted():
-    # faces by (-codim, sign), covers sorted: so each full layer's cells
-    # come in (face sign, chamber sign) order and each row's targets
-    # increase, with no sort in the build
+    # faces by (-codim, sign), each face's covers sorted: so each full
+    # layer's cells come in (face sign, chamber sign) order and each row's
+    # targets increase, with no sort in the build
     for arr in oracle_arrangements():
         fc = enumerate_faces(arr)
         n = arr.dim
         keys = [(face.dim - n, face.sign) for face in fc.faces]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert list(fc.covers) == sorted(fc.covers)
-        assert all(list(fc.covering(f)) == sorted(fc.covering(f)) for f in range(len(fc.faces)))
+        assert all(list(covers) == sorted(covers) for covers in fc.covering)
         boundary, cells, *_ = salvetti._full_complex(fc)
         assert cells == cell_pairs(fc)
         for layer in cells:
@@ -677,7 +678,7 @@ def test_boundary_matches_the_sign_tuple_oracle():
         sc = complex_for(arr)
         boundary = full_boundary(sc)
         assert boundary == boundary_by_sign_tuples(sc)
-        assert all(len(row) == len(sc.fc.covering(face))
+        assert all(len(row) == len(sc.fc.covering[face])
                    for layer, rows in zip(cell_pairs(sc.fc), boundary)
                    for (face, _chamber), row in zip(layer, rows))
 
