@@ -3,8 +3,8 @@
 Two layers:
 
 * small dense helpers: one Gauss-Jordan elimination over Q or F_p, on
-  plain operators with one `% p` per entry over F_p, which gives affine
-  solves for the coordinate changes of the geometry and the inverse of a
+  plain operators with one `% p` per entry over F_p, which gives the
+  pivot columns of geometry's essentialization and the inverse of a
   square matrix; and identity, product and a - I, and
 * the one rank engine: sparse Gaussian elimination on Python ints for
   every field, fraction-free over Q and mod p over F_p, which takes every

@@ -533,22 +533,14 @@ def check_relative_section(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_local_global(ctx: VerifyContext, arr_id: str, sys_id: str,
                        system: LocalSystem) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
-    n = arr.dim
-    dims_a = ctx.dims(arr_id, sys_id, system)
-    local_sum = 0
-    parts = []
-    for loc_id, index_map in ctx.localizations(arr_id):
-        local_dims = ctx.dims(loc_id, sys_id, ctx.restricted(system, index_map))
-        local_sum += local_dims[n]
-        parts.append(local_dims[n])
-    if is_trivial(system):
-        ok = dims_a[n] == local_sum
-    else:
-        ok = dims_a[n] >= local_sum
+    n = ctx.arrangement(arr_id).dim
+    top = ctx.dims(arr_id, sys_id, system)[n]
+    local_tops = [ctx.dims(loc_id, sys_id, ctx.restricted(system, index_map))[n]
+                  for loc_id, index_map in ctx.localizations(arr_id)]
+    constant = is_trivial(system)
+    ok = top == sum(local_tops) if constant else top >= sum(local_tops)
     return CheckReport("local_global", arr_id, sys_id, "pass" if ok else "fail",
-                       {"top": dims_a[n], "local_tops": parts,
-                        "constant": is_trivial(system)})
+                       {"top": top, "local_tops": local_tops, "constant": constant})
 
 
 def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
@@ -568,39 +560,28 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
 def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
                             system: LocalSystem) -> CheckReport:
     arr = ctx.arrangement(arr_id)
-    n = arr.dim
     turn = localsys.total_turn(arr, system)
     dims_a = ctx.dims(arr_id, sys_id, system)
     if turn == identity_matrix(system.field, system.rank):
-        if n == 1:
-            expected = [system.rank * x for x in ctx.betti(arr_id)]
+        data = {"case": "turn-identity", "dims": dims_a}
+        if arr.dim == 1:
+            expected = data["expected"] = [system.rank * x for x in ctx.betti(arr_id)]
             ok = dims_a == expected
-            return CheckReport("central_structure", arr_id, sys_id,
-                               "pass" if ok else "fail",
-                               {"case": "turn-identity", "dims": dims_a,
-                                "expected": expected})
-        details = {}
-        ok = True
-        for i0 in range(arr.d):
-            m_id = ctx.decone(arr_id, i0)
-            descended = ctx.descended(arr_id, system, i0)
-            dims_m = ctx.dims(m_id, sys_id, descended)
-            padded = list(dims_m) + [0]
-            expected = [padded[k] + (padded[k - 1] if k else 0) for k in range(n + 1)]
-            details[f"decone{i0}"] = dims_m
-            ok = ok and dims_a == expected
-        details.update({"case": "turn-identity", "dims": dims_a})
-        return CheckReport("central_structure", arr_id, sys_id,
-                           "pass" if ok else "fail", details)
-    if matrix_rank(FMatrixSparse.from_rows(mat_sub_identity(system.field, turn)),
-                   system.field) == system.rank:
+        else:
+            ok = True
+            for i0 in range(arr.d):
+                dims_m = data[f"decone{i0}"] = ctx.dims(
+                    ctx.decone(arr_id, i0), sys_id, ctx.descended(arr_id, system, i0))
+                ok = ok and dims_a == [x + y for x, y in zip(dims_m + [0], [0] + dims_m)]
+    elif matrix_rank(FMatrixSparse.from_rows(mat_sub_identity(system.field, turn)),
+                     system.field) == system.rank:
+        data = {"case": "turn-invertible-difference", "dims": dims_a}
         ok = all(x == 0 for x in dims_a)
-        return CheckReport("central_structure", arr_id, sys_id,
-                           "pass" if ok else "fail",
-                           {"case": "turn-invertible-difference", "dims": dims_a})
-    return CheckReport("central_structure", arr_id, sys_id, "skipped",
-                       {"case": "turn-degenerate", "reason":
-                        "total turn differs from the identity but T - I is singular"})
+    else:
+        return CheckReport("central_structure", arr_id, sys_id, "skipped",
+                           {"case": "turn-degenerate", "reason":
+                            "total turn differs from the identity but T - I is singular"})
+    return CheckReport("central_structure", arr_id, sys_id, "pass" if ok else "fail", data)
 
 
 def check_lefschetz(ctx: VerifyContext, arr_id: str, sys_id: str,

@@ -139,7 +139,7 @@ def _full_complex(fc: FaceComplex):
     degree 0); plus (minus) masks each face's + (-) hyperplanes."""
     arr = fc.arrangement
     n = arr.dim
-    top_codim = max(n - f.dim for f in fc.faces)
+    top_codim = n - fc.faces[0].dim                  # faces come by decreasing codim
 
     cells = [[] for _ in range(top_codim + 1)]
     for fi, face in enumerate(fc.faces):
@@ -209,10 +209,12 @@ def _orient(fc: FaceComplex):
     interval F < G, G' < L.
 
     Codim 1: the sign of G on F's one hyperplane.  Higher codims, faces
-    in reversed face order, so in increasing codim: propagate through the
-    diamonds, whose closing condition is fixed by the signs one codim down
-    (`_certify_full` checks them); the covers of F bound a sphere, so BFS
-    reaches every cover."""
+    in reversed face order, so in increasing codim: F's first cover gets
+    +1, and each diamond F < G, G' < L, whose closing condition the signs
+    one codim down fix (`_certify_full` checks them), signs G' from G,
+    pass after pass until every cover is signed.  The covers of F bound a
+    sphere, so its diamonds connect them and each pass signs one more at
+    least; a face whose covers they leave apart is refused."""
     faces = fc.faces
     n = fc.arrangement.dim
     eps = [None] * len(faces)
@@ -225,32 +227,23 @@ def _orient(fc: FaceComplex):
                 raise RuntimeError("codim-1 face without a chamber on each side")
             continue
 
-        # shared lower faces: lam -> [(cover position, ε(cover, lam))]
-        shared = {}
+        diamonds = {}                # L -> [(cover position, ε(cover, L))]
         for idx, g in enumerate(covers):
             for lam, s in eps[g].items():
-                shared.setdefault(lam, []).append((idx, s))
-        edges = [[] for _ in covers]
-        for lam, pair in shared.items():
-            if len(pair) != 2:
-                raise RuntimeError(
-                    f"interval between faces is not a diamond ({len(pair)} middle faces)")
-            (i, si), (j, sj) = pair
-            edges[i].append((j, -si * sj))
-            edges[j].append((i, -si * sj))
-
-        signs = [0] * len(covers)
-        for start in range(len(covers)):
-            if signs[start]:
-                continue
-            signs[start] = 1
-            queue = deque([start])
-            while queue:
-                i = queue.popleft()
-                for j, rel in edges[i]:
-                    if signs[j] == 0:
-                        signs[j] = signs[i] * rel
-                        queue.append(j)
+                diamonds.setdefault(lam, []).append((idx, s))
+        signs = [1] + [0] * (len(covers) - 1)
+        for _ in covers[1:]:         # a pass signs one cover more, or none ever will
+            if 0 not in signs:
+                break
+            for pair in diamonds.values():
+                if len(pair) != 2:
+                    raise RuntimeError(
+                        f"interval between faces is not a diamond ({len(pair)} middle faces)")
+                (i, si), (j, sj) = pair
+                signs[i] = signs[i] or -signs[j] * si * sj
+                signs[j] = signs[j] or -signs[i] * si * sj
+        if 0 in signs:
+            raise RuntimeError("the covers of a face are not connected through diamonds")
         eps[f] = dict(zip(covers, signs))
     return eps
 

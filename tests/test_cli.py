@@ -633,6 +633,43 @@ def test_integer_strings_are_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["field"] == {"kind": "Fp", "p": 7}
 
 
+GEN3_INTS = {"dim": 2, "hyperplanes": [{"label": h["label"], "normal": [int(x) for x in h["normal"]],
+                                        "offset": int(h["offset"])} for h in GEN3["hyperplanes"]]}
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["verify", ("odd.json", {"dim": 2})], 2,
+     "error: TMP/odd.json: neither an arrangement nor a local system\n"),
+    (["verify", ("sys.json", SYS_222_Q)], 2, "error: no arrangement files given\n"),
+    (["verify", ("gen3.json", GEN3), ("sys.json", SYS_23_Q)], 2,
+     "error: system(s) ['file:sys'] match no given arrangement (hyperplane counts differ)\n"),
+    (["info", ("arr.json", {**GEN3, "dim": 0})], 2,
+     "error: ambient dimension must be >= 1, got 0\n"),
+    (["info", ("arr.json", {**GEN3, "hyperplanes": []})], 2,
+     "error: arrangement needs at least one hyperplane\n"),
+    (["info", ("arr.json", {"dim": 2, "hyperplanes": [
+        {"label": "x", "normal": ["1"], "offset": "0"}]})], 2,
+     "error: hyperplane x: normal has length 1, ambient dimension is 2\n"),
+    (["info", ("arr.json", {"hyperplanes": GEN3["hyperplanes"]})], 2,
+     "error: arrangement file needs 'dim' and 'hyperplanes'\n"),
+    (["betti", ("gen3.json", GEN3), "--system",
+      ("sys.json", {**SYS_222_Q, "rank": 0, "monodromy": [[], [], []]})], 2,
+     "error: rank must be >= 1, got 0\n"),
+    (["betti", ("gen3.json", GEN3), "--system", ("sys.json", {**SYS_222_Q, "field": {}})], 2,
+     "error: malformed local system: ValueError('unknown field spec {}')\n"),
+    (["info", ("gen3.json", GEN3_INTS)], 0, ""),
+], ids=["neither-arrangement-nor-system", "systems-only", "system-matching-no-arrangement",
+        "dim-0", "no-hyperplanes", "short-normal", "no-dim", "rank-0", "empty-field",
+        "integer-coefficients-accepted"])
+def test_each_input_refusal_exits_2_with_its_message(tmp_path, capsys, argv, code, err):
+    argv = [write(tmp_path, *arg) if isinstance(arg, tuple) else arg for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.replace("TMP", str(tmp_path))
+    if code == 0:                         # integers read as the strings would
+        assert json.loads(captured.out)["betti"] == [1, 3, 3]
+
+
 @pytest.mark.parametrize("argv", [["info"], ["betti", "x.json"], []])
 def test_usage_errors_exit_2(argv):
     assert main(argv) == 2

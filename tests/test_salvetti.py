@@ -474,6 +474,79 @@ def test_build_refuses_a_missing_face_by_the_poset_count(name, request, monkeypa
     assert gates == []                    # refused before the certificate
 
 
+@pytest.mark.parametrize("drop,message", [
+    ("ε", "ε of face 0 is not over its covers"),
+    ("row", "row 0 in degree 1 misses a cover"),
+])
+def test_the_certificate_refuses_a_dropped_cover(gen3, drop, message):
+    # one cover dropped from face 0's ε (top codim, so no face before it
+    # reads it), or one entry from a row: the Λ-term count refuses the
+    # dropped entry first in a build, so the certificate runs alone here
+    fc = enumerate_faces(gen3)
+    boundary, cells, eps, plus, minus = salvetti._full_complex(fc)
+    (eps[0] if drop == "ε" else boundary[1][0]).popitem()
+    with pytest.raises(ChainComplexError, match=message):
+        salvetti._certify_full(fc, boundary, cells, eps, plus, minus)
+
+
+def _with_covers(fc, f, covers):
+    """fc with covering[f] replaced by covers, in index order."""
+    return FaceComplex(fc.arrangement, fc.faces, fc.covering[:f] + (tuple(sorted(covers)),)
+                       + fc.covering[f + 1:])
+
+
+def _a_chamber_dropped(fc):
+    f = next(f for f, face in enumerate(fc.faces) if face.dim == 1)
+    return _with_covers(fc, f, fc.covering[f][1:])
+
+
+def _an_extra_cover(fc):
+    f = next(f for f, face in enumerate(fc.faces) if face.dim == 0)
+    extra = next(g for g, face in enumerate(fc.faces)
+                 if face.dim == 1 and g not in fc.covering[f])
+    return _with_covers(fc, f, fc.covering[f] + (extra,))
+
+
+def _two_vertices_joined(fc):
+    # two vertices without a common chamber: each one's diamonds close,
+    # and none links the two sets of covers
+    vertices = [f for f, face in enumerate(fc.faces) if face.dim == 0]
+    f, h = next((f, h) for f in vertices for h in vertices
+                if not set(fc.adjacent[f]) & set(fc.adjacent[h]))
+    return _with_covers(fc, f, fc.covering[f] + fc.covering[h])
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_a_chamber_dropped, "codim-1 face without a chamber on each side"),
+    (_an_extra_cover, r"interval between faces is not a diamond \(3 middle faces\)"),
+    (_two_vertices_joined, "the covers of a face are not connected through diamonds"),
+], ids=["chamber-dropped", "extra-cover", "two-vertices-joined"])
+def test_the_orientation_refuses_a_covering_that_is_no_face_poset(corrupt, message):
+    # x = 0, 1, 2 and y = 0, 1: the vertices (0, 0) and (2, 1) share no chamber
+    grid = make_arrangement(2, [((1, 0), 0), ((1, 0), 1), ((1, 0), 2), ((0, 1), 0), ((0, 1), 1)])
+    with pytest.raises(RuntimeError, match=message):
+        salvetti._orient(corrupt(enumerate_faces(grid)))
+
+
+def test_the_morse_step_refuses_an_exponent_out_of_range(gen3, monkeypatch):
+    # two bits per hyperplane hold exponents -1 and 0 only, so the first
+    # t^1 of the full boundary leaves the range in the first Morse round
+    monkeypatch.setattr(salvetti, "_BITS", 2)
+    monkeypatch.setattr(salvetti, "_BIAS", 1)
+    with pytest.raises(ChainComplexError, match=r"an exponent over Λ left \[-1, 1\)") as info:
+        build_salvetti(enumerate_faces(gen3))
+    assert info.traceback[-1].name == "_morse"
+
+
+def test_the_reduced_gate_refuses_an_exponent_out_of_range():
+    # t^e then t^e, e = 3/4 of the bias: each entry is in range, and the
+    # composed t^2e is not
+    one, _ = salvetti._packing(1)
+    entry = {one + salvetti._BIAS * 3 // 4: 1}
+    with pytest.raises(ChainComplexError, match="an exponent over Λ left"):
+        salvetti._verify_over_group_ring([[{}], [{0: entry}], [{0: entry}]], 1)
+
+
 def test_term_counts_are_the_covers_of_every_cell():
     # one Λ-term per cover of a cell's face, counted on the enumerated
     # faces, against the prediction read off the poset alone
