@@ -138,23 +138,9 @@ def _make_primitive(row: dict):
             row[j] //= content
 
 
-def _sparse_rank(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
-    """Rank by sparse elimination over Q or F_p, in place on rows {i: {col:
-    value}} of field elements (ints over Q), as rows(drop, fieldspec) gives;
-    each step adds its column to `pivots`, which span the rows' column space.
-
-    Rows come nonzero (rows() drops the empty ones), so at most one row
-    has rank len(rows) and, as pivot, that row's least column, which is
-    what _eliminate would pick: no column index is built for it."""
-    if len(rows) <= 1:
-        for row in rows.values():
-            pivots.add(min(row))
-        return len(rows)
-    return _eliminate(rows, fieldspec, pivots)
-
-
 def _eliminate(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
-    """_sparse_rank's elimination, for any number of rows.
+    """rank's elimination, for any number of rows, in place on rows {i:
+    {col: value}} of field elements (ints over Q) as rows() gives them.
 
     Each column keeps the set of rows that use it.  Pivot columns are
     taken by increasing initial count (ties by index), each with the
@@ -236,9 +222,17 @@ def _eliminate(rows: dict, fieldspec: FieldSpec, pivots: set) -> int:
 def rank(matrix, fieldspec: FieldSpec, drop=(), pivots=None) -> int:
     """Exact rank over the given field of the rows not in `drop` of a boundary
     (FMatrixSparse, twisted), which rows(drop, fieldspec) builds only now;
-    `pivots` receives the pivot columns (see _sparse_rank)."""
-    return _sparse_rank(matrix.rows(drop, fieldspec), fieldspec,
-                        set() if pivots is None else pivots)
+    `pivots` receives the pivot columns, which span the rows' column space.
+
+    Rows come nonzero (rows() drops the empty ones), so at most one row
+    has rank len(rows) and, as pivot, that row's least column, which is
+    what _eliminate would pick: no column index is built for it."""
+    rows, pivots = matrix.rows(drop, fieldspec), set() if pivots is None else pivots
+    if len(rows) <= 1:
+        for row in rows.values():
+            pivots.add(min(row))
+        return len(rows)
+    return _eliminate(rows, fieldspec, pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ arguments: essentialization, localization at a flat, deconing a central
 arrangement, and generic sections, certified by comparing their poset
 with the arrangement's.  Decones and sections cut every hyperplane on a
 plane by one section map.  Ranks go through exactla's one sparse engine;
-its one dense elimination serves essentialization alone.
+its one dense elimination serves essentialization here and localsys's
+inverse monodromy blocks (mat_inverse).
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def _add_with_inverse(out, seen, sys_id, system) -> int:
     for candidate_id, candidate in ((sys_id, system),
                                     (sys_id + "-inv", system.inverse_system())):
         if candidate not in seen:        # its content is hashed once and cached in _hash
-            seen[candidate] = candidate_id
+            seen.add(candidate)
             out.append((candidate_id, candidate))
             added += 1
     return added
@@ -191,7 +191,7 @@ def systems_for_arrangement(arr: Arrangement, spec: CorpusSpec, arr_id: str):
     """Local systems attached to one arrangement, closed under inversion."""
     d = arr.d
     q = FieldSpec.rationals()
-    out, seen = [], {}
+    out, seen = [], set()
 
     for r in CONSTANT_RANKS:
         out.append((f"const-r{r}", LocalSystem(q, r, (identity_matrix(q, r),) * d)))
@@ -361,9 +361,6 @@ class VerifyContext:
         salvetti.check_size(arr, arr_id)
         self.arrangements[arr_id] = arr
 
-    def arrangement(self, arr_id: str) -> Arrangement:
-        return self.arrangements[arr_id]
-
     def poset(self, arr_id):
         return geometry.intersection_poset(self.arrangements[arr_id])
 
@@ -467,7 +464,7 @@ def check_untwisted_match(ctx: VerifyContext, arr_id: str) -> CheckReport:
     exactly when Σ (-1)^dim F over its faces F ≤ C is 1 (0 when not),
     the face order and dims being read off the covectors.  The homology
     ranks repeat on purpose what the build's t = 1 gate proves, b_i = cells_i."""
-    arr, b = ctx.arrangement(arr_id), ctx.betti(arr_id)
+    arr, b = ctx.arrangements[arr_id], ctx.betti(arr_id)
     chi = geometry.characteristic_polynomial(ctx.poset(arr_id))
     sc = ctx.salvetti(arr_id)
     data = {"betti": b, "regions": list(realfaces.region_counts(sc.fc)),
@@ -483,7 +480,7 @@ def check_untwisted_match(ctx: VerifyContext, arr_id: str) -> CheckReport:
 def check_constant_equality(ctx: VerifyContext, arr_id: str, r: int) -> CheckReport:
     """The build's t = 1 gate already proves r·cells_i = r·b_i on a minimal
     complex; the ranks are kept on purpose, as a second computation."""
-    arr = ctx.arrangement(arr_id)
+    arr = ctx.arrangements[arr_id]
     q = FieldSpec.rationals()
     system = ctx.canonical(LocalSystem(q, r, (identity_matrix(q, r),) * arr.d))
     dims = ctx.dims(arr_id, f"const-r{r}", system)
@@ -496,7 +493,7 @@ def check_constant_equality(ctx: VerifyContext, arr_id: str, r: int) -> CheckRep
 
 def check_main_theorem(ctx: VerifyContext, arr_id: str, sys_id: str,
                        system: LocalSystem) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
+    arr = ctx.arrangements[arr_id]
     dims = ctx.dims(arr_id, sys_id, system)
     bound = [system.rank * x for x in ctx.betti(arr_id)]
     ok = all(dims[i] < bound[i] for i in range(arr.dim + 1))
@@ -518,7 +515,7 @@ def check_euler(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_relative_section(ctx: VerifyContext, arr_id: str, sys_id: str,
                            system: LocalSystem) -> CheckReport:
-    n = ctx.arrangement(arr_id).dim
+    n = ctx.arrangements[arr_id].dim
     sec_id = ctx.section(arr_id, n - 1)
     dims_a = ctx.dims(arr_id, sys_id, system)
     dims_b = ctx.dims(sec_id, sys_id, system)
@@ -533,7 +530,7 @@ def check_relative_section(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_local_global(ctx: VerifyContext, arr_id: str, sys_id: str,
                        system: LocalSystem) -> CheckReport:
-    n = ctx.arrangement(arr_id).dim
+    n = ctx.arrangements[arr_id].dim
     top = ctx.dims(arr_id, sys_id, system)[n]
     local_tops = [ctx.dims(loc_id, sys_id, ctx.restricted(system, index_map))[n]
                   for loc_id, index_map in ctx.localizations(arr_id)]
@@ -545,7 +542,7 @@ def check_local_global(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
                          system: LocalSystem, loc_id: str, index_map) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
+    arr = ctx.arrangements[arr_id]
     n = arr.dim
     sec_id = ctx.section(arr_id, n - 1)
     loc_sec_id = ctx.section(loc_id, n - 1)
@@ -559,7 +556,7 @@ def check_nearby_section(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 def check_central_structure(ctx: VerifyContext, arr_id: str, sys_id: str,
                             system: LocalSystem) -> CheckReport:
-    arr = ctx.arrangement(arr_id)
+    arr = ctx.arrangements[arr_id]
     turn = localsys.total_turn(arr, system)
     dims_a = ctx.dims(arr_id, sys_id, system)
     if turn == identity_matrix(system.field, system.rank):
@@ -608,9 +605,9 @@ def c1_expected_dims(system: LocalSystem):
 def check_c1_closed_form(ctx: VerifyContext, arr_id: str, sys_id: str,
                          system: LocalSystem, computed) -> CheckReport:
     expected = ctx.c1_expected(system)
-    ok = list(computed[:2]) == expected and all(x == 0 for x in computed[2:])
-    return CheckReport("c1_oracle", arr_id, sys_id, "pass" if ok else "fail",
-                       {"dims": list(computed), "expected": expected})
+    return CheckReport("c1_oracle", arr_id, sys_id,
+                       "pass" if computed == expected else "fail",
+                       {"dims": computed, "expected": expected})
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +615,6 @@ def check_c1_closed_form(ctx: VerifyContext, arr_id: str, sys_id: str,
 
 
 ARRANGEMENT, SYSTEM, DIMS_CACHE = "arrangement", "system", "dims-cache"
-
-
-def _cached_dimension1(ctx):
-    """(arr_id, sys_id, system, dims) per dimension-1 answer, sorted by
-    ids, since systems have no order (file ids carry a `file:` prefix)."""
-    return sorted(((*key, dims) for key, dims in ctx.dimension1.items()),
-                  key=lambda entry: entry[:2])
 
 
 @dataclass(frozen=True)
@@ -692,10 +682,11 @@ CHECKS = {
     "lefschetz": Check(
         "generic i-section: b_i(U;L) <= b_i(B;L) and untwisted b_i agree",
         check_lefschetz,
-        expand=lambda ctx, arr_id: ((i,) for i in range(1, ctx.arrangement(arr_id).dim + 1))),
+        expand=lambda ctx, arr_id: ((i,) for i in range(1, ctx.arrangements[arr_id].dim + 1))),
     "c1_oracle": Check(
         "dimension-1 closed form: (dim ker-intersection, r(d-1) + same)",
-        check_c1_closed_form, DIMS_CACHE, expand=_cached_dimension1),
+        check_c1_closed_form, DIMS_CACHE,
+        expand=lambda ctx: ((*key, dims) for key, dims in ctx.dimension1.items())),
 }
 
 ALL_CHECKS = tuple(CHECKS)

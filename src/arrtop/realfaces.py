@@ -1,8 +1,8 @@
 """Face poset of a real arrangement: sign vectors, chambers, covers.
 
 Every face is stored with an exact witness in its relative interior, the
-primitive integers (W, D) of the point W/D, so adjacency queries are
-certified rather than inferred.  Enumeration is incremental:
+primitive integers (W, D) of the point W/D, which certifies that its
+sign vector is realized.  Enumeration is incremental:
 hyperplanes are inserted one at a time and each existing face is split
 against the new hyperplane.  Flats come from the intersection poset:
 each face carries its flat, whose meet with the new hyperplane says

@@ -133,11 +133,11 @@ def test_every_cached_answer_is_its_own_arrangements_answer(contexts):
     fresh = {}
     for (arr_id, sys_id, system), dims in ctx.asked.items():
         if arr_id not in fresh:
-            fresh[arr_id] = build_salvetti(enumerate_faces(ctx.arrangement(arr_id)))
-            assert fresh[arr_id].fc.arrangement is ctx.arrangement(arr_id)
+            fresh[arr_id] = build_salvetti(enumerate_faces(ctx.arrangements[arr_id]))
+            assert fresh[arr_id].fc.arrangement is ctx.arrangements[arr_id]
         assert dims == twisted_betti(fresh[arr_id], system), (arr_id, sys_id)
     # not vacuous: some arrangements were answered on another one's complex
-    assert any(ctx.salvetti(arr_id).fc.arrangement is not ctx.arrangement(arr_id)
+    assert any(ctx.salvetti(arr_id).fc.arrangement is not ctx.arrangements[arr_id]
                for arr_id in fresh)
 
 
@@ -181,7 +181,9 @@ def test_c1_oracle_once_per_distinct_system_in_each_run(contexts, call_counter):
         reports, _summary = run_verification(corpus, seed=0, checks=("lefschetz", "c1_oracle"))
         ctx = contexts[run]
         assert ctx.dimension1 == {key: dims for key, dims in ctx.asked.items()
-                                  if ctx.arrangement(key[0]).dim == 1}
+                                  if ctx.arrangements[key[0]].dim == 1}
+        # padded to the ambient dim 1: (b_0, b_1), which c1_oracle compares whole
+        assert all(len(dims) == 2 for dims in ctx.dimension1.values())
         systems = [system for _arr_id, _sys_id, system in ctx.dimension1]
         assert all(ctx.canonical(system) is system for system in systems)
         pairs = {frozenset((system, system.inverse_system())) for system in systems}

@@ -444,7 +444,7 @@ def test_the_few_row_shortcut_gives_the_general_loops_rank_and_pivots(case):
     # the general loop, forced here, must give the same rank and pivots
     m, field = case
     fast, slow = set(), set()
-    got = exactla._sparse_rank(m.rows((), field), field, fast)
+    got = exactla.rank(m, field, pivots=fast)
     assert got == exactla._eliminate(m.rows((), field), field, slow) and fast == slow
     nonzero = {i for i, _j in m.entries}
     if len(nonzero) <= 1:                 # rank = rows, pivot = the row's least column

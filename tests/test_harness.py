@@ -140,8 +140,8 @@ def test_main_theorem_rejects_trivial(named_ctx):
     main = CHECKS["main_theorem"]
     assert not main.on_system(scalar_system(Q, [1, 1, 1]))
     assert main.on_system(scalar_system(Q, [2, 1, 1]))
-    assert main.on_arrangement(named_ctx.arrangement("gen3"))
-    assert not main.on_arrangement(times_c(named_ctx.arrangement("gen3")))
+    assert main.on_arrangement(named_ctx.arrangements["gen3"])
+    assert not main.on_arrangement(times_c(named_ctx.arrangements["gen3"]))
 
 
 def test_euler_check(named_ctx):
@@ -170,8 +170,8 @@ def test_relative_section_twisted(named_ctx):
 def test_relative_section_rejects_dimension1(named_ctx):
     # declared for dim >= 2 in the registry, so a run never calls it there;
     # called anyway, it asks for a 0-section, which does not exist
-    assert not CHECKS["relative_section"].on_arrangement(named_ctx.arrangement("a2"))
-    assert CHECKS["relative_section"].on_arrangement(named_ctx.arrangement("gen3"))
+    assert not CHECKS["relative_section"].on_arrangement(named_ctx.arrangements["a2"])
+    assert CHECKS["relative_section"].on_arrangement(named_ctx.arrangements["gen3"])
     with pytest.raises(ArrangementError):
         check_relative_section(named_ctx, "a2", "s", scalar_system(Q, [2, 3]))
 
@@ -232,7 +232,7 @@ def test_central_structure_rejects_noncentral(named_ctx):
     # declared for central essential arrangements; called anyway on a
     # non-central one, it has no total turn to read
     central = CHECKS["central_structure"]
-    cen3, gen3 = named_ctx.arrangement("cen3"), named_ctx.arrangement("gen3")
+    cen3, gen3 = named_ctx.arrangements["cen3"], named_ctx.arrangements["gen3"]
     assert central.on_arrangement(cen3)
     assert not central.on_arrangement(gen3)
     assert not central.on_arrangement(times_c(cen3))
